@@ -3,7 +3,7 @@
 
 Files land in --outdir as <tag>__<kind>__<partition>.<ext>, one per
 (group, kind, partition) triple.  Groups whose subgroup lattice exceeds the
-engine caps still export: the vm build falls back to its two-generated search.
+engine caps still export: the vm build only searches two-generated subgroups.
 
 Examples:
     python scripts/export_zoo_graphs.py --outdir graphs

@@ -15,15 +15,15 @@ from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
 from .group import (DEFAULT_LIMITS, ChiefSeries, EngineLimits, PermGroup,
                     QuotientGroup, Subgroup, all_subgroups, centralizer,
                     centralizer_of_factor, chief_series, core_series_subgroup,
-                    frattini, group_from_generators, hall_subgroups, is_normal,
-                    maximal_subgroups, normal_subgroups, normalizer, quotient,
-                    subgroup, sylow, two_generated_subgroups)
+                    frattini, hall_subgroups, is_normal, maximal_subgroups,
+                    normal_subgroups, normalizer, quotient, subgroup, sylow,
+                    two_generated_subgroups)
 from .perm import Permutation
 from .predicates import (SchmidtShape, SigmaLengthProfile, f_class_subgroup,
                          is_class_nilpotent, is_critical, is_nilpotent,
-                         is_pi_closed, is_pi_normal_maximal, is_pi_separable,
-                         is_schmidt, is_sigma_dispersive, is_sigma_nilpotent,
-                         is_sigma_soluble, schmidt_decomposition, sigma_length)
+                         is_pi_closed, is_schmidt, is_sigma_dispersive,
+                         is_sigma_nilpotent, is_sigma_soluble,
+                         schmidt_decomposition, sigma_length)
 from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, parse_sigma_spec,
                     pi_part, prime_factors, primes_of, sigma_coprime,
                     sigma_of_group, sigma_of_int)

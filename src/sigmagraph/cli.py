@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import (CrossCheckError, DomainError, GroupInputError,
                      ResourceLimitError)
 from .graphs import build_hall, build_hawkes, build_vm, to_dot, to_json
-from .group import DEFAULT_LIMITS, EngineLimits, PermGroup, group_from_generators
+from .group import DEFAULT_LIMITS, EngineLimits, PermGroup
 from .perm import Permutation
 from .predicates import (is_critical, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent,
@@ -57,7 +57,7 @@ def _group_from_json(data, tag: str) -> tuple[str, PermGroup]:
     if not isinstance(raw, list):
         raise GroupInputError("group spec needs a generator list")
     gens = [_parse_generator(entry, degree) for entry in raw]
-    group = group_from_generators(degree, gens)
+    group = PermGroup(degree, gens)
     expected = data.get("expected_order")
     if expected is not None and expected != group.order:
         raise GroupInputError(

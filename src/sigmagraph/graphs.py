@@ -7,7 +7,10 @@ Vertices are the partition classes meeting |G|.  Edge rules:
                     Every Hall subgroup is tried, not one per class; a class
                     without Hall subgroups simply has no out-edges.
   vm      (ci, cj): some critical subgroup H carries ci and keeps cj in
-                    H modulo its ci-local radical.
+                    H modulo its ci-local radical.  Candidates come from the
+                    two-generated subgroups alone: a critical subgroup is a
+                    Schmidt group, and a Schmidt group is generated by two
+                    elements, so this pool holds every critical subgroup.
 
 All outputs are canonically ordered; serialisation is byte-deterministic.
 """
@@ -17,11 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError
-from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _subgroup_indices, all_subgroups, centralizer, hall_subgroups,
-                    normalizer, two_generated_subgroups)
-from .predicates import f_class_subgroup, is_critical
+from .errors import DomainError
+from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _subgroup_indices,
+                    centralizer, hall_subgroups, normalizer, two_generated_subgroups)
+from .predicates import _memo, f_class_subgroup, is_critical
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
 
@@ -70,7 +72,7 @@ def build_hawkes(G: PermGroup, sigma: SigmaPartition,
             for cj in sigma_of_int(G.order // f.order, sigma):
                 edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _graph_memo(G, ("graph", "hawkes", sigma), compute)
+    vertices, edges = _memo(G, ("graph", "hawkes", sigma), compute)
     return SigmaGraph("hawkes", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
 
@@ -93,7 +95,7 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
                 for cj in sigma_of_int(n.order // hc, sigma):
                     edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _graph_memo(G, ("graph", "hall", sigma), compute)
+    vertices, edges = _memo(G, ("graph", "hall", sigma), compute)
     return SigmaGraph("hall", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
 
@@ -103,9 +105,8 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
     _require_nontrivial(G)
     def compute():
         vertices = sigma_of_group(G, sigma)
-        candidates = _vm_candidates(G, limits)
         edges = set()
-        for s in candidates:
+        for s in two_generated_subgroups(G, limits):
             # critical subgroups are Schmidt groups: two primes, two classes
             if len(sigma_of_int(s.order, sigma)) != 2:
                 continue
@@ -116,25 +117,9 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
                 for cj in sigma_of_int(s.order // f.order, sigma):
                     edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _graph_memo(G, ("graph", "vm", sigma), compute)
+    vertices, edges = _memo(G, ("graph", "vm", sigma), compute)
     return SigmaGraph("vm", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
-
-
-def _vm_candidates(G: PermGroup, limits: EngineLimits) -> list[Subgroup]:
-    """Full subgroup scan when affordable; otherwise two-generated subgroups,
-    which still see every critical subgroup (they are Schmidt groups, and a
-    Schmidt group is generated by two elements)."""
-    try:
-        return all_subgroups(G, limits)
-    except ResourceLimitError:
-        return two_generated_subgroups(G, limits)
-
-
-def _graph_memo(G: PermGroup, key, compute):
-    if key not in G._cache:
-        G._cache[key] = compute()
-    return G._cache[key]
 
 
 # ---------------------------------------------------------------------------

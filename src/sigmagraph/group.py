@@ -70,11 +70,6 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         return p.degree == self.degree and self.bsgs.contains(p)
 
-    @property
-    def element_cache(self):
-        """Explicit element tuple if it has been computed, else None."""
-        return self._cache.get("elements")
-
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple.  Capped by max_element_order."""
         cached = self._cache.get("elements")
@@ -96,11 +91,6 @@ class PermGroup:
             u = _Universe(self.elements(limits))
             self._cache["universe"] = u
         return u
-
-
-def group_from_generators(degree: int, generators) -> PermGroup:
-    """Group generated by the given permutations of {0..degree-1}."""
-    return PermGroup(degree, generators)
 
 
 class Subgroup:
@@ -134,9 +124,6 @@ class Subgroup:
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return all(self.group.contains(g) for g in other.group.generators)
-
-    def sort_key(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple:
-        return (self.order, tuple(p.images for p in self.group.elements(limits)))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -404,18 +391,14 @@ def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> lis
 class ChiefSeries:
     group: PermGroup
     terms: tuple[Subgroup, ...]      # ascending, from trivial to the group
-    factors: tuple["QuotientGroup", ...]  # factors[k] = terms[k+1] / terms[k]
 
 
-def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS,
-                 prefer: str = "smallest") -> ChiefSeries:
+def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSeries:
     """One chief series, built by repeatedly taking the canonically smallest
-    (or largest, for cross-checks) minimal normal subgroup above the current
-    term."""
+    minimal normal subgroup above the current term."""
     if G.is_trivial:
         raise DomainError("the trivial group has no chief series")
-    key = ("chief_series", prefer)
-    cached = G._cache.get(key)
+    cached = G._cache.get("chief_series")
     if cached is not None:
         return cached
     u = G.universe(limits)
@@ -426,15 +409,11 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS,
         cur = chain[-1]
         above = [s for s, _ in normal_sets if cur < s]
         minimal = [s for s in above if not any(t < s for t in above if t is not s)]
-        chain.append(minimal[0] if prefer == "smallest" else minimal[-1])
+        chain.append(minimal[0])
     gens_by_set = dict(normal_sets)
     terms = tuple(_subgroup_from_indices(G, u, s, gens_by_set[s]) for s in chain)
-    factors = []
-    for below, above in zip(terms, terms[1:]):
-        kernel = Subgroup(above.group, below.group, _checked=True)
-        factors.append(quotient(above.group, kernel, limits))
-    series = ChiefSeries(G, terms, tuple(factors))
-    G._cache[key] = series
+    series = ChiefSeries(G, terms)
+    G._cache["chief_series"] = series
     return series
 
 

@@ -1,10 +1,10 @@
 """Structural predicates of a finite group relative to a prime partition.
 
 Solubility and nilpotency notions are read off chief-factor data; the
-class-local nilpotency predicate uses the normal-complement criterion as the
-fast route, with the chief-factor reading kept alongside as an oracle.  A
-disagreement between two routes that are provably equal is always surfaced
-as CrossCheckError, never patched over.
+class-local nilpotency predicate uses the normal-complement criterion.  Each
+quantity has one route here; the independent cross-check routes live with
+the tests.  A proved fact that the data contradicts (a unique maximum, the
+Schmidt shape) is surfaced as CrossCheckError, never patched over.
 
 Degenerate input: the trivial group counts as soluble, nilpotent and
 dispersive in every sense, and is neither Schmidt nor critical.
@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CrossCheckError, DomainError, ResourceLimitError
+from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _normal_subgroup_sets, _subgroup_from_indices, _subgroup_indices,
-                    all_subgroups, centralizer_of_factor, chief_series,
-                    core_series_subgroup, is_normal, normal_subgroups, quotient, sylow,
+                    _normal_subgroup_sets, _subgroup_from_indices, all_subgroups,
+                    centralizer_of_factor, chief_series, core_series_subgroup,
+                    is_normal, normal_subgroups, quotient, sylow,
                     two_generated_subgroups)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
-                    is_class_number, prime_factors, primes_of, sigma_of_int)
+                    prime_factors, primes_of, sigma_of_int)
 
 
 def _memo(G: PermGroup, key, compute):
@@ -35,8 +35,7 @@ def _memo(G: PermGroup, key, compute):
 # chief-factor data
 
 
-def _chief_invariants(G: PermGroup, limits: EngineLimits,
-                      prefer: str = "smallest") -> tuple[tuple[int, int], ...]:
+def _chief_invariants(G: PermGroup, limits: EngineLimits) -> tuple[tuple[int, int], ...]:
     """(factor order, automizer order) for each factor of one chief series.
 
     The automizer order |G / C_G(H/K)| together with |H/K| carries all the
@@ -44,31 +43,13 @@ def _chief_invariants(G: PermGroup, limits: EngineLimits,
     verdicts does not depend on the chosen series.
     """
     def compute():
-        cs = chief_series(G, limits, prefer)
+        cs = chief_series(G, limits)
         out = []
         for below, above in zip(cs.terms, cs.terms[1:]):
             c = centralizer_of_factor(G, above, below, limits)
             out.append((above.order // below.order, G.order // c.order))
         return tuple(out)
-    return _memo(G, ("chief_inv", prefer), compute)
-
-
-def is_pi_central_factor(G: PermGroup, H: Subgroup, K: Subgroup, primes,
-                         limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """True when the chief factor H/K and its automizer G/C_G(H/K) are both
-    pi-groups.  Rejects input that is not a chief factor of G."""
-    pset = frozenset(primes)
-    u = G.universe(limits)
-    h_set = _subgroup_indices(u, H)
-    k_set = _subgroup_indices(u, K)
-    normal = {s for s, _ in _normal_subgroup_sets(G, limits)}
-    if h_set not in normal or k_set not in normal or not k_set < h_set:
-        raise DomainError("H/K is not a factor of normal subgroups of G")
-    if any(k_set < s < h_set for s in normal):
-        raise DomainError("H/K is not a chief factor of G: a normal subgroup lies between")
-    c = centralizer_of_factor(G, H, K, limits)
-    return (set(primes_of(len(h_set) // len(k_set))) <= pset
-            and set(primes_of(G.order // c.order)) <= pset)
+    return _memo(G, "chief_inv", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -76,28 +57,26 @@ def is_pi_central_factor(G: PermGroup, H: Subgroup, K: Subgroup, primes,
 
 
 def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
-                     limits: EngineLimits = DEFAULT_LIMITS,
-                     prefer: str = "smallest") -> bool:
+                     limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """Every chief factor order lies inside a single class."""
     if G.is_trivial:
         return True
     def compute():
         return all(len(sigma_of_int(fo, sigma)) == 1
-                   for fo, _ in _chief_invariants(G, limits, prefer))
-    return _memo(G, ("soluble", sigma, prefer), compute)
+                   for fo, _ in _chief_invariants(G, limits))
+    return _memo(G, ("soluble", sigma), compute)
 
 
 def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
-                       limits: EngineLimits = DEFAULT_LIMITS,
-                       prefer: str = "smallest") -> bool:
+                       limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """Every chief factor is central for some class: the factor order and the
     automizer order fall inside one common class."""
     if G.is_trivial:
         return True
     def compute():
         return all(len(sigma_of_int(fo * ao, sigma)) == 1
-                   for fo, ao in _chief_invariants(G, limits, prefer))
-    return _memo(G, ("nilpotent_sigma", sigma, prefer), compute)
+                   for fo, ao in _chief_invariants(G, limits))
+    return _memo(G, ("nilpotent_sigma", sigma), compute)
 
 
 def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
@@ -116,18 +95,6 @@ def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
         target = G.order // class_part(G.order, cls)
         return any(len(s) == target for s, _ in _normal_subgroup_sets(G, limits))
     return _memo(G, ("class_nilpotent", cls), compute)
-
-
-def is_class_nilpotent_by_chief_factors(G: PermGroup, cls: SigmaClass,
-                                        limits: EngineLimits = DEFAULT_LIMITS,
-                                        prefer: str = "smallest") -> bool:
-    """Oracle route: every chief factor whose order touches cls is
-    cls-central.  Provably equal to is_class_nilpotent; kept independent."""
-    if G.is_trivial:
-        return True
-    return all(is_class_number(fo * ao, cls)
-               for fo, ao in _chief_invariants(G, limits, prefer)
-               if any(cls.contains(p) for p in primes_of(fo)))
 
 
 def f_class_subgroup(G: PermGroup, cls: SigmaClass,
@@ -150,20 +117,6 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
                     "class-nilpotent normal subgroups admit no unique maximum")
         return best
     return _memo(G, ("f_class", cls), compute)
-
-
-def f_class_subgroup_by_pullback(G: PermGroup, cls: SigmaClass,
-                                 limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Oracle route for f_class_subgroup: the core avoiding cls, pulled back
-    through the cls-core of the quotient."""
-    out_primes = [p for p in primes_of(G.order) if not cls.contains(p)]
-    d = core_series_subgroup(G, out_primes, limits)
-    q = quotient(G, d, limits)
-    in_primes = [p for p in primes_of(q.image.order) if cls.contains(p)]
-    e_img = core_series_subgroup(q.image, in_primes, limits)
-    u = G.universe(limits)
-    img_set = frozenset(p.images for p in e_img.group.elements(limits))
-    return _subgroup_from_indices(G, u, q.preimage_indices(u, img_set))
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +166,18 @@ def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     return _memo(G, "schmidt", compute)
 
 
-def _non_sigma_nilpotent_proper_2gen(G: PermGroup, sigma: SigmaPartition,
-                                     limits: EngineLimits) -> Subgroup | None:
-    """Smallest two-generated proper subgroup that is not sigma-nilpotent.
-
-    Subgroup orders inside one class are skipped without building anything:
-    a class-primary group is always sigma-nilpotent.
-    """
-    for s in two_generated_subgroups(G, limits):
-        if s.order == G.order or len(sigma_of_int(s.order, sigma)) == 1:
-            continue
-        if not is_sigma_nilpotent(s.group, sigma, limits):
-            return s
-    return None
-
-
 def is_critical(G: PermGroup, sigma: SigmaPartition,
                 limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """Not sigma-nilpotent, but every proper subgroup is sigma-nilpotent.
 
     Any positive must be a Schmidt group (two prime divisors, normal Sylow
     with cyclic complement, not nilpotent), so those partition-independent
-    screens run first and are shared across partitions.  When full subgroup
-    enumeration is out of reach, the scan falls back to two-generated
-    subgroups: a group that is not sigma-nilpotent and not critical always
-    contains a proper critical subgroup, which is two-generated, so the
-    restricted scan is still exact.
+    screens run first and are shared across partitions.  The proper-subgroup
+    scan runs over two-generated subgroups only, and is exact: a group that
+    is not sigma-nilpotent and not critical contains a proper critical
+    subgroup, which is a Schmidt group and so two-generated.  Subgroup
+    orders inside one class are skipped without building anything: a
+    class-primary group is always sigma-nilpotent.
     """
     def compute():
         if G.is_trivial or len(prime_factors(G.order)) != 2:
@@ -250,18 +189,10 @@ def is_critical(G: PermGroup, sigma: SigmaPartition,
         # here G = P . <x> with distinct classes for p and q, and Q is not
         # normal, so G is not sigma-nilpotent; criticality is decided by the
         # proper-subgroup scan alone
-        try:
-            subs = all_subgroups(G, limits)
-        except ResourceLimitError:
-            subs = None
-        if subs is not None:
-            for s in subs:
-                if s.order == G.order or len(sigma_of_int(s.order, sigma)) == 1:
-                    continue
-                if not is_sigma_nilpotent(s.group, sigma, limits):
-                    return False
-        else:
-            if _non_sigma_nilpotent_proper_2gen(G, sigma, limits) is not None:
+        for s in two_generated_subgroups(G, limits):
+            if s.order == G.order or len(sigma_of_int(s.order, sigma)) == 1:
+                continue
+            if not is_sigma_nilpotent(s.group, sigma, limits):
                 return False
         return True
     return _memo(G, ("critical", sigma), compute)
@@ -310,35 +241,6 @@ def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
     return _memo(G, ("dispersive", sigma), compute)
 
 
-def dispersive_by_ordering_search(G: PermGroup, sigma: SigmaPartition,
-                                  limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Oracle route: try every ordering of the classes of |G| as a fixed
-    tower schedule.  Exponential in the class count; corpus groups have at
-    most three classes."""
-    from itertools import permutations
-
-    if G.is_trivial:
-        return True
-    classes = sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key)
-    for ordering in permutations(classes):
-        cur = G
-        ok = True
-        for cls in ordering:
-            if cur.order == 1:
-                break
-            part = class_part(cur.order, cls)
-            if part == 1:
-                continue
-            n = _normal_hall_for_class(cur, cls, limits)
-            if n is None or n.order != part:
-                ok = False
-                break
-            cur = quotient(cur, n, limits).image
-        if ok and cur.order == 1:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class SigmaLengthProfile:
     sigma_class: SigmaClass
@@ -378,48 +280,3 @@ def sigma_length(G: PermGroup, cls: SigmaClass,
             cur = e
         return SigmaLengthProfile(cls, length)
     return _memo(G, ("sigma_length", cls), compute)
-
-
-# ---------------------------------------------------------------------------
-# maximal-subgroup notions (separability route)
-
-
-def is_pi_separable(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor order is a pi-number or a pi'-number."""
-    if G.is_trivial:
-        return True
-    pset = frozenset(primes)
-    return all(set(primes_of(fo)) <= pset or not (set(primes_of(fo)) & pset)
-               for fo, _ in _chief_invariants(G, limits))
-
-
-def subgroup_core(G: PermGroup, M: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Largest normal subgroup of G inside M."""
-    u = G.universe(limits)
-    m_set = _subgroup_indices(u, M)
-    best, best_gens = None, ()
-    for s, gens in _normal_subgroup_sets(G, limits):
-        if s <= m_set and (best is None or len(s) > len(best)):
-            best, best_gens = s, gens
-    return _subgroup_from_indices(G, u, best, best_gens)
-
-
-def is_pi_normal_maximal(G: PermGroup, M: Subgroup, primes,
-                         limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Either |G:M| avoids pi, or some chief factor right above the core of M
-    is pi-central."""
-    pset = frozenset(primes)
-    if not (set(primes_of(G.order // M.order)) & pset):
-        return True
-    u = G.universe(limits)
-    core = subgroup_core(G, M, limits)
-    core_set = _subgroup_indices(u, core)
-    normal = [s for s, _ in _normal_subgroup_sets(G, limits)]
-    above = [s for s in normal if core_set < s]
-    for v in above:
-        if any(core_set < t < v for t in above):
-            continue
-        v_sub = _subgroup_from_indices(G, u, v)
-        if is_pi_central_factor(G, v_sub, core, pset, limits):
-            return True
-    return False

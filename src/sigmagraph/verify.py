@@ -102,8 +102,10 @@ def verify_prop_1_2(G: PermGroup, sigma: SigmaPartition,
     ]
     no_loops = not has_loop(hawkes)
     soluble = is_sigma_soluble(G, sigma, limits)
+    # sorted: the early exit must not depend on the set's hash order
     short = soluble and all(
-        sigma_length(G, cls, limits).length <= 1 for cls in sigma_of_group(G, sigma))
+        sigma_length(G, cls, limits).length <= 1
+        for cls in sorted(sigma_of_group(G, sigma), key=lambda c: c.sort_key))
     conclusions.append(CheckResult(
         "no-loops-iff-soluble-short", no_loops == short,
         f"no_loops={no_loops} soluble={soluble} all_lengths_le_1={short}"))

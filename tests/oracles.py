@@ -1,16 +1,27 @@
-"""Naive reference implementations, used only by tests.
+"""Naive reference implementations and cross-check routes, used only by tests.
 
 Everything here trades speed for obviousness: plain multiplicative closure,
-whole-group scans, explicit reachability.  The library must agree with these
-on every group small enough to brute-force.
+whole-group scans, explicit reachability, and second routes to quantities the
+library computes one way only (chief series with either tie-break, the
+pullback construction of F_i, exhaustive dispersion schedules, the
+maximal-subgroup reading of class-local nilpotency).  The library must agree
+with these on every group small enough to brute-force.
 """
 
 from __future__ import annotations
 
-from sigmagraph.group import DEFAULT_LIMITS, is_normal, quotient, sylow
+from itertools import permutations
+
+from sigmagraph.errors import DomainError
+from sigmagraph.group import (DEFAULT_LIMITS, _normal_subgroup_sets,
+                              _subgroup_from_indices, _subgroup_indices,
+                              centralizer_of_factor, core_series_subgroup,
+                              is_normal, normal_subgroups, quotient, sylow)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import f_class_subgroup, is_critical
-from sigmagraph.sigma import prime_factors, sigma_of_int
+from sigmagraph.predicates import (_normal_hall_for_class, f_class_subgroup,
+                                   is_critical)
+from sigmagraph.sigma import (class_part, is_class_number, prime_factors,
+                              primes_of, sigma_of_int)
 
 
 def closure(degree: int, elements) -> frozenset:
@@ -101,4 +112,146 @@ def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:
         if is_normal(G, syl, limits):
             if has_sylow_tower(quotient(G, syl, limits).image, limits):
                 return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# chief series with either tie-break
+
+
+def chief_series_terms(G, prefer="smallest", limits=DEFAULT_LIMITS):
+    """Ascending chief series that takes the canonically smallest or largest
+    minimal normal subgroup above each term.  "smallest" is the library's
+    series; "largest" is a second series for Jordan-Holder checks."""
+    normals = normal_subgroups(G, limits)
+    sets = [n.element_set(limits) for n in normals]
+    chain = [0]
+    while chain[-1] != len(sets) - 1:  # the last normal subgroup is G
+        cur = sets[chain[-1]]
+        above = [i for i, s in enumerate(sets) if cur < s]
+        minimal = [i for i in above if not any(sets[j] < sets[i] for j in above)]
+        chain.append(minimal[0] if prefer == "smallest" else minimal[-1])
+    return [normals[i] for i in chain]
+
+
+def chief_invariants(G, prefer="smallest", limits=DEFAULT_LIMITS):
+    """(factor order, automizer order) along chief_series_terms(G, prefer)."""
+    terms = chief_series_terms(G, prefer, limits)
+    return [(above.order // below.order,
+             G.order // centralizer_of_factor(G, above, below, limits).order)
+            for below, above in zip(terms, terms[1:])]
+
+
+def sigma_soluble_by_series(G, sigma, prefer) -> bool:
+    return G.is_trivial or all(len(sigma_of_int(fo, sigma)) == 1
+                               for fo, _ in chief_invariants(G, prefer))
+
+
+def sigma_nilpotent_by_series(G, sigma, prefer) -> bool:
+    return G.is_trivial or all(len(sigma_of_int(fo * ao, sigma)) == 1
+                               for fo, ao in chief_invariants(G, prefer))
+
+
+def is_class_nilpotent_by_chief_factors(G, cls, prefer="smallest") -> bool:
+    """Every chief factor whose order touches cls is cls-central.  Provably
+    equal to is_class_nilpotent; kept independent."""
+    if G.is_trivial:
+        return True
+    return all(is_class_number(fo * ao, cls)
+               for fo, ao in chief_invariants(G, prefer)
+               if any(cls.contains(p) for p in primes_of(fo)))
+
+
+# ---------------------------------------------------------------------------
+# second routes to F_i and to dispersion
+
+
+def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
+    """The core avoiding cls, pulled back through the cls-core of the
+    quotient."""
+    out_primes = [p for p in primes_of(G.order) if not cls.contains(p)]
+    d = core_series_subgroup(G, out_primes, limits)
+    q = quotient(G, d, limits)
+    in_primes = [p for p in primes_of(q.image.order) if cls.contains(p)]
+    e_img = core_series_subgroup(q.image, in_primes, limits)
+    u = G.universe(limits)
+    img_set = frozenset(p.images for p in e_img.group.elements(limits))
+    return _subgroup_from_indices(G, u, q.preimage_indices(u, img_set))
+
+
+def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
+    """Try every ordering of the classes of |G| as a fixed tower schedule.
+    Exponential in the class count; corpus groups have at most three
+    classes."""
+    if G.is_trivial:
+        return True
+    classes = sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key)
+    for ordering in permutations(classes):
+        cur = G
+        ok = True
+        for cls in ordering:
+            if cur.order == 1:
+                break
+            part = class_part(cur.order, cls)
+            if part == 1:
+                continue
+            n = _normal_hall_for_class(cur, cls, limits)
+            if n is None or n.order != part:
+                ok = False
+                break
+            cur = quotient(cur, n, limits).image
+        if ok and cur.order == 1:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# maximal-subgroup reading of class-local nilpotency
+
+
+def is_pi_central_factor(G, H, K, primes, limits=DEFAULT_LIMITS) -> bool:
+    """True when the chief factor H/K and its automizer G/C_G(H/K) are both
+    pi-groups.  Rejects input that is not a chief factor of G."""
+    pset = frozenset(primes)
+    u = G.universe(limits)
+    h_set = _subgroup_indices(u, H)
+    k_set = _subgroup_indices(u, K)
+    normal = {s for s, _ in _normal_subgroup_sets(G, limits)}
+    if h_set not in normal or k_set not in normal or not k_set < h_set:
+        raise DomainError("H/K is not a factor of normal subgroups of G")
+    if any(k_set < s < h_set for s in normal):
+        raise DomainError("H/K is not a chief factor of G: a normal subgroup lies between")
+    c = centralizer_of_factor(G, H, K, limits)
+    return (set(primes_of(len(h_set) // len(k_set))) <= pset
+            and set(primes_of(G.order // c.order)) <= pset)
+
+
+def subgroup_core(G, M, limits=DEFAULT_LIMITS):
+    """Largest normal subgroup of G inside M."""
+    u = G.universe(limits)
+    m_set = _subgroup_indices(u, M)
+    best, best_gens = None, ()
+    for s, gens in _normal_subgroup_sets(G, limits):
+        if s <= m_set and (best is None or len(s) > len(best)):
+            best, best_gens = s, gens
+    return _subgroup_from_indices(G, u, best, best_gens)
+
+
+def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
+    """Either |G:M| avoids pi, or some chief factor right above the core of M
+    is pi-central."""
+    pset = frozenset(primes)
+    if not (set(primes_of(G.order // M.order)) & pset):
+        return True
+    u = G.universe(limits)
+    core = subgroup_core(G, M, limits)
+    core_set = _subgroup_indices(u, core)
+    normal = [s for s, _ in _normal_subgroup_sets(G, limits)]
+    above = [s for s in normal if core_set < s]
+    for v in above:
+        if any(core_set < t < v for t in above):
+            continue
+        v_sub = _subgroup_from_indices(G, u, v)
+        if is_pi_central_factor(G, v_sub, core, pset, limits):
+            return True
     return False

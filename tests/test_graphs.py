@@ -1,14 +1,18 @@
 import json
+import sys
 
 import pytest
 
 from oracles import brute_has_circuit, vm_edges_from_candidates
+import sigmagraph.group
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                                graphs_equal, has_circuit, has_loop,
                                is_subgraph, isolated_vertices, to_dot, to_json,
                                union, weak_components)
-from sigmagraph.group import all_subgroups, maximal_subgroups
+from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
+                              two_generated_subgroups)
+from sigmagraph.predicates import is_critical
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
 from sigmagraph.zoo import build_by_tag, standard_partitions, symmetric
 
@@ -94,9 +98,8 @@ def test_vertices_are_group_classes():
 
 
 def test_trivial_group_rejected():
-    from sigmagraph.group import group_from_generators
     with pytest.raises(DomainError):
-        build_hawkes(group_from_generators(2, []), ATOMIC)
+        build_hawkes(PermGroup(2, []), ATOMIC)
 
 
 @pytest.mark.parametrize("tag", GRAPH_SAMPLE)
@@ -130,7 +133,6 @@ def test_vm_monotone_in_subgroups():
 @pytest.mark.parametrize("tag", ("S4", "A5", "sl23", "dic3", "s3xc5", "f20"))
 def test_vm_candidate_pools_agree(tag):
     """Full lattice and two-generated search give the same vm graph."""
-    from sigmagraph.group import two_generated_subgroups
     g = build_by_tag(tag)
     for sigma in standard_partitions():
         full = vm_edges_from_candidates(g, sigma, all_subgroups(g))
@@ -200,10 +202,38 @@ def test_dot_output():
 
 
 def test_vm_falls_back_above_lattice_caps():
-    """wreath_c2_s3 exceeds the subgroup-order cap, so vm must come from the
-    two-generated pool and still match the hand-checked edges."""
+    """wreath_c2_s3 is beyond the lattice caps; vm needs only the
+    two-generated pool and still matches the hand-checked edges."""
     w = build_by_tag("wreath_c2_s3")
     with pytest.raises(ResourceLimitError):
         all_subgroups(w)
     assert tags(build_vm(w, ATOMIC).edges) == [
         ("atomic:2", "atomic:3"), ("atomic:3", "atomic:2")]
+
+
+def _vm_and_critical(tag):
+    """vm edges and is_critical over the two-generated subgroups, per
+    standard partition, on a fresh copy of the zoo group."""
+    z = build_by_tag(tag)
+    g = PermGroup(z.degree, z.generators)
+    out = []
+    for sigma in standard_partitions():
+        out.append(tags(build_vm(g, sigma).edges))
+        out.append([is_critical(s.group, sigma) for s in two_generated_subgroups(g)])
+    return out
+
+
+@pytest.mark.parametrize("tag", ("S4", "A5", "sl23", "wreath_c2_s3"))
+def test_vm_and_critical_never_enumerate_the_lattice(tag, monkeypatch):
+    """Critical subgroups are two-generated, so neither build_vm nor
+    is_critical needs the full subgroup lattice."""
+    expected = _vm_and_critical(tag)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full subgroup lattice was enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sigmagraph") and hasattr(module, "all_subgroups"):
+            monkeypatch.setattr(module, "all_subgroups", refuse)
+    monkeypatch.setattr(sigmagraph.group, "_all_subgroup_sets", refuse)
+    assert _vm_and_critical(tag) == expected

@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_subgroup_sets, closure, naive_centralizer,
-                     naive_normalizer)
+from oracles import (brute_subgroup_sets, chief_series_terms, closure,
+                     naive_centralizer, naive_normalizer)
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
                               all_subgroups, centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup, frattini,
-                              group_from_generators, hall_subgroups, is_normal,
+                              hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, subgroup, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
@@ -30,7 +30,7 @@ def test_basic_group_facts():
     assert s4.contains(Permutation.from_cycles(4, [(0, 1, 2, 3)]))
     assert not s4.contains(Permutation.from_cycles(5, [(0, 1)]))
     assert len(s4.elements()) == 24
-    assert group_from_generators(3, []).is_trivial
+    assert PermGroup(3, []).is_trivial
 
 
 def test_constructor_validation():
@@ -126,28 +126,40 @@ def test_centralizer_of_factor():
         centralizer_of_factor(s4, v4, a4)
 
 
+def factor_orders(terms):
+    return [above.order // below.order for below, above in zip(terms, terms[1:])]
+
+
 def test_chief_series_s4():
     series = chief_series(build_by_tag("S4"))
     assert [t.order for t in series.terms] == [1, 4, 12, 24]
-    assert [f.order for f in series.factors] == [4, 3, 2]
+    assert factor_orders(series.terms) == [4, 3, 2]
+    # each factor is a genuine quotient of consecutive terms
+    for below, above in zip(series.terms, series.terms[1:]):
+        kernel = subgroup(above.group, below.group.generators)
+        assert quotient(above.group, kernel).order == above.order // below.order
 
 
 def test_chief_series_both_preferences():
+    """The library's series is the smallest-first one; the oracle builds the
+    largest-first one, and both are chief series of C6."""
     c6 = build_by_tag("C6")
-    small = chief_series(c6, prefer="smallest")
-    large = chief_series(c6, prefer="largest")
-    for series in (small, large):
+    small = list(chief_series(c6).terms)
+    assert [t.element_set() for t in small] == [
+        t.element_set() for t in chief_series_terms(c6, "smallest")]
+    large = chief_series_terms(c6, "largest")
+    for terms in (small, large):
         prod = 1
-        for f in series.factors:
-            assert len(prime_factors(f.order)) == 1
-            prod *= f.order
+        for order in factor_orders(terms):
+            assert len(prime_factors(order)) == 1
+            prod *= order
         assert prod == 6
-    assert {small.terms[1].order, large.terms[1].order} == {2, 3}
+    assert {small[1].order, large[1].order} == {2, 3}
 
 
 def test_chief_series_trivial_group():
     with pytest.raises(DomainError):
-        chief_series(group_from_generators(2, []))
+        chief_series(PermGroup(2, []))
 
 
 def test_quotient_s4_by_v4():

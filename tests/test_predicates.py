@@ -1,22 +1,21 @@
 import pytest
 
+from oracles import (dispersive_by_ordering_search,
+                     f_class_subgroup_by_pullback,
+                     is_class_nilpotent_by_chief_factors, is_pi_central_factor,
+                     is_pi_normal_maximal, sigma_nilpotent_by_series,
+                     sigma_soluble_by_series)
 from sigmagraph.errors import DomainError
-from sigmagraph.group import (all_subgroups, group_from_generators,
-                              maximal_subgroups, normal_subgroups, quotient,
-                              subgroup)
+from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
+                              normal_subgroups, quotient, subgroup)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import (dispersive_by_ordering_search,
-                                   f_class_subgroup, f_class_subgroup_by_pullback,
-                                   is_class_nilpotent,
-                                   is_class_nilpotent_by_chief_factors,
-                                   is_critical, is_nilpotent, is_pi_central_factor,
-                                   is_pi_closed, is_pi_normal_maximal,
-                                   is_pi_separable, is_schmidt,
-                                   is_sigma_dispersive, is_sigma_nilpotent,
-                                   is_sigma_soluble, schmidt_decomposition,
-                                   sigma_length)
+from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
+                                   is_critical, is_nilpotent, is_pi_closed,
+                                   is_schmidt, is_sigma_dispersive,
+                                   is_sigma_nilpotent, is_sigma_soluble,
+                                   schmidt_decomposition, sigma_length)
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, primes_of,
-                              sigma_of_group, sigma_of_int)
+                              sigma_of_group)
 from sigmagraph.zoo import build_by_tag, standard_partitions
 
 TWO_THREE = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
@@ -58,7 +57,7 @@ def test_nilpotent_examples():
 
 
 def test_trivial_group_degenerates():
-    one = group_from_generators(2, [])
+    one = PermGroup(2, [])
     assert is_sigma_soluble(one, ATOMIC)
     assert is_sigma_nilpotent(one, ATOMIC)
     assert is_nilpotent(one)
@@ -100,14 +99,15 @@ def test_f_class_examples():
 
 
 def test_jordan_holder_robustness():
-    """Solubility and nilpotency verdicts agree across chief-series choices."""
+    """Solubility and nilpotency verdicts agree across chief-series choices:
+    the library's series against the largest-first series of the oracle."""
     for tag in SMALL_TAGS:
         g = build_by_tag(tag)
         for sigma in standard_partitions():
-            assert (is_sigma_soluble(g, sigma, prefer="smallest")
-                    == is_sigma_soluble(g, sigma, prefer="largest"))
-            assert (is_sigma_nilpotent(g, sigma, prefer="smallest")
-                    == is_sigma_nilpotent(g, sigma, prefer="largest"))
+            assert (is_sigma_soluble(g, sigma)
+                    == sigma_soluble_by_series(g, sigma, "largest"))
+            assert (is_sigma_nilpotent(g, sigma)
+                    == sigma_nilpotent_by_series(g, sigma, "largest"))
 
 
 def test_schmidt_examples():
@@ -242,14 +242,6 @@ def test_pi_central_factor():
     one4 = subgroup(s4, [])
     with pytest.raises(DomainError):
         is_pi_central_factor(s4, a4, one4, {2, 3})  # V4 lies between
-
-
-def test_pi_separable():
-    assert is_pi_separable(build_by_tag("S4"), {2})
-    assert not is_pi_separable(build_by_tag("A5"), {2})
-    assert not is_pi_separable(build_by_tag("S6"), {2})
-    assert is_pi_separable(build_by_tag("c7_c3"), {7})
-    assert is_pi_separable(build_by_tag("A5"), {2, 3, 5})
 
 
 def test_pi_normal_maximal_s3():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import sigmagraph.verify
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
 from sigmagraph.verify import (ALL_STATEMENTS, CheckResult,
                                component_decomposition_holds,
@@ -166,3 +167,19 @@ def test_sweep_is_deterministic_and_ordered():
     # fixtures run once per partition, independent of the group list
     only_17 = [r for r in run_corpus_sweep(groups, parts, ("1.7",))]
     assert len(only_17) == 3 * len(parts)
+
+
+def test_prop_1_2_visits_classes_in_sort_order(monkeypatch):
+    """The class-length check stops early, so it must walk the classes in
+    sort_key order: the iteration order of a set of classes follows hash
+    values, which vary from run to run."""
+    seen = []
+    real = sigmagraph.verify.sigma_length
+
+    def spy(G, cls, limits):
+        seen.append(cls)
+        return real(G, cls, limits)
+
+    monkeypatch.setattr(sigmagraph.verify, "sigma_length", spy)
+    verify_prop_1_2(build_by_tag("C30"), ATOMIC)
+    assert [c.tag for c in seen] == ["atomic:2", "atomic:3", "atomic:5"]
