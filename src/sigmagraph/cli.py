@@ -106,8 +106,7 @@ def _limits(args) -> EngineLimits:
         limits = dataclasses.replace(limits,
                                      max_subgroup_order=args.max_subgroup_order)
     if args.max_order is not None:
-        limits = dataclasses.replace(limits, max_element_order=args.max_order,
-                                     max_normal_order=args.max_order)
+        limits = dataclasses.replace(limits, max_element_order=args.max_order)
     return limits
 
 

@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _subgroup_indices,
-                    centralizer, hall_subgroups, normalizer, two_generated_subgroups)
+from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, centralizer,
+                    hall_subgroups, normalizer, two_generated_subgroups)
 from .predicates import _memo, f_class_subgroup, is_critical
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
@@ -82,16 +82,13 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
     _require_nontrivial(G)
     def compute():
         vertices = sigma_of_group(G, sigma)
-        u = G.universe(limits)
         edges = set()
         for ci in vertices:
             class_primes = [p for p in primes_of(G.order) if ci.contains(p)]
             for h in hall_subgroups(G, class_primes, limits):
                 n = normalizer(G, h, limits)
                 c = centralizer(G, h, limits)
-                h_set = _subgroup_indices(u, h)
-                c_set = _subgroup_indices(u, c)
-                hc = len(h_set) * len(c_set) // len(h_set & c_set)
+                hc = h.order * c.order // len(h.indices & c.indices)
                 for cj in sigma_of_int(n.order // hc, sigma):
                     edges.add((ci, cj))
         return vertices, frozenset(edges)

@@ -6,7 +6,9 @@ reused, never mutated, so memoisation is observationally transparent.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on an indexed multiplication table of the ambient group.
-Enumeration caps are explicit configuration; hitting one raises a
+A subgroup is its set of element indices in that table plus a few generator
+indices; its own PermGroup is built only when a caller treats it as a group
+in its own right.  Enumeration caps are explicit configuration; hitting one raises a
 ResourceLimitError naming the cap instead of silently truncating.
 """
 
@@ -28,7 +30,6 @@ class EngineLimits:
     group order alone."""
 
     max_subgroup_order: int = 500
-    max_normal_order: int = 5000
     max_element_order: int = 5000
     max_subgroup_count: int = 4000
     max_join_work: int = 400_000
@@ -94,44 +95,59 @@ class PermGroup:
 
 
 class Subgroup:
-    """A subgroup presented inside a fixed parent group."""
+    """A subgroup of a fixed parent group, held as its set of element indices
+    in the parent's element table (``parent.universe()``).
 
-    __slots__ = ("parent", "group")
+    ``gens`` are element indices that generate it: the given ones when there
+    are at most four, else a small canonical set.  Order, elements and
+    containment are read off the index set.  ``group``, the subgroup as a
+    ``PermGroup`` in its own right, is built from ``gens`` on first use and
+    checked against the index set."""
 
-    def __init__(self, parent: PermGroup, group: PermGroup, *, _checked: bool = False):
-        if group.degree != parent.degree:
-            raise DomainError("subgroup must act on the same points as its parent")
-        if not _checked:
-            for g in group.generators:
-                if not parent.contains(g):
-                    raise DomainError(f"generator {g} lies outside the parent group")
+    __slots__ = ("parent", "indices", "gens", "_group")
+
+    def __init__(self, parent: PermGroup, indices: frozenset[int], gens=None):
+        if gens is None or len(gens) > 4:
+            gens = parent.universe().derive_gens(indices)
         self.parent = parent
-        self.group = group
+        self.indices = indices
+        self.gens = tuple(gens)
+        self._group: PermGroup | None = None
 
     @property
     def order(self) -> int:
-        return self.group.order
+        return len(self.indices)
 
     @property
     def index(self) -> int:
-        return self.parent.order // self.group.order
+        return self.parent.order // self.order
 
-    def elements(self, limits: EngineLimits = DEFAULT_LIMITS):
-        return self.group.elements(limits)
+    @property
+    def group(self) -> PermGroup:
+        if self._group is None:
+            perms = self.parent.universe().perms
+            grp = PermGroup(self.parent.degree, tuple(perms[i] for i in self.gens))
+            if grp.order != self.order:
+                raise CrossCheckError("materialised subgroup order disagrees with its index set")
+            grp._cache["elements"] = self.elements()
+            self._group = grp
+        return self._group
 
-    def element_set(self, limits: EngineLimits = DEFAULT_LIMITS) -> frozenset:
-        return frozenset(p.images for p in self.group.elements(limits))
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return all(self.group.contains(g) for g in other.group.generators)
+    def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
+        """All elements, sorted by image tuple like ``PermGroup.elements``."""
+        perms = self.parent.universe(limits).perms
+        return tuple(perms[i] for i in sorted(self.indices))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
 def subgroup(parent: PermGroup, generators) -> Subgroup:
-    """Subgroup of parent generated by the given elements."""
-    return Subgroup(parent, PermGroup(parent.degree, tuple(generators)))
+    """Subgroup of parent generated by the given elements; an element outside
+    parent raises DomainError."""
+    u = parent.universe()
+    gens = tuple(u.idx_of(g) for g in generators)
+    return Subgroup(parent, u.closure(gens), gens)
 
 
 class _Universe:
@@ -261,22 +277,7 @@ class _Universe:
 
 
 # ---------------------------------------------------------------------------
-# materialisation helpers
-
-
-def _subgroup_from_indices(parent: PermGroup, u: _Universe, idx_set: frozenset[int],
-                           gens_idx=None) -> Subgroup:
-    if gens_idx is None or len(gens_idx) > 4:
-        gens_idx = u.derive_gens(idx_set)
-    grp = PermGroup(parent.degree, tuple(u.perms[i] for i in gens_idx))
-    if grp.order != len(idx_set):
-        raise CrossCheckError("materialised subgroup order disagrees with its index set")
-    grp._cache["elements"] = tuple(u.perms[i] for i in sorted(idx_set))
-    return Subgroup(parent, grp, _checked=True)
-
-
-def _subgroup_indices(u: _Universe, sub: Subgroup) -> frozenset[int]:
-    return frozenset(u.idx_of(p) for p in sub.group.elements())
+# helpers
 
 
 def _sorted_sets(sets) -> list[frozenset[int]]:
@@ -284,11 +285,8 @@ def _sorted_sets(sets) -> list[frozenset[int]]:
 
 
 def _require_subgroup_of(G: PermGroup, S: Subgroup, name: str) -> None:
-    if S.parent is G:
-        return
-    for g in S.group.generators:
-        if not G.contains(g):
-            raise DomainError(f"{name} is not contained in the given group")
+    if S.parent is not G:
+        raise DomainError(f"{name} is not a subgroup of the given group")
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +297,23 @@ def centralizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS
     """Elements of G commuting with every element of S."""
     _require_subgroup_of(G, S, "S")
     u = G.universe(limits)
-    gens = [u.idx_of(g) for g in S.group.generators]
-    idxs = frozenset(i for i in range(u.n) if all(u.mul(i, s) == u.mul(s, i) for s in gens))
-    return _subgroup_from_indices(G, u, idxs)
+    idxs = frozenset(i for i in range(u.n) if all(u.mul(i, s) == u.mul(s, i) for s in S.gens))
+    return Subgroup(G, idxs)
 
 
 def normalizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Elements of G conjugating S to itself."""
     _require_subgroup_of(G, S, "S")
     u = G.universe(limits)
-    s_set = _subgroup_indices(u, S)
-    gens = [u.idx_of(g) for g in S.group.generators]
-    idxs = frozenset(i for i in range(u.n) if all(u.conj(s, i) in s_set for s in gens))
-    return _subgroup_from_indices(G, u, idxs)
+    idxs = frozenset(i for i in range(u.n) if all(u.conj(s, i) in S.indices for s in S.gens))
+    return Subgroup(G, idxs)
 
 
 def is_normal(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """True when S is normalised by every generator of G."""
     _require_subgroup_of(G, S, "S")
     u = G.universe(limits)
-    s_set = _subgroup_indices(u, S)
-    g_gens = u.gen_idxs(G)
-    s_gens = [u.idx_of(g) for g in S.group.generators]
-    return all(u.conj(s, g) in s_set for g in g_gens for s in s_gens)
+    return all(u.conj(s, g) in S.indices for g in u.gen_idxs(G) for s in S.gens)
 
 
 def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
@@ -330,16 +322,13 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
     _require_subgroup_of(G, H, "H")
     _require_subgroup_of(G, K, "K")
     u = G.universe(limits)
-    h_set = _subgroup_indices(u, H)
-    k_set = _subgroup_indices(u, K)
-    if not k_set <= h_set:
+    k_set = K.indices
+    if not k_set <= H.indices:
         raise DomainError("K is not contained in H")
-    h_gens = [u.idx_of(g) for g in H.group.generators]
-    k_gens = [u.idx_of(g) for g in K.group.generators]
-    if not all(u.conj(k, h) in k_set for h in h_gens for k in k_gens):
+    if not all(u.conj(k, h) in k_set for h in H.gens for k in K.gens):
         raise DomainError("K is not normal in H")
-    idxs = frozenset(i for i in range(u.n) if all(u.comm(i, h) in k_set for h in h_gens))
-    return _subgroup_from_indices(G, u, idxs)
+    idxs = frozenset(i for i in range(u.n) if all(u.comm(i, h) in k_set for h in H.gens))
+    return Subgroup(G, idxs)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +339,6 @@ def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[froz
     cached = G._cache.get("normal_sets")
     if cached is not None:
         return cached
-    if G.order > limits.max_normal_order:
-        raise ResourceLimitError(
-            f"group of order {G.order} is too large for normal-subgroup enumeration",
-            cap_name="max_normal_order", cap_value=limits.max_normal_order)
     u = G.universe(limits)
     classes = u.conjugacy_classes(u.gen_idxs(G))
     trivial = frozenset({u.identity})
@@ -381,8 +366,7 @@ def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> lis
     walks joins of classes to a fixpoint."""
     cached = G._cache.get("normal_subgroups")
     if cached is None:
-        u = G.universe(limits)
-        cached = tuple(_subgroup_from_indices(G, u, s, g) for s, g in _normal_subgroup_sets(G, limits))
+        cached = tuple(Subgroup(G, s, g) for s, g in _normal_subgroup_sets(G, limits))
         G._cache["normal_subgroups"] = cached
     return list(cached)
 
@@ -411,7 +395,7 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSe
         minimal = [s for s in above if not any(t < s for t in above if t is not s)]
         chain.append(minimal[0])
     gens_by_set = dict(normal_sets)
-    terms = tuple(_subgroup_from_indices(G, u, s, gens_by_set[s]) for s in chain)
+    terms = tuple(Subgroup(G, s, gens_by_set[s]) for s in chain)
     series = ChiefSeries(G, terms)
     G._cache["chief_series"] = series
     return series
@@ -443,22 +427,26 @@ class QuotientGroup:
         except KeyError:
             raise DomainError(f"element {p} lies outside the quotient source") from None
 
-    def preimage_indices(self, u: _Universe, image_set: frozenset) -> frozenset[int]:
-        """Indices in the source universe mapping into the given image element set."""
-        return frozenset(i for i in range(u.n) if self._proj[u.images[i]].images in image_set)
+    def preimage_indices(self, sub: Subgroup) -> frozenset[int]:
+        """Indices in the source's element table of the elements that project
+        into the given subgroup of the image."""
+        if sub.parent is not self.image:
+            raise DomainError("the subgroup does not lie in the quotient image")
+        u, v = self.source.universe(), self.image.universe()
+        return frozenset(i for i in range(u.n)
+                         if v.idx_of(self._proj[u.images[i]]) in sub.indices)
 
 
 def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> QuotientGroup:
     """Quotient G/N via the faithful action on the cosets of N."""
     _require_subgroup_of(G, N, "N")
     u = G.universe(limits)
-    n_set = _subgroup_indices(u, N)
+    n_set = N.indices
     cached = G._cache.get(("quotient", n_set))
     if cached is not None:
         return cached
     g_gens = u.gen_idxs(G)
-    n_gens = [u.idx_of(g) for g in N.group.generators]
-    if not all(u.conj(n, g) in n_set for g in g_gens for n in n_gens):
+    if not all(u.conj(n, g) in n_set for g in g_gens for n in N.gens):
         raise DomainError("cannot form the quotient: subgroup is not normal")
     if N.order == G.order:
         ident = Permutation.identity(1)
@@ -571,8 +559,7 @@ def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[S
     to a fixpoint, deduplicated by element set and canonically sorted."""
     cached = G._cache.get("all_subgroups")
     if cached is None:
-        u = G.universe(limits)
-        cached = tuple(_subgroup_from_indices(G, u, s, g) for s, g in _all_subgroup_sets(G, limits))
+        cached = tuple(Subgroup(G, s, g) for s, g in _all_subgroup_sets(G, limits))
         G._cache["all_subgroups"] = cached
     return list(cached)
 
@@ -587,34 +574,24 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
         u = G.universe(limits)
         items = _join_closure(u, list(u.cyclic_subgroups().items()), limits, fixpoint=False)
         sets = sorted({s: g for s, g in items}.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
-        cached = tuple(_subgroup_from_indices(G, u, s, g) for s, g in sets)
+        cached = tuple(Subgroup(G, s, g) for s, g in sets)
         G._cache["two_generated"] = cached
     return list(cached)
 
 
 def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
     """Proper subgroups not contained in any larger proper subgroup."""
-    subs = all_subgroups(G, limits)
-    sets = [frozenset(p.images for p in s.group.elements(limits)) for s in subs]
-    out = []
-    for i, s in enumerate(subs):
-        if s.order == G.order:
-            continue
-        if not any(sets[i] < sets[j] for j in range(len(subs)) if subs[j].order < G.order):
-            out.append(s)
-    return out
+    proper = [s for s in all_subgroups(G, limits) if s.order < G.order]
+    return [s for s in proper if not any(s.indices < t.indices for t in proper)]
 
 
 def frattini(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Intersection of the maximal subgroups (G itself if none exist)."""
     maxima = maximal_subgroups(G, limits)
-    u = G.universe(limits)
-    if not maxima:
-        return _subgroup_from_indices(G, u, frozenset(range(u.n)))
-    cut = frozenset(range(u.n))
+    cut = frozenset(range(G.universe(limits).n))
     for m in maxima:
-        cut &= _subgroup_indices(u, m)
-    return _subgroup_from_indices(G, u, cut)
+        cut &= m.indices
+    return Subgroup(G, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +659,8 @@ def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgro
     """One Sylow p-subgroup, grown through normalisers from a p-element."""
     if p < 2 or prime_factors(p) != ((p, 1),):
         raise DomainError(f"{p} is not a prime")
-    u = G.universe(limits)
     s, gens = _sylow_set(G, p, limits)
-    return _subgroup_from_indices(G, u, s, gens)
+    return Subgroup(G, s, gens)
 
 
 def _conjugate_set_closure(u: _Universe, base_sets: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -718,9 +694,9 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
         if p in pset:
             target *= p**e
     if target == 1:
-        result = [_subgroup_from_indices(G, u, frozenset({u.identity}))]
+        result = [Subgroup(G, frozenset({u.identity}))]
     elif target == G.order:
-        result = [_subgroup_from_indices(G, u, frozenset(range(u.n)), u.gen_idxs(G))]
+        result = [Subgroup(G, frozenset(range(u.n)), u.gen_idxs(G))]
     else:
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
         p0_set, p0_gens = _sylow_set(G, anchor_p, limits)
@@ -744,7 +720,7 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
                 candidates[joined] = gens
                 queue.append((joined, gens))
         hits = [s for s in candidates if len(s) == target]
-        result = [_subgroup_from_indices(G, u, s) for s in _conjugate_set_closure(u, hits)]
+        result = [Subgroup(G, s) for s in _conjugate_set_closure(u, hits)]
     G._cache[key] = tuple(result)
     return list(result)
 
@@ -760,7 +736,6 @@ def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LI
     cached = G._cache.get(key)
     if cached is not None:
         return cached
-    u = G.universe(limits)
     best: frozenset[int] | None = None
     best_gens: tuple[int, ...] = ()
     hits = []
@@ -773,6 +748,6 @@ def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LI
     for s in hits:
         if not s <= best:
             raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
-    result = _subgroup_from_indices(G, u, best, best_gens)
+    result = Subgroup(G, best, best_gens)
     G._cache[key] = result
     return result

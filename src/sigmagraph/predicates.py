@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _normal_subgroup_sets, _subgroup_from_indices, all_subgroups,
+                    _normal_subgroup_sets, all_subgroups,
                     centralizer_of_factor, chief_series, core_series_subgroup,
                     is_normal, normal_subgroups, quotient, sylow,
                     two_generated_subgroups)
@@ -112,7 +112,7 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
                 if best is None or n.order > best.order:
                     best = n
         for n in hits:
-            if not best.contains_subgroup(n):
+            if not n.indices <= best.indices:
                 raise CrossCheckError(
                     "class-nilpotent normal subgroups admit no unique maximum")
         return best
@@ -261,18 +261,14 @@ def sigma_length(G: PermGroup, cls: SigmaClass,
         cur = frozenset({u.identity})
         length = 0
         while cur != full:
-            q = quotient(G, _subgroup_from_indices(G, u, cur), limits)
+            q = quotient(G, Subgroup(G, cur), limits)
             away = [p for p in primes_of(q.image.order) if not cls.contains(p)]
-            d_img = core_series_subgroup(q.image, away, limits)
-            d = q.preimage_indices(
-                u, frozenset(p.images for p in d_img.group.elements(limits)))
+            d = q.preimage_indices(core_series_subgroup(q.image, away, limits))
             if d == full:
                 break
-            q2 = quotient(G, _subgroup_from_indices(G, u, d), limits)
+            q2 = quotient(G, Subgroup(G, d), limits)
             toward = [p for p in primes_of(q2.image.order) if cls.contains(p)]
-            e_img = core_series_subgroup(q2.image, toward, limits)
-            e = q2.preimage_indices(
-                u, frozenset(p.images for p in e_img.group.elements(limits)))
+            e = q2.preimage_indices(core_series_subgroup(q2.image, toward, limits))
             if e == d:
                 raise DomainError(
                     f"upper series for class {cls} stalls below the whole group")

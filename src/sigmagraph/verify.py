@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
                      has_circuit, has_loop, isolated_vertices, is_subgraph, union,
                      weak_components)
@@ -159,9 +159,7 @@ def verify_thm_1_12(G: PermGroup, sigma: SigmaPartition,
 
 
 def _product_order(x: Subgroup, y: Subgroup) -> int:
-    xs = x.element_set()
-    ys = y.element_set()
-    return len(xs) * len(ys) // len(xs & ys)
+    return x.order * y.order // len(x.indices & y.indices)
 
 
 def _vm_or_empty(G: PermGroup, sigma, limits, tag) -> SigmaGraph:
@@ -183,6 +181,8 @@ def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
     graph of G is the union of the factors' vm graphs (when G itself is
     soluble for sigma), and likewise for hawkes under pairwise class-coprime
     indices."""
+    if any(x.parent is not G for x in (A, B, C)):
+        raise DomainError("the factors must be subgroups of G")
     ab, bc, ac = (_product_order(A, B), _product_order(B, C),
                   _product_order(A, C))
     hypotheses = [
@@ -402,7 +402,7 @@ def component_decomposition_holds(G: PermGroup,
         return False
     for i, x in enumerate(blocks):
         for y in blocks[i + 1:]:
-            if len(x.element_set() & y.element_set()) != 1:
+            if len(x.indices & y.indices) != 1:
                 return False
     return True
 

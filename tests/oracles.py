@@ -13,8 +13,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from sigmagraph.errors import DomainError
-from sigmagraph.group import (DEFAULT_LIMITS, _normal_subgroup_sets,
-                              _subgroup_from_indices, _subgroup_indices,
+from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _normal_subgroup_sets,
                               centralizer_of_factor, core_series_subgroup,
                               is_normal, normal_subgroups, quotient, sylow)
 from sigmagraph.perm import Permutation
@@ -124,7 +123,7 @@ def chief_series_terms(G, prefer="smallest", limits=DEFAULT_LIMITS):
     minimal normal subgroup above each term.  "smallest" is the library's
     series; "largest" is a second series for Jordan-Holder checks."""
     normals = normal_subgroups(G, limits)
-    sets = [n.element_set(limits) for n in normals]
+    sets = [n.indices for n in normals]
     chain = [0]
     while chain[-1] != len(sets) - 1:  # the last normal subgroup is G
         cur = sets[chain[-1]]
@@ -174,9 +173,7 @@ def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
     q = quotient(G, d, limits)
     in_primes = [p for p in primes_of(q.image.order) if cls.contains(p)]
     e_img = core_series_subgroup(q.image, in_primes, limits)
-    u = G.universe(limits)
-    img_set = frozenset(p.images for p in e_img.group.elements(limits))
-    return _subgroup_from_indices(G, u, q.preimage_indices(u, img_set))
+    return Subgroup(G, q.preimage_indices(e_img))
 
 
 def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
@@ -213,9 +210,7 @@ def is_pi_central_factor(G, H, K, primes, limits=DEFAULT_LIMITS) -> bool:
     """True when the chief factor H/K and its automizer G/C_G(H/K) are both
     pi-groups.  Rejects input that is not a chief factor of G."""
     pset = frozenset(primes)
-    u = G.universe(limits)
-    h_set = _subgroup_indices(u, H)
-    k_set = _subgroup_indices(u, K)
+    h_set, k_set = H.indices, K.indices
     normal = {s for s, _ in _normal_subgroup_sets(G, limits)}
     if h_set not in normal or k_set not in normal or not k_set < h_set:
         raise DomainError("H/K is not a factor of normal subgroups of G")
@@ -228,13 +223,11 @@ def is_pi_central_factor(G, H, K, primes, limits=DEFAULT_LIMITS) -> bool:
 
 def subgroup_core(G, M, limits=DEFAULT_LIMITS):
     """Largest normal subgroup of G inside M."""
-    u = G.universe(limits)
-    m_set = _subgroup_indices(u, M)
     best, best_gens = None, ()
     for s, gens in _normal_subgroup_sets(G, limits):
-        if s <= m_set and (best is None or len(s) > len(best)):
+        if s <= M.indices and (best is None or len(s) > len(best)):
             best, best_gens = s, gens
-    return _subgroup_from_indices(G, u, best, best_gens)
+    return Subgroup(G, best, best_gens)
 
 
 def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
@@ -243,15 +236,13 @@ def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
     pset = frozenset(primes)
     if not (set(primes_of(G.order // M.order)) & pset):
         return True
-    u = G.universe(limits)
     core = subgroup_core(G, M, limits)
-    core_set = _subgroup_indices(u, core)
+    core_set = core.indices
     normal = [s for s, _ in _normal_subgroup_sets(G, limits)]
     above = [s for s in normal if core_set < s]
     for v in above:
         if any(core_set < t < v for t in above):
             continue
-        v_sub = _subgroup_from_indices(G, u, v)
-        if is_pi_central_factor(G, v_sub, core, pset, limits):
+        if is_pi_central_factor(G, Subgroup(G, v), core, pset, limits):
             return True
     return False

@@ -1,13 +1,15 @@
 import pytest
+import sigmagraph.group
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_subgroup_sets, chief_series_terms, closure,
                      naive_centralizer, naive_normalizer)
+from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
-                              all_subgroups, centralizer, centralizer_of_factor,
+                              Subgroup, all_subgroups, centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup, frattini,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
@@ -21,7 +23,7 @@ ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
 
 
 def sets_of(subs, limits=DEFAULT_LIMITS):
-    return {frozenset(s.group.elements(limits)) for s in subs}
+    return {frozenset(s.elements(limits)) for s in subs}
 
 
 def test_basic_group_facts():
@@ -89,7 +91,7 @@ def test_subgroup_accessors():
     assert is_normal(s4, v4)
     a4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                        Permutation.from_cycles(4, [(0, 1), (2, 3)])])
-    assert a4.contains_subgroup(v4) and not v4.contains_subgroup(a4)
+    assert v4.indices < a4.indices
 
 
 def test_centralizer_normalizer_match_naive():
@@ -111,6 +113,53 @@ def test_subgroup_membership_validated():
     rogue = subgroup(s5, [Permutation.from_cycles(5, [(0, 4)])])
     with pytest.raises(DomainError):
         centralizer(s4, rogue)
+
+
+def test_subgroup_generator_outside_parent():
+    a4 = build_by_tag("A4")
+    with pytest.raises(DomainError):
+        subgroup(a4, [Permutation.from_cycles(4, [(0, 1)])])
+    with pytest.raises(DomainError):
+        subgroup(a4, [Permutation.from_cycles(5, [(0, 4)])])
+
+
+@pytest.mark.parametrize("make", (lambda: symmetric(4), lambda: alternating(5)),
+                         ids=("S4", "A5"))
+def test_subgroups_build_their_group_only_when_used(make, monkeypatch):
+    """Subgroups are index sets in the parent's element table: computing
+    them and reading their order, indices or elements builds no strong
+    generating set; the first .group read builds one, later reads reuse it.
+    The group is built fresh, so no subgroup comes from an earlier test."""
+    g = make()
+    built = []
+
+    def counting_bsgs(*args):
+        built.append(args)
+        return Bsgs(*args)
+
+    monkeypatch.setattr(sigmagraph.group, "Bsgs", counting_bsgs)
+    subs = two_generated_subgroups(g) + normal_subgroups(g)
+    for p, _ in prime_factors(g.order):
+        subs += hall_subgroups(g, (p,))
+    subs += [f(g, h) for h in hall_subgroups(g, (2,)) for f in (centralizer, normalizer)]
+    for s in subs:
+        assert s.order == len(s.indices) == len(s.elements())
+    assert built == []
+    s = subs[-1]
+    first = s.group
+    assert len(built) == 1 and first.order == s.order
+    assert s.group is first and len(built) == 1
+
+
+def test_subgroup_group_must_match_indices():
+    s4 = build_by_tag("S4")
+    v4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+                       Permutation.from_cycles(4, [(0, 2), (1, 3)])])
+    one_gen = (s4.universe().idx_of(Permutation.from_cycles(4, [(0, 1), (2, 3)])),)
+    bad = Subgroup(s4, v4.indices, one_gen)
+    assert bad.order == 4
+    with pytest.raises(CrossCheckError):
+        bad.group
 
 
 def test_centralizer_of_factor():
@@ -145,8 +194,8 @@ def test_chief_series_both_preferences():
     largest-first one, and both are chief series of C6."""
     c6 = build_by_tag("C6")
     small = list(chief_series(c6).terms)
-    assert [t.element_set() for t in small] == [
-        t.element_set() for t in chief_series_terms(c6, "smallest")]
+    assert [t.indices for t in small] == [
+        t.indices for t in chief_series_terms(c6, "smallest")]
     large = chief_series_terms(c6, "largest")
     for terms in (small, large):
         prod = 1
@@ -193,10 +242,7 @@ def test_quotient_preimage_indices():
     v4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
                        Permutation.from_cycles(4, [(0, 2), (1, 3)])])
     q = quotient(s4, v4)
-    u = s4.universe()
-    identity_image = frozenset({tuple(range(q.image.degree))})
-    pre = q.preimage_indices(u, identity_image)
-    assert frozenset(u.perms[i] for i in pre) == frozenset(v4.elements())
+    assert q.preimage_indices(subgroup(q.image, [])) == v4.indices
 
 
 def test_wreath_quotient_by_base():
@@ -257,8 +303,8 @@ def test_resource_caps_raise_with_cap_name():
         all_subgroups(alternating(5), EngineLimits(max_subgroup_order=50))
     with pytest.raises(ResourceLimitError, match="max_element_order"):
         symmetric(5).elements(EngineLimits(max_element_order=100))
-    with pytest.raises(ResourceLimitError, match="max_normal_order"):
-        normal_subgroups(symmetric(4), EngineLimits(max_normal_order=10))
+    with pytest.raises(ResourceLimitError, match="max_element_order"):
+        normal_subgroups(symmetric(4), EngineLimits(max_element_order=10))
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
         all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=5))
 

@@ -105,6 +105,18 @@ def test_thm_1_7_detects_bad_factorization():
     assert not rep.hypotheses[0].holds
 
 
+def test_thm_1_7_rejects_factors_of_another_group():
+    import sigmagraph.group as gr
+    from sigmagraph.errors import DomainError
+    from sigmagraph.perm import Permutation
+    from sigmagraph.zoo import symmetric
+    s4, other = build_by_tag("S4"), symmetric(4)
+    whole = gr.subgroup(s4, list(s4.generators))
+    foreign = gr.subgroup(other, [Permutation.from_cycles(4, [(0, 1)])])
+    with pytest.raises(DomainError):
+        verify_thm_1_7(s4, whole, whole, foreign, ATOMIC)
+
+
 def test_prop_1_9_gating():
     s4 = build_by_tag("S4")
     verts = sigma_of_group(s4, ATOMIC)
