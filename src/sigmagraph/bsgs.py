@@ -100,12 +100,6 @@ class Bsgs:
             n *= len(trans)
         return n
 
-    def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            return False
-        residue, _ = self._strip(p)
-        return residue.is_identity
-
     def elements(self):
         """Yield every group element exactly once, deterministically."""
 

@@ -7,10 +7,11 @@ Vertices are the partition classes meeting |G|.  Edge rules:
                     Every Hall subgroup is tried, not one per class; a class
                     without Hall subgroups simply has no out-edges.
   vm      (ci, cj): some critical subgroup H carries ci and keeps cj in
-                    H modulo its ci-local radical.  Candidates come from the
-                    two-generated subgroups alone: a critical subgroup is a
-                    Schmidt group, and a Schmidt group is generated by two
-                    elements, so this pool holds every critical subgroup.
+                    H modulo its ci-local radical.  The critical subgroups
+                    are the Schmidt subgroups P . <y> (P the normal Sylow
+                    p-subgroup) with p, q in different classes; there the
+                    class(q)-radical is H and the class(p)-radical P<y^q>
+                    has index q, so H gives exactly (class(p), class(q)).
 
 All outputs are canonically ordered; serialisation is byte-deterministic.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, centralizer,
-                    hall_subgroups, normalizer, two_generated_subgroups)
-from .predicates import _memo, f_class_subgroup, is_critical
+                    hall_subgroups, normalizer)
+from .predicates import _memo, f_class_subgroup, schmidt_subgroups
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
 
@@ -103,16 +104,10 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
     def compute():
         vertices = sigma_of_group(G, sigma)
         edges = set()
-        for s in two_generated_subgroups(G, limits):
-            # critical subgroups are Schmidt groups: two primes, two classes
-            if len(sigma_of_int(s.order, sigma)) != 2:
-                continue
-            if not is_critical(s.group, sigma, limits):
-                continue
-            for ci in sigma_of_int(s.order, sigma):
-                f = f_class_subgroup(s.group, ci, limits)
-                for cj in sigma_of_int(s.order // f.order, sigma):
-                    edges.add((ci, cj))
+        for _, p, q in schmidt_subgroups(G, limits):
+            ci, cj = sigma.classify(p), sigma.classify(q)
+            if ci != cj:
+                edges.add((ci, cj))
         return vertices, frozenset(edges)
     vertices, edges = _memo(G, ("graph", "vm", sigma), compute)
     return SigmaGraph("vm", group_tag, sigma, vertices, edges,

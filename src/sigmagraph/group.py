@@ -41,7 +41,7 @@ _TABLE_LIMIT = 1500  # build a full multiplication table up to this order
 
 
 class PermGroup:
-    """Finite permutation group with order and membership via a strong
+    """Finite permutation group whose order and elements come from a strong
     generating set."""
 
     __slots__ = ("degree", "generators", "bsgs", "order", "_cache")
@@ -67,9 +67,6 @@ class PermGroup:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def contains(self, p: Permutation) -> bool:
-        return p.degree == self.degree and self.bsgs.contains(p)
 
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple.  Capped by max_element_order."""

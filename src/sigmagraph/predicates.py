@@ -1,8 +1,9 @@
 """Structural predicates of a finite group relative to a prime partition.
 
-Solubility and nilpotency notions are read off chief-factor data; the
-class-local nilpotency predicate uses the normal-complement criterion.  Each
-quantity has one route here; the independent cross-check routes live with
+Sigma-solubility and sigma-nilpotency are read off chief-factor data, and
+nilpotency and Schmidt subgroups off element orders in the group's own
+table; the class-local nilpotency predicate uses the normal-complement
+criterion.  No subgroup is built as a group of its own.  Each quantity has one route here; the independent cross-check routes live with
 the tests.  A proved fact that the data contradicts (a unique maximum, the
 Schmidt shape) is surfaced as CrossCheckError, never patched over.
 
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _normal_subgroup_sets, all_subgroups,
-                    centralizer_of_factor, chief_series, core_series_subgroup,
-                    is_normal, normal_subgroups, quotient, sylow,
-                    two_generated_subgroups)
+                    _normal_subgroup_sets, centralizer_of_factor, chief_series,
+                    core_series_subgroup, is_normal, normal_subgroups, quotient,
+                    sylow, two_generated_subgroups)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
                     prime_factors, primes_of, sigma_of_int)
 
@@ -79,44 +79,48 @@ def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
     return _memo(G, ("nilpotent_sigma", sigma), compute)
 
 
+def _normal_sylow_primes(G: PermGroup, idxs, limits: EngineLimits) -> tuple[int, ...]:
+    """Primes p of |H|, for the subgroup H of G with index set idxs, whose
+    Sylow p-subgroup is normal in H.  Every Sylow p-subgroup consists of
+    p-elements (orders dividing |H|_p), so it is the only one exactly when
+    the p-elements of H number |H|_p."""
+    orders = G.universe(limits).orders
+    return tuple(p for p, e in prime_factors(len(idxs))
+                 if sum(p**e % orders[i] == 0 for i in idxs) == p**e)
+
+
 def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Nilpotent = every Sylow subgroup is normal."""
+    """Nilpotent = every Sylow subgroup is normal, read off element orders."""
     def compute():
-        return all(is_normal(G, sylow(G, p, limits), limits)
-                   for p, _ in prime_factors(G.order))
+        n = G.universe(limits).n
+        return len(_normal_sylow_primes(G, range(n), limits)) == len(prime_factors(n))
     return _memo(G, "nilpotent", compute)
+
+
+def f_class_subgroup(G: PermGroup, cls: SigmaClass,
+                     limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+    """Largest normal N that is class-nilpotent for cls: some normal M of G
+    inside N has |M| = |N| / |N|_cls (a normal Hall subgroup of N is
+    characteristic in N, hence normal in G).  The maximum is unique (the
+    class is closed under normal products); the scan asserts that."""
+    def compute():
+        normals = normal_subgroups(G, limits)
+        hits = [n for n in normals
+                if any(m.order * class_part(n.order, cls) == n.order
+                       and m.indices <= n.indices for m in normals)]
+        best = hits[-1]  # normals ascend by order
+        if not all(n.indices <= best.indices for n in hits):
+            raise CrossCheckError(
+                "class-nilpotent normal subgroups admit no unique maximum")
+        return best
+    return _memo(G, ("f_class", cls), compute)
 
 
 def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
                        limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """Class-local nilpotency: G has a normal complement for cls, i.e. a
-    normal Hall subgroup avoiding every cls prime."""
-    def compute():
-        target = G.order // class_part(G.order, cls)
-        return any(len(s) == target for s, _ in _normal_subgroup_sets(G, limits))
-    return _memo(G, ("class_nilpotent", cls), compute)
-
-
-def f_class_subgroup(G: PermGroup, cls: SigmaClass,
-                     limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Largest normal subgroup that is class-nilpotent for cls.
-
-    The maximum is unique (the class is closed under normal products); the
-    scan asserts that instead of assuming it."""
-    def compute():
-        best = None
-        hits = []
-        for n in normal_subgroups(G, limits):
-            if is_class_nilpotent(n.group, cls, limits):
-                hits.append(n)
-                if best is None or n.order > best.order:
-                    best = n
-        for n in hits:
-            if not n.indices <= best.indices:
-                raise CrossCheckError(
-                    "class-nilpotent normal subgroups admit no unique maximum")
-        return best
-    return _memo(G, ("f_class", cls), compute)
+    normal Hall subgroup avoiding every cls prime; equivalently F_cls(G) = G."""
+    return f_class_subgroup(G, cls, limits).order == G.order
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +154,45 @@ def schmidt_decomposition(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS):
     return _memo(G, "schmidt_shape", compute)
 
 
-def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Not nilpotent, but every proper subgroup is nilpotent.  Positives are
-    additionally checked against the P . <x> shape."""
+def schmidt_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS
+                      ) -> tuple[tuple[Subgroup, int, int], ...]:
+    """Every Schmidt (minimal non-nilpotent) subgroup H of G, as (H, p, q):
+    p is the prime of the normal Sylow subgroup of H, q the other prime.
+
+    A Schmidt group is two-generated, so the walk runs over the two-generated
+    subgroups in increasing order.  A non-nilpotent one is minimal exactly
+    when no Schmidt subgroup found before it lies strictly inside it.  Each
+    hit is checked against the P . <y> shape: two primes, exactly one normal
+    Sylow subgroup, and an element of order |H|_q."""
     def compute():
-        if G.is_trivial or is_nilpotent(G, limits):
+        orders = G.universe(limits).orders
+        found = []
+        for s in two_generated_subgroups(G, limits):
+            if any(h.indices < s.indices for h, _, _ in found):
+                continue
+            facts = prime_factors(s.order)
+            normal = _normal_sylow_primes(G, s.indices, limits)
+            if len(normal) == len(facts):
+                continue  # nilpotent
+            q, qe = facts[-1] if facts[0][0] in normal else facts[0]
+            if (len(facts) != 2 or len(normal) != 1
+                    or not any(orders[i] == q**qe for i in s.indices)):
+                raise CrossCheckError(
+                    "a minimal non-nilpotent group failed the normal-Sylow shape check")
+            found.append((s, normal[0], q))
+        return tuple(found)
+    return _memo(G, "schmidt_subgroups", compute)
+
+
+def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+    """Not nilpotent, but every proper subgroup is nilpotent.  The cheap
+    screens run first (two primes, not nilpotent, the P . <x> shape); then G
+    must be one of its own Schmidt subgroups."""
+    def compute():
+        if (len(prime_factors(G.order)) != 2 or is_nilpotent(G, limits)
+                or schmidt_decomposition(G, limits) is None):
             return False
-        for s in all_subgroups(G, limits):
-            if s.order < G.order and not is_nilpotent(s.group, limits):
-                return False
-        if schmidt_decomposition(G, limits) is None:
-            raise CrossCheckError(
-                "a minimal non-nilpotent group failed the normal-Sylow shape check")
-        return True
+        return any(s.order == G.order for s, _, _ in schmidt_subgroups(G, limits))
     return _memo(G, "schmidt", compute)
 
 
@@ -170,32 +200,11 @@ def is_critical(G: PermGroup, sigma: SigmaPartition,
                 limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """Not sigma-nilpotent, but every proper subgroup is sigma-nilpotent.
 
-    Any positive must be a Schmidt group (two prime divisors, normal Sylow
-    with cyclic complement, not nilpotent), so those partition-independent
-    screens run first and are shared across partitions.  The proper-subgroup
-    scan runs over two-generated subgroups only, and is exact: a group that
-    is not sigma-nilpotent and not critical contains a proper critical
-    subgroup, which is a Schmidt group and so two-generated.  Subgroup
-    orders inside one class are skipped without building anything: a
-    class-primary group is always sigma-nilpotent.
-    """
-    def compute():
-        if G.is_trivial or len(prime_factors(G.order)) != 2:
-            return False
-        if schmidt_decomposition(G, limits) is None or is_nilpotent(G, limits):
-            return False
-        if len(sigma_of_int(G.order, sigma)) == 1:
-            return False  # class-primary, hence sigma-nilpotent
-        # here G = P . <x> with distinct classes for p and q, and Q is not
-        # normal, so G is not sigma-nilpotent; criticality is decided by the
-        # proper-subgroup scan alone
-        for s in two_generated_subgroups(G, limits):
-            if s.order == G.order or len(sigma_of_int(s.order, sigma)) == 1:
-                continue
-            if not is_sigma_nilpotent(s.group, sigma, limits):
-                return False
-        return True
-    return _memo(G, ("critical", sigma), compute)
+    These are exactly the Schmidt groups P . <y> whose two primes lie in
+    different classes.  Such a group is not sigma-nilpotent (its Sylow
+    q-subgroup is not normal) while its proper subgroups are nilpotent; and
+    a critical group is a Schmidt group (Skiba, J. Algebra 436 (2015))."""
+    return len(sigma_of_int(G.order, sigma)) == 2 and is_schmidt(G, limits)
 
 
 # ---------------------------------------------------------------------------

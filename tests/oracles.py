@@ -4,8 +4,9 @@ Everything here trades speed for obviousness: plain multiplicative closure,
 whole-group scans, explicit reachability, and second routes to quantities the
 library computes one way only (chief series with either tie-break, the
 pullback construction of F_i, exhaustive dispersion schedules, the
-maximal-subgroup reading of class-local nilpotency).  The library must agree
-with these on every group small enough to brute-force.
+maximal-subgroup reading of class-local nilpotency, nilpotency by Sylow
+normality, Schmidt groups by the full subgroup lattice).  The library must
+agree with these on every group small enough to brute-force.
 """
 
 from __future__ import annotations
@@ -14,13 +15,18 @@ from itertools import permutations
 
 from sigmagraph.errors import DomainError
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _normal_subgroup_sets,
-                              centralizer_of_factor, core_series_subgroup,
-                              is_normal, normal_subgroups, quotient, sylow)
+                              all_subgroups, centralizer_of_factor,
+                              core_series_subgroup, is_normal, normal_subgroups,
+                              quotient, sylow)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_normal_hall_for_class, f_class_subgroup,
                                    is_critical)
 from sigmagraph.sigma import (class_part, is_class_number, prime_factors,
                               primes_of, sigma_of_int)
+
+# zoo groups small enough for every brute-force route here
+ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
+               "f20", "c7_c3", "C30", "D5", "A5")
 
 
 def closure(degree: int, elements) -> frozenset:
@@ -100,6 +106,20 @@ def vm_edges_from_candidates(g, sigma, candidates) -> set:
             for cj in sigma_of_int(s.order // f.order, sigma):
                 edges.add((ci, cj))
     return edges
+
+
+def nilpotent_by_sylows(G, limits=DEFAULT_LIMITS) -> bool:
+    """Nilpotent = every Sylow subgroup is normal."""
+    return all(is_normal(G, sylow(G, p, limits), limits)
+               for p, _ in prime_factors(G.order))
+
+
+def is_schmidt_by_lattice(G, limits=DEFAULT_LIMITS) -> bool:
+    """Not nilpotent, but every proper subgroup of the full lattice is,
+    each tested as a group in its own right."""
+    return (not nilpotent_by_sylows(G, limits)
+            and all(nilpotent_by_sylows(s.group, limits)
+                    for s in all_subgroups(G, limits) if s.order < G.order))
 
 
 def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:

@@ -75,6 +75,16 @@ def test_check_predicates(capsys):
     assert rc == 0 and json.loads(out)["value"] is False
 
 
+@pytest.mark.parametrize("tag", ("S6", "A6", "wreath_c2_s3"))
+@pytest.mark.parametrize("predicate", ("schmidt", "critical"))
+def test_check_schmidt_and_critical_above_lattice_caps(capsys, tag, predicate):
+    """The Schmidt test reads the two-generated pool, never the full
+    lattice, so groups beyond the lattice caps get an answer."""
+    rc, out, _ = run(capsys, "check", "--group", f"zoo:{tag}",
+                     "--predicate", predicate)
+    assert rc == 0 and json.loads(out)["value"] is False
+
+
 def test_check_pi_required(capsys):
     rc, _, err = run(capsys, "check", "--group", "zoo:S4",
                      "--predicate", "pi-closed")

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import brute_has_circuit, vm_edges_from_candidates
 import sigmagraph.group
+from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                                graphs_equal, has_circuit, has_loop,
@@ -12,9 +13,10 @@ from sigmagraph.graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                                union, weak_components)
 from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
                               two_generated_subgroups)
-from sigmagraph.predicates import is_critical
+from sigmagraph.predicates import is_critical, is_schmidt
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
-from sigmagraph.zoo import build_by_tag, standard_partitions, symmetric
+from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, sl2_3,
+                            standard_partitions, symmetric)
 
 TWO = SigmaPartition(explicit_classes=(frozenset({2}),))
 
@@ -237,3 +239,26 @@ def test_vm_and_critical_never_enumerate_the_lattice(tag, monkeypatch):
             monkeypatch.setattr(module, "all_subgroups", refuse)
     monkeypatch.setattr(sigmagraph.group, "_all_subgroup_sets", refuse)
     assert _vm_and_critical(tag) == expected
+
+
+@pytest.mark.parametrize("make", (lambda: symmetric(4), lambda: alternating(5), sl2_3,
+                                  lambda: regular_wreath(2, symmetric(3))),
+                         ids=("S4", "A5", "sl23", "wreath_c2_s3"))
+def test_graphs_and_schmidt_build_no_group_per_subgroup(make, monkeypatch):
+    """vm, hawkes, criticality and the Schmidt test read subgroups as index
+    sets in the group's own element table: past the group's own strong
+    generating set, none is built."""
+    g = make()
+    built = []
+
+    def counting_bsgs(*args):
+        built.append(args)
+        return Bsgs(*args)
+
+    monkeypatch.setattr(sigmagraph.group, "Bsgs", counting_bsgs)
+    for sigma in standard_partitions():
+        build_vm(g, sigma)
+        build_hawkes(g, sigma)
+        is_critical(g, sigma)
+    is_schmidt(g)
+    assert built == []

@@ -1,9 +1,10 @@
 import pytest
 
-from oracles import (dispersive_by_ordering_search,
+from oracles import (ORACLE_TAGS, dispersive_by_ordering_search,
                      f_class_subgroup_by_pullback,
                      is_class_nilpotent_by_chief_factors, is_pi_central_factor,
-                     is_pi_normal_maximal, sigma_nilpotent_by_series,
+                     is_pi_normal_maximal, is_schmidt_by_lattice,
+                     nilpotent_by_sylows, sigma_nilpotent_by_series,
                      sigma_soluble_by_series)
 from sigmagraph.errors import DomainError
 from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
@@ -13,7 +14,8 @@ from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
                                    is_critical, is_nilpotent, is_pi_closed,
                                    is_schmidt, is_sigma_dispersive,
                                    is_sigma_nilpotent, is_sigma_soluble,
-                                   schmidt_decomposition, sigma_length)
+                                   schmidt_decomposition, schmidt_subgroups,
+                                   sigma_length)
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, primes_of,
                               sigma_of_group)
 from sigmagraph.zoo import build_by_tag, standard_partitions
@@ -142,6 +144,25 @@ def test_schmidt_f_subgroup_shape():
         got = f_class_subgroup(g, ATOMIC.classify(sh.p))
         assert got.indices == expected.indices, tag
     assert f_class_subgroup(build_by_tag("dic3"), C3).order == 6
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
+def test_nilpotency_and_schmidt_match_oracles(tag):
+    """On the group and every subgroup of it: is_nilpotent against Sylow
+    normality, is_schmidt against the full lattice.  The Schmidt subgroups
+    found in the group's own table are exactly those the lattice oracle
+    finds, with p the prime of the normal Sylow subgroup."""
+    g = build_by_tag(tag)
+    subs = all_subgroups(g)
+    lattice = [s for s in subs if is_schmidt_by_lattice(s.group)]
+    found = schmidt_subgroups(g)
+    assert [h.indices for h, _, _ in found] == [s.indices for s in lattice]
+    for h, p, q in found:
+        shape = schmidt_decomposition(h.group)
+        assert (p, q) == (shape.p, shape.q)
+    for s in subs:
+        assert is_nilpotent(s.group) == nilpotent_by_sylows(s.group)
+        assert is_schmidt(s.group) == any(s.indices == t.indices for t in lattice)
 
 
 def critical_oracle(g, sigma):
