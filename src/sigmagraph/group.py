@@ -5,17 +5,24 @@ pure function of its inputs; internal caches are write-once and only ever
 reused, never mutated, so memoisation is observationally transparent.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
-subgroup work runs on an indexed multiplication table of the ambient group.
-A subgroup is its set of element indices in that table plus a few generator
+subgroup work runs on an indexed multiplication table of the ambient group
+(``_Universe``).  Only the generators' rows of that table are composed from
+images; the other rows are gathered from them along the Cayley graph.  A
+subgroup is its set of element indices in that table plus a few generator
 indices; its own PermGroup is built only when a caller treats it as a group
-in its own right.  Enumeration caps are explicit configuration; hitting one raises a
-ResourceLimitError naming the cap instead of silently truncating.
+in its own right.  Every subgroup is generated by ``_Universe.closure``,
+which extends a subgroup the caller already holds by new generators, one
+left coset at a time (Dimino's algorithm; Butler, Fundamental Algorithms for
+Permutation Groups, LNCS 559).  Enumeration caps are explicit configuration;
+hitting one raises a ResourceLimitError naming the cap instead of silently
+truncating.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bsgs import Bsgs
 from .errors import CrossCheckError, DomainError, GroupInputError, ResourceLimitError
@@ -86,7 +93,7 @@ class PermGroup:
     def universe(self, limits: EngineLimits = DEFAULT_LIMITS) -> "_Universe":
         u = self._cache.get("universe")
         if u is None:
-            u = _Universe(self.elements(limits))
+            u = _Universe(self.elements(limits), self.generators)
             self._cache["universe"] = u
         return u
 
@@ -147,40 +154,82 @@ def subgroup(parent: PermGroup, generators) -> Subgroup:
     return Subgroup(parent, u.closure(gens), gens)
 
 
+def _getter(idx):
+    """``itemgetter(*idx)`` that returns a tuple also for a single index."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+class _ComposedRows:
+    """Stand-in for the multiplication table above ``_TABLE_LIMIT``:
+    ``rows[x][y]`` composes the images of x and y when it is read."""
+
+    __slots__ = ("u", "x")
+
+    def __init__(self, u: "_Universe", x: int | None = None):
+        self.u = u
+        self.x = x
+
+    def __getitem__(self, i: int):
+        if self.x is None:
+            return _ComposedRows(self.u, i)
+        return self.u.mul(self.x, i)
+
+
 class _Universe:
-    """Index arithmetic over one group's full, canonically sorted element list."""
+    """Index arithmetic over one group's full, canonically sorted element list.
+
+    Up to ``_TABLE_LIMIT`` elements, ``mul_rows[x]`` is row x of the
+    multiplication table: ``mul_rows[x][y]`` is the index of x·y (x first,
+    then y).  Only the generator rows are composed from images; every other
+    row comes from a walk over the Cayley graph from the identity, since
+    row(x·g) = row(x) read at the positions row(g) (associativity), one
+    C-level gather per row.  Inverses are read off the rows."""
 
     __slots__ = ("perms", "images", "index", "n", "degree", "identity", "mul_rows", "inv_arr",
                  "orders", "_cyc")
 
-    def __init__(self, perms: tuple[Permutation, ...]):
+    def __init__(self, perms: tuple[Permutation, ...], generators=()):
         self._cyc = None
         self.perms = perms
-        self.images = [p.images for p in perms]
-        self.index = {p.images: i for i, p in enumerate(perms)}
-        self.n = len(perms)
+        self.images = images = [p.images for p in perms]
+        self.index = index = {im: i for i, im in enumerate(images)}
+        self.n = n = len(perms)
         self.degree = perms[0].degree
-        self.identity = self.index[tuple(range(self.degree))]
-        self.inv_arr = array("l", (self.index[p.inverse().images] for p in perms))
+        self.identity = ident = index[tuple(range(self.degree))]
         self.orders = array("l", (p.order() for p in perms))
-        if self.n <= _TABLE_LIMIT:
-            typecode = "H" if self.n <= 0xFFFF else "l"
-            index = self.index
-            self.mul_rows = [
-                array(typecode, (index[tuple(q[x] for x in p)] for q in self.images))
-                for p in self.images
-            ]
-        else:
+        if n > _TABLE_LIMIT:
             self.mul_rows = None
+            self.inv_arr = array("l", (index[p.inverse().images] for p in perms))
+            return
+        typecode = "H" if n <= 0xFFFF else "l"
+        # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
+        steps = [(g, _getter(array(typecode, map(index.__getitem__,
+                                                 map(itemgetter(*images[g]), images)))))
+                 for g in dict.fromkeys(index[p.images] for p in generators) if g != ident]
+        rows: list = [None] * n
+        rows[ident] = array(typecode, range(n))
+        walk = [ident]
+        for x in walk:
+            row = rows[x]
+            for g, gather in steps:
+                y = row[g]
+                if rows[y] is None:
+                    rows[y] = array(typecode, gather(row))
+                    walk.append(y)
+        if len(walk) != n:
+            raise CrossCheckError(
+                f"the generators reach {len(walk)} of the {n} elements of the table")
+        self.mul_rows = rows
+        self.inv_arr = array("l", (row.index(ident) for row in rows))
 
     def mul(self, i: int, j: int) -> int:
         if self.mul_rows is not None:
             return self.mul_rows[i][j]
         q = self.images[j]
         return self.index[tuple(q[x] for x in self.images[i])]
-
-    def inv(self, i: int) -> int:
-        return self.inv_arr[i]
 
     def conj(self, i: int, g: int) -> int:
         return self.mul(self.mul(self.inv_arr[g], i), g)
@@ -202,21 +251,49 @@ class _Universe:
                 out.append(i)
         return tuple(out)
 
-    def closure(self, gen_idxs, *, cap: int | None = None) -> frozenset[int] | None:
-        """Subgroup generated by the given element indices; None if it would
-        exceed cap elements."""
-        seen = {self.identity}
-        gens = [g for g in dict.fromkeys(gen_idxs) if g != self.identity]
-        frontier = [self.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    if cap is not None and len(seen) >= cap:
+    def closure(self, gen_idxs, *, base: frozenset[int] | None = None,
+                cap: int | None = None) -> frozenset[int] | None:
+        """Subgroup generated by the subgroup ``base`` (trivial by default)
+        and the given element indices; None when it has more than cap
+        elements.
+
+        Dimino's extension, one generator at a time: with H the subgroup so
+        far and s a generator outside it, left cosets y·H (row y read at H)
+        are added until their union is closed under right multiplication by
+        s, which is checked per coset by reading row y at H·s.  A union of
+        left cosets of H that holds H and is closed under ·s is <H, s>.  A
+        subgroup with more than half the elements is the whole group.
+        Without a table the rows are composed from images as they are read."""
+        n = self.n
+        rows = self.mul_rows if self.mul_rows is not None else _ComposedRows(self)
+        inv = self.inv_arr
+        limit = n if cap is None else min(cap, n)
+        seen = set(base) if base else {self.identity}
+        if len(seen) > limit:
+            return None
+        for s in gen_idxs:
+            if s in seen:
+                continue
+            h = tuple(seen)
+            coset = _getter(h)
+            step = _getter(_getter(coset(rows[inv[s]]))(inv))  # H·s = (s⁻¹·H)⁻¹
+            reps = [self.identity]
+            for y in reps:
+                ys = step(rows[y])
+                if seen.issuperset(ys):
+                    continue
+                fresh = set(ys)
+                fresh -= seen
+                while fresh:
+                    if len(seen) + len(h) > limit:
                         return None
-                    seen.add(y)
-                    frontier.append(y)
+                    z = fresh.pop()
+                    new = coset(rows[z])
+                    seen.update(new)
+                    fresh.difference_update(new)
+                    reps.append(z)
+                if 2 * len(seen) > n:
+                    return frozenset(range(n)) if limit == n else None
         return frozenset(seen)
 
     def derive_gens(self, idx_set: frozenset[int]) -> tuple[int, ...]:
@@ -226,7 +303,7 @@ class _Universe:
         for i in sorted(idx_set):
             if i not in cur:
                 gens.append(i)
-                cur = self.closure(tuple(gens))
+                cur = self.closure((i,), base=cur)
                 if len(cur) == len(idx_set):
                     break
         return tuple(gens)
@@ -340,17 +417,16 @@ def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[froz
     classes = u.conjugacy_classes(u.gen_idxs(G))
     trivial = frozenset({u.identity})
     found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    queue = [(trivial, ())]
+    queue = [trivial]
     while queue:
-        n_set, n_gens = queue.pop(0)
+        n_set = queue.pop(0)
         for cls in classes:
             if cls[0] == u.identity or set(cls) <= n_set:
                 continue
-            m_set = u.closure(n_gens + cls)
+            m_set = u.closure(cls, base=n_set)
             if m_set not in found:
-                m_gens = u.derive_gens(m_set)
-                found[m_set] = m_gens
-                queue.append((m_set, m_gens))
+                found[m_set] = u.derive_gens(m_set)
+                queue.append(m_set)
     out = [(s, found[s]) for s in _sorted_sets(found)]
     G._cache["normal_sets"] = out
     return out
@@ -535,8 +611,10 @@ def _join_closure(u: _Universe, items: list, limits: EngineLimits, *, fixpoint: 
             # |<A,B>| >= |AB| = |A||B|/|A n B|; a divisor of n above n/2 is n
             if len(a_set) * len(b_set) > (u.n // 2) * len(a_set & b_set):
                 joined = full
+            elif len(a_set) >= len(b_set):
+                joined = u.closure(b_gens, base=a_set)
             else:
-                joined = u.closure(a_gens + b_gens)
+                joined = u.closure(a_gens, base=b_set)
             if joined not in seen:
                 if len(seen) >= limits.max_subgroup_count:
                     raise ResourceLimitError(
@@ -620,7 +698,7 @@ def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[in
                 seed = i if o == _p_part(o, p) else _power(u, i, o // _p_part(o, p))
                 break
         gens = [seed]
-        current = u.closure(tuple(gens))
+        current = u.closure(gens)
         while len(current) < target:
             normal_pool = [i for i in range(u.n)
                            if u.orders[i] == _p_part(u.orders[i], p) and i not in current
@@ -628,7 +706,7 @@ def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[in
             # a p-element normalising the current p-subgroup extends it
             grew = False
             for z in normal_pool:
-                bigger = u.closure(tuple(gens) + (z,))
+                bigger = u.closure((z,), base=current)
                 if len(bigger) == _p_part(len(bigger), p):
                     gens.append(z)
                     current = bigger
@@ -696,26 +774,25 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
         result = [Subgroup(G, frozenset(range(u.n)), u.gen_idxs(G))]
     else:
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
-        p0_set, p0_gens = _sylow_set(G, anchor_p, limits)
-        candidates = {p0_set: p0_gens}
-        queue = [(p0_set, p0_gens)]
+        p0_set, _ = _sylow_set(G, anchor_p, limits)
+        candidates = {p0_set}
+        queue = [p0_set]
         pi_elements = [i for (s, g) in u.cyclic_subgroups().items() if g
                        for i in g if target % u.orders[i] == 0]
         while queue:
-            c_set, c_gens = queue.pop(0)
+            c_set = queue.pop(0)
             for x in pi_elements:
                 if x in c_set:
                     continue
-                joined = u.closure(c_gens + (x,), cap=target)
+                joined = u.closure((x,), base=c_set, cap=target)
                 if joined is None or target % len(joined) != 0 or joined in candidates:
                     continue
                 if len(candidates) >= limits.max_subgroup_count:
                     raise ResourceLimitError(
                         "Hall-subgroup search grew past the count cap",
                         cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
-                gens = u.derive_gens(joined)
-                candidates[joined] = gens
-                queue.append((joined, gens))
+                candidates.add(joined)
+                queue.append(joined)
         hits = [s for s in candidates if len(s) == target]
         result = [Subgroup(G, s) for s in _conjugate_set_closure(u, hits)]
     G._cache[key] = tuple(result)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _normal_subgroup_sets, centralizer_of_factor, chief_series,
-                    core_series_subgroup, is_normal, normal_subgroups, quotient,
-                    sylow, two_generated_subgroups)
+                    centralizer_of_factor, chief_series, core_series_subgroup,
+                    is_normal, normal_subgroups, quotient, sylow,
+                    two_generated_subgroups)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
                     prime_factors, primes_of, sigma_of_int)
 
@@ -211,12 +211,25 @@ def is_critical(G: PermGroup, sigma: SigmaPartition,
 # Hall closure, dispersion, class length
 
 
+def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> bool:
+    """Whether the subgroup H of G with index set idxs has a normal Hall
+    subgroup for the class set pi.  The pi-elements of H (orders dividing
+    |H|_pi) generate a normal subgroup that holds a Sylow p-subgroup for each
+    p in pi, so its order is a multiple of |H|_pi; it is a normal Hall
+    subgroup exactly when it is no larger, and a normal Hall subgroup holds
+    every pi-element."""
+    u = G.universe(limits)
+    target = pi_part(len(idxs), pi)
+    generated = u.closure([i for i in idxs if target % u.orders[i] == 0], cap=target)
+    if generated is not None and len(generated) != target:
+        raise CrossCheckError("the pi-elements generate a subgroup below the pi-part")
+    return generated is not None
+
+
 def is_pi_closed(G: PermGroup, pi: PiSet, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """G has a normal Hall subgroup for the class set pi."""
-    def compute():
-        target = pi_part(G.order, pi)
-        return any(len(s) == target for s, _ in _normal_subgroup_sets(G, limits))
-    return _memo(G, ("pi_closed", pi), compute)
+    return _memo(G, ("pi_closed", pi),
+                 lambda: _pi_closed_indices(G, range(G.order), pi, limits))
 
 
 def _normal_hall_for_class(G: PermGroup, cls: SigmaClass,

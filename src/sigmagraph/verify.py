@@ -22,8 +22,9 @@ from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
                     core_series_subgroup, maximal_subgroups, subgroup,
                     two_generated_subgroups)
 from .perm import Permutation
-from .predicates import (is_pi_closed, is_schmidt, is_sigma_dispersive,
-                         is_sigma_nilpotent, is_sigma_soluble, sigma_length)
+from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
+                         is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
+                         sigma_length)
 from .sigma import (PiSet, SigmaPartition, pi_part, sigma_coprime,
                     sigma_of_group)
 from .zoo import cyclic, direct_product, symmetric
@@ -326,12 +327,12 @@ def _maximals_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
     it.  An unrefuted cap is re-raised; certification needs the lattice."""
     try:
         for m in maximal_subgroups(G, limits):
-            if not is_pi_closed(m.group, pi, limits):
+            if not _pi_closed_indices(G, m.indices, pi, limits):
                 return False, f"maximal subgroup of order {m.order} is not pi-closed"
         return True, ""
     except ResourceLimitError:
         for s in two_generated_subgroups(G, limits):
-            if s.order < G.order and not is_pi_closed(s.group, pi, limits):
+            if s.order < G.order and not _pi_closed_indices(G, s.indices, pi, limits):
                 return False, f"subgroup of order {s.order} is not pi-closed"
         raise
 

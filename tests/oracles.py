@@ -1,11 +1,12 @@
 """Naive reference implementations and cross-check routes, used only by tests.
 
 Everything here trades speed for obviousness: plain multiplicative closure,
-whole-group scans, explicit reachability, and second routes to quantities the
-library computes one way only (chief series with either tie-break, the
-pullback construction of F_i, exhaustive dispersion schedules, the
-maximal-subgroup reading of class-local nilpotency, nilpotency by Sylow
-normality, Schmidt groups by the full subgroup lattice).  The library must
+a multiplication table composed product by product, whole-group scans,
+explicit reachability, and second routes to quantities the library computes
+one way only (chief series with either tie-break, the pullback construction
+of F_i, exhaustive dispersion schedules, the maximal-subgroup reading of
+class-local nilpotency, nilpotency by Sylow normality, Schmidt groups by the
+full subgroup lattice, pi-closure by the normal-subgroup lattice).  The library must
 agree with these on every group small enough to brute-force.
 """
 
@@ -21,8 +22,8 @@ from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _normal_subgroup_sets,
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_normal_hall_for_class, f_class_subgroup,
                                    is_critical)
-from sigmagraph.sigma import (class_part, is_class_number, prime_factors,
-                              primes_of, sigma_of_int)
+from sigmagraph.sigma import (class_part, is_class_number, pi_part,
+                              prime_factors, primes_of, sigma_of_int)
 
 # zoo groups small enough for every brute-force route here
 ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
@@ -45,6 +46,20 @@ def closure(degree: int, elements) -> frozenset:
                     step.append(b)
         frontier = step
     return frozenset(out)
+
+
+def composed_table(perms) -> tuple[list[list[int]], list[int]]:
+    """Multiplication table and inverse list of an element list, each entry
+    composed from images: rows[i][j] is the index of perms[i] * perms[j]."""
+    index = {p: i for i, p in enumerate(perms)}
+    rows = [[index[p * q] for q in perms] for p in perms]
+    return rows, [index[p.inverse()] for p in perms]
+
+
+def index_closure(perms, gen_idxs) -> frozenset[int]:
+    """Indices in perms of the subgroup that the given indices generate."""
+    index = {p: i for i, p in enumerate(perms)}
+    return frozenset(index[p] for p in closure(perms[0].degree, [perms[i] for i in gen_idxs]))
 
 
 def brute_subgroup_sets(G) -> set[frozenset]:
@@ -120,6 +135,12 @@ def is_schmidt_by_lattice(G, limits=DEFAULT_LIMITS) -> bool:
     return (not nilpotent_by_sylows(G, limits)
             and all(nilpotent_by_sylows(s.group, limits)
                     for s in all_subgroups(G, limits) if s.order < G.order))
+
+
+def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:
+    """Some normal subgroup has order |G|_pi."""
+    target = pi_part(G.order, pi)
+    return any(len(s) == target for s, _ in _normal_subgroup_sets(G, limits))
 
 
 def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:

@@ -1,0 +1,163 @@
+"""The element-table kernel against product-by-product oracles: the table
+gathered from generator rows, Dimino closure over a known subgroup, the path
+without a table, degenerate tables, and pi-closure read in the parent's
+table."""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import sigmagraph.group
+from oracles import (ORACLE_TAGS, composed_table, index_closure,
+                     is_pi_closed_by_normal_lattice)
+from sigmagraph.errors import CrossCheckError
+from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _Universe, hall_subgroups,
+                              normal_subgroups, two_generated_subgroups)
+from sigmagraph.perm import Permutation
+from sigmagraph.predicates import _pi_closed_indices, is_pi_closed
+from sigmagraph.sigma import ATOMIC, PiSet, primes_of
+from sigmagraph.zoo import (alternating, build_by_tag, s5_subgroups, symmetric,
+                            zoo_tags)
+
+
+def assert_table_matches(G):
+    u = G.universe()
+    rows, inv = composed_table(u.perms)
+    assert [list(r) for r in u.mul_rows] == rows
+    assert list(u.inv_arr) == inv
+
+
+def assert_closure_matches(u, base_gens, gens, cap):
+    """closure(gens, base=<base_gens>) is the plain walk's subgroup, and with
+    a cap it is None exactly when that subgroup is larger than the cap."""
+    base = u.closure(base_gens)
+    assert base == index_closure(u.perms, base_gens)
+    expected = index_closure(u.perms, list(base_gens) + list(gens))
+    assert u.closure(gens, base=base) == expected
+    assert u.closure(gens, base=base, cap=cap) == (expected if len(expected) <= cap else None)
+    assert u.closure(gens, base=base, cap=len(expected)) == expected
+    assert u.closure(gens, base=base, cap=len(expected) - 1) is None
+
+
+@pytest.mark.parametrize("tag", zoo_tags())
+def test_table_matches_composition_on_zoo(tag):
+    assert_table_matches(build_by_tag(tag))
+
+
+def test_table_matches_composition_on_s5_subgroups():
+    for _, g in s5_subgroups():
+        assert_table_matches(g)
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5", "wreath_c2_s3"))
+def test_closure_matches_walk_on_seeded_picks(tag):
+    u = build_by_tag(tag).universe()
+    rng = random.Random(tag)
+    for _ in range(40):
+        assert_closure_matches(u, rng.sample(range(u.n), rng.randint(0, 2)),
+                               rng.sample(range(u.n), rng.randint(0, 3)),
+                               rng.randint(1, u.n))
+
+
+def subgroup_families(G):
+    primes = primes_of(G.order)
+    halls = [[s.indices for s in hall_subgroups(G, pi)]
+             for r in (1, 2) for pi in combinations(primes, r)]
+    return ([s.indices for s in normal_subgroups(G)],
+            [s.indices for s in two_generated_subgroups(G)], halls)
+
+
+@pytest.mark.parametrize("make", (lambda: symmetric(4), lambda: alternating(5)),
+                         ids=("S4", "A5"))
+def test_no_table_path_gives_the_same_subgroups(make, monkeypatch):
+    with_table = subgroup_families(make())
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 10)
+    g = make()
+    assert g.universe().mul_rows is None
+    assert subgroup_families(g) == with_table
+
+
+@pytest.mark.parametrize("G", (PermGroup(1, ()), PermGroup(5, []),
+                               PermGroup(1, [Permutation((0,))]),
+                               PermGroup(3, [Permutation.identity(3)] * 2)),
+                         ids=("degree1", "degree5", "degree1-gen", "identity-gens"))
+def test_trivial_tables(G):
+    u = G.universe()
+    assert u.n == 1 and u.identity == 0
+    assert [list(r) for r in u.mul_rows] == [[0]] and list(u.inv_arr) == [0]
+    one = frozenset({0})
+    assert u.closure([]) == u.closure([0, 0]) == u.closure([0], base=one, cap=1) == one
+
+
+def test_identity_and_repeated_generators():
+    c = Permutation.from_cycles(4, [(0, 1, 2, 3)])
+    t = Permutation.from_cycles(4, [(0, 1)])
+    g = PermGroup(4, [Permutation.identity(4), c, t, c, t])
+    assert g.order == 24
+    assert_table_matches(g)
+    u = g.universe()
+    i, j = u.idx_of(c), u.idx_of(t)
+    assert u.closure([i, i, u.identity, j, j]) == frozenset(range(24))
+
+
+def test_closure_over_a_one_element_base():
+    u = symmetric(4).universe()
+    one = frozenset({u.identity})
+    assert u.closure([], base=one) == one
+    for g in range(u.n):
+        assert u.closure([g], base=one) == u.closure([g]) == index_closure(u.perms, [g])
+
+
+def test_generators_that_miss_elements_are_refused():
+    elems = symmetric(4).elements()
+    with pytest.raises(CrossCheckError):
+        _Universe(elems, [Permutation.from_cycles(4, [(0, 1)])])
+    with pytest.raises(CrossCheckError):
+        _Universe(elems, [])
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
+def test_pi_closed_matches_normal_lattice(tag):
+    """On the group and each of its two-generated subgroups, read in the
+    group's table, for every set of its primes."""
+    g = build_by_tag(tag)
+    primes = primes_of(g.order)
+    subs = two_generated_subgroups(g)
+    for r in range(len(primes) + 1):
+        for combo in combinations(primes, r):
+            pi = PiSet(frozenset(ATOMIC.classify(p) for p in combo))
+            assert is_pi_closed(g, pi) == is_pi_closed_by_normal_lattice(g, pi)
+            for s in subs:
+                assert (_pi_closed_indices(g, s.indices, pi, DEFAULT_LIMITS)
+                        == is_pi_closed_by_normal_lattice(s.group, pi))
+
+
+def random_permutation(rng, degree):
+    """A random permutation of a random set of points."""
+    images = list(range(degree))
+    points = rng.sample(range(degree), rng.randint(1, degree))
+    for a, b in zip(points, rng.sample(points, len(points))):
+        images[a] = b
+    return Permutation(tuple(images))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kernel_fuzz_on_small_degrees(seed):
+    """One to three random generators on two to seven points.  Groups up to
+    order 120 check the whole table; every group checks closures over a
+    drawn base, and those above the table limit (A7) take the path without
+    a table."""
+    rng = random.Random(seed)
+    degree = rng.randint(2, 7)
+    g = PermGroup(degree, [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))])
+    assume(g.order <= DEFAULT_LIMITS.max_element_order)
+    u = g.universe()
+    if g.order <= 120:
+        assert_table_matches(g)
+    assert_closure_matches(u, rng.sample(range(u.n), min(u.n, rng.randint(0, 2))),
+                           rng.sample(range(u.n), min(u.n, rng.randint(0, 3))),
+                           rng.randint(1, u.n))
