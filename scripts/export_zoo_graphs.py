@@ -3,7 +3,8 @@
 
 Files land in --outdir as <tag>__<kind>__<partition>.<ext>, one per
 (group, kind, partition) triple.  Groups whose subgroup lattice exceeds the
-engine caps still export: the vm build only searches two-generated subgroups.
+engine caps still export: the vm build reads Schmidt types off element pairs
+and lists no subgroups.
 
 Examples:
     python scripts/export_zoo_graphs.py --outdir graphs

@@ -15,7 +15,7 @@ from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
 from .group import (DEFAULT_LIMITS, ChiefSeries, EngineLimits, PermGroup,
                     QuotientGroup, Subgroup, all_subgroups, centralizer,
                     centralizer_of_factor, chief_series, core_series_subgroup,
-                    frattini, hall_subgroups, is_normal, maximal_subgroups,
+                    hall_subgroups, is_normal, maximal_subgroups,
                     normal_subgroups, normalizer, quotient, subgroup, sylow,
                     two_generated_subgroups)
 from .perm import Permutation
@@ -23,7 +23,7 @@ from .predicates import (SchmidtShape, SigmaLengthProfile, f_class_subgroup,
                          is_class_nilpotent, is_critical, is_nilpotent,
                          is_pi_closed, is_schmidt, is_sigma_dispersive,
                          is_sigma_nilpotent, is_sigma_soluble,
-                         schmidt_decomposition, sigma_length)
+                         schmidt_decomposition, schmidt_types, sigma_length)
 from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, parse_sigma_spec,
                     pi_part, prime_factors, primes_of, sigma_coprime,
                     sigma_of_group, sigma_of_int)

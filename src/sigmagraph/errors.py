@@ -27,8 +27,14 @@ class ResourceLimitError(SigmaGraphError, RuntimeError):
 
     def __init__(self, message: str, *, cap_name: str, cap_value: int):
         super().__init__(f"{message} [cap {cap_name}={cap_value}]")
+        self.message = message
         self.cap_name = cap_name
         self.cap_value = cap_value
+
+    def fresh(self) -> "ResourceLimitError":
+        """The same error without a traceback, to cache or to raise again."""
+        return ResourceLimitError(self.message, cap_name=self.cap_name,
+                                  cap_value=self.cap_value)
 
 
 class CrossCheckError(SigmaGraphError, RuntimeError):

@@ -11,7 +11,8 @@ Vertices are the partition classes meeting |G|.  Edge rules:
                     are the Schmidt subgroups P . <y> (P the normal Sylow
                     p-subgroup) with p, q in different classes; there the
                     class(q)-radical is H and the class(p)-radical P<y^q>
-                    has index q, so H gives exactly (class(p), class(q)).
+                    has index q.  So the edges are the Schmidt types (p, q)
+                    (predicates.schmidt_types) read as (class(p), class(q)).
 
 All outputs are canonically ordered; serialisation is byte-deterministic.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, centralizer,
                     hall_subgroups, normalizer)
-from .predicates import _memo, f_class_subgroup, schmidt_subgroups
+from .predicates import _memo, f_class_subgroup, schmidt_types
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
 
@@ -104,7 +105,7 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
     def compute():
         vertices = sigma_of_group(G, sigma)
         edges = set()
-        for _, p, q in schmidt_subgroups(G, limits):
+        for p, q in schmidt_types(G, limits):
             ci, cj = sigma.classify(p), sigma.classify(q)
             if ci != cj:
                 edges.add((ci, cj))

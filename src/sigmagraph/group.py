@@ -567,9 +567,10 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     cached = G._cache.get("all_subgroup_sets")
     if cached is not None:
         return cached
+    key = (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work)
     failure = G._cache.get("all_subgroup_sets_failure")
-    if failure is not None and failure[0] == (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work):
-        raise failure[1]
+    if failure is not None and failure[0] == key:
+        raise failure[1].fresh()
     if G.order > limits.max_subgroup_order:
         raise ResourceLimitError(
             f"group of order {G.order} is too large for subgroup enumeration",
@@ -578,8 +579,8 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     try:
         items = _join_closure(u, list(u.cyclic_subgroups().items()), limits, fixpoint=True)
     except ResourceLimitError as exc:
-        G._cache["all_subgroup_sets_failure"] = (
-            (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work), exc)
+        # the raised error's traceback holds the partial lattice: keep a copy
+        G._cache["all_subgroup_sets_failure"] = (key, exc.fresh())
         raise
     out = sorted(items, key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
     G._cache["all_subgroup_sets"] = out
@@ -658,15 +659,6 @@ def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> li
     """Proper subgroups not contained in any larger proper subgroup."""
     proper = [s for s in all_subgroups(G, limits) if s.order < G.order]
     return [s for s in proper if not any(s.indices < t.indices for t in proper)]
-
-
-def frattini(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Intersection of the maximal subgroups (G itself if none exist)."""
-    maxima = maximal_subgroups(G, limits)
-    cut = frozenset(range(G.universe(limits).n))
-    for m in maxima:
-        cut &= m.indices
-    return Subgroup(G, cut)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Structural predicates of a finite group relative to a prime partition.
 
-Sigma-solubility and sigma-nilpotency are read off chief-factor data, and
-nilpotency and Schmidt subgroups off element orders in the group's own
-table; the class-local nilpotency predicate uses the normal-complement
-criterion.  No subgroup is built as a group of its own.  Each quantity has one route here; the independent cross-check routes live with
-the tests.  A proved fact that the data contradicts (a unique maximum, the
-Schmidt shape) is surfaced as CrossCheckError, never patched over.
+Sigma-solubility and sigma-nilpotency are read off chief-factor data,
+nilpotency off element orders in the group's own table, and the Schmidt
+test and types off element pairs there; class-local nilpotency uses the
+normal-complement criterion.  No subgroup is built as a group of its own.
+Each quantity has one route here; the cross-check routes live with the
+tests.  A proved fact that the data contradicts (a unique maximum, a
+normal Hall subgroup) is surfaced as CrossCheckError, never patched over.
 
 Degenerate input: the trivial group counts as soluble, nilpotent and
 dispersive in every sense, and is neither Schmidt nor critical.
@@ -19,8 +20,7 @@ from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
                     centralizer_of_factor, chief_series, core_series_subgroup,
-                    is_normal, normal_subgroups, quotient, sylow,
-                    two_generated_subgroups)
+                    is_normal, normal_subgroups, quotient, sylow)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
                     prime_factors, primes_of, sigma_of_int)
 
@@ -154,45 +154,65 @@ def schmidt_decomposition(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS):
     return _memo(G, "schmidt_shape", compute)
 
 
-def schmidt_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS
-                      ) -> tuple[tuple[Subgroup, int, int], ...]:
-    """Every Schmidt (minimal non-nilpotent) subgroup H of G, as (H, p, q):
-    p is the prime of the normal Sylow subgroup of H, q the other prime.
+def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
+    """(p, q, y, subgroups) for each representative y of a conjugacy class of
+    q-elements and each prime p != q of |G|.  subgroups lazily lists
+    P = <a^<y>> over the p-elements a with [a, y] != 1 whose y-orbit
+    generates a p-group, that is, a subgroup of order dividing |G|_p (a
+    smaller closure can mix primes, like D5 in S6).  Then P<y> is not
+    nilpotent, so it holds a Schmidt subgroup of type (p, q); and a Schmidt
+    subgroup P0 . <y> gives a pair with a in P0 outside C(y) (Schmidt 1924;
+    Huppert, Endliche Gruppen I, III.5)."""
+    u = G.universe(limits)
+    facts = prime_factors(u.n)
+    p_elements = {p: [i for i in range(u.n) if u.orders[i] > 1 and p**e % u.orders[i] == 0]
+                  for p, e in facts}
 
-    A Schmidt group is two-generated, so the walk runs over the two-generated
-    subgroups in increasing order.  A non-nilpotent one is minimal exactly
-    when no Schmidt subgroup found before it lies strictly inside it.  Each
-    hit is checked against the P . <y> shape: two primes, exactly one normal
-    Sylow subgroup, and an element of order |H|_q."""
-    def compute():
-        orders = G.universe(limits).orders
-        found = []
-        for s in two_generated_subgroups(G, limits):
-            if any(h.indices < s.indices for h, _, _ in found):
+    def subgroups(y, p, target):
+        for a in p_elements[p]:
+            if u.mul(a, y) == u.mul(y, a):
                 continue
-            facts = prime_factors(s.order)
-            normal = _normal_sylow_primes(G, s.indices, limits)
-            if len(normal) == len(facts):
-                continue  # nilpotent
-            q, qe = facts[-1] if facts[0][0] in normal else facts[0]
-            if (len(facts) != 2 or len(normal) != 1
-                    or not any(orders[i] == q**qe for i in s.indices)):
-                raise CrossCheckError(
-                    "a minimal non-nilpotent group failed the normal-Sylow shape check")
-            found.append((s, normal[0], q))
-        return tuple(found)
-    return _memo(G, "schmidt_subgroups", compute)
+            orbit, x = [a], u.conj(a, y)
+            while x != a:
+                orbit.append(x)
+                x = u.conj(x, y)
+            s = u.closure(orbit, cap=target)
+            if s is not None and target % len(s) == 0:
+                yield s
+
+    for cls in u.conjugacy_classes(u.gen_idxs(G)):
+        y = cls[0]
+        q = primes_of(u.orders[y])
+        if len(q) == 1:
+            for p, e in facts:
+                if p != q[0]:
+                    yield p, q[0], y, subgroups(y, p, p**e)
+
+
+def schmidt_types(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS
+                  ) -> frozenset[tuple[int, int]]:
+    """The types (p, q) of the Schmidt subgroups of G: p is the prime of the
+    normal Sylow subgroup, q the prime of the cyclic complement.  One pair
+    per type settles it."""
+    def compute():
+        types = set()
+        for p, q, _, subgroups in _schmidt_pairs(G, limits):
+            if (p, q) not in types and next(subgroups, None) is not None:
+                types.add((p, q))
+        return frozenset(types)
+    return _memo(G, "schmidt_types", compute)
 
 
 def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Not nilpotent, but every proper subgroup is nilpotent.  The cheap
-    screens run first (two primes, not nilpotent, the P . <x> shape); then G
-    must be one of its own Schmidt subgroups."""
+    """Not nilpotent, but every proper subgroup is nilpotent.  G is not
+    nilpotent exactly when it has a pair (a, y), and a proper non-nilpotent
+    subgroup holds a Schmidt subgroup, which gives a pair inside it up to
+    conjugacy.  So G is Schmidt when it has pairs and each spans <P, y> = G."""
     def compute():
-        if (len(prime_factors(G.order)) != 2 or is_nilpotent(G, limits)
-                or schmidt_decomposition(G, limits) is None):
-            return False
-        return any(s.order == G.order for s, _, _ in schmidt_subgroups(G, limits))
+        u = G.universe(limits)
+        spans = (len(u.closure((y,), base=s)) == u.n
+                   for _, _, y, subgroups in _schmidt_pairs(G, limits) for s in subgroups)
+        return next(spans, False) and all(spans)  # no pair: G is nilpotent
     return _memo(G, "schmidt", compute)
 
 

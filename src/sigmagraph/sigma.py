@@ -150,9 +150,6 @@ class PiSet:
     def __contains__(self, cls: SigmaClass) -> bool:
         return cls in self.classes
 
-    def complement_in(self, vertex_classes) -> frozenset[SigmaClass]:
-        return frozenset(c for c in vertex_classes if c not in self.classes)
-
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[SigmaClass]:
     """Classes touched by the prime divisors of n; empty for n = 1."""
@@ -188,10 +185,3 @@ def class_part(n: int, cls: SigmaClass) -> int:
             out *= p**e
     return out
 
-
-def is_class_number(n: int, cls: SigmaClass) -> bool:
-    return class_part(n, cls) == n
-
-
-def primes_in_class(n: int, cls: SigmaClass) -> tuple[int, ...]:
-    return tuple(p for p in primes_of(n) if cls.contains(p))

@@ -268,10 +268,6 @@ def factorization_fixtures() -> tuple[FactorizationFixture, ...]:
 # closure statements
 
 
-def _pi_subset(classes, sigma: SigmaPartition) -> PiSet:
-    return PiSet(frozenset(classes))
-
-
 def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
                     limits: EngineLimits = DEFAULT_LIMITS,
                     group_tag: str = "G") -> VerificationReport:
@@ -286,7 +282,7 @@ def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
     def closed_value() -> bool:
         nonlocal closed
         if closed is None:
-            closed = is_pi_closed(G, _pi_subset(pi1, sigma), limits) if pi1 else True
+            closed = is_pi_closed(G, PiSet(pi1), limits) if pi1 else True
         return closed
 
     conclusions = []
@@ -346,34 +342,27 @@ def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
     vertices = sigma_of_group(G, sigma)
     pi1 = frozenset(c for c in vertices if c in pi)
     hypotheses = [CheckResult("sigma-soluble", is_sigma_soluble(G, sigma, limits))]
-    if not hypotheses[0].holds:
-        hypotheses.append(CheckResult("not-pi-closed", True, "skipped",
-                                      evaluated=False))
-        hypotheses.append(CheckResult("maximals-pi-closed", True, "skipped",
-                                      evaluated=False))
+
+    def skipped(*names):
+        """Record the named hypotheses and the conclusion as not evaluated."""
+        hypotheses.extend(CheckResult(n, True, "skipped", evaluated=False) for n in names)
         return make_report("prop-1.11", group_tag, sigma, hypotheses,
                            [CheckResult("schmidt-and-complement-closed", True,
                                         "skipped", evaluated=False)])
-    pi_set = _pi_subset(pi1, sigma) if pi1 else _pi_subset(frozenset(), sigma)
-    open_for_pi = not is_pi_closed(G, pi_set, limits)
+
+    if not hypotheses[0].holds:
+        return skipped("not-pi-closed", "maximals-pi-closed")
+    open_for_pi = not is_pi_closed(G, PiSet(pi1), limits)
     hypotheses.append(CheckResult("not-pi-closed", open_for_pi,
                                   f"pi-part={pi_part(G.order, pi1)}"))
     if not open_for_pi:
-        hypotheses.append(CheckResult("maximals-pi-closed", True, "skipped",
-                                      evaluated=False))
-        return make_report("prop-1.11", group_tag, sigma, hypotheses,
-                           [CheckResult("schmidt-and-complement-closed", True,
-                                        "skipped", evaluated=False)])
-    maximals_closed, why = _maximals_pi_closed(G, pi_set, limits)
+        return skipped("maximals-pi-closed")
+    maximals_closed, why = _maximals_pi_closed(G, PiSet(pi1), limits)
     hypotheses.append(CheckResult("maximals-pi-closed", maximals_closed, why))
     if not maximals_closed:
-        return make_report("prop-1.11", group_tag, sigma, hypotheses,
-                           [CheckResult("schmidt-and-complement-closed", True,
-                                        "skipped", evaluated=False)])
+        return skipped()
     schmidt = is_schmidt(G, limits)
-    complement = vertices - pi1
-    closed = is_pi_closed(G, _pi_subset(complement, sigma) if complement
-                          else _pi_subset(frozenset(), sigma), limits)
+    closed = is_pi_closed(G, PiSet(vertices - pi1), limits)
     conclusions = [CheckResult(
         "schmidt-and-complement-closed", schmidt and closed,
         f"schmidt={schmidt} complement_closed={closed}")]

@@ -6,24 +6,27 @@ explicit reachability, and second routes to quantities the library computes
 one way only (chief series with either tie-break, the pullback construction
 of F_i, exhaustive dispersion schedules, the maximal-subgroup reading of
 class-local nilpotency, nilpotency by Sylow normality, Schmidt groups by the
-full subgroup lattice, pi-closure by the normal-subgroup lattice).  The library must
-agree with these on every group small enough to brute-force.
+full subgroup lattice and Schmidt subgroups by a walk over the two-generated
+subgroups, pi-closure by the normal-subgroup lattice, the Frattini subgroup
+from the maximal subgroups).  The library must agree with these on every
+group small enough to brute-force.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from sigmagraph.errors import DomainError
+from sigmagraph.errors import CrossCheckError, DomainError
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _normal_subgroup_sets,
                               all_subgroups, centralizer_of_factor,
-                              core_series_subgroup, is_normal, normal_subgroups,
-                              quotient, sylow)
+                              core_series_subgroup, is_normal,
+                              maximal_subgroups, normal_subgroups, quotient,
+                              sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import (_normal_hall_for_class, f_class_subgroup,
-                                   is_critical)
-from sigmagraph.sigma import (class_part, is_class_number, pi_part,
-                              prime_factors, primes_of, sigma_of_int)
+from sigmagraph.predicates import (_normal_hall_for_class, _normal_sylow_primes,
+                                   f_class_subgroup)
+from sigmagraph.sigma import (class_part, pi_part, prime_factors, primes_of,
+                              sigma_of_int)
 
 # zoo groups small enough for every brute-force route here
 ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
@@ -111,10 +114,13 @@ def brute_has_circuit(vertices, edges) -> bool:
 
 
 def vm_edges_from_candidates(g, sigma, candidates) -> set:
-    """Definitional vm edge set over an explicit pool of candidate subgroups."""
+    """Definitional vm edge set over an explicit pool of candidate subgroups.
+    A candidate is critical when its order meets two classes and the full
+    lattice shows it is a Schmidt group (Skiba, J. Algebra 436 (2015))."""
     edges = set()
     for s in candidates:
-        if len(sigma_of_int(s.order, sigma)) != 2 or not is_critical(s.group, sigma):
+        if (len(sigma_of_int(s.order, sigma)) != 2 or len(primes_of(s.order)) != 2
+                or not is_schmidt_by_lattice(s.group)):
             continue
         for ci in sigma_of_int(s.order, sigma):
             f = f_class_subgroup(s.group, ci)
@@ -135,6 +141,46 @@ def is_schmidt_by_lattice(G, limits=DEFAULT_LIMITS) -> bool:
     return (not nilpotent_by_sylows(G, limits)
             and all(nilpotent_by_sylows(s.group, limits)
                     for s in all_subgroups(G, limits) if s.order < G.order))
+
+
+def schmidt_subgroups(G, limits=DEFAULT_LIMITS):
+    """Every Schmidt (minimal non-nilpotent) subgroup H of G, as (H, p, q):
+    p is the prime of the normal Sylow subgroup of H, q the other prime.
+
+    A Schmidt group is two-generated, so the walk runs over the two-generated
+    subgroups in increasing order.  A non-nilpotent one is minimal exactly
+    when no Schmidt subgroup found before it lies strictly inside it.  Each
+    hit is checked against the P . <y> shape: two primes, exactly one normal
+    Sylow subgroup, and an element of order |H|_q."""
+    orders = G.universe(limits).orders
+    found = []
+    for s in two_generated_subgroups(G, limits):
+        if any(h.indices < s.indices for h, _, _ in found):
+            continue
+        facts = prime_factors(s.order)
+        normal = _normal_sylow_primes(G, s.indices, limits)
+        if len(normal) == len(facts):
+            continue  # nilpotent
+        q, qe = facts[-1] if facts[0][0] in normal else facts[0]
+        if (len(facts) != 2 or len(normal) != 1
+                or not any(orders[i] == q**qe for i in s.indices)):
+            raise CrossCheckError(
+                "a minimal non-nilpotent group failed the normal-Sylow shape check")
+        found.append((s, normal[0], q))
+    return found
+
+
+def is_class_number(n, cls) -> bool:
+    """Every prime factor of n lies in cls."""
+    return class_part(n, cls) == n
+
+
+def frattini(G, limits=DEFAULT_LIMITS):
+    """Intersection of the maximal subgroups (G itself if none exist)."""
+    cut = frozenset(range(G.universe(limits).n))
+    for m in maximal_subgroups(G, limits):
+        cut &= m.indices
+    return Subgroup(G, cut)
 
 
 def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:

@@ -10,14 +10,13 @@ import itertools
 
 import pytest
 
-from oracles import (f_class_subgroup_by_pullback, has_sylow_tower,
+from oracles import (f_class_subgroup_by_pullback, frattini, has_sylow_tower,
                      vm_edges_from_candidates)
 from sigmagraph.errors import ResourceLimitError
 from sigmagraph.graphs import (build_hall, build_hawkes, build_vm, has_circuit,
                                has_loop, is_subgraph)
-from sigmagraph.group import (PermGroup, all_subgroups, frattini,
-                              normal_subgroups, quotient,
-                              two_generated_subgroups)
+from sigmagraph.group import (PermGroup, all_subgroups, normal_subgroups,
+                              quotient, two_generated_subgroups)
 from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
                                    is_sigma_dispersive, is_sigma_nilpotent)
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
@@ -129,8 +128,9 @@ def test_acceptance_06_oracle_equivalences(corpus_groups, partitions):
                 vm_bad.append(tag)
     record(6, not f_bad and not vm_bad,
            f"normal-scan F == core-series pullback on all {f_pairs} (group, "
-           f"class) pairs; full-lattice vm == two-generated vm on all "
-           f"{vm_groups} groups within lattice caps")
+           f"class) pairs; full-lattice vm == two-generated vm (criticality "
+           f"from each candidate's lattice) == build_vm on all {vm_groups} "
+           f"groups within lattice caps")
 
 
 def test_acceptance_07_factorization_fixtures(partitions):

@@ -1,8 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from sigmagraph.cli import main
+
+EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 
 
 def run(capsys, *argv):
@@ -176,3 +180,17 @@ def test_resource_cap_exits_2(capsys):
 def test_help_exits_0(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0 and "graph" in out and "verify" in out
+
+
+def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
+    """The export script writes one vm file per zoo group, and the S6 file
+    is the graph command's output."""
+    spec = importlib.util.spec_from_file_location("export_zoo_graphs", EXPORT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--outdir", str(tmp_path), "--kind", "vm", "--sigma", "atomic",
+                        "--format", "json"]) == 0
+    assert len(list(tmp_path.iterdir())) == 27
+    rc, out, _ = run(capsys, "graph", "--group", "zoo:S6", "--kind", "vm")
+    assert rc == 0
+    assert (tmp_path / "S6__vm__atomic.json").read_text() == out

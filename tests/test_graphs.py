@@ -204,8 +204,9 @@ def test_dot_output():
 
 
 def test_vm_falls_back_above_lattice_caps():
-    """wreath_c2_s3 is beyond the lattice caps; vm needs only the
-    two-generated pool and still matches the hand-checked edges."""
+    """wreath_c2_s3 is beyond the lattice caps; vm needs only the Schmidt
+    types, read off element pairs, and still matches the hand-checked
+    edges."""
     w = build_by_tag("wreath_c2_s3")
     with pytest.raises(ResourceLimitError):
         all_subgroups(w)
@@ -239,6 +240,37 @@ def test_vm_and_critical_never_enumerate_the_lattice(tag, monkeypatch):
             monkeypatch.setattr(module, "all_subgroups", refuse)
     monkeypatch.setattr(sigmagraph.group, "_all_subgroup_sets", refuse)
     assert _vm_and_critical(tag) == expected
+
+
+def _vm_schmidt_critical(make):
+    """vm edges and is_critical per standard partition, then is_schmidt, on a
+    fresh group."""
+    g = make()
+    out = []
+    for sigma in standard_partitions():
+        out.append(tags(build_vm(g, sigma).edges))
+        out.append(is_critical(g, sigma))
+    out.append(is_schmidt(g))
+    return out
+
+
+@pytest.mark.parametrize("make", (lambda: symmetric(4), lambda: alternating(5), sl2_3,
+                                  lambda: regular_wreath(2, symmetric(3)),
+                                  lambda: symmetric(6)),
+                         ids=("S4", "A5", "sl23", "wreath_c2_s3", "S6"))
+def test_vm_and_schmidt_build_no_subgroup_pool(make, monkeypatch):
+    """build_vm, is_schmidt and is_critical read element pairs: they never
+    list the two-generated subgroups nor run a join closure."""
+    expected = _vm_schmidt_critical(make)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgroup pool was enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sigmagraph") and hasattr(module, "two_generated_subgroups"):
+            monkeypatch.setattr(module, "two_generated_subgroups", refuse)
+    monkeypatch.setattr(sigmagraph.group, "_join_closure", refuse)
+    assert _vm_schmidt_critical(make) == expected
 
 
 @pytest.mark.parametrize("make", (lambda: symmetric(4), lambda: alternating(5), sl2_3,

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
-                     closure, naive_centralizer, naive_normalizer)
+                     closure, frattini, naive_centralizer, naive_normalizer)
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
                               Subgroup, all_subgroups, centralizer, centralizer_of_factor,
-                              chief_series, core_series_subgroup, frattini,
+                              chief_series, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, subgroup, sylow, two_generated_subgroups)
@@ -302,6 +302,24 @@ def test_resource_caps_raise_with_cap_name():
         normal_subgroups(symmetric(4), EngineLimits(max_element_order=10))
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
         all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=5))
+
+
+def test_capped_lattice_caches_its_error_without_traceback():
+    """The cached cap error holds no traceback, so no frame of the join
+    closure keeps the partial lattice alive; every repeat raises a fresh
+    error with the same text and cap."""
+    g = symmetric(4)
+    limits = EngineLimits(max_subgroup_count=5)
+    with pytest.raises(ResourceLimitError) as first:
+        maximal_subgroups(g, limits)
+    _, cached = g._cache["all_subgroup_sets_failure"]
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError) as again:
+            maximal_subgroups(g, limits)
+        assert again.value is not cached
+        assert str(again.value) == str(cached) == str(first.value)
+        assert (again.value.cap_name, again.value.cap_value) == ("max_subgroup_count", 5)
+        assert cached.__traceback__ is None
 
 
 @settings(max_examples=30, deadline=None)

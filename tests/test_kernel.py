@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import sigmagraph.group
 from oracles import (ORACLE_TAGS, composed_table, index_closure,
-                     is_pi_closed_by_normal_lattice)
+                     is_pi_closed_by_normal_lattice, is_schmidt_by_lattice,
+                     schmidt_subgroups)
 from sigmagraph.errors import CrossCheckError
 from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _Universe, hall_subgroups,
                               normal_subgroups, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import _pi_closed_indices, is_pi_closed
+from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
+                                   schmidt_types)
 from sigmagraph.sigma import ATOMIC, PiSet, primes_of
 from sigmagraph.zoo import (alternating, build_by_tag, s5_subgroups, symmetric,
                             zoo_tags)
@@ -148,7 +150,8 @@ def random_permutation(rng, degree):
 @given(st.integers(0, 2**32 - 1))
 def test_kernel_fuzz_on_small_degrees(seed):
     """One to three random generators on two to seven points.  Groups up to
-    order 120 check the whole table; every group checks closures over a
+    order 120 check the whole table, and the Schmidt types and test against
+    the walk and the lattice oracles; every group checks closures over a
     drawn base, and those above the table limit (A7) take the path without
     a table."""
     rng = random.Random(seed)
@@ -158,6 +161,8 @@ def test_kernel_fuzz_on_small_degrees(seed):
     u = g.universe()
     if g.order <= 120:
         assert_table_matches(g)
+        assert schmidt_types(g) == {(p, q) for _, p, q in schmidt_subgroups(g)}
+        assert is_schmidt(g) == is_schmidt_by_lattice(g)
     assert_closure_matches(u, rng.sample(range(u.n), min(u.n, rng.randint(0, 2))),
                            rng.sample(range(u.n), min(u.n, rng.randint(0, 3))),
                            rng.randint(1, u.n))

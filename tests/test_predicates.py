@@ -4,8 +4,8 @@ from oracles import (ORACLE_TAGS, dispersive_by_ordering_search,
                      f_class_subgroup_by_pullback,
                      is_class_nilpotent_by_chief_factors, is_pi_central_factor,
                      is_pi_normal_maximal, is_schmidt_by_lattice,
-                     nilpotent_by_sylows, sigma_nilpotent_by_series,
-                     sigma_soluble_by_series)
+                     nilpotent_by_sylows, schmidt_subgroups,
+                     sigma_nilpotent_by_series, sigma_soluble_by_series)
 from sigmagraph.errors import DomainError
 from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
                               normal_subgroups, quotient, subgroup)
@@ -14,7 +14,7 @@ from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
                                    is_critical, is_nilpotent, is_pi_closed,
                                    is_schmidt, is_sigma_dispersive,
                                    is_sigma_nilpotent, is_sigma_soluble,
-                                   schmidt_decomposition, schmidt_subgroups,
+                                   schmidt_decomposition, schmidt_types,
                                    sigma_length)
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, primes_of,
                               sigma_of_group)
@@ -149,9 +149,10 @@ def test_schmidt_f_subgroup_shape():
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
 def test_nilpotency_and_schmidt_match_oracles(tag):
     """On the group and every subgroup of it: is_nilpotent against Sylow
-    normality, is_schmidt against the full lattice.  The Schmidt subgroups
-    found in the group's own table are exactly those the lattice oracle
-    finds, with p the prime of the normal Sylow subgroup."""
+    normality, is_schmidt against the full lattice.  The walk over the
+    two-generated subgroups finds exactly the Schmidt subgroups of the
+    lattice oracle, with p the prime of the normal Sylow subgroup, and
+    schmidt_types is the set of their types."""
     g = build_by_tag(tag)
     subs = all_subgroups(g)
     lattice = [s for s in subs if is_schmidt_by_lattice(s.group)]
@@ -160,9 +161,26 @@ def test_nilpotency_and_schmidt_match_oracles(tag):
     for h, p, q in found:
         shape = schmidt_decomposition(h.group)
         assert (p, q) == (shape.p, shape.q)
+    assert schmidt_types(g) == {(p, q) for _, p, q in found}
     for s in subs:
         assert is_nilpotent(s.group) == nilpotent_by_sylows(s.group)
         assert is_schmidt(s.group) == any(s.indices == t.indices for t in lattice)
+
+
+def test_schmidt_types_match_walk_above_lattice_caps():
+    """wreath_c2_s3 is beyond the lattice caps; the pair search and the walk
+    over its two-generated subgroups still give the same Schmidt types."""
+    g = build_by_tag("wreath_c2_s3")
+    assert schmidt_types(g) == {(p, q) for _, p, q in schmidt_subgroups(g)}
+
+
+def test_schmidt_types_s6():
+    """S6 has no Schmidt subgroup of type (2, 5).  Its five-cycle moves the
+    reflections of a D5, which close to order 10, below the 2-part 16: a
+    pair counts only when its closure divides the p-part."""
+    s6 = build_by_tag("S6")
+    assert schmidt_types(s6) == {(2, 3), (3, 2), (5, 2)}
+    assert not is_schmidt(s6)
 
 
 def critical_oracle(g, sigma):

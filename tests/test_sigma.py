@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import is_class_number
 from sigmagraph.errors import DomainError, GroupInputError
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, class_part,
-                              is_class_number, parse_sigma_spec, pi_part,
+                              parse_sigma_spec, pi_part,
                               prime_factors, primes_of, sigma_coprime,
                               sigma_of_int)
 
