@@ -2,7 +2,11 @@
 
 All public values are immutable after construction and every operation is a
 pure function of its inputs; internal caches are write-once and only ever
-reused, never mutated, so memoisation is observationally transparent.
+reused, never mutated, so memoisation is observationally transparent.  A
+group's caches hold index sets and generator indices, never a value that
+refers back to the group (``Subgroup`` and ``QuotientGroup`` wrappers are
+made per call), so a dropped group is freed at once, not by the cycle
+collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on an indexed multiplication table of the ambient group
@@ -13,9 +17,11 @@ indices; its own PermGroup is built only when a caller treats it as a group
 in its own right.  Every subgroup is generated by ``_Universe.closure``,
 which extends a subgroup the caller already holds by new generators, one
 left coset at a time (Dimino's algorithm; Butler, Fundamental Algorithms for
-Permutation Groups, LNCS 559).  Enumeration caps are explicit configuration;
-hitting one raises a ResourceLimitError naming the cap instead of silently
-truncating.
+Permutation Groups, LNCS 559).  Subgroup searches work up to conjugacy: they
+extend one representative per class and spread each new subgroup over its
+class by gathers on the conjugation rows of G's generators.  Enumeration caps
+are explicit configuration; hitting one raises a ResourceLimitError naming
+the cap instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from .sigma import prime_factors
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Enumeration caps. Orders are group-order gates; count and work caps
-    guard the subgroup-lattice closure, whose size is not a function of the
-    group order alone."""
+    """Enumeration caps. Orders are group-order gates; the count cap bounds
+    the subgroups a search finds and the work cap the closures it runs, as
+    neither is a function of the group order alone."""
 
     max_subgroup_order: int = 500
     max_element_order: int = 5000
@@ -102,8 +108,8 @@ class Subgroup:
     """A subgroup of a fixed parent group, held as its set of element indices
     in the parent's element table (``parent.universe()``).
 
-    ``gens`` are element indices that generate it: the given ones when there
-    are at most four, else a small canonical set.  Order, elements and
+    ``gens`` are element indices that generate it: the given ones, else a
+    small canonical set derived from the index set.  Order, elements and
     containment are read off the index set.  ``group``, the subgroup as a
     ``PermGroup`` in its own right, is built from ``gens`` on first use and
     checked against the index set."""
@@ -111,7 +117,7 @@ class Subgroup:
     __slots__ = ("parent", "indices", "gens", "_group")
 
     def __init__(self, parent: PermGroup, indices: frozenset[int], gens=None):
-        if gens is None or len(gens) > 4:
+        if gens is None:
             gens = parent.universe().derive_gens(indices)
         self.parent = parent
         self.indices = indices
@@ -121,10 +127,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.indices)
-
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
 
     @property
     def group(self) -> PermGroup:
@@ -436,12 +438,8 @@ def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> lis
     """Every normal subgroup of G, sorted by order then element list.
 
     A normal subgroup is a join of conjugacy classes, so the enumeration
-    walks joins of classes to a fixpoint."""
-    cached = G._cache.get("normal_subgroups")
-    if cached is None:
-        cached = tuple(Subgroup(G, s, g) for s, g in _normal_subgroup_sets(G, limits))
-        G._cache["normal_subgroups"] = cached
-    return list(cached)
+    joins each one found with each class until no new one appears."""
+    return [Subgroup(G, s, g) for s, g in _normal_subgroup_sets(G, limits)]
 
 
 @dataclass(frozen=True)
@@ -455,23 +453,19 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSe
     minimal normal subgroup above the current term."""
     if G.is_trivial:
         raise DomainError("the trivial group has no chief series")
-    cached = G._cache.get("chief_series")
-    if cached is not None:
-        return cached
-    u = G.universe(limits)
     normal_sets = _normal_subgroup_sets(G, limits)
-    chain: list[frozenset[int]] = [normal_sets[0][0]]
-    full = frozenset(range(u.n))
-    while chain[-1] != full:
-        cur = chain[-1]
-        above = [s for s, _ in normal_sets if cur < s]
-        minimal = [s for s in above if not any(t < s for t in above if t is not s)]
-        chain.append(minimal[0])
+    chain = G._cache.get("chief_series")
+    if chain is None:
+        chain = [normal_sets[0][0]]
+        full = frozenset(range(G.universe(limits).n))
+        while chain[-1] != full:
+            cur = chain[-1]
+            above = [s for s, _ in normal_sets if cur < s]
+            minimal = [s for s in above if not any(t < s for t in above if t is not s)]
+            chain.append(minimal[0])
+        G._cache["chief_series"] = chain
     gens_by_set = dict(normal_sets)
-    terms = tuple(Subgroup(G, s, gens_by_set[s]) for s in chain)
-    series = ChiefSeries(G, terms)
-    G._cache["chief_series"] = series
-    return series
+    return ChiefSeries(G, tuple(Subgroup(G, s, gens_by_set[s]) for s in chain))
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +509,18 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
     _require_subgroup_of(G, N, "N")
     u = G.universe(limits)
     n_set = N.indices
-    cached = G._cache.get(("quotient", n_set))
-    if cached is not None:
-        return cached
+    key = ("quotient", n_set)
+    if key in G._cache:
+        return QuotientGroup(G, N, *G._cache[key])
     g_gens = u.gen_idxs(G)
     if not all(u.conj(n, g) in n_set for g in g_gens for n in N.gens):
         raise DomainError("cannot form the quotient: subgroup is not normal")
+    if N.order == 1:  # the image is G itself, which G's own cache must not hold
+        return QuotientGroup(G, N, G, {u.images[i]: u.perms[i] for i in range(u.n)})
     if N.order == G.order:
         ident = Permutation.identity(1)
-        image = PermGroup(1, ())
-        proj = {u.images[i]: ident for i in range(u.n)}
-        q = QuotientGroup(G, N, image, proj)
-        G._cache[("quotient", n_set)] = q
-        return q
-    if N.order == 1:
-        proj = {u.images[i]: u.perms[i] for i in range(u.n)}
-        q = QuotientGroup(G, N, G, proj)
-        G._cache[("quotient", n_set)] = q
-        return q
+        G._cache[key] = (PermGroup(1, ()), {u.images[i]: ident for i in range(u.n)})
+        return QuotientGroup(G, N, *G._cache[key])
     coset_of = [-1] * u.n
     reps: list[int] = []
     for i in range(u.n):
@@ -554,13 +542,52 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
         for b in G.generators:
             if proj[(a * b).images] != proj[a.images] * proj[b.images]:
                 raise CrossCheckError("coset projection is not a homomorphism on generators")
-    q = QuotientGroup(G, N, image, proj)
-    G._cache[("quotient", n_set)] = q
-    return q
+    G._cache[key] = (image, proj)
+    return QuotientGroup(G, N, image, proj)
 
 
 # ---------------------------------------------------------------------------
 # subgroup enumeration
+
+
+def _conjugates(G: PermGroup, u: _Universe, found: dict) -> dict:
+    """The given subgroups, {element set: generators}, and all their conjugates
+    with conjugated generators: one gather per (class member, generator g of
+    G) on the cached rows i -> g⁻¹·i·g."""
+    rows = G._cache.get("conjugation_rows")
+    if rows is None:
+        rows = G._cache["conjugation_rows"] = tuple(
+            array("l", (u.conj(i, g) for i in range(u.n))) for g in u.gen_idxs(G))
+    out = dict(found)
+    queue = list(out)
+    for s in queue:
+        for row in rows:
+            t = frozenset(map(row.__getitem__, s))
+            if t not in out:
+                out[t] = tuple(map(row.__getitem__, out[s]))
+                queue.append(t)
+    return out
+
+
+def _new_classes(G: PermGroup, u: _Universe, found: dict, pairs, limits: EngineLimits):
+    """Close each (K, gens) of pairs to <K, gens>; add each subgroup not yet
+    found, with its conjugacy class, to found and yield it.  Raises past
+    max_join_work closures or max_subgroup_count subgroups."""
+    for work, (k, gens) in enumerate(pairs):
+        if work == limits.max_join_work:
+            raise ResourceLimitError(
+                "subgroup search exceeded its closure budget",
+                cap_name="max_join_work", cap_value=limits.max_join_work)
+        h = u.closure(gens, base=k)
+        if h not in found:
+            h_gens = found[k] + gens
+            cls = _conjugates(G, u, {h: h_gens if len(h_gens) <= 4 else u.derive_gens(h)})
+            if len(found) + len(cls) > limits.max_subgroup_count:
+                raise ResourceLimitError(
+                    "subgroup family grew past the count cap",
+                    cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+            found.update(cls)
+            yield h
 
 
 def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
@@ -576,83 +603,65 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
             f"group of order {G.order} is too large for subgroup enumeration",
             cap_name="max_subgroup_order", cap_value=limits.max_subgroup_order)
     u = G.universe(limits)
+    steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
+    for y, in filter(None, u.cyclic_subgroups().values()):
+        factors = prime_factors(u.orders[y])
+        if len(factors) == 1:
+            steps.append((y, _power(u, y, factors[0][0])))
+    trivial = frozenset({u.identity})
+    found = {trivial: ()}
+    reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
+    pairs = ((k, (y,)) for k in reps for y, yp in steps if y not in k and yp in k)
     try:
-        items = _join_closure(u, list(u.cyclic_subgroups().items()), limits, fixpoint=True)
+        for h in _new_classes(G, u, found, pairs, limits):
+            reps.append(h)
     except ResourceLimitError as exc:
         # the raised error's traceback holds the partial lattice: keep a copy
         G._cache["all_subgroup_sets_failure"] = (key, exc.fresh())
         raise
-    out = sorted(items, key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
+    out = [(s, found[s]) for s in _sorted_sets(found)]
     G._cache["all_subgroup_sets"] = out
     return out
 
 
-def _join_closure(u: _Universe, items: list, limits: EngineLimits, *, fixpoint: bool):
-    """Close a family of (element set, generators) pairs under pairwise joins.
-
-    With fixpoint=False only the initial pairs are joined (one pass)."""
-    seen = {s for s, _ in items}
-    full = frozenset(range(u.n))
-    work = 0
-    i = 1
-    initial = len(items)
-    while i < len(items):
-        if fixpoint is False and i >= initial:
-            break
-        a_set, a_gens = items[i]
-        for j in range(i):
-            work += 1
-            if work > limits.max_join_work:
-                raise ResourceLimitError(
-                    "subgroup join closure exceeded its work budget",
-                    cap_name="max_join_work", cap_value=limits.max_join_work)
-            b_set, b_gens = items[j]
-            if a_set <= b_set or b_set <= a_set:
-                continue
-            # |<A,B>| >= |AB| = |A||B|/|A n B|; a divisor of n above n/2 is n
-            if len(a_set) * len(b_set) > (u.n // 2) * len(a_set & b_set):
-                joined = full
-            elif len(a_set) >= len(b_set):
-                joined = u.closure(b_gens, base=a_set)
-            else:
-                joined = u.closure(a_gens, base=b_set)
-            if joined not in seen:
-                if len(seen) >= limits.max_subgroup_count:
-                    raise ResourceLimitError(
-                        "subgroup family grew past the count cap",
-                        cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
-                gens = a_gens + tuple(g for g in b_gens if g not in a_gens)
-                if len(gens) > 4:
-                    gens = u.derive_gens(joined)
-                seen.add(joined)
-                items.append((joined, gens))
-        i += 1
-    return items
-
-
 def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
-    """Every subgroup of G: all cyclic subgroups, then iterated pairwise joins
-    to a fixpoint, deduplicated by element set and canonically sorted."""
-    cached = G._cache.get("all_subgroups")
-    if cached is None:
-        cached = tuple(Subgroup(G, s, g) for s, g in _all_subgroup_sets(G, limits))
-        G._cache["all_subgroups"] = cached
-    return list(cached)
+    """Every subgroup of G, sorted by order then element list.
+
+    Cyclic extension up to conjugacy (Neubüser 1960; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory): from the trivial group, each
+    class representative K is joined with every cyclic p-subgroup <y>, p
+    prime, with y outside K and y^p in K; a new subgroup is spread over its
+    class and extended in turn.  This is complete: H > 1 is generated by its
+    elements of prime-power order, so for M maximal in H one of them, z, lies
+    outside M; the last power y of z outside M has y^p in M, and
+    H = <M, y>.  max_subgroup_order gates G; max_subgroup_count caps the
+    subgroups found (the sum of the class lengths), max_join_work the
+    closures run."""
+    return [Subgroup(G, s, g) for s, g in _all_subgroup_sets(G, limits)]
 
 
 def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
-    """Deduplicated subgroups generated by at most two elements of G.
+    """Every subgroup <a, b> of G, sorted by order then element list.
 
-    Joining one canonical generator per cyclic subgroup gives exactly the
-    subgroups (a, b) over all element pairs."""
+    Since <a, b>^g = <a^g, b^g>, one cyclic <a> per conjugacy class is
+    joined with every cyclic <b>, and each new join is spread over its
+    class.  The count and closure caps apply as in all_subgroups."""
     cached = G._cache.get("two_generated")
     if cached is None:
         u = G.universe(limits)
-        items = _join_closure(u, list(u.cyclic_subgroups().items()), limits, fixpoint=False)
-        sets = sorted({s: g for s, g in items}.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
-        cached = tuple(Subgroup(G, s, g) for s, g in sets)
-        G._cache["two_generated"] = cached
-    return list(cached)
+        cyclic = u.cyclic_subgroups()
+        found: dict[frozenset[int], tuple[int, ...]] = {}
+        reps = []
+        for a, a_gens in cyclic.items():
+            if a not in found:
+                reps.append(a)
+                found.update(_conjugates(G, u, {a: a_gens}))
+        pairs = ((a, b_gens) if len(a) >= len(b) else (b, found[a])
+                 for a in reps for b, b_gens in cyclic.items() if not (a <= b or b <= a))
+        for _ in _new_classes(G, u, found, pairs, limits):
+            pass  # one pass: a new join is not joined again
+        cached = G._cache["two_generated"] = [(s, found[s]) for s in _sorted_sets(found)]
+    return [Subgroup(G, s, g) for s, g in cached]
 
 
 def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -730,23 +739,15 @@ def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgro
     return Subgroup(G, s, gens)
 
 
-def _conjugate_set_closure(u: _Universe, base_sets: list[frozenset[int]]) -> list[frozenset[int]]:
-    out = set(base_sets)
-    for s in base_sets:
-        lst = sorted(s)
-        for g in range(u.n):
-            out.add(frozenset(u.conj(x, g) for x in lst))
-    return _sorted_sets(out)
-
-
 def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
     """All subgroups whose order is the full primes-part of |G| and whose
     index carries none of the given primes.  Possibly empty.
 
-    Search: every such subgroup contains a Sylow subgroup for the prime with
-    the heaviest contribution, so close a fixed Sylow subgroup under joins
-    with elements of compatible order, keep joins whose size divides the
-    target, then spread over conjugates."""
+    Search: some conjugate of every such subgroup contains a fixed Sylow
+    subgroup for the prime with the heaviest contribution, so close that
+    Sylow subgroup under joins with elements of compatible order, keep joins
+    whose size divides the target, then spread the hits over their
+    conjugacy classes."""
     pset = tuple(sorted(set(primes)))
     for p in pset:
         if p < 2 or prime_factors(p) != ((p, 1),):
@@ -754,16 +755,16 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
     key = ("hall", pset)
     cached = G._cache.get(key)
     if cached is not None:
-        return list(cached)
+        return [Subgroup(G, s, g) for s, g in cached]
     u = G.universe(limits)
     target = 1
     for p, e in prime_factors(G.order):
         if p in pset:
             target *= p**e
     if target == 1:
-        result = [Subgroup(G, frozenset({u.identity}))]
+        result = [(frozenset({u.identity}), ())]
     elif target == G.order:
-        result = [Subgroup(G, frozenset(range(u.n)), u.gen_idxs(G))]
+        result = [(frozenset(range(u.n)), u.gen_idxs(G))]
     else:
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
@@ -771,8 +772,7 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
         queue = [p0_set]
         pi_elements = [i for (s, g) in u.cyclic_subgroups().items() if g
                        for i in g if target % u.orders[i] == 0]
-        while queue:
-            c_set = queue.pop(0)
+        for c_set in queue:
             for x in pi_elements:
                 if x in c_set:
                     continue
@@ -785,10 +785,10 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
                         cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
                 candidates.add(joined)
                 queue.append(joined)
-        hits = [s for s in candidates if len(s) == target]
-        result = [Subgroup(G, s) for s in _conjugate_set_closure(u, hits)]
-    G._cache[key] = tuple(result)
-    return list(result)
+        halls = _conjugates(G, u, {s: u.derive_gens(s) for s in candidates if len(s) == target})
+        result = [(s, halls[s]) for s in _sorted_sets(halls)]
+    G._cache[key] = result
+    return [Subgroup(G, s, g) for s, g in result]
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +801,7 @@ def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LI
     key = ("core", tuple(sorted(pset)))
     cached = G._cache.get(key)
     if cached is not None:
-        return cached
+        return Subgroup(G, *cached)
     best: frozenset[int] | None = None
     best_gens: tuple[int, ...] = ()
     hits = []
@@ -814,6 +814,5 @@ def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LI
     for s in hits:
         if not s <= best:
             raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
-    result = Subgroup(G, best, best_gens)
-    G._cache[key] = result
-    return result
+    G._cache[key] = (best, best_gens)
+    return Subgroup(G, best, best_gens)

@@ -112,8 +112,8 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
         if not all(n.indices <= best.indices for n in hits):
             raise CrossCheckError(
                 "class-nilpotent normal subgroups admit no unique maximum")
-        return best
-    return _memo(G, ("f_class", cls), compute)
+        return best.indices, best.gens
+    return Subgroup(G, *_memo(G, ("f_class", cls), compute))
 
 
 def is_class_nilpotent(G: PermGroup, cls: SigmaClass,

@@ -68,18 +68,6 @@ class SigmaPartition:
                 return SigmaClass(self, "explicit", index=i)
         return SigmaClass(self, "residual")
 
-    def class_by_tag(self, tag: str) -> "SigmaClass":
-        if tag == "residual":
-            if self.atomic:
-                raise DomainError("atomic partition has no residual class")
-            return SigmaClass(self, "residual")
-        kind, _, arg = tag.partition(":")
-        if kind == "explicit" and arg.isdigit() and int(arg) < len(self.explicit_classes):
-            return SigmaClass(self, "explicit", index=int(arg))
-        if kind == "atomic" and self.atomic and arg.isdigit():
-            return self.classify(int(arg))
-        raise DomainError(f"unknown class tag {tag!r} for this partition")
-
     def to_json(self) -> dict:
         return {"classes": [sorted(c) for c in self.explicit_classes], "atomic": self.atomic}
 

@@ -113,6 +113,23 @@ def test_verify_standard_sigma_default(capsys):
     assert lines[-1] == "summary: pass=3 vacuous=0 FAIL=0"
 
 
+def test_verify_prop_1_11_above_the_count_cap(capsys):
+    """wreath_c2_s3 has 4676 subgroups, past max_subgroup_count: the lattice
+    attempt stops at the cap and prop 1.11 reads its witnesses off the
+    two-generated subgroups."""
+    rc, out, _ = run(capsys, "verify", "--group", "zoo:wreath_c2_s3", "--statement", "1.11")
+    assert rc == 0
+    witnesses = []
+    for line in out.strip().splitlines()[:-1]:
+        report = json.loads(line)
+        for h in report["hypotheses"]:
+            if h["name"] == "maximals-pi-closed" and h["evaluated"]:
+                witnesses.append((report["sigma"]["classes"], h["witness"]))
+    six, twelve = ("subgroup of order 6 is not pi-closed",
+                   "subgroup of order 12 is not pi-closed")
+    assert witnesses == [([], six), ([], twelve), ([[2, 5], [3]], six), ([[2, 5], [3]], twelve)]
+
+
 def test_verify_statement_1_7_uses_fixtures(capsys):
     rc, out, _ = run(capsys, "verify", "--group", "zoo:S3", "--sigma", "atomic",
                      "--statement", "1.7")

@@ -219,10 +219,11 @@ def _vm_and_critical(tag):
     standard partition, on a fresh copy of the zoo group."""
     z = build_by_tag(tag)
     g = PermGroup(z.degree, z.generators)
+    subs = two_generated_subgroups(g)
     out = []
     for sigma in standard_partitions():
         out.append(tags(build_vm(g, sigma).edges))
-        out.append([is_critical(s.group, sigma) for s in two_generated_subgroups(g)])
+        out.append([is_critical(s.group, sigma) for s in subs])
     return out
 
 
@@ -260,7 +261,7 @@ def _vm_schmidt_critical(make):
                          ids=("S4", "A5", "sl23", "wreath_c2_s3", "S6"))
 def test_vm_and_schmidt_build_no_subgroup_pool(make, monkeypatch):
     """build_vm, is_schmidt and is_critical read element pairs: they never
-    list the two-generated subgroups nor run a join closure."""
+    list the two-generated subgroups nor the subgroup lattice."""
     expected = _vm_schmidt_critical(make)
 
     def refuse(*args, **kwargs):
@@ -269,7 +270,7 @@ def test_vm_and_schmidt_build_no_subgroup_pool(make, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("sigmagraph") and hasattr(module, "two_generated_subgroups"):
             monkeypatch.setattr(module, "two_generated_subgroups", refuse)
-    monkeypatch.setattr(sigmagraph.group, "_join_closure", refuse)
+    monkeypatch.setattr(sigmagraph.group, "_all_subgroup_sets", refuse)
     assert _vm_schmidt_critical(make) == expected
 
 

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import prod
+
 import pytest
 import sigmagraph.group
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
                               quotient, subgroup, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.sigma import prime_factors
-from sigmagraph.zoo import alternating, build_by_tag, symmetric
+from sigmagraph.zoo import alternating, build_by_tag, regular_wreath, symmetric
 
 
 def sets_of(subs, limits=DEFAULT_LIMITS):
@@ -51,6 +54,10 @@ def test_known_subgroup_counts():
     assert len(all_subgroups(build_by_tag("S5"))) == 156
     assert len(all_subgroups(build_by_tag("Q8"))) == 6
     assert len(all_subgroups(build_by_tag("dic3"))) == 8
+    assert len(all_subgroups(alternating(6))) == 501
+    assert len(all_subgroups(symmetric(6), EngineLimits(max_subgroup_order=720))) == 1455
+    wreath = regular_wreath(2, symmetric(3))
+    assert len(all_subgroups(wreath, EngineLimits(max_subgroup_count=5000))) == 4676
 
 
 def test_two_generated_subgroups():
@@ -82,7 +89,7 @@ def test_subgroup_accessors():
     s4 = build_by_tag("S4")
     v4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
                        Permutation.from_cycles(4, [(0, 2), (1, 3)])])
-    assert v4.order == 4 and v4.index == 6
+    assert v4.order == 4
     assert is_normal(s4, v4)
     a4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                        Permutation.from_cycles(4, [(0, 1), (2, 3)])])
@@ -273,6 +280,20 @@ def test_hall_subgroups():
         hall_subgroups(s4, (4,))
 
 
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
+def test_hall_subgroups_match_lattice(tag):
+    """For every set of primes, the Hall search finds exactly the lattice's
+    subgroups of order |G|_pi, in the same order."""
+    g = build_by_tag(tag)
+    lattice = all_subgroups(g)
+    factors = prime_factors(g.order)
+    for r in range(1, len(factors) + 1):
+        for combo in combinations(factors, r):
+            target = prod(p**e for p, e in combo)
+            assert ([s.indices for s in hall_subgroups(g, [p for p, _ in combo])]
+                    == [s.indices for s in lattice if s.order == target])
+
+
 def test_core_series_subgroup():
     s4 = build_by_tag("S4")
     assert core_series_subgroup(s4, [2]).order == 4
@@ -302,6 +323,17 @@ def test_resource_caps_raise_with_cap_name():
         normal_subgroups(symmetric(4), EngineLimits(max_element_order=10))
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
         all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=5))
+    # the count cap admits exactly its value: S4 has 30 subgroups
+    assert len(all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=30))) == 30
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=29))
+    with pytest.raises(ResourceLimitError, match="max_join_work"):
+        all_subgroups(symmetric(4), EngineLimits(max_join_work=5))
+    with pytest.raises(ResourceLimitError, match="max_join_work"):
+        two_generated_subgroups(symmetric(4), EngineLimits(max_join_work=5))
+    # the count cap keeps prop 1.11 on the two-generated witnesses
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        maximal_subgroups(regular_wreath(2, symmetric(3)), DEFAULT_LIMITS)
 
 
 def test_capped_lattice_caches_its_error_without_traceback():

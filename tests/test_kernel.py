@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sigmagraph.group
-from oracles import (ORACLE_TAGS, composed_table, index_closure,
-                     is_pi_closed_by_normal_lattice, is_schmidt_by_lattice,
-                     schmidt_subgroups)
+from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
+                     index_closure, is_pi_closed_by_normal_lattice,
+                     is_schmidt_by_lattice, schmidt_subgroups)
 from sigmagraph.errors import CrossCheckError
-from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _Universe, hall_subgroups,
-                              normal_subgroups, two_generated_subgroups)
+from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _Universe, all_subgroups,
+                              hall_subgroups, normal_subgroups, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                                    schmidt_types)
@@ -151,14 +151,17 @@ def random_permutation(rng, degree):
 def test_kernel_fuzz_on_small_degrees(seed):
     """One to three random generators on two to seven points.  Groups up to
     order 120 check the whole table, and the Schmidt types and test against
-    the walk and the lattice oracles; every group checks closures over a
-    drawn base, and those above the table limit (A7) take the path without
-    a table."""
+    the walk and the lattice oracles; those up to order 24 also check the
+    subgroup lattice against the brute-force one.  Every group checks
+    closures over a drawn base, and those above the table limit (A7) take
+    the path without a table."""
     rng = random.Random(seed)
     degree = rng.randint(2, 7)
     g = PermGroup(degree, [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))])
     assume(g.order <= DEFAULT_LIMITS.max_element_order)
     u = g.universe()
+    if g.order <= 24:
+        assert {frozenset(s.elements()) for s in all_subgroups(g)} == brute_subgroup_sets(g)
     if g.order <= 120:
         assert_table_matches(g)
         assert schmidt_types(g) == {(p, q) for _, p, q in schmidt_subgroups(g)}

@@ -83,17 +83,6 @@ def test_json_round_trip():
         parse_sigma_spec("{not json")
 
 
-def test_class_by_tag_round_trip():
-    for sigma in (ATOMIC, TWO_THREE, SPLIT):
-        for p in (2, 3, 5, 7):
-            cls = sigma.classify(p)
-            assert sigma.class_by_tag(cls.tag) == cls
-    with pytest.raises(DomainError):
-        TWO_THREE.class_by_tag("explicit:7")
-    with pytest.raises(DomainError):
-        ATOMIC.class_by_tag("residual")
-
-
 def test_class_membership_and_parts():
     c23 = TWO_THREE.classify(2)
     assert c23.contains(3) and not c23.contains(5)

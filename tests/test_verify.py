@@ -1,9 +1,11 @@
+import gc
 import json
 from itertools import combinations
 
 import pytest
 
 import sigmagraph.verify
+from sigmagraph.group import PermGroup, QuotientGroup, Subgroup
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
 from sigmagraph.verify import (ALL_STATEMENTS, CheckResult,
                                component_decomposition_holds,
@@ -11,7 +13,8 @@ from sigmagraph.verify import (ALL_STATEMENTS, CheckResult,
                                run_corpus_sweep, verify_prop_1_2,
                                verify_prop_1_9, verify_prop_1_11,
                                verify_thm_1_4, verify_thm_1_7, verify_thm_1_12)
-from sigmagraph.zoo import build_by_tag, standard_partitions
+from sigmagraph.zoo import (build_by_tag, regular_wreath, sl2_3, standard_partitions,
+                            symmetric)
 
 TWO_THREE = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
 
@@ -179,6 +182,30 @@ def test_sweep_is_deterministic_and_ordered():
     # fixtures run once per partition, independent of the group list
     only_17 = [r for r in run_corpus_sweep(groups, parts, ("1.7",))]
     assert len(only_17) == 3 * len(parts)
+
+
+@pytest.mark.parametrize("make", (lambda: symmetric(4), sl2_3,
+                                  lambda: regular_wreath(2, symmetric(3))),
+                         ids=("S4", "sl23", "wreath_c2_s3"))
+def test_swept_group_is_freed_without_the_cycle_collector(make):
+    """No value a sweep caches on a group (subgroups, quotients, chief
+    series, Hall and two-generated subgroups, the lattice) refers back to
+    the group, so a group dropped after its sweep is freed at once with all
+    its caches, instead of waiting for a full collection."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        g = make()
+        for _ in run_corpus_sweep([("G", g)], standard_partitions(), ALL_STATEMENTS):
+            pass
+        del g
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (PermGroup, Subgroup, QuotientGroup))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_prop_1_2_visits_classes_in_sort_order(monkeypatch):
