@@ -100,16 +100,11 @@ class Bsgs:
             n *= len(trans)
         return n
 
-    def elements(self):
-        """Yield every group element exactly once, deterministically."""
-
-        def rec(i: int):
-            if i == len(self.base):
-                yield Permutation.identity(self.degree)
-                return
-            for beta in sorted(self.transversals[i]):
-                u = self.transversals[i][beta]
-                for h in rec(i + 1):
-                    yield h * u
-
-        yield from rec(0)
+    def elements(self) -> list[Permutation]:
+        """Every group element exactly once, deterministically: the products
+        u_k ··· u_1 u_0 of one transversal element per level, built from the
+        deepest level up so that each partial product is formed once."""
+        elems = [Permutation.identity(self.degree)]
+        for trans in reversed(self.transversals):
+            elems = [h * trans[beta] for beta in sorted(trans) for h in elems]
+        return elems

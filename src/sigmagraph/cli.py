@@ -9,7 +9,9 @@ listed form the residual class).
 
 Exit codes: 0 for success (including vacuous verifications), 1 when a
 verification reports FAIL, 2 for input errors, domain errors, and resource
-caps.  Error messages are a single stderr line prefixed ``error:``.
+caps.  A group spec with a degree above 256 or more than 64 generators is
+refused as a cap (``max_degree``, ``max_generators``) before any permutation
+is built.  Error messages are a single stderr line prefixed ``error:``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .zoo import build_by_tag, corpus, standard_partitions, zoo
 
 _BUILDERS = {"hawkes": build_hawkes, "hall": build_hall, "vm": build_vm}
 
+# input caps on a group spec, checked before any permutation is built
+_MAX_DEGREE = 256
+_MAX_GENERATORS = 64
+
 
 def _parse_generator(entry, degree: int) -> Permutation:
     if not isinstance(entry, list):
@@ -53,9 +59,15 @@ def _group_from_json(data, tag: str) -> tuple[str, PermGroup]:
     degree = data.get("degree")
     if not isinstance(degree, int) or degree < 1:
         raise GroupInputError("group spec needs an integer degree >= 1")
+    if degree > _MAX_DEGREE:
+        raise ResourceLimitError(f"group spec degree {degree} is too large",
+                                 cap_name="max_degree", cap_value=_MAX_DEGREE)
     raw = data.get("generators")
     if not isinstance(raw, list):
         raise GroupInputError("group spec needs a generator list")
+    if len(raw) > _MAX_GENERATORS:
+        raise ResourceLimitError(f"group spec has {len(raw)} generators",
+                                 cap_name="max_generators", cap_value=_MAX_GENERATORS)
     gens = [_parse_generator(entry, degree) for entry in raw]
     group = PermGroup(degree, gens)
     expected = data.get("expected_order")

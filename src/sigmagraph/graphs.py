@@ -4,8 +4,9 @@ Vertices are the partition classes meeting |G|.  Edge rules:
 
   hawkes  (ci, cj): cj survives in G modulo the ci-local radical.
   hall    (ci, cj): some Hall ci-subgroup H has cj in N_G(H) / H*C_G(H).
-                    Every Hall subgroup is tried, not one per class; a class
-                    without Hall subgroups simply has no out-edges.
+                    That index is invariant under conjugation, so one Hall
+                    subgroup per conjugacy class is tried; a class without
+                    Hall subgroups simply has no out-edges.
   vm      (ci, cj): some critical subgroup H carries ci and keeps cj in
                     H modulo its ci-local radical.  The critical subgroups
                     are the Schmidt subgroups P . <y> (P the normal Sylow
@@ -22,9 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, centralizer,
-                    hall_subgroups, normalizer)
+from .errors import CrossCheckError, DomainError
+from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
+                    _hall_classes, centralizer, normalizer)
 from .predicates import _memo, f_class_subgroup, schmidt_types
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
@@ -87,8 +88,12 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
         edges = set()
         for ci in vertices:
             class_primes = [p for p in primes_of(G.order) if ci.contains(p)]
-            for h in hall_subgroups(G, class_primes, limits):
+            for cls in _hall_classes(G, class_primes, limits):
+                h = Subgroup(G, *cls[0])
                 n = normalizer(G, h, limits)
+                if n.order * len(cls) != G.order:
+                    raise CrossCheckError("a Hall subgroup's normaliser order disagrees "
+                                          "with the length of its conjugacy class")
                 c = centralizer(G, h, limits)
                 hc = h.order * c.order // len(h.indices & c.indices)
                 for cj in sigma_of_int(n.order // hc, sigma):

@@ -1,8 +1,9 @@
 """Permutation-group kernel: generated groups, subgroup search, quotients, series.
 
 All public values are immutable after construction and every operation is a
-pure function of its inputs; internal caches are write-once and only ever
-reused, never mutated, so memoisation is observationally transparent.  A
+pure function of its inputs; internal caches are only ever reused, never
+mutated, and a cached subgroup family is keyed by the caps that decide it,
+so memoisation is observationally transparent.  A
 group's caches hold index sets and generator indices, never a value that
 refers back to the group (``Subgroup`` and ``QuotientGroup`` wrappers are
 made per call), so a dropped group is freed at once, not by the cycle
@@ -19,7 +20,9 @@ which extends a subgroup the caller already holds by new generators, one
 left coset at a time (Dimino's algorithm; Butler, Fundamental Algorithms for
 Permutation Groups, LNCS 559).  Subgroup searches work up to conjugacy: they
 extend one representative per class and spread each new subgroup over its
-class by gathers on the conjugation rows of G's generators.  Enumeration caps
+class by gathers on the conjugation rows of G's generators.  Centralisers,
+normalisers and conjugation rows compare or gather whole rows and columns of
+the table instead of multiplying element by element.  Enumeration caps
 are explicit configuration; hitting one raises a ResourceLimitError naming
 the cap instead of silently truncating.
 """
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress
+from operator import eq, itemgetter
 
 from .bsgs import Bsgs
 from .errors import CrossCheckError, DomainError, GroupInputError, ResourceLimitError
@@ -166,7 +170,8 @@ def _getter(idx):
 
 class _ComposedRows:
     """Stand-in for the multiplication table above ``_TABLE_LIMIT``:
-    ``rows[x][y]`` composes the images of x and y when it is read."""
+    ``rows[x][y]`` composes the images of x and y when it is read, and the
+    table and its rows iterate like the table's."""
 
     __slots__ = ("u", "x")
 
@@ -179,6 +184,9 @@ class _ComposedRows:
             return _ComposedRows(self.u, i)
         return self.u.mul(self.x, i)
 
+    def __iter__(self):
+        return map(self.__getitem__, range(self.u.n))
+
 
 class _Universe:
     """Index arithmetic over one group's full, canonically sorted element list.
@@ -188,13 +196,19 @@ class _Universe:
     then y).  Only the generator rows are composed from images; every other
     row comes from a walk over the Cayley graph from the identity, since
     row(x·g) = row(x) read at the positions row(g) (associativity), one
-    C-level gather per row.  Inverses are read off the rows."""
+    C-level gather per row.  Inverses are read off the rows.  Whole-table
+    reads go through ``rows()`` and ``column()``, which above the limit
+    compose each entry as it is read.
+
+    ``gens`` are the indices of the generators the table was built from
+    (no identity, no repeats); ``conjugation_rows()`` are conjugation by
+    them."""
 
     __slots__ = ("perms", "images", "index", "n", "degree", "identity", "mul_rows", "inv_arr",
-                 "orders", "_cyc")
+                 "orders", "gens", "_cyc", "_conj")
 
     def __init__(self, perms: tuple[Permutation, ...], generators=()):
-        self._cyc = None
+        self._cyc = self._conj = None
         self.perms = perms
         self.images = images = [p.images for p in perms]
         self.index = index = {im: i for i, im in enumerate(images)}
@@ -202,6 +216,8 @@ class _Universe:
         self.degree = perms[0].degree
         self.identity = ident = index[tuple(range(self.degree))]
         self.orders = array("l", (p.order() for p in perms))
+        self.gens = tuple(g for g in dict.fromkeys(index[p.images] for p in generators)
+                          if g != ident)
         if n > _TABLE_LIMIT:
             self.mul_rows = None
             self.inv_arr = array("l", (index[p.inverse().images] for p in perms))
@@ -210,7 +226,7 @@ class _Universe:
         # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
         steps = [(g, _getter(array(typecode, map(index.__getitem__,
                                                  map(itemgetter(*images[g]), images)))))
-                 for g in dict.fromkeys(index[p.images] for p in generators) if g != ident]
+                 for g in self.gens]
         rows: list = [None] * n
         rows[ident] = array(typecode, range(n))
         walk = [ident]
@@ -227,6 +243,14 @@ class _Universe:
         self.mul_rows = rows
         self.inv_arr = array("l", (row.index(ident) for row in rows))
 
+    def rows(self):
+        """The multiplication table: ``rows()[x][y]`` is the index of x·y."""
+        return self.mul_rows if self.mul_rows is not None else _ComposedRows(self)
+
+    def column(self, y: int):
+        """x·y for every x, in index order."""
+        return map(itemgetter(y), self.rows())
+
     def mul(self, i: int, j: int) -> int:
         if self.mul_rows is not None:
             return self.mul_rows[i][j]
@@ -236,22 +260,11 @@ class _Universe:
     def conj(self, i: int, g: int) -> int:
         return self.mul(self.mul(self.inv_arr[g], i), g)
 
-    def comm(self, g: int, h: int) -> int:
-        return self.mul(self.mul(self.mul(self.inv_arr[g], self.inv_arr[h]), g), h)
-
     def idx_of(self, p: Permutation) -> int:
         try:
             return self.index[p.images]
         except KeyError:
             raise DomainError(f"element {p} lies outside the ambient group") from None
-
-    def gen_idxs(self, group: PermGroup) -> tuple[int, ...]:
-        out = []
-        for g in group.generators:
-            i = self.idx_of(g)
-            if i != self.identity and i not in out:
-                out.append(i)
-        return tuple(out)
 
     def closure(self, gen_idxs, *, base: frozenset[int] | None = None,
                 cap: int | None = None) -> frozenset[int] | None:
@@ -267,7 +280,7 @@ class _Universe:
         subgroup with more than half the elements is the whole group.
         Without a table the rows are composed from images as they are read."""
         n = self.n
-        rows = self.mul_rows if self.mul_rows is not None else _ComposedRows(self)
+        rows = self.rows()
         inv = self.inv_arr
         limit = n if cap is None else min(cap, n)
         seen = set(base) if base else {self.identity}
@@ -329,25 +342,30 @@ class _Universe:
             self._cyc = out
         return self._cyc
 
-    def conjugacy_classes(self, gen_idxs) -> list[tuple[int, ...]]:
-        """Orbits of conjugation by the generators, as sorted index tuples,
-        ordered by smallest member."""
-        seen = [False] * self.n
+    def conjugation_rows(self) -> tuple[array, ...]:
+        """For each generator g, the row i -> g⁻¹·i·g: column g (i·g)
+        gathered at row g⁻¹."""
+        if self._conj is None:
+            rows = self.rows()
+            self._conj = tuple(array("l", map(rows[self.inv_arr[g]].__getitem__, self.column(g)))
+                               for g in self.gens)
+        return self._conj
+
+    def conjugacy_classes(self) -> list[tuple[int, ...]]:
+        """Conjugacy classes, as sorted index tuples ordered by smallest
+        member: orbits of the conjugation rows, grown a frontier at a time."""
+        rows = self.conjugation_rows()
+        seen: set[int] = set()
         classes = []
         for start in range(self.n):
-            if seen[start]:
+            if start in seen:
                 continue
-            orbit = {start}
-            queue = [start]
-            seen[start] = True
-            while queue:
-                x = queue.pop()
-                for g in gen_idxs:
-                    y = self.conj(x, g)
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        queue.append(y)
+            orbit = frontier = {start}
+            while frontier:
+                frontier = set().union(*(map(row.__getitem__, frontier) for row in rows))
+                frontier -= orbit
+                orbit |= frontier
+            seen |= orbit
             classes.append(tuple(sorted(orbit)))
         return classes
 
@@ -369,32 +387,62 @@ def _require_subgroup_of(G: PermGroup, S: Subgroup, name: str) -> None:
 # centralisers, normalisers
 
 
+def _coset_labels(u: _Universe, s_set: frozenset[int]) -> list[int]:
+    """labels[x] names the left coset x·S: its least element."""
+    rows = u.rows()
+    coset = _getter(tuple(s_set))
+    labels = [-1] * u.n
+    for x in range(u.n):
+        if labels[x] < 0:
+            for y in coset(rows[x]):
+                labels[y] = x
+    return labels
+
+
+def _where_equal(u: _Universe, pairs) -> frozenset[int]:
+    """The x at which every (a, b) of pairs agrees, each a sequence over x."""
+    keep = set(range(u.n))
+    for a, b in pairs:
+        keep.intersection_update(compress(range(u.n), map(eq, a, b)))
+    return frozenset(keep)
+
+
+def _normalizer_set(u: _Universe, s_set: frozenset[int], s_gens) -> frozenset[int]:
+    """x normalises S iff s·x lies in x·S for each generator s of S, that is
+    iff the coset labels agree at s·x and at x: row s gathered from the
+    labels, compared with the labels."""
+    labels = _coset_labels(u, s_set)
+    rows = u.rows()
+    return _where_equal(u, ((map(labels.__getitem__, rows[s]), labels) for s in s_gens))
+
+
 def centralizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Elements of G commuting with every element of S."""
+    """Elements of G commuting with every element of S: x with s·x = x·s,
+    row s against column s, for each generator s."""
     _require_subgroup_of(G, S, "S")
     u = G.universe(limits)
-    idxs = frozenset(i for i in range(u.n) if all(u.mul(i, s) == u.mul(s, i) for s in S.gens))
-    return Subgroup(G, idxs)
+    rows = u.rows()
+    return Subgroup(G, _where_equal(u, ((rows[s], u.column(s)) for s in S.gens)))
 
 
 def normalizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Elements of G conjugating S to itself."""
     _require_subgroup_of(G, S, "S")
-    u = G.universe(limits)
-    idxs = frozenset(i for i in range(u.n) if all(u.conj(s, i) in S.indices for s in S.gens))
-    return Subgroup(G, idxs)
+    return Subgroup(G, _normalizer_set(G.universe(limits), S.indices, S.gens))
 
 
 def is_normal(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """True when S is normalised by every generator of G."""
     _require_subgroup_of(G, S, "S")
     u = G.universe(limits)
-    return all(u.conj(s, g) in S.indices for g in u.gen_idxs(G) for s in S.gens)
+    return all(u.conj(s, g) in S.indices for g in u.gens for s in S.gens)
 
 
 def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
                           limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Elements g of G with [g, H] inside K, for K normal in H."""
+    """Elements x of G with [x, H] inside K, for K normal in H: [x, h] =
+    (h·x)⁻¹·(x·h) lies in K iff x·h and h·x share a left coset of K, so
+    column h and row h are compared through K's coset labels."""
     _require_subgroup_of(G, H, "H")
     _require_subgroup_of(G, K, "K")
     u = G.universe(limits)
@@ -403,8 +451,10 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
         raise DomainError("K is not contained in H")
     if not all(u.conj(k, h) in k_set for h in H.gens for k in K.gens):
         raise DomainError("K is not normal in H")
-    idxs = frozenset(i for i in range(u.n) if all(u.comm(i, h) in k_set for h in H.gens))
-    return Subgroup(G, idxs)
+    label = _coset_labels(u, k_set).__getitem__
+    rows = u.rows()
+    return Subgroup(G, _where_equal(u, ((map(label, u.column(h)), map(label, rows[h]))
+                                        for h in H.gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +466,7 @@ def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[froz
     if cached is not None:
         return cached
     u = G.universe(limits)
-    classes = u.conjugacy_classes(u.gen_idxs(G))
+    classes = u.conjugacy_classes()
     trivial = frozenset({u.identity})
     found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     queue = [trivial]
@@ -512,7 +562,7 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
     key = ("quotient", n_set)
     if key in G._cache:
         return QuotientGroup(G, N, *G._cache[key])
-    g_gens = u.gen_idxs(G)
+    g_gens = u.gens
     if not all(u.conj(n, g) in n_set for g in g_gens for n in N.gens):
         raise DomainError("cannot form the quotient: subgroup is not normal")
     if N.order == 1:  # the image is G itself, which G's own cache must not hold
@@ -550,14 +600,11 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
 # subgroup enumeration
 
 
-def _conjugates(G: PermGroup, u: _Universe, found: dict) -> dict:
+def _conjugates(u: _Universe, found: dict) -> dict:
     """The given subgroups, {element set: generators}, and all their conjugates
-    with conjugated generators: one gather per (class member, generator g of
-    G) on the cached rows i -> g⁻¹·i·g."""
-    rows = G._cache.get("conjugation_rows")
-    if rows is None:
-        rows = G._cache["conjugation_rows"] = tuple(
-            array("l", (u.conj(i, g) for i in range(u.n))) for g in u.gen_idxs(G))
+    with conjugated generators: one gather per (class member, generator of
+    G) on the conjugation rows."""
+    rows = u.conjugation_rows()
     out = dict(found)
     queue = list(out)
     for s in queue:
@@ -569,7 +616,7 @@ def _conjugates(G: PermGroup, u: _Universe, found: dict) -> dict:
     return out
 
 
-def _new_classes(G: PermGroup, u: _Universe, found: dict, pairs, limits: EngineLimits):
+def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
     """Close each (K, gens) of pairs to <K, gens>; add each subgroup not yet
     found, with its conjugacy class, to found and yield it.  Raises past
     max_join_work closures or max_subgroup_count subgroups."""
@@ -581,7 +628,7 @@ def _new_classes(G: PermGroup, u: _Universe, found: dict, pairs, limits: EngineL
         h = u.closure(gens, base=k)
         if h not in found:
             h_gens = found[k] + gens
-            cls = _conjugates(G, u, {h: h_gens if len(h_gens) <= 4 else u.derive_gens(h)})
+            cls = _conjugates(u, {h: h_gens if len(h_gens) <= 4 else u.derive_gens(h)})
             if len(found) + len(cls) > limits.max_subgroup_count:
                 raise ResourceLimitError(
                     "subgroup family grew past the count cap",
@@ -591,10 +638,10 @@ def _new_classes(G: PermGroup, u: _Universe, found: dict, pairs, limits: EngineL
 
 
 def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    cached = G._cache.get("all_subgroup_sets")
-    if cached is not None:
-        return cached
     key = (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work)
+    cached = G._cache.get("all_subgroup_sets")
+    if cached is not None and cached[0] == key:
+        return cached[1]
     failure = G._cache.get("all_subgroup_sets_failure")
     if failure is not None and failure[0] == key:
         raise failure[1].fresh()
@@ -613,14 +660,14 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
     pairs = ((k, (y,)) for k in reps for y, yp in steps if y not in k and yp in k)
     try:
-        for h in _new_classes(G, u, found, pairs, limits):
+        for h in _new_classes(u, found, pairs, limits):
             reps.append(h)
     except ResourceLimitError as exc:
         # the raised error's traceback holds the partial lattice: keep a copy
         G._cache["all_subgroup_sets_failure"] = (key, exc.fresh())
         raise
     out = [(s, found[s]) for s in _sorted_sets(found)]
-    G._cache["all_subgroup_sets"] = out
+    G._cache["all_subgroup_sets"] = (key, out)
     return out
 
 
@@ -646,8 +693,9 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     Since <a, b>^g = <a^g, b^g>, one cyclic <a> per conjugacy class is
     joined with every cyclic <b>, and each new join is spread over its
     class.  The count and closure caps apply as in all_subgroups."""
+    key = (limits.max_subgroup_count, limits.max_join_work)
     cached = G._cache.get("two_generated")
-    if cached is None:
+    if cached is None or cached[0] != key:
         u = G.universe(limits)
         cyclic = u.cyclic_subgroups()
         found: dict[frozenset[int], tuple[int, ...]] = {}
@@ -655,13 +703,13 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
         for a, a_gens in cyclic.items():
             if a not in found:
                 reps.append(a)
-                found.update(_conjugates(G, u, {a: a_gens}))
+                found.update(_conjugates(u, {a: a_gens}))
         pairs = ((a, b_gens) if len(a) >= len(b) else (b, found[a])
                  for a in reps for b, b_gens in cyclic.items() if not (a <= b or b <= a))
-        for _ in _new_classes(G, u, found, pairs, limits):
+        for _ in _new_classes(u, found, pairs, limits):
             pass  # one pass: a new join is not joined again
-        cached = G._cache["two_generated"] = [(s, found[s]) for s in _sorted_sets(found)]
-    return [Subgroup(G, s, g) for s, g in cached]
+        cached = G._cache["two_generated"] = (key, [(s, found[s]) for s in _sorted_sets(found)])
+    return [Subgroup(G, s, g) for s, g in cached[1]]
 
 
 def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -701,9 +749,8 @@ def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[in
         gens = [seed]
         current = u.closure(gens)
         while len(current) < target:
-            normal_pool = [i for i in range(u.n)
-                           if u.orders[i] == _p_part(u.orders[i], p) and i not in current
-                           and all(u.conj(s, i) in current for s in gens)]
+            normal_pool = sorted(i for i in _normalizer_set(u, current, gens) - current
+                                 if u.orders[i] == _p_part(u.orders[i], p))
             # a p-element normalising the current p-subgroup extends it
             grew = False
             for z in normal_pool:
@@ -739,32 +786,34 @@ def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgro
     return Subgroup(G, s, gens)
 
 
-def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
-    """All subgroups whose order is the full primes-part of |G| and whose
-    index carries none of the given primes.  Possibly empty.
+def _hall_classes(G: PermGroup, primes, limits: EngineLimits
+                  ) -> list[list[tuple[frozenset[int], tuple[int, ...]]]]:
+    """The Hall subgroups for the given primes by conjugacy class: each
+    class as its (element set, generators) pairs in canonical order, the
+    first of which is the class representative.
 
     Search: some conjugate of every such subgroup contains a fixed Sylow
     subgroup for the prime with the heaviest contribution, so close that
     Sylow subgroup under joins with elements of compatible order, keep joins
-    whose size divides the target, then spread the hits over their
-    conjugacy classes."""
+    whose size divides the target, then spread each hit not yet found over
+    its conjugacy class."""
     pset = tuple(sorted(set(primes)))
     for p in pset:
         if p < 2 or prime_factors(p) != ((p, 1),):
             raise DomainError(f"{p} is not a prime")
-    key = ("hall", pset)
+    key = ("hall", pset, limits.max_subgroup_count)
     cached = G._cache.get(key)
     if cached is not None:
-        return [Subgroup(G, s, g) for s, g in cached]
+        return cached
     u = G.universe(limits)
     target = 1
     for p, e in prime_factors(G.order):
         if p in pset:
             target *= p**e
     if target == 1:
-        result = [(frozenset({u.identity}), ())]
+        classes = [[(frozenset({u.identity}), ())]]
     elif target == G.order:
-        result = [(frozenset(range(u.n)), u.gen_idxs(G))]
+        classes = [[(frozenset(range(u.n)), u.gens)]]
     else:
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
@@ -785,10 +834,25 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
                         cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
                 candidates.add(joined)
                 queue.append(joined)
-        halls = _conjugates(G, u, {s: u.derive_gens(s) for s in candidates if len(s) == target})
-        result = [(s, halls[s]) for s in _sorted_sets(halls)]
-    G._cache[key] = result
-    return [Subgroup(G, s, g) for s, g in result]
+        classes = []
+        found: set[frozenset[int]] = set()
+        for s in _sorted_sets(c for c in candidates if len(c) == target):
+            if s not in found:
+                cls = _conjugates(u, {s: u.derive_gens(s)})
+                found.update(cls)
+                classes.append([(t, cls[t]) for t in _sorted_sets(cls)])
+    G._cache[key] = classes
+    return classes
+
+
+def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
+    """All subgroups whose order is the full primes-part of |G| and whose
+    index carries none of the given primes, sorted by order then element
+    list.  Possibly empty.  The search works up to conjugacy
+    (``_hall_classes``); this is the union of the classes."""
+    classes = _hall_classes(G, primes, limits)
+    members = dict(pair for cls in classes for pair in cls)
+    return [Subgroup(G, s, members[s]) for s in _sorted_sets(members)]
 
 
 # ---------------------------------------------------------------------------

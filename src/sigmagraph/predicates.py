@@ -180,7 +180,7 @@ def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
             if s is not None and target % len(s) == 0:
                 yield s
 
-    for cls in u.conjugacy_classes(u.gen_idxs(G)):
+    for cls in u.conjugacy_classes():
         y = cls[0]
         q = primes_of(u.orders[y])
         if len(q) == 1:

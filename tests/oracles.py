@@ -2,14 +2,15 @@
 
 Everything here trades speed for obviousness: plain multiplicative closure,
 a multiplication table composed product by product, whole-group scans,
-explicit reachability, and second routes to quantities the library computes
-one way only (chief series with either tie-break, the pullback construction
-of F_i, exhaustive dispersion schedules, the maximal-subgroup reading of
-class-local nilpotency, nilpotency by Sylow normality, Schmidt groups by the
-full subgroup lattice and Schmidt subgroups by a walk over the two-generated
-subgroups, pi-closure by the normal-subgroup lattice, the Frattini subgroup
-from the maximal subgroups).  The library must agree with these on every
-group small enough to brute-force.
+explicit reachability, the hall graph over every Hall subgroup, and second
+routes to quantities the library computes one way only (chief series with
+either tie-break, the pullback construction of F_i, exhaustive dispersion
+schedules, the maximal-subgroup reading of class-local nilpotency,
+nilpotency by Sylow normality, Schmidt groups by the full subgroup lattice
+and Schmidt subgroups by a walk over the two-generated subgroups, pi-closure
+by the normal-subgroup lattice, the Frattini subgroup from the maximal
+subgroups).  The library must agree with these on every group small enough
+to brute-force.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from itertools import permutations
 
 from sigmagraph.errors import CrossCheckError, DomainError
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _normal_subgroup_sets,
-                              all_subgroups, centralizer_of_factor,
-                              core_series_subgroup, is_normal,
-                              maximal_subgroups, normal_subgroups, quotient,
-                              sylow, two_generated_subgroups)
+                              all_subgroups, centralizer, centralizer_of_factor,
+                              core_series_subgroup, hall_subgroups, is_normal,
+                              maximal_subgroups, normal_subgroups, normalizer,
+                              quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_normal_hall_for_class, _normal_sylow_primes,
                                    f_class_subgroup)
 from sigmagraph.sigma import (class_part, pi_part, prime_factors, primes_of,
-                              sigma_of_int)
+                              sigma_of_group, sigma_of_int)
 
 # zoo groups small enough for every brute-force route here
 ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
@@ -96,6 +97,32 @@ def naive_normalizer(G, sub_elements) -> frozenset:
     sset = frozenset(sub_elements)
     return frozenset(g for g in G.elements()
                      if frozenset(g.inverse() * s * g for s in sset) == sset)
+
+
+def naive_centralizer_of_factor(G, h_elements, k_elements) -> frozenset:
+    """Elements g with every commutator g^-1 h^-1 g h, h in H, inside K."""
+    hs, ks = list(h_elements), frozenset(k_elements)
+    return frozenset(g for g in G.elements()
+                     if all(g.inverse() * h.inverse() * g * h in ks for h in hs))
+
+
+def naive_conjugacy_classes(G) -> set[frozenset]:
+    """Every class {g^-1 x g : g in G}, conjugating by all of G."""
+    elems = G.elements()
+    return {frozenset(g.inverse() * x * g for g in elems) for x in elems}
+
+
+def hall_edges_every_member(G, sigma, limits=DEFAULT_LIMITS) -> frozenset:
+    """The hall graph's edge set with every Hall subgroup tried, not one per
+    conjugacy class."""
+    edges = set()
+    for ci in sigma_of_group(G, sigma):
+        for h in hall_subgroups(G, [p for p in primes_of(G.order) if ci.contains(p)], limits):
+            n = normalizer(G, h, limits)
+            c = centralizer(G, h, limits)
+            hc = h.order * c.order // len(h.indices & c.indices)
+            edges.update((ci, cj) for cj in sigma_of_int(n.order // hc, sigma))
+    return frozenset(edges)
 
 
 def brute_has_circuit(vertices, edges) -> bool:

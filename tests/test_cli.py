@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import sigmagraph.cli
 from sigmagraph.cli import main
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
@@ -192,6 +193,25 @@ def test_resource_cap_exits_2(capsys):
                      "--kind", "hawkes")
     assert rc == 2
     assert err.startswith("error:") and "max" in err
+
+
+def test_oversized_group_spec_exits_2_before_building(capsys, monkeypatch):
+    """A degree or generator count past its cap is refused with the cap's
+    name before any permutation or group of that size is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized group spec reached construction")
+
+    monkeypatch.setattr(sigmagraph.cli.Permutation, "from_cycles", staticmethod(refuse))
+    monkeypatch.setattr(sigmagraph.cli, "PermGroup", refuse)
+    cases = [(json.dumps({"degree": 10**12, "generators": [[1, 2]]}), "max_degree=256"),
+             (json.dumps({"degree": 3, "generators": [[1, 2]] * 65}), "max_generators=64")]
+    for spec, cap in cases:
+        for command in (("graph", "--group", spec, "--kind", "hall"),
+                        ("check", "--group", spec, "--predicate", "soluble"),
+                        ("verify", "--group", spec, "--statement", "1.2")):
+            rc, out, err = run(capsys, *command)
+            assert rc == 2 and out == ""
+            assert err.startswith("error:") and f"[cap {cap}]" in err and err.count("\n") == 1
 
 
 def test_help_exits_0(capsys):

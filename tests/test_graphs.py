@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from oracles import brute_has_circuit, vm_edges_from_candidates
+from oracles import brute_has_circuit, hall_edges_every_member, vm_edges_from_candidates
+import sigmagraph.graphs
 import sigmagraph.group
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
@@ -11,8 +12,8 @@ from sigmagraph.graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                                graphs_equal, has_circuit, has_loop,
                                is_subgraph, isolated_vertices, to_dot, to_json,
                                union, weak_components)
-from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
-                              two_generated_subgroups)
+from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _hall_classes, all_subgroups, hall_subgroups,
+                              maximal_subgroups, two_generated_subgroups)
 from sigmagraph.predicates import is_critical, is_schmidt
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
 from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, sl2_3,
@@ -60,6 +61,39 @@ def test_s6_graphs():
     assert tags(build_vm(s6, ATOMIC).edges) == [
         ("atomic:2", "atomic:3"), ("atomic:3", "atomic:2"),
         ("atomic:5", "atomic:2")]
+
+
+def test_hall_one_subgroup_per_class_matches_every_member(corpus_groups, partitions):
+    """N_G(H)/HC_G(H) is invariant under conjugation: the graph from one
+    Hall subgroup per class is the graph from all of them, on the whole
+    corpus under the standard partitions."""
+    for _, g in corpus_groups:
+        for sigma in partitions:
+            assert build_hall(g, sigma).edges == hall_edges_every_member(g, sigma)
+
+
+def test_hall_normalises_one_subgroup_per_class(monkeypatch):
+    """On S6 under the atomic partition each prime has one class of Hall
+    (Sylow) subgroups, so build_hall takes three normalisers and three
+    centralisers where the 91 Hall subgroups would take 91 of each."""
+    g = symmetric(6)
+    calls = {"normalizer": 0, "centralizer": 0}
+
+    def counting(name):
+        real = getattr(sigmagraph.graphs, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(sigmagraph.graphs, name, counting(name))
+    build_hall(g, ATOMIC)
+    primes = (2, 3, 5)
+    assert [len(_hall_classes(g, (p,), DEFAULT_LIMITS)) for p in primes] == [1, 1, 1]
+    assert sum(len(hall_subgroups(g, (p,))) for p in primes) == 91
+    assert calls == {"normalizer": 3, "centralizer": 3}
 
 
 def test_edgeless_for_nilpotent():

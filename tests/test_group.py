@@ -336,6 +336,33 @@ def test_resource_caps_raise_with_cap_name():
         maximal_subgroups(regular_wreath(2, symmetric(3)), DEFAULT_LIMITS)
 
 
+def test_cached_subgroup_families_are_keyed_by_the_limits():
+    """A lattice or pool found under looser caps is not handed out under
+    tighter ones: each call is decided by its own limits, whatever ran
+    before on the same group."""
+    g = symmetric(4)
+    assert len(all_subgroups(g, EngineLimits(max_subgroup_count=30))) == 30
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        maximal_subgroups(g, EngineLimits(max_subgroup_count=29))
+    assert len(two_generated_subgroups(g)) == 30
+    with pytest.raises(ResourceLimitError, match="max_join_work"):
+        two_generated_subgroups(g, EngineLimits(max_join_work=5))
+    a5 = alternating(5)
+    assert len(hall_subgroups(a5, (2, 3))) == 5
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        hall_subgroups(a5, (2, 3), EngineLimits(max_subgroup_count=1))
+
+
+def test_raised_count_cap_leaves_the_default_cap_in_force():
+    """The order-384 wreath group has 4676 subgroups: after its full lattice
+    under a raised count cap, the default cap still stops maximal_subgroups
+    on the same group object."""
+    g = regular_wreath(2, symmetric(3))
+    assert len(all_subgroups(g, EngineLimits(max_subgroup_count=5000))) == 4676
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        maximal_subgroups(g, DEFAULT_LIMITS)
+
+
 def test_capped_lattice_caches_its_error_without_traceback():
     """The cached cap error holds no traceback, so no frame of the join
     closure keeps the partial lattice alive; every repeat raises a fresh

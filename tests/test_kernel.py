@@ -13,16 +13,19 @@ from hypothesis import strategies as st
 import sigmagraph.group
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
                      index_closure, is_pi_closed_by_normal_lattice,
-                     is_schmidt_by_lattice, schmidt_subgroups)
+                     is_schmidt_by_lattice, naive_centralizer,
+                     naive_centralizer_of_factor, naive_conjugacy_classes,
+                     naive_normalizer, schmidt_subgroups)
 from sigmagraph.errors import CrossCheckError
 from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _Universe, all_subgroups,
-                              hall_subgroups, normal_subgroups, two_generated_subgroups)
+                              centralizer, centralizer_of_factor, hall_subgroups,
+                              normal_subgroups, normalizer, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                                    schmidt_types)
 from sigmagraph.sigma import ATOMIC, PiSet, primes_of
 from sigmagraph.zoo import (alternating, build_by_tag, s5_subgroups, symmetric,
-                            zoo_tags)
+                            zoo, zoo_tags)
 
 
 def assert_table_matches(G):
@@ -80,6 +83,49 @@ def test_no_table_path_gives_the_same_subgroups(make, monkeypatch):
     g = make()
     assert g.universe().mul_rows is None
     assert subgroup_families(g) == with_table
+
+
+def elements_of(s) -> frozenset:
+    return frozenset(s.elements())
+
+
+def assert_table_reads_match_naive(G, subgroups):
+    """Centraliser and normaliser of each given subgroup, the centraliser
+    of each factor of normal subgroups, and the conjugacy classes, against
+    whole-group scans that multiply permutations."""
+    for s in subgroups:
+        assert elements_of(centralizer(G, s)) == naive_centralizer(G, s.elements())
+        assert elements_of(normalizer(G, s)) == naive_normalizer(G, s.elements())
+    normals = normal_subgroups(G)
+    for h in normals:
+        for k in normals:
+            if k.indices <= h.indices:
+                assert (elements_of(centralizer_of_factor(G, h, k))
+                        == naive_centralizer_of_factor(G, h.elements(), k.elements()))
+    u = G.universe()
+    classes = u.conjugacy_classes()
+    assert classes == sorted(classes) and all(list(c) == sorted(c) for c in classes)
+    assert {frozenset(u.perms[i] for i in c) for c in classes} == naive_conjugacy_classes(G)
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS)
+def test_table_reads_match_naive(tag):
+    g = build_by_tag(tag)
+    assert_table_reads_match_naive(g, all_subgroups(g))
+
+
+def test_table_reads_match_naive_on_every_subgroup_of_s5():
+    g = symmetric(5)
+    assert_table_reads_match_naive(g, all_subgroups(g))
+
+
+@pytest.mark.parametrize("tag", ("S3", "Q8", "A4", "dic3", "S4", "f20", "A5"))
+def test_table_reads_without_a_table_match_naive(tag, monkeypatch):
+    """The same reads with every entry composed from images as it is read."""
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    g = next(e for e in zoo() if e.tag == tag).builder()
+    assert g.universe().mul_rows is None
+    assert_table_reads_match_naive(g, two_generated_subgroups(g))
 
 
 @pytest.mark.parametrize("G", (PermGroup(1, ()), PermGroup(5, []),

@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 
 import sigmagraph.verify
+from sigmagraph.bsgs import Bsgs
 from sigmagraph.group import PermGroup, QuotientGroup, Subgroup
+from sigmagraph.perm import Permutation
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
 from sigmagraph.verify import (ALL_STATEMENTS, CheckResult,
                                component_decomposition_holds,
@@ -190,8 +192,9 @@ def test_sweep_is_deterministic_and_ordered():
 def test_swept_group_is_freed_without_the_cycle_collector(make):
     """No value a sweep caches on a group (subgroups, quotients, chief
     series, Hall and two-generated subgroups, the lattice) refers back to
-    the group, so a group dropped after its sweep is freed at once with all
-    its caches, instead of waiting for a full collection."""
+    the group, and its strong generating set holds no cycle either, so a
+    group dropped after its sweep is freed at once with all its caches,
+    instead of waiting for a full collection."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -201,7 +204,7 @@ def test_swept_group_is_freed_without_the_cycle_collector(make):
         del g
         gc.collect()
         left = [type(o).__name__ for o in gc.garbage
-                if isinstance(o, (PermGroup, Subgroup, QuotientGroup))]
+                if isinstance(o, (PermGroup, Subgroup, QuotientGroup, Bsgs, Permutation))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
