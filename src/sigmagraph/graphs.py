@@ -75,7 +75,7 @@ def build_hawkes(G: PermGroup, sigma: SigmaPartition,
             for cj in sigma_of_int(G.order // f.order, sigma):
                 edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _memo(G, ("graph", "hawkes", sigma), compute)
+    vertices, edges = _memo(G, ("graph", "hawkes", sigma), compute, limits)
     return SigmaGraph("hawkes", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
 
@@ -99,7 +99,7 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
                 for cj in sigma_of_int(n.order // hc, sigma):
                     edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _memo(G, ("graph", "hall", sigma), compute)
+    vertices, edges = _memo(G, ("graph", "hall", sigma), compute, limits)
     return SigmaGraph("hall", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
 
@@ -115,7 +115,7 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
             if ci != cj:
                 edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _memo(G, ("graph", "vm", sigma), compute)
+    vertices, edges = _memo(G, ("graph", "vm", sigma), compute, limits)
     return SigmaGraph("vm", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
 
@@ -135,18 +135,24 @@ def has_circuit(graph: SigmaGraph) -> bool:
     adjacency = {v: [] for v in graph.sorted_vertices()}
     for a, b in graph.sorted_edges():
         adjacency[a].append(b)
-    state: dict[SigmaClass, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(v) -> bool:
-        state[v] = 1
-        for w in adjacency[v]:
-            mark = state.get(w)
-            if mark == 1 or (mark is None and visit(w)):
+    state: dict[SigmaClass, int] = {}  # 1 = on the path, 2 = done
+    for root in adjacency:
+        if root in state:
+            continue
+        state[root] = 1
+        path = [(root, iter(adjacency[root]))]  # depth-first, without recursion
+        while path:
+            v, succ = path[-1]
+            w = next(succ, None)
+            if w is None:
+                state[v] = 2
+                path.pop()
+            elif w not in state:
+                state[w] = 1
+                path.append((w, iter(adjacency[w])))
+            elif state[w] == 1:
                 return True
-        state[v] = 2
-        return False
-
-    return any(state.get(v) is None and visit(v) for v in adjacency)
+    return False
 
 
 def isolated_vertices(graph: SigmaGraph) -> frozenset[SigmaClass]:

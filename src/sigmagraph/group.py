@@ -2,29 +2,32 @@
 
 All public values are immutable after construction and every operation is a
 pure function of its inputs; internal caches are only ever reused, never
-mutated, and a cached subgroup family is keyed by the caps that decide it,
-so memoisation is observationally transparent.  A
-group's caches hold index sets and generator indices, never a value that
-refers back to the group (``Subgroup`` and ``QuotientGroup`` wrappers are
-made per call), so a dropped group is freed at once, not by the cycle
-collector.
+mutated, a cached subgroup family is keyed by the caps that decide it, and
+every cached read checks max_element_order first, so memoisation is
+observationally transparent.  A group's caches hold index sets and
+generator indices, never a value that refers back to the group
+(``Subgroup`` and ``QuotientGroup`` wrappers are made per call), so a
+dropped group is freed at once, not by the cycle collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on an indexed multiplication table of the ambient group
 (``_Universe``).  Only the generators' rows of that table are composed from
-images; the other rows are gathered from them along the Cayley graph.  A
-subgroup is its set of element indices in that table plus a few generator
-indices; its own PermGroup is built only when a caller treats it as a group
-in its own right.  Every subgroup is generated by ``_Universe.closure``,
-which extends a subgroup the caller already holds by new generators, one
-left coset at a time (Dimino's algorithm; Butler, Fundamental Algorithms for
-Permutation Groups, LNCS 559).  Subgroup searches work up to conjugacy: they
-extend one representative per class and spread each new subgroup over its
-class by gathers on the conjugation rows of G's generators.  Centralisers,
-normalisers and conjugation rows compare or gather whole rows and columns of
-the table instead of multiplying element by element.  Enumeration caps
-are explicit configuration; hitting one raises a ResourceLimitError naming
-the cap instead of silently truncating.
+images; the other rows are gathered from them along the Cayley graph.  Rows
+are tuples that share the identity row's int objects, so a gather neither
+boxes nor copies an entry; that costs 8 bytes per entry, about 4 MB for S6
+and about 18 MB at ``_TABLE_LIMIT``.  A subgroup is its set of element
+indices in that table plus a few generator indices; its own PermGroup is
+built only when a caller treats it as a group in its own right.  Every
+subgroup is generated by ``_Universe.closure``, which extends a subgroup the
+caller already holds by new generators, one left coset at a time (Dimino's
+algorithm; Butler, Fundamental Algorithms for Permutation Groups, LNCS 559).
+Subgroup searches work up to conjugacy: they extend one representative K per
+class, by one cyclic subgroup per N_G(K)-orbit, and spread each new subgroup
+over its class by gathers on the conjugation rows of G's generators.
+Centralisers, normalisers and conjugation rows compare or gather whole rows
+and columns of the table instead of multiplying element by element.
+Enumeration caps are explicit configuration; hitting one raises a
+ResourceLimitError naming the cap instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .sigma import prime_factors
 @dataclass(frozen=True)
 class EngineLimits:
     """Enumeration caps. Orders are group-order gates; the count cap bounds
-    the subgroups a search finds and the work cap the closures it runs, as
-    neither is a function of the group order alone."""
+    the subgroups a search finds and the work cap the closures it runs (one
+    per normaliser orbit of extensions), as neither is a function of the
+    group order alone."""
 
     max_subgroup_order: int = 500
     max_element_order: int = 5000
@@ -86,14 +90,12 @@ class PermGroup:
         return self.order == 1
 
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
-        """All elements, sorted by image tuple.  Capped by max_element_order."""
+        """All elements, sorted by image tuple.  Capped by max_element_order,
+        also when they are already cached."""
+        _require_enumerable(self, limits)
         cached = self._cache.get("elements")
         if cached is not None:
             return cached
-        if self.order > limits.max_element_order:
-            raise ResourceLimitError(
-                f"group of order {self.order} is too large to enumerate",
-                cap_name="max_element_order", cap_value=limits.max_element_order)
         elems = tuple(sorted(self.bsgs.elements(), key=lambda p: p.images))
         if len(elems) != self.order:
             raise CrossCheckError("element enumeration disagrees with the strong generating set order")
@@ -101,11 +103,28 @@ class PermGroup:
         return elems
 
     def universe(self, limits: EngineLimits = DEFAULT_LIMITS) -> "_Universe":
+        """The element table, capped like ``elements``."""
+        _require_enumerable(self, limits)
         u = self._cache.get("universe")
         if u is None:
             u = _Universe(self.elements(limits), self.generators)
             self._cache["universe"] = u
         return u
+
+
+def _require_enumerable(G: PermGroup, limits: EngineLimits) -> None:
+    """Raise past max_element_order.  Every read of a value cached on G
+    checks this first, so a cap holds whatever ran before on the group."""
+    if G.order > limits.max_element_order:
+        raise ResourceLimitError(
+            f"group of order {G.order} is too large to enumerate",
+            cap_name="max_element_order", cap_value=limits.max_element_order)
+
+
+def _built_universe(G: PermGroup) -> "_Universe":
+    """G's element table, read where a subgroup of G shows that it is built
+    (under the caps of the call that built it)."""
+    return G._cache["universe"]
 
 
 class Subgroup:
@@ -122,7 +141,7 @@ class Subgroup:
 
     def __init__(self, parent: PermGroup, indices: frozenset[int], gens=None):
         if gens is None:
-            gens = parent.universe().derive_gens(indices)
+            gens = _built_universe(parent).derive_gens(indices)
         self.parent = parent
         self.indices = indices
         self.gens = tuple(gens)
@@ -135,11 +154,11 @@ class Subgroup:
     @property
     def group(self) -> PermGroup:
         if self._group is None:
-            perms = self.parent.universe().perms
+            perms = _built_universe(self.parent).perms
             grp = PermGroup(self.parent.degree, tuple(perms[i] for i in self.gens))
             if grp.order != self.order:
                 raise CrossCheckError("materialised subgroup order disagrees with its index set")
-            grp._cache["elements"] = self.elements()
+            grp._cache["elements"] = tuple(perms[i] for i in sorted(self.indices))
             self._group = grp
         return self._group
 
@@ -196,9 +215,11 @@ class _Universe:
     then y).  Only the generator rows are composed from images; every other
     row comes from a walk over the Cayley graph from the identity, since
     row(x·g) = row(x) read at the positions row(g) (associativity), one
-    C-level gather per row.  Inverses are read off the rows.  Whole-table
-    reads go through ``rows()`` and ``column()``, which above the limit
-    compose each entry as it is read.
+    C-level gather per row.  A row is a tuple: gathered from the identity
+    row ``tuple(range(n))``, every row holds that row's int objects, so the
+    gather boxes nothing and builds nothing besides the tuple.  Inverses
+    are read off the rows.  Whole-table reads go through ``rows()`` and
+    ``column()``, which above the limit compose each entry as it is read.
 
     ``gens`` are the indices of the generators the table was built from
     (no identity, no repeats); ``conjugation_rows()`` are conjugation by
@@ -222,25 +243,25 @@ class _Universe:
             self.mul_rows = None
             self.inv_arr = array("l", (index[p.inverse().images] for p in perms))
             return
-        typecode = "H" if n <= 0xFFFF else "l"
         # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
-        steps = [(g, _getter(array(typecode, map(index.__getitem__,
-                                                 map(itemgetter(*images[g]), images)))))
+        steps = [(g, _getter(tuple(map(index.__getitem__, map(itemgetter(*images[g]), images)))))
                  for g in self.gens]
         rows: list = [None] * n
-        rows[ident] = array(typecode, range(n))
+        rows[ident] = tuple(range(n))
         walk = [ident]
         for x in walk:
             row = rows[x]
             for g, gather in steps:
                 y = row[g]
                 if rows[y] is None:
-                    rows[y] = array(typecode, gather(row))
+                    rows[y] = gather(row)
                     walk.append(y)
         if len(walk) != n:
             raise CrossCheckError(
                 f"the generators reach {len(walk)} of the {n} elements of the table")
         self.mul_rows = rows
+        # a tuple scan compares the shared ints by identity first: faster
+        # than inverting each permutation on every order in the corpus
         self.inv_arr = array("l", (row.index(ident) for row in rows))
 
     def rows(self):
@@ -342,14 +363,15 @@ class _Universe:
             self._cyc = out
         return self._cyc
 
-    def conjugation_rows(self) -> tuple[array, ...]:
-        """For each generator g, the row i -> g⁻¹·i·g: column g (i·g)
-        gathered at row g⁻¹."""
-        if self._conj is None:
-            rows = self.rows()
-            self._conj = tuple(array("l", map(rows[self.inv_arr[g]].__getitem__, self.column(g)))
-                               for g in self.gens)
-        return self._conj
+    def conjugation_rows(self, by=None) -> tuple[tuple[int, ...], ...]:
+        """For each g of ``by`` (G's generators by default, whose rows are
+        cached), the row i -> g⁻¹·i·g: column g (i·g) gathered at row g⁻¹."""
+        if by is None:
+            if self._conj is None:
+                self._conj = self.conjugation_rows(self.gens)
+            return self._conj
+        rows = self.rows()
+        return tuple(tuple(map(rows[self.inv_arr[g]].__getitem__, self.column(g))) for g in by)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Conjugacy classes, as sorted index tuples ordered by smallest
@@ -462,6 +484,7 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
 
 
 def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    _require_enumerable(G, limits)
     cached = G._cache.get("normal_sets")
     if cached is not None:
         return cached
@@ -549,7 +572,7 @@ class QuotientGroup:
         into the given subgroup of the image."""
         if sub.parent is not self.image:
             raise DomainError("the subgroup does not lie in the quotient image")
-        u, v = self.source.universe(), self.image.universe()
+        u, v = _built_universe(self.source), _built_universe(self.image)
         return frozenset(i for i in range(u.n)
                          if v.idx_of(self._proj[u.images[i]]) in sub.indices)
 
@@ -637,7 +660,50 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
             yield h
 
 
+def _cyclic_canon(u: _Universe) -> list[int]:
+    """canon[i] is the generator that ``cyclic_subgroups()`` gives <i>."""
+    canon = [u.identity] * u.n
+    orders = u.orders
+    for c_set, gens in u.cyclic_subgroups().items():
+        for g in gens:
+            for i in c_set:
+                if orders[i] == orders[g]:
+                    canon[i] = g
+    return canon
+
+
+def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, canon, candidates):
+    """The candidates, generators of cyclic subgroups as ``cyclic_subgroups()``
+    gives them, that come first in their N_G(K)-orbit of cyclic subgroups.
+
+    For x in N_G(K), <K, y>^x = <K, y^x>: the later members of an orbit only
+    join K to conjugates of the first one's join.  The candidates must be a
+    union of orbits; each orbit is walked on the conjugation rows of
+    generators of N_G(K), G's own when K is normal."""
+    rows = u.conjugation_rows()
+    if not all(row[s] in k_set for row in rows for s in k_gens):
+        rows = u.conjugation_rows(u.derive_gens(_normalizer_set(u, k_set, k_gens)))
+    seen: set[int] = set()
+    for y in candidates:
+        if y in seen:
+            continue
+        yield y
+        seen.add(y)
+        orbit = [y]
+        for z in orbit:
+            for row in rows:
+                w = canon[row[z]]
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
+
+
 def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    if G.order > limits.max_subgroup_order:
+        raise ResourceLimitError(
+            f"group of order {G.order} is too large for subgroup enumeration",
+            cap_name="max_subgroup_order", cap_value=limits.max_subgroup_order)
+    _require_enumerable(G, limits)
     key = (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work)
     cached = G._cache.get("all_subgroup_sets")
     if cached is not None and cached[0] == key:
@@ -645,20 +711,19 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     failure = G._cache.get("all_subgroup_sets_failure")
     if failure is not None and failure[0] == key:
         raise failure[1].fresh()
-    if G.order > limits.max_subgroup_order:
-        raise ResourceLimitError(
-            f"group of order {G.order} is too large for subgroup enumeration",
-            cap_name="max_subgroup_order", cap_value=limits.max_subgroup_order)
     u = G.universe(limits)
     steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
     for y, in filter(None, u.cyclic_subgroups().values()):
         factors = prime_factors(u.orders[y])
         if len(factors) == 1:
             steps.append((y, _power(u, y, factors[0][0])))
+    canon = _cyclic_canon(u)
     trivial = frozenset({u.identity})
     found = {trivial: ()}
     reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
-    pairs = ((k, (y,)) for k in reps for y, yp in steps if y not in k and yp in k)
+    pairs = ((k, (y,)) for k in reps
+             for y in _orbit_firsts(u, k, found[k], canon,
+                                    (y for y, yp in steps if y not in k and yp in k)))
     try:
         for h in _new_classes(u, found, pairs, limits):
             reps.append(h)
@@ -681,9 +746,13 @@ def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[S
     class and extended in turn.  This is complete: H > 1 is generated by its
     elements of prime-power order, so for M maximal in H one of them, z, lies
     outside M; the last power y of z outside M has y^p in M, and
-    H = <M, y>.  max_subgroup_order gates G; max_subgroup_count caps the
-    subgroups found (the sum of the class lengths), max_join_work the
-    closures run."""
+    H = <M, y>.  For x in N_G(K), <K, y>^x = <K, y^x>, so only the first <y>
+    of each N_G(K)-orbit is closed (``_orbit_firsts``): the others give
+    conjugates already found.  The subgroups, their generators and the
+    point where a cap fires are those of closing every <y>.
+    max_subgroup_order gates G; max_subgroup_count caps the subgroups found
+    (the sum of the class lengths), max_join_work the closures actually
+    run."""
     return [Subgroup(G, s, g) for s, g in _all_subgroup_sets(G, limits)]
 
 
@@ -691,21 +760,28 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     """Every subgroup <a, b> of G, sorted by order then element list.
 
     Since <a, b>^g = <a^g, b^g>, one cyclic <a> per conjugacy class is
-    joined with every cyclic <b>, and each new join is spread over its
-    class.  The count and closure caps apply as in all_subgroups."""
+    joined with one cyclic <b> per N_G(<a>)-orbit (for x in N_G(<a>),
+    <a, b>^x = <a, b^x>), and each new join is spread over its class.  The
+    count and closure caps apply as in all_subgroups."""
+    _require_enumerable(G, limits)
     key = (limits.max_subgroup_count, limits.max_join_work)
     cached = G._cache.get("two_generated")
     if cached is None or cached[0] != key:
         u = G.universe(limits)
         cyclic = u.cyclic_subgroups()
+        canon = _cyclic_canon(u)
         found: dict[frozenset[int], tuple[int, ...]] = {}
         reps = []
         for a, a_gens in cyclic.items():
             if a not in found:
                 reps.append(a)
                 found.update(_conjugates(u, {a: a_gens}))
-        pairs = ((a, b_gens) if len(a) >= len(b) else (b, found[a])
-                 for a in reps for b, b_gens in cyclic.items() if not (a <= b or b <= a))
+        set_of = {b: b_set for b_set, b_gens in cyclic.items() for b in b_gens}
+        pairs = ((a, (b,)) if len(a) >= len(set_of[b]) else (set_of[b], found[a])
+                 for a in reps
+                 for b in _orbit_firsts(u, a, found[a], canon,
+                                        (b for b, b_set in set_of.items()
+                                         if not (a <= b_set or b_set <= a))))
         for _ in _new_classes(u, found, pairs, limits):
             pass  # one pass: a new join is not joined again
         cached = G._cache["two_generated"] = (key, [(s, found[s]) for s in _sorted_sets(found)])
@@ -731,6 +807,7 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
+    _require_enumerable(G, limits)
     key = ("sylow_set", p)
     cached = G._cache.get(key)
     if cached is not None:
@@ -801,6 +878,7 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
     for p in pset:
         if p < 2 or prime_factors(p) != ((p, 1),):
             raise DomainError(f"{p} is not a prime")
+    _require_enumerable(G, limits)
     key = ("hall", pset, limits.max_subgroup_count)
     cached = G._cache.get(key)
     if cached is not None:
@@ -862,6 +940,7 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
 def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Largest normal subgroup whose order only involves the given primes."""
     pset = frozenset(primes)
+    _require_enumerable(G, limits)
     key = ("core", tuple(sorted(pset)))
     cached = G._cache.get(key)
     if cached is not None:

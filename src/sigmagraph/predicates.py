@@ -19,16 +19,21 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    centralizer_of_factor, chief_series, core_series_subgroup,
-                    is_normal, normal_subgroups, quotient, sylow)
+                    _require_enumerable, centralizer_of_factor, chief_series,
+                    core_series_subgroup, is_normal, normal_subgroups, quotient, sylow)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
                     prime_factors, primes_of, sigma_of_int)
 
 
-def _memo(G: PermGroup, key, compute):
-    if key not in G._cache:
-        G._cache[key] = compute()
-    return G._cache[key]
+def _memo(G: PermGroup, key, compute, limits: EngineLimits):
+    """G's value for key, computed on the first call.  A cached value is
+    handed out only under an element cap that admits G, as its computation
+    would be."""
+    if key in G._cache:
+        _require_enumerable(G, limits)
+        return G._cache[key]
+    value = G._cache[key] = compute()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +54,7 @@ def _chief_invariants(G: PermGroup, limits: EngineLimits) -> tuple[tuple[int, in
             c = centralizer_of_factor(G, above, below, limits)
             out.append((above.order // below.order, G.order // c.order))
         return tuple(out)
-    return _memo(G, "chief_inv", compute)
+    return _memo(G, "chief_inv", compute, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +69,7 @@ def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
     def compute():
         return all(len(sigma_of_int(fo, sigma)) == 1
                    for fo, _ in _chief_invariants(G, limits))
-    return _memo(G, ("soluble", sigma), compute)
+    return _memo(G, ("soluble", sigma), compute, limits)
 
 
 def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
@@ -76,7 +81,7 @@ def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
     def compute():
         return all(len(sigma_of_int(fo * ao, sigma)) == 1
                    for fo, ao in _chief_invariants(G, limits))
-    return _memo(G, ("nilpotent_sigma", sigma), compute)
+    return _memo(G, ("nilpotent_sigma", sigma), compute, limits)
 
 
 def _normal_sylow_primes(G: PermGroup, idxs, limits: EngineLimits) -> tuple[int, ...]:
@@ -94,7 +99,7 @@ def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     def compute():
         n = G.universe(limits).n
         return len(_normal_sylow_primes(G, range(n), limits)) == len(prime_factors(n))
-    return _memo(G, "nilpotent", compute)
+    return _memo(G, "nilpotent", compute, limits)
 
 
 def f_class_subgroup(G: PermGroup, cls: SigmaClass,
@@ -113,7 +118,7 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
             raise CrossCheckError(
                 "class-nilpotent normal subgroups admit no unique maximum")
         return best.indices, best.gens
-    return Subgroup(G, *_memo(G, ("f_class", cls), compute))
+    return Subgroup(G, *_memo(G, ("f_class", cls), compute, limits))
 
 
 def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
@@ -151,7 +156,7 @@ def schmidt_decomposition(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS):
                 if x.order() == q_target:
                     return SchmidtShape(p, q, ps, x)
         return None
-    return _memo(G, "schmidt_shape", compute)
+    return _memo(G, "schmidt_shape", compute, limits)
 
 
 def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
@@ -200,7 +205,7 @@ def schmidt_types(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS
             if (p, q) not in types and next(subgroups, None) is not None:
                 types.add((p, q))
         return frozenset(types)
-    return _memo(G, "schmidt_types", compute)
+    return _memo(G, "schmidt_types", compute, limits)
 
 
 def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
@@ -213,7 +218,7 @@ def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
         spans = (len(u.closure((y,), base=s)) == u.n
                    for _, _, y, subgroups in _schmidt_pairs(G, limits) for s in subgroups)
         return next(spans, False) and all(spans)  # no pair: G is nilpotent
-    return _memo(G, "schmidt", compute)
+    return _memo(G, "schmidt", compute, limits)
 
 
 def is_critical(G: PermGroup, sigma: SigmaPartition,
@@ -249,7 +254,7 @@ def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> b
 def is_pi_closed(G: PermGroup, pi: PiSet, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """G has a normal Hall subgroup for the class set pi."""
     return _memo(G, ("pi_closed", pi),
-                 lambda: _pi_closed_indices(G, range(G.order), pi, limits))
+                 lambda: _pi_closed_indices(G, range(G.order), pi, limits), limits)
 
 
 def _normal_hall_for_class(G: PermGroup, cls: SigmaClass,
@@ -280,7 +285,7 @@ def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
                 return False
             cur = quotient(cur, step, limits).image
         return True
-    return _memo(G, ("dispersive", sigma), compute)
+    return _memo(G, ("dispersive", sigma), compute, limits)
 
 
 @dataclass(frozen=True)
@@ -317,4 +322,4 @@ def sigma_length(G: PermGroup, cls: SigmaClass,
             length += 1
             cur = e
         return SigmaLengthProfile(cls, length)
-    return _memo(G, ("sigma_length", cls), compute)
+    return _memo(G, ("sigma_length", cls), compute, limits)

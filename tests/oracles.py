@@ -9,7 +9,8 @@ schedules, the maximal-subgroup reading of class-local nilpotency,
 nilpotency by Sylow normality, Schmidt groups by the full subgroup lattice
 and Schmidt subgroups by a walk over the two-generated subgroups, pi-closure
 by the normal-subgroup lattice, the Frattini subgroup from the maximal
-subgroups).  The library must agree with these on every group small enough
+subgroups, and the subgroup lattice and two-generated pool closing every
+cyclic extension and join instead of one per normaliser orbit).  The library must agree with these on every group small enough
 to brute-force.
 """
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from sigmagraph.errors import CrossCheckError, DomainError
-from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _normal_subgroup_sets,
+from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _new_classes,
+                              _normal_subgroup_sets, _power, _sorted_sets,
                               all_subgroups, centralizer, centralizer_of_factor,
                               core_series_subgroup, hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
@@ -85,6 +87,45 @@ def brute_subgroup_sets(G) -> set[frozenset]:
                     step.append(t)
         frontier = step
     return found
+
+
+def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
+    """``all_subgroups`` as (element set, generators) pairs, with each class
+    representative K closed with every cyclic p-subgroup <y>, y outside K and
+    y^p in K, not with one <y> per N_G(K)-orbit.  Raises like the library
+    on the count and closure caps, but counts every closure."""
+    u = G.universe(limits)
+    steps = []
+    for y, in filter(None, u.cyclic_subgroups().values()):
+        factors = prime_factors(u.orders[y])
+        if len(factors) == 1:
+            steps.append((y, _power(u, y, factors[0][0])))
+    trivial = frozenset({u.identity})
+    found = {trivial: ()}
+    reps = [trivial]
+    pairs = ((k, (y,)) for k in reps for y, yp in steps if y not in k and yp in k)
+    for h in _new_classes(u, found, pairs, limits):
+        reps.append(h)
+    return [(s, found[s]) for s in _sorted_sets(found)]
+
+
+def two_generated_sets_every_join(G, limits=DEFAULT_LIMITS) -> list:
+    """``two_generated_subgroups`` as (element set, generators) pairs, with
+    one cyclic <a> per conjugacy class joined with every cyclic <b>, not with
+    one <b> per N_G(<a>)-orbit."""
+    u = G.universe(limits)
+    cyclic = u.cyclic_subgroups()
+    found = {}
+    reps = []
+    for a, a_gens in cyclic.items():
+        if a not in found:
+            reps.append(a)
+            found.update(_conjugates(u, {a: a_gens}))
+    pairs = ((a, b_gens) if len(a) >= len(b) else (b, found[a])
+             for a in reps for b, b_gens in cyclic.items() if not (a <= b or b <= a))
+    for _ in _new_classes(u, found, pairs, limits):
+        pass
+    return [(s, found[s]) for s in _sorted_sets(found)]
 
 
 def naive_centralizer(G, sub_elements) -> frozenset:

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -17,12 +18,9 @@ from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _hall_classes, all_subg
 from sigmagraph.predicates import is_critical, is_schmidt
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
 from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, sl2_3,
-                            standard_partitions, symmetric)
+                            standard_partitions, symmetric, zoo_tags)
 
 TWO = SigmaPartition(explicit_classes=(frozenset({2}),))
-
-GRAPH_SAMPLE = ("C2", "C6", "C30", "S3", "S4", "A4", "A5", "D6", "Q8", "sl23",
-                "dic3", "c7_c3", "f20", "s3xc5", "wreath_c2_s3")
 
 
 def tags(edges):
@@ -138,14 +136,35 @@ def test_trivial_group_rejected():
         build_hawkes(PermGroup(2, []), ATOMIC)
 
 
-@pytest.mark.parametrize("tag", GRAPH_SAMPLE)
+@pytest.mark.parametrize("tag", zoo_tags())
 def test_circuits_match_bruteforce(tag):
+    """The three graphs of every zoo group under the standard partitions."""
     g = build_by_tag(tag)
     for sigma in standard_partitions():
         for build in (build_hawkes, build_hall, build_vm):
             graph = build(g, sigma)
             assert has_circuit(graph) == brute_has_circuit(graph.vertices,
                                                            graph.edges)
+
+
+def test_has_circuit_leaves_no_cyclic_garbage():
+    """The depth-first search holds no reference cycle, so a call leaves
+    nothing for the cycle collector, on graphs with and without a circuit."""
+    graphs = [build(build_by_tag(tag), sigma) for tag in ("S3", "S4", "wreath_c2_s3")
+              for sigma in standard_partitions() for build in (build_hawkes, build_hall)]
+    a, b, c = build_hawkes(build_by_tag("C30"), ATOMIC).sorted_vertices()
+    graphs.append(SigmaGraph("hawkes", "C30", ATOMIC, frozenset({a, b, c}),
+                             frozenset({(a, b), (b, c), (c, a)})))
+    assert any(not has_loop(g) and not has_circuit(g) for g in graphs)
+    assert any(not has_loop(g) and has_circuit(g) for g in graphs)
+    gc.collect()
+    gc.disable()
+    try:
+        for graph in graphs:
+            has_circuit(graph)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weak_components():

@@ -18,7 +18,8 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, subgroup, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.sigma import prime_factors
+from sigmagraph.predicates import is_sigma_soluble
+from sigmagraph.sigma import ATOMIC, prime_factors
 from sigmagraph.zoo import alternating, build_by_tag, regular_wreath, symmetric
 
 
@@ -334,6 +335,40 @@ def test_resource_caps_raise_with_cap_name():
     # the count cap keeps prop 1.11 on the two-generated witnesses
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
         maximal_subgroups(regular_wreath(2, symmetric(3)), DEFAULT_LIMITS)
+
+
+def test_element_cap_holds_after_the_table_is_built():
+    """A table built under the default caps is not handed out under a
+    smaller max_element_order: the cap is checked before the cache."""
+    g = symmetric(5)
+    assert len(normal_subgroups(g)) == 3
+    assert not is_sigma_soluble(g, ATOMIC)
+    small = EngineLimits(max_element_order=100)
+    with pytest.raises(ResourceLimitError, match="max_element_order"):
+        normal_subgroups(g, small)
+    with pytest.raises(ResourceLimitError, match="max_element_order"):
+        is_sigma_soluble(g, ATOMIC, small)
+    with pytest.raises(ResourceLimitError, match="max_element_order"):
+        g.elements(small)
+    with pytest.raises(ResourceLimitError, match="max_element_order"):
+        g.universe(small)
+    assert len(normal_subgroups(g)) == 3
+
+
+def test_subgroups_of_a_table_built_above_the_default_cap():
+    """Under a raised element cap, S7 (order 5040, above the default cap)
+    is enumerated once, and the subgroups read in its table need no second
+    check against the default cap; a call under the default cap raises."""
+    g = symmetric(7)
+    limits = EngineLimits(max_element_order=5040)
+    c = sylow(g, 7, limits)
+    n = normalizer(g, c, limits)
+    assert (c.order, n.order) == (7, 42)
+    c_set = frozenset(c.elements(limits))
+    assert all(frozenset(x.inverse() * y * x for y in c_set) == c_set
+               for x in n.elements(limits))
+    with pytest.raises(ResourceLimitError, match="max_element_order"):
+        normalizer(g, c)
 
 
 def test_cached_subgroup_families_are_keyed_by_the_limits():

@@ -15,11 +15,13 @@ from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
                      index_closure, is_pi_closed_by_normal_lattice,
                      is_schmidt_by_lattice, naive_centralizer,
                      naive_centralizer_of_factor, naive_conjugacy_classes,
-                     naive_normalizer, schmidt_subgroups)
-from sigmagraph.errors import CrossCheckError
-from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _Universe, all_subgroups,
-                              centralizer, centralizer_of_factor, hall_subgroups,
-                              normal_subgroups, normalizer, two_generated_subgroups)
+                     naive_normalizer, schmidt_subgroups,
+                     subgroup_sets_every_extension, two_generated_sets_every_join)
+from sigmagraph.errors import CrossCheckError, ResourceLimitError
+from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _Universe,
+                              all_subgroups, centralizer, centralizer_of_factor,
+                              hall_subgroups, normal_subgroups, normalizer,
+                              two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                                    schmidt_types)
@@ -55,6 +57,31 @@ def test_table_matches_composition_on_zoo(tag):
 def test_table_matches_composition_on_s5_subgroups():
     for _, g in s5_subgroups():
         assert_table_matches(g)
+
+
+@pytest.mark.parametrize("tag", ("S3", "Q8", "A4", "S4", "f20", "A5"))
+def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
+    """Above the table limit the rows are composed as they are read; they
+    and the inverses must equal the product-by-product table."""
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    g = next(e for e in zoo() if e.tag == tag).builder()
+    u = g.universe()
+    assert u.mul_rows is None
+    rows, _ = composed_table(u.perms)
+    assert [list(r) for r in u.rows()] == rows
+    assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
+
+
+def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
+    """Each gathered row holds the identity row's int objects, so a table of
+    n rows costs one pointer per entry and n ints in all."""
+    u = symmetric(6).universe()
+    ident = u.mul_rows[u.identity]
+    assert ident == tuple(range(u.n))
+    for row in u.mul_rows:
+        assert type(row) is tuple
+        assert all(x is ident[x] for x in row)
+    assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5", "wreath_c2_s3"))
@@ -215,3 +242,80 @@ def test_kernel_fuzz_on_small_degrees(seed):
     assert_closure_matches(u, rng.sample(range(u.n), min(u.n, rng.randint(0, 2))),
                            rng.sample(range(u.n), min(u.n, rng.randint(0, 3))),
                            rng.randint(1, u.n))
+
+
+def fresh(tag):
+    """A new group object for the tag, with no cached table or lattice."""
+    g = build_by_tag(tag)
+    return PermGroup(g.degree, g.generators)
+
+
+def count_closures(monkeypatch) -> list[int]:
+    """From here on, counts[0] is the number of ``_Universe.closure`` calls."""
+    counts = [0]
+    closure = _Universe.closure
+
+    def counted(self, *args, **kwargs):
+        counts[0] += 1
+        return closure(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Universe, "closure", counted)
+    return counts
+
+
+def run_counted(counts, fn):
+    """fn()'s result and the closures it ran."""
+    counts[0] = 0
+    return fn(), counts[0]
+
+
+def pairs_of(subs):
+    return [(s.indices, s.gens) for s in subs]
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
+def test_orbit_pruned_searches_match_every_join(tag):
+    """Closing one extension per normaliser orbit gives the same subgroups
+    with the same generators, in the same order, as closing every one."""
+    g = build_by_tag(tag)
+    assert pairs_of(all_subgroups(g)) == subgroup_sets_every_extension(g)
+    assert pairs_of(two_generated_subgroups(g)) == two_generated_sets_every_join(g)
+
+
+def test_orbit_pruned_searches_match_every_join_on_s5_subgroups():
+    for _, g in s5_subgroups():
+        assert pairs_of(all_subgroups(g)) == subgroup_sets_every_extension(g)
+        assert pairs_of(two_generated_subgroups(g)) == two_generated_sets_every_join(g)
+
+
+@pytest.mark.parametrize("tag, limits", (
+    ("A6", DEFAULT_LIMITS),
+    ("S6", EngineLimits(max_subgroup_order=720)),
+    ("wreath_c2_s3", EngineLimits(max_subgroup_count=5000)),
+), ids=("A6", "S6", "wreath_c2_s3"))
+def test_orbit_pruned_searches_match_and_close_less(tag, limits, monkeypatch):
+    """The same lattice and pool as closing every join, from strictly fewer
+    closures."""
+    counts = count_closures(monkeypatch)
+    routes = ((all_subgroups, subgroup_sets_every_extension),
+              (two_generated_subgroups, two_generated_sets_every_join))
+    for library, oracle in routes:
+        got, pruned = run_counted(counts, lambda: pairs_of(library(fresh(tag), limits)))
+        want, every = run_counted(counts, lambda: oracle(fresh(tag), limits))
+        assert got == want
+        assert pruned < every
+
+
+def test_orbit_pruned_lattice_stops_at_the_same_cap(monkeypatch):
+    """Under the default caps both routes stop at the count cap on the
+    order-384 wreath group, the pruned one after fewer closures."""
+    counts = count_closures(monkeypatch)
+    caps, closures = [], []
+    for route in (all_subgroups, subgroup_sets_every_extension):
+        counts[0] = 0
+        with pytest.raises(ResourceLimitError) as exc:
+            route(fresh("wreath_c2_s3"))
+        caps.append((exc.value.cap_name, exc.value.cap_value))
+        closures.append(counts[0])
+    assert caps == [("max_subgroup_count", DEFAULT_LIMITS.max_subgroup_count)] * 2
+    assert closures[0] < closures[1]
