@@ -28,11 +28,10 @@ from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, parse_sigma_spec,
                     pi_part, prime_factors, primes_of, sigma_coprime,
                     sigma_of_group, sigma_of_int)
 from .verify import (ALL_STATEMENTS, CheckResult, VerificationReport,
-                     component_decomposition_holds, factorization_fixtures,
-                     make_report, run_corpus_sweep, verify_prop_1_2,
-                     verify_prop_1_9, verify_prop_1_11, verify_thm_1_4,
-                     verify_thm_1_7, verify_thm_1_12)
-from .zoo import ZooEntry, build_by_tag, corpus, standard_partitions, zoo, zoo_tags
+                     factorization_fixtures, make_report, run_corpus_sweep,
+                     verify_prop_1_2, verify_prop_1_9, verify_prop_1_11,
+                     verify_thm_1_4, verify_thm_1_7, verify_thm_1_12)
+from .zoo import ZooEntry, build_by_tag, corpus, standard_partitions, zoo
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ Exit codes: 0 for success (including vacuous verifications), 1 when a
 verification reports FAIL, 2 for input errors, domain errors, and resource
 caps.  A group spec with a degree above 256 or more than 64 generators is
 refused as a cap (``max_degree``, ``max_generators``) before any permutation
-is built.  Error messages are a single stderr line prefixed ``error:``.
+is built, and one whose order exceeds ``max_element_order`` (``--max-order``)
+as soon as its strong generating set shows it.  Error messages are a single
+stderr line prefixed ``error:``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _parse_generator(entry, degree: int) -> Permutation:
     return Permutation.from_cycles(degree, cycles, one_based=True)
 
 
-def _group_from_json(data, tag: str) -> tuple[str, PermGroup]:
+def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     if not isinstance(data, dict):
         raise GroupInputError("group spec must be a JSON object")
     degree = data.get("degree")
@@ -69,7 +71,7 @@ def _group_from_json(data, tag: str) -> tuple[str, PermGroup]:
         raise ResourceLimitError(f"group spec has {len(raw)} generators",
                                  cap_name="max_generators", cap_value=_MAX_GENERATORS)
     gens = [_parse_generator(entry, degree) for entry in raw]
-    group = PermGroup(degree, gens)
+    group = PermGroup(degree, gens, limits.max_element_order)
     expected = data.get("expected_order")
     if expected is not None and expected != group.order:
         raise GroupInputError(
@@ -77,7 +79,7 @@ def _group_from_json(data, tag: str) -> tuple[str, PermGroup]:
     return str(data.get("name", tag)), group
 
 
-def _load_group(spec: str) -> tuple[str, PermGroup]:
+def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     spec = spec.strip()
     if spec.startswith("zoo:"):
         tag = spec[len("zoo:"):]
@@ -87,7 +89,7 @@ def _load_group(spec: str) -> tuple[str, PermGroup]:
             data = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise GroupInputError(f"bad group spec: {exc}") from exc
-        return _group_from_json(data, "inline")
+        return _group_from_json(data, "inline", limits)
     path = Path(spec)
     try:
         text = path.read_text()
@@ -97,7 +99,7 @@ def _load_group(spec: str) -> tuple[str, PermGroup]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GroupInputError(f"bad group spec in {spec}: {exc}") from exc
-    return _group_from_json(data, path.stem)
+    return _group_from_json(data, path.stem, limits)
 
 
 def _load_partitions(spec: str) -> tuple[SigmaPartition, ...]:
@@ -123,7 +125,7 @@ def _limits(args) -> EngineLimits:
 
 
 def _cmd_graph(args, limits: EngineLimits) -> int:
-    tag, G = _load_group(args.group)
+    tag, G = _load_group(args.group, limits)
     _require_nontrivial(G)
     sigma = parse_sigma_spec(args.sigma)
     graph = _BUILDERS[args.kind](G, sigma, limits, tag)
@@ -135,7 +137,7 @@ def _cmd_graph(args, limits: EngineLimits) -> int:
 
 
 def _cmd_check(args, limits: EngineLimits) -> int:
-    tag, G = _load_group(args.group)
+    tag, G = _load_group(args.group, limits)
     sigma = parse_sigma_spec(args.sigma)
     payload = {"group": tag, "order": G.order, "predicate": args.predicate,
                "sigma": sigma.to_json()}
@@ -174,7 +176,7 @@ def _cmd_verify(args, limits: EngineLimits) -> int:
     if args.corpus:
         groups = corpus()
     else:
-        tag, G = _load_group(args.group)
+        tag, G = _load_group(args.group, limits)
         _require_nontrivial(G)
         groups = [(tag, G)]
     partitions = _load_partitions(args.sigma)

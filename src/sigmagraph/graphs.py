@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import CrossCheckError, DomainError
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _hall_classes, centralizer, normalizer)
-from .predicates import _memo, f_class_subgroup, schmidt_types
+                    _hall_classes, _memo, centralizer, normalizer)
+from .predicates import f_class_subgroup, schmidt_types
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
 

@@ -1,13 +1,14 @@
-"""Permutation-group kernel: generated groups, subgroup search, quotients, series.
+"""Permutation-group kernel: generated groups, subgroup search, normal series.
 
 All public values are immutable after construction and every operation is a
-pure function of its inputs; internal caches are only ever reused, never
-mutated, a cached subgroup family is keyed by the caps that decide it, and
-every cached read checks max_element_order first, so memoisation is
-observationally transparent.  A group's caches hold index sets and
-generator indices, never a value that refers back to the group
-(``Subgroup`` and ``QuotientGroup`` wrappers are made per call), so a
-dropped group is freed at once, not by the cycle collector.
+pure function of its inputs.  Every value cached on a group goes through
+``_memo``: it is only ever reused, never mutated, a value that depends on a
+cap (a subgroup family) is keyed by that cap, and every read checks
+max_element_order first, cached or not, so memoisation is observationally
+transparent.  A group's caches hold index sets and generator indices, never
+a value that refers back to the group (``Subgroup`` and ``ChiefSeries``
+wrappers are made per call), so a dropped group is freed at once, not by
+the cycle collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on an indexed multiplication table of the ambient group
@@ -26,6 +27,10 @@ class, by one cyclic subgroup per N_G(K)-orbit, and spread each new subgroup
 over its class by gathers on the conjugation rows of G's generators.
 Centralisers, normalisers and conjugation rows compare or gather whole rows
 and columns of the table instead of multiplying element by element.
+Quotients are read in G's own normal lattice: the normal subgroups of G/K
+are the normal subgroups of G over K (``_largest_normal_over``), so no
+library route builds a quotient group; ``quotient`` remains for callers that
+want G/K as a group of its own.
 Enumeration caps are explicit configuration; hitting one raises a
 ResourceLimitError naming the cap instead of silently truncating.
 """
@@ -63,11 +68,13 @@ _TABLE_LIMIT = 1500  # build a full multiplication table up to this order
 
 class PermGroup:
     """Finite permutation group whose order and elements come from a strong
-    generating set."""
+    generating set.  With max_order, the construction stops with a
+    ResourceLimitError naming max_element_order as soon as the group is
+    seen to be larger, instead of finishing the strong generating set."""
 
     __slots__ = ("degree", "generators", "bsgs", "order", "_cache")
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, max_order: int | None = None):
         if degree < 1:
             raise GroupInputError(f"degree must be positive, got {degree}")
         gens = tuple(generators)
@@ -78,7 +85,7 @@ class PermGroup:
                 raise GroupInputError(f"generator {g} has degree {g.degree}, expected {degree}")
         self.degree = degree
         self.generators = gens
-        self.bsgs = Bsgs(degree, gens)
+        self.bsgs = Bsgs(degree, gens, max_order)
         self.order = self.bsgs.order
         self._cache: dict = {}
 
@@ -92,24 +99,18 @@ class PermGroup:
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple.  Capped by max_element_order,
         also when they are already cached."""
-        _require_enumerable(self, limits)
-        cached = self._cache.get("elements")
-        if cached is not None:
-            return cached
-        elems = tuple(sorted(self.bsgs.elements(), key=lambda p: p.images))
-        if len(elems) != self.order:
-            raise CrossCheckError("element enumeration disagrees with the strong generating set order")
-        self._cache["elements"] = elems
-        return elems
+        def compute():
+            elems = tuple(sorted(self.bsgs.elements(), key=lambda p: p.images))
+            if len(elems) != self.order:
+                raise CrossCheckError(
+                    "element enumeration disagrees with the strong generating set order")
+            return elems
+        return _memo(self, "elements", compute, limits)
 
     def universe(self, limits: EngineLimits = DEFAULT_LIMITS) -> "_Universe":
         """The element table, capped like ``elements``."""
-        _require_enumerable(self, limits)
-        u = self._cache.get("universe")
-        if u is None:
-            u = _Universe(self.elements(limits), self.generators)
-            self._cache["universe"] = u
-        return u
+        return _memo(self, "universe",
+                     lambda: _Universe(self.elements(limits), self.generators), limits)
 
 
 def _require_enumerable(G: PermGroup, limits: EngineLimits) -> None:
@@ -119,6 +120,19 @@ def _require_enumerable(G: PermGroup, limits: EngineLimits) -> None:
         raise ResourceLimitError(
             f"group of order {G.order} is too large to enumerate",
             cap_name="max_element_order", cap_value=limits.max_element_order)
+
+
+def _memo(G: PermGroup, key, compute, limits: EngineLimits):
+    """G's value for key, computed on the first call and cached on G.  Every
+    read checks max_element_order first, cached or not, so a cap holds
+    whatever ran before on the group; a value that depends on another cap
+    carries that cap in its key."""
+    _require_enumerable(G, limits)
+    cache = G._cache
+    if key in cache:
+        return cache[key]
+    value = cache[key] = compute()
+    return value
 
 
 def _built_universe(G: PermGroup) -> "_Universe":
@@ -484,27 +498,23 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
 
 
 def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    _require_enumerable(G, limits)
-    cached = G._cache.get("normal_sets")
-    if cached is not None:
-        return cached
-    u = G.universe(limits)
-    classes = u.conjugacy_classes()
-    trivial = frozenset({u.identity})
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    queue = [trivial]
-    while queue:
-        n_set = queue.pop(0)
-        for cls in classes:
-            if cls[0] == u.identity or set(cls) <= n_set:
-                continue
-            m_set = u.closure(cls, base=n_set)
-            if m_set not in found:
-                found[m_set] = u.derive_gens(m_set)
-                queue.append(m_set)
-    out = [(s, found[s]) for s in _sorted_sets(found)]
-    G._cache["normal_sets"] = out
-    return out
+    def compute():
+        u = G.universe(limits)
+        classes = u.conjugacy_classes()
+        trivial = frozenset({u.identity})
+        found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+        queue = [trivial]
+        while queue:
+            n_set = queue.pop(0)
+            for cls in classes:
+                if cls[0] == u.identity or set(cls) <= n_set:
+                    continue
+                m_set = u.closure(cls, base=n_set)
+                if m_set not in found:
+                    found[m_set] = u.derive_gens(m_set)
+                    queue.append(m_set)
+        return [(s, found[s]) for s in _sorted_sets(found)]
+    return _memo(G, "normal_sets", compute, limits)
 
 
 def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -527,16 +537,17 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSe
     if G.is_trivial:
         raise DomainError("the trivial group has no chief series")
     normal_sets = _normal_subgroup_sets(G, limits)
-    chain = G._cache.get("chief_series")
-    if chain is None:
+
+    def compute():
         chain = [normal_sets[0][0]]
-        full = frozenset(range(G.universe(limits).n))
+        full = normal_sets[-1][0]
         while chain[-1] != full:
             cur = chain[-1]
             above = [s for s, _ in normal_sets if cur < s]
             minimal = [s for s in above if not any(t < s for t in above if t is not s)]
             chain.append(minimal[0])
-        G._cache["chief_series"] = chain
+        return chain
+    chain = _memo(G, "chief_series", compute, limits)
     gens_by_set = dict(normal_sets)
     return ChiefSeries(G, tuple(Subgroup(G, s, gens_by_set[s]) for s in chain))
 
@@ -578,7 +589,10 @@ class QuotientGroup:
 
 
 def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> QuotientGroup:
-    """Quotient G/N via the faithful action on the cosets of N."""
+    """Quotient G/N via the faithful action on the cosets of N, as a group
+    of its own.  No library route calls it: the predicates read G/N in G's
+    normal lattice (``_largest_normal_over``); the tests use it as a second
+    route."""
     _require_subgroup_of(G, N, "N")
     u = G.universe(limits)
     n_set = N.indices
@@ -703,37 +717,34 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
         raise ResourceLimitError(
             f"group of order {G.order} is too large for subgroup enumeration",
             cap_name="max_subgroup_order", cap_value=limits.max_subgroup_order)
-    _require_enumerable(G, limits)
     key = (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work)
-    cached = G._cache.get("all_subgroup_sets")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    failure = G._cache.get("all_subgroup_sets_failure")
-    if failure is not None and failure[0] == key:
-        raise failure[1].fresh()
-    u = G.universe(limits)
-    steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
-    for y, in filter(None, u.cyclic_subgroups().values()):
-        factors = prime_factors(u.orders[y])
-        if len(factors) == 1:
-            steps.append((y, _power(u, y, factors[0][0])))
-    canon = _cyclic_canon(u)
-    trivial = frozenset({u.identity})
-    found = {trivial: ()}
-    reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
-    pairs = ((k, (y,)) for k in reps
-             for y in _orbit_firsts(u, k, found[k], canon,
-                                    (y for y, yp in steps if y not in k and yp in k)))
-    try:
-        for h in _new_classes(u, found, pairs, limits):
-            reps.append(h)
-    except ResourceLimitError as exc:
-        # the raised error's traceback holds the partial lattice: keep a copy
-        G._cache["all_subgroup_sets_failure"] = (key, exc.fresh())
-        raise
-    out = [(s, found[s]) for s in _sorted_sets(found)]
-    G._cache["all_subgroup_sets"] = (key, out)
-    return out
+
+    def compute():
+        failure = G._cache.get("all_subgroup_sets_failure")
+        if failure is not None and failure[0] == key:
+            raise failure[1].fresh()
+        u = G.universe(limits)
+        steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
+        for y, in filter(None, u.cyclic_subgroups().values()):
+            factors = prime_factors(u.orders[y])
+            if len(factors) == 1:
+                steps.append((y, _power(u, y, factors[0][0])))
+        canon = _cyclic_canon(u)
+        trivial = frozenset({u.identity})
+        found = {trivial: ()}
+        reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
+        pairs = ((k, (y,)) for k in reps
+                 for y in _orbit_firsts(u, k, found[k], canon,
+                                        (y for y, yp in steps if y not in k and yp in k)))
+        try:
+            for h in _new_classes(u, found, pairs, limits):
+                reps.append(h)
+        except ResourceLimitError as exc:
+            # the raised error's traceback holds the partial lattice: keep a copy
+            G._cache["all_subgroup_sets_failure"] = (key, exc.fresh())
+            raise
+        return [(s, found[s]) for s in _sorted_sets(found)]
+    return _memo(G, ("all_subgroup_sets", *key), compute, limits)
 
 
 def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -763,10 +774,7 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     joined with one cyclic <b> per N_G(<a>)-orbit (for x in N_G(<a>),
     <a, b>^x = <a, b^x>), and each new join is spread over its class.  The
     count and closure caps apply as in all_subgroups."""
-    _require_enumerable(G, limits)
-    key = (limits.max_subgroup_count, limits.max_join_work)
-    cached = G._cache.get("two_generated")
-    if cached is None or cached[0] != key:
+    def compute():
         u = G.universe(limits)
         cyclic = u.cyclic_subgroups()
         canon = _cyclic_canon(u)
@@ -784,8 +792,9 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
                                          if not (a <= b_set or b_set <= a))))
         for _ in _new_classes(u, found, pairs, limits):
             pass  # one pass: a new join is not joined again
-        cached = G._cache["two_generated"] = (key, [(s, found[s]) for s in _sorted_sets(found)])
-    return [Subgroup(G, s, g) for s, g in cached[1]]
+        return [(s, found[s]) for s in _sorted_sets(found)]
+    key = ("two_generated", limits.max_subgroup_count, limits.max_join_work)
+    return [Subgroup(G, s, g) for s, g in _memo(G, key, compute, limits)]
 
 
 def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -807,16 +816,11 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
-    _require_enumerable(G, limits)
-    key = ("sylow_set", p)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    u = G.universe(limits)
-    target = _p_part(G.order, p)
-    if target == 1:
-        result = (frozenset({u.identity}), ())
-    else:
+    def compute():
+        u = G.universe(limits)
+        target = _p_part(G.order, p)
+        if target == 1:
+            return frozenset({u.identity}), ()
         seed = None
         for i in range(u.n):
             o = u.orders[i]
@@ -829,19 +833,16 @@ def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[in
             normal_pool = sorted(i for i in _normalizer_set(u, current, gens) - current
                                  if u.orders[i] == _p_part(u.orders[i], p))
             # a p-element normalising the current p-subgroup extends it
-            grew = False
             for z in normal_pool:
                 bigger = u.closure((z,), base=current)
                 if len(bigger) == _p_part(len(bigger), p):
                     gens.append(z)
                     current = bigger
-                    grew = True
                     break
-            if not grew:
+            else:
                 raise CrossCheckError(f"Sylow {p}-subgroup construction stalled at order {len(current)}")
-        result = (current, tuple(gens))
-    G._cache[key] = result
-    return result
+        return current, tuple(gens)
+    return _memo(G, ("sylow_set", p), compute, limits)
 
 
 def _power(u: _Universe, i: int, e: int) -> int:
@@ -878,21 +879,17 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
     for p in pset:
         if p < 2 or prime_factors(p) != ((p, 1),):
             raise DomainError(f"{p} is not a prime")
-    _require_enumerable(G, limits)
-    key = ("hall", pset, limits.max_subgroup_count)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    u = G.universe(limits)
-    target = 1
-    for p, e in prime_factors(G.order):
-        if p in pset:
-            target *= p**e
-    if target == 1:
-        classes = [[(frozenset({u.identity}), ())]]
-    elif target == G.order:
-        classes = [[(frozenset(range(u.n)), u.gens)]]
-    else:
+
+    def compute():
+        u = G.universe(limits)
+        target = 1
+        for p, e in prime_factors(G.order):
+            if p in pset:
+                target *= p**e
+        if target == 1:
+            return [[(frozenset({u.identity}), ())]]
+        if target == G.order:
+            return [[(frozenset(range(u.n)), u.gens)]]
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
         candidates = {p0_set}
@@ -919,8 +916,8 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
                 cls = _conjugates(u, {s: u.derive_gens(s)})
                 found.update(cls)
                 classes.append([(t, cls[t]) for t in _sorted_sets(cls)])
-    G._cache[key] = classes
-    return classes
+        return classes
+    return _memo(G, ("hall", pset, limits.max_subgroup_count), compute, limits)
 
 
 def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -937,25 +934,25 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
 # cores
 
 
+def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
+                         limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The largest normal subgroup N of G over the normal subgroup floor
+    whose index |N : floor| involves only the given primes, with its
+    generators.  By the correspondence theorem the normal subgroups of
+    G/floor are the N/floor for the normal N over floor, so this is the
+    preimage of the largest normal subgroup of G/floor of that kind, read
+    in G's own normal lattice.  The maximum is unique (such normal
+    subgroups are closed under products); the scan asserts that."""
+    pset = frozenset(primes)
+    hits = [(s, gens) for s, gens in _normal_subgroup_sets(G, limits)
+            if floor <= s and all(p in pset for p, _ in prime_factors(len(s) // len(floor)))]
+    best = hits[-1]  # normal sets ascend by order; floor itself is a hit
+    if not all(s <= best[0] for s, _ in hits):
+        raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
+    return best
+
+
 def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Largest normal subgroup whose order only involves the given primes."""
-    pset = frozenset(primes)
-    _require_enumerable(G, limits)
-    key = ("core", tuple(sorted(pset)))
-    cached = G._cache.get(key)
-    if cached is not None:
-        return Subgroup(G, *cached)
-    best: frozenset[int] | None = None
-    best_gens: tuple[int, ...] = ()
-    hits = []
-    for s, gens in _normal_subgroup_sets(G, limits):
-        if all(p in pset for p, _ in prime_factors(len(s))):
-            hits.append(s)
-            if best is None or len(s) > len(best):
-                best, best_gens = s, gens
-    assert best is not None  # the trivial subgroup always qualifies
-    for s in hits:
-        if not s <= best:
-            raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
-    G._cache[key] = (best, best_gens)
-    return Subgroup(G, best, best_gens)
+    trivial = frozenset({G.universe(limits).identity})
+    return Subgroup(G, *_largest_normal_over(G, trivial, primes, limits))

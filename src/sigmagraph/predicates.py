@@ -3,7 +3,9 @@
 Sigma-solubility and sigma-nilpotency are read off chief-factor data,
 nilpotency off element orders in the group's own table, and the Schmidt
 test and types off element pairs there; class-local nilpotency uses the
-normal-complement criterion.  No subgroup is built as a group of its own.
+normal-complement criterion.  Dispersion and the class length walk up G's
+own normal lattice, where the normal subgroups of a quotient G/K are those
+over K.  No subgroup or quotient is built as a group of its own.
 Each quantity has one route here; the cross-check routes live with the
 tests.  A proved fact that the data contradicts (a unique maximum, a
 normal Hall subgroup) is surfaced as CrossCheckError, never patched over.
@@ -19,21 +21,10 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _require_enumerable, centralizer_of_factor, chief_series,
-                    core_series_subgroup, is_normal, normal_subgroups, quotient, sylow)
+                    _largest_normal_over, _memo, centralizer_of_factor, chief_series,
+                    is_normal, normal_subgroups, sylow)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
                     prime_factors, primes_of, sigma_of_int)
-
-
-def _memo(G: PermGroup, key, compute, limits: EngineLimits):
-    """G's value for key, computed on the first call.  A cached value is
-    handed out only under an element cap that admits G, as its computation
-    would be."""
-    if key in G._cache:
-        _require_enumerable(G, limits)
-        return G._cache[key]
-    value = G._cache[key] = compute()
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +248,28 @@ def is_pi_closed(G: PermGroup, pi: PiSet, limits: EngineLimits = DEFAULT_LIMITS)
                  lambda: _pi_closed_indices(G, range(G.order), pi, limits), limits)
 
 
-def _normal_hall_for_class(G: PermGroup, cls: SigmaClass,
-                           limits: EngineLimits) -> Subgroup | None:
-    target = class_part(G.order, cls)
-    for n in normal_subgroups(G, limits):
-        if n.order == target:
-            return n
-    return None
-
-
 def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
                         limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """A tower of normal Hall class-subgroups exhausts G, built greedily:
-    grab any class with a normal Hall subgroup, pass to the quotient, repeat.
-    Greed loses nothing; dispersion is quotient-closed, so any normal Hall
-    bottom extends to a full tower whenever one exists."""
+    """A tower of normal Hall class-subgroups exhausts G, built greedily from
+    the bottom: over the current normal term K, grab any class whose Hall
+    subgroup of G/K is normal, that is, the largest normal N over K with
+    |N : K| in the class has |N : K| = |G : K|_cls; repeat from N.  Greed
+    loses nothing; dispersion is quotient-closed, so any normal Hall bottom
+    extends to a full tower whenever one exists."""
     def compute():
-        cur = G
-        while cur.order > 1:
-            step = None
-            for cls in sorted(sigma_of_int(cur.order, sigma), key=lambda c: c.sort_key):
-                n = _normal_hall_for_class(cur, cls, limits)
-                if n is not None:
-                    step = n
+        u = G.universe(limits)
+        full = frozenset(range(u.n))
+        cur = frozenset({u.identity})
+        while cur != full:
+            index = G.order // len(cur)
+            for cls in sorted(sigma_of_int(index, sigma), key=lambda c: c.sort_key):
+                part = class_part(index, cls)
+                n, _ = _largest_normal_over(G, cur, primes_of(part), limits)
+                if len(n) == len(cur) * part:
+                    cur = n
                     break
-            if step is None:
+            else:
                 return False
-            cur = quotient(cur, step, limits).image
         return True
     return _memo(G, ("dispersive", sigma), compute, limits)
 
@@ -296,26 +282,24 @@ class SigmaLengthProfile:
 
 def sigma_length(G: PermGroup, cls: SigmaClass,
                  limits: EngineLimits = DEFAULT_LIMITS) -> SigmaLengthProfile:
-    """Length of the upper alternating series for cls: pull back the core
-    avoiding cls, then the cls-core of the quotient, and repeat from the new
-    floor; count the cls-steps that moved.  A round that makes no progress
-    below the top means G is not separable for this class."""
+    """Length of the upper alternating series for cls: from the floor K, take
+    the largest normal D over K with |D : K| avoiding cls, then the largest
+    normal E over D with |E : D| in cls (the pullbacks of the two cores of
+    the quotients), and repeat from E; count the cls-steps that moved.  A
+    round that makes no progress below the top means G is not separable for
+    this class."""
     def compute():
-        if G.is_trivial:
-            return SigmaLengthProfile(cls, 0)
         u = G.universe(limits)
         full = frozenset(range(u.n))
         cur = frozenset({u.identity})
         length = 0
         while cur != full:
-            q = quotient(G, Subgroup(G, cur), limits)
-            away = [p for p in primes_of(q.image.order) if not cls.contains(p)]
-            d = q.preimage_indices(core_series_subgroup(q.image, away, limits))
+            away = [p for p in primes_of(G.order // len(cur)) if not cls.contains(p)]
+            d, _ = _largest_normal_over(G, cur, away, limits)
             if d == full:
                 break
-            q2 = quotient(G, Subgroup(G, d), limits)
-            toward = [p for p in primes_of(q2.image.order) if cls.contains(p)]
-            e = q2.preimage_indices(core_series_subgroup(q2.image, toward, limits))
+            toward = [p for p in primes_of(G.order // len(d)) if cls.contains(p)]
+            e, _ = _largest_normal_over(G, d, toward, limits)
             if e == d:
                 raise DomainError(
                     f"upper series for class {cls} stalls below the whole group")

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
-                     has_circuit, has_loop, isolated_vertices, is_subgraph, union,
-                     weak_components)
+                     has_circuit, has_loop, isolated_vertices, is_subgraph, union)
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    core_series_subgroup, maximal_subgroups, subgroup,
-                    two_generated_subgroups)
+                    maximal_subgroups, subgroup, two_generated_subgroups)
 from .perm import Permutation
 from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
@@ -367,34 +365,6 @@ def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
         "schmidt-and-complement-closed", schmidt and closed,
         f"schmidt={schmidt} complement_closed={closed}")]
     return make_report("prop-1.11", group_tag, sigma, hypotheses, conclusions)
-
-
-# ---------------------------------------------------------------------------
-# classical specializations used by the acceptance suite
-
-
-def component_decomposition_holds(G: PermGroup,
-                                  limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Under the finest partition: with the vm components as prime blocks,
-    G must be the direct product of its block cores (order product check and
-    pairwise trivial intersections)."""
-    if G.is_trivial:
-        return True
-    vm = build_vm(G, SigmaPartition(atomic=True), limits)
-    blocks = []
-    for comp in weak_components(vm):
-        primes = sorted(p for cls, ps in vm.vertex_primes if cls in comp for p in ps)
-        blocks.append(core_series_subgroup(G, primes, limits))
-    product = 1
-    for b in blocks:
-        product *= b.order
-    if product != G.order:
-        return False
-    for i, x in enumerate(blocks):
-        for y in blocks[i + 1:]:
-            if len(x.indices & y.indices) != 1:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

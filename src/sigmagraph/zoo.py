@@ -175,10 +175,6 @@ def zoo() -> tuple[ZooEntry, ...]:
     )
 
 
-def zoo_tags() -> tuple[str, ...]:
-    return tuple(e.tag for e in zoo())
-
-
 def build_by_tag(tag: str) -> PermGroup:
     for entry in zoo():
         if entry.tag == tag:

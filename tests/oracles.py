@@ -5,13 +5,15 @@ a multiplication table composed product by product, whole-group scans,
 explicit reachability, the hall graph over every Hall subgroup, and second
 routes to quantities the library computes one way only (chief series with
 either tie-break, the pullback construction of F_i, exhaustive dispersion
-schedules, the maximal-subgroup reading of class-local nilpotency,
-nilpotency by Sylow normality, Schmidt groups by the full subgroup lattice
-and Schmidt subgroups by a walk over the two-generated subgroups, pi-closure
-by the normal-subgroup lattice, the Frattini subgroup from the maximal
-subgroups, and the subgroup lattice and two-generated pool closing every
-cyclic extension and join instead of one per normaliser orbit).  The library must agree with these on every group small enough
-to brute-force.
+schedules and the class length over quotient groups, the maximal-subgroup
+reading of class-local nilpotency, nilpotency by Sylow normality, Schmidt
+groups by the full subgroup lattice and Schmidt subgroups by a walk over the
+two-generated subgroups, pi-closure by the normal-subgroup lattice, the
+Frattini subgroup from the maximal subgroups, and the subgroup lattice and
+two-generated pool closing every cyclic extension and join instead of one
+per normaliser orbit).  The library must agree with these on every group
+small enough to brute-force.  Test-only helpers (the zoo's tags, the vm
+component decomposition) live here too.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from sigmagraph.errors import CrossCheckError, DomainError
+from sigmagraph.graphs import build_vm, weak_components
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _new_classes,
                               _normal_subgroup_sets, _power, _sorted_sets,
                               all_subgroups, centralizer, centralizer_of_factor,
@@ -26,14 +29,18 @@ from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _new_classe
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import (_normal_hall_for_class, _normal_sylow_primes,
-                                   f_class_subgroup)
-from sigmagraph.sigma import (class_part, pi_part, prime_factors, primes_of,
+from sigmagraph.predicates import SigmaLengthProfile, _normal_sylow_primes, f_class_subgroup
+from sigmagraph.sigma import (ATOMIC, class_part, pi_part, prime_factors, primes_of,
                               sigma_of_group, sigma_of_int)
+from sigmagraph.zoo import zoo
 
 # zoo groups small enough for every brute-force route here
 ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
                "f20", "c7_c3", "C30", "D5", "A5")
+
+
+def zoo_tags() -> tuple[str, ...]:
+    return tuple(e.tag for e in zoo())
 
 
 def closure(degree: int, elements) -> frozenset:
@@ -317,7 +324,7 @@ def is_class_nilpotent_by_chief_factors(G, cls, prefer="smallest") -> bool:
 
 
 # ---------------------------------------------------------------------------
-# second routes to F_i and to dispersion
+# second routes to F_i, to dispersion and to the class length, by quotients
 
 
 def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
@@ -329,6 +336,40 @@ def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
     in_primes = [p for p in primes_of(q.image.order) if cls.contains(p)]
     e_img = core_series_subgroup(q.image, in_primes, limits)
     return Subgroup(G, q.preimage_indices(e_img))
+
+
+def _normal_hall_for_class(G, cls, limits):
+    """Some normal subgroup of order |G|_cls, or None."""
+    target = class_part(G.order, cls)
+    for n in normal_subgroups(G, limits):
+        if n.order == target:
+            return n
+    return None
+
+
+def sigma_length_by_quotients(G, cls, limits=DEFAULT_LIMITS) -> SigmaLengthProfile:
+    """The upper alternating series for cls with each core taken in a
+    quotient group of its own and pulled back through the projection."""
+    if G.is_trivial:
+        return SigmaLengthProfile(cls, 0)
+    u = G.universe(limits)
+    full = frozenset(range(u.n))
+    cur = frozenset({u.identity})
+    length = 0
+    while cur != full:
+        q = quotient(G, Subgroup(G, cur), limits)
+        away = [p for p in primes_of(q.image.order) if not cls.contains(p)]
+        d = q.preimage_indices(core_series_subgroup(q.image, away, limits))
+        if d == full:
+            break
+        q2 = quotient(G, Subgroup(G, d), limits)
+        toward = [p for p in primes_of(q2.image.order) if cls.contains(p)]
+        e = q2.preimage_indices(core_series_subgroup(q2.image, toward, limits))
+        if e == d:
+            raise DomainError(f"upper series for class {cls} stalls below the whole group")
+        length += 1
+        cur = e
+    return SigmaLengthProfile(cls, length)
 
 
 def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
@@ -401,3 +442,30 @@ def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
         if is_pi_central_factor(G, Subgroup(G, v), core, pset, limits):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# classical specialisation used by the acceptance suite
+
+
+def component_decomposition_holds(G, limits=DEFAULT_LIMITS) -> bool:
+    """Under the finest partition: with the vm components as prime blocks,
+    G must be the direct product of its block cores (order product check and
+    pairwise trivial intersections)."""
+    if G.is_trivial:
+        return True
+    vm = build_vm(G, ATOMIC, limits)
+    blocks = []
+    for comp in weak_components(vm):
+        primes = sorted(p for cls, ps in vm.vertex_primes if cls in comp for p in ps)
+        blocks.append(core_series_subgroup(G, primes, limits))
+    product = 1
+    for b in blocks:
+        product *= b.order
+    if product != G.order:
+        return False
+    for i, x in enumerate(blocks):
+        for y in blocks[i + 1:]:
+            if len(x.indices & y.indices) != 1:
+                return False
+    return True

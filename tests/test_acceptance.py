@@ -10,8 +10,8 @@ import itertools
 
 import pytest
 
-from oracles import (f_class_subgroup_by_pullback, frattini, has_sylow_tower,
-                     vm_edges_from_candidates)
+from oracles import (component_decomposition_holds, f_class_subgroup_by_pullback, frattini,
+                     has_sylow_tower, vm_edges_from_candidates)
 from sigmagraph.errors import ResourceLimitError
 from sigmagraph.graphs import (build_hall, build_hawkes, build_vm, has_circuit,
                                has_loop, is_subgraph)
@@ -20,8 +20,7 @@ from sigmagraph.group import (PermGroup, all_subgroups, normal_subgroups,
 from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
                                    is_sigma_dispersive, is_sigma_nilpotent)
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
-from sigmagraph.verify import (component_decomposition_holds, run_corpus_sweep,
-                               verify_prop_1_11)
+from sigmagraph.verify import run_corpus_sweep, verify_prop_1_11
 from sigmagraph.zoo import build_by_tag
 
 

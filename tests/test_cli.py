@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,25 @@ def test_oversized_group_spec_exits_2_before_building(capsys, monkeypatch):
             rc, out, err = run(capsys, *command)
             assert rc == 2 and out == ""
             assert err.startswith("error:") and f"[cap {cap}]" in err and err.count("\n") == 1
+
+
+def test_group_order_past_the_element_cap_exits_2_while_building(capsys):
+    """Generators of S60 (degree under max_degree) would keep Schreier-Sims
+    busy for minutes; the construction stops once the orbits found so far
+    show an order above max_element_order."""
+    spec = json.dumps({"degree": 60, "generators": [list(range(1, 61)), [1, 2]]})
+    for command in (("graph", "--group", spec, "--kind", "hall"),
+                    ("check", "--group", spec, "--predicate", "soluble"),
+                    ("verify", "--group", spec)):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, *command)
+        assert time.perf_counter() - t0 < 5
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "[cap max_element_order=5000]" in err
+    s5 = '{"degree": 5, "generators": [[1, 2], [1, 2, 3, 4, 5]]}'
+    rc, out, err = run(capsys, "--max-order", "119", "check", "--group", s5,
+                       "--predicate", "critical")
+    assert rc == 2 and out == "" and "[cap max_element_order=119]" in err
 
 
 def test_help_exits_0(capsys):

@@ -2,10 +2,10 @@
 
 ``perfbench/golden.json`` holds SHA-256 digests of the ``sigmagraph verify
 --corpus --sigma standard`` report blocks and of the ``sigmagraph graph``
-outputs.  These tests recompute a few of them, on the groups where the
-subgroup searches and the element table do the most work, so that a change
-of output bytes fails here before the benchmark sees it.  The golden file
-is only read.
+outputs.  These tests recompute the whole report stream, and the graph
+outputs of the groups where the subgroup searches and the element table do
+the most work, so that a change of output bytes fails here before the
+benchmark sees it.  The golden file is only read.
 """
 
 import contextlib
@@ -68,3 +68,12 @@ def test_sweep_report_blocks_match_golden(tag, golden):
     expected = {(sk, sid): entry for sk, by_sid in golden["reports"][tag].items()
                 for sid, entry in by_sid.items()}
     assert {key: [text.count("\n"), sha256(text)] for key, text in blocks.items()} == expected
+
+
+def test_whole_sweep_stream_matches_golden(golden):
+    """Every (group, partition, statement) block of the corpus sweep, and
+    the 1.7 fixtures, on freshly built groups through the benchmark's own
+    sweep pass, which compares each block's line count and digest."""
+    res = workloads.sweep_pass(workloads.corpus_specs(), golden)
+    assert res.errors == [] and res.failed == 0
+    assert res.reports == golden["check"]["verify_corpus"]["reports"]

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from oracles import brute_has_circuit, hall_edges_every_member, vm_edges_from_candidates
+from oracles import (brute_has_circuit, hall_edges_every_member, vm_edges_from_candidates,
+                     zoo_tags)
 import sigmagraph.graphs
 import sigmagraph.group
 from sigmagraph.bsgs import Bsgs
@@ -18,7 +19,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _hall_classes, all_subg
 from sigmagraph.predicates import is_critical, is_schmidt
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
 from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, sl2_3,
-                            standard_partitions, symmetric, zoo_tags)
+                            standard_partitions, symmetric)
 
 TWO = SigmaPartition(explicit_classes=(frozenset({2}),))
 

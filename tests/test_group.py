@@ -337,6 +337,16 @@ def test_resource_caps_raise_with_cap_name():
         maximal_subgroups(regular_wreath(2, symmetric(3)), DEFAULT_LIMITS)
 
 
+def test_order_bound_stops_the_strong_generating_set():
+    """max_order admits a group of exactly that order and stops a larger
+    one, naming max_element_order, before its strong generating set is
+    complete."""
+    gens = symmetric(5).generators
+    assert PermGroup(5, gens, max_order=120).order == 120
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=119\]"):
+        PermGroup(5, gens, max_order=119)
+
+
 def test_element_cap_holds_after_the_table_is_built():
     """A table built under the default caps is not handed out under a
     smaller max_element_order: the cap is checked before the cache."""

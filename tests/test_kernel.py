@@ -16,7 +16,8 @@ from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
                      is_schmidt_by_lattice, naive_centralizer,
                      naive_centralizer_of_factor, naive_conjugacy_classes,
                      naive_normalizer, schmidt_subgroups,
-                     subgroup_sets_every_extension, two_generated_sets_every_join)
+                     subgroup_sets_every_extension, two_generated_sets_every_join,
+                     zoo_tags)
 from sigmagraph.errors import CrossCheckError, ResourceLimitError
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _Universe,
                               all_subgroups, centralizer, centralizer_of_factor,
@@ -26,8 +27,7 @@ from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                                    schmidt_types)
 from sigmagraph.sigma import ATOMIC, PiSet, primes_of
-from sigmagraph.zoo import (alternating, build_by_tag, s5_subgroups, symmetric,
-                            zoo, zoo_tags)
+from sigmagraph.zoo import alternating, build_by_tag, s5_subgroups, symmetric, zoo
 
 
 def assert_table_matches(G):

@@ -5,7 +5,8 @@ from oracles import (ORACLE_TAGS, dispersive_by_ordering_search,
                      is_class_nilpotent_by_chief_factors, is_pi_central_factor,
                      is_pi_normal_maximal, is_schmidt_by_lattice,
                      nilpotent_by_sylows, schmidt_subgroups,
-                     sigma_nilpotent_by_series, sigma_soluble_by_series)
+                     sigma_length_by_quotients, sigma_nilpotent_by_series,
+                     sigma_soluble_by_series)
 from sigmagraph.errors import DomainError
 from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
                               normal_subgroups, quotient, subgroup)
@@ -260,6 +261,27 @@ def test_sigma_length_examples():
     dic3 = build_by_tag("dic3")
     assert sigma_length(dic3, C2).length == 1
     assert sigma_length(dic3, C3).length == 1
+
+
+def _length_or_stall(route, g, cls):
+    try:
+        return route(g, cls).length
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS)
+def test_sigma_length_matches_quotient_route(tag):
+    """The series read in G's normal lattice against the series built from
+    quotient groups: the same length for every class, or the same stall."""
+    g = build_by_tag(tag)
+    stalls = 0
+    for sigma in standard_partitions():
+        for cls in sigma_of_group(g, sigma):
+            got = _length_or_stall(sigma_length, g, cls)
+            assert got == _length_or_stall(sigma_length_by_quotients, g, cls), (sigma, cls)
+            stalls += isinstance(got, str)
+    assert (stalls > 0) == (tag == "A5")
 
 
 def test_sigma_length_needs_separability():

@@ -1,16 +1,17 @@
 import gc
 import json
+import sys
 from itertools import combinations
 
 import pytest
 
+from oracles import component_decomposition_holds
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.group import PermGroup, QuotientGroup, Subgroup
 from sigmagraph.perm import Permutation
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
 from sigmagraph.verify import (ALL_STATEMENTS, CheckResult,
-                               component_decomposition_holds,
                                factorization_fixtures, make_report,
                                run_corpus_sweep, verify_prop_1_2,
                                verify_prop_1_9, verify_prop_1_11,
@@ -190,11 +191,13 @@ def test_sweep_is_deterministic_and_ordered():
                                   lambda: regular_wreath(2, symmetric(3))),
                          ids=("S4", "sl23", "wreath_c2_s3"))
 def test_swept_group_is_freed_without_the_cycle_collector(make):
-    """No value a sweep caches on a group (subgroups, quotients, chief
-    series, Hall and two-generated subgroups, the lattice) refers back to
-    the group, and its strong generating set holds no cycle either, so a
-    group dropped after its sweep is freed at once with all its caches,
-    instead of waiting for a full collection."""
+    """No value a sweep caches on a group (element table, normal lattice,
+    chief series, Hall and Sylow subgroups, the two-generated pool, the
+    lattice, predicate and graph values) refers back to the group, and its
+    strong generating set holds no cycle either, so a group dropped after
+    its sweep is freed at once with all its caches, instead of waiting for
+    a full collection.  QuotientGroup is still counted: no sweep route
+    builds one, and none may leave one behind."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -209,6 +212,27 @@ def test_swept_group_is_freed_without_the_cycle_collector(make):
         gc.set_debug(0)
         gc.garbage.clear()
     assert left == []
+
+
+@pytest.mark.parametrize("make", (lambda: symmetric(4), sl2_3,
+                                  lambda: regular_wreath(2, symmetric(3))),
+                         ids=("S4", "sl23", "wreath_c2_s3"))
+def test_sweep_never_builds_a_quotient_group(make, monkeypatch):
+    """Dispersion and the class length walk up G's own normal lattice, so
+    the full sweep gives the same reports with quotient groups refused."""
+    def sweep():
+        return [r.to_json() for r in run_corpus_sweep([("G", make())], standard_partitions(),
+                                                      ALL_STATEMENTS)]
+
+    expected = sweep()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient group was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sigmagraph") and hasattr(module, "quotient"):
+            monkeypatch.setattr(module, "quotient", refuse)
+    assert sweep() == expected
 
 
 def test_prop_1_2_visits_classes_in_sort_order(monkeypatch):

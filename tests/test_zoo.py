@@ -1,9 +1,10 @@
 import pytest
 
+from oracles import zoo_tags
 from sigmagraph.errors import GroupInputError
 from sigmagraph.zoo import (build_by_tag, corpus, dicyclic12, dihedral,
                             direct_product, regular_wreath, s5_subgroups,
-                            standard_partitions, symmetric, zoo, zoo_tags)
+                            standard_partitions, symmetric, zoo)
 
 
 def test_every_entry_builds_to_expected_order():
