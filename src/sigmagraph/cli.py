@@ -12,14 +12,19 @@ verification reports FAIL, 2 for input errors, domain errors, and resource
 caps.  A group spec with a degree above 256 or more than 64 generators is
 refused as a cap (``max_degree``, ``max_generators``) before any permutation
 is built, and one whose order exceeds ``max_element_order`` (``--max-order``)
-as soon as its strong generating set shows it.  Error messages are a single
-stderr line prefixed ``error:``.
+as soon as its strong generating set shows it.  A ``--pi`` or partition-spec
+integer above 10**6 is refused (``max_prime``) before it is factored.  Error
+messages are a single stderr line prefixed ``error:``.
+
+``main`` can be called many times in one process: it builds the parser on
+its first call and reuses it, and each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -246,10 +251,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than most
+    graph calls, and parse_args gives every call a fresh Namespace."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,6 +1,10 @@
 """Permutations of {0, ..., degree-1} stored as immutable image tuples.
 
 Composition convention: (p * q) applies p first, then q.
+
+A permutation built from outside input (``Permutation(images)``,
+``from_cycles``) is checked to be a bijection.  Products and inverses of
+checked permutations are bijections already, so they skip that check.
 """
 
 from __future__ import annotations
@@ -51,16 +55,14 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if other.degree != self.degree:
-            raise GroupInputError("cannot compose permutations of different degrees")
         o = other.images
-        return Permutation(tuple(o[x] for x in self.images))
+        if len(o) != len(self.images):
+            raise GroupInputError("cannot compose permutations of different degrees")
+        return _trusted(tuple(map(o.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation(tuple(inv))
+        images = self.images
+        return _trusted(tuple(sorted(range(len(images)), key=images.__getitem__)))
 
     @property
     def is_identity(self) -> bool:
@@ -92,3 +94,14 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
+
+
+_set_images = Permutation.images.__set__
+
+
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation on images already known to be a bijection, built
+    without __post_init__'s check."""
+    p = object.__new__(Permutation)
+    _set_images(p, images)
+    return p

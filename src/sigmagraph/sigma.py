@@ -3,16 +3,24 @@
 A partition is given by finitely many explicit prime classes plus an implicit
 residual class holding every other prime, or by the atomic partition in which
 each prime is its own class.  Classes are value objects tied to their
-partition, so classes from different partitions never compare equal.
+partition, so classes from different partitions never compare equal.  Each
+partition object keeps the class of every prime it has classified, so a
+repeated ``classify(p)`` returns the same object.  An integer above
+``_MAX_PRIME`` is refused (cap ``max_prime``) before it is factored, since
+trial division of a large prime would not finish.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DomainError, GroupInputError
+from .errors import DomainError, GroupInputError, ResourceLimitError
+
+# bound on an integer tested for primality: a partition spec's class member
+# or a prime given to classify
+_MAX_PRIME = 10**6
 
 
 @lru_cache(maxsize=None)
@@ -35,14 +43,25 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def primes_of(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in prime_factors(n))
+
+
+def _is_prime(p: int) -> bool:
+    if p > _MAX_PRIME:
+        raise ResourceLimitError(f"{p} is too large to test for primality",
+                                 cap_name="max_prime", cap_value=_MAX_PRIME)
+    return p >= 2 and primes_of(p) == (p,)
 
 
 @dataclass(frozen=True)
 class SigmaPartition:
     explicit_classes: tuple[frozenset[int], ...] = ()
     atomic: bool = False
+    # prime -> its class; filled by classify, never part of equality or hash
+    _classes: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.atomic and self.explicit_classes:
@@ -52,14 +71,20 @@ class SigmaPartition:
             if not cls:
                 raise GroupInputError("explicit classes must be nonempty")
             for p in cls:
-                if p < 2 or primes_of(p) != (p,):
+                if not _is_prime(p):
                     raise GroupInputError(f"{p} is not a prime")
                 if p in seen:
                     raise GroupInputError(f"prime {p} appears in two classes")
                 seen.add(p)
 
     def classify(self, p: int) -> "SigmaClass":
-        if p < 2 or primes_of(p) != (p,):
+        found = self._classes.get(p)
+        if found is None:
+            found = self._classes[p] = self._new_class(p)
+        return found
+
+    def _new_class(self, p: int) -> "SigmaClass":
+        if not _is_prime(p):
             raise DomainError(f"{p} is not a prime")
         if self.atomic:
             return SigmaClass(self, "atomic", prime=p)
@@ -115,7 +140,8 @@ class SigmaClass:
         return "residual"
 
     def contains(self, p: int) -> bool:
-        return self.partition.classify(p) == self
+        found = self.partition.classify(p)
+        return found is self or found == self
 
     @property
     def sort_key(self) -> tuple:

@@ -251,3 +251,78 @@ def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
     rc, out, _ = run(capsys, "graph", "--group", "zoo:S6", "--kind", "vm")
     assert rc == 0
     assert (tmp_path / "S6__vm__atomic.json").read_text() == out
+
+
+@pytest.mark.parametrize("command", [
+    ("check", "--group", "zoo:S3", "--predicate", "pi-closed",
+     "--pi", "1000000000000000003"),
+    ("graph", "--group", "zoo:S3", "--kind", "hawkes",
+     "--sigma", '{"classes": [[1000000000000000003]]}'),
+], ids=("check-pi", "graph-sigma"))
+def test_huge_prime_exits_2_before_factoring(capsys, command):
+    """Trial division of a prime near 10**18 would run for minutes; the
+    integer is refused with cap max_prime before it is factored."""
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *command)
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "max_prime=" in err and err.count("\n") == 1
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Count parser builds from a cleared parser cache, and clear the cache
+    again afterwards so no counted parser outlives the test."""
+    builds = []
+    build = sigmagraph.cli._build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(sigmagraph.cli, "_build_parser", counting_build)
+    sigmagraph.cli._parser.cache_clear()
+    yield builds
+    sigmagraph.cli._parser.cache_clear()
+
+
+S3_HAWKES = ("graph", "--group", "zoo:S3", "--kind", "hawkes")
+
+
+def test_main_builds_the_parser_once(capsys, fresh_parser):
+    outs = [run(capsys, *S3_HAWKES) for _ in range(5)]
+    outs.append(run(capsys, "zoo"))
+    assert len(fresh_parser) == 1
+    assert all(o == outs[0] for o in outs[:5]) and outs[0][0] == 0
+
+
+def test_failed_parse_leaves_no_state(capsys, fresh_parser):
+    """A call that fails argument parsing, then a good call: the good call
+    prints what it prints on its own."""
+    expected = run(capsys, *S3_HAWKES)
+    for bad in (("graph", "--group", "zoo:S3", "--kind", "bogus"),
+                ("graph", "--kind", "hall"),
+                ("--max-order", "x", "graph", "--group", "zoo:S4", "--kind", "hall"),
+                ("check", "--group", "zoo:S4", "--predicate", "schmidt", "--extra")):
+        rc, out, err = run(capsys, *bad)
+        assert rc == 2 and out == "" and err.startswith("error:")
+        assert run(capsys, *S3_HAWKES) == expected
+    assert len(fresh_parser) == 1
+
+
+def test_options_do_not_carry_over(capsys, fresh_parser):
+    """--max-order given in one call does not bound the next one, and the
+    sigma of one call is not the default of the next."""
+    s5 = '{"degree": 5, "generators": [[1, 2], [1, 2, 3, 4, 5]]}'
+    rc, _, err = run(capsys, "--max-order", "100", "graph", "--group", s5,
+                     "--kind", "hawkes")
+    assert rc == 2 and "[cap max_element_order=100]" in err
+    rc, out, err = run(capsys, "graph", "--group", s5, "--kind", "hawkes")
+    assert rc == 0 and err == ""
+    assert [v["tag"] for v in json.loads(out)["vertices"]] == ["atomic:2", "atomic:3", "atomic:5"]
+    rc, out, _ = run(capsys, "graph", "--group", s5, "--kind", "hawkes",
+                     "--sigma", '{"classes": [[2, 3]]}')
+    assert rc == 0 and json.loads(out)["vertices"][0]["tag"] == "explicit:0"
+    rc, out, _ = run(capsys, "graph", "--group", s5, "--kind", "hawkes")
+    assert json.loads(out)["vertices"][0]["tag"] == "atomic:2"
+    assert len(fresh_parser) == 1

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import GroupInputError
 from sigmagraph.perm import Permutation
+from sigmagraph.zoo import zoo
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n))).map(lambda xs: Permutation(tuple(xs)))
@@ -68,3 +70,49 @@ def test_order_is_exponent(p):
 def test_associativity(triple):
     a, b, c = (Permutation(tuple(x)) for x in triple)
     assert (a * b) * c == a * (b * c)
+
+
+def validated(images):
+    """The same permutation, built through the bijection check."""
+    return Permutation(tuple(images))
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_trusted_products_and_inverses_equal_validated_ones(pair):
+    """Products and inverses skip the bijection check; they are still equal,
+    and hash equal, to the permutation built with the check."""
+    a, b = (validated(x) for x in pair)
+    for made, images in ((a * b, [b.images[x] for x in a.images]),
+                         (a.inverse(), [a.images.index(i) for i in range(a.degree)])):
+        expected = validated(images)
+        assert made == expected and hash(made) == hash(expected)
+        assert type(made) is Permutation and made.images == expected.images
+
+
+def test_images_that_are_not_a_bijection_are_refused():
+    for images in ((0, 0, 1), (1, 2, 3), ()):
+        with pytest.raises(GroupInputError):
+            Permutation(images)
+
+
+def test_bsgs_of_every_zoo_group_matches_validated_closure():
+    """The order and the element list of every zoo group's strong
+    generating set agree with a closure that builds every product with the
+    bijection check."""
+    for entry in zoo():
+        G = entry.build()
+        ident = validated(range(G.degree))
+        seen = {ident.images}
+        frontier = [ident]
+        for x in frontier:
+            for g in G.generators:
+                y = validated(g.images[i] for i in x.images)
+                if y.images not in seen:
+                    seen.add(y.images)
+                    frontier.append(y)
+        bsgs = Bsgs(G.degree, G.generators)
+        elems = bsgs.elements()
+        assert bsgs.order == len(elems) == len(seen) == entry.expected_order, entry.tag
+        assert {p.images for p in elems} == seen, entry.tag
+        assert [p.images for p in G.elements()] == sorted(seen), entry.tag

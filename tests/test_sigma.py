@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import is_class_number
-from sigmagraph.errors import DomainError, GroupInputError
+from sigmagraph.errors import DomainError, GroupInputError, ResourceLimitError
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, class_part,
                               parse_sigma_spec, pi_part,
                               prime_factors, primes_of, sigma_coprime,
@@ -103,3 +103,67 @@ def test_sort_key_orders_explicit_before_residual():
     classes = sorted([SPLIT.classify(7), SPLIT.classify(3), SPLIT.classify(2)],
                      key=lambda c: c.sort_key)
     assert [c.tag for c in classes] == ["explicit:0", "explicit:1", "residual"]
+    assert [SPLIT.classify(p).sort_key for p in (11, 3, 5)] == [(2, 0), (0, 1), (0, 0)]
+    atomic = sorted((ATOMIC.classify(p) for p in (7, 2, 5, 3)), key=lambda c: c.sort_key)
+    assert [c.sort_key for c in atomic] == [(1, 2), (1, 3), (1, 5), (1, 7)]
+
+
+def test_classify_memo_returns_one_object_per_prime():
+    sigma = SigmaPartition(explicit_classes=(frozenset({2, 5}), frozenset({3})))
+    for p in (2, 3, 5, 7, 11):
+        assert sigma.classify(p) is sigma.classify(p)
+    assert sigma.classify(2) == sigma.classify(5) != sigma.classify(3)
+    assert ATOMIC.classify(7) is ATOMIC.classify(7)
+
+
+def test_classes_of_equal_partitions_are_equal():
+    """Two equal-valued partition objects keep separate memos, and their
+    classes still compare and hash equal."""
+    a = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
+    b = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
+    assert a is not b and a == b and hash(a) == hash(b)
+    for p in (2, 3, 5, 7):
+        ca, cb = a.classify(p), b.classify(p)
+        assert ca is not cb and ca == cb and hash(ca) == hash(cb)
+        assert ca.sort_key == cb.sort_key and ca.tag == cb.tag
+    assert SigmaPartition(atomic=True).classify(5) == ATOMIC.classify(5)
+
+
+def test_classes_of_different_partitions_never_equal():
+    partitions = (ATOMIC, TWO_THREE, SPLIT)
+    for p in (2, 3, 5, 7):
+        classes = [sigma.classify(p) for sigma in partitions]
+        classes += [sigma.classify(p) for sigma in partitions]
+        for i, c in enumerate(classes):
+            for j, d in enumerate(classes):
+                assert (c == d) == (i % 3 == j % 3)
+
+
+def test_classify_errors_are_never_cached():
+    sigma = SigmaPartition(explicit_classes=(frozenset({2}),))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            sigma.classify(6)
+        with pytest.raises(DomainError):
+            sigma.classify(1)
+        with pytest.raises(ResourceLimitError) as exc:
+            sigma.classify(10**18 + 3)
+        assert exc.value.cap_name == "max_prime"
+    assert sigma.classify(2).tag == "explicit:0"
+
+
+@given(st.integers(min_value=2, max_value=200))
+def test_memoised_class_matches_a_fresh_partition(p):
+    if primes_of(p) != (p,):
+        return
+    for sigma in (ATOMIC, TWO_THREE, SPLIT):
+        fresh = SigmaPartition.from_json(sigma.to_json())
+        assert sigma.classify(p) == fresh.classify(p)
+        assert primes_of(p) is primes_of(p)
+
+
+def test_partition_spec_refuses_a_huge_integer_before_factoring():
+    with pytest.raises(ResourceLimitError) as exc:
+        parse_sigma_spec('{"classes": [[2], [1000000000000000003]]}')
+    assert exc.value.cap_name == "max_prime"
+    assert SigmaPartition(explicit_classes=(frozenset({999983}),)).classify(999983).tag == "explicit:0"
