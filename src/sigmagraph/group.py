@@ -23,8 +23,9 @@ subgroup is generated by ``_Universe.closure``, which extends a subgroup the
 caller already holds by new generators, one left coset at a time (Dimino's
 algorithm; Butler, Fundamental Algorithms for Permutation Groups, LNCS 559).
 Subgroup searches work up to conjugacy: they extend one representative K per
-class, by one cyclic subgroup per N_G(K)-orbit, and spread each new subgroup
-over its class by gathers on the conjugation rows of G's generators.
+class, by one cyclic subgroup per N_G(K)-orbit, skip a join that an earlier
+join of prime index over K already holds, and spread each new subgroup over
+its class by gathers on the conjugation rows of G's generators.
 Centralisers, normalisers and conjugation rows compare or gather whole rows
 and columns of the table instead of multiplying element by element.
 Quotients are read in G's own normal lattice: the normal subgroups of G/K
@@ -51,9 +52,9 @@ from .sigma import prime_factors
 @dataclass(frozen=True)
 class EngineLimits:
     """Enumeration caps. Orders are group-order gates; the count cap bounds
-    the subgroups a search finds and the work cap the closures it runs (one
-    per normaliser orbit of extensions), as neither is a function of the
-    group order alone."""
+    the subgroups a search finds and the work cap the joins it takes up (one
+    per normaliser orbit of extensions, closed or skipped as already
+    known), as neither is a function of the group order alone."""
 
     max_subgroup_order: int = 500
     max_element_order: int = 5000
@@ -234,6 +235,9 @@ class _Universe:
     gather boxes nothing and builds nothing besides the tuple.  Inverses
     are read off the rows.  Whole-table reads go through ``rows()`` and
     ``column()``, which above the limit compose each entry as it is read.
+    A conjugation row is two C-level gathers through the inverses, since
+    i·g = (g⁻¹·i⁻¹)⁻¹; a column stays one ``itemgetter`` read per row,
+    which measured no slower than a gather through the inverses.
 
     ``gens`` are the indices of the generators the table was built from
     (no identity, no repeats); ``conjugation_rows()`` are conjugation by
@@ -379,13 +383,21 @@ class _Universe:
 
     def conjugation_rows(self, by=None) -> tuple[tuple[int, ...], ...]:
         """For each g of ``by`` (G's generators by default, whose rows are
-        cached), the row i -> g⁻¹·i·g: column g (i·g) gathered at row g⁻¹."""
+        cached), the row i -> g⁻¹·i·g.  With a table that is two C-level
+        gathers: row g⁻¹ read at the inverses is f: i -> g⁻¹·i⁻¹, and f read
+        at f is g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g.  Without one, column g (i·g) is
+        gathered at row g⁻¹."""
         if by is None:
             if self._conj is None:
                 self._conj = self.conjugation_rows(self.gens)
             return self._conj
+        inv = self.inv_arr
         rows = self.rows()
-        return tuple(tuple(map(rows[self.inv_arr[g]].__getitem__, self.column(g))) for g in by)
+        if self.mul_rows is None:
+            return tuple(tuple(map(rows[inv[g]].__getitem__, self.column(g))) for g in by)
+        at_inverses = _getter(inv)
+        fs = (at_inverses(rows[inv[g]]) for g in by)
+        return tuple(_getter(f)(f) for f in fs)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Conjugacy classes, as sorted index tuples ordered by smallest
@@ -656,13 +668,30 @@ def _conjugates(u: _Universe, found: dict) -> dict:
 def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
     """Close each (K, gens) of pairs to <K, gens>; add each subgroup not yet
     found, with its conjugacy class, to found and yield it.  Raises past
-    max_join_work closures or max_subgroup_count subgroups."""
+    max_join_work pairs or max_subgroup_count subgroups.
+
+    A join <K, y> is not closed when y lies in an earlier join H over the
+    same K with |H : K| prime: for y outside K, K < <K, y> <= H, so
+    <K, y> = H by Lagrange (and for y in K it is K), already found.  Only
+    the union of such joins over the K of the previous pair is held; the
+    lattice gives the pairs of one K together, and a new K starts a new
+    union.  A skipped pair still counts toward max_join_work, so the
+    subgroups, their generators and the pair at which a cap fires are those
+    of closing every pair."""
+    held, known = None, set()  # known: the prime-index joins over K = held
     for work, (k, gens) in enumerate(pairs):
         if work == limits.max_join_work:
             raise ResourceLimitError(
                 "subgroup search exceeded its closure budget",
                 cap_name="max_join_work", cap_value=limits.max_join_work)
+        if k is not held:
+            held, known = k, set()
+        elif len(gens) == 1 and gens[0] in known:
+            continue
         h = u.closure(gens, base=k)
+        factors = prime_factors(len(h) // len(k))
+        if len(factors) == 1 and factors[0][1] == 1:
+            known |= h
         if h not in found:
             h_gens = found[k] + gens
             cls = _conjugates(u, {h: h_gens if len(h_gens) <= 4 else u.derive_gens(h)})
@@ -759,11 +788,12 @@ def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[S
     outside M; the last power y of z outside M has y^p in M, and
     H = <M, y>.  For x in N_G(K), <K, y>^x = <K, y^x>, so only the first <y>
     of each N_G(K)-orbit is closed (``_orbit_firsts``): the others give
-    conjugates already found.  The subgroups, their generators and the
-    point where a cap fires are those of closing every <y>.
-    max_subgroup_order gates G; max_subgroup_count caps the subgroups found
-    (the sum of the class lengths), max_join_work the closures actually
-    run."""
+    conjugates already found.  A <y> inside an earlier join of prime index
+    over K is not closed either: that join is <K, y> (``_new_classes``).
+    The subgroups, their generators and the point where a cap fires are
+    those of closing every <y>.  max_subgroup_order gates G;
+    max_subgroup_count caps the subgroups found (the sum of the class
+    lengths), max_join_work the joins taken up, skipped ones included."""
     return [Subgroup(G, s, g) for s, g in _all_subgroup_sets(G, limits)]
 
 

@@ -66,7 +66,8 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        images = self.images
+        return images == tuple(range(len(images)))
 
     def order(self) -> int:
         cycs = self.cycles()

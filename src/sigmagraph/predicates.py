@@ -233,9 +233,12 @@ def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> b
     |H|_pi) generate a normal subgroup that holds a Sylow p-subgroup for each
     p in pi, so its order is a multiple of |H|_pi; it is a normal Hall
     subgroup exactly when it is no larger, and a normal Hall subgroup holds
-    every pi-element."""
+    every pi-element.  A pi-group or pi'-group (|H|_pi = |H| or 1) is its
+    own or the trivial normal Hall subgroup, decided without a closure."""
     u = G.universe(limits)
     target = pi_part(len(idxs), pi)
+    if target == 1 or target == len(idxs):
+        return True
     generated = u.closure([i for i in idxs if target % u.orders[i] == 0], cap=target)
     if generated is not None and len(generated) != target:
         raise CrossCheckError("the pi-elements generate a subgroup below the pi-part")

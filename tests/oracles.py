@@ -11,21 +11,21 @@ groups by the full subgroup lattice and Schmidt subgroups by a walk over the
 two-generated subgroups, pi-closure by the normal-subgroup lattice, the
 Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
-per normaliser orbit).  The library must agree with these on every group
-small enough to brute-force.  Test-only helpers (the zoo's tags, the vm
-component decomposition) live here too.
+per normaliser orbit, known joins included).  The library must agree with
+these on every group small enough to brute-force.  Test-only helpers (the
+zoo's tags, the vm component decomposition) live here too.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from sigmagraph.errors import CrossCheckError, DomainError
+from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm, weak_components
-from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _new_classes,
-                              _normal_subgroup_sets, _power, _sorted_sets,
-                              all_subgroups, centralizer, centralizer_of_factor,
-                              core_series_subgroup, hall_subgroups, is_normal,
+from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_subgroup_sets,
+                              _power, _sorted_sets, all_subgroups, centralizer,
+                              centralizer_of_factor, core_series_subgroup,
+                              hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
@@ -96,6 +96,28 @@ def brute_subgroup_sets(G) -> set[frozenset]:
     return found
 
 
+def new_classes_every_join(u, found, pairs, limits):
+    """The library's ``_new_classes`` without its skip of known joins: close
+    every (K, gens) of pairs to <K, gens>, add each subgroup not yet found,
+    with its conjugacy class, to found and yield it.  Raises past
+    max_join_work closures or max_subgroup_count subgroups."""
+    for work, (k, gens) in enumerate(pairs):
+        if work == limits.max_join_work:
+            raise ResourceLimitError(
+                "subgroup search exceeded its closure budget",
+                cap_name="max_join_work", cap_value=limits.max_join_work)
+        h = u.closure(gens, base=k)
+        if h not in found:
+            h_gens = found[k] + gens
+            cls = _conjugates(u, {h: h_gens if len(h_gens) <= 4 else u.derive_gens(h)})
+            if len(found) + len(cls) > limits.max_subgroup_count:
+                raise ResourceLimitError(
+                    "subgroup family grew past the count cap",
+                    cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+            found.update(cls)
+            yield h
+
+
 def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
     """``all_subgroups`` as (element set, generators) pairs, with each class
     representative K closed with every cyclic p-subgroup <y>, y outside K and
@@ -111,7 +133,7 @@ def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
     found = {trivial: ()}
     reps = [trivial]
     pairs = ((k, (y,)) for k in reps for y, yp in steps if y not in k and yp in k)
-    for h in _new_classes(u, found, pairs, limits):
+    for h in new_classes_every_join(u, found, pairs, limits):
         reps.append(h)
     return [(s, found[s]) for s in _sorted_sets(found)]
 
@@ -130,7 +152,7 @@ def two_generated_sets_every_join(G, limits=DEFAULT_LIMITS) -> list:
             found.update(_conjugates(u, {a: a_gens}))
     pairs = ((a, b_gens) if len(a) >= len(b) else (b, found[a])
              for a in reps for b, b_gens in cyclic.items() if not (a <= b or b <= a))
-    for _ in _new_classes(u, found, pairs, limits):
+    for _ in new_classes_every_join(u, found, pairs, limits):
         pass
     return [(s, found[s]) for s in _sorted_sets(found)]
 

@@ -21,7 +21,7 @@ from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
 from sigmagraph.errors import CrossCheckError, ResourceLimitError
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _Universe,
                               all_subgroups, centralizer, centralizer_of_factor,
-                              hall_subgroups, normal_subgroups, normalizer,
+                              hall_subgroups, normal_subgroups, normalizer, sylow,
                               two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
@@ -319,3 +319,75 @@ def test_orbit_pruned_lattice_stops_at_the_same_cap(monkeypatch):
         closures.append(counts[0])
     assert caps == [("max_subgroup_count", DEFAULT_LIMITS.max_subgroup_count)] * 2
     assert closures[0] < closures[1]
+
+
+def test_known_joins_are_skipped_with_the_same_results(monkeypatch):
+    """A join <K, y> with y in an earlier prime-index join over K is not
+    closed.  Under a raised count cap the lattice and the pool of the
+    order-384 wreath group still equal the every-join oracles, sets and
+    generators, in the same order."""
+    counts = count_closures(monkeypatch)
+    limits = EngineLimits(max_subgroup_count=5000)
+    routes = ((all_subgroups, subgroup_sets_every_extension),
+              (two_generated_subgroups, two_generated_sets_every_join))
+    for library, oracle in routes:
+        got, skipped = run_counted(counts, lambda: pairs_of(library(fresh("wreath_c2_s3"), limits)))
+        want, every = run_counted(counts, lambda: oracle(fresh("wreath_c2_s3"), limits))
+        assert got == want
+        assert skipped < every
+
+
+def test_capped_lattice_closes_at_most_half_the_oracles_joins(monkeypatch):
+    """Under the default caps the wreath group's lattice stops at the count
+    cap after at most half the closures of closing every extension, and
+    after no more than 6400 (12,642 before known joins were skipped)."""
+    counts = count_closures(monkeypatch)
+    closures = []
+    for route in (all_subgroups, subgroup_sets_every_extension):
+        counts[0] = 0
+        with pytest.raises(ResourceLimitError) as exc:
+            route(fresh("wreath_c2_s3"))
+        assert exc.value.cap_name == "max_subgroup_count"
+        closures.append(counts[0])
+    assert 2 * closures[0] <= closures[1]
+    assert closures[0] <= 6400
+
+
+@pytest.mark.parametrize("route", (all_subgroups, two_generated_subgroups))
+def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
+    """A skipped pair still counts: with max_join_work = 300 the cap fires
+    after fewer than 300 closures, joins and generator derivations
+    together."""
+    counts = count_closures(monkeypatch)
+    with pytest.raises(ResourceLimitError) as exc:
+        route(fresh("wreath_c2_s3"), EngineLimits(max_join_work=300))
+    assert (exc.value.cap_name, exc.value.cap_value) == ("max_join_work", 300)
+    assert counts[0] < 300
+
+
+def assert_gathers_match_entries(G):
+    """column(g) and conjugation_rows(by) against u.mul and u.conj read one
+    entry at a time, for by = G's generators and by = generators of the
+    normaliser of a Sylow 2-subgroup."""
+    u = G.universe()
+    normaliser = normalizer(G, sylow(G, 2))
+    for by in (u.gens, u.derive_gens(normaliser.indices)):
+        for g in by:
+            assert list(u.column(g)) == [u.mul(i, g) for i in range(u.n)]
+        want = [[u.conj(i, g) for i in range(u.n)] for g in by]
+        assert [list(row) for row in u.conjugation_rows(by)] == want
+    assert [list(row) for row in u.conjugation_rows()] == [
+        [u.conj(i, g) for i in range(u.n)] for g in u.gens]
+
+
+@pytest.mark.parametrize("tag", ("S4", "A5", "wreath_c2_s3"))
+def test_column_and_conjugation_gathers_match_entries(tag):
+    assert_gathers_match_entries(fresh(tag))
+
+
+@pytest.mark.parametrize("tag", ("S4", "A5", "wreath_c2_s3"))
+def test_column_and_conjugation_gathers_match_entries_without_a_table(tag, monkeypatch):
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    g = fresh(tag)
+    assert g.universe().mul_rows is None
+    assert_gathers_match_entries(g)

@@ -58,6 +58,12 @@ def test_inverse_cancels(p):
 
 
 @given(perms)
+def test_is_identity_iff_no_cycles(p):
+    assert p.is_identity == (p.cycles() == [])
+    assert Permutation.identity(p.degree).is_identity
+
+
+@given(perms)
 def test_order_is_exponent(p):
     q = p
     for _ in range(p.order() - 1):
