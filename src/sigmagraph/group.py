@@ -385,16 +385,15 @@ class _Universe:
         """For each g of ``by`` (G's generators by default, whose rows are
         cached), the row i -> g⁻¹·i·g.  With a table that is two C-level
         gathers: row g⁻¹ read at the inverses is f: i -> g⁻¹·i⁻¹, and f read
-        at f is g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g.  Without one, column g (i·g) is
-        gathered at row g⁻¹."""
+        at f is g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g.  Without one, the first gather
+        composes the n entries of f as it reads them and the second is a
+        plain tuple gather."""
         if by is None:
             if self._conj is None:
                 self._conj = self.conjugation_rows(self.gens)
             return self._conj
         inv = self.inv_arr
         rows = self.rows()
-        if self.mul_rows is None:
-            return tuple(tuple(map(rows[inv[g]].__getitem__, self.column(g))) for g in by)
         at_inverses = _getter(inv)
         fs = (at_inverses(rows[inv[g]]) for g in by)
         return tuple(_getter(f)(f) for f in fs)
