@@ -10,8 +10,7 @@ from .errors import (CrossCheckError, DomainError, GroupInputError,
                      ResourceLimitError, SigmaGraphError)
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                      graphs_equal, has_circuit, has_loop, is_subgraph,
-                     isolated_vertices, to_dot, to_json, union,
-                     weak_components)
+                     isolated_vertices, to_dot, to_json, union)
 from .group import (DEFAULT_LIMITS, ChiefSeries, EngineLimits, PermGroup,
                     QuotientGroup, Subgroup, all_subgroups, centralizer,
                     centralizer_of_factor, chief_series, core_series_subgroup,

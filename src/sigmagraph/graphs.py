@@ -99,7 +99,8 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
                 for cj in sigma_of_int(n.order // hc, sigma):
                     edges.add((ci, cj))
         return vertices, frozenset(edges)
-    vertices, edges = _memo(G, ("graph", "hall", sigma), compute, limits)
+    key = ("graph", "hall", sigma, limits.max_subgroup_count)  # the Hall search's cap
+    vertices, edges = _memo(G, key, compute, limits)
     return SigmaGraph("hall", group_tag, sigma, vertices, edges,
                       _vertex_primes(G.order, vertices, sigma))
 
@@ -158,29 +159,6 @@ def has_circuit(graph: SigmaGraph) -> bool:
 def isolated_vertices(graph: SigmaGraph) -> frozenset[SigmaClass]:
     touched = {a for a, _ in graph.edges} | {b for _, b in graph.edges}
     return frozenset(graph.vertices - touched)
-
-
-def weak_components(graph: SigmaGraph) -> list[frozenset[SigmaClass]]:
-    """Connected components ignoring direction, canonically ordered."""
-    neighbours = {v: set() for v in graph.vertices}
-    for a, b in graph.edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    seen: set[SigmaClass] = set()
-    out = []
-    for v in graph.sorted_vertices():
-        if v in seen:
-            continue
-        comp, queue = {v}, [v]
-        while queue:
-            x = queue.pop()
-            for y in neighbours[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
 
 
 def _require_same_partition(g1: SigmaGraph, g2: SigmaGraph):

@@ -1,14 +1,16 @@
 """Permutation-group kernel: generated groups, subgroup search, normal series.
 
 All public values are immutable after construction and every operation is a
-pure function of its inputs.  Every value cached on a group goes through
-``_memo``: it is only ever reused, never mutated, a value that depends on a
-cap (a subgroup family) is keyed by that cap, and every read checks
-max_element_order first, cached or not, so memoisation is observationally
-transparent.  A group's caches hold index sets and generator indices, never
-a value that refers back to the group (``Subgroup`` and ``ChiefSeries``
-wrappers are made per call), so a dropped group is freed at once, not by
-the cycle collector.
+pure function of its inputs.  Every value cached on a group, a quotient and
+a cap failure included, goes through ``_memo``: it is only ever reused,
+never mutated, a value that depends on a cap (a subgroup family, a Hall
+graph) is keyed by that cap, a ResourceLimitError is cached as a fresh copy
+and raised again on every read, and every read checks max_element_order
+first, cached or not, so memoisation is observationally transparent.  A
+group's caches hold index sets and generator indices, never a value that
+refers back to the group (``Subgroup`` and ``ChiefSeries`` wrappers are
+made per call), so a dropped group is freed at once, not by the cycle
+collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on an indexed multiplication table of the ambient group
@@ -127,12 +129,20 @@ def _memo(G: PermGroup, key, compute, limits: EngineLimits):
     """G's value for key, computed on the first call and cached on G.  Every
     read checks max_element_order first, cached or not, so a cap holds
     whatever ran before on the group; a value that depends on another cap
-    carries that cap in its key."""
+    carries that cap in its key.  A ResourceLimitError that compute raises
+    is cached as well, without its traceback (which holds compute's partial
+    work), and every later read raises a fresh copy of it."""
     _require_enumerable(G, limits)
     cache = G._cache
-    if key in cache:
-        return cache[key]
-    value = cache[key] = compute()
+    if key not in cache:
+        try:
+            cache[key] = compute()
+        except ResourceLimitError as exc:
+            cache[key] = exc.fresh()
+            raise
+    value = cache[key]
+    if isinstance(value, ResourceLimitError):
+        raise value.fresh()
     return value
 
 
@@ -554,9 +564,9 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSe
         full = normal_sets[-1][0]
         while chain[-1] != full:
             cur = chain[-1]
-            above = [s for s, _ in normal_sets if cur < s]
-            minimal = [s for s in above if not any(t < s for t in above if t is not s)]
-            chain.append(minimal[0])
+            # the first normal set above cur is minimal over it: a normal
+            # subgroup strictly between would be smaller and sort earlier
+            chain.append(next(s for s, _ in normal_sets if cur < s))
         return chain
     chain = _memo(G, "chief_series", compute, limits)
     gens_by_set = dict(normal_sets)
@@ -603,45 +613,29 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
     """Quotient G/N via the faithful action on the cosets of N, as a group
     of its own.  No library route calls it: the predicates read G/N in G's
     normal lattice (``_largest_normal_over``); the tests use it as a second
-    route."""
-    _require_subgroup_of(G, N, "N")
-    u = G.universe(limits)
-    n_set = N.indices
-    key = ("quotient", n_set)
-    if key in G._cache:
-        return QuotientGroup(G, N, *G._cache[key])
-    g_gens = u.gens
-    if not all(u.conj(n, g) in n_set for g in g_gens for n in N.gens):
+    route.  Cosets are numbered by their least elements, in order."""
+    if not is_normal(G, N, limits):
         raise DomainError("cannot form the quotient: subgroup is not normal")
+    u = G.universe(limits)
     if N.order == 1:  # the image is G itself, which G's own cache must not hold
         return QuotientGroup(G, N, G, {u.images[i]: u.perms[i] for i in range(u.n)})
-    if N.order == G.order:
-        ident = Permutation.identity(1)
-        G._cache[key] = (PermGroup(1, ()), {u.images[i]: ident for i in range(u.n)})
-        return QuotientGroup(G, N, *G._cache[key])
-    coset_of = [-1] * u.n
-    reps: list[int] = []
-    for i in range(u.n):
-        if coset_of[i] >= 0:
-            continue
-        c = len(reps)
-        reps.append(i)
-        for n in n_set:
-            coset_of[u.mul(n, i)] = c
-    index = len(reps)
-    proj = {}
-    for x in range(u.n):
-        images = tuple(coset_of[u.mul(r, x)] for r in reps)
-        proj[u.images[x]] = Permutation(images)
-    image = PermGroup(index, tuple(proj[u.images[g]] for g in g_gens))
-    if image.order * N.order != G.order:
-        raise CrossCheckError("coset action order disagrees with the index")
-    for a in G.generators:
-        for b in G.generators:
-            if proj[(a * b).images] != proj[a.images] * proj[b.images]:
-                raise CrossCheckError("coset projection is not a homomorphism on generators")
-    G._cache[key] = (image, proj)
-    return QuotientGroup(G, N, image, proj)
+
+    def compute():
+        labels = _coset_labels(u, N.indices)
+        reps = sorted(set(labels))
+        rank = {r: c for c, r in enumerate(reps)}
+        coset_of = [rank[x] for x in labels]
+        proj = {u.images[x]: Permutation(tuple(coset_of[u.mul(r, x)] for r in reps))
+                for x in range(u.n)}
+        image = PermGroup(len(reps), tuple(proj[u.images[g]] for g in u.gens))
+        if image.order * N.order != G.order:
+            raise CrossCheckError("coset action order disagrees with the index")
+        for a in G.generators:
+            for b in G.generators:
+                if proj[(a * b).images] != proj[a.images] * proj[b.images]:
+                    raise CrossCheckError("coset projection is not a homomorphism on generators")
+        return image, proj
+    return QuotientGroup(G, N, *_memo(G, ("quotient", N.indices), compute, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +742,6 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     key = (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work)
 
     def compute():
-        failure = G._cache.get("all_subgroup_sets_failure")
-        if failure is not None and failure[0] == key:
-            raise failure[1].fresh()
         u = G.universe(limits)
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
         for y, in filter(None, u.cyclic_subgroups().values()):
@@ -764,13 +755,8 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
         pairs = ((k, (y,)) for k in reps
                  for y in _orbit_firsts(u, k, found[k], canon,
                                         (y for y, yp in steps if y not in k and yp in k)))
-        try:
-            for h in _new_classes(u, found, pairs, limits):
-                reps.append(h)
-        except ResourceLimitError as exc:
-            # the raised error's traceback holds the partial lattice: keep a copy
-            G._cache["all_subgroup_sets_failure"] = (key, exc.fresh())
-            raise
+        for h in _new_classes(u, found, pairs, limits):
+            reps.append(h)
         return [(s, found[s]) for s in _sorted_sets(found)]
     return _memo(G, ("all_subgroup_sets", *key), compute, limits)
 

@@ -36,11 +36,15 @@ class Permutation:
 
     @staticmethod
     def from_cycles(degree: int, cycles, one_based: bool = False) -> "Permutation":
-        """Build a permutation from disjoint cycles given as point sequences."""
+        """Build a permutation from disjoint cycles given as point sequences.
+        A point must be an int (a bool is refused): no value is coerced."""
         images = list(range(degree))
         seen: set[int] = set()
         for cycle in cycles:
-            pts = [int(x) - 1 if one_based else int(x) for x in cycle]
+            for x in cycle:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise GroupInputError(f"cycle point {x!r} is not an integer")
+            pts = [x - 1 if one_based else x for x in cycle]
             for x in pts:
                 if not 0 <= x < degree:
                     raise GroupInputError(f"cycle point {x + 1 if one_based else x} out of range for degree {degree}")

@@ -2,9 +2,9 @@
 
 Sigma-solubility and sigma-nilpotency are read off chief-factor data,
 nilpotency off element orders in the group's own table, and the Schmidt
-test and types off element pairs there; class-local nilpotency uses the
-normal-complement criterion.  Dispersion and the class length walk up G's
-own normal lattice, where the normal subgroups of a quotient G/K are those
+test and types off element pairs there.  F_i (hence class-local
+nilpotency), dispersion and the class length are pullbacks in G's own
+normal lattice, where the normal subgroups of a quotient G/K are those
 over K.  No subgroup or quotient is built as a group of its own.
 Each quantity has one route here; the cross-check routes live with the
 tests.  A proved fact that the data contradicts (a unique maximum, a
@@ -22,7 +22,7 @@ from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
                     _largest_normal_over, _memo, centralizer_of_factor, chief_series,
-                    is_normal, normal_subgroups, sylow)
+                    is_normal, sylow)
 from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
                     prime_factors, primes_of, sigma_of_int)
 
@@ -95,20 +95,18 @@ def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
 
 def f_class_subgroup(G: PermGroup, cls: SigmaClass,
                      limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Largest normal N that is class-nilpotent for cls: some normal M of G
-    inside N has |M| = |N| / |N|_cls (a normal Hall subgroup of N is
-    characteristic in N, hence normal in G).  The maximum is unique (the
-    class is closed under normal products); the scan asserts that."""
+    """Largest normal N that is class-nilpotent for cls, that is, has a
+    normal Hall subgroup M avoiding cls (characteristic in N, hence normal in
+    G).  Read in G's own normal lattice as a pullback: O, the largest normal
+    subgroup avoiding cls, then the largest normal N over O with |N : O| in
+    cls.  Such an N is class-nilpotent with M = O; and any class-nilpotent
+    normal N has M inside O and NO/O a cls-group, so NO lies in that N."""
     def compute():
-        normals = normal_subgroups(G, limits)
-        hits = [n for n in normals
-                if any(m.order * class_part(n.order, cls) == n.order
-                       and m.indices <= n.indices for m in normals)]
-        best = hits[-1]  # normals ascend by order
-        if not all(n.indices <= best.indices for n in hits):
-            raise CrossCheckError(
-                "class-nilpotent normal subgroups admit no unique maximum")
-        return best.indices, best.gens
+        primes = primes_of(G.order)
+        floor = frozenset({G.universe(limits).identity})
+        away, _ = _largest_normal_over(G, floor, [p for p in primes if not cls.contains(p)],
+                                       limits)
+        return _largest_normal_over(G, away, [p for p in primes if cls.contains(p)], limits)
     return Subgroup(G, *_memo(G, ("f_class", cls), compute, limits))
 
 

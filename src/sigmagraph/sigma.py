@@ -98,15 +98,21 @@ class SigmaPartition:
 
     @staticmethod
     def from_json(data: dict) -> "SigmaPartition":
+        """Read ``{"classes": [[2, 3], [5]], "atomic": false}`` as to_json
+        writes it, without coercion: the classes and each class are lists,
+        every member an int (not a bool), and atomic a boolean."""
         if not isinstance(data, dict):
             raise GroupInputError("partition spec must be a JSON object")
         classes = data.get("classes", [])
-        atomic = bool(data.get("atomic", False))
-        try:
-            explicit = tuple(frozenset(int(p) for p in cls) for cls in classes)
-        except (TypeError, ValueError) as exc:
-            raise GroupInputError(f"bad class list in partition spec: {exc}") from exc
-        return SigmaPartition(explicit, atomic=atomic)
+        atomic = data.get("atomic", False)
+        if not isinstance(atomic, bool):
+            raise GroupInputError(f"partition spec atomic must be true or false, got {atomic!r}")
+        if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
+            raise GroupInputError("partition spec classes must be a list of lists")
+        for p in (p for cls in classes for p in cls):
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise GroupInputError(f"partition spec member {p!r} is not an integer")
+        return SigmaPartition(tuple(map(frozenset, classes)), atomic=atomic)
 
 
 ATOMIC = SigmaPartition(atomic=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
@@ -161,16 +162,12 @@ def _product_order(x: Subgroup, y: Subgroup) -> int:
     return x.order * y.order // len(x.indices & y.indices)
 
 
-def _vm_or_empty(G: PermGroup, sigma, limits, tag) -> SigmaGraph:
-    if G.is_trivial:
-        return SigmaGraph("vm", tag, sigma, frozenset(), frozenset())
-    return build_vm(G, sigma, limits, tag)
-
-
-def _hawkes_or_empty(G: PermGroup, sigma, limits, tag) -> SigmaGraph:
-    if G.is_trivial:
-        return SigmaGraph("hawkes", tag, sigma, frozenset(), frozenset())
-    return build_hawkes(G, sigma, limits, tag)
+def _factor_union(build, factors, sigma, limits) -> SigmaGraph:
+    """The union of build's graphs of the factors, tagged A, B, C.  A
+    trivial factor has no class graph and adds the empty one."""
+    graphs = [SigmaGraph("empty", tag, sigma, frozenset(), frozenset()) if x.group.is_trivial
+              else build(x.group, sigma, limits, tag) for tag, x in zip("ABC", factors)]
+    return reduce(union, graphs)
 
 
 def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
@@ -195,9 +192,7 @@ def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
 
     conclusions = []
     if is_sigma_soluble(G, sigma, limits):
-        got = union(union(_vm_or_empty(A.group, sigma, limits, "A"),
-                          _vm_or_empty(B.group, sigma, limits, "B")),
-                    _vm_or_empty(C.group, sigma, limits, "C"))
+        got = _factor_union(build_vm, (A, B, C), sigma, limits)
         want = build_vm(G, sigma, limits, group_tag)
         conclusions.append(CheckResult(
             "vm-union-equality",
@@ -211,9 +206,7 @@ def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
     coprime = (sigma_coprime(ia, ib, sigma) and sigma_coprime(ib, ic, sigma)
                and sigma_coprime(ia, ic, sigma))
     if coprime:
-        got = union(union(_hawkes_or_empty(A.group, sigma, limits, "A"),
-                          _hawkes_or_empty(B.group, sigma, limits, "B")),
-                    _hawkes_or_empty(C.group, sigma, limits, "C"))
+        got = _factor_union(build_hawkes, (A, B, C), sigma, limits)
         want = build_hawkes(G, sigma, limits, group_tag)
         conclusions.append(CheckResult(
             "hawkes-union-equality",

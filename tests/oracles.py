@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: plain multiplicative closure,
 a multiplication table composed product by product, whole-group scans,
 explicit reachability, the hall graph over every Hall subgroup, and second
 routes to quantities the library computes one way only (chief series with
-either tie-break, the pullback construction of F_i, exhaustive dispersion
+either tie-break, F_i by a normal-complement scan and by a quotient group's
+core, exhaustive dispersion
 schedules and the class length over quotient groups, the maximal-subgroup
 reading of class-local nilpotency, nilpotency by Sylow normality, Schmidt
 groups by the full subgroup lattice and Schmidt subgroups by a walk over the
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
-from sigmagraph.graphs import build_vm, weak_components
+from sigmagraph.graphs import build_vm
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_subgroup_sets,
                               _power, _sorted_sets, all_subgroups, centralizer,
                               centralizer_of_factor, core_series_subgroup,
@@ -349,6 +350,20 @@ def is_class_nilpotent_by_chief_factors(G, cls, prefer="smallest") -> bool:
 # second routes to F_i, to dispersion and to the class length, by quotients
 
 
+def f_class_subgroup_by_normal_complement(G, cls, limits=DEFAULT_LIMITS):
+    """Largest normal N with a normal subgroup M of G inside it of order
+    |N| / |N|_cls (a normal Hall subgroup of N avoiding cls), found by
+    scanning every pair of normal subgroups; the maximum must be unique."""
+    normals = normal_subgroups(G, limits)
+    hits = [n for n in normals
+            if any(m.order * class_part(n.order, cls) == n.order
+                   and m.indices <= n.indices for m in normals)]
+    best = hits[-1]  # normals ascend by order
+    if not all(n.indices <= best.indices for n in hits):
+        raise CrossCheckError("class-nilpotent normal subgroups admit no unique maximum")
+    return best
+
+
 def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
     """The core avoiding cls, pulled back through the cls-core of the
     quotient."""
@@ -468,6 +483,29 @@ def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
 
 # ---------------------------------------------------------------------------
 # classical specialisation used by the acceptance suite
+
+
+def weak_components(graph) -> list[frozenset]:
+    """Connected components ignoring direction, canonically ordered."""
+    neighbours = {v: set() for v in graph.vertices}
+    for a, b in graph.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen = set()
+    out = []
+    for v in graph.sorted_vertices():
+        if v in seen:
+            continue
+        comp, queue = {v}, [v]
+        while queue:
+            x = queue.pop()
+            for y in neighbours[x]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
 
 
 def component_decomposition_holds(G, limits=DEFAULT_LIMITS) -> bool:

@@ -10,8 +10,9 @@ import itertools
 
 import pytest
 
-from oracles import (component_decomposition_holds, f_class_subgroup_by_pullback, frattini,
-                     has_sylow_tower, vm_edges_from_candidates)
+from oracles import (component_decomposition_holds, f_class_subgroup_by_normal_complement,
+                     f_class_subgroup_by_pullback, frattini, has_sylow_tower,
+                     vm_edges_from_candidates)
 from sigmagraph.errors import ResourceLimitError
 from sigmagraph.graphs import (build_hall, build_hawkes, build_vm, has_circuit,
                                has_loop, is_subgraph)
@@ -108,9 +109,10 @@ def test_acceptance_06_oracle_equivalences(corpus_groups, partitions):
         for sigma in partitions:
             for cls in sorted(sigma_of_group(g, sigma), key=lambda c: c.sort_key):
                 f_pairs += 1
-                scan = f_class_subgroup(g, cls)
+                lattice = f_class_subgroup(g, cls)
                 pull = f_class_subgroup_by_pullback(g, cls)
-                if scan.indices != pull.indices:
+                scan = f_class_subgroup_by_normal_complement(g, cls)
+                if not lattice.indices == pull.indices == scan.indices:
                     f_bad.append((tag, cls.tag))
     vm_bad, vm_groups = [], 0
     for tag, g in corpus_groups:
@@ -126,8 +128,9 @@ def test_acceptance_06_oracle_equivalences(corpus_groups, partitions):
             if not (a == b == build_vm(g, sigma).edges):
                 vm_bad.append(tag)
     record(6, not f_bad and not vm_bad,
-           f"normal-scan F == core-series pullback on all {f_pairs} (group, "
-           f"class) pairs; full-lattice vm == two-generated vm (criticality "
+           f"normal-lattice F == quotient pullback == normal-complement scan "
+           f"on all {f_pairs} (group, class) pairs; full-lattice vm == "
+           f"two-generated vm (criticality "
            f"from each candidate's lattice) == build_vm on all {vm_groups} "
            f"groups within lattice caps")
 

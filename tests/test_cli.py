@@ -173,6 +173,26 @@ def test_error_paths(capsys):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("generators", ["[[[1.5, 2]]]", "[[[true, 2]]]", "[[1, false]]",
+                                        '[[["1", 2]]]', "[[[1.0, 2]]]"])
+def test_non_integer_cycle_points_exit_2(capsys, generators):
+    """A cycle point that is not a JSON integer is refused, not coerced."""
+    rc, out, err = run(capsys, "graph", "--group",
+                       f'{{"degree": 3, "generators": {generators}}}', "--kind", "hawkes")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "not an integer" in err
+
+
+@pytest.mark.parametrize("spec", ['{"classes": [[2.9]]}', '{"classes": [["3"]]}',
+                                  '{"classes": [[true]]}', '{"classes": [3]}',
+                                  '{"classes": {"2": 3}}', '{"atomic": "false"}',
+                                  '{"atomic": 1}'])
+def test_coerced_partition_specs_exit_2(capsys, spec):
+    rc, out, err = run(capsys, "graph", "--group", "zoo:S3", "--kind", "hawkes",
+                       "--sigma", spec)
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_argparse_errors_exit_2(capsys):
     rc, _, err = run(capsys, "graph", "--group", "zoo:S3", "--kind", "bogus")
     assert rc == 2 and err.startswith("error:")

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from oracles import (brute_has_circuit, hall_edges_every_member, vm_edges_from_candidates,
-                     zoo_tags)
+                     weak_components, zoo_tags)
 import sigmagraph.graphs
 import sigmagraph.group
 from sigmagraph.bsgs import Bsgs
@@ -13,8 +13,8 @@ from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                                graphs_equal, has_circuit, has_loop,
                                is_subgraph, isolated_vertices, to_dot, to_json,
-                               union, weak_components)
-from sigmagraph.group import (DEFAULT_LIMITS, PermGroup, _hall_classes, all_subgroups, hall_subgroups,
+                               union)
+from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _hall_classes, all_subgroups, hall_subgroups,
                               maximal_subgroups, two_generated_subgroups)
 from sigmagraph.predicates import is_critical, is_schmidt
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
@@ -102,6 +102,22 @@ def test_edgeless_for_nilpotent():
             graph = build(g, ATOMIC)
             assert graph.edges == frozenset()
             assert isolated_vertices(graph) == graph.vertices
+
+
+def test_hall_graph_memo_is_keyed_by_the_count_cap():
+    """A Hall graph built under the default caps is not reused under a count
+    cap that its Hall search exceeds: the capped call raises as it does on a
+    fresh group, and the cached cap error does not reach the default caps."""
+    sigma = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
+    capped = EngineLimits(max_subgroup_count=1)
+    fresh = alternating(5)
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        build_hall(fresh, sigma, capped)
+    a5 = alternating(5)
+    built = build_hall(a5, sigma)
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        build_hall(a5, sigma, capped)
+    assert build_hall(fresh, sigma).edges == built.edges
 
 
 def test_wreath_two_class_strictness():

@@ -240,6 +240,27 @@ def test_quotient_special_cases():
         quotient(s4, subgroup(s4, [Permutation.from_cycles(4, [(0, 1)])]))
 
 
+@pytest.mark.parametrize("tag", ["S4", "D6", "sl23"])
+def test_quotient_numbers_cosets_by_least_element(tag):
+    """Point c of the image is the c-th right coset N·r in the order of the
+    least elements r, and x sends N·r to N·r·x; the whole group as N gives
+    the trivial image of degree 1."""
+    g = build_by_tag(tag)
+    elems = g.elements()
+    for n in normal_subgroups(g):
+        if n.order == 1:
+            continue
+        coset_of, reps = {}, []
+        for x in elems:  # ascending, so each coset is met first at its least element
+            if x not in coset_of:
+                coset_of.update((m * x, len(reps)) for m in n.elements())
+                reps.append(x)
+        q = quotient(g, n)
+        assert q.image.degree == len(reps)
+        for x in elems:
+            assert q.project(x) == Permutation(tuple(coset_of[r * x] for r in reps))
+
+
 def test_quotient_preimage_indices():
     s4 = build_by_tag("S4")
     v4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
@@ -409,14 +430,16 @@ def test_raised_count_cap_leaves_the_default_cap_in_force():
 
 
 def test_capped_lattice_caches_its_error_without_traceback():
-    """The cached cap error holds no traceback, so no frame of the join
-    closure keeps the partial lattice alive; every repeat raises a fresh
-    error with the same text and cap."""
+    """The cap error cached at the lattice's memo key holds no traceback, so
+    no frame of the join closure keeps the partial lattice alive; every
+    repeat raises a fresh error with the same text and cap."""
     g = symmetric(4)
     limits = EngineLimits(max_subgroup_count=5)
     with pytest.raises(ResourceLimitError) as first:
         maximal_subgroups(g, limits)
-    _, cached = g._cache["all_subgroup_sets_failure"]
+    cached = g._cache[("all_subgroup_sets", limits.max_subgroup_order,
+                       limits.max_subgroup_count, limits.max_join_work)]
+    assert isinstance(cached, ResourceLimitError)
     for _ in range(2):
         with pytest.raises(ResourceLimitError) as again:
             maximal_subgroups(g, limits)

@@ -26,6 +26,12 @@ def test_from_cycles_rejects_out_of_range():
         Permutation.from_cycles(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("point", [1.0, True, "1", None])
+def test_from_cycles_rejects_a_point_that_is_not_an_int(point):
+    with pytest.raises(GroupInputError):
+        Permutation.from_cycles(3, [(point, 2)])
+
+
 def test_from_cycles_rejects_overlap():
     with pytest.raises(GroupInputError):
         Permutation.from_cycles(4, [(0, 1), (1, 2)])

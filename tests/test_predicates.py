@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (ORACLE_TAGS, dispersive_by_ordering_search,
+                     f_class_subgroup_by_normal_complement,
                      f_class_subgroup_by_pullback,
                      is_class_nilpotent_by_chief_factors, is_pi_central_factor,
                      is_pi_normal_maximal, is_schmidt_by_lattice,
@@ -84,12 +85,17 @@ def test_class_nilpotency_routes_agree(tag):
 
 @pytest.mark.parametrize("tag", SMALL_TAGS)
 def test_f_class_routes_agree(tag):
+    """Normal-lattice pullback vs quotient-group pullback vs normal-complement
+    scan; the scan's subgroup comes from the same lattice, so its generators
+    agree too."""
     g = build_by_tag(tag)
     for sigma in standard_partitions():
         for cls in sigma_of_group(g, sigma):
             a = f_class_subgroup(g, cls)
             b = f_class_subgroup_by_pullback(g, cls)
-            assert a.indices == b.indices
+            c = f_class_subgroup_by_normal_complement(g, cls)
+            assert a.indices == b.indices == c.indices
+            assert a.gens == c.gens
 
 
 def test_f_class_examples():

@@ -79,8 +79,21 @@ def test_json_round_trip():
     assert parse_sigma_spec("atomic") is ATOMIC
     assert parse_sigma_spec('{"classes": [[3], [2, 5]]}') == SigmaPartition(
         explicit_classes=(frozenset({3}), frozenset({2, 5})))
+    assert SigmaPartition.from_json({"atomic": True}) == ATOMIC
+    assert SigmaPartition.from_json({"classes": [[2, 2]], "atomic": False}) == SigmaPartition(
+        explicit_classes=(frozenset({2}),))
     with pytest.raises(GroupInputError):
         parse_sigma_spec("{not json")
+
+
+@pytest.mark.parametrize("data", [{"classes": [[2.9]]}, {"classes": [["3"]]},
+                                  {"classes": [[True]]}, {"classes": [3]},
+                                  {"classes": "23"}, {"classes": [(2, 3)]},
+                                  {"atomic": "false"}, {"atomic": 0}])
+def test_partition_json_is_not_coerced(data):
+    """Members must be ints (not bools), classes lists, atomic a boolean."""
+    with pytest.raises(GroupInputError):
+        SigmaPartition.from_json(data)
 
 
 def test_class_membership_and_parts():
