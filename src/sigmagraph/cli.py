@@ -64,8 +64,14 @@ def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGro
     if not isinstance(data, dict):
         raise GroupInputError("group spec must be a JSON object")
     degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise GroupInputError("group spec needs an integer degree >= 1")
+    expected = data.get("expected_order")
+    if expected is not None and (not isinstance(expected, int) or isinstance(expected, bool)):
+        raise GroupInputError("group spec expected_order must be an integer")
+    name = data.get("name", tag)
+    if not isinstance(name, str):
+        raise GroupInputError("group spec name must be a string")
     if degree > _MAX_DEGREE:
         raise ResourceLimitError(f"group spec degree {degree} is too large",
                                  cap_name="max_degree", cap_value=_MAX_DEGREE)
@@ -77,11 +83,10 @@ def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGro
                                  cap_name="max_generators", cap_value=_MAX_GENERATORS)
     gens = [_parse_generator(entry, degree) for entry in raw]
     group = PermGroup(degree, gens, limits.max_element_order)
-    expected = data.get("expected_order")
     if expected is not None and expected != group.order:
         raise GroupInputError(
             f"expected_order {expected} does not match computed order {group.order}")
-    return str(data.get("name", tag)), group
+    return name, group
 
 
 def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:

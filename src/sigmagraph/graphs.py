@@ -207,7 +207,11 @@ def to_json(graph: SigmaGraph) -> str:
 
 
 def to_dot(graph: SigmaGraph) -> str:
-    lines = [f'digraph "{graph.kind}_{graph.group_tag}" {{']
+    """DOT text.  The graph id carries the group tag, which comes from the
+    user, so its backslashes and quotes are escaped; vertex ids are class
+    tags the program makes."""
+    graph_id = f"{graph.kind}_{graph.group_tag}".replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{graph_id}" {{']
     for v in graph.sorted_vertices():
         lines.append(f'  "{v.tag}";')
     for a, b in graph.sorted_edges():

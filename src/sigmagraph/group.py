@@ -19,7 +19,8 @@ images; the other rows are gathered from them along the Cayley graph.  Rows
 are tuples that share the identity row's int objects, so a gather neither
 boxes nor copies an entry; that costs 8 bytes per entry, about 4 MB for S6
 and about 18 MB at ``_TABLE_LIMIT``.  A subgroup is its set of element
-indices in that table plus a few generator indices; its own PermGroup is
+indices in that table.  Its generator indices are given, where a search
+produced them, or derived from the set on first read; its own PermGroup is
 built only when a caller treats it as a group in its own right.  Every
 subgroup is generated by ``_Universe.closure``, which extends a subgroup the
 caller already holds by new generators, one left coset at a time (Dimino's
@@ -157,20 +158,24 @@ class Subgroup:
     in the parent's element table (``parent.universe()``).
 
     ``gens`` are element indices that generate it: the given ones, else a
-    small canonical set derived from the index set.  Order, elements and
-    containment are read off the index set.  ``group``, the subgroup as a
-    ``PermGroup`` in its own right, is built from ``gens`` on first use and
-    checked against the index set."""
+    small canonical set derived from the index set on first read.  Order,
+    elements and containment are read off the index set.  ``group``, the
+    subgroup as a ``PermGroup`` in its own right, is built from ``gens`` on
+    first use and checked against the index set."""
 
-    __slots__ = ("parent", "indices", "gens", "_group")
+    __slots__ = ("parent", "indices", "_gens", "_group")
 
     def __init__(self, parent: PermGroup, indices: frozenset[int], gens=None):
-        if gens is None:
-            gens = _built_universe(parent).derive_gens(indices)
         self.parent = parent
         self.indices = indices
-        self.gens = tuple(gens)
+        self._gens = None if gens is None else tuple(gens)
         self._group: PermGroup | None = None
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        if self._gens is None:
+            self._gens = _built_universe(self.parent).derive_gens(self.indices)
+        return self._gens
 
     @property
     def order(self) -> int:
@@ -518,23 +523,22 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
 # normal subgroups and chief series
 
 
-def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[frozenset[int]]:
     def compute():
         u = G.universe(limits)
         classes = u.conjugacy_classes()
         trivial = frozenset({u.identity})
-        found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-        queue = [trivial]
-        while queue:
-            n_set = queue.pop(0)
+        found = {trivial}
+        queue = [trivial]  # grows while read, so each new one is joined in turn
+        for n_set in queue:
             for cls in classes:
                 if cls[0] == u.identity or set(cls) <= n_set:
                     continue
                 m_set = u.closure(cls, base=n_set)
                 if m_set not in found:
-                    found[m_set] = u.derive_gens(m_set)
+                    found.add(m_set)
                     queue.append(m_set)
-        return [(s, found[s]) for s in _sorted_sets(found)]
+        return _sorted_sets(found)
     return _memo(G, "normal_sets", compute, limits)
 
 
@@ -543,7 +547,7 @@ def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> lis
 
     A normal subgroup is a join of conjugacy classes, so the enumeration
     joins each one found with each class until no new one appears."""
-    return [Subgroup(G, s, g) for s, g in _normal_subgroup_sets(G, limits)]
+    return [Subgroup(G, s) for s in _normal_subgroup_sets(G, limits)]
 
 
 @dataclass(frozen=True)
@@ -560,17 +564,16 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSe
     normal_sets = _normal_subgroup_sets(G, limits)
 
     def compute():
-        chain = [normal_sets[0][0]]
-        full = normal_sets[-1][0]
+        chain = [normal_sets[0]]
+        full = normal_sets[-1]
         while chain[-1] != full:
             cur = chain[-1]
             # the first normal set above cur is minimal over it: a normal
             # subgroup strictly between would be smaller and sort earlier
-            chain.append(next(s for s, _ in normal_sets if cur < s))
+            chain.append(next(s for s in normal_sets if cur < s))
         return chain
     chain = _memo(G, "chief_series", compute, limits)
-    gens_by_set = dict(normal_sets)
-    return ChiefSeries(G, tuple(Subgroup(G, s, gens_by_set[s]) for s in chain))
+    return ChiefSeries(G, tuple(Subgroup(G, s) for s in chain))
 
 
 # ---------------------------------------------------------------------------
@@ -950,19 +953,19 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
 
 
 def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
-                         limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
+                         limits: EngineLimits) -> frozenset[int]:
     """The largest normal subgroup N of G over the normal subgroup floor
-    whose index |N : floor| involves only the given primes, with its
-    generators.  By the correspondence theorem the normal subgroups of
-    G/floor are the N/floor for the normal N over floor, so this is the
-    preimage of the largest normal subgroup of G/floor of that kind, read
-    in G's own normal lattice.  The maximum is unique (such normal
-    subgroups are closed under products); the scan asserts that."""
+    whose index |N : floor| involves only the given primes.  By the
+    correspondence theorem the normal subgroups of G/floor are the N/floor
+    for the normal N over floor, so this is the preimage of the largest
+    normal subgroup of G/floor of that kind, read in G's own normal
+    lattice.  The maximum is unique (such normal subgroups are closed under
+    products); the scan asserts that."""
     pset = frozenset(primes)
-    hits = [(s, gens) for s, gens in _normal_subgroup_sets(G, limits)
+    hits = [s for s in _normal_subgroup_sets(G, limits)
             if floor <= s and all(p in pset for p, _ in prime_factors(len(s) // len(floor)))]
     best = hits[-1]  # normal sets ascend by order; floor itself is a hit
-    if not all(s <= best[0] for s, _ in hits):
+    if not all(s <= best for s in hits):
         raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
     return best
 
@@ -970,4 +973,4 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
 def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Largest normal subgroup whose order only involves the given primes."""
     trivial = frozenset({G.universe(limits).identity})
-    return Subgroup(G, *_largest_normal_over(G, trivial, primes, limits))
+    return Subgroup(G, _largest_normal_over(G, trivial, primes, limits))

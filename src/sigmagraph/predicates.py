@@ -1,8 +1,8 @@
 """Structural predicates of a finite group relative to a prime partition.
 
-Sigma-solubility and sigma-nilpotency are read off chief-factor data,
-nilpotency off element orders in the group's own table, and the Schmidt
-test and types off element pairs there.  F_i (hence class-local
+Sigma-solubility and sigma-nilpotency are read off chief-factor data; the
+Schmidt types, hence nilpotency (no Schmidt subgroup), and the Schmidt test
+off element pairs in the group's own table.  F_i (hence class-local
 nilpotency), dispersion and the class length are pullbacks in G's own
 normal lattice, where the normal subgroups of a quotient G/K are those
 over K.  No subgroup or quotient is built as a group of its own.
@@ -75,22 +75,10 @@ def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
     return _memo(G, ("nilpotent_sigma", sigma), compute, limits)
 
 
-def _normal_sylow_primes(G: PermGroup, idxs, limits: EngineLimits) -> tuple[int, ...]:
-    """Primes p of |H|, for the subgroup H of G with index set idxs, whose
-    Sylow p-subgroup is normal in H.  Every Sylow p-subgroup consists of
-    p-elements (orders dividing |H|_p), so it is the only one exactly when
-    the p-elements of H number |H|_p."""
-    orders = G.universe(limits).orders
-    return tuple(p for p, e in prime_factors(len(idxs))
-                 if sum(p**e % orders[i] == 0 for i in idxs) == p**e)
-
-
 def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Nilpotent = every Sylow subgroup is normal, read off element orders."""
-    def compute():
-        n = G.universe(limits).n
-        return len(_normal_sylow_primes(G, range(n), limits)) == len(prime_factors(n))
-    return _memo(G, "nilpotent", compute, limits)
+    """A finite group is nilpotent iff it has no Schmidt (minimal
+    non-nilpotent) subgroup, that is, no Schmidt type."""
+    return not schmidt_types(G, limits)
 
 
 def f_class_subgroup(G: PermGroup, cls: SigmaClass,
@@ -104,10 +92,10 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
     def compute():
         primes = primes_of(G.order)
         floor = frozenset({G.universe(limits).identity})
-        away, _ = _largest_normal_over(G, floor, [p for p in primes if not cls.contains(p)],
-                                       limits)
+        away = _largest_normal_over(G, floor, [p for p in primes if not cls.contains(p)],
+                                    limits)
         return _largest_normal_over(G, away, [p for p in primes if cls.contains(p)], limits)
-    return Subgroup(G, *_memo(G, ("f_class", cls), compute, limits))
+    return Subgroup(G, _memo(G, ("f_class", cls), compute, limits))
 
 
 def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
@@ -265,7 +253,7 @@ def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
             index = G.order // len(cur)
             for cls in sorted(sigma_of_int(index, sigma), key=lambda c: c.sort_key):
                 part = class_part(index, cls)
-                n, _ = _largest_normal_over(G, cur, primes_of(part), limits)
+                n = _largest_normal_over(G, cur, primes_of(part), limits)
                 if len(n) == len(cur) * part:
                     cur = n
                     break
@@ -296,11 +284,11 @@ def sigma_length(G: PermGroup, cls: SigmaClass,
         length = 0
         while cur != full:
             away = [p for p in primes_of(G.order // len(cur)) if not cls.contains(p)]
-            d, _ = _largest_normal_over(G, cur, away, limits)
+            d = _largest_normal_over(G, cur, away, limits)
             if d == full:
                 break
             toward = [p for p in primes_of(G.order // len(d)) if cls.contains(p)]
-            e, _ = _largest_normal_over(G, d, toward, limits)
+            e = _largest_normal_over(G, d, toward, limits)
             if e == d:
                 raise DomainError(
                     f"upper series for class {cls} stalls below the whole group")

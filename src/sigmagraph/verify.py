@@ -268,42 +268,24 @@ def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
     vertices = sigma_of_group(G, sigma)
     pi1 = frozenset(c for c in vertices if c in pi)
     pi2 = vertices - pi1
-    closed = None
-
-    def closed_value() -> bool:
-        nonlocal closed
-        if closed is None:
-            closed = is_pi_closed(G, PiSet(pi1), limits) if pi1 else True
-        return closed
-
+    graphs = {"hawkes": build_hawkes(G, sigma, limits, group_tag),
+              "vm": build_vm(G, sigma, limits, group_tag)
+              if is_sigma_soluble(G, sigma, limits) else None}
     conclusions = []
-    hawkes = build_hawkes(G, sigma, limits, group_tag)
-    blocked_h = sorted((a.tag, b.tag) for a, b in hawkes.edges
-                       if a in pi2 and b in pi1)
-    if not blocked_h:
-        conclusions.append(CheckResult(
-            "hawkes-edge-absence-implies-pi-closed", closed_value(),
-            f"pi1={{{', '.join(sorted(c.tag for c in pi1))}}}"))
-    else:
-        conclusions.append(CheckResult(
-            "hawkes-edge-absence-implies-pi-closed", True,
-            f"gated out: edges into pi1 exist: {blocked_h}", evaluated=False))
-    if is_sigma_soluble(G, sigma, limits):
-        vm = build_vm(G, sigma, limits, group_tag)
-        blocked_v = sorted((a.tag, b.tag) for a, b in vm.edges
-                           if a in pi2 and b in pi1)
-        if not blocked_v:
+    for kind, graph in graphs.items():
+        name = f"{kind}-edge-absence-implies-pi-closed"
+        if graph is None:
             conclusions.append(CheckResult(
-                "vm-edge-absence-implies-pi-closed", closed_value(),
-                f"pi1={{{', '.join(sorted(c.tag for c in pi1))}}}"))
+                name, True, "gated out: G is not sigma-soluble", evaluated=False))
+            continue
+        blocked = sorted((a.tag, b.tag) for a, b in graph.edges if a in pi2 and b in pi1)
+        if blocked:
+            conclusions.append(CheckResult(
+                name, True, f"gated out: edges into pi1 exist: {blocked}", evaluated=False))
         else:
             conclusions.append(CheckResult(
-                "vm-edge-absence-implies-pi-closed", True,
-                f"gated out: edges into pi1 exist: {blocked_v}", evaluated=False))
-    else:
-        conclusions.append(CheckResult(
-            "vm-edge-absence-implies-pi-closed", True,
-            "gated out: G is not sigma-soluble", evaluated=False))
+                name, is_pi_closed(G, PiSet(pi1), limits),
+                f"pi1={{{', '.join(sorted(c.tag for c in pi1))}}}"))
     return make_report("prop-1.9", group_tag, sigma, (), conclusions)
 
 

@@ -30,7 +30,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_sub
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import SigmaLengthProfile, _normal_sylow_primes, f_class_subgroup
+from sigmagraph.predicates import SigmaLengthProfile, f_class_subgroup
 from sigmagraph.sigma import (ATOMIC, class_part, pi_part, prime_factors, primes_of,
                               sigma_of_group, sigma_of_int)
 from sigmagraph.zoo import zoo
@@ -227,6 +227,16 @@ def vm_edges_from_candidates(g, sigma, candidates) -> set:
     return edges
 
 
+def _normal_sylow_primes(G, idxs, limits=DEFAULT_LIMITS) -> tuple[int, ...]:
+    """Primes p of |H|, for the subgroup H of G with index set idxs, whose
+    Sylow p-subgroup is normal in H.  Every Sylow p-subgroup consists of
+    p-elements (orders dividing |H|_p), so it is the only one exactly when
+    the p-elements of H number |H|_p."""
+    orders = G.universe(limits).orders
+    return tuple(p for p, e in prime_factors(len(idxs))
+                 if sum(p**e % orders[i] == 0 for i in idxs) == p**e)
+
+
 def nilpotent_by_sylows(G, limits=DEFAULT_LIMITS) -> bool:
     """Nilpotent = every Sylow subgroup is normal."""
     return all(is_normal(G, sylow(G, p, limits), limits)
@@ -284,7 +294,7 @@ def frattini(G, limits=DEFAULT_LIMITS):
 def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:
     """Some normal subgroup has order |G|_pi."""
     target = pi_part(G.order, pi)
-    return any(len(s) == target for s, _ in _normal_subgroup_sets(G, limits))
+    return any(len(s) == target for s in _normal_subgroup_sets(G, limits))
 
 
 def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:
@@ -444,7 +454,7 @@ def is_pi_central_factor(G, H, K, primes, limits=DEFAULT_LIMITS) -> bool:
     pi-groups.  Rejects input that is not a chief factor of G."""
     pset = frozenset(primes)
     h_set, k_set = H.indices, K.indices
-    normal = {s for s, _ in _normal_subgroup_sets(G, limits)}
+    normal = set(_normal_subgroup_sets(G, limits))
     if h_set not in normal or k_set not in normal or not k_set < h_set:
         raise DomainError("H/K is not a factor of normal subgroups of G")
     if any(k_set < s < h_set for s in normal):
@@ -456,11 +466,11 @@ def is_pi_central_factor(G, H, K, primes, limits=DEFAULT_LIMITS) -> bool:
 
 def subgroup_core(G, M, limits=DEFAULT_LIMITS):
     """Largest normal subgroup of G inside M."""
-    best, best_gens = None, ()
-    for s, gens in _normal_subgroup_sets(G, limits):
+    best = None
+    for s in _normal_subgroup_sets(G, limits):
         if s <= M.indices and (best is None or len(s) > len(best)):
-            best, best_gens = s, gens
-    return Subgroup(G, best, best_gens)
+            best = s
+    return Subgroup(G, best)
 
 
 def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
@@ -471,7 +481,7 @@ def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
         return True
     core = subgroup_core(G, M, limits)
     core_set = core.indices
-    normal = [s for s, _ in _normal_subgroup_sets(G, limits)]
+    normal = _normal_subgroup_sets(G, limits)
     above = [s for s in normal if core_set < s]
     for v in above:
         if any(core_set < t < v for t in above):

@@ -193,6 +193,29 @@ def test_coerced_partition_specs_exit_2(capsys, spec):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", ['{"degree": true, "generators": []}',
+                                  '{"degree": 3, "generators": [[1, 2], [1, 2, 3]], '
+                                  '"expected_order": 6.0}',
+                                  '{"degree": 1, "generators": [], "expected_order": true}',
+                                  '{"degree": 3, "generators": [[1, 2], [1, 2, 3]], '
+                                  '"name": ["x"]}'])
+def test_coerced_group_specs_exit_2(capsys, spec):
+    """degree and expected_order must be JSON integers and name a string;
+    none of them is coerced."""
+    rc, out, err = run(capsys, "check", "--group", spec, "--predicate", "soluble")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dot_graph_id_escapes_the_group_name(capsys):
+    """The group name is the user's; in the DOT graph id its quotes and
+    backslashes are escaped, so it cannot close the id early."""
+    spec = '{"degree": 3, "generators": [[1, 2], [1, 2, 3]], "name": "a\\" -> \\"b\\\\"}'
+    rc, out, _ = run(capsys, "graph", "--group", spec, "--kind", "hawkes", "--format", "dot")
+    assert rc == 0
+    assert out.startswith('digraph "hawkes_a\\" -> \\"b\\\\" {\n')
+
+
 def test_argparse_errors_exit_2(capsys):
     rc, _, err = run(capsys, "graph", "--group", "zoo:S3", "--kind", "bogus")
     assert rc == 2 and err.startswith("error:")

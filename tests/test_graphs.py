@@ -313,6 +313,26 @@ def test_vm_and_critical_never_enumerate_the_lattice(tag, monkeypatch):
     assert _vm_and_critical(tag) == expected
 
 
+@pytest.mark.parametrize("make", (lambda: symmetric(4), lambda: alternating(5),
+                                  lambda: regular_wreath(2, symmetric(3))),
+                         ids=("S4", "A5", "wreath_c2_s3"))
+def test_hawkes_derives_no_generators(make, monkeypatch):
+    """F_i is a pullback in the normal lattice, which holds element sets
+    only, so a Hawkes graph on a fresh group derives no generators."""
+    derive = sigmagraph.group._Universe.derive_gens
+    calls = []
+
+    def counting(self, idx_set):
+        calls.append(len(idx_set))
+        return derive(self, idx_set)
+
+    monkeypatch.setattr(sigmagraph.group._Universe, "derive_gens", counting)
+    g = make()
+    for sigma in standard_partitions():
+        build_hawkes(g, sigma)
+    assert calls == []
+
+
 def _vm_schmidt_critical(make):
     """vm edges and is_critical per standard partition, then is_schmidt, on a
     fresh group."""

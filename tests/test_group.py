@@ -18,9 +18,10 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, subgroup, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import is_sigma_soluble
-from sigmagraph.sigma import ATOMIC, prime_factors
-from sigmagraph.zoo import alternating, build_by_tag, regular_wreath, symmetric
+from sigmagraph.predicates import f_class_subgroup, is_sigma_soluble
+from sigmagraph.sigma import ATOMIC, prime_factors, sigma_of_group
+from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, standard_partitions,
+                            symmetric)
 
 
 def sets_of(subs, limits=DEFAULT_LIMITS):
@@ -152,6 +153,28 @@ def test_subgroups_build_their_group_only_when_used(make, monkeypatch):
     first = s.group
     assert len(built) == 1 and first.order == s.order
     assert s.group is first and len(built) == 1
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS)
+def test_lattice_subgroups_derive_their_generators_on_first_read(tag):
+    """Subgroups read off the normal lattice, or found as a centraliser or
+    normaliser, carry no generators of their own: .gens derives the canonical
+    ones from the index set on first read and returns that tuple again."""
+    g = build_by_tag(tag)
+    u = g.universe()
+    primes = [p for p, _ in prime_factors(g.order)]
+    cs = chief_series(g)
+    subs = normal_subgroups(g) + list(cs.terms)
+    subs += [f_class_subgroup(g, cls) for sigma in standard_partitions()
+             for cls in sigma_of_group(g, sigma)]
+    subs += [core_series_subgroup(g, [p]) for p in primes]
+    subs += [core_series_subgroup(g, [q for q in primes if q != p]) for p in primes]
+    subs += [f(g, h) for h in all_subgroups(g) for f in (centralizer, normalizer)]
+    subs += [centralizer_of_factor(g, h, k) for k, h in zip(cs.terms, cs.terms[1:])]
+    for s in subs:
+        first = s.gens
+        assert first == u.derive_gens(s.indices)
+        assert s.gens is first
 
 
 def test_subgroup_group_must_match_indices():
