@@ -63,6 +63,9 @@ def _parse_generator(entry, degree: int) -> Permutation:
 def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     if not isinstance(data, dict):
         raise GroupInputError("group spec must be a JSON object")
+    unknown = sorted(set(data) - {"degree", "generators", "expected_order", "name"})
+    if unknown:
+        raise GroupInputError(f"group spec has unknown keys {unknown}")
     degree = data.get("degree")
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise GroupInputError("group spec needs an integer degree >= 1")

@@ -37,26 +37,24 @@ class SigmaGraph:
     partition: SigmaPartition
     vertices: frozenset[SigmaClass]
     edges: frozenset[tuple[SigmaClass, SigmaClass]]
-    # class -> sorted primes of the group order inside that class
-    vertex_primes: tuple[tuple[SigmaClass, tuple[int, ...]], ...] = ()
+    primes: tuple[int, ...] = ()  # sorted primes of the group order
 
     def __post_init__(self):
         for a, b in self.edges:
             if a not in self.vertices or b not in self.vertices:
                 raise DomainError(f"edge ({a}, {b}) leaves the vertex set")
 
+    @property
+    def vertex_primes(self) -> tuple[tuple[SigmaClass, tuple[int, ...]], ...]:
+        """Each vertex in canonical order with its primes of the group order."""
+        return tuple((cls, tuple(p for p in self.primes if cls.contains(p)))
+                     for cls in self.sorted_vertices())
+
     def sorted_vertices(self) -> list[SigmaClass]:
         return sorted(self.vertices, key=lambda c: c.sort_key)
 
     def sorted_edges(self) -> list[tuple[SigmaClass, SigmaClass]]:
         return sorted(self.edges, key=lambda e: (e[0].sort_key, e[1].sort_key))
-
-
-def _vertex_primes(order: int, vertices, sigma: SigmaPartition):
-    out = []
-    for cls in sorted(vertices, key=lambda c: c.sort_key):
-        out.append((cls, tuple(p for p in primes_of(order) if cls.contains(p))))
-    return tuple(out)
 
 
 def _require_nontrivial(G: PermGroup):
@@ -76,8 +74,7 @@ def build_hawkes(G: PermGroup, sigma: SigmaPartition,
                 edges.add((ci, cj))
         return vertices, frozenset(edges)
     vertices, edges = _memo(G, ("graph", "hawkes", sigma), compute, limits)
-    return SigmaGraph("hawkes", group_tag, sigma, vertices, edges,
-                      _vertex_primes(G.order, vertices, sigma))
+    return SigmaGraph("hawkes", group_tag, sigma, vertices, edges, primes_of(G.order))
 
 
 def build_hall(G: PermGroup, sigma: SigmaPartition,
@@ -101,8 +98,7 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
         return vertices, frozenset(edges)
     key = ("graph", "hall", sigma, limits.max_subgroup_count)  # the Hall search's cap
     vertices, edges = _memo(G, key, compute, limits)
-    return SigmaGraph("hall", group_tag, sigma, vertices, edges,
-                      _vertex_primes(G.order, vertices, sigma))
+    return SigmaGraph("hall", group_tag, sigma, vertices, edges, primes_of(G.order))
 
 
 def build_vm(G: PermGroup, sigma: SigmaPartition,
@@ -117,8 +113,7 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
                 edges.add((ci, cj))
         return vertices, frozenset(edges)
     vertices, edges = _memo(G, ("graph", "vm", sigma), compute, limits)
-    return SigmaGraph("vm", group_tag, sigma, vertices, edges,
-                      _vertex_primes(G.order, vertices, sigma))
+    return SigmaGraph("vm", group_tag, sigma, vertices, edges, primes_of(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +165,8 @@ def union(g1: SigmaGraph, g2: SigmaGraph) -> SigmaGraph:
     _require_same_partition(g1, g2)
     kind = g1.kind if g1.kind == g2.kind else "union"
     tag = g1.group_tag if g1.group_tag == g2.group_tag else f"union({g1.group_tag},{g2.group_tag})"
-    primes: dict[SigmaClass, set[int]] = {}
-    for cls, ps in g1.vertex_primes + g2.vertex_primes:
-        primes.setdefault(cls, set()).update(ps)
-    merged = tuple((cls, tuple(sorted(primes.get(cls, ()))))
-                   for cls in sorted(g1.vertices | g2.vertices, key=lambda c: c.sort_key))
     return SigmaGraph(kind, tag, g1.partition, g1.vertices | g2.vertices,
-                      g1.edges | g2.edges, merged)
+                      g1.edges | g2.edges, tuple(sorted({*g1.primes, *g2.primes})))
 
 
 def is_subgraph(g1: SigmaGraph, g2: SigmaGraph) -> bool:

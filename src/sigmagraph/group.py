@@ -504,7 +504,9 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
                           limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Elements x of G with [x, H] inside K, for K normal in H: [x, h] =
     (h·x)⁻¹·(x·h) lies in K iff x·h and h·x share a left coset of K, so
-    column h and row h are compared through K's coset labels."""
+    column h and row h are compared through K's coset labels.  No library
+    route calls it: sigma-nilpotency reads pi-closures; the tests use it for
+    the chief-factor routes."""
     _require_subgroup_of(G, H, "H")
     _require_subgroup_of(G, K, "K")
     u = G.universe(limits)

@@ -1,11 +1,12 @@
 """Structural predicates of a finite group relative to a prime partition.
 
-Sigma-solubility and sigma-nilpotency are read off chief-factor data; the
-Schmidt types, hence nilpotency (no Schmidt subgroup), and the Schmidt test
-off element pairs in the group's own table.  F_i (hence class-local
-nilpotency), dispersion and the class length are pullbacks in G's own
-normal lattice, where the normal subgroups of a quotient G/K are those
-over K.  No subgroup or quotient is built as a group of its own.
+Sigma-solubility is read off the chief factor orders.  Sigma-nilpotency
+(hence nilpotency), class-local nilpotency and dispersion each ask for normal
+Hall subgroups, decided by one pi-closure test on the group's own element
+table.  The Schmidt types and the Schmidt test come off element pairs in
+that table.  F_i and the class length are pullbacks in G's own normal
+lattice, where the normal subgroups of a quotient G/K are those over K.  No
+subgroup or quotient is built as a group of its own.
 Each quantity has one route here; the cross-check routes live with the
 tests.  A proved fact that the data contradicts (a unique maximum, a
 normal Hall subgroup) is surfaced as CrossCheckError, never patched over.
@@ -21,31 +22,9 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _largest_normal_over, _memo, centralizer_of_factor, chief_series,
-                    is_normal, sylow)
-from .sigma import (PiSet, SigmaClass, SigmaPartition, pi_part, class_part,
+                    _largest_normal_over, _memo, chief_series, is_normal, sylow)
+from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, pi_part,
                     prime_factors, primes_of, sigma_of_int)
-
-
-# ---------------------------------------------------------------------------
-# chief-factor data
-
-
-def _chief_invariants(G: PermGroup, limits: EngineLimits) -> tuple[tuple[int, int], ...]:
-    """(factor order, automizer order) for each factor of one chief series.
-
-    The automizer order |G / C_G(H/K)| together with |H/K| carries all the
-    arithmetic the predicates below need; by Jordan-Holder the multiset of
-    verdicts does not depend on the chosen series.
-    """
-    def compute():
-        cs = chief_series(G, limits)
-        out = []
-        for below, above in zip(cs.terms, cs.terms[1:]):
-            c = centralizer_of_factor(G, above, below, limits)
-            out.append((above.order // below.order, G.order // c.order))
-        return tuple(out)
-    return _memo(G, "chief_inv", compute, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -54,31 +33,30 @@ def _chief_invariants(G: PermGroup, limits: EngineLimits) -> tuple[tuple[int, in
 
 def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
                      limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor order lies inside a single class."""
+    """Every chief factor order lies inside a single class; by Jordan-Holder
+    the verdict does not depend on the chosen series."""
     if G.is_trivial:
         return True
     def compute():
-        return all(len(sigma_of_int(fo, sigma)) == 1
-                   for fo, _ in _chief_invariants(G, limits))
+        terms = chief_series(G, limits).terms
+        return all(len(sigma_of_int(above.order // below.order, sigma)) == 1
+                   for below, above in zip(terms, terms[1:]))
     return _memo(G, ("soluble", sigma), compute, limits)
 
 
 def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
                        limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor is central for some class: the factor order and the
-    automizer order fall inside one common class."""
-    if G.is_trivial:
-        return True
-    def compute():
-        return all(len(sigma_of_int(fo * ao, sigma)) == 1
-                   for fo, ao in _chief_invariants(G, limits))
-    return _memo(G, ("nilpotent_sigma", sigma), compute, limits)
+    """G is the direct product of its Hall class-subgroups, that is, has a
+    normal Hall subgroup for each class of |G| (Skiba, J. Algebra 436
+    (2015)); the paper's sigma-central chief factors say the same."""
+    return all(is_pi_closed(G, PiSet(frozenset({cls})), limits)
+               for cls in sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key))
 
 
 def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """A finite group is nilpotent iff it has no Schmidt (minimal
-    non-nilpotent) subgroup, that is, no Schmidt type."""
-    return not schmidt_types(G, limits)
+    """Every Sylow subgroup is normal: sigma-nilpotency for the atomic
+    partition."""
+    return is_sigma_nilpotent(G, ATOMIC, limits)
 
 
 def f_class_subgroup(G: PermGroup, cls: SigmaClass,
@@ -101,8 +79,9 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
 def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
                        limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """Class-local nilpotency: G has a normal complement for cls, i.e. a
-    normal Hall subgroup avoiding every cls prime; equivalently F_cls(G) = G."""
-    return f_class_subgroup(G, cls, limits).order == G.order
+    normal Hall subgroup for the other classes of |G|; equivalently
+    F_cls(G) = G."""
+    return is_pi_closed(G, PiSet(sigma_of_int(G.order, cls.partition) - {cls}), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +218,20 @@ def is_pi_closed(G: PermGroup, pi: PiSet, limits: EngineLimits = DEFAULT_LIMITS)
 
 def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
                         limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """A tower of normal Hall class-subgroups exhausts G, built greedily from
-    the bottom: over the current normal term K, grab any class whose Hall
-    subgroup of G/K is normal, that is, the largest normal N over K with
-    |N : K| in the class has |N : K| = |G : K|_cls; repeat from N.  Greed
-    loses nothing; dispersion is quotient-closed, so any normal Hall bottom
+    """A tower of normal Hall class-set subgroups exhausts G, built greedily:
+    with a normal Hall subgroup for the classes taken so far, take the first
+    class whose addition still leaves G closed, and repeat.  Greed loses
+    nothing; dispersion is quotient-closed, so any normal Hall bottom
     extends to a full tower whenever one exists."""
-    def compute():
-        u = G.universe(limits)
-        full = frozenset(range(u.n))
-        cur = frozenset({u.identity})
-        while cur != full:
-            index = G.order // len(cur)
-            for cls in sorted(sigma_of_int(index, sigma), key=lambda c: c.sort_key):
-                part = class_part(index, cls)
-                n = _largest_normal_over(G, cur, primes_of(part), limits)
-                if len(n) == len(cur) * part:
-                    cur = n
-                    break
-            else:
-                return False
-        return True
-    return _memo(G, ("dispersive", sigma), compute, limits)
+    left = sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key)
+    taken = frozenset()
+    while left:
+        cls = next((c for c in left if is_pi_closed(G, PiSet(taken | {c}), limits)), None)
+        if cls is None:
+            return False
+        taken |= {cls}
+        left.remove(cls)
+    return True
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,13 @@ class SigmaPartition:
     @staticmethod
     def from_json(data: dict) -> "SigmaPartition":
         """Read ``{"classes": [[2, 3], [5]], "atomic": false}`` as to_json
-        writes it, without coercion: the classes and each class are lists,
-        every member an int (not a bool), and atomic a boolean."""
+        writes it, without coercion: no other key, the classes and each class
+        are lists, every member an int (not a bool), and atomic a boolean."""
         if not isinstance(data, dict):
             raise GroupInputError("partition spec must be a JSON object")
+        unknown = sorted(set(data) - {"classes", "atomic"})
+        if unknown:
+            raise GroupInputError(f"partition spec has unknown keys {unknown}")
         classes = data.get("classes", [])
         atomic = data.get("atomic", False)
         if not isinstance(atomic, bool):
@@ -195,13 +198,3 @@ def pi_part(n: int, pi: PiSet | frozenset[SigmaClass]) -> int:
         if any(c.contains(p) for c in classes):
             out *= p**e
     return out
-
-
-def class_part(n: int, cls: SigmaClass) -> int:
-    """Largest divisor of n all of whose prime factors lie in cls."""
-    out = 1
-    for p, e in prime_factors(n):
-        if cls.contains(p):
-            out *= p**e
-    return out
-

@@ -31,7 +31,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_sub
                               quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import SigmaLengthProfile, f_class_subgroup
-from sigmagraph.sigma import (ATOMIC, class_part, pi_part, prime_factors, primes_of,
+from sigmagraph.sigma import (ATOMIC, pi_part, prime_factors, primes_of,
                               sigma_of_group, sigma_of_int)
 from sigmagraph.zoo import zoo
 
@@ -280,7 +280,7 @@ def schmidt_subgroups(G, limits=DEFAULT_LIMITS):
 
 def is_class_number(n, cls) -> bool:
     """Every prime factor of n lies in cls."""
-    return class_part(n, cls) == n
+    return pi_part(n, frozenset({cls})) == n
 
 
 def frattini(G, limits=DEFAULT_LIMITS):
@@ -366,7 +366,7 @@ def f_class_subgroup_by_normal_complement(G, cls, limits=DEFAULT_LIMITS):
     scanning every pair of normal subgroups; the maximum must be unique."""
     normals = normal_subgroups(G, limits)
     hits = [n for n in normals
-            if any(m.order * class_part(n.order, cls) == n.order
+            if any(m.order * pi_part(n.order, frozenset({cls})) == n.order
                    and m.indices <= n.indices for m in normals)]
     best = hits[-1]  # normals ascend by order
     if not all(n.indices <= best.indices for n in hits):
@@ -387,7 +387,7 @@ def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
 
 def _normal_hall_for_class(G, cls, limits):
     """Some normal subgroup of order |G|_cls, or None."""
-    target = class_part(G.order, cls)
+    target = pi_part(G.order, frozenset({cls}))
     for n in normal_subgroups(G, limits):
         if n.order == target:
             return n
@@ -432,7 +432,7 @@ def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
         for cls in ordering:
             if cur.order == 1:
                 break
-            part = class_part(cur.order, cls)
+            part = pi_part(cur.order, frozenset({cls}))
             if part == 1:
                 continue
             n = _normal_hall_for_class(cur, cls, limits)

@@ -186,8 +186,11 @@ def test_non_integer_cycle_points_exit_2(capsys, generators):
 @pytest.mark.parametrize("spec", ['{"classes": [[2.9]]}', '{"classes": [["3"]]}',
                                   '{"classes": [[true]]}', '{"classes": [3]}',
                                   '{"classes": {"2": 3}}', '{"atomic": "false"}',
-                                  '{"atomic": 1}'])
+                                  '{"atomic": 1}', '{"clases": [[2, 3]]}',
+                                  '{"classes": [[2, 3]], "atomic": false, "note": 1}'])
 def test_coerced_partition_specs_exit_2(capsys, spec):
+    """Nothing is coerced, and a key other than classes and atomic (a
+    misspelling) is refused rather than ignored."""
     rc, out, err = run(capsys, "graph", "--group", "zoo:S3", "--kind", "hawkes",
                        "--sigma", spec)
     assert rc == 2 and out == "" and err.startswith("error:")
@@ -198,10 +201,14 @@ def test_coerced_partition_specs_exit_2(capsys, spec):
                                   '"expected_order": 6.0}',
                                   '{"degree": 1, "generators": [], "expected_order": true}',
                                   '{"degree": 3, "generators": [[1, 2], [1, 2, 3]], '
-                                  '"name": ["x"]}'])
+                                  '"name": ["x"]}',
+                                  '{"degree": 5, "generators": [[1, 2, 3, 4, 5]], '
+                                  '"expected_ordr": 5}',
+                                  '{"degree": 3, "gens": [[1, 2]], "generators": [[1, 2]]}'])
 def test_coerced_group_specs_exit_2(capsys, spec):
     """degree and expected_order must be JSON integers and name a string;
-    none of them is coerced."""
+    none of them is coerced, and any other key (a misspelling) is refused
+    rather than ignored."""
     rc, out, err = run(capsys, "check", "--group", spec, "--predicate", "soluble")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -20,7 +20,7 @@ from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
                                    sigma_length)
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, primes_of,
                               sigma_of_group)
-from sigmagraph.zoo import build_by_tag, standard_partitions
+from sigmagraph.zoo import build_by_tag, regular_wreath, standard_partitions, symmetric
 
 TWO_THREE = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
 ALL_IN_ONE = SigmaPartition(explicit_classes=(frozenset({2, 3, 5}),))
@@ -33,6 +33,18 @@ SMALL_TAGS = ("C2", "C6", "C12", "C30", "V4", "D4", "D5", "D6", "Q8", "S3",
 
 def pi_of(G, sigma, primes):
     return PiSet(frozenset(sigma.classify(p) for p in primes))
+
+
+def set_partitions(items):
+    """Every partition of the list items into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
 
 
 def test_sigma_soluble_examples():
@@ -96,6 +108,33 @@ def test_f_class_routes_agree(tag):
             c = f_class_subgroup_by_normal_complement(g, cls)
             assert a.indices == b.indices == c.indices
             assert a.gens == c.gens
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS)
+def test_normal_hall_predicates_match_oracles_on_every_partition(tag):
+    """Sigma-nilpotency, nilpotency, class-local nilpotency and dispersion,
+    all decided by pi-closure, against the chief-factor, Sylow and
+    tower-schedule routes, under every set partition of the primes of |G|."""
+    g = build_by_tag(tag)
+    assert is_nilpotent(g) == nilpotent_by_sylows(g)
+    for blocks in set_partitions(list(primes_of(g.order))):
+        sigma = SigmaPartition(tuple(map(frozenset, blocks)))
+        nilpotent = is_sigma_nilpotent(g, sigma)
+        assert nilpotent == sigma_nilpotent_by_series(g, sigma, "smallest")
+        assert nilpotent == sigma_nilpotent_by_series(g, sigma, "largest")
+        assert is_sigma_dispersive(g, sigma) == dispersive_by_ordering_search(g, sigma)
+        for cls in sigma_of_group(g, sigma):
+            assert is_class_nilpotent(g, cls) == is_class_nilpotent_by_chief_factors(g, cls)
+
+
+def test_normal_hall_predicates_skip_the_normal_lattice():
+    """Sigma-nilpotency and dispersion read pi-closures only: on a fresh
+    group they build neither the normal lattice nor a chief series."""
+    g = regular_wreath(2, symmetric(3))
+    for sigma in (ATOMIC, TWO_THREE):
+        is_sigma_nilpotent(g, sigma)
+        is_sigma_dispersive(g, sigma)
+    assert "normal_sets" not in g._cache and "chief_series" not in g._cache
 
 
 def test_f_class_examples():

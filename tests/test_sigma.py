@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import is_class_number
 from sigmagraph.errors import DomainError, GroupInputError, ResourceLimitError
-from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, class_part,
+from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition,
                               parse_sigma_spec, pi_part,
                               prime_factors, primes_of, sigma_coprime,
                               sigma_of_int)
@@ -43,7 +43,7 @@ def test_pi_part_splits_n(n):
         touched = sigma_of_int(n, sigma)
         for cls in touched:
             rest = touched - {cls}
-            assert class_part(n, cls) * pi_part(n, rest) == n
+            assert pi_part(n, frozenset({cls})) * pi_part(n, rest) == n
 
 
 @given(positive, positive)
@@ -89,9 +89,11 @@ def test_json_round_trip():
 @pytest.mark.parametrize("data", [{"classes": [[2.9]]}, {"classes": [["3"]]},
                                   {"classes": [[True]]}, {"classes": [3]},
                                   {"classes": "23"}, {"classes": [(2, 3)]},
-                                  {"atomic": "false"}, {"atomic": 0}])
+                                  {"atomic": "false"}, {"atomic": 0},
+                                  {"clases": [[2, 3]]}, {"classes": [[2]], "atomc": True}])
 def test_partition_json_is_not_coerced(data):
-    """Members must be ints (not bools), classes lists, atomic a boolean."""
+    """Members must be ints (not bools), classes lists, atomic a boolean, and
+    no other key is read."""
     with pytest.raises(GroupInputError):
         SigmaPartition.from_json(data)
 
@@ -99,10 +101,10 @@ def test_partition_json_is_not_coerced(data):
 def test_class_membership_and_parts():
     c23 = TWO_THREE.classify(2)
     assert c23.contains(3) and not c23.contains(5)
-    assert class_part(360, c23) == 72
+    assert pi_part(360, frozenset({c23})) == 72
     assert is_class_number(72, c23) and not is_class_number(360, c23)
     residual = TWO_THREE.classify(5)
-    assert class_part(360, residual) == 5
+    assert pi_part(360, frozenset({residual})) == 5
 
 
 def test_classes_tied_to_partition():
