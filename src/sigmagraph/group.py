@@ -31,10 +31,14 @@ join of prime index over K already holds, and spread each new subgroup over
 its class by gathers on the conjugation rows of G's generators.
 Centralisers, normalisers and conjugation rows compare or gather whole rows
 and columns of the table instead of multiplying element by element.
-Quotients are read in G's own normal lattice: the normal subgroups of G/K
-are the normal subgroups of G over K (``_largest_normal_over``), so no
-library route builds a quotient group; ``quotient`` remains for callers that
-want G/K as a group of its own.
+Quotients are read in G itself: the normal subgroups of G/K are the normal
+subgroups of G over K, and the largest one whose index over K involves
+given primes comes from one pass over G's conjugacy classes
+(``_largest_normal_over``).  So no library route builds a quotient group,
+G's normal lattice or a chief series; ``quotient``, ``normal_subgroups`` and
+``chief_series`` remain for callers that want them.  Hall subgroups are
+reached from one Sylow subgroup by joins with Sylow subgroups for the other
+primes (``_hall_classes``).
 Enumeration caps are explicit configuration; hitting one raises a
 ResourceLimitError naming the cap instead of silently truncating.
 """
@@ -44,6 +48,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd, prod
 from operator import eq, itemgetter
 
 from .bsgs import Bsgs
@@ -269,33 +274,56 @@ class _Universe:
         self.n = n = len(perms)
         self.degree = perms[0].degree
         self.identity = ident = index[tuple(range(self.degree))]
-        self.orders = array("l", (p.order() for p in perms))
         self.gens = tuple(g for g in dict.fromkeys(index[p.images] for p in generators)
                           if g != ident)
         if n > _TABLE_LIMIT:
             self.mul_rows = None
             self.inv_arr = array("l", (index[p.inverse().images] for p in perms))
-            return
-        # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
-        steps = [(g, _getter(tuple(map(index.__getitem__, map(itemgetter(*images[g]), images)))))
-                 for g in self.gens]
-        rows: list = [None] * n
-        rows[ident] = tuple(range(n))
-        walk = [ident]
-        for x in walk:
-            row = rows[x]
-            for g, gather in steps:
-                y = row[g]
-                if rows[y] is None:
-                    rows[y] = gather(row)
-                    walk.append(y)
-        if len(walk) != n:
-            raise CrossCheckError(
-                f"the generators reach {len(walk)} of the {n} elements of the table")
-        self.mul_rows = rows
-        # a tuple scan compares the shared ints by identity first: faster
-        # than inverting each permutation on every order in the corpus
-        self.inv_arr = array("l", (row.index(ident) for row in rows))
+        else:
+            # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
+            steps = [(g, _getter(tuple(map(index.__getitem__,
+                                           map(itemgetter(*images[g]), images)))))
+                     for g in self.gens]
+            rows: list = [None] * n
+            rows[ident] = tuple(range(n))
+            walk = [ident]
+            for x in walk:
+                row = rows[x]
+                for g, gather in steps:
+                    y = row[g]
+                    if rows[y] is None:
+                        rows[y] = gather(row)
+                        walk.append(y)
+            if len(walk) != n:
+                raise CrossCheckError(
+                    f"the generators reach {len(walk)} of the {n} elements of the table")
+            self.mul_rows = rows
+            # a tuple scan compares the shared ints by identity first: faster
+            # than inverting each permutation on every order in the corpus
+            self.inv_arr = array("l", (row.index(ident) for row in rows))
+        self.orders = self._power_orders()
+
+    def _power_orders(self) -> array:
+        """Element orders off the rows: for each x whose order is not known
+        yet, walk x, x², … up to x^k = 1 along row x; every power x^j on the
+        way has order k/gcd(j, k)."""
+        rows = self.rows()
+        ident = self.identity
+        orders = array("l", [0]) * self.n
+        orders[ident] = 1
+        for x in range(self.n):
+            if orders[x]:
+                continue
+            times_x = rows[x]
+            powers = [x]
+            y = times_x[x]
+            while y != ident:
+                powers.append(y)
+                y = times_x[y]
+            k = len(powers) + 1
+            for j, y in enumerate(powers, 1):
+                orders[y] = k // gcd(j, k)
+        return orders
 
     def rows(self):
         """The multiplication table: ``rows()[x][y]`` is the index of x·y."""
@@ -548,7 +576,8 @@ def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> lis
     """Every normal subgroup of G, sorted by order then element list.
 
     A normal subgroup is a join of conjugacy classes, so the enumeration
-    joins each one found with each class until no new one appears."""
+    joins each one found with each class until no new one appears.  No
+    library route calls it; the tests read it as an oracle."""
     return [Subgroup(G, s) for s in _normal_subgroup_sets(G, limits)]
 
 
@@ -560,7 +589,8 @@ class ChiefSeries:
 
 def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSeries:
     """One chief series, built by repeatedly taking the canonically smallest
-    minimal normal subgroup above the current term."""
+    minimal normal subgroup above the current term.  No library route calls
+    it: sigma-solubility walks up the normal subgroups one class at a time."""
     if G.is_trivial:
         raise DomainError("the trivial group has no chief series")
     normal_sets = _normal_subgroup_sets(G, limits)
@@ -616,9 +646,9 @@ class QuotientGroup:
 
 def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> QuotientGroup:
     """Quotient G/N via the faithful action on the cosets of N, as a group
-    of its own.  No library route calls it: the predicates read G/N in G's
-    normal lattice (``_largest_normal_over``); the tests use it as a second
-    route.  Cosets are numbered by their least elements, in order."""
+    of its own.  No library route calls it: the predicates read G/N among
+    G's normal subgroups over N (``_largest_normal_over``); the tests use it
+    as a second route.  Cosets are numbered by their least elements, in order."""
     if not is_normal(G, N, limits):
         raise DomainError("cannot form the quotient: subgroup is not normal")
     u = G.universe(limits)
@@ -890,11 +920,14 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
     class as its (element set, generators) pairs in canonical order, the
     first of which is the class representative.
 
-    Search: some conjugate of every such subgroup contains a fixed Sylow
-    subgroup for the prime with the heaviest contribution, so close that
-    Sylow subgroup under joins with elements of compatible order, keep joins
-    whose size divides the target, then spread each hit not yet found over
-    its conjugacy class."""
+    Search: a Hall subgroup H for the primes holds a Sylow q-subgroup of G
+    for each q among them, and some conjugate of H holds the fixed Sylow
+    subgroup P of the prime with the heaviest contribution (Sylow's
+    theorem).  So H is reached from P by joins with Sylow subgroups of G,
+    one at a time, each inside H.  Each candidate is joined with every
+    conjugate of the fixed Sylow q-subgroup for each q whose part it lacks;
+    joins whose size divides the target are kept.  Each hit not yet found
+    is spread over its conjugacy class."""
     pset = tuple(sorted(set(primes)))
     for p in pset:
         if p < 2 or prime_factors(p) != ((p, 1),):
@@ -912,23 +945,24 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
             return [[(frozenset(range(u.n)), u.gens)]]
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
+        sylows = [(q, _p_part(target, q), list(_conjugates(u, dict([_sylow_set(G, q, limits)]))))
+                  for q in pset if q != anchor_p and G.order % q == 0]
         candidates = {p0_set}
         queue = [p0_set]
-        pi_elements = [i for (s, g) in u.cyclic_subgroups().items() if g
-                       for i in g if target % u.orders[i] == 0]
         for c_set in queue:
-            for x in pi_elements:
-                if x in c_set:
+            for q, q_part, q_sets in sylows:
+                if _p_part(len(c_set), q) == q_part:
                     continue
-                joined = u.closure((x,), base=c_set, cap=target)
-                if joined is None or target % len(joined) != 0 or joined in candidates:
-                    continue
-                if len(candidates) >= limits.max_subgroup_count:
-                    raise ResourceLimitError(
-                        "Hall-subgroup search grew past the count cap",
-                        cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
-                candidates.add(joined)
-                queue.append(joined)
+                for s in q_sets:
+                    joined = u.closure(s - c_set, base=c_set, cap=target)
+                    if joined is None or target % len(joined) != 0 or joined in candidates:
+                        continue
+                    if len(candidates) >= limits.max_subgroup_count:
+                        raise ResourceLimitError(
+                            "Hall-subgroup search grew past the count cap",
+                            cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+                    candidates.add(joined)
+                    queue.append(joined)
         classes = []
         found: set[frozenset[int]] = set()
         for s in _sorted_sets(c for c in candidates if len(c) == target):
@@ -958,18 +992,35 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
                          limits: EngineLimits) -> frozenset[int]:
     """The largest normal subgroup N of G over the normal subgroup floor
     whose index |N : floor| involves only the given primes.  By the
-    correspondence theorem the normal subgroups of G/floor are the N/floor
-    for the normal N over floor, so this is the preimage of the largest
-    normal subgroup of G/floor of that kind, read in G's own normal
-    lattice.  The maximum is unique (such normal subgroups are closed under
-    products); the scan asserts that."""
-    pset = frozenset(primes)
-    hits = [s for s in _normal_subgroup_sets(G, limits)
-            if floor <= s and all(p in pset for p, _ in prime_factors(len(s) // len(floor)))]
-    best = hits[-1]  # normal sets ascend by order; floor itself is a hit
-    if not all(s <= best for s in hits):
-        raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
-    return best
+    correspondence theorem this is the preimage of the largest normal
+    subgroup of G/floor of that kind, and it is unique: the product of two
+    such normal subgroups is one too.
+
+    One walk over the conjugacy classes finds it, growing n from floor.  A
+    class C outside n joins when <n, C>, a normal subgroup, has index over n
+    dividing room, the primes-part of |G : n|; the closure is capped at
+    |n|·room.  A class of N always joins, since n <= <n, C> <= N; a class
+    outside N never does, since <n, C> would then be a larger one of the
+    kind.  So a class that fails against n fails against every later n, and
+    one pass ends at N.  The result is checked to be normal."""
+    pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
+
+    def compute():
+        u = G.universe(limits)
+        n = floor
+        for cls in _memo(G, "classes", u.conjugacy_classes, limits):
+            if cls[0] in n:
+                continue
+            room = prod(_p_part(G.order // len(n), p) for p in pset)
+            if room == 1:
+                break
+            m = u.closure(cls, base=n, cap=len(n) * room)
+            if m is not None and room % (len(m) // len(n)) == 0:
+                n = m
+        if not all(n.issuperset(map(row.__getitem__, n)) for row in u.conjugation_rows()):
+            raise CrossCheckError("the largest normal subgroup over a floor is not normal")
+        return n
+    return _memo(G, ("normal_over", floor, pset), compute, limits)
 
 
 def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:

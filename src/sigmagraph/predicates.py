@@ -1,12 +1,15 @@
 """Structural predicates of a finite group relative to a prime partition.
 
-Sigma-solubility is read off the chief factor orders.  Sigma-nilpotency
-(hence nilpotency), class-local nilpotency and dispersion each ask for normal
-Hall subgroups, decided by one pi-closure test on the group's own element
-table.  The Schmidt types and the Schmidt test come off element pairs in
-that table.  F_i and the class length are pullbacks in G's own normal
-lattice, where the normal subgroups of a quotient G/K are those over K.  No
-subgroup or quotient is built as a group of its own.
+Sigma-nilpotency (hence nilpotency), class-local nilpotency and dispersion
+each ask for normal Hall subgroups, decided by one pi-closure test on the
+group's own element table.  The Schmidt types and the Schmidt test come off
+element pairs in that table.  Sigma-solubility, F_i and the class length
+walk up G's normal subgroups: each step is the largest normal subgroup over
+a normal floor with index over a prime set (``_largest_normal_over``, one
+pass over the conjugacy classes), which by the correspondence theorem is a
+core of the quotient by the floor.  Neither the normal lattice nor a chief
+series is built, and no subgroup or quotient is built as a group of its
+own.
 Each quantity has one route here; the cross-check routes live with the
 tests.  A proved fact that the data contradicts (a unique maximum, a
 normal Hall subgroup) is surfaced as CrossCheckError, never patched over.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _largest_normal_over, _memo, chief_series, is_normal, sylow)
+                    _largest_normal_over, _memo, is_normal, sylow)
 from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, pi_part,
                     prime_factors, primes_of, sigma_of_int)
 
@@ -33,14 +36,27 @@ from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, pi_part,
 
 def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
                      limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor order lies inside a single class; by Jordan-Holder
-    the verdict does not depend on the chosen series."""
-    if G.is_trivial:
-        return True
+    """Every chief factor is a group of a single class.  A walk up G's
+    normal subgroups decides it: from the trivial term, step to the largest
+    normal subgroup over the current one whose index lies in one class,
+    taking the first class in sort_key order that moves.  If the walk
+    reaches G, its factors are single-class groups and so are the chief
+    factors refining them.  If it stalls, no minimal normal subgroup of the
+    quotient by the current term is a single-class group, so some chief
+    factor is not."""
     def compute():
-        terms = chief_series(G, limits).terms
-        return all(len(sigma_of_int(above.order // below.order, sigma)) == 1
-                   for below, above in zip(terms, terms[1:]))
+        u = G.universe(limits)
+        cur = frozenset({u.identity})
+        while len(cur) < G.order:
+            left = primes_of(G.order // len(cur))
+            for cls in sorted(sigma_of_int(G.order // len(cur), sigma), key=lambda c: c.sort_key):
+                above = _largest_normal_over(G, cur, [p for p in left if cls.contains(p)], limits)
+                if len(above) > len(cur):
+                    break
+            else:
+                return False
+            cur = above
+        return True
     return _memo(G, ("soluble", sigma), compute, limits)
 
 
@@ -63,7 +79,7 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
                      limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Largest normal N that is class-nilpotent for cls, that is, has a
     normal Hall subgroup M avoiding cls (characteristic in N, hence normal in
-    G).  Read in G's own normal lattice as a pullback: O, the largest normal
+    G).  Read as a pullback over G's normal subgroups: O, the largest normal
     subgroup avoiding cls, then the largest normal N over O with |N : O| in
     cls.  Such an N is class-nilpotent with M = O; and any class-nilpotent
     normal N has M inside O and NO/O a cls-group, so NO lies in that N."""

@@ -4,8 +4,9 @@ Everything here trades speed for obviousness: plain multiplicative closure,
 a multiplication table composed product by product, whole-group scans,
 explicit reachability, the hall graph over every Hall subgroup, and second
 routes to quantities the library computes one way only (chief series with
-either tie-break, F_i by a normal-complement scan and by a quotient group's
-core, exhaustive dispersion
+either tie-break, the largest normal subgroup over a floor by a scan of the
+normal lattice, Hall subgroups by joins with every pi-element, F_i by a
+normal-complement scan and by a quotient group's core, exhaustive dispersion
 schedules and the class length over quotient groups, the maximal-subgroup
 reading of class-local nilpotency, nilpotency by Sylow normality, Schmidt
 groups by the full subgroup lattice and Schmidt subgroups by a walk over the
@@ -24,8 +25,8 @@ from itertools import permutations
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_subgroup_sets,
-                              _power, _sorted_sets, all_subgroups, centralizer,
-                              centralizer_of_factor, core_series_subgroup,
+                              _p_part, _power, _sorted_sets, _sylow_set, all_subgroups,
+                              centralizer, centralizer_of_factor, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, sylow, two_generated_subgroups)
@@ -295,6 +296,63 @@ def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:
     """Some normal subgroup has order |G|_pi."""
     target = pi_part(G.order, pi)
     return any(len(s) == target for s in _normal_subgroup_sets(G, limits))
+
+
+def largest_normal_over_by_lattice(G, floor, primes, limits=DEFAULT_LIMITS) -> frozenset:
+    """The largest normal subgroup of G over the normal subgroup floor whose
+    index over it involves only the given primes, as an element set: the
+    last such member of the normal lattice, which must hold all the
+    others."""
+    pset = frozenset(primes)
+    hits = [s for s in _normal_subgroup_sets(G, limits)
+            if floor <= s and all(p in pset for p, _ in prime_factors(len(s) // len(floor)))]
+    best = hits[-1]  # normal sets ascend by order; floor itself is a hit
+    if not all(s <= best for s in hits):
+        raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
+    return best
+
+
+def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
+    """``_hall_classes`` with each candidate joined with every pi-element
+    (one generator per cyclic subgroup), not with Sylow subgroups for the
+    primes it lacks.  Raises on the count cap at its own candidate count."""
+    pset = frozenset(primes)
+    u = G.universe(limits)
+    target = 1
+    for p, e in prime_factors(G.order):
+        if p in pset:
+            target *= p**e
+    if target == 1:
+        return [[(frozenset({u.identity}), ())]]
+    if target == G.order:
+        return [[(frozenset(range(u.n)), u.gens)]]
+    anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
+    p0_set, _ = _sylow_set(G, anchor_p, limits)
+    candidates = {p0_set}
+    queue = [p0_set]
+    pi_elements = [i for (s, g) in u.cyclic_subgroups().items() if g
+                   for i in g if target % u.orders[i] == 0]
+    for c_set in queue:
+        for x in pi_elements:
+            if x in c_set:
+                continue
+            joined = u.closure((x,), base=c_set, cap=target)
+            if joined is None or target % len(joined) != 0 or joined in candidates:
+                continue
+            if len(candidates) >= limits.max_subgroup_count:
+                raise ResourceLimitError(
+                    "Hall-subgroup search grew past the count cap",
+                    cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+            candidates.add(joined)
+            queue.append(joined)
+    classes = []
+    found = set()
+    for s in _sorted_sets(c for c in candidates if len(c) == target):
+        if s not in found:
+            cls = _conjugates(u, {s: u.derive_gens(s)})
+            found.update(cls)
+            classes.append([(t, cls[t]) for t in _sorted_sets(cls)])
+    return classes
 
 
 def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:

@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _hall_cla
                               maximal_subgroups, two_generated_subgroups)
 from sigmagraph.predicates import is_critical, is_schmidt
 from sigmagraph.sigma import ATOMIC, SigmaPartition, sigma_of_group
-from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, sl2_3,
+from sigmagraph.zoo import (alternating, build_by_tag, direct_product, regular_wreath, sl2_3,
                             standard_partitions, symmetric)
 
 TWO = SigmaPartition(explicit_classes=(frozenset({2}),))
@@ -93,6 +94,25 @@ def test_hall_normalises_one_subgroup_per_class(monkeypatch):
     assert [len(_hall_classes(g, (p,), DEFAULT_LIMITS)) for p in primes] == [1, 1, 1]
     assert sum(len(hall_subgroups(g, (p,))) for p in primes) == 91
     assert calls == {"normalizer": 3, "centralizer": 3}
+
+
+ABOVE_TABLE_LIMIT = {"S5xS4": lambda: direct_product(symmetric(5), symmetric(4)),
+                     "C3wrS3": lambda: regular_wreath(3, symmetric(3))}
+
+
+@pytest.mark.parametrize("tag", sorted(ABOVE_TABLE_LIMIT))
+def test_graphs_above_the_table_limit_match_pinned_outputs(tag):
+    """S5 x S4 (order 2880) and C3 wr S3 (order 4374) are past the table
+    limit, so every product is composed as it is read.  Their graphs under
+    each standard partition (keyed tag/kind/index) equal outputs taken once
+    from the normal-lattice route and the search over every pi-element."""
+    pinned = json.loads((Path(__file__).parent / "graphs_above_table_limit.json").read_text())
+    g = ABOVE_TABLE_LIMIT[tag]()
+    assert g.order > sigmagraph.group._TABLE_LIMIT
+    for kind, build in (("hawkes", build_hawkes), ("hall", build_hall), ("vm", build_vm)):
+        for k, sigma in enumerate(standard_partitions()):
+            assert to_json(build(g, sigma, group_tag=tag)) == pinned[f"{tag}/{kind}/{k}"]
+    assert g.universe().mul_rows is None
 
 
 def test_edgeless_for_nilpotent():
@@ -317,8 +337,9 @@ def test_vm_and_critical_never_enumerate_the_lattice(tag, monkeypatch):
                                   lambda: regular_wreath(2, symmetric(3))),
                          ids=("S4", "A5", "wreath_c2_s3"))
 def test_hawkes_derives_no_generators(make, monkeypatch):
-    """F_i is a pullback in the normal lattice, which holds element sets
-    only, so a Hawkes graph on a fresh group derives no generators."""
+    """F_i is a pullback over G's normal subgroups, which are held as
+    element sets only, so a Hawkes graph on a fresh group derives no
+    generators."""
     derive = sigmagraph.group._Universe.derive_gens
     calls = []
 

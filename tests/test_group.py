@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
-                     closure, frattini, naive_centralizer, naive_normalizer)
+                     closure, frattini, hall_classes_every_pi_element,
+                     largest_normal_over_by_lattice, naive_centralizer, naive_normalizer)
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
-                              Subgroup, all_subgroups, centralizer, centralizer_of_factor,
+                              Subgroup, _hall_classes, _largest_normal_over, all_subgroups, centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, subgroup, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import f_class_subgroup, is_sigma_soluble
-from sigmagraph.sigma import ATOMIC, prime_factors, sigma_of_group
+from sigmagraph.sigma import ATOMIC, prime_factors, primes_of, sigma_of_group
 from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, standard_partitions,
                             symmetric)
 
@@ -337,6 +338,32 @@ def test_hall_subgroups_match_lattice(tag):
             target = prod(p**e for p, e in combo)
             assert ([s.indices for s in hall_subgroups(g, [p for p, _ in combo])]
                     == [s.indices for s in lattice if s.order == target])
+
+
+def prime_subsets(g, proper=False):
+    primes = primes_of(g.order)
+    top = len(primes) - 1 if proper else len(primes)
+    return [c for r in range(top + 1) for c in combinations(primes, r)]
+
+
+def test_hall_classes_match_the_every_pi_element_search(corpus_groups):
+    """The Sylow-join search gives the same classes, members, order and
+    generators as joining every pi-element, on every corpus group and every
+    proper set of its primes."""
+    for tag, g in corpus_groups:
+        for primes in prime_subsets(g, proper=True)[1:]:
+            assert (_hall_classes(g, primes, DEFAULT_LIMITS)
+                    == hall_classes_every_pi_element(g, primes)), (tag, primes)
+
+
+def test_largest_normal_over_matches_the_lattice_scan(corpus_groups):
+    """The class walk gives the lattice's largest normal subgroup over each
+    normal floor, for every set of primes of |G|, on every corpus group."""
+    for tag, g in corpus_groups:
+        for floor in normal_subgroups(g):
+            for primes in prime_subsets(g):
+                assert (_largest_normal_over(g, floor.indices, primes, DEFAULT_LIMITS)
+                        == largest_normal_over_by_lattice(g, floor.indices, primes)), (tag, primes)
 
 
 def test_core_series_subgroup():

@@ -72,6 +72,18 @@ def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
     assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
 
 
+@pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
+@pytest.mark.parametrize("tag", zoo_tags())
+def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monkeypatch):
+    """The orders walked along the rows equal each permutation's own order,
+    read in the table and, above the table limit, composed as they are read."""
+    if not table:
+        monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    u = next(e for e in zoo() if e.tag == tag).builder().universe()
+    assert (u.mul_rows is not None) == table
+    assert list(u.orders) == [p.order() for p in u.perms]
+
+
 def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
     """Each gathered row holds the identity row's int objects, so a table of
     n rows costs one pointer per entry and n ints in all."""

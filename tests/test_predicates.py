@@ -20,7 +20,8 @@ from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
                                    sigma_length)
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, primes_of,
                               sigma_of_group)
-from sigmagraph.zoo import build_by_tag, regular_wreath, standard_partitions, symmetric
+from sigmagraph.verify import run_corpus_sweep
+from sigmagraph.zoo import build_by_tag, regular_wreath, sl2_3, standard_partitions, symmetric
 
 TWO_THREE = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
 ALL_IN_ONE = SigmaPartition(explicit_classes=(frozenset({2, 3, 5}),))
@@ -113,12 +114,16 @@ def test_f_class_routes_agree(tag):
 @pytest.mark.parametrize("tag", ORACLE_TAGS)
 def test_normal_hall_predicates_match_oracles_on_every_partition(tag):
     """Sigma-nilpotency, nilpotency, class-local nilpotency and dispersion,
-    all decided by pi-closure, against the chief-factor, Sylow and
-    tower-schedule routes, under every set partition of the primes of |G|."""
+    all decided by pi-closure, and sigma-solubility, decided by a walk up
+    the normal subgroups, against the chief-factor, Sylow and tower-schedule
+    routes, under every set partition of the primes of |G|."""
     g = build_by_tag(tag)
     assert is_nilpotent(g) == nilpotent_by_sylows(g)
     for blocks in set_partitions(list(primes_of(g.order))):
         sigma = SigmaPartition(tuple(map(frozenset, blocks)))
+        soluble = is_sigma_soluble(g, sigma)
+        assert soluble == sigma_soluble_by_series(g, sigma, "smallest")
+        assert soluble == sigma_soluble_by_series(g, sigma, "largest")
         nilpotent = is_sigma_nilpotent(g, sigma)
         assert nilpotent == sigma_nilpotent_by_series(g, sigma, "smallest")
         assert nilpotent == sigma_nilpotent_by_series(g, sigma, "largest")
@@ -129,12 +134,19 @@ def test_normal_hall_predicates_match_oracles_on_every_partition(tag):
 
 def test_normal_hall_predicates_skip_the_normal_lattice():
     """Sigma-nilpotency and dispersion read pi-closures only: on a fresh
-    group they build neither the normal lattice nor a chief series."""
+    group they build neither the normal lattice nor a chief series.  Nor
+    does anything else in a corpus sweep: solubility, F_i and the class
+    length walk up the normal subgroups one class at a time."""
     g = regular_wreath(2, symmetric(3))
     for sigma in (ATOMIC, TWO_THREE):
         is_sigma_nilpotent(g, sigma)
         is_sigma_dispersive(g, sigma)
     assert "normal_sets" not in g._cache and "chief_series" not in g._cache
+    swept = (("S4", symmetric(4)), ("sl23", sl2_3()),
+             ("wreath_c2_s3", regular_wreath(2, symmetric(3))))
+    assert all(r.verdict != "FAIL" for r in run_corpus_sweep(swept, standard_partitions()))
+    for _, g in swept:
+        assert "normal_sets" not in g._cache and "chief_series" not in g._cache
 
 
 def test_f_class_examples():
