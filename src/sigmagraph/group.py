@@ -945,7 +945,7 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
             return [[(frozenset(range(u.n)), u.gens)]]
         anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
-        sylows = [(q, _p_part(target, q), list(_conjugates(u, dict([_sylow_set(G, q, limits)]))))
+        sylows = [(q, _p_part(G.order, q), list(_conjugates(u, {_sylow_set(G, q, limits)[0]: ()})))
                   for q in pset if q != anchor_p and G.order % q == 0]
         candidates = {p0_set}
         queue = [p0_set]

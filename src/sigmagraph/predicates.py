@@ -48,9 +48,10 @@ def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
         u = G.universe(limits)
         cur = frozenset({u.identity})
         while len(cur) < G.order:
-            left = primes_of(G.order // len(cur))
-            for cls in sorted(sigma_of_int(G.order // len(cur), sigma), key=lambda c: c.sort_key):
-                above = _largest_normal_over(G, cur, [p for p in left if cls.contains(p)], limits)
+            index = G.order // len(cur)
+            for cls in sorted(sigma_of_int(index, sigma), key=lambda c: c.sort_key):
+                above = _largest_normal_over(G, cur, [p for p in primes_of(index) if cls.contains(p)],
+                                             limits)
                 if len(above) > len(cur):
                     break
             else:

@@ -109,10 +109,10 @@ def test_acceptance_06_oracle_equivalences(corpus_groups, partitions):
         for sigma in partitions:
             for cls in sorted(sigma_of_group(g, sigma), key=lambda c: c.sort_key):
                 f_pairs += 1
-                lattice = f_class_subgroup(g, cls)
+                walk = f_class_subgroup(g, cls)
                 pull = f_class_subgroup_by_pullback(g, cls)
                 scan = f_class_subgroup_by_normal_complement(g, cls)
-                if not lattice.indices == pull.indices == scan.indices:
+                if not walk.indices == pull.indices == scan.indices:
                     f_bad.append((tag, cls.tag))
     vm_bad, vm_groups = [], 0
     for tag, g in corpus_groups:
@@ -128,7 +128,7 @@ def test_acceptance_06_oracle_equivalences(corpus_groups, partitions):
             if not (a == b == build_vm(g, sigma).edges):
                 vm_bad.append(tag)
     record(6, not f_bad and not vm_bad,
-           f"normal-lattice F == quotient pullback == normal-complement scan "
+           f"class-walk F == quotient pullback == normal-complement scan "
            f"on all {f_pairs} (group, class) pairs; full-lattice vm == "
            f"two-generated vm (criticality "
            f"from each candidate's lattice) == build_vm on all {vm_groups} "

@@ -13,7 +13,8 @@ from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
-                              Subgroup, _hall_classes, _largest_normal_over, all_subgroups, centralizer, centralizer_of_factor,
+                              Subgroup, _hall_classes, _largest_normal_over, all_subgroups,
+                              centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,

@@ -98,9 +98,9 @@ def test_class_nilpotency_routes_agree(tag):
 
 @pytest.mark.parametrize("tag", SMALL_TAGS)
 def test_f_class_routes_agree(tag):
-    """Normal-lattice pullback vs quotient-group pullback vs normal-complement
-    scan; the scan's subgroup comes from the same lattice, so its generators
-    agree too."""
+    """Class-walk pullback vs quotient-group pullback vs normal-complement
+    scan; neither the walk nor the lattice scan gives generators, so both
+    derive the same canonical ones."""
     g = build_by_tag(tag)
     for sigma in standard_partitions():
         for cls in sigma_of_group(g, sigma):
