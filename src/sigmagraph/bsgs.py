@@ -8,23 +8,19 @@ No randomisation is used anywhere, so equal inputs give equal structures.
 Transversal convention: transversal[beta] is an element u with u(base) = beta,
 and sifting uses p <- p * transversal[beta]^-1 to fix the base point.
 
-The product of the orbit lengths found so far only grows as the algorithm
-runs and never exceeds the group order, so a bound on the order can stop
-the construction as soon as the group is seen to be larger.
+It gives only the order of a group past the default element cap: a group
+at or below that cap is enumerated by a walk over its Cayley graph
+(``group.PermGroup``), which gives its order as well.
 """
 
 from __future__ import annotations
 
-from .errors import ResourceLimitError
 from .perm import Permutation
 
 
 class Bsgs:
-    def __init__(self, degree: int, generators, max_order: int | None = None):
-        """With max_order, raise a ResourceLimitError naming
-        max_element_order once the group is seen to be larger."""
+    def __init__(self, degree: int, generators):
         self.degree = degree
-        self.max_order = max_order
         self.base: list[int] = []
         # level_gens[i] generates the stabiliser of base[:i]
         self.level_gens: list[list[Permutation]] = []
@@ -76,10 +72,6 @@ class Bsgs:
                     trans[delta] = u * g
                     queue.append(delta)
         self.transversals[i] = trans
-        if self.max_order is not None and self.order > self.max_order:
-            raise ResourceLimitError(
-                f"group of order above {self.max_order} is too large to enumerate",
-                cap_name="max_element_order", cap_value=self.max_order)
         self.inv_transversals[i] = {b: u.inverse() for b, u in trans.items()}
 
     def _strip(self, p: Permutation, start: int = 0) -> tuple[Permutation, int]:
@@ -111,12 +103,3 @@ class Bsgs:
         for trans in self.transversals:
             n *= len(trans)
         return n
-
-    def elements(self) -> list[Permutation]:
-        """Every group element exactly once, deterministically: the products
-        u_k ··· u_1 u_0 of one transversal element per level, built from the
-        deepest level up so that each partial product is formed once."""
-        elems = [Permutation.identity(self.degree)]
-        for trans in reversed(self.transversals):
-            elems = [h * trans[beta] for beta in sorted(trans) for h in elems]
-        return elems

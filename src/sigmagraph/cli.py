@@ -9,12 +9,14 @@ listed form the residual class).
 
 Exit codes: 0 for success (including vacuous verifications), 1 when a
 verification reports FAIL, 2 for input errors, domain errors, and resource
-caps.  A group spec with a degree above 256 or more than 64 generators is
-refused as a cap (``max_degree``, ``max_generators``) before any permutation
-is built, and one whose order exceeds ``max_element_order`` (``--max-order``)
-as soon as its strong generating set shows it.  A ``--pi`` or partition-spec
-integer above 10**6 is refused (``max_prime``) before it is factored.  Error
-messages are a single stderr line prefixed ``error:``.
+caps.  A cap option below 1 is an input error.  A group spec with a degree
+above 256 or more than 64 generators is refused as a cap (``max_degree``,
+``max_generators``) before any permutation is built, and one whose order
+exceeds ``max_element_order`` (``--max-order``) as soon as the walk that
+enumerates it finds one element more, so refusing a group above the cap
+costs about as much as enumerating one at the cap.  A ``--pi`` or
+partition-spec integer above 10**6 is refused (``max_prime``) before it is
+factored.  Error messages are a single stderr line prefixed ``error:``.
 
 ``main`` can be called many times in one process: it builds the parser on
 its first call and reuses it, and each call parses into a fresh namespace.

@@ -14,17 +14,22 @@ collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on an indexed multiplication table of the ambient group
-(``_Universe``).  Only the generators' rows of that table are composed from
-images; the other rows are gathered from them along the Cayley graph.  Rows
-are tuples that share the identity row's int objects, so a gather neither
-boxes nor copies an entry; that costs 8 bytes per entry, about 4 MB for S6
-and about 18 MB at ``_TABLE_LIMIT``.  A subgroup is its set of element
-indices in that table.  Its generator indices are given, where a search
-produced them, or derived from the set on first read; its own PermGroup is
-built only when a caller treats it as a group in its own right.  Every
-subgroup is generated by ``_Universe.closure``, which extends a subgroup the
-caller already holds by new generators, one left coset at a time (Dimino's
-algorithm; Butler, Fundamental Algorithms for Permutation Groups, LNCS 559).
+(``_Universe``).  A group is enumerated when it is built, by one
+breadth-first walk over its Cayley graph that stops past the element cap;
+Schreier-Sims (``bsgs.Bsgs``) only gives the order of a group past the
+default cap, so refusing a group above a cap costs about as much as
+enumerating one at the cap.  Only the generators' rows of the table are
+composed from images; the other rows are gathered from them along the
+Cayley graph.  Rows are tuples that share the identity row's int objects,
+so a gather neither boxes nor copies an entry; that costs 8 bytes per
+entry, about 4 MB for S6 and about 18 MB at ``_TABLE_LIMIT``.  A subgroup
+is its set of element indices in that table.  Its generator indices are
+given, where a search produced them, or derived from the set on first
+read; its own PermGroup is built only when a caller treats it as a group in
+its own right.  Every subgroup is generated by ``_Universe.closure``,
+which extends a subgroup the caller already holds by new generators, one
+left coset at a time (Dimino's algorithm; Butler, Fundamental Algorithms
+for Permutation Groups, LNCS 559).
 Subgroup searches work up to conjugacy: they extend one representative K per
 class, by one cyclic subgroup per N_G(K)-orbit, skip a join that an earlier
 join of prime index over K already holds, and spread each new subgroup over
@@ -46,14 +51,14 @@ ResourceLimitError naming the cap instead of silently truncating.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from math import gcd, prod
 from operator import eq, itemgetter
 
 from .bsgs import Bsgs
 from .errors import CrossCheckError, DomainError, GroupInputError, ResourceLimitError
-from .perm import Permutation
+from .perm import Permutation, _trusted
 from .sigma import prime_factors
 
 
@@ -69,6 +74,12 @@ class EngineLimits:
     max_subgroup_count: int = 4000
     max_join_work: int = 400_000
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise GroupInputError(f"{f.name} must be at least 1, got {value}")
+
 
 DEFAULT_LIMITS = EngineLimits()
 
@@ -76,12 +87,19 @@ _TABLE_LIMIT = 1500  # build a full multiplication table up to this order
 
 
 class PermGroup:
-    """Finite permutation group whose order and elements come from a strong
-    generating set.  With max_order, the construction stops with a
-    ResourceLimitError naming max_element_order as soon as the group is
-    seen to be larger, instead of finishing the strong generating set."""
+    """Finite permutation group, enumerated by a breadth-first walk over its
+    Cayley graph from the identity (``_cayley_walk``).
 
-    __slots__ = ("degree", "generators", "bsgs", "order", "_cache")
+    The walk stops once it has found more than max_order elements, or more
+    than the default ``max_element_order`` when max_order is None.  A walk
+    that completes gives the order and caches the sorted elements.  Past the
+    bound, a call with max_order raises a ResourceLimitError naming
+    max_element_order; a call without it takes the order from a strong
+    generating set (``Bsgs``, Schreier-Sims), and ``elements`` of such a
+    group walks again with no bound.  So refusing a group above a cap costs
+    about as much as enumerating one at the cap."""
+
+    __slots__ = ("degree", "generators", "order", "_cache")
 
     def __init__(self, degree: int, generators, max_order: int | None = None):
         if degree < 1:
@@ -94,9 +112,18 @@ class PermGroup:
                 raise GroupInputError(f"generator {g} has degree {g.degree}, expected {degree}")
         self.degree = degree
         self.generators = gens
-        self.bsgs = Bsgs(degree, gens, max_order)
-        self.order = self.bsgs.order
         self._cache: dict = {}
+        bound = DEFAULT_LIMITS.max_element_order if max_order is None else max_order
+        elems = _cayley_walk(degree, gens, bound)
+        if elems is not None:
+            self.order = len(elems)
+            self._cache["elements"] = elems
+        elif max_order is not None:
+            raise ResourceLimitError(
+                f"group of order above {max_order} is too large to enumerate",
+                cap_name="max_element_order", cap_value=max_order)
+        else:
+            self.order = Bsgs(degree, gens).order
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -108,18 +135,36 @@ class PermGroup:
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple.  Capped by max_element_order,
         also when they are already cached."""
-        def compute():
-            elems = tuple(sorted(self.bsgs.elements(), key=lambda p: p.images))
-            if len(elems) != self.order:
-                raise CrossCheckError(
-                    "element enumeration disagrees with the strong generating set order")
-            return elems
-        return _memo(self, "elements", compute, limits)
+        return _memo(self, "elements",
+                     lambda: _cayley_walk(self.degree, self.generators), limits)
 
     def universe(self, limits: EngineLimits = DEFAULT_LIMITS) -> "_Universe":
         """The element table, capped like ``elements``."""
         return _memo(self, "universe",
                      lambda: _Universe(self.elements(limits), self.generators), limits)
+
+
+def _cayley_walk(degree: int, generators, bound: int | None = None
+                 ) -> tuple[Permutation, ...] | None:
+    """The elements of the group the generators generate, sorted by image
+    tuple; None once more than bound are found.  A breadth-first walk from
+    the identity that multiplies on the left by one generator per step: g·x
+    applies g first, so its images are x's images read at g's, one C-level
+    gather on x's image tuple."""
+    steps = [_getter(images) for images in dict.fromkeys(g.images for g in generators)]
+    ident = tuple(range(degree))
+    seen = {ident}
+    walk = [ident]
+    for x in walk:
+        for step in steps:
+            y = step(x)
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+        if bound is not None and len(walk) > bound:
+            return None
+    walk.sort()
+    return tuple(map(_trusted, walk))
 
 
 def _require_enumerable(G: PermGroup, limits: EngineLimits) -> None:
@@ -193,7 +238,6 @@ class Subgroup:
             grp = PermGroup(self.parent.degree, tuple(perms[i] for i in self.gens))
             if grp.order != self.order:
                 raise CrossCheckError("materialised subgroup order disagrees with its index set")
-            grp._cache["elements"] = tuple(perms[i] for i in sorted(self.indices))
             self._group = grp
         return self._group
 
@@ -253,8 +297,10 @@ class _Universe:
     C-level gather per row.  A row is a tuple: gathered from the identity
     row ``tuple(range(n))``, every row holds that row's int objects, so the
     gather boxes nothing and builds nothing besides the tuple.  Inverses
-    are read off the rows.  Whole-table reads go through ``rows()`` and
-    ``column()``, which above the limit compose each entry as it is read.
+    are read along the same walk: a generator's inverse is scanned off its
+    row, and for y = x·g, y⁻¹ = g⁻¹·x⁻¹ is one table read.  Whole-table
+    reads go through ``rows()`` and ``column()``, which above the limit
+    compose each entry as it is read.
     A conjugation row is two C-level gathers through the inverses, since
     i·g = (g⁻¹·i⁻¹)⁻¹; a column stays one ``itemgetter`` read per row,
     which measured no slower than a gather through the inverses.
@@ -287,6 +333,7 @@ class _Universe:
             rows: list = [None] * n
             rows[ident] = tuple(range(n))
             walk = [ident]
+            edges = []  # (x, g, y) with y = x·g, one per element reached
             for x in walk:
                 row = rows[x]
                 for g, gather in steps:
@@ -294,13 +341,17 @@ class _Universe:
                     if rows[y] is None:
                         rows[y] = gather(row)
                         walk.append(y)
+                        edges.append((x, g, y))
             if len(walk) != n:
                 raise CrossCheckError(
                     f"the generators reach {len(walk)} of the {n} elements of the table")
             self.mul_rows = rows
-            # a tuple scan compares the shared ints by identity first: faster
-            # than inverting each permutation on every order in the corpus
-            self.inv_arr = array("l", (row.index(ident) for row in rows))
+            # (x·g)⁻¹ = g⁻¹·x⁻¹: one scan per generator row, then one read per edge
+            inv = self.inv_arr = array("l", [ident]) * n
+            for g in self.gens:
+                inv[g] = rows[g].index(ident)
+            for x, g, y in edges:
+                inv[y] = rows[inv[g]][inv[x]]
         self.orders = self._power_orders()
 
     def _power_orders(self) -> array:

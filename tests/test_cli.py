@@ -7,6 +7,8 @@ import pytest
 
 import sigmagraph.cli
 from sigmagraph.cli import main
+from sigmagraph.errors import GroupInputError
+from sigmagraph.group import EngineLimits
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 
@@ -282,6 +284,42 @@ def test_group_order_past_the_element_cap_exits_2_while_building(capsys):
     rc, out, err = run(capsys, "--max-order", "119", "check", "--group", s5,
                        "--predicate", "critical")
     assert rc == 2 and out == "" and "[cap max_element_order=119]" in err
+
+
+def test_s12_past_the_element_cap_exits_2_quickly(capsys):
+    """Refusing S12 (order 479001600) under the default cap costs about as
+    much as enumerating a group at the cap: the walk stops after 5000
+    elements."""
+    spec = json.dumps({"degree": 12, "generators": [list(range(1, 13)), [1, 2]]})
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "graph", "--group", spec, "--kind", "hall")
+    assert time.perf_counter() - t0 < 5
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "[cap max_element_order=5000]" in err
+
+
+@pytest.mark.parametrize("option, value", [("--max-order", "0"), ("--max-order", "-1"),
+                                           ("--max-subgroup-order", "0"),
+                                           ("--max-subgroup-order", "-3")])
+def test_caps_below_1_exit_2(capsys, option, value):
+    """A cap below 1 is refused before any group is read: --max-order 0
+    would refuse every group, and a negative --max-subgroup-order would
+    silently move prop 1.11 off the lattice."""
+    for command in (("graph", "--group", "zoo:S4", "--kind", "hall"),
+                    ("verify", "--group", "zoo:S4", "--statement", "1.11", "--sigma", "atomic")):
+        rc, out, err = run(capsys, option, value, *command)
+        assert rc == 2 and out == ""
+        name = option[2:].replace("-", "_").replace("max_order", "max_element_order")
+        assert err == f"error: {name} must be at least 1, got {value}\n"
+
+
+def test_engine_limits_refuse_caps_below_1():
+    for name in ("max_element_order", "max_subgroup_order", "max_subgroup_count",
+                 "max_join_work"):
+        for value in (0, -1):
+            with pytest.raises(GroupInputError, match=f"{name} must be at least 1"):
+                EngineLimits(**{name: value})
+        assert getattr(EngineLimits(**{name: 1}), name) == 1
 
 
 def test_help_exits_0(capsys):

@@ -9,7 +9,6 @@ from oracles import (brute_has_circuit, hall_edges_every_member, vm_edges_from_c
                      weak_components, zoo_tags)
 import sigmagraph.graphs
 import sigmagraph.group
-from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                                graphs_equal, has_circuit, has_loop,
@@ -390,16 +389,17 @@ def test_vm_and_schmidt_build_no_subgroup_pool(make, monkeypatch):
                          ids=("S4", "A5", "sl23", "wreath_c2_s3"))
 def test_graphs_and_schmidt_build_no_group_per_subgroup(make, monkeypatch):
     """vm, hawkes, criticality and the Schmidt test read subgroups as index
-    sets in the group's own element table: past the group's own strong
-    generating set, none is built."""
+    sets in the group's own element table: past the group itself, no group
+    is built."""
     g = make()
     built = []
+    init = PermGroup.__init__
 
-    def counting_bsgs(*args):
+    def counting_init(self, *args, **kwargs):
         built.append(args)
-        return Bsgs(*args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sigmagraph.group, "Bsgs", counting_bsgs)
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
     for sigma in standard_partitions():
         build_vm(g, sigma)
         build_hawkes(g, sigma)

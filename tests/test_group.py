@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
                      closure, frattini, hall_classes_every_pi_element,
                      largest_normal_over_by_lattice, naive_centralizer, naive_normalizer)
-from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
@@ -133,17 +132,18 @@ def test_subgroup_generator_outside_parent():
                          ids=("S4", "A5"))
 def test_subgroups_build_their_group_only_when_used(make, monkeypatch):
     """Subgroups are index sets in the parent's element table: computing
-    them and reading their order, indices or elements builds no strong
-    generating set; the first .group read builds one, later reads reuse it.
-    The group is built fresh, so no subgroup comes from an earlier test."""
+    them and reading their order, indices or elements builds no group; the
+    first .group read builds one, later reads reuse it.  The group is built
+    fresh, so no subgroup comes from an earlier test."""
     g = make()
     built = []
+    init = PermGroup.__init__
 
-    def counting_bsgs(*args):
+    def counting_init(self, *args, **kwargs):
         built.append(args)
-        return Bsgs(*args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sigmagraph.group, "Bsgs", counting_bsgs)
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
     subs = two_generated_subgroups(g) + normal_subgroups(g)
     for p, _ in prime_factors(g.order):
         subs += hall_subgroups(g, (p,))
@@ -411,8 +411,8 @@ def test_resource_caps_raise_with_cap_name():
 
 def test_order_bound_stops_the_strong_generating_set():
     """max_order admits a group of exactly that order and stops a larger
-    one, naming max_element_order, before its strong generating set is
-    complete."""
+    one, naming max_element_order, as soon as the walk over its Cayley
+    graph finds one element more."""
     gens = symmetric(5).generators
     assert PermGroup(5, gens, max_order=120).order == 120
     with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=119\]"):

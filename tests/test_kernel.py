@@ -84,6 +84,18 @@ def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monke
     assert list(u.orders) == [p.order() for p in u.perms]
 
 
+@pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
+@pytest.mark.parametrize("tag", zoo_tags())
+def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
+    """i·i⁻¹ is the identity for every element: inverses read along the
+    table walk's edges and, above the table limit, inverted image by image."""
+    if not table:
+        monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    u = next(e for e in zoo() if e.tag == tag).builder().universe()
+    assert (u.mul_rows is not None) == table
+    assert all(u.mul(i, u.inv_arr[i]) == u.identity for i in range(u.n))
+
+
 def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
     """Each gathered row holds the identity row's int objects, so a table of
     n rows costs one pointer per entry and n ints in all."""

@@ -3,9 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sigmagraph.bsgs import Bsgs
-from sigmagraph.errors import GroupInputError
+from sigmagraph.errors import GroupInputError, ResourceLimitError
+from sigmagraph.group import EngineLimits, PermGroup
 from sigmagraph.perm import Permutation
-from sigmagraph.zoo import zoo
+from sigmagraph.zoo import s5_subgroups, symmetric, zoo
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n))).map(lambda xs: Permutation(tuple(xs)))
@@ -108,23 +109,46 @@ def test_images_that_are_not_a_bijection_are_refused():
             Permutation(images)
 
 
-def test_bsgs_of_every_zoo_group_matches_validated_closure():
-    """The order and the element list of every zoo group's strong
-    generating set agree with a closure that builds every product with the
-    bijection check."""
-    for entry in zoo():
-        G = entry.build()
-        ident = validated(range(G.degree))
-        seen = {ident.images}
-        frontier = [ident]
-        for x in frontier:
-            for g in G.generators:
-                y = validated(g.images[i] for i in x.images)
-                if y.images not in seen:
-                    seen.add(y.images)
-                    frontier.append(y)
-        bsgs = Bsgs(G.degree, G.generators)
-        elems = bsgs.elements()
-        assert bsgs.order == len(elems) == len(seen) == entry.expected_order, entry.tag
-        assert {p.images for p in elems} == seen, entry.tag
-        assert [p.images for p in G.elements()] == sorted(seen), entry.tag
+def validated_closure(G):
+    """Image tuples of G's elements, every product built with the bijection
+    check."""
+    ident = validated(range(G.degree))
+    seen = {ident.images}
+    frontier = [ident]
+    for x in frontier:
+        for g in G.generators:
+            y = validated(g.images[i] for i in x.images)
+            if y.images not in seen:
+                seen.add(y.images)
+                frontier.append(y)
+    return seen
+
+
+def test_walk_of_every_corpus_group_matches_bsgs_and_validated_closure():
+    """The order and the sorted element list that the Cayley-graph walk
+    gives every zoo group and every subgroup of S5 agree with the strong
+    generating set's order and with a closure that builds every product
+    with the bijection check."""
+    groups = [(e.tag, e.build(), e.expected_order) for e in zoo()]
+    groups += [(tag, g, g.order) for tag, g in s5_subgroups()]
+    for tag, G, expected in groups:
+        seen = validated_closure(G)
+        assert Bsgs(G.degree, G.generators).order == G.order == len(seen) == expected, tag
+        assert [p.images for p in G.elements()] == sorted(seen), tag
+        fresh = PermGroup(G.degree, G.generators)
+        assert fresh.order == expected and fresh.elements() == G.elements(), tag
+
+
+def test_walk_past_the_default_cap_takes_the_order_from_bsgs():
+    """Past the default max_element_order the walk stops; without max_order
+    the order comes from the strong generating set, and the elements from
+    an unbounded walk once a larger cap admits them."""
+    gens = symmetric(7).generators
+    g = PermGroup(7, gens)
+    assert g.order == Bsgs(7, gens).order == 5040
+    assert "elements" not in g._cache
+    elems = g.elements(EngineLimits(max_element_order=5040))
+    assert len(set(elems)) == 5040
+    assert [p.images for p in elems] == sorted(validated_closure(g))
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5039\]"):
+        PermGroup(7, gens, max_order=5039)
