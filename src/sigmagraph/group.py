@@ -151,7 +151,7 @@ def _cayley_walk(degree: int, generators, bound: int | None = None
     the identity that multiplies on the left by one generator per step: g·x
     applies g first, so its images are x's images read at g's, one C-level
     gather on x's image tuple."""
-    steps = [_getter(images) for images in dict.fromkeys(g.images for g in generators)]
+    steps = [_getter(g.images) for g in generators]
     ident = tuple(range(degree))
     seen = {ident}
     walk = [ident]
