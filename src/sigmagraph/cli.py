@@ -19,7 +19,8 @@ partition-spec integer above 10**6 is refused (``max_prime``) before it is
 factored.  Error messages are a single stderr line prefixed ``error:``.
 
 ``main`` can be called many times in one process: it builds the parser on
-its first call and reuses it, and each call parses into a fresh namespace.
+its first call and reuses it, and each call parses into a fresh namespace
+and parses its partitions afresh.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .perm import Permutation
 from .predicates import (is_critical, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent,
                          is_sigma_soluble)
-from .sigma import ATOMIC, PiSet, SigmaPartition, parse_sigma_spec
+from .sigma import PiSet, SigmaPartition, parse_sigma_spec
 from .verify import ALL_STATEMENTS, run_corpus_sweep
 from .zoo import build_by_tag, corpus, standard_partitions, zoo
 

@@ -15,13 +15,15 @@ Vertices are the partition classes meeting |G|.  Edge rules:
                     has index q.  So the edges are the Schmidt types (p, q)
                     (predicates.schmidt_types) read as (class(p), class(q)).
 
-All outputs are canonically ordered; serialisation is byte-deterministic.
+Each built graph is kept in the group's memo and returned on a later call;
+a caller with another group tag gets a copy under its own tag.  All outputs
+are canonically ordered; serialisation is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CrossCheckError, DomainError
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
@@ -62,6 +64,11 @@ def _require_nontrivial(G: PermGroup):
         raise DomainError("class graphs are defined for nontrivial groups only")
 
 
+def _tagged(graph: SigmaGraph, group_tag: str) -> SigmaGraph:
+    """The memoised graph itself, or a copy of it under the caller's tag."""
+    return graph if graph.group_tag == group_tag else replace(graph, group_tag=group_tag)
+
+
 def build_hawkes(G: PermGroup, sigma: SigmaPartition,
                  limits: EngineLimits = DEFAULT_LIMITS, group_tag: str = "G") -> SigmaGraph:
     _require_nontrivial(G)
@@ -72,9 +79,9 @@ def build_hawkes(G: PermGroup, sigma: SigmaPartition,
             f = f_class_subgroup(G, ci, limits)
             for cj in sigma_of_int(G.order // f.order, sigma):
                 edges.add((ci, cj))
-        return vertices, frozenset(edges)
-    vertices, edges = _memo(G, ("graph", "hawkes", sigma), compute, limits)
-    return SigmaGraph("hawkes", group_tag, sigma, vertices, edges, primes_of(G.order))
+        return SigmaGraph("hawkes", group_tag, sigma, vertices, frozenset(edges),
+                          primes_of(G.order))
+    return _tagged(_memo(G, ("graph", "hawkes", sigma), compute, limits), group_tag)
 
 
 def build_hall(G: PermGroup, sigma: SigmaPartition,
@@ -95,10 +102,10 @@ def build_hall(G: PermGroup, sigma: SigmaPartition,
                 hc = h.order * c.order // len(h.indices & c.indices)
                 for cj in sigma_of_int(n.order // hc, sigma):
                     edges.add((ci, cj))
-        return vertices, frozenset(edges)
+        return SigmaGraph("hall", group_tag, sigma, vertices, frozenset(edges),
+                          primes_of(G.order))
     key = ("graph", "hall", sigma, limits.max_subgroup_count)  # the Hall search's cap
-    vertices, edges = _memo(G, key, compute, limits)
-    return SigmaGraph("hall", group_tag, sigma, vertices, edges, primes_of(G.order))
+    return _tagged(_memo(G, key, compute, limits), group_tag)
 
 
 def build_vm(G: PermGroup, sigma: SigmaPartition,
@@ -111,9 +118,9 @@ def build_vm(G: PermGroup, sigma: SigmaPartition,
             ci, cj = sigma.classify(p), sigma.classify(q)
             if ci != cj:
                 edges.add((ci, cj))
-        return vertices, frozenset(edges)
-    vertices, edges = _memo(G, ("graph", "vm", sigma), compute, limits)
-    return SigmaGraph("vm", group_tag, sigma, vertices, edges, primes_of(G.order))
+        return SigmaGraph("vm", group_tag, sigma, vertices, frozenset(edges),
+                          primes_of(G.order))
+    return _tagged(_memo(G, ("graph", "vm", sigma), compute, limits), group_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +193,15 @@ def graphs_equal(g1: SigmaGraph, g2: SigmaGraph) -> bool:
 
 
 def to_json(graph: SigmaGraph) -> str:
+    """One JSON object; its keys are written in sorted order."""
     payload = {
-        "kind": graph.kind,
-        "group": graph.group_tag,
-        "vertices": [{"tag": cls.tag, "primes_in_G": list(ps)}
-                     for cls, ps in graph.vertex_primes],
         "edges": [[a.tag, b.tag] for a, b in graph.sorted_edges()],
+        "group": graph.group_tag,
+        "kind": graph.kind,
+        "vertices": [{"primes_in_G": list(ps), "tag": cls.tag}
+                     for cls, ps in graph.vertex_primes],
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload)
 
 
 def to_dot(graph: SigmaGraph) -> str:

@@ -167,13 +167,7 @@ def _cayley_walk(degree: int, generators, bound: int | None = None
     return tuple(map(_trusted, walk))
 
 
-def _require_enumerable(G: PermGroup, limits: EngineLimits) -> None:
-    """Raise past max_element_order.  Every read of a value cached on G
-    checks this first, so a cap holds whatever ran before on the group."""
-    if G.order > limits.max_element_order:
-        raise ResourceLimitError(
-            f"group of order {G.order} is too large to enumerate",
-            cap_name="max_element_order", cap_value=limits.max_element_order)
+_MISSING = object()
 
 
 def _memo(G: PermGroup, key, compute, limits: EngineLimits):
@@ -182,17 +176,21 @@ def _memo(G: PermGroup, key, compute, limits: EngineLimits):
     whatever ran before on the group; a value that depends on another cap
     carries that cap in its key.  A ResourceLimitError that compute raises
     is cached as well, without its traceback (which holds compute's partial
-    work), and every later read raises a fresh copy of it."""
-    _require_enumerable(G, limits)
+    work), and every later read raises a fresh copy of it.  A hit hashes
+    the key once."""
+    if G.order > limits.max_element_order:
+        raise ResourceLimitError(
+            f"group of order {G.order} is too large to enumerate",
+            cap_name="max_element_order", cap_value=limits.max_element_order)
     cache = G._cache
-    if key not in cache:
+    value = cache.get(key, _MISSING)
+    if value is _MISSING:
         try:
-            cache[key] = compute()
+            value = cache[key] = compute()
         except ResourceLimitError as exc:
             cache[key] = exc.fresh()
             raise
-    value = cache[key]
-    if isinstance(value, ResourceLimitError):
+    elif isinstance(value, ResourceLimitError):
         raise value.fresh()
     return value
 
@@ -296,11 +294,11 @@ class _Universe:
     row(x·g) = row(x) read at the positions row(g) (associativity), one
     C-level gather per row.  A row is a tuple: gathered from the identity
     row ``tuple(range(n))``, every row holds that row's int objects, so the
-    gather boxes nothing and builds nothing besides the tuple.  Inverses
-    are read along the same walk: a generator's inverse is scanned off its
-    row, and for y = x·g, y⁻¹ = g⁻¹·x⁻¹ is one table read.  Whole-table
-    reads go through ``rows()`` and ``column()``, which above the limit
-    compose each entry as it is read.
+    gather boxes nothing and builds nothing besides the tuple.  Element
+    orders and inverses are read off one walk over the powers of each
+    cyclic subgroup (``_power_walk``), with or without a table.
+    Whole-table reads go through ``rows()`` and ``column()``, which above
+    the limit compose each entry as it is read.
     A conjugation row is two C-level gathers through the inverses, since
     i·g = (g⁻¹·i⁻¹)⁻¹; a column stays one ``itemgetter`` read per row,
     which measured no slower than a gather through the inverses.
@@ -324,7 +322,6 @@ class _Universe:
                           if g != ident)
         if n > _TABLE_LIMIT:
             self.mul_rows = None
-            self.inv_arr = array("l", (index[p.inverse().images] for p in perms))
         else:
             # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
             steps = [(g, _getter(tuple(map(index.__getitem__,
@@ -333,7 +330,6 @@ class _Universe:
             rows: list = [None] * n
             rows[ident] = tuple(range(n))
             walk = [ident]
-            edges = []  # (x, g, y) with y = x·g, one per element reached
             for x in walk:
                 row = rows[x]
                 for g, gather in steps:
@@ -341,26 +337,20 @@ class _Universe:
                     if rows[y] is None:
                         rows[y] = gather(row)
                         walk.append(y)
-                        edges.append((x, g, y))
             if len(walk) != n:
                 raise CrossCheckError(
                     f"the generators reach {len(walk)} of the {n} elements of the table")
             self.mul_rows = rows
-            # (x·g)⁻¹ = g⁻¹·x⁻¹: one scan per generator row, then one read per edge
-            inv = self.inv_arr = array("l", [ident]) * n
-            for g in self.gens:
-                inv[g] = rows[g].index(ident)
-            for x, g, y in edges:
-                inv[y] = rows[inv[g]][inv[x]]
-        self.orders = self._power_orders()
+        self.orders, self.inv_arr = self._power_walk()
 
-    def _power_orders(self) -> array:
-        """Element orders off the rows: for each x whose order is not known
-        yet, walk x, x², … up to x^k = 1 along row x; every power x^j on the
-        way has order k/gcd(j, k)."""
+    def _power_walk(self) -> tuple[array, array]:
+        """Element orders and inverses off the rows: for each x whose order
+        is not known yet, walk x, x², … up to x^k = 1 along row x; every
+        power x^j on the way has order k/gcd(j, k) and inverse x^(k−j)."""
         rows = self.rows()
         ident = self.identity
         orders = array("l", [0]) * self.n
+        inv = array("l", [ident]) * self.n
         orders[ident] = 1
         for x in range(self.n):
             if orders[x]:
@@ -374,7 +364,8 @@ class _Universe:
             k = len(powers) + 1
             for j, y in enumerate(powers, 1):
                 orders[y] = k // gcd(j, k)
-        return orders
+                inv[y] = powers[k - j - 1]  # powers[i] is x^(i+1)
+        return orders, inv
 
     def rows(self):
         """The multiplication table: ``rows()[x][y]`` is the index of x·y."""
@@ -825,7 +816,6 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
         raise ResourceLimitError(
             f"group of order {G.order} is too large for subgroup enumeration",
             cap_name="max_subgroup_order", cap_value=limits.max_subgroup_order)
-    key = (limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work)
 
     def compute():
         u = G.universe(limits)
@@ -844,7 +834,12 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
         for h in _new_classes(u, found, pairs, limits):
             reps.append(h)
         return [(s, found[s]) for s in _sorted_sets(found)]
-    return _memo(G, ("all_subgroup_sets", *key), compute, limits)
+    return _memo(G, ("all_subgroup_sets", *_lattice_caps(limits)), compute, limits)
+
+
+def _lattice_caps(limits: EngineLimits) -> tuple[int, int, int]:
+    """The caps the subgroup lattice depends on, part of its memo key."""
+    return limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work
 
 
 def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
@@ -899,9 +894,14 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
 
 
 def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
-    """Proper subgroups not contained in any larger proper subgroup."""
-    proper = [s for s in all_subgroups(G, limits) if s.order < G.order]
-    return [s for s in proper if not any(s.indices < t.indices for t in proper)]
+    """Proper subgroups not contained in any larger proper subgroup, sorted
+    like the lattice they are read from and memoised under its caps."""
+    def compute():
+        proper = [s for s in all_subgroups(G, limits) if s.order < G.order]
+        return [(s.indices, s.gens) for s in proper
+                if not any(s.indices < t.indices for t in proper)]
+    return [Subgroup(G, s, g)
+            for s, g in _memo(G, ("maximal", *_lattice_caps(limits)), compute, limits)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ residual class holding every other prime, or by the atomic partition in which
 each prime is its own class.  Classes are value objects tied to their
 partition, so classes from different partitions never compare equal.  Each
 partition object keeps the class of every prime it has classified, so a
-repeated ``classify(p)`` returns the same object.  An integer above
+repeated ``classify(p)`` returns the same object, and the class set of every
+integer ``sigma_of_int`` was asked for.  Partitions, classes and class sets
+compute their hash once, at construction, and a class its tag and sort key
+too; none of these caches enters equality or the hash.  An integer above
 ``_MAX_PRIME`` is refused (cap ``max_prime``) before it is factored, since
 trial division of a large prime would not finish.
 """
@@ -59,9 +62,13 @@ def _is_prime(p: int) -> bool:
 class SigmaPartition:
     explicit_classes: tuple[frozenset[int], ...] = ()
     atomic: bool = False
-    # prime -> its class; filled by classify, never part of equality or hash
+    # prime -> its class, filled by classify; n -> sigma_of_int(n, self); and
+    # the hash: none of them is part of equality or hash
     _classes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _of_int: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.atomic and self.explicit_classes:
@@ -76,6 +83,10 @@ class SigmaPartition:
                 if p in seen:
                     raise GroupInputError(f"prime {p} appears in two classes")
                 seen.add(p)
+        object.__setattr__(self, "_hash", hash((self.explicit_classes, self.atomic)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def classify(self, p: int) -> "SigmaClass":
         found = self._classes.get(p)
@@ -94,7 +105,8 @@ class SigmaPartition:
         return SigmaClass(self, "residual")
 
     def to_json(self) -> dict:
-        return {"classes": [sorted(c) for c in self.explicit_classes], "atomic": self.atomic}
+        """Keys in sorted order, as the reports that embed it are encoded."""
+        return {"atomic": self.atomic, "classes": [sorted(c) for c in self.explicit_classes]}
 
     @staticmethod
     def from_json(data: dict) -> "SigmaPartition":
@@ -122,10 +134,12 @@ ATOMIC = SigmaPartition(atomic=True)
 
 
 def parse_sigma_spec(text: str) -> SigmaPartition:
-    """Parse 'atomic' or a JSON object like {"classes": [[2, 3], [5]]}."""
+    """Parse 'atomic' or a JSON object like {"classes": [[2, 3], [5]]}.
+    Every call gives a new partition, 'atomic' included, so the memos a
+    caller fills on it live no longer than the caller holds it."""
     text = text.strip()
     if text == "atomic":
-        return ATOMIC
+        return SigmaPartition(atomic=True)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -139,23 +153,31 @@ class SigmaClass:
     kind: str  # "explicit" | "residual" | "atomic"
     index: int | None = None
     prime: int | None = None
+    # derived from the fields above at construction, not compared
+    tag: str = field(init=False, repr=False, compare=False)
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def tag(self) -> str:
+    def __post_init__(self):
         if self.kind == "explicit":
-            return f"explicit:{self.index}"
-        if self.kind == "atomic":
-            return f"atomic:{self.prime}"
-        return "residual"
+            tag = f"explicit:{self.index}"
+        elif self.kind == "atomic":
+            tag = f"atomic:{self.prime}"
+        else:
+            tag = "residual"
+        rank = {"explicit": 0, "atomic": 1, "residual": 2}[self.kind]
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "sort_key", (
+            rank, self.index if self.index is not None else self.prime or 0))
+        object.__setattr__(self, "_hash",
+                           hash((self.partition, self.kind, self.index, self.prime)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, p: int) -> bool:
         found = self.partition.classify(p)
         return found is self or found == self
-
-    @property
-    def sort_key(self) -> tuple:
-        rank = {"explicit": 0, "atomic": 1, "residual": 2}[self.kind]
-        return (rank, self.index if self.index is not None else self.prime or 0)
 
     def __str__(self) -> str:
         return self.tag
@@ -164,21 +186,30 @@ class SigmaClass:
 @dataclass(frozen=True)
 class PiSet:
     classes: frozenset[SigmaClass]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         partitions = {c.partition for c in self.classes}
         if len(partitions) > 1:
             raise DomainError("all classes of a class set must come from one partition")
+        object.__setattr__(self, "_hash", hash((self.classes,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, cls: SigmaClass) -> bool:
         return cls in self.classes
 
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[SigmaClass]:
-    """Classes touched by the prime divisors of n; empty for n = 1."""
-    if n < 1:
-        raise DomainError(f"sigma_of_int needs a positive integer, got {n}")
-    return frozenset(sigma.classify(p) for p in primes_of(n))
+    """Classes touched by the prime divisors of n; empty for n = 1.
+    Memoised per partition."""
+    found = sigma._of_int.get(n)
+    if found is None:
+        if n < 1:
+            raise DomainError(f"sigma_of_int needs a positive integer, got {n}")
+        found = sigma._of_int[n] = frozenset(map(sigma.classify, primes_of(n)))
+    return found
 
 
 def sigma_of_group(group, sigma: SigmaPartition) -> frozenset[SigmaClass]:

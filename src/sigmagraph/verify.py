@@ -6,7 +6,8 @@ conclusion does not.  Unmet hypotheses or fully gated-out conclusions give a
 vacuous verdict; vacuity is never counted as evidence.  Conclusions carry an
 `evaluated` flag so that per-part gates (which are conditions of the
 statement itself, not of the instance) can switch parts off without
-pretending they passed.
+pretending they passed.  Checks and reports are named tuples, and a
+report's JSON is built with its keys already in sorted order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
@@ -29,16 +31,14 @@ from .sigma import (PiSet, SigmaPartition, pi_part, sigma_coprime,
 from .zoo import cyclic, direct_product, symmetric
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     holds: bool
     witness: str = ""
     evaluated: bool = True  # False: gated out, recorded for the record only
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     statement_id: str
     group_tag: str
     sigma: SigmaPartition
@@ -47,20 +47,22 @@ class VerificationReport:
     verdict: str  # pass | vacuous | FAIL
 
     def to_json(self) -> str:
+        """One JSON object; its keys (and those of the objects in it) are
+        written in sorted order."""
         payload = {
-            "statement": self.statement_id,
-            "group": self.group_tag,
-            "sigma": self.sigma.to_json(),
-            "hypotheses": [_check_json(c) for c in self.hypotheses],
             "conclusions": [_check_json(c) for c in self.conclusions],
+            "group": self.group_tag,
+            "hypotheses": [_check_json(c) for c in self.hypotheses],
+            "sigma": self.sigma.to_json(),
+            "statement": self.statement_id,
             "verdict": self.verdict,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload)
 
 
 def _check_json(c: CheckResult) -> dict:
-    return {"name": c.name, "holds": c.holds, "witness": c.witness,
-            "evaluated": c.evaluated}
+    return {"evaluated": c.evaluated, "holds": c.holds, "name": c.name,
+            "witness": c.witness}
 
 
 def make_report(statement_id: str, group_tag: str, sigma: SigmaPartition,
@@ -266,8 +268,9 @@ def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
     subgroup on the pi part.  Checked on hawkes always, and on vm when G is
     soluble for sigma."""
     vertices = sigma_of_group(G, sigma)
-    pi1 = frozenset(c for c in vertices if c in pi)
+    pi1 = vertices & pi.classes
     pi2 = vertices - pi1
+    pi1_set = PiSet(pi1)
     graphs = {"hawkes": build_hawkes(G, sigma, limits, group_tag),
               "vm": build_vm(G, sigma, limits, group_tag)
               if is_sigma_soluble(G, sigma, limits) else None}
@@ -284,7 +287,7 @@ def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
                 name, True, f"gated out: edges into pi1 exist: {blocked}", evaluated=False))
         else:
             conclusions.append(CheckResult(
-                name, is_pi_closed(G, PiSet(pi1), limits),
+                name, is_pi_closed(G, pi1_set, limits),
                 f"pi1={{{', '.join(sorted(c.tag for c in pi1))}}}"))
     return make_report("prop-1.9", group_tag, sigma, (), conclusions)
 
@@ -313,7 +316,7 @@ def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
     open, all maximal subgroups closed) is a Schmidt group closed for the
     complementary classes."""
     vertices = sigma_of_group(G, sigma)
-    pi1 = frozenset(c for c in vertices if c in pi)
+    pi1 = vertices & pi.classes
     hypotheses = [CheckResult("sigma-soluble", is_sigma_soluble(G, sigma, limits))]
 
     def skipped(*names):
@@ -325,12 +328,13 @@ def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
 
     if not hypotheses[0].holds:
         return skipped("not-pi-closed", "maximals-pi-closed")
-    open_for_pi = not is_pi_closed(G, PiSet(pi1), limits)
+    pi1_set = PiSet(pi1)
+    open_for_pi = not is_pi_closed(G, pi1_set, limits)
     hypotheses.append(CheckResult("not-pi-closed", open_for_pi,
                                   f"pi-part={pi_part(G.order, pi1)}"))
     if not open_for_pi:
         return skipped("maximals-pi-closed")
-    maximals_closed, why = _maximals_pi_closed(G, PiSet(pi1), limits)
+    maximals_closed, why = _maximals_pi_closed(G, pi1_set, limits)
     hypotheses.append(CheckResult("maximals-pi-closed", maximals_closed, why))
     if not maximals_closed:
         return skipped()
@@ -350,14 +354,14 @@ _PER_GROUP_STATEMENTS = ("1.2", "1.4", "1.12", "1.9", "1.11")
 ALL_STATEMENTS = ("1.2", "1.4", "1.7", "1.9", "1.11", "1.12")
 
 
-def _pi_subsets(vertices) -> list[frozenset]:
+def _pi_subsets(vertices) -> list[PiSet]:
     classes = sorted(vertices, key=lambda c: c.sort_key)
     out = []
     for mask in range(1 << len(classes)):
         out.append(frozenset(classes[k] for k in range(len(classes))
                              if mask >> k & 1))
     out.sort(key=lambda s: (len(s), tuple(sorted(c.tag for c in s))))
-    return out
+    return [PiSet(s) for s in out]
 
 
 def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
@@ -376,11 +380,11 @@ def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
             if "1.9" in statements or "1.11" in statements:
                 subsets = _pi_subsets(sigma_of_group(G, sigma))
             if "1.9" in statements:
-                for s in subsets:
-                    yield verify_prop_1_9(G, sigma, PiSet(s), limits, tag)
+                for pi in subsets:
+                    yield verify_prop_1_9(G, sigma, pi, limits, tag)
             if "1.11" in statements:
-                for s in subsets:
-                    yield verify_prop_1_11(sigma, PiSet(s), G, limits, tag)
+                for pi in subsets:
+                    yield verify_prop_1_11(sigma, pi, G, limits, tag)
     if "1.7" in statements:
         for sigma in partitions:
             for fx in factorization_fixtures():

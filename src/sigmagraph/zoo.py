@@ -14,7 +14,7 @@ from typing import Callable
 from .errors import CrossCheckError, GroupInputError
 from .group import DEFAULT_LIMITS, PermGroup, all_subgroups
 from .perm import Permutation
-from .sigma import ATOMIC, SigmaPartition
+from .sigma import SigmaPartition
 
 
 def cyclic(n: int) -> PermGroup:
@@ -200,9 +200,10 @@ def corpus() -> tuple[tuple[str, PermGroup], ...]:
 
 def standard_partitions() -> tuple[SigmaPartition, ...]:
     """The partitions the corpus sweeps run under: the finest one, one merged
-    even-odd pair, and a two-class split with separated 3."""
+    even-odd pair, and a two-class split with separated 3.  New objects on
+    every call, like ``parse_sigma_spec``'s."""
     return (
-        ATOMIC,
+        SigmaPartition(atomic=True),
         SigmaPartition(explicit_classes=(frozenset({2, 3}),)),
         SigmaPartition(explicit_classes=(frozenset({2, 5}), frozenset({3}))),
     )

@@ -9,6 +9,7 @@ import sigmagraph.cli
 from sigmagraph.cli import main
 from sigmagraph.errors import GroupInputError
 from sigmagraph.group import EngineLimits
+from sigmagraph.sigma import ATOMIC
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 
@@ -26,6 +27,20 @@ def test_graph_s3_hawkes_exact_json(capsys):
     assert out == ('{"edges": [["atomic:3", "atomic:2"]], "group": "S3", '
                    '"kind": "hawkes", "vertices": [{"primes_in_G": [2], '
                    '"tag": "atomic:2"}, {"primes_in_G": [3], "tag": "atomic:3"}]}\n')
+
+
+def test_cli_calls_leave_the_module_level_partition_memos_alone(capsys):
+    """Every call parses its partitions afresh, so the classify and
+    sigma_of_int memos it fills go with them; the module-level ATOMIC's
+    memos are not touched."""
+    before = dict(ATOMIC._classes), dict(ATOMIC._of_int)
+    spec = '{"degree": 13, "generators": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]]}'
+    for argv in (("graph", "--group", spec, "--sigma", "atomic", "--kind", "hawkes"),
+                 ("graph", "--group", spec, "--kind", "vm"),
+                 ("check", "--group", spec, "--predicate", "pi-closed", "--pi", "13"),
+                 ("verify", "--group", "zoo:f20", "--statement", "all")):
+        assert run(capsys, *argv)[0] == 0
+    assert (dict(ATOMIC._classes), dict(ATOMIC._of_int)) == before
 
 
 def test_graph_c6_vm_edgeless(capsys):

@@ -139,6 +139,40 @@ def test_hall_graph_memo_is_keyed_by_the_count_cap():
     assert build_hall(fresh, sigma).edges == built.edges
 
 
+@pytest.mark.parametrize("build", (build_hawkes, build_hall, build_vm),
+                         ids=("hawkes", "hall", "vm"))
+def test_memoised_graph_is_retagged_without_recomputing(build, monkeypatch):
+    """A second build on one group reads the graph kept in the group's memo:
+    under another tag it returns a copy with that tag, and it computes
+    nothing (every group-theoretic route the builders call is refused)."""
+    g = symmetric(4)
+    first = build(g, ATOMIC, group_tag="a")
+    for name in ("sigma_of_group", "sigma_of_int", "f_class_subgroup", "_hall_classes",
+                 "normalizer", "centralizer", "schmidt_types", "primes_of"):
+        monkeypatch.setattr(sigmagraph.graphs, name, _refuse(name))
+    second = build(g, ATOMIC, group_tag="b")
+    assert (first.group_tag, second.group_tag) == ("a", "b")
+    assert graphs_equal(first, second) and first.kind == second.kind
+    assert build(g, ATOMIC, group_tag="a") is first
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refused
+
+
+def test_equal_partitions_share_one_graph_memo_entry(monkeypatch):
+    """Two separately built equal partitions hash equal, so the second one
+    reads the graph the first one built."""
+    g = symmetric(4)
+    first = build_hawkes(g, SigmaPartition(explicit_classes=(frozenset({2}),)))
+    keys = set(g._cache)
+    monkeypatch.setattr(sigmagraph.graphs, "f_class_subgroup", _refuse("f_class_subgroup"))
+    second = build_hawkes(g, SigmaPartition(explicit_classes=(frozenset({2}),)))
+    assert second is first and set(g._cache) == keys
+
+
 def test_wreath_two_class_strictness():
     """The order-384 witness: hall < vm < hawkes, with a loop on the 2-class
     and no hall edge out of it."""

@@ -387,6 +387,20 @@ def test_maximal_subgroups_s4():
     assert orders == [6, 6, 6, 6, 8, 8, 8, 12]
 
 
+@pytest.mark.parametrize("tag", ("S4", "A5", "f20", "sl23"))
+def test_maximal_subgroups_are_read_once_per_lattice(tag, monkeypatch):
+    """The maximal subgroups are the lattice's proper subgroups with no
+    larger proper one above them, in lattice order with the lattice's
+    generators; a second call reads them from the memo."""
+    g = build_by_tag(tag)
+    lattice = [s for s in all_subgroups(g) if s.order < g.order]
+    want = [(s.indices, s.gens) for s in lattice
+            if not any(s.indices < t.indices for t in lattice)]
+    first = [(m.indices, m.gens) for m in maximal_subgroups(g)]
+    monkeypatch.setattr(sigmagraph.group, "all_subgroups", None)
+    assert first == [(m.indices, m.gens) for m in maximal_subgroups(g)] == want
+
+
 def test_resource_caps_raise_with_cap_name():
     with pytest.raises(ResourceLimitError, match="max_subgroup_order"):
         all_subgroups(alternating(5), EngineLimits(max_subgroup_order=50))

@@ -88,7 +88,7 @@ def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monke
 @pytest.mark.parametrize("tag", zoo_tags())
 def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
     """i·i⁻¹ is the identity for every element: inverses read along the
-    table walk's edges and, above the table limit, inverted image by image."""
+    power walk, on table rows and, above the table limit, on composed ones."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     u = next(e for e in zoo() if e.tag == tag).builder().universe()

@@ -76,7 +76,10 @@ def test_partition_validation():
 def test_json_round_trip():
     for sigma in (ATOMIC, TWO_THREE, SPLIT):
         assert SigmaPartition.from_json(sigma.to_json()) == sigma
-    assert parse_sigma_spec("atomic") is ATOMIC
+    # a new object per call: the module-level ATOMIC's memos stay out of the CLI
+    assert parse_sigma_spec("atomic") == ATOMIC
+    assert parse_sigma_spec("atomic") is not ATOMIC
+    assert parse_sigma_spec("atomic") is not parse_sigma_spec("atomic")
     assert parse_sigma_spec('{"classes": [[3], [2, 5]]}') == SigmaPartition(
         explicit_classes=(frozenset({3}), frozenset({2, 5})))
     assert SigmaPartition.from_json({"atomic": True}) == ATOMIC
@@ -142,6 +145,39 @@ def test_classes_of_equal_partitions_are_equal():
         assert ca is not cb and ca == cb and hash(ca) == hash(cb)
         assert ca.sort_key == cb.sort_key and ca.tag == cb.tag
     assert SigmaPartition(atomic=True).classify(5) == ATOMIC.classify(5)
+
+
+def test_hashes_do_not_move_when_the_memos_fill():
+    """Partitions, classes and class sets compute their hash once; the
+    classify and sigma_of_int memos are not part of it, so equal values
+    built separately hash equal before and after either memo fills."""
+    a = SigmaPartition(explicit_classes=(frozenset({2, 5}), frozenset({3})))
+    b = SigmaPartition(explicit_classes=(frozenset({2, 5}), frozenset({3})))
+    before = hash(a)
+    ca = a.classify(2)
+    pa = PiSet(frozenset({ca}))
+    hashes = (hash(a), hash(ca), hash(pa))
+    for n in (60, 77, 1):
+        sigma_of_int(n, a)
+    for p in (3, 5, 7, 11):
+        a.classify(p)
+    assert before == hash(b) == hashes[0] == hash(a)
+    assert (hash(ca), hash(pa)) == hashes[1:]
+    cb = b.classify(2)
+    pb = PiSet(frozenset({cb}))
+    assert cb is not ca and cb == ca and hash(cb) == hash(ca)
+    assert pb == pa and hash(pb) == hash(pa)
+    assert hash(a) == hash(b)
+
+
+def test_sigma_of_int_is_memoised_per_partition():
+    sigma = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
+    assert sigma_of_int(360, sigma) is sigma_of_int(360, sigma)
+    assert sigma_of_int(360, sigma) == {sigma.classify(2), sigma.classify(5)}
+    assert sigma_of_int(1, sigma) == frozenset()
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            sigma_of_int(0, sigma)
 
 
 def test_classes_of_different_partitions_never_equal():

@@ -8,6 +8,7 @@ import pytest
 from oracles import component_decomposition_holds
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
+from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
 from sigmagraph.group import PermGroup, QuotientGroup, Subgroup
 from sigmagraph.perm import Permutation
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
@@ -55,6 +56,18 @@ def test_report_json_schema():
         {"name": "h1", "holds": True, "witness": "", "evaluated": True}]
     assert data["conclusions"] == [
         {"name": "c1", "holds": False, "witness": "w", "evaluated": True}]
+
+
+@pytest.mark.parametrize("tag", ("S4", "sl23", "f20", "A5"))
+def test_reports_and_graphs_are_written_with_sorted_keys(tag):
+    """Reports and graphs are encoded without sort_keys, from payloads built
+    in sorted key order; a field added out of order would change the bytes."""
+    g = build_by_tag(tag)
+    texts = [r.to_json() for r in run_corpus_sweep([(tag, g)], standard_partitions())]
+    texts += [to_json(build(g, sigma, group_tag=tag)) for sigma in standard_partitions()
+              for build in (build_hawkes, build_hall, build_vm)]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
 def test_prop_1_2_passes_on_examples():
