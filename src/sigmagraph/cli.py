@@ -99,7 +99,9 @@ def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     spec = spec.strip()
     if spec.startswith("zoo:"):
         tag = spec[len("zoo:"):]
-        return tag, build_by_tag(tag)
+        G = build_by_tag(tag)
+        # a group of its own, so nothing this call computes outlives it
+        return tag, PermGroup(G.degree, G.generators, limits.max_element_order)
     if spec.startswith("{"):
         try:
             data = json.loads(spec)

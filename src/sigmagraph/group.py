@@ -44,6 +44,9 @@ G's normal lattice or a chief series; ``quotient``, ``normal_subgroups`` and
 ``chief_series`` remain for callers that want them.  Hall subgroups are
 reached from one Sylow subgroup by joins with Sylow subgroups for the other
 primes (``_hall_classes``).
+Generating sets, Sylow subgroups and the largest normal subgroup over a
+floor come from one greedy pass of joins that keeps a join whose order
+divides a target (``_Universe.grow``).
 Enumeration caps are explicit configuration; hitting one raises a
 ResourceLimitError naming the cap instead of silently truncating.
 """
@@ -59,7 +62,7 @@ from operator import eq, itemgetter
 from .bsgs import Bsgs
 from .errors import CrossCheckError, DomainError, GroupInputError, ResourceLimitError
 from .perm import Permutation, _trusted
-from .sigma import prime_factors
+from .sigma import _is_prime, prime_factors
 
 
 @dataclass(frozen=True)
@@ -435,35 +438,56 @@ class _Universe:
                     return frozenset(range(n)) if limit == n else None
         return frozenset(seen)
 
-    def derive_gens(self, idx_set: frozenset[int]) -> tuple[int, ...]:
-        """Small deterministic generating sequence for a known subgroup set."""
-        gens: list[int] = []
-        cur: frozenset[int] = frozenset({self.identity})
-        for i in sorted(idx_set):
-            if i not in cur:
-                gens.append(i)
-                cur = self.closure((i,), base=cur)
-                if len(cur) == len(idx_set):
-                    break
-        return tuple(gens)
+    def grow(self, candidates, target: int, base: frozenset[int] | None = None
+             ) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+        """One greedy pass of joins from base (trivial by default) towards a
+        subgroup of order target.  Each candidate is a tuple of element
+        indices; one whose first element lies in the subgroup so far is
+        skipped, any other is joined to it (``closure`` capped at target),
+        and the join is kept when its order divides target.  Stops at target
+        elements; returns the subgroup and the kept candidates."""
+        cur = frozenset({self.identity}) if base is None else base
+        kept = []
+        for c in candidates:
+            if len(cur) == target:
+                break
+            if c[0] in cur:
+                continue
+            join = self.closure(c, base=cur, cap=target)
+            if join is not None and target % len(join) == 0:
+                cur = join
+                kept.append(c)
+        return cur, kept
 
-    def cyclic_subgroups(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """All cyclic subgroups, keyed by element set, valued by one generator.
-        Deterministic: each subgroup is tagged by its smallest generator."""
+    def derive_gens(self, idx_set: frozenset[int]) -> tuple[int, ...]:
+        """Small deterministic generating sequence for a known subgroup set:
+        each generator is the least index outside the subgroup the earlier
+        ones generate (a join inside the set divides its order, by Lagrange)."""
+        _, kept = self.grow(((i,) for i in sorted(idx_set)), len(idx_set))
+        return tuple(i for i, in kept)
+
+    def cyclic_subgroups(self) -> tuple[dict[frozenset[int], tuple[int, ...]], list[int]]:
+        """All cyclic subgroups, keyed by element set, valued by one
+        generator, and canon, where canon[i] is that generator of <i>.
+        Deterministic: each subgroup is tagged by its least generator i, and
+        walked once, along row i; its members of i's order are its
+        generators, so no later one is walked again."""
         if self._cyc is None:
-            out: dict[frozenset[int], tuple[int, ...]] = {frozenset({self.identity}): ()}
+            ident, orders, rows = self.identity, self.orders, self.rows()
+            canon = [-1] * self.n
+            canon[ident] = ident
+            out = {frozenset({ident}): ()}
             for i in range(self.n):
-                if i == self.identity:
-                    continue
-                powers = {i}
-                x = self.mul(i, i)
-                while x != i:
-                    powers.add(x)
-                    x = self.mul(x, i)
-                key = frozenset(powers)
-                if key not in out:
-                    out[key] = (i,)
-            self._cyc = out
+                if canon[i] < 0:
+                    times_i = rows[i]
+                    powers = [ident, i]
+                    while (x := times_i[powers[-1]]) != ident:
+                        powers.append(x)
+                    for x in powers:
+                        if orders[x] == orders[i]:
+                            canon[x] = i
+                    out[frozenset(powers)] = (i,)
+            self._cyc = out, canon
         return self._cyc
 
     def conjugation_rows(self, by=None) -> tuple[tuple[int, ...], ...]:
@@ -773,18 +797,6 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
             yield h
 
 
-def _cyclic_canon(u: _Universe) -> list[int]:
-    """canon[i] is the generator that ``cyclic_subgroups()`` gives <i>."""
-    canon = [u.identity] * u.n
-    orders = u.orders
-    for c_set, gens in u.cyclic_subgroups().items():
-        for g in gens:
-            for i in c_set:
-                if orders[i] == orders[g]:
-                    canon[i] = g
-    return canon
-
-
 def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, canon, candidates):
     """The candidates, generators of cyclic subgroups as ``cyclic_subgroups()``
     gives them, that come first in their N_G(K)-orbit of cyclic subgroups.
@@ -820,11 +832,11 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     def compute():
         u = G.universe(limits)
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
-        for y, in filter(None, u.cyclic_subgroups().values()):
+        cyclic, canon = u.cyclic_subgroups()
+        for y, in filter(None, cyclic.values()):
             factors = prime_factors(u.orders[y])
             if len(factors) == 1:
                 steps.append((y, _power(u, y, factors[0][0])))
-        canon = _cyclic_canon(u)
         trivial = frozenset({u.identity})
         found = {trivial: ()}
         reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
@@ -872,8 +884,7 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     count and closure caps apply as in all_subgroups."""
     def compute():
         u = G.universe(limits)
-        cyclic = u.cyclic_subgroups()
-        canon = _cyclic_canon(u)
+        cyclic, canon = u.cyclic_subgroups()
         found: dict[frozenset[int], tuple[int, ...]] = {}
         reps = []
         for a, a_gens in cyclic.items():
@@ -917,32 +928,18 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
+    """One Sylow p-subgroup and its generators: one greedy pass over the
+    p-elements in index order (``_Universe.grow``).  One pass is enough: if
+    the result P were short of the p-part, N_G(P) would hold a p-element z
+    outside P, and <P, z> would be a p-group; then so would <P', z> for the
+    smaller subgroup P' held at z's turn, and z would have joined."""
     def compute():
         u = G.universe(limits)
         target = _p_part(G.order, p)
-        if target == 1:
-            return frozenset({u.identity}), ()
-        seed = None
-        for i in range(u.n):
-            o = u.orders[i]
-            if o % p == 0:
-                seed = i if o == _p_part(o, p) else _power(u, i, o // _p_part(o, p))
-                break
-        gens = [seed]
-        current = u.closure(gens)
-        while len(current) < target:
-            normal_pool = sorted(i for i in _normalizer_set(u, current, gens) - current
-                                 if u.orders[i] == _p_part(u.orders[i], p))
-            # a p-element normalising the current p-subgroup extends it
-            for z in normal_pool:
-                bigger = u.closure((z,), base=current)
-                if len(bigger) == _p_part(len(bigger), p):
-                    gens.append(z)
-                    current = bigger
-                    break
-            else:
-                raise CrossCheckError(f"Sylow {p}-subgroup construction stalled at order {len(current)}")
-        return current, tuple(gens)
+        current, kept = u.grow(((z,) for z in range(u.n) if target % u.orders[z] == 0), target)
+        if len(current) != target:
+            raise CrossCheckError(f"Sylow {p}-subgroup construction stalled at order {len(current)}")
+        return current, tuple(z for z, in kept)
     return _memo(G, ("sylow_set", p), compute, limits)
 
 
@@ -958,8 +955,9 @@ def _power(u: _Universe, i: int, e: int) -> int:
 
 
 def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """One Sylow p-subgroup, grown through normalisers from a p-element."""
-    if p < 2 or prime_factors(p) != ((p, 1),):
+    """One Sylow p-subgroup, joined from p-elements in index order while the
+    join stays a p-group; a p above max_prime raises ResourceLimitError."""
+    if not _is_prime(p):
         raise DomainError(f"{p} is not a prime")
     s, gens = _sylow_set(G, p, limits)
     return Subgroup(G, s, gens)
@@ -981,7 +979,7 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
     is spread over its conjugacy class."""
     pset = tuple(sorted(set(primes)))
     for p in pset:
-        if p < 2 or prime_factors(p) != ((p, 1),):
+        if not _is_prime(p):
             raise DomainError(f"{p} is not a prime")
 
     def compute():
@@ -1047,27 +1045,20 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
     subgroup of G/floor of that kind, and it is unique: the product of two
     such normal subgroups is one too.
 
-    One walk over the conjugacy classes finds it, growing n from floor.  A
-    class C outside n joins when <n, C>, a normal subgroup, has index over n
-    dividing room, the primes-part of |G : n|; the closure is capped at
-    |n|·room.  A class of N always joins, since n <= <n, C> <= N; a class
-    outside N never does, since <n, C> would then be a larger one of the
-    kind.  So a class that fails against n fails against every later n, and
-    one pass ends at N.  The result is checked to be normal."""
+    One greedy pass over the conjugacy classes finds it, growing n from
+    floor (``_Universe.grow``): a class C outside n joins when <n, C>, a
+    normal subgroup, has order dividing target = |floor| times the
+    primes-part of |G : floor|, that is when its index over floor involves
+    only the primes.  A class of N always joins, since n <= <n, C> <= N; a
+    class outside N never does, since <n, C> would then be a larger one of
+    the kind.  So a class that fails against n fails against every later n,
+    and one pass ends at N.  The result is checked to be normal."""
     pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
 
     def compute():
         u = G.universe(limits)
-        n = floor
-        for cls in _memo(G, "classes", u.conjugacy_classes, limits):
-            if cls[0] in n:
-                continue
-            room = prod(_p_part(G.order // len(n), p) for p in pset)
-            if room == 1:
-                break
-            m = u.closure(cls, base=n, cap=len(n) * room)
-            if m is not None and room % (len(m) // len(n)) == 0:
-                n = m
+        target = len(floor) * prod(_p_part(G.order // len(floor), p) for p in pset)
+        n, _ = u.grow(_memo(G, "classes", u.conjugacy_classes, limits), target, floor)
         if not all(n.issuperset(map(row.__getitem__, n)) for row in u.conjugation_rows()):
             raise CrossCheckError("the largest normal subgroup over a floor is not normal")
         return n

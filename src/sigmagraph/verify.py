@@ -350,7 +350,6 @@ def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
 # sweep driver
 
 
-_PER_GROUP_STATEMENTS = ("1.2", "1.4", "1.12", "1.9", "1.11")
 ALL_STATEMENTS = ("1.2", "1.4", "1.7", "1.9", "1.11", "1.12")
 
 

@@ -127,7 +127,7 @@ def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
     on the count and closure caps, but counts every closure."""
     u = G.universe(limits)
     steps = []
-    for y, in filter(None, u.cyclic_subgroups().values()):
+    for y, in filter(None, u.cyclic_subgroups()[0].values()):
         factors = prime_factors(u.orders[y])
         if len(factors) == 1:
             steps.append((y, _power(u, y, factors[0][0])))
@@ -145,7 +145,7 @@ def two_generated_sets_every_join(G, limits=DEFAULT_LIMITS) -> list:
     one cyclic <a> per conjugacy class joined with every cyclic <b>, not with
     one <b> per N_G(<a>)-orbit."""
     u = G.universe(limits)
-    cyclic = u.cyclic_subgroups()
+    cyclic = u.cyclic_subgroups()[0]
     found = {}
     reps = []
     for a, a_gens in cyclic.items():
@@ -330,7 +330,7 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
     p0_set, _ = _sylow_set(G, anchor_p, limits)
     candidates = {p0_set}
     queue = [p0_set]
-    pi_elements = [i for (s, g) in u.cyclic_subgroups().items() if g
+    pi_elements = [i for (s, g) in u.cyclic_subgroups()[0].items() if g
                    for i in g if target % u.orders[i] == 0]
     for c_set in queue:
         for x in pi_elements:

@@ -10,6 +10,7 @@ from sigmagraph.cli import main
 from sigmagraph.errors import GroupInputError
 from sigmagraph.group import EngineLimits
 from sigmagraph.sigma import ATOMIC
+from sigmagraph.zoo import build_by_tag
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 
@@ -32,15 +33,21 @@ def test_graph_s3_hawkes_exact_json(capsys):
 def test_cli_calls_leave_the_module_level_partition_memos_alone(capsys):
     """Every call parses its partitions afresh, so the classify and
     sigma_of_int memos it fills go with them; the module-level ATOMIC's
-    memos are not touched."""
+    memos are not touched.  A zoo:TAG call computes on a group of its own,
+    so the zoo's cached group keeps no graph keyed on the call's partition."""
     before = dict(ATOMIC._classes), dict(ATOMIC._of_int)
+    cached = build_by_tag("S4")._cache
+    graph_keys = {key for key in cached if key[0] == "graph"}
     spec = '{"degree": 13, "generators": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]]}'
     for argv in (("graph", "--group", spec, "--sigma", "atomic", "--kind", "hawkes"),
                  ("graph", "--group", spec, "--kind", "vm"),
                  ("check", "--group", spec, "--predicate", "pi-closed", "--pi", "13"),
-                 ("verify", "--group", "zoo:f20", "--statement", "all")):
+                 ("verify", "--group", "zoo:f20", "--statement", "all"),
+                 ("graph", "--group", "zoo:S4", "--sigma", '{"classes": [[2]]}',
+                  "--kind", "hawkes")):
         assert run(capsys, *argv)[0] == 0
     assert (dict(ATOMIC._classes), dict(ATOMIC._of_int)) == before
+    assert {key for key in cached if key[0] == "graph"} == graph_keys
 
 
 def test_graph_c6_vm_edgeless(capsys):

@@ -12,8 +12,8 @@ from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
-                              Subgroup, _hall_classes, _largest_normal_over, all_subgroups,
-                              centralizer, centralizer_of_factor,
+                              Subgroup, _hall_classes, _largest_normal_over, _sylow_set,
+                              all_subgroups, centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
@@ -21,8 +21,8 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import f_class_subgroup, is_sigma_soluble
 from sigmagraph.sigma import ATOMIC, prime_factors, primes_of, sigma_of_group
-from sigmagraph.zoo import (alternating, build_by_tag, regular_wreath, standard_partitions,
-                            symmetric)
+from sigmagraph.zoo import (alternating, build_by_tag, direct_product, regular_wreath,
+                            standard_partitions, symmetric)
 
 
 def sets_of(subs, limits=DEFAULT_LIMITS):
@@ -304,7 +304,19 @@ def test_wreath_quotient_by_base():
     assert any(a * b != b * a for a in imgs for b in imgs)
 
 
-def test_sylow():
+def assert_sylow_sets(groups):
+    """For every prime p of each group, _sylow_set is generated by its
+    generators, has the p-part of the order and holds only p-elements."""
+    for g in groups:
+        g = PermGroup(g.degree, g.generators)  # its table built under the current limit
+        u = g.universe()
+        for p, e in prime_factors(g.order):
+            s, gens = _sylow_set(g, p, DEFAULT_LIMITS)
+            assert len(s) == p**e and u.closure(gens) == s
+            assert all(p**e % u.perms[i].order() == 0 for i in s)
+
+
+def test_sylow(corpus_groups, monkeypatch):
     s4 = build_by_tag("S4")
     assert sylow(s4, 2).order == 8
     assert sylow(s4, 3).order == 3
@@ -312,6 +324,13 @@ def test_sylow():
     assert sylow(build_by_tag("A5"), 5).order == 5
     with pytest.raises(DomainError):
         sylow(s4, 4)
+    with pytest.raises(ResourceLimitError, match="max_prime"):
+        sylow(s4, 2**61 - 1)  # refused as a cap, not trial-divided
+    groups = [g for _, g in corpus_groups]
+    groups += [direct_product(symmetric(5), symmetric(4)), regular_wreath(3, symmetric(3))]
+    assert_sylow_sets(groups)
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    assert_sylow_sets(groups)
 
 
 def test_hall_subgroups():
@@ -325,6 +344,8 @@ def test_hall_subgroups():
     assert [h.order for h in hall_subgroups(build_by_tag("s3xc5"), (2, 5))] == [10, 10, 10]
     with pytest.raises(DomainError):
         hall_subgroups(s4, (4,))
+    with pytest.raises(ResourceLimitError, match="max_prime"):
+        hall_subgroups(s4, (2, 2**61 - 1))
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))

@@ -76,12 +76,21 @@ def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
 @pytest.mark.parametrize("tag", zoo_tags())
 def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monkeypatch):
     """The orders walked along the rows equal each permutation's own order,
-    read in the table and, above the table limit, composed as they are read."""
+    read in the table and, above the table limit, composed as they are read.
+    So do the cyclic subgroups walked along the rows: canon[i] is the least
+    generator of <i>, and each <g> is keyed in order of that generator g."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     u = next(e for e in zoo() if e.tag == tag).builder().universe()
     assert (u.mul_rows is not None) == table
     assert list(u.orders) == [p.order() for p in u.perms]
+    spans = [index_closure(u.perms, (i,)) for i in range(u.n)]
+    least = [min(j for j in spans[i] if u.perms[j].order() == u.perms[i].order())
+             for i in range(u.n)]
+    cyclic, canon = u.cyclic_subgroups()
+    assert canon == least
+    assert list(cyclic.items()) == [(spans[g], (g,) if g != u.identity else ())
+                                    for g in sorted(set(least))]
 
 
 @pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
@@ -143,8 +152,16 @@ def elements_of(s) -> frozenset:
 def assert_table_reads_match_naive(G, subgroups):
     """Centraliser and normaliser of each given subgroup, the centraliser
     of each factor of normal subgroups, and the conjugacy classes, against
-    whole-group scans that multiply permutations."""
+    whole-group scans that multiply permutations.  The generators derived
+    from each subgroup's set are those of the plain walk: each is the least
+    index outside the subgroup its predecessors generate, and all of them
+    generate the set."""
+    u = G.universe()
     for s in subgroups:
+        gens = u.derive_gens(s.indices)
+        for k, g in enumerate(gens):
+            assert g == min(s.indices - index_closure(u.perms, gens[:k]))
+        assert index_closure(u.perms, gens) == s.indices
         assert elements_of(centralizer(G, s)) == naive_centralizer(G, s.elements())
         assert elements_of(normalizer(G, s)) == naive_normalizer(G, s.elements())
     normals = normal_subgroups(G)
@@ -153,7 +170,6 @@ def assert_table_reads_match_naive(G, subgroups):
             if k.indices <= h.indices:
                 assert (elements_of(centralizer_of_factor(G, h, k))
                         == naive_centralizer_of_factor(G, h.elements(), k.elements()))
-    u = G.universe()
     classes = u.conjugacy_classes()
     assert classes == sorted(classes) and all(list(c) == sorted(c) for c in classes)
     assert {frozenset(u.perms[i] for i in c) for c in classes} == naive_conjugacy_classes(G)
