@@ -103,21 +103,23 @@ def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:
         # a group of its own, so nothing this call computes outlives it
         return tag, PermGroup(G.degree, G.generators, limits.max_element_order)
     if spec.startswith("{"):
-        try:
-            data = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise GroupInputError(f"bad group spec: {exc}") from exc
-        return _group_from_json(data, "inline", limits)
+        return _group_from_json(_json_spec(spec, "bad group spec"), "inline", limits)
     path = Path(spec)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GroupInputError(f"cannot read group spec file {spec}: {exc}") from exc
+    return _group_from_json(_json_spec(text, f"bad group spec in {spec}"), path.stem, limits)
+
+
+def _json_spec(text: str, what: str):
+    """The JSON value of a group spec.  Nesting too deep for the decoder and
+    an integer past Python's 4300-digit conversion limit are input errors
+    too, not tracebacks."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GroupInputError(f"bad group spec in {spec}: {exc}") from exc
-    return _group_from_json(data, path.stem, limits)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GroupInputError(f"{what}: {exc}") from exc
 
 
 def _load_partitions(spec: str) -> tuple[SigmaPartition, ...]:

@@ -132,30 +132,17 @@ def has_loop(graph: SigmaGraph) -> bool:
 
 
 def has_circuit(graph: SigmaGraph) -> bool:
-    """Directed cycle of any length; a loop counts."""
-    if has_loop(graph):
-        return True
-    adjacency = {v: [] for v in graph.sorted_vertices()}
-    for a, b in graph.sorted_edges():
-        adjacency[a].append(b)
-    state: dict[SigmaClass, int] = {}  # 1 = on the path, 2 = done
-    for root in adjacency:
-        if root in state:
-            continue
-        state[root] = 1
-        path = [(root, iter(adjacency[root]))]  # depth-first, without recursion
-        while path:
-            v, succ = path[-1]
-            w = next(succ, None)
-            if w is None:
-                state[v] = 2
-                path.pop()
-            elif w not in state:
-                state[w] = 1
-                path.append((w, iter(adjacency[w])))
-            elif state[w] == 1:
-                return True
-    return False
+    """Directed cycle of any length; a loop counts.  A vertex with no edge
+    into the vertices left lies on no cycle among them, so such vertices are
+    dropped until every vertex left has one; then following edges from any
+    of them must close a cycle.  So there is a circuit exactly when a vertex
+    remains."""
+    left = set(graph.vertices)
+    while True:
+        keep = {a for a, b in graph.edges if a in left and b in left}
+        if keep == left:
+            return bool(left)
+        left = keep
 
 
 def isolated_vertices(graph: SigmaGraph) -> frozenset[SigmaClass]:

@@ -36,6 +36,9 @@ join of prime index over K already holds, and spread each new subgroup over
 its class by gathers on the conjugation rows of G's generators.
 Centralisers, normalisers and conjugation rows compare or gather whole rows
 and columns of the table instead of multiplying element by element.
+Element orders, inverses and the cyclic subgroups come from one walk per
+cyclic subgroup along the rows when the table is built, and the conjugacy
+classes from one orbit pass per table, which every caller reads.
 Quotients are read in G itself: the normal subgroups of G/K are the normal
 subgroups of G over K, and the largest one whose index over K involves
 given primes comes from one pass over G's conjugacy classes
@@ -56,7 +59,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, fields
 from itertools import compress
-from math import gcd, prod
+from math import gcd
 from operator import eq, itemgetter
 
 from .bsgs import Bsgs
@@ -298,23 +301,27 @@ class _Universe:
     C-level gather per row.  A row is a tuple: gathered from the identity
     row ``tuple(range(n))``, every row holds that row's int objects, so the
     gather boxes nothing and builds nothing besides the tuple.  Element
-    orders and inverses are read off one walk over the powers of each
-    cyclic subgroup (``_power_walk``), with or without a table.
-    Whole-table reads go through ``rows()`` and ``column()``, which above
-    the limit compose each entry as it is read.
+    orders, inverses and the cyclic subgroups come from one walk per cyclic
+    subgroup, from its least generator along its row, with or without a
+    table: ``cyclic`` maps the element set of each cyclic subgroup to that
+    generator (() for the trivial one), in order of the generator, and
+    ``canon[i]`` is the generator of <i>.  Whole-table reads go through
+    ``rows()`` and ``column()``, which above the limit compose each entry
+    as it is read.
     A conjugation row is two C-level gathers through the inverses, since
     i·g = (g⁻¹·i⁻¹)⁻¹; a column stays one ``itemgetter`` read per row,
     which measured no slower than a gather through the inverses.
 
     ``gens`` are the indices of the generators the table was built from
     (no identity, no repeats); ``conjugation_rows()`` are conjugation by
-    them."""
+    them, and ``conjugacy_classes()`` their orbits; both are computed once
+    per table."""
 
     __slots__ = ("perms", "images", "index", "n", "degree", "identity", "mul_rows", "inv_arr",
-                 "orders", "gens", "_cyc", "_conj")
+                 "orders", "canon", "cyclic", "gens", "_conj", "_classes")
 
     def __init__(self, perms: tuple[Permutation, ...], generators=()):
-        self._cyc = self._conj = None
+        self._conj = self._classes = None
         self.perms = perms
         self.images = images = [p.images for p in perms]
         self.index = index = {im: i for i, im in enumerate(images)}
@@ -344,31 +351,27 @@ class _Universe:
                 raise CrossCheckError(
                     f"the generators reach {len(walk)} of the {n} elements of the table")
             self.mul_rows = rows
-        self.orders, self.inv_arr = self._power_walk()
-
-    def _power_walk(self) -> tuple[array, array]:
-        """Element orders and inverses off the rows: for each x whose order
-        is not known yet, walk x, x², … up to x^k = 1 along row x; every
-        power x^j on the way has order k/gcd(j, k) and inverse x^(k−j)."""
+        # one walk per cyclic subgroup, from its least generator i along row i:
+        # i^j with gcd(j, k) = 1 generates <i> too, so it has order k, inverse
+        # i^(k-j) and canon i; every element generates one walked subgroup
         rows = self.rows()
-        ident = self.identity
-        orders = array("l", [0]) * self.n
-        inv = array("l", [ident]) * self.n
-        orders[ident] = 1
-        for x in range(self.n):
-            if orders[x]:
-                continue
-            times_x = rows[x]
-            powers = [x]
-            y = times_x[x]
-            while y != ident:
-                powers.append(y)
-                y = times_x[y]
-            k = len(powers) + 1
-            for j, y in enumerate(powers, 1):
-                orders[y] = k // gcd(j, k)
-                inv[y] = powers[k - j - 1]  # powers[i] is x^(i+1)
-        return orders, inv
+        self.orders = orders = array("l", [1]) * n
+        self.inv_arr = inv = array("l", [ident]) * n
+        self.canon = canon = [-1] * n
+        canon[ident] = ident
+        self.cyclic = cyclic = {frozenset({ident}): ()}
+        for i in range(n):
+            if canon[i] < 0:
+                times_i = rows[i]
+                powers = [ident, i]
+                while (x := times_i[powers[-1]]) != ident:
+                    powers.append(x)
+                k = len(powers)
+                for j in range(1, k):
+                    if gcd(j, k) == 1:
+                        x = powers[j]
+                        orders[x], inv[x], canon[x] = k, powers[k - j], i
+                cyclic[frozenset(powers)] = (i,)
 
     def rows(self):
         """The multiplication table: ``rows()[x][y]`` is the index of x·y."""
@@ -466,30 +469,6 @@ class _Universe:
         _, kept = self.grow(((i,) for i in sorted(idx_set)), len(idx_set))
         return tuple(i for i, in kept)
 
-    def cyclic_subgroups(self) -> tuple[dict[frozenset[int], tuple[int, ...]], list[int]]:
-        """All cyclic subgroups, keyed by element set, valued by one
-        generator, and canon, where canon[i] is that generator of <i>.
-        Deterministic: each subgroup is tagged by its least generator i, and
-        walked once, along row i; its members of i's order are its
-        generators, so no later one is walked again."""
-        if self._cyc is None:
-            ident, orders, rows = self.identity, self.orders, self.rows()
-            canon = [-1] * self.n
-            canon[ident] = ident
-            out = {frozenset({ident}): ()}
-            for i in range(self.n):
-                if canon[i] < 0:
-                    times_i = rows[i]
-                    powers = [ident, i]
-                    while (x := times_i[powers[-1]]) != ident:
-                        powers.append(x)
-                    for x in powers:
-                        if orders[x] == orders[i]:
-                            canon[x] = i
-                    out[frozenset(powers)] = (i,)
-            self._cyc = out, canon
-        return self._cyc
-
     def conjugation_rows(self, by=None) -> tuple[tuple[int, ...], ...]:
         """For each g of ``by`` (G's generators by default, whose rows are
         cached), the row i -> g⁻¹·i·g.  With a table that is two C-level
@@ -507,23 +486,26 @@ class _Universe:
         fs = (at_inverses(rows[inv[g]]) for g in by)
         return tuple(_getter(f)(f) for f in fs)
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugacy classes, as sorted index tuples ordered by smallest
-        member: orbits of the conjugation rows, grown a frontier at a time."""
-        rows = self.conjugation_rows()
-        seen: set[int] = set()
-        classes = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            orbit = frontier = {start}
-            while frontier:
-                frontier = set().union(*(map(row.__getitem__, frontier) for row in rows))
-                frontier -= orbit
-                orbit |= frontier
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
+        member: orbits of the conjugation rows, grown a frontier at a time,
+        computed on the first call and cached."""
+        if self._classes is None:
+            rows = self.conjugation_rows()
+            seen: set[int] = set()
+            classes = []
+            for start in range(self.n):
+                if start in seen:
+                    continue
+                orbit = frontier = {start}
+                while frontier:
+                    frontier = set().union(*(map(row.__getitem__, frontier) for row in rows))
+                    frontier -= orbit
+                    orbit |= frontier
+                seen |= orbit
+                classes.append(tuple(sorted(orbit)))
+            self._classes = tuple(classes)
+        return self._classes
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +779,8 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
             yield h
 
 
-def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, canon, candidates):
-    """The candidates, generators of cyclic subgroups as ``cyclic_subgroups()``
+def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
+    """The candidates, generators of cyclic subgroups as ``_Universe.cyclic``
     gives them, that come first in their N_G(K)-orbit of cyclic subgroups.
 
     For x in N_G(K), <K, y>^x = <K, y^x>: the later members of an orbit only
@@ -808,6 +790,7 @@ def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, canon, candidates
     rows = u.conjugation_rows()
     if not all(row[s] in k_set for row in rows for s in k_gens):
         rows = u.conjugation_rows(u.derive_gens(_normalizer_set(u, k_set, k_gens)))
+    canon = u.canon
     seen: set[int] = set()
     for y in candidates:
         if y in seen:
@@ -832,16 +815,19 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     def compute():
         u = G.universe(limits)
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
-        cyclic, canon = u.cyclic_subgroups()
-        for y, in filter(None, cyclic.values()):
+        rows = u.rows()
+        for y, in filter(None, u.cyclic.values()):
             factors = prime_factors(u.orders[y])
             if len(factors) == 1:
-                steps.append((y, _power(u, y, factors[0][0])))
+                yp = y
+                for _ in range(factors[0][0] - 1):  # y^p: p - 1 steps along row y
+                    yp = rows[y][yp]
+                steps.append((y, yp))
         trivial = frozenset({u.identity})
         found = {trivial: ()}
         reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
         pairs = ((k, (y,)) for k in reps
-                 for y in _orbit_firsts(u, k, found[k], canon,
+                 for y in _orbit_firsts(u, k, found[k],
                                         (y for y, yp in steps if y not in k and yp in k)))
         for h in _new_classes(u, found, pairs, limits):
             reps.append(h)
@@ -884,17 +870,16 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     count and closure caps apply as in all_subgroups."""
     def compute():
         u = G.universe(limits)
-        cyclic, canon = u.cyclic_subgroups()
         found: dict[frozenset[int], tuple[int, ...]] = {}
         reps = []
-        for a, a_gens in cyclic.items():
+        for a, a_gens in u.cyclic.items():
             if a not in found:
                 reps.append(a)
                 found.update(_conjugates(u, {a: a_gens}))
-        set_of = {b: b_set for b_set, b_gens in cyclic.items() for b in b_gens}
+        set_of = {b: b_set for b_set, b_gens in u.cyclic.items() for b in b_gens}
         pairs = ((a, (b,)) if len(a) >= len(set_of[b]) else (set_of[b], found[a])
                  for a in reps
-                 for b in _orbit_firsts(u, a, found[a], canon,
+                 for b in _orbit_firsts(u, a, found[a],
                                         (b for b, b_set in set_of.items()
                                          if not (a <= b_set or b_set <= a))))
         for _ in _new_classes(u, found, pairs, limits):
@@ -919,11 +904,13 @@ def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> li
 # Sylow and Hall subgroups
 
 
-def _p_part(n: int, p: int) -> int:
+def _p_part(n: int, primes) -> int:
+    """The largest divisor of n whose prime factors all lie in primes."""
     m = 1
-    while n % p == 0:
-        n //= p
-        m *= p
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            m *= p
     return m
 
 
@@ -935,23 +922,12 @@ def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[in
     smaller subgroup P' held at z's turn, and z would have joined."""
     def compute():
         u = G.universe(limits)
-        target = _p_part(G.order, p)
+        target = _p_part(G.order, (p,))
         current, kept = u.grow(((z,) for z in range(u.n) if target % u.orders[z] == 0), target)
         if len(current) != target:
             raise CrossCheckError(f"Sylow {p}-subgroup construction stalled at order {len(current)}")
         return current, tuple(z for z, in kept)
     return _memo(G, ("sylow_set", p), compute, limits)
-
-
-def _power(u: _Universe, i: int, e: int) -> int:
-    out = u.identity
-    base = i
-    while e:
-        if e & 1:
-            out = u.mul(out, base)
-        base = u.mul(base, base)
-        e >>= 1
-    return out
 
 
 def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
@@ -984,23 +960,22 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
 
     def compute():
         u = G.universe(limits)
-        target = 1
-        for p, e in prime_factors(G.order):
-            if p in pset:
-                target *= p**e
+        target = _p_part(G.order, pset)
         if target == 1:
             return [[(frozenset({u.identity}), ())]]
         if target == G.order:
             return [[(frozenset(range(u.n)), u.gens)]]
-        anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
+        anchor_p = max((p for p in pset if G.order % p == 0),
+                       key=lambda p: _p_part(G.order, (p,)))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
-        sylows = [(q, _p_part(G.order, q), list(_conjugates(u, {_sylow_set(G, q, limits)[0]: ()})))
+        sylows = [(q, _p_part(G.order, (q,)),
+                   list(_conjugates(u, {_sylow_set(G, q, limits)[0]: ()})))
                   for q in pset if q != anchor_p and G.order % q == 0]
         candidates = {p0_set}
         queue = [p0_set]
         for c_set in queue:
             for q, q_part, q_sets in sylows:
-                if _p_part(len(c_set), q) == q_part:
+                if _p_part(len(c_set), (q,)) == q_part:
                     continue
                 for s in q_sets:
                     joined = u.closure(s - c_set, base=c_set, cap=target)
@@ -1057,8 +1032,8 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
 
     def compute():
         u = G.universe(limits)
-        target = len(floor) * prod(_p_part(G.order // len(floor), p) for p in pset)
-        n, _ = u.grow(_memo(G, "classes", u.conjugacy_classes, limits), target, floor)
+        target = len(floor) * _p_part(G.order // len(floor), pset)
+        n, _ = u.grow(u.conjugacy_classes(), target, floor)
         if not all(n.issuperset(map(row.__getitem__, n)) for row in u.conjugation_rows()):
             raise CrossCheckError("the largest normal subgroup over a floor is not normal")
         return n

@@ -218,7 +218,7 @@ def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> b
     every pi-element.  A pi-group or pi'-group (|H|_pi = |H| or 1) is its
     own or the trivial normal Hall subgroup, decided without a closure."""
     u = G.universe(limits)
-    target = pi_part(len(idxs), pi)
+    target = pi_part(len(idxs), pi.classes)
     if target == 1 or target == len(idxs):
         return True
     generated = u.closure([i for i in idxs if target % u.orders[i] == 0], cap=target)

@@ -142,7 +142,7 @@ def parse_sigma_spec(text: str) -> SigmaPartition:
         return SigmaPartition(atomic=True)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: an integer past 4300 digits too
         raise GroupInputError(f"bad partition spec: {exc}") from exc
     return SigmaPartition.from_json(data)
 
@@ -221,11 +221,10 @@ def sigma_coprime(n: int, m: int, sigma: SigmaPartition) -> bool:
     return not (sigma_of_int(n, sigma) & sigma_of_int(m, sigma))
 
 
-def pi_part(n: int, pi: PiSet | frozenset[SigmaClass]) -> int:
+def pi_part(n: int, pi: frozenset[SigmaClass]) -> int:
     """Largest divisor of n whose prime factors all lie in classes of pi."""
-    classes = pi.classes if isinstance(pi, PiSet) else pi
     out = 1
     for p, e in prime_factors(n):
-        if any(c.contains(p) for c in classes):
+        if any(c.contains(p) for c in pi):
             out *= p**e
     return out

@@ -8,6 +8,7 @@ per-instance caches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,13 +183,11 @@ def build_by_tag(tag: str) -> PermGroup:
     raise GroupInputError(f"unknown zoo tag {tag!r}")
 
 
+@functools.cache
 def s5_subgroups() -> tuple[tuple[str, PermGroup], ...]:
     """All 156 subgroups of S5 in canonical order, tagged S5_sub_###."""
-    if "._s5_subs" not in _BUILT:
-        subs = all_subgroups(symmetric(5), DEFAULT_LIMITS)
-        out = tuple((f"S5_sub_{k:03d}", s.group) for k, s in enumerate(subs))
-        _BUILT["._s5_subs"] = out  # type: ignore[assignment]
-    return _BUILT["._s5_subs"]  # type: ignore[return-value]
+    subs = all_subgroups(symmetric(5), DEFAULT_LIMITS)
+    return tuple((f"S5_sub_{k:03d}", s.group) for k, s in enumerate(subs))
 
 
 def corpus() -> tuple[tuple[str, PermGroup], ...]:

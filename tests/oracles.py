@@ -25,7 +25,7 @@ from itertools import permutations
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_subgroup_sets,
-                              _p_part, _power, _sorted_sets, _sylow_set, all_subgroups,
+                              _p_part, _sorted_sets, _sylow_set, all_subgroups,
                               centralizer, centralizer_of_factor, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
@@ -126,11 +126,15 @@ def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
     y^p in K, not with one <y> per N_G(K)-orbit.  Raises like the library
     on the count and closure caps, but counts every closure."""
     u = G.universe(limits)
+    rows = u.rows()
     steps = []
-    for y, in filter(None, u.cyclic_subgroups()[0].values()):
+    for y, in filter(None, u.cyclic.values()):
         factors = prime_factors(u.orders[y])
         if len(factors) == 1:
-            steps.append((y, _power(u, y, factors[0][0])))
+            yp = y
+            for _ in range(factors[0][0] - 1):
+                yp = rows[y][yp]
+            steps.append((y, yp))
     trivial = frozenset({u.identity})
     found = {trivial: ()}
     reps = [trivial]
@@ -145,7 +149,7 @@ def two_generated_sets_every_join(G, limits=DEFAULT_LIMITS) -> list:
     one cyclic <a> per conjugacy class joined with every cyclic <b>, not with
     one <b> per N_G(<a>)-orbit."""
     u = G.universe(limits)
-    cyclic = u.cyclic_subgroups()[0]
+    cyclic = u.cyclic
     found = {}
     reps = []
     for a, a_gens in cyclic.items():
@@ -294,7 +298,7 @@ def frattini(G, limits=DEFAULT_LIMITS):
 
 def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:
     """Some normal subgroup has order |G|_pi."""
-    target = pi_part(G.order, pi)
+    target = pi_part(G.order, pi.classes)
     return any(len(s) == target for s in _normal_subgroup_sets(G, limits))
 
 
@@ -326,11 +330,12 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
         return [[(frozenset({u.identity}), ())]]
     if target == G.order:
         return [[(frozenset(range(u.n)), u.gens)]]
-    anchor_p = max((p for p in pset if G.order % p == 0), key=lambda p: _p_part(G.order, p))
+    anchor_p = max((p for p in pset if G.order % p == 0),
+                   key=lambda p: _p_part(G.order, (p,)))
     p0_set, _ = _sylow_set(G, anchor_p, limits)
     candidates = {p0_set}
     queue = [p0_set]
-    pi_elements = [i for (s, g) in u.cyclic_subgroups()[0].items() if g
+    pi_elements = [i for (s, g) in u.cyclic.items() if g
                    for i in g if target % u.orders[i] == 0]
     for c_set in queue:
         for x in pi_elements:

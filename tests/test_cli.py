@@ -180,7 +180,13 @@ def test_zoo_listing(capsys):
     assert len(lines) == 27
 
 
-def test_error_paths(capsys):
+DEEP = "[" * 100_000 + "]" * 100_000
+HUGE = "1" * 5000  # past Python's 4300-digit limit on converting a digit string
+
+
+def test_error_paths(capsys, tmp_path):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"degree": 3, "name": "\xe9", "generators": []}')
     cases = [
         ("graph", "--group", "zoo:nope", "--kind", "vm"),
         ("graph", "--group", '{"degree": 1, "generators": []}', "--kind", "vm"),
@@ -190,6 +196,7 @@ def test_error_paths(capsys):
         ("graph", "--group", "/no/such/file.json", "--kind", "vm"),
         ("verify", "--corpus", "--statement", "9.9"),
         ("check", "--group", "zoo:S4", "--predicate", "pi-closed", "--pi", "x"),
+        ("graph", "--group", str(not_utf8), "--kind", "vm"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
@@ -211,13 +218,17 @@ def test_non_integer_cycle_points_exit_2(capsys, generators):
                                   '{"classes": [[true]]}', '{"classes": [3]}',
                                   '{"classes": {"2": 3}}', '{"atomic": "false"}',
                                   '{"atomic": 1}', '{"clases": [[2, 3]]}',
-                                  '{"classes": [[2, 3]], "atomic": false, "note": 1}'])
+                                  '{"classes": [[2, 3]], "atomic": false, "note": 1}',
+                                  pytest.param('{"classes": ' + DEEP + "}", id="deep"),
+                                  pytest.param('{"classes": [[' + HUGE + "]]}", id="huge")])
 def test_coerced_partition_specs_exit_2(capsys, spec):
     """Nothing is coerced, and a key other than classes and atomic (a
-    misspelling) is refused rather than ignored."""
+    misspelling) is refused rather than ignored.  So is nesting too deep for
+    the JSON decoder and an integer too long to convert."""
     rc, out, err = run(capsys, "graph", "--group", "zoo:S3", "--kind", "hawkes",
                        "--sigma", spec)
-    assert rc == 2 and out == "" and err.startswith("error:")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", ['{"degree": true, "generators": []}',
@@ -228,11 +239,16 @@ def test_coerced_partition_specs_exit_2(capsys, spec):
                                   '"name": ["x"]}',
                                   '{"degree": 5, "generators": [[1, 2, 3, 4, 5]], '
                                   '"expected_ordr": 5}',
-                                  '{"degree": 3, "gens": [[1, 2]], "generators": [[1, 2]]}'])
+                                  '{"degree": 3, "gens": [[1, 2]], "generators": [[1, 2]]}',
+                                  pytest.param('{"degree": 3, "generators": ' + DEEP + "}",
+                                               id="deep"),
+                                  pytest.param('{"degree": 3, "generators": [], '
+                                               '"expected_order": ' + HUGE + "}", id="huge")])
 def test_coerced_group_specs_exit_2(capsys, spec):
     """degree and expected_order must be JSON integers and name a string;
     none of them is coerced, and any other key (a misspelling) is refused
-    rather than ignored."""
+    rather than ignored.  So is nesting too deep for the JSON decoder and an
+    integer too long to convert."""
     rc, out, err = run(capsys, "check", "--group", spec, "--predicate", "soluble")
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

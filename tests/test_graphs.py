@@ -217,9 +217,25 @@ def test_circuits_match_bruteforce(tag):
                                                            graph.edges)
 
 
+def test_circuits_match_bruteforce_on_every_small_digraph():
+    """Every digraph on at most three vertices, loops included: 1 + 2 + 16 +
+    512 = 531 edge sets."""
+    classes = [ATOMIC.classify(p) for p in (2, 3, 5)]
+    count = 0
+    for k in range(4):
+        vertices = frozenset(classes[:k])
+        pairs = [(a, b) for a in classes[:k] for b in classes[:k]]
+        for mask in range(2 ** len(pairs)):
+            edges = frozenset(e for bit, e in enumerate(pairs) if mask >> bit & 1)
+            graph = SigmaGraph("hawkes", "digraph", ATOMIC, vertices, edges)
+            assert has_circuit(graph) == brute_has_circuit(vertices, edges)
+            count += 1
+    assert count == 531
+
+
 def test_has_circuit_leaves_no_cyclic_garbage():
-    """The depth-first search holds no reference cycle, so a call leaves
-    nothing for the cycle collector, on graphs with and without a circuit."""
+    """Peeling holds no reference cycle, so a call leaves nothing for the
+    cycle collector, on graphs with and without a circuit."""
     graphs = [build(build_by_tag(tag), sigma) for tag in ("S3", "S4", "wreath_c2_s3")
               for sigma in standard_partitions() for build in (build_hawkes, build_hall)]
     a, b, c = build_hawkes(build_by_tag("C30"), ATOMIC).sorted_vertices()

@@ -27,7 +27,9 @@ from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                                    schmidt_types)
 from sigmagraph.sigma import ATOMIC, PiSet, primes_of
-from sigmagraph.zoo import alternating, build_by_tag, s5_subgroups, symmetric, zoo
+from sigmagraph.verify import run_corpus_sweep
+from sigmagraph.zoo import (alternating, build_by_tag, s5_subgroups, standard_partitions,
+                            symmetric, zoo)
 
 
 def assert_table_matches(G):
@@ -72,37 +74,47 @@ def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
     assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
 
 
-@pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
-@pytest.mark.parametrize("tag", zoo_tags())
-def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monkeypatch):
+def assert_cyclic_walk_matches(u):
     """The orders walked along the rows equal each permutation's own order,
-    read in the table and, above the table limit, composed as they are read.
-    So do the cyclic subgroups walked along the rows: canon[i] is the least
-    generator of <i>, and each <g> is keyed in order of that generator g."""
-    if not table:
-        monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
-    u = next(e for e in zoo() if e.tag == tag).builder().universe()
-    assert (u.mul_rows is not None) == table
+    and the cyclic subgroups walked with them are those of the plain walk:
+    canon[i] is the least generator of <i>, and each <g> is keyed in order
+    of that generator g."""
     assert list(u.orders) == [p.order() for p in u.perms]
     spans = [index_closure(u.perms, (i,)) for i in range(u.n)]
     least = [min(j for j in spans[i] if u.perms[j].order() == u.perms[i].order())
              for i in range(u.n)]
-    cyclic, canon = u.cyclic_subgroups()
-    assert canon == least
-    assert list(cyclic.items()) == [(spans[g], (g,) if g != u.identity else ())
-                                    for g in sorted(set(least))]
+    assert u.canon == least
+    assert list(u.cyclic.items()) == [(spans[g], (g,) if g != u.identity else ())
+                                      for g in sorted(set(least))]
+
+
+def assert_inverses_cancel(u):
+    """i·i⁻¹ is the identity for every element."""
+    assert all(u.mul(i, u.inv_arr[i]) == u.identity for i in range(u.n))
+
+
+@pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
+@pytest.mark.parametrize("tag", zoo_tags())
+def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monkeypatch):
+    """Orders, canon and the cyclic subgroups walked along the rows, read in
+    the table and, above the table limit, composed as they are read."""
+    if not table:
+        monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    u = next(e for e in zoo() if e.tag == tag).builder().universe()
+    assert (u.mul_rows is not None) == table
+    assert_cyclic_walk_matches(u)
 
 
 @pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
 @pytest.mark.parametrize("tag", zoo_tags())
 def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
-    """i·i⁻¹ is the identity for every element: inverses read along the
-    power walk, on table rows and, above the table limit, on composed ones."""
+    """Inverses read along the cyclic walk, on table rows and, above the
+    table limit, on composed ones."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     u = next(e for e in zoo() if e.tag == tag).builder().universe()
     assert (u.mul_rows is not None) == table
-    assert all(u.mul(i, u.inv_arr[i]) == u.identity for i in range(u.n))
+    assert_inverses_cancel(u)
 
 
 def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
@@ -171,7 +183,7 @@ def assert_table_reads_match_naive(G, subgroups):
                 assert (elements_of(centralizer_of_factor(G, h, k))
                         == naive_centralizer_of_factor(G, h.elements(), k.elements()))
     classes = u.conjugacy_classes()
-    assert classes == sorted(classes) and all(list(c) == sorted(c) for c in classes)
+    assert list(classes) == sorted(classes) and all(list(c) == sorted(c) for c in classes)
     assert {frozenset(u.perms[i] for i in c) for c in classes} == naive_conjugacy_classes(G)
 
 
@@ -265,9 +277,10 @@ def test_kernel_fuzz_on_small_degrees(seed):
     """One to three random generators on two to seven points.  Groups up to
     order 120 check the whole table, and the Schmidt types and test against
     the walk and the lattice oracles; those up to order 24 also check the
-    subgroup lattice against the brute-force one.  Every group checks
-    closures over a drawn base, and those above the table limit (A7) take
-    the path without a table."""
+    subgroup lattice against the brute-force one.  Every group checks the
+    cyclic walk's orders, canon, cyclic subgroups and inverses, and closures
+    over a drawn base; those above the table limit (A7) take the path
+    without a table."""
     rng = random.Random(seed)
     degree = rng.randint(2, 7)
     g = PermGroup(degree, [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))])
@@ -279,6 +292,8 @@ def test_kernel_fuzz_on_small_degrees(seed):
         assert_table_matches(g)
         assert schmidt_types(g) == {(p, q) for _, p, q in schmidt_subgroups(g)}
         assert is_schmidt(g) == is_schmidt_by_lattice(g)
+    assert_cyclic_walk_matches(u)
+    assert_inverses_cancel(u)
     assert_closure_matches(u, rng.sample(range(u.n), min(u.n, rng.randint(0, 2))),
                            rng.sample(range(u.n), min(u.n, rng.randint(0, 3))),
                            rng.randint(1, u.n))
@@ -311,6 +326,31 @@ def run_counted(counts, fn):
 
 def pairs_of(subs):
     return [(s.indices, s.gens) for s in subs]
+
+
+def test_a_sweep_computes_class_orbits_once_per_table(monkeypatch):
+    """Every reader of a table's conjugacy classes gets the one tuple the
+    table computed: over the standard sweep of fresh S4, SL(2,3) and
+    wreath_c2_s3, each table returns a single classes object, and some
+    table is read more than once."""
+    reads = []
+    classes = _Universe.conjugacy_classes
+
+    def recorded(self):
+        out = classes(self)
+        reads.append((self, out))
+        return out
+
+    monkeypatch.setattr(_Universe, "conjugacy_classes", recorded)
+    groups = [(tag, fresh(tag)) for tag in ("S4", "sl23", "wreath_c2_s3")]
+    reports = list(run_corpus_sweep(groups, standard_partitions()))
+    assert reports and all(r.verdict != "FAIL" for r in reports)
+    per_table: dict[int, set[int]] = {}
+    for u, out in reads:
+        per_table.setdefault(id(u), set()).add(id(out))
+    assert {id(g.universe()) for _, g in groups} <= set(per_table)
+    assert all(len(outs) == 1 for outs in per_table.values())
+    assert len(reads) > len(per_table)
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
