@@ -73,7 +73,8 @@ class EngineLimits:
     """Enumeration caps. Orders are group-order gates; the count cap bounds
     the subgroups a search finds and the work cap the joins it takes up (one
     per normaliser orbit of extensions, closed or skipped as already
-    known), as neither is a function of the group order alone."""
+    known, and one per pair of prop 1.11's pair scan, commuting or not), as
+    neither is a function of the group order alone."""
 
     max_subgroup_order: int = 500
     max_element_order: int = 5000
@@ -867,7 +868,8 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     Since <a, b>^g = <a^g, b^g>, one cyclic <a> per conjugacy class is
     joined with one cyclic <b> per N_G(<a>)-orbit (for x in N_G(<a>),
     <a, b>^x = <a, b^x>), and each new join is spread over its class.  The
-    count and closure caps apply as in all_subgroups."""
+    count and closure caps apply as in all_subgroups.  No library route
+    calls it; the tests use it as a pool of subgroups."""
     def compute():
         u = G.universe(limits)
         found: dict[frozenset[int], tuple[int, ...]] = {}
@@ -1041,6 +1043,11 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
 
 
 def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Largest normal subgroup whose order only involves the given primes."""
+    """Largest normal subgroup whose order only involves the given primes;
+    a non-prime raises DomainError, a prime above max_prime
+    ResourceLimitError."""
+    for p in primes:
+        if not _is_prime(p):
+            raise DomainError(f"{p} is not a prime")
     trivial = frozenset({G.universe(limits).identity})
     return Subgroup(G, _largest_normal_over(G, trivial, primes, limits))

@@ -21,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
                      has_circuit, has_loop, isolated_vertices, is_subgraph, union)
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    maximal_subgroups, subgroup, two_generated_subgroups)
+                    maximal_subgroups, subgroup)
 from .perm import Permutation
 from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
@@ -292,21 +292,55 @@ def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
     return make_report("prop-1.9", group_tag, sigma, (), conclusions)
 
 
+def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
+    """Whether every proper subgroup of G has a normal Hall pi-part, and if
+    not, the least order of one that has none.
+
+    If every <a, b> with pi-elements a and b of H is a pi-group, products of
+    pi-elements of H are pi-elements, so they form a normal Hall subgroup of
+    H.  So a non-closed subgroup of least order is such an <a, b>, and the
+    least order of a proper <a, b> that is not a pi-group answers both.  Up
+    to conjugacy a is the least member of its class, and b the generator of
+    its cyclic subgroup (``_Universe.cyclic``).  Commuting pairs generate
+    pi-groups and are skipped; a join is capped below the least order found
+    so far, at first at |G|/2, above which only G lies.  Every pair counts
+    toward max_join_work."""
+    u = G.universe(limits)
+    t = pi_part(G.order, pi.classes)
+    firsts = [a for a, *_ in u.conjugacy_classes()
+              if a != u.identity and t % u.orders[a] == 0]
+    bs = [b for b, in filter(None, u.cyclic.values()) if t % u.orders[b] == 0]
+    if len(firsts) * len(bs) > limits.max_join_work:
+        raise ResourceLimitError(
+            "pi-element pair scan exceeded its closure budget",
+            cap_name="max_join_work", cap_value=limits.max_join_work)
+    rows = u.rows()
+    least = G.order // 2 + 1
+    for a in firsts:
+        row = rows[a]
+        for b in bs:
+            if row[b] != rows[b][a]:
+                s = u.closure((a, b), cap=least - 1)
+                if s is not None and t % len(s) != 0:
+                    least = len(s)
+    if least > G.order // 2:
+        return True, ""
+    return False, f"subgroup of order {least} is not pi-closed"
+
+
 def _maximals_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
-    """Whether every maximal subgroup has a normal Hall pi-part.  Above the
-    enumeration caps this is still refutable: the property passes to
-    subgroups, so any non-closed proper subgroup convicts the maximal over
-    it.  An unrefuted cap is re-raised; certification needs the lattice."""
+    """Whether every maximal subgroup has a normal Hall pi-part, read off the
+    subgroup lattice.  The property passes to subgroups, so above the
+    lattice's caps every proper subgroup is asked instead, by a scan of the
+    pairs of pi-elements (``_pairs_pi_closed``); its witness is a non-closed
+    subgroup of least order."""
     try:
         for m in maximal_subgroups(G, limits):
             if not _pi_closed_indices(G, m.indices, pi, limits):
                 return False, f"maximal subgroup of order {m.order} is not pi-closed"
         return True, ""
     except ResourceLimitError:
-        for s in two_generated_subgroups(G, limits):
-            if s.order < G.order and not _pi_closed_indices(G, s.indices, pi, limits):
-                return False, f"subgroup of order {s.order} is not pi-closed"
-        raise
+        return _pairs_pi_closed(G, pi, limits)
 
 
 def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,

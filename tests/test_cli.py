@@ -141,8 +141,8 @@ def test_verify_standard_sigma_default(capsys):
 
 def test_verify_prop_1_11_above_the_count_cap(capsys):
     """wreath_c2_s3 has 4676 subgroups, past max_subgroup_count: the lattice
-    attempt stops at the cap and prop 1.11 reads its witnesses off the
-    two-generated subgroups."""
+    attempt stops at the cap and prop 1.11 reads its witnesses off the scan
+    of pairs of pi-elements."""
     rc, out, _ = run(capsys, "verify", "--group", "zoo:wreath_c2_s3", "--statement", "1.11")
     assert rc == 0
     witnesses = []
@@ -154,6 +154,24 @@ def test_verify_prop_1_11_above_the_count_cap(capsys):
     six, twelve = ("subgroup of order 6 is not pi-closed",
                    "subgroup of order 12 is not pi-closed")
     assert witnesses == [([], six), ([], twelve), ([[2, 5], [3]], six), ([[2, 5], [3]], twelve)]
+
+
+C3_WR_S3 = json.dumps({"degree": 18, "expected_order": 4374, "generators": [
+    [[1, 2, 3]],
+    [[1, 10, 13], [2, 11, 14], [3, 12, 15], [4, 7, 16], [5, 8, 17], [6, 9, 18]],
+    [[1, 7], [2, 8], [3, 9], [4, 10], [5, 11], [6, 12], [13, 16], [14, 17], [15, 18]]]})
+
+
+def test_verify_prop_1_11_above_the_table_limit(capsys):
+    """C3 wr S3 (order 4374) is past max_subgroup_order, so every report
+    that reaches the maximal subgroups is decided by the pair scan."""
+    rc, out, _ = run(capsys, "verify", "--group", C3_WR_S3, "--statement", "1.11")
+    lines = out.strip().splitlines()
+    assert rc == 0 and lines[-1].endswith(" FAIL=0")
+    witnesses = [h["witness"] for line in lines[:-1]
+                 for h in json.loads(line)["hypotheses"]
+                 if h["name"] == "maximals-pi-closed" and h["evaluated"]]
+    assert witnesses == ["subgroup of order 6 is not pi-closed"] * 2
 
 
 def test_verify_statement_1_7_uses_fixtures(capsys):

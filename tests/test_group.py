@@ -394,6 +394,11 @@ def test_core_series_subgroup():
     assert core_series_subgroup(s4, [3]).order == 1
     assert core_series_subgroup(s4, [2, 3]).order == 24
     assert core_series_subgroup(build_by_tag("A4"), [2]).order == 4
+    for bad in (1, 4, 0):
+        with pytest.raises(DomainError, match="not a prime"):
+            core_series_subgroup(s4, [bad])
+    with pytest.raises(ResourceLimitError, match="max_prime"):
+        core_series_subgroup(s4, [10**7])
 
 
 def test_frattini():
@@ -439,7 +444,7 @@ def test_resource_caps_raise_with_cap_name():
         all_subgroups(symmetric(4), EngineLimits(max_join_work=5))
     with pytest.raises(ResourceLimitError, match="max_join_work"):
         two_generated_subgroups(symmetric(4), EngineLimits(max_join_work=5))
-    # the count cap keeps prop 1.11 on the two-generated witnesses
+    # the count cap sends prop 1.11 to the scan of pairs of pi-elements
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
         maximal_subgroups(regular_wreath(2, symmetric(3)), DEFAULT_LIMITS)
 

@@ -8,11 +8,14 @@ import pytest
 from oracles import component_decomposition_holds
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
+from sigmagraph.errors import ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
-from sigmagraph.group import PermGroup, QuotientGroup, Subgroup
+from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup,
+                              Subgroup, all_subgroups)
 from sigmagraph.perm import Permutation
+from sigmagraph.predicates import _pi_closed_indices
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
-from sigmagraph.verify import (ALL_STATEMENTS, CheckResult,
+from sigmagraph.verify import (ALL_STATEMENTS, CheckResult, _pairs_pi_closed, _pi_subsets,
                                factorization_fixtures, make_report,
                                run_corpus_sweep, verify_prop_1_2,
                                verify_prop_1_9, verify_prop_1_11,
@@ -179,6 +182,38 @@ def test_prop_1_11_sweep_no_failures():
                     assert rep.verdict in ("pass", "vacuous"), rep.to_json()
 
 
+def test_pair_scan_agrees_with_the_lattice(corpus_groups, partitions):
+    """On every (corpus group, standard partition, pi) triple whose lattice
+    is within the caps, the pair scan finds a non-closed proper subgroup
+    exactly when the lattice has one, and of the same least order."""
+    triples = 0
+    for tag, g in corpus_groups:
+        try:
+            proper = [s for s in all_subgroups(g) if s.order < g.order]
+        except ResourceLimitError:
+            continue
+        for sigma in partitions:
+            vertices = sigma_of_group(g, sigma)
+            for pi in _pi_subsets(vertices):
+                bad = [s.order for s in proper
+                       if not _pi_closed_indices(g, s.indices, pi, DEFAULT_LIMITS)]
+                want = ((False, f"subgroup of order {min(bad)} is not pi-closed") if bad
+                        else (True, ""))
+                assert _pairs_pi_closed(g, pi, DEFAULT_LIMITS) == want, (tag, sigma, pi)
+                triples += 1
+    assert triples == 1444
+
+
+def test_pair_scan_counts_every_pair_toward_the_join_work_cap():
+    """S4 has 4 non-identity classes and 16 cyclic subgroups other than the
+    trivial one, all 2- or 3-elements under pi = {2, 3}: 64 pairs."""
+    s4 = build_by_tag("S4")
+    pi = PiSet(sigma_of_group(s4, ATOMIC))
+    assert _pairs_pi_closed(s4, pi, EngineLimits(max_join_work=64)) == (True, "")
+    with pytest.raises(ResourceLimitError, match="max_join_work=63"):
+        _pairs_pi_closed(s4, pi, EngineLimits(max_join_work=63))
+
+
 def test_component_decomposition():
     for tag in ("C30", "S4", "A5", "s3xc5", "Q8", "dic3"):
         assert component_decomposition_holds(build_by_tag(tag)), tag
@@ -205,11 +240,10 @@ def test_sweep_is_deterministic_and_ordered():
                          ids=("S4", "sl23", "wreath_c2_s3"))
 def test_swept_group_is_freed_without_the_cycle_collector(make):
     """No value a sweep caches on a group (element table, normal lattice,
-    chief series, Hall and Sylow subgroups, the two-generated pool, the
-    lattice, predicate and graph values) refers back to the group, and its
-    strong generating set holds no cycle either, so a group dropped after
-    its sweep is freed at once with all its caches, instead of waiting for
-    a full collection.  QuotientGroup is still counted: no sweep route
+    chief series, Hall and Sylow subgroups, the lattice, predicate and
+    graph values) refers back to the group, and its strong generating set
+    holds no cycle either, so a group dropped after its sweep is freed at
+    once with all its caches, instead of waiting for a full collection.  QuotientGroup is still counted: no sweep route
     builds one, and none may leave one behind."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
