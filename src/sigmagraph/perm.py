@@ -3,7 +3,8 @@
 Composition convention: (p * q) applies p first, then q.
 
 A permutation built from outside input (``Permutation(images)``,
-``from_cycles``) is checked to be a bijection.  Products and inverses of
+``from_cycles``) is checked to be a bijection given by ints: nothing is
+coerced, and a bool or a float is refused.  Products and inverses of
 checked permutations are bijections already, so they skip that check.
 """
 
@@ -20,11 +21,15 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
+        images = self.images
+        if not isinstance(images, tuple) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in images):
+            raise GroupInputError(f"images {images!r} are not a tuple of integers")
+        n = len(images)
         if n == 0:
             raise GroupInputError("permutation degree must be at least 1")
-        if sorted(self.images) != list(range(n)):
-            raise GroupInputError(f"images {self.images!r} are not a bijection of 0..{n - 1}")
+        if sorted(images) != list(range(n)):
+            raise GroupInputError(f"images {images!r} are not a bijection of 0..{n - 1}")
 
     @property
     def degree(self) -> int:

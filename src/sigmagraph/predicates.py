@@ -4,12 +4,17 @@ Sigma-nilpotency (hence nilpotency), class-local nilpotency and dispersion
 each ask for normal Hall subgroups, decided by one pi-closure test on the
 group's own element table.  The Schmidt types and the Schmidt test come off
 element pairs in that table.  Sigma-solubility, F_i and the class length
-walk up G's normal subgroups: each step is the largest normal subgroup over
-a normal floor with index over a prime set (``_largest_normal_over``, one
-pass over the conjugacy classes), which by the correspondence theorem is a
-core of the quotient by the floor.  Neither the normal lattice nor a chief
-series is built, and no subgroup or quotient is built as a group of its
-own.
+are three readings of one walk per class, cached on G (``_upper_series``):
+G's upper alternating series for the class, which from the trivial
+subgroup steps to the largest normal subgroup over the current term whose
+index avoids the class, then to the largest one over that whose index lies
+in it, until it reaches G or stalls.  F_i is the first class-term, the
+class length counts the class-steps that moved, and G is sigma-soluble iff
+the walk reaches G for every class of |G|.  Each step is one pass over the
+conjugacy classes (``_largest_normal_over``), which by the correspondence
+theorem is a core of the quotient by the current term.  Neither the normal
+lattice nor a chief series is built, and no subgroup or quotient is built
+as a group of its own.
 Each quantity has one route here; the cross-check routes live with the
 tests.  A proved fact that the data contradicts (a unique maximum, a
 normal Hall subgroup) is surfaced as CrossCheckError, never patched over.
@@ -34,31 +39,44 @@ from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, pi_part,
 # solubility and nilpotency
 
 
+def _upper_series(G: PermGroup, cls: SigmaClass, limits: EngineLimits):
+    """(F_cls(G), length, separable) off G's upper alternating series for
+    cls.  From the trivial term, step to the largest normal subgroup over the
+    current term whose index avoids cls, then to the largest one over that
+    whose index lies in cls, and repeat until the walk reaches G (separable)
+    or a cls-step makes no progress below G (a stall: no minimal normal
+    subgroup of the quotient is a cls-group or a cls'-group).  F is the
+    first cls-term, or G when the first cls'-term is G already; length
+    counts the cls-steps that moved."""
+    def compute():
+        primes = primes_of(G.order)
+        away = [p for p in primes if not cls.contains(p)]
+        toward = [p for p in primes if cls.contains(p)]
+        u = G.universe(limits)
+        full = frozenset(range(u.n))
+        cur, first, length = frozenset({u.identity}), None, 0
+        while cur != full:
+            floor = _largest_normal_over(G, cur, away, limits)
+            if floor == full:
+                break
+            cur = _largest_normal_over(G, floor, toward, limits)
+            first = first or cur
+            if cur == floor:
+                return first, length, False
+            length += 1
+        return first or full, length, True
+    return _memo(G, ("series", cls), compute, limits)
+
+
 def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
                      limits: EngineLimits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor is a group of a single class.  A walk up G's
-    normal subgroups decides it: from the trivial term, step to the largest
-    normal subgroup over the current one whose index lies in one class,
-    taking the first class in sort_key order that moves.  If the walk
-    reaches G, its factors are single-class groups and so are the chief
-    factors refining them.  If it stalls, no minimal normal subgroup of the
-    quotient by the current term is a single-class group, so some chief
-    factor is not."""
-    def compute():
-        u = G.universe(limits)
-        cur = frozenset({u.identity})
-        while len(cur) < G.order:
-            index = G.order // len(cur)
-            for cls in sorted(sigma_of_int(index, sigma), key=lambda c: c.sort_key):
-                above = _largest_normal_over(G, cur, [p for p in primes_of(index) if cls.contains(p)],
-                                             limits)
-                if len(above) > len(cur):
-                    break
-            else:
-                return False
-            cur = above
-        return True
-    return _memo(G, ("soluble", sigma), compute, limits)
+    """Every chief factor is a group of a single class.  A chief factor is
+    one iff, for every class c of |G|, it is a c-group or a c'-group; so G is
+    sigma-soluble iff the upper series for every class reaches G
+    (``_upper_series``).  Classes go in sort_key order, so the walks that an
+    early exit leaves undone do not depend on hash order."""
+    return all(_upper_series(G, cls, limits)[2]
+               for cls in sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key))
 
 
 def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
@@ -80,17 +98,12 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
                      limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Largest normal N that is class-nilpotent for cls, that is, has a
     normal Hall subgroup M avoiding cls (characteristic in N, hence normal in
-    G).  Read as a pullback over G's normal subgroups: O, the largest normal
-    subgroup avoiding cls, then the largest normal N over O with |N : O| in
-    cls.  Such an N is class-nilpotent with M = O; and any class-nilpotent
-    normal N has M inside O and NO/O a cls-group, so NO lies in that N."""
-    def compute():
-        primes = primes_of(G.order)
-        floor = frozenset({G.universe(limits).identity})
-        away = _largest_normal_over(G, floor, [p for p in primes if not cls.contains(p)],
-                                    limits)
-        return _largest_normal_over(G, away, [p for p in primes if cls.contains(p)], limits)
-    return Subgroup(G, _memo(G, ("f_class", cls), compute, limits))
+    G).  Read as the first cls-term of the upper series for cls
+    (``_upper_series``): O, the largest normal subgroup avoiding cls, then
+    the largest normal N over O with |N : O| in cls.  Such an N is
+    class-nilpotent with M = O; and any class-nilpotent normal N has M
+    inside O and NO/O a cls-group, so NO lies in that N."""
+    return Subgroup(G, _upper_series(G, cls, limits)[0])
 
 
 def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
@@ -259,28 +272,11 @@ class SigmaLengthProfile:
 
 def sigma_length(G: PermGroup, cls: SigmaClass,
                  limits: EngineLimits = DEFAULT_LIMITS) -> SigmaLengthProfile:
-    """Length of the upper alternating series for cls: from the floor K, take
-    the largest normal D over K with |D : K| avoiding cls, then the largest
-    normal E over D with |E : D| in cls (the pullbacks of the two cores of
-    the quotients), and repeat from E; count the cls-steps that moved.  A
-    round that makes no progress below the top means G is not separable for
-    this class."""
-    def compute():
-        u = G.universe(limits)
-        full = frozenset(range(u.n))
-        cur = frozenset({u.identity})
-        length = 0
-        while cur != full:
-            away = [p for p in primes_of(G.order // len(cur)) if not cls.contains(p)]
-            d = _largest_normal_over(G, cur, away, limits)
-            if d == full:
-                break
-            toward = [p for p in primes_of(G.order // len(d)) if cls.contains(p)]
-            e = _largest_normal_over(G, d, toward, limits)
-            if e == d:
-                raise DomainError(
-                    f"upper series for class {cls} stalls below the whole group")
-            length += 1
-            cur = e
-        return SigmaLengthProfile(cls, length)
-    return _memo(G, ("sigma_length", cls), compute, limits)
+    """Length of the upper alternating series for cls (``_upper_series``):
+    the number of its cls-steps that moved.  A series that stalls below G
+    means G is not separable for this class, and raises DomainError on
+    every call (the walk is cached, the error is not)."""
+    _, length, separable = _upper_series(G, cls, limits)
+    if not separable:
+        raise DomainError(f"upper series for class {cls} stalls below the whole group")
+    return SigmaLengthProfile(cls, length)

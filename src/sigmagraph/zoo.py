@@ -88,7 +88,7 @@ def regular_wreath(p: int, top: PermGroup) -> PermGroup:
     Point p*b + r is slot r of block b; one bottom p-cycle plus the lifted
     top generators generate the whole base by transitivity on blocks.
     """
-    elems = sorted(top.elements(), key=lambda q: q.images)
+    elems = top.elements()  # sorted by image tuple
     pos = {q.images: k for k, q in enumerate(elems)}
     lifted = []
     for g in top.generators:

@@ -104,7 +104,9 @@ def test_trusted_products_and_inverses_equal_validated_ones(pair):
 
 
 def test_images_that_are_not_a_bijection_are_refused():
-    for images in ((0, 0, 1), (1, 2, 3), ()):
+    """Also images that are not a tuple of ints: floats and bools are not
+    coerced, and a list (which cannot be hashed) is refused."""
+    for images in ((0, 0, 1), (1, 2, 3), (), (1.0, 0.0), (True, False), [1, 0]):
         with pytest.raises(GroupInputError):
             Permutation(images)
 

@@ -348,6 +348,29 @@ def test_sigma_length_needs_separability():
         sigma_length(build_by_tag("S6"), C2)
 
 
+def test_solubility_f_class_and_length_read_one_walk_per_class():
+    """A per-group sweep of a fresh S4 and wreath_c2_s3 (both soluble, so
+    every class of every partition is walked) leaves one ("series", cls)
+    entry per class in the group's cache and no per-reader entry; on A5 the
+    cached stall raises DomainError on every sigma_length call."""
+    for tag in ("S4", "wreath_c2_s3"):
+        g = build_by_tag(tag)
+        g = PermGroup(g.degree, g.generators)
+        partitions = standard_partitions()
+        assert all(r.verdict != "FAIL" for r in run_corpus_sweep([(tag, g)], partitions))
+        kinds = {k[0] if isinstance(k, tuple) else k for k in g._cache}
+        assert not {"soluble", "f_class", "sigma_length"} & kinds
+        walked = {k[1] for k in g._cache if isinstance(k, tuple) and k[0] == "series"}
+        assert walked == {cls for sigma in partitions for cls in sigma_of_group(g, sigma)}
+    a5 = build_by_tag("A5")
+    a5 = PermGroup(a5.degree, a5.generators)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            sigma_length(a5, C2)
+        assert ("series", C2) in a5._cache
+    assert f_class_subgroup(a5, C2).order == 1
+
+
 def test_pi_central_factor():
     s3 = build_by_tag("S3")
     c3 = subgroup(s3, [Permutation.from_cycles(3, [(0, 1, 2)])])
