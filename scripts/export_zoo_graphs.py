@@ -15,11 +15,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_dot, to_json
-from sigmagraph.sigma import parse_sigma_spec
-from sigmagraph.zoo import standard_partitions, zoo
-
-BUILDERS = {"hawkes": build_hawkes, "hall": build_hall, "vm": build_vm}
+from sigmagraph.cli import _BUILDERS, _load_partitions
+from sigmagraph.graphs import to_dot, to_json
+from sigmagraph.zoo import zoo
 
 
 def partition_slug(sigma) -> str:
@@ -33,15 +31,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="graphs_out")
     ap.add_argument("--format", choices=("dot", "json"), default="dot")
-    ap.add_argument("--kind", choices=("all", "hawkes", "hall", "vm"),
-                    default="all")
+    ap.add_argument("--kind", choices=("all", *_BUILDERS), default="all")
     ap.add_argument("--sigma", default="standard",
                     help="'standard', 'atomic', or a JSON partition")
     args = ap.parse_args(argv)
 
-    partitions = (standard_partitions() if args.sigma == "standard"
-                  else (parse_sigma_spec(args.sigma),))
-    kinds = tuple(BUILDERS) if args.kind == "all" else (args.kind,)
+    partitions = _load_partitions(args.sigma)
+    kinds = tuple(_BUILDERS) if args.kind == "all" else (args.kind,)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -50,7 +46,7 @@ def main(argv=None) -> int:
         group = entry.build()
         for sigma in partitions:
             for kind in kinds:
-                graph = BUILDERS[kind](group, sigma, group_tag=entry.tag)
+                graph = _BUILDERS[kind](group, sigma, group_tag=entry.tag)
                 text = to_dot(graph) if args.format == "dot" else to_json(graph)
                 name = f"{entry.tag}__{kind}__{partition_slug(sigma)}.{args.format}"
                 (outdir / name).write_text(text + "\n")

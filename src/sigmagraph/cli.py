@@ -40,7 +40,7 @@ from .perm import Permutation
 from .predicates import (is_critical, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent,
                          is_sigma_soluble)
-from .sigma import PiSet, SigmaPartition, parse_sigma_spec
+from .sigma import PiSet, SigmaPartition, _is_int, parse_sigma_spec
 from .verify import ALL_STATEMENTS, run_corpus_sweep
 from .zoo import build_by_tag, corpus, standard_partitions, zoo
 
@@ -70,10 +70,10 @@ def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGro
     if unknown:
         raise GroupInputError(f"group spec has unknown keys {unknown}")
     degree = data.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise GroupInputError("group spec needs an integer degree >= 1")
     expected = data.get("expected_order")
-    if expected is not None and (not isinstance(expected, int) or isinstance(expected, bool)):
+    if expected is not None and not _is_int(expected):
         raise GroupInputError("group spec expected_order must be an integer")
     name = data.get("name", tag)
     if not isinstance(name, str):

@@ -6,7 +6,10 @@ Vertices are the partition classes meeting |G|.  Edge rules:
   hall    (ci, cj): some Hall ci-subgroup H has cj in N_G(H) / H*C_G(H).
                     That index is invariant under conjugation, so one Hall
                     subgroup per conjugacy class is tried; a class without
-                    Hall subgroups simply has no out-edges.
+                    Hall subgroups simply has no out-edges.  |N_G(H)| is
+                    |G| over the length of H's class, which the Hall
+                    search already has, so no normaliser is built; H = G
+                    gives no edge.
   vm      (ci, cj): some critical subgroup H carries ci and keeps cj in
                     H modulo its ci-local radical.  The critical subgroups
                     are the Schmidt subgroups P . <y> (P the normal Sylow
@@ -15,9 +18,10 @@ Vertices are the partition classes meeting |G|.  Edge rules:
                     has index q.  So the edges are the Schmidt types (p, q)
                     (predicates.schmidt_types) read as (class(p), class(q)).
 
-Each built graph is kept in the group's memo and returned on a later call;
-a caller with another group tag gets a copy under its own tag.  All outputs
-are canonically ordered; serialisation is byte-deterministic.
+The builders share one frame (``_graph``) and differ only in their edge
+rule.  Each built graph is kept in the group's memo and returned on a later
+call; a caller with another group tag gets a copy under its own tag.  All
+outputs are canonically ordered; serialisation is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _hall_classes, _memo, centralizer, normalizer)
+                    _hall_classes, _memo, _product_order, centralizer)
 from .predicates import f_class_subgroup, schmidt_types
 from .sigma import SigmaClass, SigmaPartition, primes_of, sigma_of_int, sigma_of_group
 
@@ -59,68 +63,58 @@ class SigmaGraph:
         return sorted(self.edges, key=lambda e: (e[0].sort_key, e[1].sort_key))
 
 
-def _require_nontrivial(G: PermGroup):
+def _graph(kind: str, G: PermGroup, sigma: SigmaPartition, limits: EngineLimits,
+           group_tag: str, edges, *key) -> SigmaGraph:
+    """The frame of the three builders: the graph of kind on G, with the
+    edges that edges(vertices) yields, kept in G's memo under
+    ("graph", kind, sigma, *key) and returned under the caller's tag (the
+    memoised graph itself, or a copy of it)."""
     if G.is_trivial:
         raise DomainError("class graphs are defined for nontrivial groups only")
 
-
-def _tagged(graph: SigmaGraph, group_tag: str) -> SigmaGraph:
-    """The memoised graph itself, or a copy of it under the caller's tag."""
+    def compute():
+        vertices = sigma_of_group(G, sigma)
+        return SigmaGraph(kind, group_tag, sigma, vertices, frozenset(edges(vertices)),
+                          primes_of(G.order))
+    graph = _memo(G, ("graph", kind, sigma, *key), compute, limits)
     return graph if graph.group_tag == group_tag else replace(graph, group_tag=group_tag)
 
 
 def build_hawkes(G: PermGroup, sigma: SigmaPartition,
                  limits: EngineLimits = DEFAULT_LIMITS, group_tag: str = "G") -> SigmaGraph:
-    _require_nontrivial(G)
-    def compute():
-        vertices = sigma_of_group(G, sigma)
-        edges = set()
+    def edges(vertices):
         for ci in vertices:
             f = f_class_subgroup(G, ci, limits)
             for cj in sigma_of_int(G.order // f.order, sigma):
-                edges.add((ci, cj))
-        return SigmaGraph("hawkes", group_tag, sigma, vertices, frozenset(edges),
-                          primes_of(G.order))
-    return _tagged(_memo(G, ("graph", "hawkes", sigma), compute, limits), group_tag)
+                yield ci, cj
+    return _graph("hawkes", G, sigma, limits, group_tag, edges)
 
 
 def build_hall(G: PermGroup, sigma: SigmaPartition,
                limits: EngineLimits = DEFAULT_LIMITS, group_tag: str = "G") -> SigmaGraph:
-    _require_nontrivial(G)
-    def compute():
-        vertices = sigma_of_group(G, sigma)
-        edges = set()
+    def edges(vertices):
         for ci in vertices:
             class_primes = [p for p in primes_of(G.order) if ci.contains(p)]
             for cls in _hall_classes(G, class_primes, limits):
-                h = Subgroup(G, *cls[0])
-                n = normalizer(G, h, limits)
-                if n.order * len(cls) != G.order:
-                    raise CrossCheckError("a Hall subgroup's normaliser order disagrees "
-                                          "with the length of its conjugacy class")
-                c = centralizer(G, h, limits)
-                hc = h.order * c.order // len(h.indices & c.indices)
-                for cj in sigma_of_int(n.order // hc, sigma):
-                    edges.add((ci, cj))
-        return SigmaGraph("hall", group_tag, sigma, vertices, frozenset(edges),
-                          primes_of(G.order))
-    key = ("graph", "hall", sigma, limits.max_subgroup_count)  # the Hall search's cap
-    return _tagged(_memo(G, key, compute, limits), group_tag)
+                h = Subgroup(G, cls[0])
+                if h.order == G.order:  # N_G(G) = G C_G(G): no edge, no generators
+                    continue
+                n_order = G.order // len(cls)  # |N_G(H)|
+                hc = _product_order(h, centralizer(G, h, limits))
+                for cj in sigma_of_int(n_order // hc, sigma):
+                    yield ci, cj
+    # the Hall search's cap is part of the key
+    return _graph("hall", G, sigma, limits, group_tag, edges, limits.max_subgroup_count)
 
 
 def build_vm(G: PermGroup, sigma: SigmaPartition,
              limits: EngineLimits = DEFAULT_LIMITS, group_tag: str = "G") -> SigmaGraph:
-    _require_nontrivial(G)
-    def compute():
-        vertices = sigma_of_group(G, sigma)
-        edges = set()
+    def edges(vertices):
         for p, q in schmidt_types(G, limits):
             ci, cj = sigma.classify(p), sigma.classify(q)
             if ci != cj:
-                edges.add((ci, cj))
-        return SigmaGraph("vm", group_tag, sigma, vertices, frozenset(edges),
-                          primes_of(G.order))
-    return _tagged(_memo(G, ("graph", "vm", sigma), compute, limits), group_tag)
+                yield ci, cj
+    return _graph("vm", G, sigma, limits, group_tag, edges)
 
 
 # ---------------------------------------------------------------------------

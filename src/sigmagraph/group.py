@@ -25,11 +25,11 @@ so a gather neither boxes nor copies an entry; that costs 8 bytes per
 entry, about 4 MB for S6 and about 18 MB at ``_TABLE_LIMIT``.  A subgroup
 is its set of element indices in that table.  Its generator indices are
 given, where a search produced them, or derived from the set on first
-read; its own PermGroup is built only when a caller treats it as a group in
-its own right.  Every subgroup is generated by ``_Universe.closure``,
-which extends a subgroup the caller already holds by new generators, one
-left coset at a time (Dimino's algorithm; Butler, Fundamental Algorithms
-for Permutation Groups, LNCS 559).
+read (Hall subgroups, normal subgroups, cores); its own PermGroup is built
+only when a caller treats it as a group in its own right.  Every subgroup is
+generated by ``_Universe.closure``, which extends a subgroup the caller
+already holds by new generators, one left coset at a time (Dimino's
+algorithm; Butler, Fundamental Algorithms for Permutation Groups, LNCS 559).
 Subgroup searches work up to conjugacy: they extend one representative K per
 class, by one cyclic subgroup per N_G(K)-orbit, skip a join that an earlier
 join of prime index over K already holds, and spread each new subgroup over
@@ -46,7 +46,8 @@ given primes comes from one pass over G's conjugacy classes
 G's normal lattice or a chief series; ``quotient``, ``normal_subgroups`` and
 ``chief_series`` remain for callers that want them.  Hall subgroups are
 reached from one Sylow subgroup by joins with Sylow subgroups for the other
-primes (``_hall_classes``).
+primes (``_hall_classes``), which keeps each conjugacy class as its sorted
+index sets.
 Generating sets, Sylow subgroups and the largest normal subgroup over a
 floor come from one greedy pass of joins that keeps a join whose order
 divides a target (``_Universe.grow``).
@@ -65,7 +66,7 @@ from operator import eq, itemgetter
 from .bsgs import Bsgs
 from .errors import CrossCheckError, DomainError, GroupInputError, ResourceLimitError
 from .perm import Permutation, _trusted
-from .sigma import _is_prime, prime_factors
+from .sigma import _is_int, _is_prime, _p_part, prime_factors
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class EngineLimits:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _is_int(value):
+                raise GroupInputError(f"{f.name} must be an int, got {value!r}")
             if value < 1:
                 raise GroupInputError(f"{f.name} must be at least 1, got {value}")
 
@@ -522,6 +525,11 @@ def _require_subgroup_of(G: PermGroup, S: Subgroup, name: str) -> None:
         raise DomainError(f"{name} is not a subgroup of the given group")
 
 
+def _product_order(x: Subgroup, y: Subgroup) -> int:
+    """|XY| = |X| |Y| / |X ∩ Y|, for subgroups of one group."""
+    return x.order * y.order // len(x.indices & y.indices)
+
+
 # ---------------------------------------------------------------------------
 # centralisers, normalisers
 
@@ -906,16 +914,6 @@ def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> li
 # Sylow and Hall subgroups
 
 
-def _p_part(n: int, primes) -> int:
-    """The largest divisor of n whose prime factors all lie in primes."""
-    m = 1
-    for p in primes:
-        while n % p == 0:
-            n //= p
-            m *= p
-    return m
-
-
 def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
     """One Sylow p-subgroup and its generators: one greedy pass over the
     p-elements in index order (``_Universe.grow``).  One pass is enough: if
@@ -941,11 +939,10 @@ def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgro
     return Subgroup(G, s, gens)
 
 
-def _hall_classes(G: PermGroup, primes, limits: EngineLimits
-                  ) -> list[list[tuple[frozenset[int], tuple[int, ...]]]]:
+def _hall_classes(G: PermGroup, primes, limits: EngineLimits) -> list[list[frozenset[int]]]:
     """The Hall subgroups for the given primes by conjugacy class: each
-    class as its (element set, generators) pairs in canonical order, the
-    first of which is the class representative.
+    class as its element sets in canonical order, the first of which is the
+    class representative.
 
     Search: a Hall subgroup H for the primes holds a Sylow q-subgroup of G
     for each q among them, and some conjugate of H holds the fixed Sylow
@@ -964,9 +961,9 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
         u = G.universe(limits)
         target = _p_part(G.order, pset)
         if target == 1:
-            return [[(frozenset({u.identity}), ())]]
+            return [[frozenset({u.identity})]]
         if target == G.order:
-            return [[(frozenset(range(u.n)), u.gens)]]
+            return [[frozenset(range(u.n))]]
         anchor_p = max((p for p in pset if G.order % p == 0),
                        key=lambda p: _p_part(G.order, (p,)))
         p0_set, _ = _sylow_set(G, anchor_p, limits)
@@ -993,9 +990,9 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits
         found: set[frozenset[int]] = set()
         for s in _sorted_sets(c for c in candidates if len(c) == target):
             if s not in found:
-                cls = _conjugates(u, {s: u.derive_gens(s)})
+                cls = _conjugates(u, {s: ()})
                 found.update(cls)
-                classes.append([(t, cls[t]) for t in _sorted_sets(cls)])
+                classes.append(_sorted_sets(cls))
         return classes
     return _memo(G, ("hall", pset, limits.max_subgroup_count), compute, limits)
 
@@ -1005,9 +1002,8 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
     index carries none of the given primes, sorted by order then element
     list.  Possibly empty.  The search works up to conjugacy
     (``_hall_classes``); this is the union of the classes."""
-    classes = _hall_classes(G, primes, limits)
-    members = dict(pair for cls in classes for pair in cls)
-    return [Subgroup(G, s, members[s]) for s in _sorted_sets(members)]
+    members = [s for cls in _hall_classes(G, primes, limits) for s in cls]
+    return [Subgroup(G, s) for s in _sorted_sets(members)]
 
 
 # ---------------------------------------------------------------------------

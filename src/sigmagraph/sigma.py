@@ -26,11 +26,16 @@ from .errors import DomainError, GroupInputError, ResourceLimitError
 _MAX_PRIME = 10**6
 
 
-@lru_cache(maxsize=None)
+def _is_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
+# typed, so that 3.0 or True is not read from the entry of 3 or 1
+@lru_cache(maxsize=None, typed=True)
 def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of n >= 1 in increasing prime order."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}; need a positive integer")
+    """(prime, exponent) pairs of an int n >= 1 in increasing prime order."""
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"cannot factor {n!r}; need a positive integer")
     out = []
     d = 2
     while d * d <= n:
@@ -46,12 +51,15 @@ def prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def primes_of(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in prime_factors(n))
 
 
 def _is_prime(p: int) -> bool:
+    """False for anything but an int prime (a bool or a float included)."""
+    if not _is_int(p):
+        return False
     if p > _MAX_PRIME:
         raise ResourceLimitError(f"{p} is too large to test for primality",
                                  cap_name="max_prime", cap_value=_MAX_PRIME)
@@ -125,7 +133,7 @@ class SigmaPartition:
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise GroupInputError("partition spec classes must be a list of lists")
         for p in (p for cls in classes for p in cls):
-            if not isinstance(p, int) or isinstance(p, bool):
+            if not _is_int(p):
                 raise GroupInputError(f"partition spec member {p!r} is not an integer")
         return SigmaPartition(tuple(map(frozenset, classes)), atomic=atomic)
 
@@ -221,10 +229,16 @@ def sigma_coprime(n: int, m: int, sigma: SigmaPartition) -> bool:
     return not (sigma_of_int(n, sigma) & sigma_of_int(m, sigma))
 
 
+def _p_part(n: int, primes) -> int:
+    """The largest divisor of n whose prime factors all lie in primes."""
+    m = 1
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            m *= p
+    return m
+
+
 def pi_part(n: int, pi: frozenset[SigmaClass]) -> int:
     """Largest divisor of n whose prime factors all lie in classes of pi."""
-    out = 1
-    for p, e in prime_factors(n):
-        if any(c.contains(p) for c in pi):
-            out *= p**e
-    return out
+    return _p_part(n, [p for p in primes_of(n) if any(c.contains(p) for c in pi)])

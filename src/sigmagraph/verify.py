@@ -21,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
                      has_circuit, has_loop, isolated_vertices, is_subgraph, union)
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    maximal_subgroups, subgroup)
+                    _product_order, maximal_subgroups, subgroup)
 from .perm import Permutation
 from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
@@ -160,10 +160,6 @@ def verify_thm_1_12(G: PermGroup, sigma: SigmaPartition,
 # factorization statement
 
 
-def _product_order(x: Subgroup, y: Subgroup) -> int:
-    return x.order * y.order // len(x.indices & y.indices)
-
-
 def _factor_union(build, factors, sigma, limits) -> SigmaGraph:
     """The union of build's graphs of the factors, tagged A, B, C.  A
     trivial factor has no class graph and adds the empty one."""
@@ -192,33 +188,22 @@ def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
             f"{name}-sigma-soluble", is_sigma_soluble(x.group, sigma, limits),
             f"|{name}|={x.order}"))
 
-    conclusions = []
-    if is_sigma_soluble(G, sigma, limits):
-        got = _factor_union(build_vm, (A, B, C), sigma, limits)
-        want = build_vm(G, sigma, limits, group_tag)
-        conclusions.append(CheckResult(
-            "vm-union-equality",
-            got.edges == want.edges and got.vertices == want.vertices,
-            f"union={_edge_text(got)} whole={_edge_text(want)}"))
-    else:
-        conclusions.append(CheckResult(
-            "vm-union-equality", True, "gated out: G is not sigma-soluble",
-            evaluated=False))
     ia, ib, ic = G.order // A.order, G.order // B.order, G.order // C.order
     coprime = (sigma_coprime(ia, ib, sigma) and sigma_coprime(ib, ic, sigma)
                and sigma_coprime(ia, ic, sigma))
-    if coprime:
-        got = _factor_union(build_hawkes, (A, B, C), sigma, limits)
-        want = build_hawkes(G, sigma, limits, group_tag)
-        conclusions.append(CheckResult(
-            "hawkes-union-equality",
-            got.edges == want.edges and got.vertices == want.vertices,
-            f"union={_edge_text(got)} whole={_edge_text(want)}"))
-    else:
-        conclusions.append(CheckResult(
-            "hawkes-union-equality", True,
-            f"gated out: indices {ia},{ib},{ic} are not pairwise class-coprime",
-            evaluated=False))
+    conclusions = []
+    for kind, build, holds, gate in (
+            ("vm", build_vm, is_sigma_soluble(G, sigma, limits), "G is not sigma-soluble"),
+            ("hawkes", build_hawkes, coprime,
+             f"indices {ia},{ib},{ic} are not pairwise class-coprime")):
+        name = f"{kind}-union-equality"
+        if holds:
+            got = _factor_union(build, (A, B, C), sigma, limits)
+            want = build(G, sigma, limits, group_tag)
+            conclusions.append(CheckResult(name, graphs_equal(got, want),
+                                           f"union={_edge_text(got)} whole={_edge_text(want)}"))
+        else:
+            conclusions.append(CheckResult(name, True, f"gated out: {gate}", evaluated=False))
     return make_report("thm-1.7", group_tag, sigma, hypotheses, conclusions)
 
 

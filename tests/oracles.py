@@ -25,14 +25,14 @@ from itertools import permutations
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
 from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_subgroup_sets,
-                              _p_part, _sorted_sets, _sylow_set, all_subgroups,
+                              _sorted_sets, _sylow_set, all_subgroups,
                               centralizer, centralizer_of_factor, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import SigmaLengthProfile, f_class_subgroup
-from sigmagraph.sigma import (ATOMIC, pi_part, prime_factors, primes_of,
+from sigmagraph.sigma import (ATOMIC, _p_part, pi_part, prime_factors, primes_of,
                               sigma_of_group, sigma_of_int)
 from sigmagraph.zoo import zoo
 
@@ -327,9 +327,9 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
         if p in pset:
             target *= p**e
     if target == 1:
-        return [[(frozenset({u.identity}), ())]]
+        return [[frozenset({u.identity})]]
     if target == G.order:
-        return [[(frozenset(range(u.n)), u.gens)]]
+        return [[frozenset(range(u.n))]]
     anchor_p = max((p for p in pset if G.order % p == 0),
                    key=lambda p: _p_part(G.order, (p,)))
     p0_set, _ = _sylow_set(G, anchor_p, limits)
@@ -354,9 +354,9 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
     found = set()
     for s in _sorted_sets(c for c in candidates if len(c) == target):
         if s not in found:
-            cls = _conjugates(u, {s: u.derive_gens(s)})
+            cls = _conjugates(u, {s: ()})
             found.update(cls)
-            classes.append([(t, cls[t]) for t in _sorted_sets(cls)])
+            classes.append(_sorted_sets(cls))
     return classes
 
 

@@ -370,10 +370,14 @@ def test_caps_below_1_exit_2(capsys, option, value):
 
 
 def test_engine_limits_refuse_caps_below_1():
+    """A cap below 1 or not an int (a bool, a float, a string) is refused."""
     for name in ("max_element_order", "max_subgroup_order", "max_subgroup_count",
                  "max_join_work"):
         for value in (0, -1):
             with pytest.raises(GroupInputError, match=f"{name} must be at least 1"):
+                EngineLimits(**{name: value})
+        for value in (5.5, 9.0, True, "9", None):
+            with pytest.raises(GroupInputError, match=f"{name} must be an int"):
                 EngineLimits(**{name: value})
         assert getattr(EngineLimits(**{name: 1}), name) == 1
 
@@ -397,6 +401,13 @@ def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
     assert (tmp_path / "S6__vm__atomic.json").read_text() == out
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's python block imports what it names and prints S4's
+    hawkes edges under one class holding all its primes: none."""
+    readme = (EXPORT.parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "frozenset()\n"
 @pytest.mark.parametrize("command", [
     ("check", "--group", "zoo:S3", "--predicate", "pi-closed",
      "--pi", "1000000000000000003"),

@@ -322,8 +322,9 @@ def test_sylow(corpus_groups, monkeypatch):
     assert sylow(s4, 3).order == 3
     assert sylow(s4, 5).order == 1
     assert sylow(build_by_tag("A5"), 5).order == 5
-    with pytest.raises(DomainError):
-        sylow(s4, 4)
+    for bad in (4, 3.5, 3.0, True):
+        with pytest.raises(DomainError, match="not a prime"):
+            sylow(s4, bad)
     with pytest.raises(ResourceLimitError, match="max_prime"):
         sylow(s4, 2**61 - 1)  # refused as a cap, not trial-divided
     groups = [g for _, g in corpus_groups]
@@ -342,8 +343,9 @@ def test_hall_subgroups():
     assert [h.order for h in hall_subgroups(s4, (2,))] == [8, 8, 8]
     assert [h.order for h in hall_subgroups(s4, (5,))] == [1]
     assert [h.order for h in hall_subgroups(build_by_tag("s3xc5"), (2, 5))] == [10, 10, 10]
-    with pytest.raises(DomainError):
-        hall_subgroups(s4, (4,))
+    for bad in (4, 2.5, 2.0):
+        with pytest.raises(DomainError, match="not a prime"):
+            hall_subgroups(s4, (bad,))
     with pytest.raises(ResourceLimitError, match="max_prime"):
         hall_subgroups(s4, (2, 2**61 - 1))
 
@@ -369,9 +371,9 @@ def prime_subsets(g, proper=False):
 
 
 def test_hall_classes_match_the_every_pi_element_search(corpus_groups):
-    """The Sylow-join search gives the same classes, members, order and
-    generators as joining every pi-element, on every corpus group and every
-    proper set of its primes."""
+    """The Sylow-join search gives the same classes, with the same member
+    sets in the same order, as joining every pi-element, on every corpus
+    group and every proper set of its primes."""
     for tag, g in corpus_groups:
         for primes in prime_subsets(g, proper=True)[1:]:
             assert (_hall_classes(g, primes, DEFAULT_LIMITS)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import is_class_number
 from sigmagraph.errors import DomainError, GroupInputError, ResourceLimitError
-from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition,
+from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, _is_prime,
                               parse_sigma_spec, pi_part,
                               prime_factors, primes_of, sigma_coprime,
                               sigma_of_int)
@@ -29,6 +29,23 @@ def test_prime_factors_edge_cases():
     assert prime_factors(12) == ((2, 2), (3, 1))
     with pytest.raises(DomainError):
         prime_factors(0)
+
+
+def test_only_ints_are_factored_or_prime():
+    """A float or a bool is neither factored nor a prime, also after the
+    int of equal value was factored (the caches are typed)."""
+    assert prime_factors(3) == ((3, 1),) and primes_of(3) == (3,)
+    for bad in (7.5, 3.0, True, "3"):
+        with pytest.raises(DomainError, match="need a positive integer"):
+            prime_factors(bad)
+        with pytest.raises(DomainError, match="need a positive integer"):
+            primes_of(bad)
+        assert not _is_prime(bad)
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(GroupInputError, match="is not a prime"):
+            SigmaPartition(explicit_classes=(frozenset({bad}),))
+    with pytest.raises(DomainError, match="is not a prime"):
+        SigmaPartition(atomic=True).classify(3.5)
 
 
 @given(positive, positive)
