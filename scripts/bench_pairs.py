@@ -20,6 +20,11 @@ direction of "better" is read from the change's BENCHMARK.json.  With
 first seed) adds every per-layer metric of both sides, and whether every
 ``.calls`` count is equal.
 
+Both sides must run the same benchmark: the script refuses, before any
+run, two checkouts whose ``BENCHMARK.json`` or ``perfbench/`` files (its
+``out/`` and ``__pycache__`` left aside) differ, by a sha256 digest over
+them, and records that digest in the output as ``benchmark_sha256``.
+
 A run that fails, or whose outputs do not match the golden digests, stops
 the script with exit status 1; no partial file is written.  Standard
 library only.
@@ -28,6 +33,7 @@ library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -53,6 +59,21 @@ def checkout(path: str) -> Path:
     if not (root / RUNNER).is_file():
         raise SystemExit(f"{root} has no {RUNNER}")
     return root
+
+
+def bench_digest(root: Path) -> str:
+    """sha256 over BENCHMARK.json and the files of perfbench/, each taken
+    as its relative path and the sha256 of its bytes, in path order; the run
+    outputs under perfbench/out/ and __pycache__ directories are left out."""
+    bench = root / "perfbench"
+    files = [root / "BENCHMARK.json"] + sorted(
+        f for f in bench.rglob("*") if f.is_file()
+        and f.relative_to(bench).parts[0] != "out" and "__pycache__" not in f.parts)
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f"{f.relative_to(root).as_posix()} "
+                 f"{hashlib.sha256(f.read_bytes()).hexdigest()}\n".encode())
+    return h.hexdigest()
 
 
 def commit_of(root: Path) -> str | None:
@@ -126,6 +147,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": checkout(args.parent), "change": checkout(args.change)}
+    digests = {side: bench_digest(root) for side, root in sides.items()}
+    if digests["parent"] != digests["change"]:
+        raise SystemExit(f"the checkouts run different benchmarks: BENCHMARK.json or "
+                         f"perfbench/ differ (sha256 {digests['parent']} vs "
+                         f"{digests['change']})")
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     units = {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
     directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -135,6 +161,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {args.seconds:g} --trace 0",
         "commits": {side: commit_of(root) for side, root in sides.items()},
+        "benchmark_sha256": digests["change"],
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine(),
                  "note": "times scaled by perfbench/speed.py"},

@@ -6,11 +6,12 @@ each prime is its own class.  Classes are value objects tied to their
 partition, so classes from different partitions never compare equal.  Each
 partition object keeps the class of every prime it has classified, so a
 repeated ``classify(p)`` returns the same object, and the class set of every
-integer ``sigma_of_int`` was asked for.  Partitions, classes and class sets
-compute their hash once, at construction, and a class its tag and sort key
-too; none of these caches enters equality or the hash.  An integer above
-``_MAX_PRIME`` is refused (cap ``max_prime``) before it is factored, since
-trial division of a large prime would not finish.
+integer ``sigma_of_int`` was asked for; only an int hits these memos, so a
+float or a bool is refused however often its int was asked.  Partitions,
+classes and class sets compute their hash once, at construction, and a
+class its tag and sort key too; none of these caches enters equality or the
+hash.  An integer above ``_MAX_PRIME`` is refused (cap ``max_prime``) before
+it is factored, since trial division of a large prime would not finish.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class SigmaPartition:
         return self._hash
 
     def classify(self, p: int) -> "SigmaClass":
-        found = self._classes.get(p)
+        # a float or bool misses the memo, so 3.0 is not read from the entry of 3
+        found = self._classes.get(p) if type(p) is int else None
         if found is None:
             found = self._classes[p] = self._new_class(p)
         return found
@@ -211,10 +213,11 @@ class PiSet:
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[SigmaClass]:
     """Classes touched by the prime divisors of n; empty for n = 1.
-    Memoised per partition."""
-    found = sigma._of_int.get(n)
+    Memoised per partition; anything but an int n >= 1 (a float or a bool
+    too) raises DomainError, whatever was asked before."""
+    found = sigma._of_int.get(n) if type(n) is int else None
     if found is None:
-        if n < 1:
+        if not _is_int(n) or n < 1:
             raise DomainError(f"sigma_of_int needs a positive integer, got {n}")
         found = sigma._of_int[n] = frozenset(map(sigma.classify, primes_of(n)))
     return found

@@ -21,12 +21,12 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
                      has_circuit, has_loop, isolated_vertices, is_subgraph, union)
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _product_order, maximal_subgroups, subgroup)
+                    _largest_normal_over, _product_order, maximal_subgroups, subgroup)
 from .perm import Permutation
 from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
                          sigma_length)
-from .sigma import (PiSet, SigmaPartition, pi_part, sigma_coprime,
+from .sigma import (PiSet, SigmaPartition, pi_part, primes_of, sigma_coprime,
                     sigma_of_group)
 from .zoo import cyclic, direct_product, symmetric
 
@@ -288,8 +288,16 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
     to conjugacy a is the least member of its class, and b the generator of
     its cyclic subgroup (``_Universe.cyclic``).  Commuting pairs generate
     pi-groups and are skipped; a join is capped below the least order found
-    so far, at first at |G|/2, above which only G lies.  Every pair counts
-    toward max_join_work."""
+    so far, at first at |G|/2, above which only G lies.  Two more rules drop
+    pairs without changing the least order:
+
+    - a pair with a or b in O_pi(G) is skipped: then <a, b> lies in
+      O_pi(G)<b> or O_pi(G)<a>, a pi-group;
+    - the scan stops at order 6: a join generated by pi-elements that is
+      not a pi-group is not pi-closed, so not nilpotent, and every group of
+      order below 6 is a p-group.
+
+    Every pair, skipped or not, counts toward max_join_work."""
     u = G.universe(limits)
     t = pi_part(G.order, pi.classes)
     firsts = [a for a, *_ in u.conjugacy_classes()
@@ -299,15 +307,17 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
         raise ResourceLimitError(
             "pi-element pair scan exceeded its closure budget",
             cap_name="max_join_work", cap_value=limits.max_join_work)
+    core = _largest_normal_over(G, frozenset({u.identity}), primes_of(t), limits)
     rows = u.rows()
     least = G.order // 2 + 1
-    for a in firsts:
-        row = rows[a]
-        for b in bs:
-            if row[b] != rows[b][a]:
-                s = u.closure((a, b), cap=least - 1)
-                if s is not None and t % len(s) != 0:
-                    least = len(s)
+    pairs = ((a, b) for a in firsts if a not in core for b in bs
+             if b not in core and rows[a][b] != rows[b][a])
+    for a, b in pairs:
+        s = u.closure((a, b), cap=least - 1)
+        if s is not None and t % len(s) != 0:
+            least = len(s)
+            if least == 6:
+                break
     if least > G.order // 2:
         return True, ""
     return False, f"subgroup of order {least} is not pi-closed"
@@ -318,7 +328,10 @@ def _maximals_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
     subgroup lattice.  The property passes to subgroups, so above the
     lattice's caps every proper subgroup is asked instead, by a scan of the
     pairs of pi-elements (``_pairs_pi_closed``); its witness is a non-closed
-    subgroup of least order."""
+    subgroup of least order.  The scan skips the pairs that meet O_pi(G),
+    whose joins lie in O_pi(G)<a> or O_pi(G)<b> and so are pi-groups, and
+    stops at order 6: a join of pi-elements that is not a pi-group is not
+    nilpotent, and every group of order below 6 is."""
     try:
         for m in maximal_subgroups(G, limits):
             if not _pi_closed_indices(G, m.indices, pi, limits):

@@ -7,7 +7,8 @@ routes to quantities the library computes one way only (chief series with
 either tie-break, the largest normal subgroup over a floor by a scan of the
 normal lattice, Hall subgroups by joins with every pi-element, F_i by a
 normal-complement scan and by a quotient group's core, exhaustive dispersion
-schedules and the class length over quotient groups, the maximal-subgroup
+schedules and the class length over quotient groups, the least non-pi-closed
+join of two pi-elements by a scan of every pair, the maximal-subgroup
 reading of class-local nilpotency, nilpotency by Sylow normality, Schmidt
 groups by the full subgroup lattice and Schmidt subgroups by a walk over the
 two-generated subgroups, pi-closure by the normal-subgroup lattice, the
@@ -300,6 +301,31 @@ def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:
     """Some normal subgroup has order |G|_pi."""
     target = pi_part(G.order, pi.classes)
     return any(len(s) == target for s in _normal_subgroup_sets(G, limits))
+
+
+def pairs_pi_closed_every_pair(G, pi, limits=DEFAULT_LIMITS) -> tuple[bool, str]:
+    """``verify._pairs_pi_closed`` without its two prunings: every
+    non-commuting pair (a, b), a the least member of its class of
+    pi-elements and b a generator of a cyclic pi-subgroup, is closed, pairs
+    that meet O_pi(G) included, and the scan does not stop at order 6.
+    Each join is capped as in the library: at |G|/2, then below the least
+    order found."""
+    u = G.universe(limits)
+    t = pi_part(G.order, pi.classes)
+    firsts = [a for a, *_ in u.conjugacy_classes()
+              if a != u.identity and t % u.orders[a] == 0]
+    bs = [b for b, in filter(None, u.cyclic.values()) if t % u.orders[b] == 0]
+    rows = u.rows()
+    least = G.order // 2 + 1
+    for a in firsts:
+        for b in bs:
+            if rows[a][b] != rows[b][a]:
+                s = u.closure((a, b), cap=least - 1)
+                if s is not None and t % len(s) != 0:
+                    least = len(s)
+    if least > G.order // 2:
+        return True, ""
+    return False, f"subgroup of order {least} is not pi-closed"
 
 
 def largest_normal_over_by_lattice(G, floor, primes, limits=DEFAULT_LIMITS) -> frozenset:

@@ -13,6 +13,7 @@ from sigmagraph.sigma import ATOMIC
 from sigmagraph.zoo import build_by_tag
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
+BENCH_PAIRS = EXPORT.parent / "bench_pairs.py"
 
 
 def run(capsys, *argv):
@@ -399,6 +400,32 @@ def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
     rc, out, _ = run(capsys, "graph", "--group", "zoo:S6", "--kind", "vm")
     assert rc == 0
     assert (tmp_path / "S6__vm__atomic.json").read_text() == out
+
+
+def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):
+    """bench_pairs.py digests BENCHMARK.json and perfbench/ (without the
+    run outputs in perfbench/out/) and stops before any run when the two
+    sides' digests differ."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    roots = {}
+    for side in ("parent", "change"):
+        root = roots[side] = tmp_path / side
+        (root / "perfbench" / "out").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text("{}")
+        (root / "perfbench" / "run.py").write_text("print('same')")
+    (roots["change"] / "perfbench" / "out" / "spans.txt").write_text("a run's output")
+    assert script.bench_digest(roots["parent"]) == script.bench_digest(roots["change"])
+    for changed in ("BENCHMARK.json", "perfbench/run.py"):
+        (roots["change"] / changed).write_text("changed")
+        assert script.bench_digest(roots["parent"]) != script.bench_digest(roots["change"])
+        with pytest.raises(SystemExit, match="different benchmarks"):
+            script.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                         "--workload", "sweep_light", "--seeds", "1",
+                         "--out", str(tmp_path / "out.json")])
+        assert not (tmp_path / "out.json").exists()
+        (roots["change"] / changed).write_text((roots["parent"] / changed).read_text())
 
 
 def test_readme_library_example_runs(capsys):

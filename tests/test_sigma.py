@@ -48,6 +48,22 @@ def test_only_ints_are_factored_or_prime():
         SigmaPartition(atomic=True).classify(3.5)
 
 
+def test_memo_of_an_int_does_not_answer_a_float_or_bool():
+    """classify and sigma_of_int refuse 3.0, 6.0 and True after the equal
+    int was asked, as they do on a fresh partition: their memos key on
+    value, so the hit path checks the type."""
+    sigma = SigmaPartition(atomic=True)
+    assert sigma.classify(3).tag == "atomic:3"
+    assert sigma_of_int(6, sigma) == {sigma.classify(2), sigma.classify(3)}
+    assert sigma_of_int(1, sigma) == frozenset()
+    for bad in (3.0, True):
+        with pytest.raises(DomainError, match="is not a prime"):
+            sigma.classify(bad)
+    for bad in (6.0, True, 1.0):
+        with pytest.raises(DomainError, match="positive integer"):
+            sigma_of_int(bad, sigma)
+
+
 @given(positive, positive)
 def test_sigma_of_product_is_union(n, m):
     for sigma in (ATOMIC, TWO_THREE, SPLIT):

@@ -1,20 +1,21 @@
 import gc
 import json
 import sys
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import component_decomposition_holds
+from oracles import component_decomposition_holds, pairs_pi_closed_every_pair
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup,
-                              Subgroup, all_subgroups)
+                              Subgroup, _Universe, all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
-from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, sigma_of_group
+from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, primes_of, sigma_of_group
 from sigmagraph.verify import (ALL_STATEMENTS, CheckResult, _pairs_pi_closed, _pi_subsets,
                                factorization_fixtures, make_report,
                                run_corpus_sweep, verify_prop_1_2,
@@ -212,6 +213,74 @@ def test_pair_scan_counts_every_pair_toward_the_join_work_cap():
     assert _pairs_pi_closed(s4, pi, EngineLimits(max_join_work=64)) == (True, "")
     with pytest.raises(ResourceLimitError, match="max_join_work=63"):
         _pairs_pi_closed(s4, pi, EngineLimits(max_join_work=63))
+
+
+PI_2, PI_3 = (PiSet(frozenset({ATOMIC.classify(p)})) for p in (2, 3))
+
+
+def test_pair_scan_agrees_with_the_every_pair_scan(corpus_groups):
+    """The scan's two prunings (pairs that meet O_pi(G), the stop at order 6)
+    change neither verdict nor witness against the scan of every pair: on
+    every corpus group for every non-empty proper set of its primes (196
+    cases, wreath_c2_s3 among them), and on C3 wr S3 (order 4374, past the
+    table limit) with pi = {2}."""
+    cases = [(tag, g, PiSet(frozenset(map(ATOMIC.classify, combo))))
+             for tag, g in corpus_groups
+             for k in range(1, len(primes_of(g.order)))
+             for combo in combinations(primes_of(g.order), k)]
+    assert len(cases) == 196
+    assert ("wreath_c2_s3", PI_2) in {(tag, pi) for tag, _, pi in cases}
+    cases.append(("C3wrS3", regular_wreath(3, symmetric(3)), PI_2))
+    for tag, g, pi in cases:
+        want = pairs_pi_closed_every_pair(g, pi)
+        assert _pairs_pi_closed(g, pi, DEFAULT_LIMITS) == want, (tag, pi)
+
+
+def count_closures(monkeypatch, budget: int) -> list[int]:
+    """Count ``_Universe.closure`` calls in [0]; the call past budget fails."""
+    calls = [0]
+    closure = _Universe.closure
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        assert calls[0] <= budget, f"more than {budget} closures"
+        return closure(self, *args, **kwargs)
+    monkeypatch.setattr(_Universe, "closure", counted)
+    return calls
+
+
+def test_pair_scan_skips_the_pi_core_and_stops_at_order_6(monkeypatch):
+    """wreath_c2_s3 under pi = {2}: with O_2(G) known, the scan closes at
+    most 64 pairs before its order-6 witness (the scan of every pair closes
+    2572)."""
+    g = build_by_tag("wreath_c2_s3")
+    core_series_subgroup(g, [2])
+    count_closures(monkeypatch, 64)
+    assert _pairs_pi_closed(g, PI_2, DEFAULT_LIMITS) == (
+        False, "subgroup of order 6 is not pi-closed")
+
+
+def test_pair_scan_of_a_pi_closed_group_closes_nothing(monkeypatch):
+    """C3 wr S3 is 3-closed, O_3(G) holds every 3-element, so with O_3(G)
+    known the pair loop closes nothing (the scan of every pair closes
+    45,084 pairs, 3-groups of up to 2187 elements)."""
+    g = regular_wreath(3, symmetric(3))
+    core_series_subgroup(g, [3])
+    calls = count_closures(monkeypatch, 0)
+    start = time.perf_counter()
+    assert _pairs_pi_closed(g, PI_3, DEFAULT_LIMITS) == (True, "")
+    assert time.perf_counter() - start < 5
+    assert calls == [0]
+
+
+def test_pair_scan_counts_skipped_pairs_toward_the_join_work_cap():
+    """wreath_c2_s3 under pi = {2} has 23 classes of 2-elements and 171
+    cyclic 2-subgroups: 3933 pairs, counted before any is skipped."""
+    g = build_by_tag("wreath_c2_s3")
+    want = (False, "subgroup of order 6 is not pi-closed")
+    assert _pairs_pi_closed(g, PI_2, EngineLimits(max_join_work=3933)) == want
+    with pytest.raises(ResourceLimitError, match="max_join_work=3932"):
+        _pairs_pi_closed(g, PI_2, EngineLimits(max_join_work=3932))
 
 
 def test_component_decomposition():
