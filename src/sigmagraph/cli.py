@@ -45,6 +45,11 @@ from .verify import ALL_STATEMENTS, run_corpus_sweep
 from .zoo import build_by_tag, corpus, standard_partitions, zoo
 
 _BUILDERS = {"hawkes": build_hawkes, "hall": build_hall, "vm": build_vm}
+# the check predicates but pi-closed, which reads --pi; schmidt takes no sigma
+_PREDICATES = {"soluble": is_sigma_soluble, "nilpotent": is_sigma_nilpotent,
+               "dispersive": is_sigma_dispersive,
+               "schmidt": lambda G, sigma, limits: is_schmidt(G, limits),
+               "critical": is_critical}
 
 # input caps on a group spec, checked before any permutation is built
 _MAX_DEGREE = 256
@@ -157,20 +162,15 @@ def _cmd_graph(args, limits: EngineLimits) -> int:
 
 
 def _cmd_check(args, limits: EngineLimits) -> int:
+    if args.predicate in _PREDICATES and args.pi is not None:
+        raise GroupInputError(f"--pi applies to the pi-closed predicate, "
+                              f"not to {args.predicate}")
     tag, G = _load_group(args.group, limits)
     sigma = parse_sigma_spec(args.sigma)
     payload = {"group": tag, "order": G.order, "predicate": args.predicate,
                "sigma": sigma.to_json()}
-    if args.predicate == "soluble":
-        value = is_sigma_soluble(G, sigma, limits)
-    elif args.predicate == "nilpotent":
-        value = is_sigma_nilpotent(G, sigma, limits)
-    elif args.predicate == "dispersive":
-        value = is_sigma_dispersive(G, sigma, limits)
-    elif args.predicate == "schmidt":
-        value = is_schmidt(G, limits)
-    elif args.predicate == "critical":
-        value = is_critical(G, sigma, limits)
+    if args.predicate in _PREDICATES:
+        value = _PREDICATES[args.predicate](G, sigma, limits)
     else:  # pi-closed
         if not args.pi:
             raise GroupInputError("--pi is required for the pi-closed predicate")
@@ -187,12 +187,7 @@ def _cmd_check(args, limits: EngineLimits) -> int:
 
 
 def _cmd_verify(args, limits: EngineLimits) -> int:
-    if args.statement == "all":
-        statements = ALL_STATEMENTS
-    elif args.statement in ALL_STATEMENTS:
-        statements = (args.statement,)
-    else:
-        raise GroupInputError(f"unknown statement id {args.statement!r}")
+    statements = ALL_STATEMENTS if args.statement == "all" else (args.statement,)
     if args.corpus:
         groups = corpus()
     else:
@@ -242,9 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate one predicate on one group")
     p.add_argument("--group", required=True)
     p.add_argument("--sigma", default="atomic")
-    p.add_argument("--predicate", required=True,
-                   choices=("soluble", "nilpotent", "dispersive", "schmidt",
-                            "critical", "pi-closed"))
+    p.add_argument("--predicate", required=True, choices=(*_PREDICATES, "pi-closed"))
     p.add_argument("--pi", default=None,
                    help="comma-separated primes naming classes (pi-closed only)")
     p.set_defaults(func=_cmd_check)
@@ -257,8 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run the built-in corpus")
     p.add_argument("--sigma", default="standard",
                    help="'standard' (three partitions), 'atomic', or JSON")
-    p.add_argument("--statement", default="all",
-                   help="all or one of " + "|".join(ALL_STATEMENTS))
+    p.add_argument("--statement", default="all", choices=("all", *ALL_STATEMENTS))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("zoo", help="list built-in groups as JSON lines")

@@ -341,7 +341,7 @@ def _maximals_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
         return _pairs_pi_closed(G, pi, limits)
 
 
-def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
+def verify_prop_1_11(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
                      limits: EngineLimits = DEFAULT_LIMITS,
                      group_tag: str = "G") -> VerificationReport:
     """A soluble-for-sigma group that is minimally non-closed for pi (itself
@@ -384,6 +384,11 @@ def verify_prop_1_11(sigma: SigmaPartition, pi: PiSet, G: PermGroup,
 
 ALL_STATEMENTS = ("1.2", "1.4", "1.7", "1.9", "1.11", "1.12")
 
+# the sweep's dispatch tables, in stream order; dicts, so that a tracer that
+# rebinds module-level names rebinds their values too
+_PER_GROUP = {"1.2": verify_prop_1_2, "1.4": verify_thm_1_4, "1.12": verify_thm_1_12}
+_PER_PI = {"1.9": verify_prop_1_9, "1.11": verify_prop_1_11}
+
 
 def _pi_subsets(vertices) -> list[PiSet]:
     classes = sorted(vertices, key=lambda c: c.sort_key)
@@ -398,24 +403,21 @@ def _pi_subsets(vertices) -> list[PiSet]:
 def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
                      limits: EngineLimits = DEFAULT_LIMITS):
     """Deterministic report stream over (group, partition, statement) and,
-    for the factorization statement, the shipped fixtures per partition."""
+    for the factorization statement, the shipped fixtures per partition.
+    An id outside ALL_STATEMENTS raises DomainError when the stream is read."""
+    unknown = sorted(set(statements) - set(ALL_STATEMENTS))
+    if unknown:
+        raise DomainError(f"unknown statement ids {unknown}")
     for tag, G in groups:
         for sigma in partitions:
-            if "1.2" in statements:
-                yield verify_prop_1_2(G, sigma, limits, tag)
-            if "1.4" in statements:
-                yield verify_thm_1_4(G, sigma, limits, tag)
-            if "1.12" in statements:
-                yield verify_thm_1_12(G, sigma, limits, tag)
-            subsets = None
-            if "1.9" in statements or "1.11" in statements:
-                subsets = _pi_subsets(sigma_of_group(G, sigma))
-            if "1.9" in statements:
+            for sid, verify in _PER_GROUP.items():
+                if sid in statements:
+                    yield verify(G, sigma, limits, tag)
+            per_pi = [verify for sid, verify in _PER_PI.items() if sid in statements]
+            subsets = _pi_subsets(sigma_of_group(G, sigma)) if per_pi else ()
+            for verify in per_pi:
                 for pi in subsets:
-                    yield verify_prop_1_9(G, sigma, pi, limits, tag)
-            if "1.11" in statements:
-                for pi in subsets:
-                    yield verify_prop_1_11(sigma, pi, G, limits, tag)
+                    yield verify(G, sigma, pi, limits, tag)
     if "1.7" in statements:
         for sigma in partitions:
             for fx in factorization_fixtures():

@@ -170,7 +170,7 @@ def test_acceptance_08_pi_sweeps(sweep_stream, corpus_groups, partitions):
     widths = {len(sigma_of_group(g, sigma))
               for _, g in corpus_groups for sigma in partitions}
     sl23 = build_by_tag("sl23")
-    r = verify_prop_1_11(ATOMIC, PiSet(frozenset({ATOMIC.classify(3)})), sl23)
+    r = verify_prop_1_11(sl23, ATOMIC, PiSet(frozenset({ATOMIC.classify(3)})))
     non_vacuous = (r.verdict == "pass"
                    and all(c.evaluated for c in r.conclusions))
     record(8, not bad9 and not bad11 and max(widths) <= 3 and non_vacuous,

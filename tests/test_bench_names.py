@@ -40,3 +40,39 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert graphs.build_vm is original
+
+
+def test_tracer_sees_every_dispatched_call(capsys):
+    """The sweep's verifier tables and the CLI's predicate table hold the
+    functions in module-level dicts, which the tracer rebinds.  A table the
+    tracer cannot reach (a tuple, or a closure over the original function)
+    would leave these spans at 0 calls."""
+    tracing = load_tracing()
+    cli = importlib.import_module("sigmagraph.cli")
+    verify = importlib.import_module("sigmagraph.verify")
+    zoo = importlib.import_module("sigmagraph.zoo")
+    spans = {"soluble": "is_sigma_soluble", "nilpotent": "is_sigma_nilpotent",
+             "dispersive": "is_sigma_dispersive", "schmidt": "is_schmidt",
+             "critical": "is_critical", "pi-closed": "is_pi_closed"}
+    assert [*cli._PREDICATES, "pi-closed"] == list(spans)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        begin = tracer.mark()
+        for _ in verify.run_corpus_sweep([("S4", zoo.symmetric(4))],
+                                         zoo.standard_partitions()):
+            pass
+        sweep = tracer.aggregate(begin, tracer.mark())
+        unseen = [f"verify.{name}" for name in tracing.TRACED["verify"]
+                  if not sweep[f"verify.{name}.calls"]]
+        # each predicate's own call, so that no other predicate's call to it counts
+        for predicate, name in spans.items():
+            argv = ["check", "--group", "zoo:S4", "--predicate", predicate]
+            begin = tracer.mark()
+            assert cli.main(argv + ["--pi", "2"] * (predicate == "pi-closed")) == 0
+            if not tracer.aggregate(begin, tracer.mark())[f"predicates.{name}.calls"]:
+                unseen.append(f"predicates.{name}")
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert unseen == []

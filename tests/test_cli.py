@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -215,6 +216,8 @@ def test_error_paths(capsys, tmp_path):
         ("graph", "--group", "/no/such/file.json", "--kind", "vm"),
         ("verify", "--corpus", "--statement", "9.9"),
         ("check", "--group", "zoo:S4", "--predicate", "pi-closed", "--pi", "x"),
+        ("check", "--group", "zoo:S4", "--predicate", "soluble", "--pi", "2"),
+        ("check", "--group", "zoo:S4", "--predicate", "schmidt", "--pi", "3"),
         ("graph", "--group", str(not_utf8), "--kind", "vm"),
     ]
     for argv in cases:
@@ -435,6 +438,21 @@ def test_readme_library_example_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "frozenset()\n"
+
+
+def test_readme_command_lines_run(capsys):
+    """Every line of the README's command-line block exits 0 through main."""
+    readme = (EXPORT.parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.strip().splitlines()
+    assert len(lines) >= 6
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "sigmagraph", line
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and out and err == "", line
+
+
 @pytest.mark.parametrize("command", [
     ("check", "--group", "zoo:S3", "--predicate", "pi-closed",
      "--pi", "1000000000000000003"),

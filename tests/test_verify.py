@@ -9,14 +9,15 @@ import pytest
 from oracles import component_decomposition_holds, pairs_pi_closed_every_pair
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
-from sigmagraph.errors import ResourceLimitError
+from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup,
                               Subgroup, _Universe, all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, primes_of, sigma_of_group
-from sigmagraph.verify import (ALL_STATEMENTS, CheckResult, _pairs_pi_closed, _pi_subsets,
+from sigmagraph.verify import (_PER_GROUP, _PER_PI, ALL_STATEMENTS, CheckResult,
+                               _pairs_pi_closed, _pi_subsets,
                                factorization_fixtures, make_report,
                                run_corpus_sweep, verify_prop_1_2,
                                verify_prop_1_9, verify_prop_1_11,
@@ -152,7 +153,7 @@ def test_prop_1_9_gating():
 
 def test_prop_1_11_sl23_non_vacuous():
     sl = build_by_tag("sl23")
-    rep = verify_prop_1_11(ATOMIC, PiSet(frozenset({ATOMIC.classify(3)})), sl,
+    rep = verify_prop_1_11(sl, ATOMIC, PiSet(frozenset({ATOMIC.classify(3)})),
                            group_tag="sl23")
     assert rep.verdict == "pass"
     assert all(h.holds for h in rep.hypotheses if h.evaluated)
@@ -161,12 +162,12 @@ def test_prop_1_11_sl23_non_vacuous():
 
 def test_prop_1_11_gates():
     a4 = build_by_tag("A4")
-    closed = verify_prop_1_11(ATOMIC, PiSet(frozenset({ATOMIC.classify(2)})), a4,
+    closed = verify_prop_1_11(a4, ATOMIC, PiSet(frozenset({ATOMIC.classify(2)})),
                               group_tag="A4")
     assert closed.verdict == "vacuous"  # A4 is already 2-closed
     a5 = build_by_tag("A5")
-    insoluble = verify_prop_1_11(ATOMIC, PiSet(frozenset({ATOMIC.classify(2)})),
-                                 a5, group_tag="A5")
+    insoluble = verify_prop_1_11(a5, ATOMIC, PiSet(frozenset({ATOMIC.classify(2)})),
+                                 group_tag="A5")
     assert insoluble.verdict == "vacuous"
     assert not insoluble.hypotheses[0].holds
 
@@ -178,7 +179,7 @@ def test_prop_1_11_sweep_no_failures():
             verts = sorted(sigma_of_group(g, sigma), key=lambda c: c.sort_key)
             for k in range(len(verts) + 1):
                 for combo in combinations(verts, k):
-                    rep = verify_prop_1_11(sigma, PiSet(frozenset(combo)), g,
+                    rep = verify_prop_1_11(g, sigma, PiSet(frozenset(combo)),
                                            group_tag=tag)
                     assert rep.verdict in ("pass", "vacuous"), rep.to_json()
 
@@ -302,6 +303,22 @@ def test_sweep_is_deterministic_and_ordered():
     # fixtures run once per partition, independent of the group list
     only_17 = [r for r in run_corpus_sweep(groups, parts, ("1.7",))]
     assert len(only_17) == 3 * len(parts)
+    # each id alone gives exactly its part of the full stream, in order
+    for sid in ALL_STATEMENTS:
+        alone = [r.to_json() for r in run_corpus_sweep(groups, parts, (sid,))]
+        assert alone == [text for text in first
+                         if json.loads(text)["statement"].partition("-")[2] == sid], sid
+        assert alone, sid
+    assert {*_PER_GROUP, *_PER_PI, "1.7"} == set(ALL_STATEMENTS)
+
+
+@pytest.mark.parametrize("statements", [("1.3",), ("1.2", "1.13"), "1.2"])
+def test_sweep_refuses_unknown_statement_ids(statements):
+    """An unknown id is an error, not an empty or shortened stream (a bare
+    string is read as its characters)."""
+    with pytest.raises(DomainError, match="unknown statement ids"):
+        list(run_corpus_sweep([("S3", build_by_tag("S3"))], standard_partitions(),
+                              statements))
 
 
 @pytest.mark.parametrize("make", (lambda: symmetric(4), sl2_3,
