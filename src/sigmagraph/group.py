@@ -13,17 +13,20 @@ made per call), so a dropped group is freed at once, not by the cycle
 collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
-subgroup work runs on an indexed multiplication table of the ambient group
+subgroup work runs on the indexed element table of the ambient group
 (``_Universe``).  A group is enumerated when it is built, by one
 breadth-first walk over its Cayley graph that stops past the element cap;
 Schreier-Sims (``bsgs.Bsgs``) only gives the order of a group past the
 default cap, so refusing a group above a cap costs about as much as
-enumerating one at the cap.  Only the generators' rows of the table are
-composed from images; the other rows are gathered from them along the
-Cayley graph.  Rows are tuples that share the identity row's int objects,
-so a gather neither boxes nor copies an entry; that costs 8 bytes per
-entry, about 4 MB for S6 and about 18 MB at ``_TABLE_LIMIT``.  A subgroup
-is its set of element indices in that table.  Its generator indices are
+enumerating one at the cap.  The table is read through one bulk read,
+``_Universe.gather``, and one pointwise read, ``_Universe.mul``.  Up to
+``_TABLE_LIMIT`` elements it holds the whole multiplication table: only the
+generators' rows are composed from images, the other rows are gathered from
+them along the Cayley graph, and rows are tuples that share the identity
+row's int objects, so a gather neither boxes nor copies an entry; that
+costs 8 bytes per entry, about 4 MB for S6 and about 18 MB at the limit.
+Above it a gather composes each entry from images as it reads it, at C
+level too.  A subgroup is its set of element indices in that table.  Its generator indices are
 given, where a search produced them, or derived from the set on first
 read (Hall subgroups, normal subgroups, cores); its own PermGroup is built
 only when a caller treats it as a group in its own right.  Every subgroup is
@@ -34,8 +37,8 @@ Subgroup searches work up to conjugacy: they extend one representative K per
 class, by one cyclic subgroup per N_G(K)-orbit, skip a join that an earlier
 join of prime index over K already holds, and spread each new subgroup over
 its class by gathers on the conjugation rows of G's generators.
-Centralisers, normalisers and conjugation rows compare or gather whole rows
-and columns of the table instead of multiplying element by element.
+Centralisers, normalisers and normality checks compare or gather whole
+conjugation rows and coset labels instead of multiplying element by element.
 Element orders, inverses and the cyclic subgroups come from one walk per
 cyclic subgroup along the rows when the table is built, and the conjugacy
 classes from one orbit pass per table, which every caller reads.
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import compress
 from math import gcd
 from operator import eq, itemgetter
@@ -112,6 +116,8 @@ class PermGroup:
     __slots__ = ("degree", "generators", "order", "_cache")
 
     def __init__(self, degree: int, generators, max_order: int | None = None):
+        if not _is_int(degree):
+            raise GroupInputError(f"degree must be an int, got {degree!r}")
         if degree < 1:
             raise GroupInputError(f"degree must be positive, got {degree}")
         gens = tuple(generators)
@@ -274,55 +280,46 @@ def _getter(idx):
     return itemgetter(*idx)
 
 
-class _ComposedRows:
-    """Stand-in for the multiplication table above ``_TABLE_LIMIT``:
-    ``rows[x][y]`` composes the images of x and y when it is read, and the
-    table and its rows iterate like the table's."""
-
-    __slots__ = ("u", "x")
-
-    def __init__(self, u: "_Universe", x: int | None = None):
-        self.u = u
-        self.x = x
-
-    def __getitem__(self, i: int):
-        if self.x is None:
-            return _ComposedRows(self.u, i)
-        return self.u.mul(self.x, i)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.u.n))
+def _composed(index: dict, images, at):
+    """The gather of positions at along a composed row: for rows[x] =
+    ``_getter(images[x])``, it gives (x·a for a in at), each x·a composed as
+    a's images read at x's and looked up in index, all at C level."""
+    at_images = [images[a] for a in at]
+    lookup = index.__getitem__
+    return lambda row: tuple(map(lookup, map(row, at_images)))
 
 
 class _Universe:
     """Index arithmetic over one group's full, canonically sorted element list.
 
-    Up to ``_TABLE_LIMIT`` elements, ``mul_rows[x]`` is row x of the
-    multiplication table: ``mul_rows[x][y]`` is the index of x·y (x first,
-    then y).  Only the generator rows are composed from images; every other
-    row comes from a walk over the Cayley graph from the identity, since
-    row(x·g) = row(x) read at the positions row(g) (associativity), one
-    C-level gather per row.  A row is a tuple: gathered from the identity
-    row ``tuple(range(n))``, every row holds that row's int objects, so the
-    gather boxes nothing and builds nothing besides the tuple.  Element
-    orders, inverses and the cyclic subgroups come from one walk per cyclic
-    subgroup, from its least generator along its row, with or without a
-    table: ``cyclic`` maps the element set of each cyclic subgroup to that
-    generator (() for the trivial one), in order of the generator, and
-    ``canon[i]`` is the generator of <i>.  Whole-table reads go through
-    ``rows()`` and ``column()``, which above the limit compose each entry
-    as it is read.
-    A conjugation row is two C-level gathers through the inverses, since
-    i·g = (g⁻¹·i⁻¹)⁻¹; a column stays one ``itemgetter`` read per row,
-    which measured no slower than a gather through the inverses.
+    ``rows[x]`` is row x of the multiplication table, read through
+    ``gather``: ``gather(at)(rows[x])`` is (x·a for a in at), x first, then
+    a, one C-level gather with a table or without; ``mul(x, y)`` is one
+    entry.  ``gather`` is chosen once per table, so a read costs no more
+    than the gather itself.  Up to ``_TABLE_LIMIT`` elements (``table``),
+    ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y, and a gather is
+    one ``itemgetter``.  Only the generator rows are
+    composed from images; every other row comes from a walk over the
+    Cayley graph from the identity, since row(x·g) = row(x) read at the
+    positions row(g) (associativity), one C-level gather per row.  A row
+    gathered from the identity row ``tuple(range(n))`` holds that row's int
+    objects, so the gather boxes nothing and builds nothing besides the
+    tuple.  Above the limit ``rows[x]`` is ``_getter(images[x])``, and a
+    gather composes each entry from images (``_composed``), still at C
+    level: no Python call per entry.  Element orders, inverses and the
+    cyclic subgroups come from one walk per cyclic subgroup, from its least
+    generator along its row: ``cyclic`` maps the element set of each cyclic
+    subgroup to that generator (() for the trivial one), in order of the
+    generator, and ``canon[i]`` is the generator of <i>.  A conjugation row
+    is two gathers through the inverses (``conjugation_rows``).
 
     ``gens`` are the indices of the generators the table was built from
     (no identity, no repeats); ``conjugation_rows()`` are conjugation by
     them, and ``conjugacy_classes()`` their orbits; both are computed once
     per table."""
 
-    __slots__ = ("perms", "images", "index", "n", "degree", "identity", "mul_rows", "inv_arr",
-                 "orders", "canon", "cyclic", "gens", "_conj", "_classes")
+    __slots__ = ("perms", "images", "index", "n", "degree", "identity", "table", "rows",
+                 "gather", "inv_arr", "orders", "canon", "cyclic", "gens", "_conj", "_classes")
 
     def __init__(self, perms: tuple[Permutation, ...], generators=()):
         self._conj = self._classes = None
@@ -334,13 +331,14 @@ class _Universe:
         self.identity = ident = index[tuple(range(self.degree))]
         self.gens = tuple(g for g in dict.fromkeys(index[p.images] for p in generators)
                           if g != ident)
-        if n > _TABLE_LIMIT:
-            self.mul_rows = None
+        self.table = n <= _TABLE_LIMIT
+        self.gather = _getter if self.table else partial(_composed, index, images)
+        if not self.table:
+            self.rows = list(map(_getter, images))
         else:
             # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
-            steps = [(g, _getter(tuple(map(index.__getitem__,
-                                           map(itemgetter(*images[g]), images)))))
-                     for g in self.gens]
+            whole = _composed(index, images, range(n))
+            steps = [(g, _getter(whole(_getter(images[g])))) for g in self.gens]
             rows: list = [None] * n
             rows[ident] = tuple(range(n))
             walk = [ident]
@@ -354,11 +352,12 @@ class _Universe:
             if len(walk) != n:
                 raise CrossCheckError(
                     f"the generators reach {len(walk)} of the {n} elements of the table")
-            self.mul_rows = rows
+            self.rows = rows
         # one walk per cyclic subgroup, from its least generator i along row i:
         # i^j with gcd(j, k) = 1 generates <i> too, so it has order k, inverse
         # i^(k-j) and canon i; every element generates one walked subgroup
-        rows = self.rows()
+        # (mul inlined on table rows)
+        rows, table, mul = self.rows, self.table, self.mul
         self.orders = orders = array("l", [1]) * n
         self.inv_arr = inv = array("l", [ident]) * n
         self.canon = canon = [-1] * n
@@ -368,7 +367,7 @@ class _Universe:
             if canon[i] < 0:
                 times_i = rows[i]
                 powers = [ident, i]
-                while (x := times_i[powers[-1]]) != ident:
+                while (x := times_i[powers[-1]] if table else mul(i, powers[-1])) != ident:
                     powers.append(x)
                 k = len(powers)
                 for j in range(1, k):
@@ -377,22 +376,9 @@ class _Universe:
                         orders[x], inv[x], canon[x] = k, powers[k - j], i
                 cyclic[frozenset(powers)] = (i,)
 
-    def rows(self):
-        """The multiplication table: ``rows()[x][y]`` is the index of x·y."""
-        return self.mul_rows if self.mul_rows is not None else _ComposedRows(self)
-
-    def column(self, y: int):
-        """x·y for every x, in index order."""
-        return map(itemgetter(y), self.rows())
-
     def mul(self, i: int, j: int) -> int:
-        if self.mul_rows is not None:
-            return self.mul_rows[i][j]
-        q = self.images[j]
-        return self.index[tuple(q[x] for x in self.images[i])]
-
-    def conj(self, i: int, g: int) -> int:
-        return self.mul(self.mul(self.inv_arr[g], i), g)
+        row = self.rows[i]
+        return row[j] if self.table else self.index[row(self.images[j])]
 
     def idx_of(self, p: Permutation) -> int:
         try:
@@ -411,10 +397,10 @@ class _Universe:
         are added until their union is closed under right multiplication by
         s, which is checked per coset by reading row y at H·s.  A union of
         left cosets of H that holds H and is closed under ·s is <H, s>.  A
-        subgroup with more than half the elements is the whole group.
-        Without a table the rows are composed from images as they are read."""
+        subgroup with more than half the elements is the whole group.  Every
+        read is a ``gather``, with a table or without."""
         n = self.n
-        rows = self.rows()
+        rows = self.rows
         inv = self.inv_arr
         limit = n if cap is None else min(cap, n)
         seen = set(base) if base else {self.identity}
@@ -424,8 +410,8 @@ class _Universe:
             if s in seen:
                 continue
             h = tuple(seen)
-            coset = _getter(h)
-            step = _getter(_getter(coset(rows[inv[s]]))(inv))  # H·s = (s⁻¹·H)⁻¹
+            coset = self.gather(h)
+            step = self.gather(_getter(coset(rows[inv[s]]))(inv))  # H·s = (s⁻¹·H)⁻¹
             reps = [self.identity]
             for y in reps:
                 ys = step(rows[y])
@@ -475,18 +461,16 @@ class _Universe:
 
     def conjugation_rows(self, by=None) -> tuple[tuple[int, ...], ...]:
         """For each g of ``by`` (G's generators by default, whose rows are
-        cached), the row i -> g⁻¹·i·g.  With a table that is two C-level
-        gathers: row g⁻¹ read at the inverses is f: i -> g⁻¹·i⁻¹, and f read
-        at f is g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g.  Without one, the first gather
-        composes the n entries of f as it reads them and the second is a
-        plain tuple gather."""
+        cached), the row i -> g⁻¹·i·g: two C-level gathers.  Row g⁻¹ read at
+        the inverses is f: i -> g⁻¹·i⁻¹ (``gather``), and f read at f is
+        g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g (a plain tuple gather)."""
         if by is None:
             if self._conj is None:
                 self._conj = self.conjugation_rows(self.gens)
             return self._conj
         inv = self.inv_arr
-        rows = self.rows()
-        at_inverses = _getter(inv)
+        rows = self.rows
+        at_inverses = self.gather(inv)
         fs = (at_inverses(rows[inv[g]]) for g in by)
         return tuple(_getter(f)(f) for f in fs)
 
@@ -534,16 +518,19 @@ def _product_order(x: Subgroup, y: Subgroup) -> int:
 # centralisers, normalisers
 
 
-def _coset_labels(u: _Universe, s_set: frozenset[int]) -> list[int]:
-    """labels[x] names the left coset x·S: its least element."""
-    rows = u.rows()
-    coset = _getter(tuple(s_set))
+def _coset_labels(u: _Universe, s_set: frozenset[int]) -> tuple[list[int], list[int]]:
+    """labels[x] names the left coset x·S: its least element; and those
+    least elements, in order."""
+    rows = u.rows
+    coset = u.gather(tuple(s_set))
     labels = [-1] * u.n
+    reps = []
     for x in range(u.n):
         if labels[x] < 0:
+            reps.append(x)
             for y in coset(rows[x]):
                 labels[y] = x
-    return labels
+    return labels, reps
 
 
 def _where_equal(u: _Universe, pairs) -> frozenset[int]:
@@ -554,22 +541,33 @@ def _where_equal(u: _Universe, pairs) -> frozenset[int]:
     return frozenset(keep)
 
 
+def _normalised_by(rows, s_set: frozenset[int], s_gens) -> bool:
+    """True when every conjugation row maps each of s_gens into s_set: for
+    a subgroup s_set that s_gens generate, when each element the rows
+    conjugate by normalises it."""
+    return all(row[s] in s_set for row in rows for s in s_gens)
+
+
 def _normalizer_set(u: _Universe, s_set: frozenset[int], s_gens) -> frozenset[int]:
-    """x normalises S iff s·x lies in x·S for each generator s of S, that is
-    iff the coset labels agree at s·x and at x: row s gathered from the
-    labels, compared with the labels."""
-    labels = _coset_labels(u, s_set)
-    rows = u.rows()
-    return _where_equal(u, ((map(labels.__getitem__, rows[s]), labels) for s in s_gens))
+    """x normalises S iff s·x lies in x·S for each generator s of S.  The
+    normaliser is a union of left cosets r·S, and s·r·h lies in (s·r)·S, so
+    only the least member r of each coset is tested: row s gathered at those
+    r, read through the coset labels, must give r back."""
+    labels, reps = _coset_labels(u, s_set)
+    keep = set(reps)
+    for s in s_gens:
+        keep.intersection_update(
+            compress(reps, map(eq, map(labels.__getitem__, u.gather(reps)(u.rows[s])), reps)))
+    return frozenset(compress(range(u.n), map(keep.__contains__, labels)))
 
 
 def centralizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
-    """Elements of G commuting with every element of S: x with s·x = x·s,
-    row s against column s, for each generator s."""
+    """Elements of G commuting with every element of S: x commutes with s
+    iff the conjugation row of s fixes x, for each generator s."""
     _require_subgroup_of(G, S, "S")
     u = G.universe(limits)
-    rows = u.rows()
-    return Subgroup(G, _where_equal(u, ((rows[s], u.column(s)) for s in S.gens)))
+    return Subgroup(G, _where_equal(u, ((row, range(u.n))
+                                        for row in u.conjugation_rows(S.gens))))
 
 
 def normalizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
@@ -581,15 +579,14 @@ def normalizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS)
 def is_normal(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """True when S is normalised by every generator of G."""
     _require_subgroup_of(G, S, "S")
-    u = G.universe(limits)
-    return all(u.conj(s, g) in S.indices for g in u.gens for s in S.gens)
+    return _normalised_by(G.universe(limits).conjugation_rows(), S.indices, S.gens)
 
 
 def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
                           limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
     """Elements x of G with [x, H] inside K, for K normal in H: [x, h] =
-    (h·x)⁻¹·(x·h) lies in K iff x·h and h·x share a left coset of K, so
-    column h and row h are compared through K's coset labels.  No library
+    x⁻¹·x^h lies in K iff x^h lies in x·K, so the conjugation row of h and
+    the identity are compared through K's left coset labels.  No library
     route calls it: sigma-nilpotency reads pi-closures; the tests use it for
     the chief-factor routes."""
     _require_subgroup_of(G, H, "H")
@@ -598,12 +595,12 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
     k_set = K.indices
     if not k_set <= H.indices:
         raise DomainError("K is not contained in H")
-    if not all(u.conj(k, h) in k_set for h in H.gens for k in K.gens):
+    rows = u.conjugation_rows(H.gens)
+    if not _normalised_by(rows, k_set, K.gens):
         raise DomainError("K is not normal in H")
-    label = _coset_labels(u, k_set).__getitem__
-    rows = u.rows()
-    return Subgroup(G, _where_equal(u, ((map(label, u.column(h)), map(label, rows[h]))
-                                        for h in H.gens)))
+    labels, _ = _coset_labels(u, k_set)
+    return Subgroup(G, _where_equal(u, ((map(labels.__getitem__, row), labels)
+                                        for row in rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +710,7 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
         return QuotientGroup(G, N, G, {u.images[i]: u.perms[i] for i in range(u.n)})
 
     def compute():
-        labels = _coset_labels(u, N.indices)
-        reps = sorted(set(labels))
+        labels, reps = _coset_labels(u, N.indices)
         rank = {r: c for c, r in enumerate(reps)}
         coset_of = [rank[x] for x in labels]
         proj = {u.images[x]: Permutation(tuple(coset_of[u.mul(r, x)] for r in reps))
@@ -797,7 +793,7 @@ def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
     union of orbits; each orbit is walked on the conjugation rows of
     generators of N_G(K), G's own when K is normal."""
     rows = u.conjugation_rows()
-    if not all(row[s] in k_set for row in rows for s in k_gens):
+    if not _normalised_by(rows, k_set, k_gens):
         rows = u.conjugation_rows(u.derive_gens(_normalizer_set(u, k_set, k_gens)))
     canon = u.canon
     seen: set[int] = set()
@@ -824,13 +820,12 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
     def compute():
         u = G.universe(limits)
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
-        rows = u.rows()
         for y, in filter(None, u.cyclic.values()):
             factors = prime_factors(u.orders[y])
             if len(factors) == 1:
                 yp = y
                 for _ in range(factors[0][0] - 1):  # y^p: p - 1 steps along row y
-                    yp = rows[y][yp]
+                    yp = u.mul(y, yp)
                 steps.append((y, yp))
         trivial = frozenset({u.identity})
         found = {trivial: ()}
@@ -1032,7 +1027,7 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
         u = G.universe(limits)
         target = len(floor) * _p_part(G.order // len(floor), pset)
         n, _ = u.grow(u.conjugacy_classes(), target, floor)
-        if not all(n.issuperset(map(row.__getitem__, n)) for row in u.conjugation_rows()):
+        if not _normalised_by(u.conjugation_rows(), n, n):
             raise CrossCheckError("the largest normal subgroup over a floor is not normal")
         return n
     return _memo(G, ("normal_over", floor, pset), compute, limits)

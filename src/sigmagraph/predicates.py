@@ -160,13 +160,14 @@ def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
                   for p, e in facts}
 
     def subgroups(y, p, target):
+        row, = u.conjugation_rows((y,))
         for a in p_elements[p]:
-            if u.mul(a, y) == u.mul(y, a):
+            if row[a] == a:
                 continue
-            orbit, x = [a], u.conj(a, y)
+            orbit, x = [a], row[a]
             while x != a:
                 orbit.append(x)
-                x = u.conj(x, y)
+                x = row[x]
             s = u.closure(orbit, cap=target)
             if s is not None and target % len(s) == 0:
                 yield s

@@ -308,10 +308,9 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
             "pi-element pair scan exceeded its closure budget",
             cap_name="max_join_work", cap_value=limits.max_join_work)
     core = _largest_normal_over(G, frozenset({u.identity}), primes_of(t), limits)
-    rows = u.rows()
     least = G.order // 2 + 1
     pairs = ((a, b) for a in firsts if a not in core for b in bs
-             if b not in core and rows[a][b] != rows[b][a])
+             if b not in core and u.mul(a, b) != u.mul(b, a))
     for a, b in pairs:
         s = u.closure((a, b), cap=least - 1)
         if s is not None and t % len(s) != 0:

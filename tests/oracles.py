@@ -127,14 +127,13 @@ def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
     y^p in K, not with one <y> per N_G(K)-orbit.  Raises like the library
     on the count and closure caps, but counts every closure."""
     u = G.universe(limits)
-    rows = u.rows()
     steps = []
     for y, in filter(None, u.cyclic.values()):
         factors = prime_factors(u.orders[y])
         if len(factors) == 1:
             yp = y
             for _ in range(factors[0][0] - 1):
-                yp = rows[y][yp]
+                yp = u.mul(y, yp)
             steps.append((y, yp))
     trivial = frozenset({u.identity})
     found = {trivial: ()}
@@ -315,11 +314,10 @@ def pairs_pi_closed_every_pair(G, pi, limits=DEFAULT_LIMITS) -> tuple[bool, str]
     firsts = [a for a, *_ in u.conjugacy_classes()
               if a != u.identity and t % u.orders[a] == 0]
     bs = [b for b, in filter(None, u.cyclic.values()) if t % u.orders[b] == 0]
-    rows = u.rows()
     least = G.order // 2 + 1
     for a in firsts:
         for b in bs:
-            if rows[a][b] != rows[b][a]:
+            if u.mul(a, b) != u.mul(b, a):
                 s = u.closure((a, b), cap=least - 1)
                 if s is not None and t % len(s) != 0:
                     least = len(s)

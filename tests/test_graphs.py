@@ -120,7 +120,8 @@ ABOVE_TABLE_LIMIT = {"S5xS4": lambda: direct_product(symmetric(5), symmetric(4))
 @pytest.mark.parametrize("tag", sorted(ABOVE_TABLE_LIMIT))
 def test_graphs_above_the_table_limit_match_pinned_outputs(tag):
     """S5 x S4 (order 2880) and C3 wr S3 (order 4374) are past the table
-    limit, so every product is composed as it is read.  Their graphs under
+    limit, so every read of their element table composes its entries from
+    images (``_Universe.gather``).  Their graphs under
     each standard partition (keyed tag/kind/index) equal outputs taken once
     from the normal-lattice route and the search over every pi-element."""
     pinned = json.loads((Path(__file__).parent / "graphs_above_table_limit.json").read_text())
@@ -129,7 +130,7 @@ def test_graphs_above_the_table_limit_match_pinned_outputs(tag):
     for kind, build in (("hawkes", build_hawkes), ("hall", build_hall), ("vm", build_vm)):
         for k, sigma in enumerate(standard_partitions()):
             assert to_json(build(g, sigma, group_tag=tag)) == pinned[f"{tag}/{kind}/{k}"]
-    assert g.universe().mul_rows is None
+    assert not g.universe().table
 
 
 def test_edgeless_for_nilpotent():

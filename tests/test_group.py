@@ -45,6 +45,14 @@ def test_constructor_validation():
         PermGroup(3, ["(0 1)"])
 
 
+@pytest.mark.parametrize("degree", (True, 2.0, "3", None), ids=("bool", "float", "str", "None"))
+def test_constructor_refuses_a_degree_that_is_not_an_int(degree):
+    """A bool is not read as 1, and a float, a string or None is refused
+    with the input error, not a bare TypeError from the comparison."""
+    with pytest.raises(GroupInputError, match="degree must be an int"):
+        PermGroup(degree, [])
+
+
 @pytest.mark.parametrize("tag", ORACLE_TAGS)
 def test_all_subgroups_match_bruteforce(tag):
     g = build_by_tag(tag)

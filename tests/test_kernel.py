@@ -3,6 +3,9 @@ gathered from generator rows, Dimino closure over a known subgroup, the path
 without a table, degenerate tables, and pi-closure read in the parent's
 table."""
 
+import contextlib
+import hashlib
+import io
 import random
 from itertools import combinations
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sigmagraph.cli
 import sigmagraph.group
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
                      index_closure, is_pi_closed_by_normal_lattice,
@@ -19,23 +23,23 @@ from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
                      subgroup_sets_every_extension, two_generated_sets_every_join,
                      zoo_tags)
 from sigmagraph.errors import CrossCheckError, ResourceLimitError
-from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, _Universe,
+from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup, _Universe,
                               all_subgroups, centralizer, centralizer_of_factor,
-                              hall_subgroups, normal_subgroups, normalizer, sylow,
-                              two_generated_subgroups)
+                              hall_subgroups, is_normal, normal_subgroups, normalizer,
+                              sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                                    schmidt_types)
 from sigmagraph.sigma import ATOMIC, PiSet, primes_of
 from sigmagraph.verify import run_corpus_sweep
-from sigmagraph.zoo import (alternating, build_by_tag, s5_subgroups, standard_partitions,
-                            symmetric, zoo)
+from sigmagraph.zoo import (alternating, build_by_tag, corpus, direct_product, s5_subgroups,
+                            standard_partitions, symmetric, zoo)
 
 
 def assert_table_matches(G):
     u = G.universe()
     rows, inv = composed_table(u.perms)
-    assert [list(r) for r in u.mul_rows] == rows
+    assert [list(r) for r in u.rows] == rows
     assert list(u.inv_arr) == inv
 
 
@@ -63,14 +67,16 @@ def test_table_matches_composition_on_s5_subgroups():
 
 @pytest.mark.parametrize("tag", ("S3", "Q8", "A4", "S4", "f20", "A5"))
 def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
-    """Above the table limit the rows are composed as they are read; they
-    and the inverses must equal the product-by-product table."""
+    """Above the table limit a gather composes its entries from images as
+    it reads them; whole rows read through it, and the inverses, must equal
+    the product-by-product table."""
     monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     g = next(e for e in zoo() if e.tag == tag).builder()
     u = g.universe()
-    assert u.mul_rows is None
+    assert not u.table
     rows, _ = composed_table(u.perms)
-    assert [list(r) for r in u.rows()] == rows
+    whole = u.gather(range(u.n))
+    assert [list(whole(r)) for r in u.rows] == rows
     assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
 
 
@@ -97,11 +103,11 @@ def assert_inverses_cancel(u):
 @pytest.mark.parametrize("tag", zoo_tags())
 def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monkeypatch):
     """Orders, canon and the cyclic subgroups walked along the rows, read in
-    the table and, above the table limit, composed as they are read."""
+    the table and, above the table limit, composed from images."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     u = next(e for e in zoo() if e.tag == tag).builder().universe()
-    assert (u.mul_rows is not None) == table
+    assert u.table == table
     assert_cyclic_walk_matches(u)
 
 
@@ -113,7 +119,7 @@ def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     u = next(e for e in zoo() if e.tag == tag).builder().universe()
-    assert (u.mul_rows is not None) == table
+    assert u.table == table
     assert_inverses_cancel(u)
 
 
@@ -121,9 +127,9 @@ def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
     """Each gathered row holds the identity row's int objects, so a table of
     n rows costs one pointer per entry and n ints in all."""
     u = symmetric(6).universe()
-    ident = u.mul_rows[u.identity]
+    ident = u.rows[u.identity]
     assert ident == tuple(range(u.n))
-    for row in u.mul_rows:
+    for row in u.rows:
         assert type(row) is tuple
         assert all(x is ident[x] for x in row)
     assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
@@ -153,7 +159,7 @@ def test_no_table_path_gives_the_same_subgroups(make, monkeypatch):
     with_table = subgroup_families(make())
     monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 10)
     g = make()
-    assert g.universe().mul_rows is None
+    assert not g.universe().table
     assert subgroup_families(g) == with_table
 
 
@@ -203,7 +209,7 @@ def test_table_reads_without_a_table_match_naive(tag, monkeypatch):
     """The same reads with every entry composed from images as it is read."""
     monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     g = next(e for e in zoo() if e.tag == tag).builder()
-    assert g.universe().mul_rows is None
+    assert not g.universe().table
     assert_table_reads_match_naive(g, two_generated_subgroups(g))
 
 
@@ -214,7 +220,7 @@ def test_table_reads_without_a_table_match_naive(tag, monkeypatch):
 def test_trivial_tables(G):
     u = G.universe()
     assert u.n == 1 and u.identity == 0
-    assert [list(r) for r in u.mul_rows] == [[0]] and list(u.inv_arr) == [0]
+    assert [list(r) for r in u.rows] == [[0]] and list(u.inv_arr) == [0]
     one = frozenset({0})
     assert u.closure([]) == u.closure([0, 0]) == u.closure([0], base=one, cap=1) == one
 
@@ -417,18 +423,28 @@ def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
 
 
 def assert_gathers_match_entries(G):
-    """column(g) and conjugation_rows(by) against u.mul and u.conj read one
-    entry at a time, for by = G's generators and by = generators of the
-    normaliser of a Sylow 2-subgroup."""
+    """gather(at) on every row, for whole rows, the inverses and a few
+    fixed position sets, and for the column of each generator (at = (g,));
+    mul at every entry; and conjugation_rows(by), for by = G's generators
+    and by = generators of the normaliser of a Sylow 2-subgroup: all against
+    the table of permutation products (``composed_table``)."""
     u = G.universe()
+    table, inv = composed_table(u.perms)
+    n = u.n
+    assert list(u.inv_arr) == inv
+    fixed = (tuple(range(n)), inv, (u.identity,), (n - 1, 0, n // 2), tuple(range(0, n, 7)))
+    for at in fixed:
+        gather = u.gather(at)
+        assert [list(gather(row)) for row in u.rows] == [[t[a] for a in at] for t in table]
+    assert [[u.mul(x, y) for y in range(n)] for x in range(n)] == table
     normaliser = normalizer(G, sylow(G, 2))
     for by in (u.gens, u.derive_gens(normaliser.indices)):
         for g in by:
-            assert list(u.column(g)) == [u.mul(i, g) for i in range(u.n)]
-        want = [[u.conj(i, g) for i in range(u.n)] for g in by]
+            column = u.gather((g,))
+            assert [column(row) for row in u.rows] == [(t[g],) for t in table]
+        want = [[table[table[inv[g]][i]][g] for i in range(n)] for g in by]
         assert [list(row) for row in u.conjugation_rows(by)] == want
-    assert [list(row) for row in u.conjugation_rows()] == [
-        [u.conj(i, g) for i in range(u.n)] for g in u.gens]
+    assert u.conjugation_rows() == u.conjugation_rows(u.gens)
 
 
 @pytest.mark.parametrize("tag", ("S4", "A5", "wreath_c2_s3"))
@@ -440,5 +456,67 @@ def test_column_and_conjugation_gathers_match_entries(tag):
 def test_column_and_conjugation_gathers_match_entries_without_a_table(tag, monkeypatch):
     monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     g = fresh(tag)
-    assert g.universe().mul_rows is None
+    assert not g.universe().table
     assert_gathers_match_entries(g)
+
+
+def kernel_reads(G) -> list:
+    """Centraliser, normaliser and normality of each cyclic subgroup and each
+    Sylow subgroup of G, as index sets and bools."""
+    u = G.universe()
+    pool = [Subgroup(G, s, gens) for s, gens in u.cyclic.items()]
+    pool += [sylow(G, p) for p in primes_of(G.order)]
+    return [(centralizer(G, s).indices, normalizer(G, s).indices, is_normal(G, s))
+            for s in pool]
+
+
+@pytest.mark.parametrize("tag", ("S4", "A5", "wreath_c2_s3"))
+def test_centralizer_normalizer_and_is_normal_agree_without_a_table(tag, monkeypatch):
+    with_table = kernel_reads(fresh(tag))
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    g = fresh(tag)
+    assert not g.universe().table
+    assert kernel_reads(g) == with_table
+
+
+def test_bulk_reads_above_the_table_limit_make_no_pointwise_call(monkeypatch):
+    """On S5 x S4 (order 2880, no table), closure, the conjugation rows,
+    centralizer and normalizer of a Sylow 2-subgroup read only through
+    gathers: not one ``_Universe.mul`` call, which would be a Python call
+    per entry."""
+    g = direct_product(symmetric(5), symmetric(4))
+    u = g.universe()
+    assert not u.table
+    p2 = sylow(g, 2)
+    calls = [0]
+    mul = _Universe.mul
+
+    def counted(self, i, j):
+        calls[0] += 1
+        return mul(self, i, j)
+
+    monkeypatch.setattr(_Universe, "mul", counted)
+    assert u.closure(p2.gens) == p2.indices
+    assert len(u.conjugation_rows()) == len(u.gens)
+    c, n = centralizer(g, p2), normalizer(g, p2)
+    assert c.indices <= n.indices and p2.indices <= n.indices
+    assert calls == [0]
+    u.mul(u.identity, u.identity)
+    assert calls == [1]
+
+
+CORPUS_SHA256 = "9cd15ee164c956ad4460ae6f38b662b05eef38c116dfac053f64fe647f08f12b"
+
+
+def test_corpus_stream_without_tables_keeps_the_pinned_bytes(monkeypatch):
+    """``verify --corpus`` on fresh groups with ``_TABLE_LIMIT`` at 0, so
+    that every group reads its products through composed gathers, prints
+    the bytes that the CI pins for the path with tables."""
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 0)
+    groups = [(tag, PermGroup(g.degree, g.generators)) for tag, g in corpus()]
+    monkeypatch.setattr(sigmagraph.cli, "corpus", lambda: groups)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert sigmagraph.cli.main(["verify", "--corpus"]) == 0
+    assert not any(g.universe().table for _, g in groups)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CORPUS_SHA256
