@@ -298,20 +298,21 @@ class _Universe:
     entry.  ``gather`` is chosen once per table, so a read costs no more
     than the gather itself.  Up to ``_TABLE_LIMIT`` elements (``table``),
     ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y, and a gather is
-    one ``itemgetter``.  Only the generator rows are
-    composed from images; every other row comes from a walk over the
-    Cayley graph from the identity, since row(x·g) = row(x) read at the
-    positions row(g) (associativity), one C-level gather per row.  A row
-    gathered from the identity row ``tuple(range(n))`` holds that row's int
-    objects, so the gather boxes nothing and builds nothing besides the
-    tuple.  Above the limit ``rows[x]`` is ``_getter(images[x])``, and a
-    gather composes each entry from images (``_composed``), still at C
-    level: no Python call per entry.  Element orders, inverses and the
-    cyclic subgroups come from one walk per cyclic subgroup, from its least
-    generator along its row: ``cyclic`` maps the element set of each cyclic
-    subgroup to that generator (() for the trivial one), in order of the
-    generator, and ``canon[i]`` is the generator of <i>.  A conjugation row
-    is two gathers through the inverses (``conjugation_rows``).
+    one ``itemgetter``.  Only the generator rows are composed from images;
+    every other row comes from a walk over the Cayley graph from the
+    identity, since row(x·g) = row(x) read at the positions row(g)
+    (associativity), one C-level gather per row.  A row gathered from the
+    identity row ``tuple(range(n))`` holds that row's int objects, so the
+    gather boxes nothing and builds nothing besides the tuple.  Above the
+    limit ``rows[x]`` is ``_getter(images[x])``, and a gather composes each
+    entry from images (``_composed``), still at C level: no Python call per
+    entry.  Element orders, inverses and the cyclic subgroups come from one
+    walk per cyclic subgroup, from its least generator along its row:
+    ``cyclic`` maps the element set of each cyclic subgroup to that
+    generator (() for the trivial one), in order of the generator, and
+    ``canon[i]`` is the generator of <i>.  Conjugation is two gathers
+    through the inverses, whole rows (``conjugation_rows``) or at some
+    positions (``conjugates``).
 
     ``gens`` are the indices of the generators the table was built from
     (no identity, no repeats); ``conjugation_rows()`` are conjugation by
@@ -356,8 +357,6 @@ class _Universe:
         # one walk per cyclic subgroup, from its least generator i along row i:
         # i^j with gcd(j, k) = 1 generates <i> too, so it has order k, inverse
         # i^(k-j) and canon i; every element generates one walked subgroup
-        # (mul inlined on table rows)
-        rows, table, mul = self.rows, self.table, self.mul
         self.orders = orders = array("l", [1]) * n
         self.inv_arr = inv = array("l", [ident]) * n
         self.canon = canon = [-1] * n
@@ -365,9 +364,8 @@ class _Universe:
         self.cyclic = cyclic = {frozenset({ident}): ()}
         for i in range(n):
             if canon[i] < 0:
-                times_i = rows[i]
                 powers = [ident, i]
-                while (x := times_i[powers[-1]] if table else mul(i, powers[-1])) != ident:
+                while (x := self.mul(i, powers[-1])) != ident:
                     powers.append(x)
                 k = len(powers)
                 for j in range(1, k):
@@ -468,11 +466,17 @@ class _Universe:
             if self._conj is None:
                 self._conj = self.conjugation_rows(self.gens)
             return self._conj
-        inv = self.inv_arr
-        rows = self.rows
+        inv, rows = self.inv_arr, self.rows
         at_inverses = self.gather(inv)
         fs = (at_inverses(rows[inv[g]]) for g in by)
         return tuple(_getter(f)(f) for f in fs)
+
+    def conjugates(self, g: int, at) -> tuple[int, ...]:
+        """(g⁻¹·a·g for a in at): row g⁻¹ gathered at the inverses of at
+        (g⁻¹·a⁻¹), then at the inverses of those (a·g)."""
+        inv, row = self.inv_arr, self.rows[self.inv_arr[g]]
+        left = self.gather(_getter(at)(inv))(row)
+        return self.gather(_getter(left)(inv))(row)
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugacy classes, as sorted index tuples ordered by smallest

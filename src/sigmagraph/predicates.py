@@ -159,15 +159,15 @@ def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
     p_elements = {p: [i for i in range(u.n) if u.orders[i] > 1 and p**e % u.orders[i] == 0]
                   for p, e in facts}
 
-    def subgroups(y, p, target):
-        row, = u.conjugation_rows((y,))
-        for a in p_elements[p]:
-            if row[a] == a:
+    def subgroups(y, ps, target):
+        conj = dict(zip(ps, u.conjugates(y, ps)))  # conjugates of p-elements are p-elements
+        for a in ps:
+            if conj[a] == a:
                 continue
-            orbit, x = [a], row[a]
+            orbit, x = [a], conj[a]
             while x != a:
                 orbit.append(x)
-                x = row[x]
+                x = conj[x]
             s = u.closure(orbit, cap=target)
             if s is not None and target % len(s) == 0:
                 yield s
@@ -178,7 +178,7 @@ def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
         if len(q) == 1:
             for p, e in facts:
                 if p != q[0]:
-                    yield p, q[0], y, subgroups(y, p, p**e)
+                    yield p, q[0], y, subgroups(y, p_elements[p], p**e)
 
 
 def schmidt_types(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS

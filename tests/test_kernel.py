@@ -168,21 +168,25 @@ def elements_of(s) -> frozenset:
 
 
 def assert_table_reads_match_naive(G, subgroups):
-    """Centraliser and normaliser of each given subgroup, the centraliser
-    of each factor of normal subgroups, and the conjugacy classes, against
-    whole-group scans that multiply permutations.  The generators derived
+    """Centraliser, normaliser and normality of each given subgroup, the
+    centraliser of each factor of the normal ones among them, and the
+    conjugacy classes, against whole-group scans that multiply permutations.  The generators derived
     from each subgroup's set are those of the plain walk: each is the least
     index outside the subgroup its predecessors generate, and all of them
     generate the set."""
     u = G.universe()
+    normals = []
     for s in subgroups:
         gens = u.derive_gens(s.indices)
         for k, g in enumerate(gens):
             assert g == min(s.indices - index_closure(u.perms, gens[:k]))
         assert index_closure(u.perms, gens) == s.indices
         assert elements_of(centralizer(G, s)) == naive_centralizer(G, s.elements())
-        assert elements_of(normalizer(G, s)) == naive_normalizer(G, s.elements())
-    normals = normal_subgroups(G)
+        naive = naive_normalizer(G, s.elements())
+        assert elements_of(normalizer(G, s)) == naive
+        assert is_normal(G, s) == (len(naive) == G.order)
+        if len(naive) == G.order:
+            normals.append(s)
     for h in normals:
         for k in normals:
             if k.indices <= h.indices:
@@ -204,13 +208,23 @@ def test_table_reads_match_naive_on_every_subgroup_of_s5():
     assert_table_reads_match_naive(g, all_subgroups(g))
 
 
-@pytest.mark.parametrize("tag", ("S3", "Q8", "A4", "dic3", "S4", "f20", "A5"))
+@pytest.mark.parametrize("tag", ("S3", "Q8", "A4", "dic3", "S4", "f20", "A5", "wreath_c2_s3"))
 def test_table_reads_without_a_table_match_naive(tag, monkeypatch):
-    """The same reads with every entry composed from images as it is read."""
+    """The same reads with every entry composed from images: on the
+    two-generated subgroups, and on wreath_c2_s3 (order 384, where the
+    naive scans over those take a minute) on the Sylow subgroups and the
+    cyclic ones generated by the identity and by each class's least member."""
     monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
-    g = next(e for e in zoo() if e.tag == tag).builder()
-    assert not g.universe().table
-    assert_table_reads_match_naive(g, two_generated_subgroups(g))
+    g = fresh(tag)
+    u = g.universe()
+    assert not u.table
+    if g.order > 120:
+        heads = {(), *((u.canon[c[0]],) for c in u.conjugacy_classes()[1:])}
+        subs = [Subgroup(g, s, gens) for s, gens in u.cyclic.items() if gens in heads]
+        subs += [sylow(g, p) for p in primes_of(g.order)]
+    else:
+        subs = two_generated_subgroups(g)
+    assert_table_reads_match_naive(g, subs)
 
 
 @pytest.mark.parametrize("G", (PermGroup(1, ()), PermGroup(5, []),
@@ -425,9 +439,10 @@ def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
 def assert_gathers_match_entries(G):
     """gather(at) on every row, for whole rows, the inverses and a few
     fixed position sets, and for the column of each generator (at = (g,));
-    mul at every entry; and conjugation_rows(by), for by = G's generators
-    and by = generators of the normaliser of a Sylow 2-subgroup: all against
-    the table of permutation products (``composed_table``)."""
+    mul at every entry; and conjugation_rows(by) and conjugates(g, at) at
+    the fixed position sets, for by = G's generators and by = generators
+    of the normaliser of a Sylow 2-subgroup: all against the table of
+    permutation products (``composed_table``)."""
     u = G.universe()
     table, inv = composed_table(u.perms)
     n = u.n
@@ -444,6 +459,9 @@ def assert_gathers_match_entries(G):
             assert [column(row) for row in u.rows] == [(t[g],) for t in table]
         want = [[table[table[inv[g]][i]][g] for i in range(n)] for g in by]
         assert [list(row) for row in u.conjugation_rows(by)] == want
+        for g, row in zip(by, want):
+            for at in fixed:
+                assert list(u.conjugates(g, at)) == [row[a] for a in at]
     assert u.conjugation_rows() == u.conjugation_rows(u.gens)
 
 
@@ -460,30 +478,11 @@ def test_column_and_conjugation_gathers_match_entries_without_a_table(tag, monke
     assert_gathers_match_entries(g)
 
 
-def kernel_reads(G) -> list:
-    """Centraliser, normaliser and normality of each cyclic subgroup and each
-    Sylow subgroup of G, as index sets and bools."""
-    u = G.universe()
-    pool = [Subgroup(G, s, gens) for s, gens in u.cyclic.items()]
-    pool += [sylow(G, p) for p in primes_of(G.order)]
-    return [(centralizer(G, s).indices, normalizer(G, s).indices, is_normal(G, s))
-            for s in pool]
-
-
-@pytest.mark.parametrize("tag", ("S4", "A5", "wreath_c2_s3"))
-def test_centralizer_normalizer_and_is_normal_agree_without_a_table(tag, monkeypatch):
-    with_table = kernel_reads(fresh(tag))
-    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
-    g = fresh(tag)
-    assert not g.universe().table
-    assert kernel_reads(g) == with_table
-
-
 def test_bulk_reads_above_the_table_limit_make_no_pointwise_call(monkeypatch):
     """On S5 x S4 (order 2880, no table), closure, the conjugation rows,
-    centralizer and normalizer of a Sylow 2-subgroup read only through
-    gathers: not one ``_Universe.mul`` call, which would be a Python call
-    per entry."""
+    conjugates at the Sylow 2-subgroup, centralizer and normalizer of it
+    read only through gathers: not one ``_Universe.mul`` call, which would
+    be a Python call per entry."""
     g = direct_product(symmetric(5), symmetric(4))
     u = g.universe()
     assert not u.table
@@ -498,6 +497,7 @@ def test_bulk_reads_above_the_table_limit_make_no_pointwise_call(monkeypatch):
     monkeypatch.setattr(_Universe, "mul", counted)
     assert u.closure(p2.gens) == p2.indices
     assert len(u.conjugation_rows()) == len(u.gens)
+    assert set(u.conjugates(u.gens[0], tuple(p2.indices))) < set(range(u.n))
     c, n = centralizer(g, p2), normalizer(g, p2)
     assert c.indices <= n.indices and p2.indices <= n.indices
     assert calls == [0]
