@@ -11,18 +11,14 @@ from .errors import (CrossCheckError, DomainError, GroupInputError,
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm,
                      graphs_equal, has_circuit, has_loop, is_subgraph,
                      isolated_vertices, to_dot, to_json, union)
-from .group import (DEFAULT_LIMITS, ChiefSeries, EngineLimits, PermGroup,
-                    QuotientGroup, Subgroup, all_subgroups, centralizer,
-                    centralizer_of_factor, chief_series, core_series_subgroup,
-                    hall_subgroups, is_normal, maximal_subgroups,
-                    normal_subgroups, normalizer, quotient, subgroup, sylow,
-                    two_generated_subgroups)
+from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
+                    all_subgroups, centralizer, is_normal, maximal_subgroups,
+                    subgroup, sylow)
 from .perm import Permutation
-from .predicates import (SchmidtShape, SigmaLengthProfile, f_class_subgroup,
-                         is_class_nilpotent, is_critical, is_nilpotent,
+from .predicates import (SigmaLengthProfile, f_class_subgroup, is_critical,
                          is_pi_closed, is_schmidt, is_sigma_dispersive,
-                         is_sigma_nilpotent, is_sigma_soluble,
-                         schmidt_decomposition, schmidt_types, sigma_length)
+                         is_sigma_nilpotent, is_sigma_soluble, schmidt_types,
+                         sigma_length)
 from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, parse_sigma_spec,
                     pi_part, prime_factors, primes_of, sigma_coprime,
                     sigma_of_group, sigma_of_int)

@@ -8,9 +8,11 @@ No randomisation is used anywhere, so equal inputs give equal structures.
 Transversal convention: transversal[beta] is an element u with u(base) = beta,
 and sifting uses p <- p * transversal[beta]^-1 to fix the base point.
 
-It gives only the order of a group past the default element cap: a group
-at or below that cap is enumerated by a walk over its Cayley graph
-(``group.PermGroup``), which gives its order as well.
+No library route calls it: every group is enumerated by a bounded walk
+over its Cayley graph (``group.PermGroup``), which gives its order, and a
+group past the walk's bound raises the element cap.  The tests read it as
+an order oracle independent of that walk; it stays in the package only
+while the benchmark's tracer names it.
 """
 
 from __future__ import annotations

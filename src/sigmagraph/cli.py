@@ -174,12 +174,16 @@ def _cmd_check(args, limits: EngineLimits) -> int:
     else:  # pi-closed
         if not args.pi:
             raise GroupInputError("--pi is required for the pi-closed predicate")
+        # ASCII digits only, as a partition spec's JSON reads its integers
+        tokens = [tok.strip() for tok in args.pi.split(",")]
         try:
-            primes = tuple(int(tok) for tok in args.pi.split(","))
-        except ValueError as exc:
-            raise GroupInputError(f"bad --pi value {args.pi!r}") from exc
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise ValueError("give comma-separated primes")
+            primes = sorted({int(tok) for tok in tokens})
+        except ValueError as exc:  # also an integer past 4300 digits
+            raise GroupInputError(f"bad --pi value {args.pi!r}: {exc}") from exc
         classes = frozenset(sigma.classify(p) for p in primes)
-        payload["pi"] = sorted(primes)
+        payload["pi"] = primes
         value = is_pi_closed(G, PiSet(classes), limits)
     payload["value"] = value
     print(json.dumps(payload, sort_keys=True))

@@ -16,9 +16,10 @@ Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on the indexed element table of the ambient group
 (``_Universe``).  A group is enumerated when it is built, by one
 breadth-first walk over its Cayley graph that stops past the element cap;
-Schreier-Sims (``bsgs.Bsgs``) only gives the order of a group past the
-default cap, so refusing a group above a cap costs about as much as
-enumerating one at the cap.  The table is read through one bulk read,
+that walk is the only route to a group's order and elements, so refusing a
+group above a cap costs about as much as enumerating one at the cap.  Each
+element is kept once, as the image tuple the walk found; a ``Permutation``
+is made only for a caller who asks.  The table is read through one bulk read,
 ``_Universe.gather``, and one pointwise read, ``_Universe.mul``.  Up to
 ``_TABLE_LIMIT`` elements it holds the whole multiplication table: only the
 generators' rows are composed from images, the other rows are gathered from
@@ -67,7 +68,6 @@ from itertools import compress
 from math import gcd
 from operator import eq, itemgetter
 
-from .bsgs import Bsgs
 from .errors import CrossCheckError, DomainError, GroupInputError, ResourceLimitError
 from .perm import Permutation, _trusted
 from .sigma import _is_int, _is_prime, _p_part, prime_factors
@@ -104,18 +104,17 @@ class PermGroup:
     """Finite permutation group, enumerated by a breadth-first walk over its
     Cayley graph from the identity (``_cayley_walk``).
 
-    The walk stops once it has found more than max_order elements, or more
-    than the default ``max_element_order`` when max_order is None.  A walk
-    that completes gives the order and caches the sorted elements.  Past the
-    bound, a call with max_order raises a ResourceLimitError naming
-    max_element_order; a call without it takes the order from a strong
-    generating set (``Bsgs``, Schreier-Sims), and ``elements`` of such a
-    group walks again with no bound.  So refusing a group above a cap costs
-    about as much as enumerating one at the cap."""
+    The walk stops once it has found more than max_order elements (the
+    default ``max_element_order`` unless given) and then raises a
+    ResourceLimitError naming max_element_order, so refusing a group above a
+    cap costs about as much as enumerating one at the cap.  A walk that
+    completes gives the order and the sorted image tuples, the one element
+    list that ``elements`` and ``universe`` read."""
 
-    __slots__ = ("degree", "generators", "order", "_cache")
+    __slots__ = ("degree", "generators", "order", "_images", "_cache")
 
-    def __init__(self, degree: int, generators, max_order: int | None = None):
+    def __init__(self, degree: int, generators,
+                 max_order: int = DEFAULT_LIMITS.max_element_order):
         if not _is_int(degree):
             raise GroupInputError(f"degree must be an int, got {degree!r}")
         if degree < 1:
@@ -126,20 +125,18 @@ class PermGroup:
                 raise GroupInputError(f"generator {g!r} is not a Permutation")
             if g.degree != degree:
                 raise GroupInputError(f"generator {g} has degree {g.degree}, expected {degree}")
-        self.degree = degree
-        self.generators = gens
-        self._cache: dict = {}
-        bound = DEFAULT_LIMITS.max_element_order if max_order is None else max_order
-        elems = _cayley_walk(degree, gens, bound)
-        if elems is not None:
-            self.order = len(elems)
-            self._cache["elements"] = elems
-        elif max_order is not None:
+        if not _is_int(max_order) or max_order < 1:
+            raise GroupInputError(f"max_order must be an int of at least 1, got {max_order!r}")
+        images = _cayley_walk(degree, gens, max_order)
+        if images is None:
             raise ResourceLimitError(
                 f"group of order above {max_order} is too large to enumerate",
                 cap_name="max_element_order", cap_value=max_order)
-        else:
-            self.order = Bsgs(degree, gens).order
+        self.degree = degree
+        self.generators = gens
+        self.order = len(images)
+        self._images = images
+        self._cache: dict = {}
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -151,22 +148,20 @@ class PermGroup:
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple.  Capped by max_element_order,
         also when they are already cached."""
-        return _memo(self, "elements",
-                     lambda: _cayley_walk(self.degree, self.generators), limits)
+        return _memo(self, "elements", lambda: tuple(map(_trusted, self._images)), limits)
 
     def universe(self, limits: EngineLimits = DEFAULT_LIMITS) -> "_Universe":
         """The element table, capped like ``elements``."""
         return _memo(self, "universe",
-                     lambda: _Universe(self.elements(limits), self.generators), limits)
+                     lambda: _Universe(self._images, self.generators), limits)
 
 
-def _cayley_walk(degree: int, generators, bound: int | None = None
-                 ) -> tuple[Permutation, ...] | None:
-    """The elements of the group the generators generate, sorted by image
-    tuple; None once more than bound are found.  A breadth-first walk from
-    the identity that multiplies on the left by one generator per step: g·x
-    applies g first, so its images are x's images read at g's, one C-level
-    gather on x's image tuple."""
+def _cayley_walk(degree: int, generators, bound: int) -> tuple[tuple[int, ...], ...] | None:
+    """The sorted image tuples of the elements of the group the generators
+    generate; None once more than bound are found.  A breadth-first walk
+    from the identity that multiplies on the left by one generator per
+    step: g·x applies g first, so its images are x's images read at g's, one
+    C-level gather on x's image tuple."""
     steps = [_getter(g.images) for g in generators]
     ident = tuple(range(degree))
     seen = {ident}
@@ -177,10 +172,10 @@ def _cayley_walk(degree: int, generators, bound: int | None = None
             if y not in seen:
                 seen.add(y)
                 walk.append(y)
-        if bound is not None and len(walk) > bound:
+        if len(walk) > bound:
             return None
     walk.sort()
-    return tuple(map(_trusted, walk))
+    return tuple(walk)
 
 
 _MISSING = object()
@@ -225,7 +220,8 @@ class Subgroup:
     small canonical set derived from the index set on first read.  Order,
     elements and containment are read off the index set.  ``group``, the
     subgroup as a ``PermGroup`` in its own right, is built from ``gens`` on
-    first use and checked against the index set."""
+    first use, walked under the parent's order, and checked against the
+    index set."""
 
     __slots__ = ("parent", "indices", "_gens", "_group")
 
@@ -248,8 +244,9 @@ class Subgroup:
     @property
     def group(self) -> PermGroup:
         if self._group is None:
-            perms = _built_universe(self.parent).perms
-            grp = PermGroup(self.parent.degree, tuple(perms[i] for i in self.gens))
+            images = _built_universe(self.parent).images
+            grp = PermGroup(self.parent.degree, [_trusted(images[i]) for i in self.gens],
+                            self.parent.order)
             if grp.order != self.order:
                 raise CrossCheckError("materialised subgroup order disagrees with its index set")
             self._group = grp
@@ -257,8 +254,8 @@ class Subgroup:
 
     def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple like ``PermGroup.elements``."""
-        perms = self.parent.universe(limits).perms
-        return tuple(perms[i] for i in sorted(self.indices))
+        images = self.parent.universe(limits).images
+        return tuple(_trusted(images[i]) for i in sorted(self.indices))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -290,7 +287,8 @@ def _composed(index: dict, images, at):
 
 
 class _Universe:
-    """Index arithmetic over one group's full, canonically sorted element list.
+    """Index arithmetic over one group's full, canonically sorted list of
+    image tuples (``images``; ``index`` maps each to its position).
 
     ``rows[x]`` is row x of the multiplication table, read through
     ``gather``: ``gather(at)(rows[x])`` is (x·a for a in at), x first, then
@@ -315,20 +313,19 @@ class _Universe:
     positions (``conjugates``).
 
     ``gens`` are the indices of the generators the table was built from
-    (no identity, no repeats); ``conjugation_rows()`` are conjugation by
-    them, and ``conjugacy_classes()`` their orbits; both are computed once
-    per table."""
+    (no identity, no repeats); ``conj_rows`` are conjugation by them, built
+    with the table, and ``conjugacy_classes()`` their orbits, computed on
+    the first call."""
 
-    __slots__ = ("perms", "images", "index", "n", "degree", "identity", "table", "rows",
-                 "gather", "inv_arr", "orders", "canon", "cyclic", "gens", "_conj", "_classes")
+    __slots__ = ("images", "index", "n", "degree", "identity", "table", "rows", "gather",
+                 "inv_arr", "orders", "canon", "cyclic", "gens", "conj_rows", "_classes")
 
-    def __init__(self, perms: tuple[Permutation, ...], generators=()):
-        self._conj = self._classes = None
-        self.perms = perms
-        self.images = images = [p.images for p in perms]
+    def __init__(self, images: tuple[tuple[int, ...], ...], generators):
+        self._classes = None
+        self.images = images
         self.index = index = {im: i for i, im in enumerate(images)}
-        self.n = n = len(perms)
-        self.degree = perms[0].degree
+        self.n = n = len(images)
+        self.degree = len(images[0])
         self.identity = ident = index[tuple(range(self.degree))]
         self.gens = tuple(g for g in dict.fromkeys(index[p.images] for p in generators)
                           if g != ident)
@@ -373,6 +370,7 @@ class _Universe:
                         x = powers[j]
                         orders[x], inv[x], canon[x] = k, powers[k - j], i
                 cyclic[frozenset(powers)] = (i,)
+        self.conj_rows = self.conjugation_rows(self.gens)
 
     def mul(self, i: int, j: int) -> int:
         row = self.rows[i]
@@ -457,15 +455,10 @@ class _Universe:
         _, kept = self.grow(((i,) for i in sorted(idx_set)), len(idx_set))
         return tuple(i for i, in kept)
 
-    def conjugation_rows(self, by=None) -> tuple[tuple[int, ...], ...]:
-        """For each g of ``by`` (G's generators by default, whose rows are
-        cached), the row i -> g⁻¹·i·g: two C-level gathers.  Row g⁻¹ read at
-        the inverses is f: i -> g⁻¹·i⁻¹ (``gather``), and f read at f is
-        g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g (a plain tuple gather)."""
-        if by is None:
-            if self._conj is None:
-                self._conj = self.conjugation_rows(self.gens)
-            return self._conj
+    def conjugation_rows(self, by) -> tuple[tuple[int, ...], ...]:
+        """For each g of ``by``, the row i -> g⁻¹·i·g: two C-level gathers.
+        Row g⁻¹ read at the inverses is f: i -> g⁻¹·i⁻¹ (``gather``), and f
+        read at f is g⁻¹·(g⁻¹·i⁻¹)⁻¹ = g⁻¹·i·g (a plain tuple gather)."""
         inv, rows = self.inv_arr, self.rows
         at_inverses = self.gather(inv)
         fs = (at_inverses(rows[inv[g]]) for g in by)
@@ -483,7 +476,7 @@ class _Universe:
         member: orbits of the conjugation rows, grown a frontier at a time,
         computed on the first call and cached."""
         if self._classes is None:
-            rows = self.conjugation_rows()
+            rows = self.conj_rows
             seen: set[int] = set()
             classes = []
             for start in range(self.n):
@@ -583,7 +576,7 @@ def normalizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS)
 def is_normal(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
     """True when S is normalised by every generator of G."""
     _require_subgroup_of(G, S, "S")
-    return _normalised_by(G.universe(limits).conjugation_rows(), S.indices, S.gens)
+    return _normalised_by(G.universe(limits).conj_rows, S.indices, S.gens)
 
 
 def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
@@ -711,7 +704,7 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
         raise DomainError("cannot form the quotient: subgroup is not normal")
     u = G.universe(limits)
     if N.order == 1:  # the image is G itself, which G's own cache must not hold
-        return QuotientGroup(G, N, G, {u.images[i]: u.perms[i] for i in range(u.n)})
+        return QuotientGroup(G, N, G, {im: _trusted(im) for im in u.images})
 
     def compute():
         labels, reps = _coset_labels(u, N.indices)
@@ -719,7 +712,7 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
         coset_of = [rank[x] for x in labels]
         proj = {u.images[x]: Permutation(tuple(coset_of[u.mul(r, x)] for r in reps))
                 for x in range(u.n)}
-        image = PermGroup(len(reps), tuple(proj[u.images[g]] for g in u.gens))
+        image = PermGroup(len(reps), tuple(proj[u.images[g]] for g in u.gens), G.order)
         if image.order * N.order != G.order:
             raise CrossCheckError("coset action order disagrees with the index")
         for a in G.generators:
@@ -738,7 +731,7 @@ def _conjugates(u: _Universe, found: dict) -> dict:
     """The given subgroups, {element set: generators}, and all their conjugates
     with conjugated generators: one gather per (class member, generator of
     G) on the conjugation rows."""
-    rows = u.conjugation_rows()
+    rows = u.conj_rows
     out = dict(found)
     queue = list(out)
     for s in queue:
@@ -796,7 +789,7 @@ def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
     join K to conjugates of the first one's join.  The candidates must be a
     union of orbits; each orbit is walked on the conjugation rows of
     generators of N_G(K), G's own when K is normal."""
-    rows = u.conjugation_rows()
+    rows = u.conj_rows
     if not _normalised_by(rows, k_set, k_gens):
         rows = u.conjugation_rows(u.derive_gens(_normalizer_set(u, k_set, k_gens)))
     canon = u.canon
@@ -1031,7 +1024,7 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
         u = G.universe(limits)
         target = len(floor) * _p_part(G.order // len(floor), pset)
         n, _ = u.grow(u.conjugacy_classes(), target, floor)
-        if not _normalised_by(u.conjugation_rows(), n, n):
+        if not _normalised_by(u.conj_rows, n, n):
             raise CrossCheckError("the largest normal subgroup over a floor is not normal")
         return n
     return _memo(G, ("normal_over", floor, pset), compute, limits)

@@ -3,9 +3,10 @@
 Composition convention: (p * q) applies p first, then q.
 
 A permutation built from outside input (``Permutation(images)``,
-``from_cycles``) is checked to be a bijection given by ints: nothing is
-coerced, and a bool or a float is refused.  Products and inverses of
-checked permutations are bijections already, so they skip that check.
+``from_cycles``, ``identity``) is checked to be a bijection given by ints,
+of a degree given by an int: nothing is coerced, and a bool or a float is
+refused.  Products and inverses of checked permutations are bijections
+already, so they skip that check.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ class Permutation:
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
+        return Permutation.from_cycles(degree, ())
 
     @staticmethod
     def from_cycles(degree: int, cycles, one_based: bool = False) -> "Permutation":
         """Build a permutation from disjoint cycles given as point sequences.
-        A point must be an int (a bool is refused): no value is coerced."""
+        The degree and every point must be ints (a bool is refused): no value
+        is coerced."""
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise GroupInputError(f"degree {degree!r} is not an integer")
         images = list(range(degree))
         seen: set[int] = set()
         for cycle in cycles:

@@ -107,6 +107,12 @@ def test_check_predicates(capsys):
     assert rc == 0 and json.loads(out)["value"] is False
 
 
+def test_check_pi_reports_each_prime_once(capsys):
+    rc, out, _ = run(capsys, "check", "--group", "zoo:S4", "--predicate", "pi-closed",
+                     "--pi", "3, 2,3")
+    assert rc == 0 and json.loads(out)["pi"] == [2, 3]
+
+
 @pytest.mark.parametrize("tag", ("S6", "A6", "wreath_c2_s3"))
 @pytest.mark.parametrize("predicate", ("schmidt", "critical"))
 def test_check_schmidt_and_critical_above_lattice_caps(capsys, tag, predicate):
@@ -224,6 +230,12 @@ def test_error_paths(capsys, tmp_path):
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+    # each --pi token must be ASCII digits, as a partition spec's JSON reads them
+    for pi in ("2_0", "\u0663", "-3", "3,,5", "+5", "3.0"):
+        rc, out, err = run(capsys, "check", "--group", "zoo:S4", "--predicate", "pi-closed",
+                           "--pi", pi)
+        assert rc == 2 and out == "", pi
+        assert err.startswith("error: bad --pi value") and err.count("\n") == 1, pi
 
 
 @pytest.mark.parametrize("generators", ["[[[1.5, 2]]]", "[[[true, 2]]]", "[[1, false]]",

@@ -43,6 +43,9 @@ def test_constructor_validation():
         PermGroup(3, [Permutation((1, 0))])
     with pytest.raises(GroupInputError):
         PermGroup(3, ["(0 1)"])
+    for bound in (None, 0, True, 6.0, "6"):
+        with pytest.raises(GroupInputError, match="max_order"):
+            PermGroup(3, [], max_order=bound)
 
 
 @pytest.mark.parametrize("degree", (True, 2.0, "3", None), ids=("bool", "float", "str", "None"))
@@ -317,11 +320,11 @@ def assert_sylow_sets(groups):
     generators, has the p-part of the order and holds only p-elements."""
     for g in groups:
         g = PermGroup(g.degree, g.generators)  # its table built under the current limit
-        u = g.universe()
+        u, elems = g.universe(), g.elements()
         for p, e in prime_factors(g.order):
             s, gens = _sylow_set(g, p, DEFAULT_LIMITS)
             assert len(s) == p**e and u.closure(gens) == s
-            assert all(p**e % u.perms[i].order() == 0 for i in s)
+            assert all(p**e % elems[i].order() == 0 for i in s)
 
 
 def test_sylow(corpus_groups, monkeypatch):
@@ -491,7 +494,8 @@ def test_subgroups_of_a_table_built_above_the_default_cap():
     """Under a raised element cap, S7 (order 5040, above the default cap)
     is enumerated once, and the subgroups read in its table need no second
     check against the default cap; a call under the default cap raises."""
-    g = symmetric(7)
+    g = PermGroup(7, [Permutation.from_cycles(7, [tuple(range(7))]),
+                      Permutation.from_cycles(7, [(0, 1)])], max_order=5040)
     limits = EngineLimits(max_element_order=5040)
     c = sylow(g, 7, limits)
     n = normalizer(g, c, limits)

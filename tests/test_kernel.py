@@ -10,7 +10,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import sigmagraph.cli
@@ -36,9 +36,14 @@ from sigmagraph.zoo import (alternating, build_by_tag, corpus, direct_product, s
                             standard_partitions, symmetric, zoo)
 
 
+def table_elements(u):
+    """The table's elements as checked permutations, in index order."""
+    return [Permutation(im) for im in u.images]
+
+
 def assert_table_matches(G):
     u = G.universe()
-    rows, inv = composed_table(u.perms)
+    rows, inv = composed_table(G.elements())
     assert [list(r) for r in u.rows] == rows
     assert list(u.inv_arr) == inv
 
@@ -46,9 +51,10 @@ def assert_table_matches(G):
 def assert_closure_matches(u, base_gens, gens, cap):
     """closure(gens, base=<base_gens>) is the plain walk's subgroup, and with
     a cap it is None exactly when that subgroup is larger than the cap."""
+    perms = table_elements(u)
     base = u.closure(base_gens)
-    assert base == index_closure(u.perms, base_gens)
-    expected = index_closure(u.perms, list(base_gens) + list(gens))
+    assert base == index_closure(perms, base_gens)
+    expected = index_closure(perms, list(base_gens) + list(gens))
     assert u.closure(gens, base=base) == expected
     assert u.closure(gens, base=base, cap=cap) == (expected if len(expected) <= cap else None)
     assert u.closure(gens, base=base, cap=len(expected)) == expected
@@ -74,10 +80,11 @@ def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
     g = next(e for e in zoo() if e.tag == tag).builder()
     u = g.universe()
     assert not u.table
-    rows, _ = composed_table(u.perms)
+    perms = g.elements()
+    rows, _ = composed_table(perms)
     whole = u.gather(range(u.n))
     assert [list(whole(r)) for r in u.rows] == rows
-    assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
+    assert [perms[i] for i in u.inv_arr] == [p.inverse() for p in perms]
 
 
 def assert_cyclic_walk_matches(u):
@@ -85,9 +92,10 @@ def assert_cyclic_walk_matches(u):
     and the cyclic subgroups walked with them are those of the plain walk:
     canon[i] is the least generator of <i>, and each <g> is keyed in order
     of that generator g."""
-    assert list(u.orders) == [p.order() for p in u.perms]
-    spans = [index_closure(u.perms, (i,)) for i in range(u.n)]
-    least = [min(j for j in spans[i] if u.perms[j].order() == u.perms[i].order())
+    perms = table_elements(u)
+    assert list(u.orders) == [p.order() for p in perms]
+    spans = [index_closure(perms, (i,)) for i in range(u.n)]
+    least = [min(j for j in spans[i] if perms[j].order() == perms[i].order())
              for i in range(u.n)]
     assert u.canon == least
     assert list(u.cyclic.items()) == [(spans[g], (g,) if g != u.identity else ())
@@ -126,13 +134,14 @@ def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
 def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
     """Each gathered row holds the identity row's int objects, so a table of
     n rows costs one pointer per entry and n ints in all."""
-    u = symmetric(6).universe()
+    g = symmetric(6)
+    u, perms = g.universe(), g.elements()
     ident = u.rows[u.identity]
     assert ident == tuple(range(u.n))
     for row in u.rows:
         assert type(row) is tuple
         assert all(x is ident[x] for x in row)
-    assert [u.perms[i] for i in u.inv_arr] == [p.inverse() for p in u.perms]
+    assert [perms[i] for i in u.inv_arr] == [p.inverse() for p in perms]
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5", "wreath_c2_s3"))
@@ -174,13 +183,13 @@ def assert_table_reads_match_naive(G, subgroups):
     from each subgroup's set are those of the plain walk: each is the least
     index outside the subgroup its predecessors generate, and all of them
     generate the set."""
-    u = G.universe()
+    u, perms = G.universe(), G.elements()
     normals = []
     for s in subgroups:
         gens = u.derive_gens(s.indices)
         for k, g in enumerate(gens):
-            assert g == min(s.indices - index_closure(u.perms, gens[:k]))
-        assert index_closure(u.perms, gens) == s.indices
+            assert g == min(s.indices - index_closure(perms, gens[:k]))
+        assert index_closure(perms, gens) == s.indices
         assert elements_of(centralizer(G, s)) == naive_centralizer(G, s.elements())
         naive = naive_normalizer(G, s.elements())
         assert elements_of(normalizer(G, s)) == naive
@@ -194,7 +203,7 @@ def assert_table_reads_match_naive(G, subgroups):
                         == naive_centralizer_of_factor(G, h.elements(), k.elements()))
     classes = u.conjugacy_classes()
     assert list(classes) == sorted(classes) and all(list(c) == sorted(c) for c in classes)
-    assert {frozenset(u.perms[i] for i in c) for c in classes} == naive_conjugacy_classes(G)
+    assert {frozenset(perms[i] for i in c) for c in classes} == naive_conjugacy_classes(G)
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS)
@@ -251,19 +260,20 @@ def test_identity_and_repeated_generators():
 
 
 def test_closure_over_a_one_element_base():
-    u = symmetric(4).universe()
+    s4 = symmetric(4)
+    u, perms = s4.universe(), s4.elements()
     one = frozenset({u.identity})
     assert u.closure([], base=one) == one
     for g in range(u.n):
-        assert u.closure([g], base=one) == u.closure([g]) == index_closure(u.perms, [g])
+        assert u.closure([g], base=one) == u.closure([g]) == index_closure(perms, [g])
 
 
 def test_generators_that_miss_elements_are_refused():
-    elems = symmetric(4).elements()
+    images = tuple(p.images for p in symmetric(4).elements())
     with pytest.raises(CrossCheckError):
-        _Universe(elems, [Permutation.from_cycles(4, [(0, 1)])])
+        _Universe(images, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(CrossCheckError):
-        _Universe(elems, [])
+        _Universe(images, [])
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5",))
@@ -300,11 +310,15 @@ def test_kernel_fuzz_on_small_degrees(seed):
     subgroup lattice against the brute-force one.  Every group checks the
     cyclic walk's orders, canon, cyclic subgroups and inverses, and closures
     over a drawn base; those above the table limit (A7) take the path
-    without a table."""
+    without a table.  A draw whose walk passes the default cap (S7) is
+    rejected."""
     rng = random.Random(seed)
     degree = rng.randint(2, 7)
-    g = PermGroup(degree, [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))])
-    assume(g.order <= DEFAULT_LIMITS.max_element_order)
+    gens = [random_permutation(rng, degree) for _ in range(rng.randint(1, 3))]
+    try:
+        g = PermGroup(degree, gens)
+    except ResourceLimitError:
+        reject()
     u = g.universe()
     if g.order <= 24:
         assert {frozenset(s.elements()) for s in all_subgroups(g)} == brute_subgroup_sets(g)
@@ -439,12 +453,12 @@ def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
 def assert_gathers_match_entries(G):
     """gather(at) on every row, for whole rows, the inverses and a few
     fixed position sets, and for the column of each generator (at = (g,));
-    mul at every entry; and conjugation_rows(by) and conjugates(g, at) at
-    the fixed position sets, for by = G's generators and by = generators
-    of the normaliser of a Sylow 2-subgroup: all against the table of
-    permutation products (``composed_table``)."""
+    mul at every entry; conjugation_rows(by) and conjugates(g, at) at the
+    fixed position sets, for by = G's generators and by = generators of the
+    normaliser of a Sylow 2-subgroup; and conj_rows, built with the table:
+    all against the table of permutation products (``composed_table``)."""
     u = G.universe()
-    table, inv = composed_table(u.perms)
+    table, inv = composed_table(G.elements())
     n = u.n
     assert list(u.inv_arr) == inv
     fixed = (tuple(range(n)), inv, (u.identity,), (n - 1, 0, n // 2), tuple(range(0, n, 7)))
@@ -462,7 +476,7 @@ def assert_gathers_match_entries(G):
         for g, row in zip(by, want):
             for at in fixed:
                 assert list(u.conjugates(g, at)) == [row[a] for a in at]
-    assert u.conjugation_rows() == u.conjugation_rows(u.gens)
+    assert u.conj_rows == u.conjugation_rows(u.gens)
 
 
 @pytest.mark.parametrize("tag", ("S4", "A5", "wreath_c2_s3"))
@@ -496,7 +510,7 @@ def test_bulk_reads_above_the_table_limit_make_no_pointwise_call(monkeypatch):
 
     monkeypatch.setattr(_Universe, "mul", counted)
     assert u.closure(p2.gens) == p2.indices
-    assert len(u.conjugation_rows()) == len(u.gens)
+    assert u.conjugation_rows(u.gens) == u.conj_rows
     assert set(u.conjugates(u.gens[0], tuple(p2.indices))) < set(range(u.n))
     c, n = centralizer(g, p2), normalizer(g, p2)
     assert c.indices <= n.indices and p2.indices <= n.indices

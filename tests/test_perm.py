@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,16 @@ def test_from_cycles_rejects_out_of_range():
 def test_from_cycles_rejects_a_point_that_is_not_an_int(point):
     with pytest.raises(GroupInputError):
         Permutation.from_cycles(3, [(point, 2)])
+
+
+@pytest.mark.parametrize("degree", (True, 2.0, "3", None), ids=("bool", "float", "str", "None"))
+def test_identity_and_from_cycles_refuse_a_degree_that_is_not_an_int(degree):
+    """A bool is not read as 1, and a float, a string or None is refused
+    with the input error, not a bare TypeError from range."""
+    with pytest.raises(GroupInputError, match="degree"):
+        Permutation.from_cycles(degree, [])
+    with pytest.raises(GroupInputError, match="degree"):
+        Permutation.identity(degree)
 
 
 def test_from_cycles_rejects_overlap():
@@ -141,16 +153,33 @@ def test_walk_of_every_corpus_group_matches_bsgs_and_validated_closure():
         assert fresh.order == expected and fresh.elements() == G.elements(), tag
 
 
+def s7_generators():
+    return (Permutation.from_cycles(7, [tuple(range(7))]), Permutation.from_cycles(7, [(0, 1)]))
+
+
 def test_walk_past_the_default_cap_takes_the_order_from_bsgs():
-    """Past the default max_element_order the walk stops; without max_order
-    the order comes from the strong generating set, and the elements from
-    an unbounded walk once a larger cap admits them."""
-    gens = symmetric(7).generators
-    g = PermGroup(7, gens)
+    """Past the default max_element_order the walk stops and raises the cap;
+    under a raised max_order it gives S7, whose order the strong generating
+    set confirms and whose elements are those of a closure with the
+    bijection check, and which stays capped under the default limits."""
+    gens = s7_generators()
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
+        PermGroup(7, gens)
+    g = PermGroup(7, gens, max_order=5040)
     assert g.order == Bsgs(7, gens).order == 5040
-    assert "elements" not in g._cache
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
+        g.elements()
     elems = g.elements(EngineLimits(max_element_order=5040))
     assert len(set(elems)) == 5040
     assert [p.images for p in elems] == sorted(validated_closure(g))
     with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5039\]"):
         PermGroup(7, gens, max_order=5039)
+
+
+def test_a_group_far_past_the_cap_is_refused_at_once():
+    """S12 (order 479001600) costs a walk to one element past the default
+    cap, not an enumeration."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
+        symmetric(12)
+    assert time.perf_counter() - start < 0.5
