@@ -153,16 +153,12 @@ def test_walk_of_every_corpus_group_matches_bsgs_and_validated_closure():
         assert fresh.order == expected and fresh.elements() == G.elements(), tag
 
 
-def s7_generators():
-    return (Permutation.from_cycles(7, [tuple(range(7))]), Permutation.from_cycles(7, [(0, 1)]))
-
-
 def test_walk_past_the_default_cap_takes_the_order_from_bsgs():
     """Past the default max_element_order the walk stops and raises the cap;
     under a raised max_order it gives S7, whose order the strong generating
     set confirms and whose elements are those of a closure with the
     bijection check, and which stays capped under the default limits."""
-    gens = s7_generators()
+    gens = (Permutation.from_cycles(7, [tuple(range(7))]), Permutation.from_cycles(7, [(0, 1)]))
     with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
         PermGroup(7, gens)
     g = PermGroup(7, gens, max_order=5040)
