@@ -14,7 +14,9 @@ above 256 or more than 64 generators is refused as a cap (``max_degree``,
 ``max_generators``) before any permutation is built, and one whose order
 exceeds ``max_element_order`` (``--max-order``) as soon as the walk that
 enumerates it finds one element more, so refusing a group above the cap
-costs about as much as enumerating one at the cap.  A ``--pi`` or
+costs about as much as enumerating one at the cap.  Every group a call
+reads, each corpus group and each Theorem 1.7 fixture included, is built
+under the call's caps and decided under them.  A ``--pi`` or
 partition-spec integer above 10**6 is refused (``max_prime``) before it is
 factored.  Error messages are a single stderr line prefixed ``error:``.
 
@@ -48,7 +50,7 @@ _BUILDERS = {"hawkes": build_hawkes, "hall": build_hall, "vm": build_vm}
 # the check predicates but pi-closed, which reads --pi; schmidt takes no sigma
 _PREDICATES = {"soluble": is_sigma_soluble, "nilpotent": is_sigma_nilpotent,
                "dispersive": is_sigma_dispersive,
-               "schmidt": lambda G, sigma, limits: is_schmidt(G, limits),
+               "schmidt": lambda G, sigma: is_schmidt(G),
                "critical": is_critical}
 
 # input caps on a group spec, checked before any permutation is built
@@ -93,7 +95,7 @@ def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGro
         raise ResourceLimitError(f"group spec has {len(raw)} generators",
                                  cap_name="max_generators", cap_value=_MAX_GENERATORS)
     gens = [_parse_generator(entry, degree) for entry in raw]
-    group = PermGroup(degree, gens, limits.max_element_order)
+    group = PermGroup(degree, gens, limits)
     if expected is not None and expected != group.order:
         raise GroupInputError(
             f"expected_order {expected} does not match computed order {group.order}")
@@ -105,8 +107,8 @@ def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     if spec.startswith("zoo:"):
         tag = spec[len("zoo:"):]
         G = build_by_tag(tag)
-        # a group of its own, so nothing this call computes outlives it
-        return tag, PermGroup(G.degree, G.generators, limits.max_element_order)
+        # a group of its own under this call's caps, so nothing it computes outlives it
+        return tag, PermGroup(G.degree, G.generators, limits)
     if spec.startswith("{"):
         return _group_from_json(_json_spec(spec, "bad group spec"), "inline", limits)
     path = Path(spec)
@@ -153,7 +155,7 @@ def _cmd_graph(args, limits: EngineLimits) -> int:
     tag, G = _load_group(args.group, limits)
     _require_nontrivial(G)
     sigma = parse_sigma_spec(args.sigma)
-    graph = _BUILDERS[args.kind](G, sigma, limits, tag)
+    graph = _BUILDERS[args.kind](G, sigma, group_tag=tag)
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
@@ -170,7 +172,7 @@ def _cmd_check(args, limits: EngineLimits) -> int:
     payload = {"group": tag, "order": G.order, "predicate": args.predicate,
                "sigma": sigma.to_json()}
     if args.predicate in _PREDICATES:
-        value = _PREDICATES[args.predicate](G, sigma, limits)
+        value = _PREDICATES[args.predicate](G, sigma)
     else:  # pi-closed
         if not args.pi:
             raise GroupInputError("--pi is required for the pi-closed predicate")
@@ -184,7 +186,7 @@ def _cmd_check(args, limits: EngineLimits) -> int:
             raise GroupInputError(f"bad --pi value {args.pi!r}: {exc}") from exc
         classes = frozenset(sigma.classify(p) for p in primes)
         payload["pi"] = primes
-        value = is_pi_closed(G, PiSet(classes), limits)
+        value = is_pi_closed(G, PiSet(classes))
     payload["value"] = value
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -193,7 +195,8 @@ def _cmd_check(args, limits: EngineLimits) -> int:
 def _cmd_verify(args, limits: EngineLimits) -> int:
     statements = ALL_STATEMENTS if args.statement == "all" else (args.statement,)
     if args.corpus:
-        groups = corpus()
+        # each rebuilt under this call's caps as the stream reaches it
+        groups = ((tag, PermGroup(G.degree, G.generators, limits)) for tag, G in corpus())
     else:
         tag, G = _load_group(args.group, limits)
         _require_nontrivial(G)

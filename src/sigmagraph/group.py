@@ -1,13 +1,14 @@
 """Permutation-group kernel: generated groups, subgroup search, normal series.
 
 All public values are immutable after construction and every operation is a
-pure function of its inputs.  Every value cached on a group, a quotient and
-a cap failure included, goes through ``_memo``: it is only ever reused,
-never mutated, a value that depends on a cap (a subgroup family, a Hall
-graph) is keyed by that cap, a ResourceLimitError is cached as a fresh copy
-and raised again on every read, and every read checks max_element_order
-first, cached or not, so memoisation is observationally transparent.  A
-group's caches hold index sets and generator indices, never a value that
+pure function of its inputs.  A group's enumeration caps (``EngineLimits``)
+are fixed when it is built and held as ``PermGroup.limits``; no function
+that reads a group takes caps of its own, and a group built from a group
+inherits its caps.  Every value cached on a group, a quotient and a cap
+failure included, goes through ``_memo``: it is only ever reused, never
+mutated, and a ResourceLimitError is cached as a fresh copy and raised again
+on every read, so memoisation is observationally transparent.  A group's
+caches hold index sets and generator indices, never a value that
 refers back to the group (``Subgroup`` and ``ChiefSeries`` wrappers are
 made per call), so a dropped group is freed at once, not by the cycle
 collector.
@@ -101,20 +102,23 @@ _TABLE_LIMIT = 1500  # build a full multiplication table up to this order
 
 
 class PermGroup:
-    """Finite permutation group, enumerated by a breadth-first walk over its
-    Cayley graph from the identity (``_cayley_walk``).
+    """Finite permutation group under fixed enumeration caps, enumerated by a
+    breadth-first walk over its Cayley graph from the identity
+    (``_cayley_walk``).
 
-    The walk stops once it has found more than max_order elements (the
-    default ``max_element_order`` unless given) and then raises a
+    ``limits`` holds the caps; every search on the group reads them from
+    there, so a group is decided under the one set of caps it was built
+    with, and a group built from it (a subgroup as a group of its own, a
+    quotient image) inherits them.  The walk stops once it has found more
+    than ``limits.max_element_order`` elements and then raises a
     ResourceLimitError naming max_element_order, so refusing a group above a
     cap costs about as much as enumerating one at the cap.  A walk that
     completes gives the order and the sorted image tuples, the one element
     list that ``elements`` and ``universe`` read."""
 
-    __slots__ = ("degree", "generators", "order", "_images", "_cache")
+    __slots__ = ("degree", "generators", "order", "limits", "_images", "_cache")
 
-    def __init__(self, degree: int, generators,
-                 max_order: int = DEFAULT_LIMITS.max_element_order):
+    def __init__(self, degree: int, generators, limits: EngineLimits = DEFAULT_LIMITS):
         if not _is_int(degree):
             raise GroupInputError(f"degree must be an int, got {degree!r}")
         if degree < 1:
@@ -125,16 +129,18 @@ class PermGroup:
                 raise GroupInputError(f"generator {g!r} is not a Permutation")
             if g.degree != degree:
                 raise GroupInputError(f"generator {g} has degree {g.degree}, expected {degree}")
-        if not _is_int(max_order) or max_order < 1:
-            raise GroupInputError(f"max_order must be an int of at least 1, got {max_order!r}")
-        images = _cayley_walk(degree, gens, max_order)
+        if not isinstance(limits, EngineLimits):
+            raise GroupInputError(f"limits must be an EngineLimits, got {limits!r}")
+        bound = limits.max_element_order
+        images = _cayley_walk(degree, gens, bound)
         if images is None:
             raise ResourceLimitError(
-                f"group of order above {max_order} is too large to enumerate",
-                cap_name="max_element_order", cap_value=max_order)
+                f"group of order above {bound} is too large to enumerate",
+                cap_name="max_element_order", cap_value=bound)
         self.degree = degree
         self.generators = gens
         self.order = len(images)
+        self.limits = limits
         self._images = images
         self._cache: dict = {}
 
@@ -145,15 +151,13 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
-        """All elements, sorted by image tuple.  Capped by max_element_order,
-        also when they are already cached."""
-        return _memo(self, "elements", lambda: tuple(map(_trusted, self._images)), limits)
+    def elements(self) -> tuple[Permutation, ...]:
+        """All elements, sorted by image tuple."""
+        return _memo(self, "elements", lambda: tuple(map(_trusted, self._images)))
 
-    def universe(self, limits: EngineLimits = DEFAULT_LIMITS) -> "_Universe":
-        """The element table, capped like ``elements``."""
-        return _memo(self, "universe",
-                     lambda: _Universe(self._images, self.generators), limits)
+    def universe(self) -> "_Universe":
+        """The element table."""
+        return _memo(self, "universe", lambda: _Universe(self._images, self.generators))
 
 
 def _cayley_walk(degree: int, generators, bound: int) -> tuple[tuple[int, ...], ...] | None:
@@ -181,18 +185,12 @@ def _cayley_walk(degree: int, generators, bound: int) -> tuple[tuple[int, ...], 
 _MISSING = object()
 
 
-def _memo(G: PermGroup, key, compute, limits: EngineLimits):
-    """G's value for key, computed on the first call and cached on G.  Every
-    read checks max_element_order first, cached or not, so a cap holds
-    whatever ran before on the group; a value that depends on another cap
-    carries that cap in its key.  A ResourceLimitError that compute raises
-    is cached as well, without its traceback (which holds compute's partial
-    work), and every later read raises a fresh copy of it.  A hit hashes
-    the key once."""
-    if G.order > limits.max_element_order:
-        raise ResourceLimitError(
-            f"group of order {G.order} is too large to enumerate",
-            cap_name="max_element_order", cap_value=limits.max_element_order)
+def _memo(G: PermGroup, key, compute):
+    """G's value for key, computed on the first call and cached on G.  The
+    value may depend on G's caps, which are fixed with G, so the key holds
+    none.  A ResourceLimitError that compute raises is cached as well,
+    without its traceback (which holds compute's partial work), and every
+    later read raises a fresh copy of it.  A hit hashes the key once."""
     cache = G._cache
     value = cache.get(key, _MISSING)
     if value is _MISSING:
@@ -206,12 +204,6 @@ def _memo(G: PermGroup, key, compute, limits: EngineLimits):
     return value
 
 
-def _built_universe(G: PermGroup) -> "_Universe":
-    """G's element table, read where a subgroup of G shows that it is built
-    (under the caps of the call that built it)."""
-    return G._cache["universe"]
-
-
 class Subgroup:
     """A subgroup of a fixed parent group, held as its set of element indices
     in the parent's element table (``parent.universe()``).
@@ -220,8 +212,7 @@ class Subgroup:
     small canonical set derived from the index set on first read.  Order,
     elements and containment are read off the index set.  ``group``, the
     subgroup as a ``PermGroup`` in its own right, is built from ``gens`` on
-    first use, walked under the parent's order, and checked against the
-    index set."""
+    first use, under the parent's caps, and checked against the index set."""
 
     __slots__ = ("parent", "indices", "_gens", "_group")
 
@@ -234,7 +225,7 @@ class Subgroup:
     @property
     def gens(self) -> tuple[int, ...]:
         if self._gens is None:
-            self._gens = _built_universe(self.parent).derive_gens(self.indices)
+            self._gens = self.parent.universe().derive_gens(self.indices)
         return self._gens
 
     @property
@@ -244,17 +235,17 @@ class Subgroup:
     @property
     def group(self) -> PermGroup:
         if self._group is None:
-            images = _built_universe(self.parent).images
+            images = self.parent.universe().images
             grp = PermGroup(self.parent.degree, [_trusted(images[i]) for i in self.gens],
-                            self.parent.order)
+                            self.parent.limits)
             if grp.order != self.order:
                 raise CrossCheckError("materialised subgroup order disagrees with its index set")
             self._group = grp
         return self._group
 
-    def elements(self, limits: EngineLimits = DEFAULT_LIMITS) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple like ``PermGroup.elements``."""
-        images = self.parent.universe(limits).images
+        images = self.parent.universe().images
         return tuple(_trusted(images[i]) for i in sorted(self.indices))
 
     def __repr__(self) -> str:
@@ -558,29 +549,28 @@ def _normalizer_set(u: _Universe, s_set: frozenset[int], s_gens) -> frozenset[in
     return frozenset(compress(range(u.n), map(keep.__contains__, labels)))
 
 
-def centralizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+def centralizer(G: PermGroup, S: Subgroup) -> Subgroup:
     """Elements of G commuting with every element of S: x commutes with s
     iff the conjugation row of s fixes x, for each generator s."""
     _require_subgroup_of(G, S, "S")
-    u = G.universe(limits)
+    u = G.universe()
     return Subgroup(G, _where_equal(u, ((row, range(u.n))
                                         for row in u.conjugation_rows(S.gens))))
 
 
-def normalizer(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+def normalizer(G: PermGroup, S: Subgroup) -> Subgroup:
     """Elements of G conjugating S to itself."""
     _require_subgroup_of(G, S, "S")
-    return Subgroup(G, _normalizer_set(G.universe(limits), S.indices, S.gens))
+    return Subgroup(G, _normalizer_set(G.universe(), S.indices, S.gens))
 
 
-def is_normal(G: PermGroup, S: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_normal(G: PermGroup, S: Subgroup) -> bool:
     """True when S is normalised by every generator of G."""
     _require_subgroup_of(G, S, "S")
-    return _normalised_by(G.universe(limits).conj_rows, S.indices, S.gens)
+    return _normalised_by(G.universe().conj_rows, S.indices, S.gens)
 
 
-def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
-                          limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup) -> Subgroup:
     """Elements x of G with [x, H] inside K, for K normal in H: [x, h] =
     x⁻¹·x^h lies in K iff x^h lies in x·K, so the conjugation row of h and
     the identity are compared through K's left coset labels.  No library
@@ -588,7 +578,7 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
     the chief-factor routes."""
     _require_subgroup_of(G, H, "H")
     _require_subgroup_of(G, K, "K")
-    u = G.universe(limits)
+    u = G.universe()
     k_set = K.indices
     if not k_set <= H.indices:
         raise DomainError("K is not contained in H")
@@ -604,9 +594,9 @@ def centralizer_of_factor(G: PermGroup, H: Subgroup, K: Subgroup,
 # normal subgroups and chief series
 
 
-def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[frozenset[int]]:
+def _normal_subgroup_sets(G: PermGroup) -> list[frozenset[int]]:
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         classes = u.conjugacy_classes()
         trivial = frozenset({u.identity})
         found = {trivial}
@@ -620,16 +610,16 @@ def _normal_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[frozenset[
                     found.add(m_set)
                     queue.append(m_set)
         return _sorted_sets(found)
-    return _memo(G, "normal_sets", compute, limits)
+    return _memo(G, "normal_sets", compute)
 
 
-def normal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
+def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     """Every normal subgroup of G, sorted by order then element list.
 
     A normal subgroup is a join of conjugacy classes, so the enumeration
     joins each one found with each class until no new one appears.  No
     library route calls it; the tests read it as an oracle."""
-    return [Subgroup(G, s) for s in _normal_subgroup_sets(G, limits)]
+    return [Subgroup(G, s) for s in _normal_subgroup_sets(G)]
 
 
 @dataclass(frozen=True)
@@ -638,13 +628,13 @@ class ChiefSeries:
     terms: tuple[Subgroup, ...]      # ascending, from trivial to the group
 
 
-def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSeries:
+def chief_series(G: PermGroup) -> ChiefSeries:
     """One chief series, built by repeatedly taking the canonically smallest
     minimal normal subgroup above the current term.  No library route calls
     it: sigma-solubility walks up the normal subgroups one class at a time."""
     if G.is_trivial:
         raise DomainError("the trivial group has no chief series")
-    normal_sets = _normal_subgroup_sets(G, limits)
+    normal_sets = _normal_subgroup_sets(G)
 
     def compute():
         chain = [normal_sets[0]]
@@ -655,7 +645,7 @@ def chief_series(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> ChiefSe
             # subgroup strictly between would be smaller and sort earlier
             chain.append(next(s for s in normal_sets if cur < s))
         return chain
-    chain = _memo(G, "chief_series", compute, limits)
+    chain = _memo(G, "chief_series", compute)
     return ChiefSeries(G, tuple(Subgroup(G, s) for s in chain))
 
 
@@ -690,19 +680,19 @@ class QuotientGroup:
         into the given subgroup of the image."""
         if sub.parent is not self.image:
             raise DomainError("the subgroup does not lie in the quotient image")
-        u, v = _built_universe(self.source), _built_universe(self.image)
+        u, v = self.source.universe(), self.image.universe()
         return frozenset(i for i in range(u.n)
                          if v.idx_of(self._proj[u.images[i]]) in sub.indices)
 
 
-def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -> QuotientGroup:
+def quotient(G: PermGroup, N: Subgroup) -> QuotientGroup:
     """Quotient G/N via the faithful action on the cosets of N, as a group
     of its own.  No library route calls it: the predicates read G/N among
     G's normal subgroups over N (``_largest_normal_over``); the tests use it
     as a second route.  Cosets are numbered by their least elements, in order."""
-    if not is_normal(G, N, limits):
+    if not is_normal(G, N):
         raise DomainError("cannot form the quotient: subgroup is not normal")
-    u = G.universe(limits)
+    u = G.universe()
     if N.order == 1:  # the image is G itself, which G's own cache must not hold
         return QuotientGroup(G, N, G, {im: _trusted(im) for im in u.images})
 
@@ -712,7 +702,7 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
         coset_of = [rank[x] for x in labels]
         proj = {u.images[x]: Permutation(tuple(coset_of[u.mul(r, x)] for r in reps))
                 for x in range(u.n)}
-        image = PermGroup(len(reps), tuple(proj[u.images[g]] for g in u.gens), G.order)
+        image = PermGroup(len(reps), tuple(proj[u.images[g]] for g in u.gens), G.limits)
         if image.order * N.order != G.order:
             raise CrossCheckError("coset action order disagrees with the index")
         for a in G.generators:
@@ -720,7 +710,7 @@ def quotient(G: PermGroup, N: Subgroup, limits: EngineLimits = DEFAULT_LIMITS) -
                 if proj[(a * b).images] != proj[a.images] * proj[b.images]:
                     raise CrossCheckError("coset projection is not a homomorphism on generators")
         return image, proj
-    return QuotientGroup(G, N, *_memo(G, ("quotient", N.indices), compute, limits))
+    return QuotientGroup(G, N, *_memo(G, ("quotient", N.indices), compute))
 
 
 # ---------------------------------------------------------------------------
@@ -808,14 +798,15 @@ def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
                     orbit.append(w)
 
 
-def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    if G.order > limits.max_subgroup_order:
+def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    cap = G.limits.max_subgroup_order
+    if G.order > cap:
         raise ResourceLimitError(
             f"group of order {G.order} is too large for subgroup enumeration",
-            cap_name="max_subgroup_order", cap_value=limits.max_subgroup_order)
+            cap_name="max_subgroup_order", cap_value=cap)
 
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
         for y, in filter(None, u.cyclic.values()):
             factors = prime_factors(u.orders[y])
@@ -830,18 +821,13 @@ def _all_subgroup_sets(G: PermGroup, limits: EngineLimits) -> list[tuple[frozens
         pairs = ((k, (y,)) for k in reps
                  for y in _orbit_firsts(u, k, found[k],
                                         (y for y, yp in steps if y not in k and yp in k)))
-        for h in _new_classes(u, found, pairs, limits):
+        for h in _new_classes(u, found, pairs, G.limits):
             reps.append(h)
         return [(s, found[s]) for s in _sorted_sets(found)]
-    return _memo(G, ("all_subgroup_sets", *_lattice_caps(limits)), compute, limits)
+    return _memo(G, "all_subgroup_sets", compute)
 
 
-def _lattice_caps(limits: EngineLimits) -> tuple[int, int, int]:
-    """The caps the subgroup lattice depends on, part of its memo key."""
-    return limits.max_subgroup_order, limits.max_subgroup_count, limits.max_join_work
-
-
-def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
+def all_subgroups(G: PermGroup, limits: EngineLimits | None = None) -> list[Subgroup]:
     """Every subgroup of G, sorted by order then element list.
 
     Cyclic extension up to conjugacy (Neubüser 1960; Holt, Eick and O'Brien,
@@ -858,11 +844,23 @@ def all_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[S
     The subgroups, their generators and the point where a cap fires are
     those of closing every <y>.  max_subgroup_order gates G;
     max_subgroup_count caps the subgroups found (the sum of the class
-    lengths), max_join_work the joins taken up, skipped ones included."""
-    return [Subgroup(G, s, g) for s, g in _all_subgroup_sets(G, limits)]
+    lengths), max_join_work the joins taken up, skipped ones included.
+    The caps are G's own; ``limits`` is accepted only when it equals them."""
+    # perfbench/workloads.py passes DEFAULT_LIMITS; ROADMAP item 1 drops that
+    # argument there, and then this parameter
+    _refuse_other_limits(G, limits)
+    return [Subgroup(G, s, g) for s, g in _all_subgroup_sets(G)]
 
 
-def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
+def _refuse_other_limits(G: PermGroup, limits: EngineLimits | None) -> None:
+    """Refuse caps other than G's own: a group is searched under the caps it
+    was built with."""
+    if limits is not None and limits != G.limits:
+        raise DomainError("a group is searched under the caps it was built with, "
+                          "not under other limits")
+
+
+def two_generated_subgroups(G: PermGroup) -> list[Subgroup]:
     """Every subgroup <a, b> of G, sorted by order then element list.
 
     Since <a, b>^g = <a^g, b^g>, one cyclic <a> per conjugacy class is
@@ -871,7 +869,7 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
     count and closure caps apply as in all_subgroups.  No library route
     calls it; the tests use it as a pool of subgroups."""
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         found: dict[frozenset[int], tuple[int, ...]] = {}
         reps = []
         for a, a_gens in u.cyclic.items():
@@ -884,54 +882,52 @@ def two_generated_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS)
                  for b in _orbit_firsts(u, a, found[a],
                                         (b for b, b_set in set_of.items()
                                          if not (a <= b_set or b_set <= a))))
-        for _ in _new_classes(u, found, pairs, limits):
+        for _ in _new_classes(u, found, pairs, G.limits):
             pass  # one pass: a new join is not joined again
         return [(s, found[s]) for s in _sorted_sets(found)]
-    key = ("two_generated", limits.max_subgroup_count, limits.max_join_work)
-    return [Subgroup(G, s, g) for s, g in _memo(G, key, compute, limits)]
+    return [Subgroup(G, s, g) for s, g in _memo(G, "two_generated", compute)]
 
 
-def maximal_subgroups(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
+def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
     """Proper subgroups not contained in any larger proper subgroup, sorted
-    like the lattice they are read from and memoised under its caps."""
+    like the lattice they are read from."""
     def compute():
-        proper = [s for s in all_subgroups(G, limits) if s.order < G.order]
+        proper = [s for s in all_subgroups(G) if s.order < G.order]
         return [(s.indices, s.gens) for s in proper
                 if not any(s.indices < t.indices for t in proper)]
-    return [Subgroup(G, s, g)
-            for s, g in _memo(G, ("maximal", *_lattice_caps(limits)), compute, limits)]
+    return [Subgroup(G, s, g) for s, g in _memo(G, "maximal", compute)]
 
 
 # ---------------------------------------------------------------------------
 # Sylow and Hall subgroups
 
 
-def _sylow_set(G: PermGroup, p: int, limits: EngineLimits) -> tuple[frozenset[int], tuple[int, ...]]:
+def _sylow_set(G: PermGroup, p: int) -> tuple[frozenset[int], tuple[int, ...]]:
     """One Sylow p-subgroup and its generators: one greedy pass over the
     p-elements in index order (``_Universe.grow``).  One pass is enough: if
     the result P were short of the p-part, N_G(P) would hold a p-element z
     outside P, and <P, z> would be a p-group; then so would <P', z> for the
     smaller subgroup P' held at z's turn, and z would have joined."""
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         target = _p_part(G.order, (p,))
         current, kept = u.grow(((z,) for z in range(u.n) if target % u.orders[z] == 0), target)
         if len(current) != target:
             raise CrossCheckError(f"Sylow {p}-subgroup construction stalled at order {len(current)}")
         return current, tuple(z for z, in kept)
-    return _memo(G, ("sylow_set", p), compute, limits)
+    return _memo(G, ("sylow_set", p), compute)
 
 
-def sylow(G: PermGroup, p: int, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+def sylow(G: PermGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup, joined from p-elements in index order while the
     join stays a p-group; a p above max_prime raises ResourceLimitError."""
     if not _is_prime(p):
         raise DomainError(f"{p} is not a prime")
-    s, gens = _sylow_set(G, p, limits)
+    s, gens = _sylow_set(G, p)
     return Subgroup(G, s, gens)
 
 
-def _hall_classes(G: PermGroup, primes, limits: EngineLimits) -> list[list[frozenset[int]]]:
+def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
     """The Hall subgroups for the given primes by conjugacy class: each
     class as its element sets in canonical order, the first of which is the
     class representative.
@@ -950,17 +946,18 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits) -> list[list[froze
             raise DomainError(f"{p} is not a prime")
 
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         target = _p_part(G.order, pset)
+        cap = G.limits.max_subgroup_count
         if target == 1:
             return [[frozenset({u.identity})]]
         if target == G.order:
             return [[frozenset(range(u.n))]]
         anchor_p = max((p for p in pset if G.order % p == 0),
                        key=lambda p: _p_part(G.order, (p,)))
-        p0_set, _ = _sylow_set(G, anchor_p, limits)
+        p0_set, _ = _sylow_set(G, anchor_p)
         sylows = [(q, _p_part(G.order, (q,)),
-                   list(_conjugates(u, {_sylow_set(G, q, limits)[0]: ()})))
+                   list(_conjugates(u, {_sylow_set(G, q)[0]: ()})))
                   for q in pset if q != anchor_p and G.order % q == 0]
         candidates = {p0_set}
         queue = [p0_set]
@@ -972,10 +969,10 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits) -> list[list[froze
                     joined = u.closure(s - c_set, base=c_set, cap=target)
                     if joined is None or target % len(joined) != 0 or joined in candidates:
                         continue
-                    if len(candidates) >= limits.max_subgroup_count:
+                    if len(candidates) >= cap:
                         raise ResourceLimitError(
                             "Hall-subgroup search grew past the count cap",
-                            cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+                            cap_name="max_subgroup_count", cap_value=cap)
                     candidates.add(joined)
                     queue.append(joined)
         classes = []
@@ -986,15 +983,15 @@ def _hall_classes(G: PermGroup, primes, limits: EngineLimits) -> list[list[froze
                 found.update(cls)
                 classes.append(_sorted_sets(cls))
         return classes
-    return _memo(G, ("hall", pset, limits.max_subgroup_count), compute, limits)
+    return _memo(G, ("hall", pset), compute)
 
 
-def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> list[Subgroup]:
+def hall_subgroups(G: PermGroup, primes) -> list[Subgroup]:
     """All subgroups whose order is the full primes-part of |G| and whose
     index carries none of the given primes, sorted by order then element
     list.  Possibly empty.  The search works up to conjugacy
     (``_hall_classes``); this is the union of the classes."""
-    members = [s for cls in _hall_classes(G, primes, limits) for s in cls]
+    members = [s for cls in _hall_classes(G, primes) for s in cls]
     return [Subgroup(G, s) for s in _sorted_sets(members)]
 
 
@@ -1002,8 +999,7 @@ def hall_subgroups(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) 
 # cores
 
 
-def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
-                         limits: EngineLimits) -> frozenset[int]:
+def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes) -> frozenset[int]:
     """The largest normal subgroup N of G over the normal subgroup floor
     whose index |N : floor| involves only the given primes.  By the
     correspondence theorem this is the preimage of the largest normal
@@ -1021,21 +1017,21 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes,
     pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
 
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         target = len(floor) * _p_part(G.order // len(floor), pset)
         n, _ = u.grow(u.conjugacy_classes(), target, floor)
         if not _normalised_by(u.conj_rows, n, n):
             raise CrossCheckError("the largest normal subgroup over a floor is not normal")
         return n
-    return _memo(G, ("normal_over", floor, pset), compute, limits)
+    return _memo(G, ("normal_over", floor, pset), compute)
 
 
-def core_series_subgroup(G: PermGroup, primes, limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+def core_series_subgroup(G: PermGroup, primes) -> Subgroup:
     """Largest normal subgroup whose order only involves the given primes;
     a non-prime raises DomainError, a prime above max_prime
     ResourceLimitError."""
     for p in primes:
         if not _is_prime(p):
             raise DomainError(f"{p} is not a prime")
-    trivial = frozenset({G.universe(limits).identity})
-    return Subgroup(G, _largest_normal_over(G, trivial, primes, limits))
+    trivial = frozenset({G.universe().identity})
+    return Subgroup(G, _largest_normal_over(G, trivial, primes))

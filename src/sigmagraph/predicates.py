@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from .errors import CrossCheckError, DomainError
 from .perm import Permutation
-from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _largest_normal_over, _memo, is_normal, sylow)
+from .group import PermGroup, Subgroup, _largest_normal_over, _memo, is_normal, sylow
 from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, pi_part,
                     prime_factors, primes_of, sigma_of_int)
 
@@ -39,7 +38,7 @@ from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, pi_part,
 # solubility and nilpotency
 
 
-def _upper_series(G: PermGroup, cls: SigmaClass, limits: EngineLimits):
+def _upper_series(G: PermGroup, cls: SigmaClass):
     """(F_cls(G), length, separable) off G's upper alternating series for
     cls.  From the trivial term, step to the largest normal subgroup over the
     current term whose index avoids cls, then to the largest one over that
@@ -52,50 +51,47 @@ def _upper_series(G: PermGroup, cls: SigmaClass, limits: EngineLimits):
         primes = primes_of(G.order)
         away = [p for p in primes if not cls.contains(p)]
         toward = [p for p in primes if cls.contains(p)]
-        u = G.universe(limits)
+        u = G.universe()
         full = frozenset(range(u.n))
         cur, first, length = frozenset({u.identity}), None, 0
         while cur != full:
-            floor = _largest_normal_over(G, cur, away, limits)
+            floor = _largest_normal_over(G, cur, away)
             if floor == full:
                 break
-            cur = _largest_normal_over(G, floor, toward, limits)
+            cur = _largest_normal_over(G, floor, toward)
             first = first or cur
             if cur == floor:
                 return first, length, False
             length += 1
         return first or full, length, True
-    return _memo(G, ("series", cls), compute, limits)
+    return _memo(G, ("series", cls), compute)
 
 
-def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
-                     limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition) -> bool:
     """Every chief factor is a group of a single class.  A chief factor is
     one iff, for every class c of |G|, it is a c-group or a c'-group; so G is
     sigma-soluble iff the upper series for every class reaches G
     (``_upper_series``).  Classes go in sort_key order, so the walks that an
     early exit leaves undone do not depend on hash order."""
-    return all(_upper_series(G, cls, limits)[2]
+    return all(_upper_series(G, cls)[2]
                for cls in sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key))
 
 
-def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
-                       limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition) -> bool:
     """G is the direct product of its Hall class-subgroups, that is, has a
     normal Hall subgroup for each class of |G| (Skiba, J. Algebra 436
     (2015)); the paper's sigma-central chief factors say the same."""
-    return all(is_pi_closed(G, PiSet(frozenset({cls})), limits)
+    return all(is_pi_closed(G, PiSet(frozenset({cls})))
                for cls in sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key))
 
 
-def is_nilpotent(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_nilpotent(G: PermGroup) -> bool:
     """Every Sylow subgroup is normal: sigma-nilpotency for the atomic
     partition."""
-    return is_sigma_nilpotent(G, ATOMIC, limits)
+    return is_sigma_nilpotent(G, ATOMIC)
 
 
-def f_class_subgroup(G: PermGroup, cls: SigmaClass,
-                     limits: EngineLimits = DEFAULT_LIMITS) -> Subgroup:
+def f_class_subgroup(G: PermGroup, cls: SigmaClass) -> Subgroup:
     """Largest normal N that is class-nilpotent for cls, that is, has a
     normal Hall subgroup M avoiding cls (characteristic in N, hence normal in
     G).  Read as the first cls-term of the upper series for cls
@@ -103,15 +99,14 @@ def f_class_subgroup(G: PermGroup, cls: SigmaClass,
     the largest normal N over O with |N : O| in cls.  Such an N is
     class-nilpotent with M = O; and any class-nilpotent normal N has M
     inside O and NO/O a cls-group, so NO lies in that N."""
-    return Subgroup(G, _upper_series(G, cls, limits)[0])
+    return Subgroup(G, _upper_series(G, cls)[0])
 
 
-def is_class_nilpotent(G: PermGroup, cls: SigmaClass,
-                       limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_class_nilpotent(G: PermGroup, cls: SigmaClass) -> bool:
     """Class-local nilpotency: G has a normal complement for cls, i.e. a
     normal Hall subgroup for the other classes of |G|; equivalently
     F_cls(G) = G."""
-    return is_pi_closed(G, PiSet(sigma_of_int(G.order, cls.partition) - {cls}), limits)
+    return is_pi_closed(G, PiSet(sigma_of_int(G.order, cls.partition) - {cls}))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +121,7 @@ class SchmidtShape:
     complement_generator: Permutation  # order = full q-part
 
 
-def schmidt_decomposition(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS):
+def schmidt_decomposition(G: PermGroup):
     """P . <x> shape: a normal Sylow p-subgroup with cyclic Sylow q-complement.
     Returns a SchmidtShape, or None when G does not have that shape."""
     def compute():
@@ -134,18 +129,18 @@ def schmidt_decomposition(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS):
         if len(facts) != 2:
             return None
         for (p, _), (q, qe) in (facts, facts[::-1]):
-            ps = sylow(G, p, limits)
-            if not is_normal(G, ps, limits):
+            ps = sylow(G, p)
+            if not is_normal(G, ps):
                 continue
             q_target = q**qe
-            for x in G.elements(limits):
+            for x in G.elements():
                 if x.order() == q_target:
                     return SchmidtShape(p, q, ps, x)
         return None
-    return _memo(G, "schmidt_shape", compute, limits)
+    return _memo(G, "schmidt_shape", compute)
 
 
-def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
+def _schmidt_pairs(G: PermGroup):
     """(p, q, y, subgroups) for each representative y of a conjugacy class of
     q-elements and each prime p != q of |G|.  subgroups lazily lists
     P = <a^<y>> over the p-elements a with [a, y] != 1 whose y-orbit
@@ -154,7 +149,7 @@ def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
     nilpotent, so it holds a Schmidt subgroup of type (p, q); and a Schmidt
     subgroup P0 . <y> gives a pair with a in P0 outside C(y) (Schmidt 1924;
     Huppert, Endliche Gruppen I, III.5)."""
-    u = G.universe(limits)
+    u = G.universe()
     facts = prime_factors(u.n)
     p_elements = {p: [i for i in range(u.n) if u.orders[i] > 1 and p**e % u.orders[i] == 0]
                   for p, e in facts}
@@ -181,49 +176,47 @@ def _schmidt_pairs(G: PermGroup, limits: EngineLimits):
                     yield p, q[0], y, subgroups(y, p_elements[p], p**e)
 
 
-def schmidt_types(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS
-                  ) -> frozenset[tuple[int, int]]:
+def schmidt_types(G: PermGroup) -> frozenset[tuple[int, int]]:
     """The types (p, q) of the Schmidt subgroups of G: p is the prime of the
     normal Sylow subgroup, q the prime of the cyclic complement.  One pair
     per type settles it."""
     def compute():
         types = set()
-        for p, q, _, subgroups in _schmidt_pairs(G, limits):
+        for p, q, _, subgroups in _schmidt_pairs(G):
             if (p, q) not in types and next(subgroups, None) is not None:
                 types.add((p, q))
         return frozenset(types)
-    return _memo(G, "schmidt_types", compute, limits)
+    return _memo(G, "schmidt_types", compute)
 
 
-def is_schmidt(G: PermGroup, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_schmidt(G: PermGroup) -> bool:
     """Not nilpotent, but every proper subgroup is nilpotent.  G is not
     nilpotent exactly when it has a pair (a, y), and a proper non-nilpotent
     subgroup holds a Schmidt subgroup, which gives a pair inside it up to
     conjugacy.  So G is Schmidt when it has pairs and each spans <P, y> = G."""
     def compute():
-        u = G.universe(limits)
+        u = G.universe()
         spans = (len(u.closure((y,), base=s)) == u.n
-                   for _, _, y, subgroups in _schmidt_pairs(G, limits) for s in subgroups)
+                   for _, _, y, subgroups in _schmidt_pairs(G) for s in subgroups)
         return next(spans, False) and all(spans)  # no pair: G is nilpotent
-    return _memo(G, "schmidt", compute, limits)
+    return _memo(G, "schmidt", compute)
 
 
-def is_critical(G: PermGroup, sigma: SigmaPartition,
-                limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_critical(G: PermGroup, sigma: SigmaPartition) -> bool:
     """Not sigma-nilpotent, but every proper subgroup is sigma-nilpotent.
 
     These are exactly the Schmidt groups P . <y> whose two primes lie in
     different classes.  Such a group is not sigma-nilpotent (its Sylow
     q-subgroup is not normal) while its proper subgroups are nilpotent; and
     a critical group is a Schmidt group (Skiba, J. Algebra 436 (2015))."""
-    return len(sigma_of_int(G.order, sigma)) == 2 and is_schmidt(G, limits)
+    return len(sigma_of_int(G.order, sigma)) == 2 and is_schmidt(G)
 
 
 # ---------------------------------------------------------------------------
 # Hall closure, dispersion, class length
 
 
-def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> bool:
+def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet) -> bool:
     """Whether the subgroup H of G with index set idxs has a normal Hall
     subgroup for the class set pi.  The pi-elements of H (orders dividing
     |H|_pi) generate a normal subgroup that holds a Sylow p-subgroup for each
@@ -231,7 +224,7 @@ def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> b
     subgroup exactly when it is no larger, and a normal Hall subgroup holds
     every pi-element.  A pi-group or pi'-group (|H|_pi = |H| or 1) is its
     own or the trivial normal Hall subgroup, decided without a closure."""
-    u = G.universe(limits)
+    u = G.universe()
     target = pi_part(len(idxs), pi.classes)
     if target == 1 or target == len(idxs):
         return True
@@ -241,14 +234,13 @@ def _pi_closed_indices(G: PermGroup, idxs, pi: PiSet, limits: EngineLimits) -> b
     return generated is not None
 
 
-def is_pi_closed(G: PermGroup, pi: PiSet, limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_pi_closed(G: PermGroup, pi: PiSet) -> bool:
     """G has a normal Hall subgroup for the class set pi."""
     return _memo(G, ("pi_closed", pi),
-                 lambda: _pi_closed_indices(G, range(G.order), pi, limits), limits)
+                 lambda: _pi_closed_indices(G, range(G.order), pi))
 
 
-def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
-                        limits: EngineLimits = DEFAULT_LIMITS) -> bool:
+def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition) -> bool:
     """A tower of normal Hall class-set subgroups exhausts G, built greedily:
     with a normal Hall subgroup for the classes taken so far, take the first
     class whose addition still leaves G closed, and repeat.  Greed loses
@@ -257,7 +249,7 @@ def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition,
     left = sorted(sigma_of_int(G.order, sigma), key=lambda c: c.sort_key)
     taken = frozenset()
     while left:
-        cls = next((c for c in left if is_pi_closed(G, PiSet(taken | {c}), limits)), None)
+        cls = next((c for c in left if is_pi_closed(G, PiSet(taken | {c}))), None)
         if cls is None:
             return False
         taken |= {cls}
@@ -271,13 +263,12 @@ class SigmaLengthProfile:
     length: int  # nontrivial cls-terms in the upper alternating series
 
 
-def sigma_length(G: PermGroup, cls: SigmaClass,
-                 limits: EngineLimits = DEFAULT_LIMITS) -> SigmaLengthProfile:
+def sigma_length(G: PermGroup, cls: SigmaClass) -> SigmaLengthProfile:
     """Length of the upper alternating series for cls (``_upper_series``):
     the number of its cls-steps that moved.  A series that stalls below G
     means G is not separable for this class, and raises DomainError on
     every call (the walk is cached, the error is not)."""
-    _, length, separable = _upper_series(G, cls, limits)
+    _, length, separable = _upper_series(G, cls)
     if not separable:
         raise DomainError(f"upper series for class {cls} stalls below the whole group")
     return SigmaLengthProfile(cls, length)

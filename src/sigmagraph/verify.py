@@ -89,13 +89,12 @@ def _edge_text(graph: SigmaGraph) -> str:
 
 
 def verify_prop_1_2(G: PermGroup, sigma: SigmaPartition,
-                    limits: EngineLimits = DEFAULT_LIMITS,
                     group_tag: str = "G") -> VerificationReport:
     """Inclusion chain hall <= vm <= hawkes, and: all three equal <=> hawkes
     loop-free <=> soluble with every class length at most one."""
-    hall = build_hall(G, sigma, limits, group_tag)
-    vm = build_vm(G, sigma, limits, group_tag)
-    hawkes = build_hawkes(G, sigma, limits, group_tag)
+    hall = build_hall(G, sigma, group_tag=group_tag)
+    vm = build_vm(G, sigma, group_tag=group_tag)
+    hawkes = build_hawkes(G, sigma, group_tag=group_tag)
     conclusions = [
         CheckResult("hall-inside-vm", is_subgraph(hall, vm),
                     f"hall={_edge_text(hall)} vm={_edge_text(vm)}"),
@@ -103,10 +102,10 @@ def verify_prop_1_2(G: PermGroup, sigma: SigmaPartition,
                     f"vm={_edge_text(vm)} hawkes={_edge_text(hawkes)}"),
     ]
     no_loops = not has_loop(hawkes)
-    soluble = is_sigma_soluble(G, sigma, limits)
+    soluble = is_sigma_soluble(G, sigma)
     # sorted: the early exit must not depend on the set's hash order
     short = soluble and all(
-        sigma_length(G, cls, limits).length <= 1
+        sigma_length(G, cls).length <= 1
         for cls in sorted(sigma_of_group(G, sigma), key=lambda c: c.sort_key))
     conclusions.append(CheckResult(
         "no-loops-iff-soluble-short", no_loops == short,
@@ -119,13 +118,12 @@ def verify_prop_1_2(G: PermGroup, sigma: SigmaPartition,
 
 
 def verify_thm_1_4(G: PermGroup, sigma: SigmaPartition,
-                   limits: EngineLimits = DEFAULT_LIMITS,
                    group_tag: str = "G") -> VerificationReport:
     """Dispersive <=> hawkes circuit-free <=> soluble with circuit-free vm."""
-    s1 = is_sigma_dispersive(G, sigma, limits)
-    s2 = not has_circuit(build_hawkes(G, sigma, limits, group_tag))
-    s3 = (is_sigma_soluble(G, sigma, limits)
-          and not has_circuit(build_vm(G, sigma, limits, group_tag)))
+    s1 = is_sigma_dispersive(G, sigma)
+    s2 = not has_circuit(build_hawkes(G, sigma, group_tag=group_tag))
+    s3 = (is_sigma_soluble(G, sigma)
+          and not has_circuit(build_vm(G, sigma, group_tag=group_tag)))
     witness = f"dispersive={s1} hawkes_acyclic={s2} soluble_and_vm_acyclic={s3}"
     conclusions = [
         CheckResult("dispersive-iff-hawkes-acyclic", s1 == s2, witness),
@@ -135,17 +133,16 @@ def verify_thm_1_4(G: PermGroup, sigma: SigmaPartition,
 
 
 def verify_thm_1_12(G: PermGroup, sigma: SigmaPartition,
-                    limits: EngineLimits = DEFAULT_LIMITS,
                     group_tag: str = "G") -> VerificationReport:
     """Nilpotent for sigma <=> hawkes edgeless <=> vm edgeless <=> soluble
     with edgeless hall graph (per-vertex isolation)."""
-    hawkes = build_hawkes(G, sigma, limits, group_tag)
-    vm = build_vm(G, sigma, limits, group_tag)
-    hall = build_hall(G, sigma, limits, group_tag)
-    s1 = is_sigma_nilpotent(G, sigma, limits)
+    hawkes = build_hawkes(G, sigma, group_tag=group_tag)
+    vm = build_vm(G, sigma, group_tag=group_tag)
+    hall = build_hall(G, sigma, group_tag=group_tag)
+    s1 = is_sigma_nilpotent(G, sigma)
     s2 = isolated_vertices(hawkes) == hawkes.vertices
     s3 = isolated_vertices(vm) == vm.vertices
-    s4 = (is_sigma_soluble(G, sigma, limits)
+    s4 = (is_sigma_soluble(G, sigma)
           and isolated_vertices(hall) == hall.vertices)
     witness = f"nilpotent={s1} hawkes_isolated={s2} vm_isolated={s3} soluble_hall_isolated={s4}"
     conclusions = [
@@ -160,17 +157,16 @@ def verify_thm_1_12(G: PermGroup, sigma: SigmaPartition,
 # factorization statement
 
 
-def _factor_union(build, factors, sigma, limits) -> SigmaGraph:
+def _factor_union(build, factors, sigma) -> SigmaGraph:
     """The union of build's graphs of the factors, tagged A, B, C.  A
     trivial factor has no class graph and adds the empty one."""
     graphs = [SigmaGraph("empty", tag, sigma, frozenset(), frozenset()) if x.group.is_trivial
-              else build(x.group, sigma, limits, tag) for tag, x in zip("ABC", factors)]
+              else build(x.group, sigma, group_tag=tag) for tag, x in zip("ABC", factors)]
     return reduce(union, graphs)
 
 
 def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
-                   sigma: SigmaPartition, limits: EngineLimits = DEFAULT_LIMITS,
-                   group_tag: str = "G") -> VerificationReport:
+                   sigma: SigmaPartition, group_tag: str = "G") -> VerificationReport:
     """For a triple factorization by soluble-for-sigma subgroups: the vm
     graph of G is the union of the factors' vm graphs (when G itself is
     soluble for sigma), and likewise for hawkes under pairwise class-coprime
@@ -185,7 +181,7 @@ def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
     ]
     for name, x in (("A", A), ("B", B), ("C", C)):
         hypotheses.append(CheckResult(
-            f"{name}-sigma-soluble", is_sigma_soluble(x.group, sigma, limits),
+            f"{name}-sigma-soluble", is_sigma_soluble(x.group, sigma),
             f"|{name}|={x.order}"))
 
     ia, ib, ic = G.order // A.order, G.order // B.order, G.order // C.order
@@ -193,13 +189,13 @@ def verify_thm_1_7(G: PermGroup, A: Subgroup, B: Subgroup, C: Subgroup,
                and sigma_coprime(ia, ic, sigma))
     conclusions = []
     for kind, build, holds, gate in (
-            ("vm", build_vm, is_sigma_soluble(G, sigma, limits), "G is not sigma-soluble"),
+            ("vm", build_vm, is_sigma_soluble(G, sigma), "G is not sigma-soluble"),
             ("hawkes", build_hawkes, coprime,
              f"indices {ia},{ib},{ic} are not pairwise class-coprime")):
         name = f"{kind}-union-equality"
         if holds:
-            got = _factor_union(build, (A, B, C), sigma, limits)
-            want = build(G, sigma, limits, group_tag)
+            got = _factor_union(build, (A, B, C), sigma)
+            want = build(G, sigma, group_tag=group_tag)
             conclusions.append(CheckResult(name, graphs_equal(got, want),
                                            f"union={_edge_text(got)} whole={_edge_text(want)}"))
         else:
@@ -216,10 +212,12 @@ class FactorizationFixture:
     c: Subgroup
 
 
-def factorization_fixtures() -> tuple[FactorizationFixture, ...]:
-    """Three shipped triple factorizations; the harness never searches for
-    factorizations on its own."""
-    s4 = symmetric(4)
+def factorization_fixtures(limits: EngineLimits = DEFAULT_LIMITS
+                           ) -> tuple[FactorizationFixture, ...]:
+    """Three shipped triple factorizations, their groups built under limits;
+    the harness never searches for factorizations on its own."""
+    s4, g2, s3 = (PermGroup(G.degree, G.generators, limits) for G in
+                  (symmetric(4), direct_product(symmetric(3), cyclic(5)), symmetric(3)))
     f1 = FactorizationFixture(
         "S4=S3.D4.A4", s4,
         subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),
@@ -228,7 +226,6 @@ def factorization_fixtures() -> tuple[FactorizationFixture, ...]:
                       Permutation.from_cycles(4, [(0, 2)])]),
         subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                       Permutation.from_cycles(4, [(0, 1), (2, 3)])]))
-    g2 = direct_product(symmetric(3), cyclic(5))
     c5 = Permutation.from_cycles(8, [(3, 4, 5, 6, 7)])
     f2 = FactorizationFixture(
         "S3xC5=S3.C15.C10", g2,
@@ -236,7 +233,6 @@ def factorization_fixtures() -> tuple[FactorizationFixture, ...]:
                       Permutation.from_cycles(8, [(0, 1)])]),
         subgroup(g2, [Permutation.from_cycles(8, [(0, 1, 2)]), c5]),
         subgroup(g2, [Permutation.from_cycles(8, [(0, 1)]), c5]))
-    s3 = symmetric(3)
     whole = subgroup(s3, list(s3.generators))
     f3 = FactorizationFixture("S3=S3.S3.S3", s3, whole, whole, whole)
     return (f1, f2, f3)
@@ -246,19 +242,29 @@ def factorization_fixtures() -> tuple[FactorizationFixture, ...]:
 # closure statements
 
 
+def _pi_vertices(G: PermGroup, sigma: SigmaPartition, pi: PiSet):
+    """The classes of |G| under sigma, and those of them in pi.  A class of
+    pi from another partition raises DomainError: it would meet no vertex,
+    and pi would read as empty.  Such a class is never a vertex, so only the
+    classes of pi outside the vertices are checked."""
+    vertices = sigma_of_group(G, sigma)
+    pi1 = vertices & pi.classes
+    if len(pi1) < len(pi.classes) and any(c.partition != sigma for c in pi.classes - pi1):
+        raise DomainError("pi holds a class of another partition than sigma")
+    return vertices, pi1
+
+
 def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
-                    limits: EngineLimits = DEFAULT_LIMITS,
                     group_tag: str = "G") -> VerificationReport:
     """No edge from outside classes into pi-classes forces a normal Hall
     subgroup on the pi part.  Checked on hawkes always, and on vm when G is
     soluble for sigma."""
-    vertices = sigma_of_group(G, sigma)
-    pi1 = vertices & pi.classes
+    vertices, pi1 = _pi_vertices(G, sigma, pi)
     pi2 = vertices - pi1
     pi1_set = PiSet(pi1)
-    graphs = {"hawkes": build_hawkes(G, sigma, limits, group_tag),
-              "vm": build_vm(G, sigma, limits, group_tag)
-              if is_sigma_soluble(G, sigma, limits) else None}
+    graphs = {"hawkes": build_hawkes(G, sigma, group_tag=group_tag),
+              "vm": build_vm(G, sigma, group_tag=group_tag)
+              if is_sigma_soluble(G, sigma) else None}
     conclusions = []
     for kind, graph in graphs.items():
         name = f"{kind}-edge-absence-implies-pi-closed"
@@ -272,12 +278,12 @@ def verify_prop_1_9(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
                 name, True, f"gated out: edges into pi1 exist: {blocked}", evaluated=False))
         else:
             conclusions.append(CheckResult(
-                name, is_pi_closed(G, pi1_set, limits),
+                name, is_pi_closed(G, pi1_set),
                 f"pi1={{{', '.join(sorted(c.tag for c in pi1))}}}"))
     return make_report("prop-1.9", group_tag, sigma, (), conclusions)
 
 
-def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
+def _pairs_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
     """Whether every proper subgroup of G has a normal Hall pi-part, and if
     not, the least order of one that has none.
 
@@ -298,16 +304,17 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
       order below 6 is a p-group.
 
     Every pair, skipped or not, counts toward max_join_work."""
-    u = G.universe(limits)
+    u = G.universe()
     t = pi_part(G.order, pi.classes)
     firsts = [a for a, *_ in u.conjugacy_classes()
               if a != u.identity and t % u.orders[a] == 0]
     bs = [b for b, in filter(None, u.cyclic.values()) if t % u.orders[b] == 0]
-    if len(firsts) * len(bs) > limits.max_join_work:
+    cap = G.limits.max_join_work
+    if len(firsts) * len(bs) > cap:
         raise ResourceLimitError(
             "pi-element pair scan exceeded its closure budget",
-            cap_name="max_join_work", cap_value=limits.max_join_work)
-    core = _largest_normal_over(G, frozenset({u.identity}), primes_of(t), limits)
+            cap_name="max_join_work", cap_value=cap)
+    core = _largest_normal_over(G, frozenset({u.identity}), primes_of(t))
     least = G.order // 2 + 1
     pairs = ((a, b) for a in firsts if a not in core for b in bs
              if b not in core and u.mul(a, b) != u.mul(b, a))
@@ -322,7 +329,7 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
     return False, f"subgroup of order {least} is not pi-closed"
 
 
-def _maximals_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
+def _maximals_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
     """Whether every maximal subgroup has a normal Hall pi-part, read off the
     subgroup lattice.  The property passes to subgroups, so above the
     lattice's caps every proper subgroup is asked instead, by a scan of the
@@ -332,23 +339,21 @@ def _maximals_pi_closed(G: PermGroup, pi: PiSet, limits) -> tuple[bool, str]:
     stops at order 6: a join of pi-elements that is not a pi-group is not
     nilpotent, and every group of order below 6 is."""
     try:
-        for m in maximal_subgroups(G, limits):
-            if not _pi_closed_indices(G, m.indices, pi, limits):
+        for m in maximal_subgroups(G):
+            if not _pi_closed_indices(G, m.indices, pi):
                 return False, f"maximal subgroup of order {m.order} is not pi-closed"
         return True, ""
     except ResourceLimitError:
-        return _pairs_pi_closed(G, pi, limits)
+        return _pairs_pi_closed(G, pi)
 
 
 def verify_prop_1_11(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
-                     limits: EngineLimits = DEFAULT_LIMITS,
                      group_tag: str = "G") -> VerificationReport:
     """A soluble-for-sigma group that is minimally non-closed for pi (itself
     open, all maximal subgroups closed) is a Schmidt group closed for the
     complementary classes."""
-    vertices = sigma_of_group(G, sigma)
-    pi1 = vertices & pi.classes
-    hypotheses = [CheckResult("sigma-soluble", is_sigma_soluble(G, sigma, limits))]
+    vertices, pi1 = _pi_vertices(G, sigma, pi)
+    hypotheses = [CheckResult("sigma-soluble", is_sigma_soluble(G, sigma))]
 
     def skipped(*names):
         """Record the named hypotheses and the conclusion as not evaluated."""
@@ -360,17 +365,17 @@ def verify_prop_1_11(G: PermGroup, sigma: SigmaPartition, pi: PiSet,
     if not hypotheses[0].holds:
         return skipped("not-pi-closed", "maximals-pi-closed")
     pi1_set = PiSet(pi1)
-    open_for_pi = not is_pi_closed(G, pi1_set, limits)
+    open_for_pi = not is_pi_closed(G, pi1_set)
     hypotheses.append(CheckResult("not-pi-closed", open_for_pi,
                                   f"pi-part={pi_part(G.order, pi1)}"))
     if not open_for_pi:
         return skipped("maximals-pi-closed")
-    maximals_closed, why = _maximals_pi_closed(G, pi1_set, limits)
+    maximals_closed, why = _maximals_pi_closed(G, pi1_set)
     hypotheses.append(CheckResult("maximals-pi-closed", maximals_closed, why))
     if not maximals_closed:
         return skipped()
-    schmidt = is_schmidt(G, limits)
-    closed = is_pi_closed(G, PiSet(vertices - pi1), limits)
+    schmidt = is_schmidt(G)
+    closed = is_pi_closed(G, PiSet(vertices - pi1))
     conclusions = [CheckResult(
         "schmidt-and-complement-closed", schmidt and closed,
         f"schmidt={schmidt} complement_closed={closed}")]
@@ -402,8 +407,9 @@ def _pi_subsets(vertices) -> list[PiSet]:
 def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
                      limits: EngineLimits = DEFAULT_LIMITS):
     """Deterministic report stream over (group, partition, statement) and,
-    for the factorization statement, the shipped fixtures per partition.
-    An id outside ALL_STATEMENTS raises DomainError when the stream is read."""
+    for the factorization statement, the shipped fixtures per partition,
+    built under limits; each given group is read under its own caps.  An id
+    outside ALL_STATEMENTS raises DomainError when the stream is read."""
     unknown = sorted(set(statements) - set(ALL_STATEMENTS))
     if unknown:
         raise DomainError(f"unknown statement ids {unknown}")
@@ -411,14 +417,13 @@ def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
         for sigma in partitions:
             for sid, verify in _PER_GROUP.items():
                 if sid in statements:
-                    yield verify(G, sigma, limits, tag)
+                    yield verify(G, sigma, tag)
             per_pi = [verify for sid, verify in _PER_PI.items() if sid in statements]
             subsets = _pi_subsets(sigma_of_group(G, sigma)) if per_pi else ()
             for verify in per_pi:
                 for pi in subsets:
-                    yield verify(G, sigma, pi, limits, tag)
+                    yield verify(G, sigma, pi, tag)
     if "1.7" in statements:
         for sigma in partitions:
-            for fx in factorization_fixtures():
-                yield verify_thm_1_7(fx.group, fx.a, fx.b, fx.c, sigma, limits,
-                                     fx.tag)
+            for fx in factorization_fixtures(limits):
+                yield verify_thm_1_7(fx.group, fx.a, fx.b, fx.c, sigma, fx.tag)

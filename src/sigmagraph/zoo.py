@@ -13,23 +13,33 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CrossCheckError, GroupInputError
-from .group import DEFAULT_LIMITS, PermGroup, all_subgroups
+from .group import PermGroup, all_subgroups
 from .perm import Permutation
-from .sigma import SigmaPartition
+from .sigma import SigmaPartition, _is_int
+
+
+def _require_n(n, least: int) -> None:
+    """Refuse an n that is not an int (a bool or a float included) of at
+    least least."""
+    if not _is_int(n) or n < least:
+        raise GroupInputError(f"n must be an int of at least {least}, got {n!r}")
 
 
 def cyclic(n: int) -> PermGroup:
+    _require_n(n, 1)
     return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))])])
 
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of the n-gon, order 2n (n >= 3)."""
+    _require_n(n, 3)
     rot = Permutation.from_cycles(n, [tuple(range(n))])
     flip = Permutation(tuple((n - i) % n for i in range(n)))
     return PermGroup(n, [rot, flip])
 
 
 def symmetric(n: int) -> PermGroup:
+    _require_n(n, 1)
     if n == 1:
         return PermGroup(1, ())
     return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))]),
@@ -37,8 +47,9 @@ def symmetric(n: int) -> PermGroup:
 
 
 def alternating(n: int) -> PermGroup:
+    _require_n(n, 1)
     if n <= 2:
-        return PermGroup(max(n, 1), ())
+        return PermGroup(n, ())
     cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
     return PermGroup(n, [Permutation.from_cycles(n, [(0, 1, 2)]),
                          Permutation.from_cycles(n, [cyc])])
@@ -186,7 +197,7 @@ def build_by_tag(tag: str) -> PermGroup:
 @functools.cache
 def s5_subgroups() -> tuple[tuple[str, PermGroup], ...]:
     """All 156 subgroups of S5 in canonical order, tagged S5_sub_###."""
-    subs = all_subgroups(symmetric(5), DEFAULT_LIMITS)
+    subs = all_subgroups(symmetric(5))
     return tuple((f"S5_sub_{k:03d}", s.group) for k, s in enumerate(subs))
 
 

@@ -25,7 +25,7 @@ from itertools import permutations
 
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
-from sigmagraph.group import (DEFAULT_LIMITS, Subgroup, _conjugates, _normal_subgroup_sets,
+from sigmagraph.group import (EngineLimits, PermGroup, Subgroup, _conjugates, _normal_subgroup_sets,
                               _sorted_sets, _sylow_set, all_subgroups,
                               centralizer, centralizer_of_factor, core_series_subgroup,
                               hall_subgroups, is_normal,
@@ -44,6 +44,11 @@ ORACLE_TAGS = ("S3", "V4", "D4", "Q8", "A4", "dic3", "D6", "sl23", "S4",
 
 def zoo_tags() -> tuple[str, ...]:
     return tuple(e.tag for e in zoo())
+
+
+def rebuilt(G, **caps):
+    """A group of its own on G's generators, under EngineLimits(**caps)."""
+    return PermGroup(G.degree, G.generators, EngineLimits(**caps))
 
 
 def closure(degree: int, elements) -> frozenset:
@@ -121,12 +126,12 @@ def new_classes_every_join(u, found, pairs, limits):
             yield h
 
 
-def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
+def subgroup_sets_every_extension(G) -> list:
     """``all_subgroups`` as (element set, generators) pairs, with each class
     representative K closed with every cyclic p-subgroup <y>, y outside K and
     y^p in K, not with one <y> per N_G(K)-orbit.  Raises like the library
     on the count and closure caps, but counts every closure."""
-    u = G.universe(limits)
+    u = G.universe()
     steps = []
     for y, in filter(None, u.cyclic.values()):
         factors = prime_factors(u.orders[y])
@@ -139,16 +144,16 @@ def subgroup_sets_every_extension(G, limits=DEFAULT_LIMITS) -> list:
     found = {trivial: ()}
     reps = [trivial]
     pairs = ((k, (y,)) for k in reps for y, yp in steps if y not in k and yp in k)
-    for h in new_classes_every_join(u, found, pairs, limits):
+    for h in new_classes_every_join(u, found, pairs, G.limits):
         reps.append(h)
     return [(s, found[s]) for s in _sorted_sets(found)]
 
 
-def two_generated_sets_every_join(G, limits=DEFAULT_LIMITS) -> list:
+def two_generated_sets_every_join(G) -> list:
     """``two_generated_subgroups`` as (element set, generators) pairs, with
     one cyclic <a> per conjugacy class joined with every cyclic <b>, not with
     one <b> per N_G(<a>)-orbit."""
-    u = G.universe(limits)
+    u = G.universe()
     cyclic = u.cyclic
     found = {}
     reps = []
@@ -158,7 +163,7 @@ def two_generated_sets_every_join(G, limits=DEFAULT_LIMITS) -> list:
             found.update(_conjugates(u, {a: a_gens}))
     pairs = ((a, b_gens) if len(a) >= len(b) else (b, found[a])
              for a in reps for b, b_gens in cyclic.items() if not (a <= b or b <= a))
-    for _ in new_classes_every_join(u, found, pairs, limits):
+    for _ in new_classes_every_join(u, found, pairs, G.limits):
         pass
     return [(s, found[s]) for s in _sorted_sets(found)]
 
@@ -188,14 +193,14 @@ def naive_conjugacy_classes(G) -> set[frozenset]:
     return {frozenset(g.inverse() * x * g for g in elems) for x in elems}
 
 
-def hall_edges_every_member(G, sigma, limits=DEFAULT_LIMITS) -> frozenset:
+def hall_edges_every_member(G, sigma) -> frozenset:
     """The hall graph's edge set with every Hall subgroup tried, not one per
     conjugacy class."""
     edges = set()
     for ci in sigma_of_group(G, sigma):
-        for h in hall_subgroups(G, [p for p in primes_of(G.order) if ci.contains(p)], limits):
-            n = normalizer(G, h, limits)
-            c = centralizer(G, h, limits)
+        for h in hall_subgroups(G, [p for p in primes_of(G.order) if ci.contains(p)]):
+            n = normalizer(G, h)
+            c = centralizer(G, h)
             hc = h.order * c.order // len(h.indices & c.indices)
             edges.update((ci, cj) for cj in sigma_of_int(n.order // hc, sigma))
     return frozenset(edges)
@@ -232,31 +237,31 @@ def vm_edges_from_candidates(g, sigma, candidates) -> set:
     return edges
 
 
-def _normal_sylow_primes(G, idxs, limits=DEFAULT_LIMITS) -> tuple[int, ...]:
+def _normal_sylow_primes(G, idxs) -> tuple[int, ...]:
     """Primes p of |H|, for the subgroup H of G with index set idxs, whose
     Sylow p-subgroup is normal in H.  Every Sylow p-subgroup consists of
     p-elements (orders dividing |H|_p), so it is the only one exactly when
     the p-elements of H number |H|_p."""
-    orders = G.universe(limits).orders
+    orders = G.universe().orders
     return tuple(p for p, e in prime_factors(len(idxs))
                  if sum(p**e % orders[i] == 0 for i in idxs) == p**e)
 
 
-def nilpotent_by_sylows(G, limits=DEFAULT_LIMITS) -> bool:
+def nilpotent_by_sylows(G) -> bool:
     """Nilpotent = every Sylow subgroup is normal."""
-    return all(is_normal(G, sylow(G, p, limits), limits)
+    return all(is_normal(G, sylow(G, p))
                for p, _ in prime_factors(G.order))
 
 
-def is_schmidt_by_lattice(G, limits=DEFAULT_LIMITS) -> bool:
+def is_schmidt_by_lattice(G) -> bool:
     """Not nilpotent, but every proper subgroup of the full lattice is,
     each tested as a group in its own right."""
-    return (not nilpotent_by_sylows(G, limits)
-            and all(nilpotent_by_sylows(s.group, limits)
-                    for s in all_subgroups(G, limits) if s.order < G.order))
+    return (not nilpotent_by_sylows(G)
+            and all(nilpotent_by_sylows(s.group)
+                    for s in all_subgroups(G) if s.order < G.order))
 
 
-def schmidt_subgroups(G, limits=DEFAULT_LIMITS):
+def schmidt_subgroups(G):
     """Every Schmidt (minimal non-nilpotent) subgroup H of G, as (H, p, q):
     p is the prime of the normal Sylow subgroup of H, q the other prime.
 
@@ -265,13 +270,13 @@ def schmidt_subgroups(G, limits=DEFAULT_LIMITS):
     when no Schmidt subgroup found before it lies strictly inside it.  Each
     hit is checked against the P . <y> shape: two primes, exactly one normal
     Sylow subgroup, and an element of order |H|_q."""
-    orders = G.universe(limits).orders
+    orders = G.universe().orders
     found = []
-    for s in two_generated_subgroups(G, limits):
+    for s in two_generated_subgroups(G):
         if any(h.indices < s.indices for h, _, _ in found):
             continue
         facts = prime_factors(s.order)
-        normal = _normal_sylow_primes(G, s.indices, limits)
+        normal = _normal_sylow_primes(G, s.indices)
         if len(normal) == len(facts):
             continue  # nilpotent
         q, qe = facts[-1] if facts[0][0] in normal else facts[0]
@@ -288,28 +293,28 @@ def is_class_number(n, cls) -> bool:
     return pi_part(n, frozenset({cls})) == n
 
 
-def frattini(G, limits=DEFAULT_LIMITS):
+def frattini(G):
     """Intersection of the maximal subgroups (G itself if none exist)."""
-    cut = frozenset(range(G.universe(limits).n))
-    for m in maximal_subgroups(G, limits):
+    cut = frozenset(range(G.universe().n))
+    for m in maximal_subgroups(G):
         cut &= m.indices
     return Subgroup(G, cut)
 
 
-def is_pi_closed_by_normal_lattice(G, pi, limits=DEFAULT_LIMITS) -> bool:
+def is_pi_closed_by_normal_lattice(G, pi) -> bool:
     """Some normal subgroup has order |G|_pi."""
     target = pi_part(G.order, pi.classes)
-    return any(len(s) == target for s in _normal_subgroup_sets(G, limits))
+    return any(len(s) == target for s in _normal_subgroup_sets(G))
 
 
-def pairs_pi_closed_every_pair(G, pi, limits=DEFAULT_LIMITS) -> tuple[bool, str]:
+def pairs_pi_closed_every_pair(G, pi) -> tuple[bool, str]:
     """``verify._pairs_pi_closed`` without its two prunings: every
     non-commuting pair (a, b), a the least member of its class of
     pi-elements and b a generator of a cyclic pi-subgroup, is closed, pairs
     that meet O_pi(G) included, and the scan does not stop at order 6.
     Each join is capped as in the library: at |G|/2, then below the least
     order found."""
-    u = G.universe(limits)
+    u = G.universe()
     t = pi_part(G.order, pi.classes)
     firsts = [a for a, *_ in u.conjugacy_classes()
               if a != u.identity and t % u.orders[a] == 0]
@@ -326,13 +331,13 @@ def pairs_pi_closed_every_pair(G, pi, limits=DEFAULT_LIMITS) -> tuple[bool, str]
     return False, f"subgroup of order {least} is not pi-closed"
 
 
-def largest_normal_over_by_lattice(G, floor, primes, limits=DEFAULT_LIMITS) -> frozenset:
+def largest_normal_over_by_lattice(G, floor, primes) -> frozenset:
     """The largest normal subgroup of G over the normal subgroup floor whose
     index over it involves only the given primes, as an element set: the
     last such member of the normal lattice, which must hold all the
     others."""
     pset = frozenset(primes)
-    hits = [s for s in _normal_subgroup_sets(G, limits)
+    hits = [s for s in _normal_subgroup_sets(G)
             if floor <= s and all(p in pset for p, _ in prime_factors(len(s) // len(floor)))]
     best = hits[-1]  # normal sets ascend by order; floor itself is a hit
     if not all(s <= best for s in hits):
@@ -340,12 +345,12 @@ def largest_normal_over_by_lattice(G, floor, primes, limits=DEFAULT_LIMITS) -> f
     return best
 
 
-def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
+def hall_classes_every_pi_element(G, primes) -> list:
     """``_hall_classes`` with each candidate joined with every pi-element
     (one generator per cyclic subgroup), not with Sylow subgroups for the
     primes it lacks.  Raises on the count cap at its own candidate count."""
     pset = frozenset(primes)
-    u = G.universe(limits)
+    u = G.universe()
     target = 1
     for p, e in prime_factors(G.order):
         if p in pset:
@@ -356,7 +361,7 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
         return [[frozenset(range(u.n))]]
     anchor_p = max((p for p in pset if G.order % p == 0),
                    key=lambda p: _p_part(G.order, (p,)))
-    p0_set, _ = _sylow_set(G, anchor_p, limits)
+    p0_set, _ = _sylow_set(G, anchor_p)
     candidates = {p0_set}
     queue = [p0_set]
     pi_elements = [i for (s, g) in u.cyclic.items() if g
@@ -368,10 +373,10 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
             joined = u.closure((x,), base=c_set, cap=target)
             if joined is None or target % len(joined) != 0 or joined in candidates:
                 continue
-            if len(candidates) >= limits.max_subgroup_count:
+            if len(candidates) >= G.limits.max_subgroup_count:
                 raise ResourceLimitError(
                     "Hall-subgroup search grew past the count cap",
-                    cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+                    cap_name="max_subgroup_count", cap_value=G.limits.max_subgroup_count)
             candidates.add(joined)
             queue.append(joined)
     classes = []
@@ -384,14 +389,14 @@ def hall_classes_every_pi_element(G, primes, limits=DEFAULT_LIMITS) -> list:
     return classes
 
 
-def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:
+def has_sylow_tower(G) -> bool:
     """Some normal Sylow subgroup whose quotient again has a tower."""
     if G.order == 1:
         return True
     for p, _ in prime_factors(G.order):
-        syl = sylow(G, p, limits)
-        if is_normal(G, syl, limits):
-            if has_sylow_tower(quotient(G, syl, limits).image, limits):
+        syl = sylow(G, p)
+        if is_normal(G, syl):
+            if has_sylow_tower(quotient(G, syl).image):
                 return True
     return False
 
@@ -400,11 +405,11 @@ def has_sylow_tower(G, limits=DEFAULT_LIMITS) -> bool:
 # chief series with either tie-break
 
 
-def chief_series_terms(G, prefer="smallest", limits=DEFAULT_LIMITS):
+def chief_series_terms(G, prefer="smallest"):
     """Ascending chief series that takes the canonically smallest or largest
     minimal normal subgroup above each term.  "smallest" is the library's
     series; "largest" is a second series for Jordan-Holder checks."""
-    normals = normal_subgroups(G, limits)
+    normals = normal_subgroups(G)
     sets = [n.indices for n in normals]
     chain = [0]
     while chain[-1] != len(sets) - 1:  # the last normal subgroup is G
@@ -415,11 +420,11 @@ def chief_series_terms(G, prefer="smallest", limits=DEFAULT_LIMITS):
     return [normals[i] for i in chain]
 
 
-def chief_invariants(G, prefer="smallest", limits=DEFAULT_LIMITS):
+def chief_invariants(G, prefer="smallest"):
     """(factor order, automizer order) along chief_series_terms(G, prefer)."""
-    terms = chief_series_terms(G, prefer, limits)
+    terms = chief_series_terms(G, prefer)
     return [(above.order // below.order,
-             G.order // centralizer_of_factor(G, above, below, limits).order)
+             G.order // centralizer_of_factor(G, above, below).order)
             for below, above in zip(terms, terms[1:])]
 
 
@@ -447,11 +452,11 @@ def is_class_nilpotent_by_chief_factors(G, cls, prefer="smallest") -> bool:
 # second routes to F_i, to dispersion and to the class length, by quotients
 
 
-def f_class_subgroup_by_normal_complement(G, cls, limits=DEFAULT_LIMITS):
+def f_class_subgroup_by_normal_complement(G, cls):
     """Largest normal N with a normal subgroup M of G inside it of order
     |N| / |N|_cls (a normal Hall subgroup of N avoiding cls), found by
     scanning every pair of normal subgroups; the maximum must be unique."""
-    normals = normal_subgroups(G, limits)
+    normals = normal_subgroups(G)
     hits = [n for n in normals
             if any(m.order * pi_part(n.order, frozenset({cls})) == n.order
                    and m.indices <= n.indices for m in normals)]
@@ -461,44 +466,44 @@ def f_class_subgroup_by_normal_complement(G, cls, limits=DEFAULT_LIMITS):
     return best
 
 
-def f_class_subgroup_by_pullback(G, cls, limits=DEFAULT_LIMITS):
+def f_class_subgroup_by_pullback(G, cls):
     """The core avoiding cls, pulled back through the cls-core of the
     quotient."""
     out_primes = [p for p in primes_of(G.order) if not cls.contains(p)]
-    d = core_series_subgroup(G, out_primes, limits)
-    q = quotient(G, d, limits)
+    d = core_series_subgroup(G, out_primes)
+    q = quotient(G, d)
     in_primes = [p for p in primes_of(q.image.order) if cls.contains(p)]
-    e_img = core_series_subgroup(q.image, in_primes, limits)
+    e_img = core_series_subgroup(q.image, in_primes)
     return Subgroup(G, q.preimage_indices(e_img))
 
 
-def _normal_hall_for_class(G, cls, limits):
+def _normal_hall_for_class(G, cls):
     """Some normal subgroup of order |G|_cls, or None."""
     target = pi_part(G.order, frozenset({cls}))
-    for n in normal_subgroups(G, limits):
+    for n in normal_subgroups(G):
         if n.order == target:
             return n
     return None
 
 
-def sigma_length_by_quotients(G, cls, limits=DEFAULT_LIMITS) -> SigmaLengthProfile:
+def sigma_length_by_quotients(G, cls) -> SigmaLengthProfile:
     """The upper alternating series for cls with each core taken in a
     quotient group of its own and pulled back through the projection."""
     if G.is_trivial:
         return SigmaLengthProfile(cls, 0)
-    u = G.universe(limits)
+    u = G.universe()
     full = frozenset(range(u.n))
     cur = frozenset({u.identity})
     length = 0
     while cur != full:
-        q = quotient(G, Subgroup(G, cur), limits)
+        q = quotient(G, Subgroup(G, cur))
         away = [p for p in primes_of(q.image.order) if not cls.contains(p)]
-        d = q.preimage_indices(core_series_subgroup(q.image, away, limits))
+        d = q.preimage_indices(core_series_subgroup(q.image, away))
         if d == full:
             break
-        q2 = quotient(G, Subgroup(G, d), limits)
+        q2 = quotient(G, Subgroup(G, d))
         toward = [p for p in primes_of(q2.image.order) if cls.contains(p)]
-        e = q2.preimage_indices(core_series_subgroup(q2.image, toward, limits))
+        e = q2.preimage_indices(core_series_subgroup(q2.image, toward))
         if e == d:
             raise DomainError(f"upper series for class {cls} stalls below the whole group")
         length += 1
@@ -506,7 +511,7 @@ def sigma_length_by_quotients(G, cls, limits=DEFAULT_LIMITS) -> SigmaLengthProfi
     return SigmaLengthProfile(cls, length)
 
 
-def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
+def dispersive_by_ordering_search(G, sigma) -> bool:
     """Try every ordering of the classes of |G| as a fixed tower schedule.
     Exponential in the class count; corpus groups have at most three
     classes."""
@@ -522,11 +527,11 @@ def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
             part = pi_part(cur.order, frozenset({cls}))
             if part == 1:
                 continue
-            n = _normal_hall_for_class(cur, cls, limits)
+            n = _normal_hall_for_class(cur, cls)
             if n is None or n.order != part:
                 ok = False
                 break
-            cur = quotient(cur, n, limits).image
+            cur = quotient(cur, n).image
         if ok and cur.order == 1:
             return True
     return False
@@ -536,44 +541,44 @@ def dispersive_by_ordering_search(G, sigma, limits=DEFAULT_LIMITS) -> bool:
 # maximal-subgroup reading of class-local nilpotency
 
 
-def is_pi_central_factor(G, H, K, primes, limits=DEFAULT_LIMITS) -> bool:
+def is_pi_central_factor(G, H, K, primes) -> bool:
     """True when the chief factor H/K and its automizer G/C_G(H/K) are both
     pi-groups.  Rejects input that is not a chief factor of G."""
     pset = frozenset(primes)
     h_set, k_set = H.indices, K.indices
-    normal = set(_normal_subgroup_sets(G, limits))
+    normal = set(_normal_subgroup_sets(G))
     if h_set not in normal or k_set not in normal or not k_set < h_set:
         raise DomainError("H/K is not a factor of normal subgroups of G")
     if any(k_set < s < h_set for s in normal):
         raise DomainError("H/K is not a chief factor of G: a normal subgroup lies between")
-    c = centralizer_of_factor(G, H, K, limits)
+    c = centralizer_of_factor(G, H, K)
     return (set(primes_of(len(h_set) // len(k_set))) <= pset
             and set(primes_of(G.order // c.order)) <= pset)
 
 
-def subgroup_core(G, M, limits=DEFAULT_LIMITS):
+def subgroup_core(G, M):
     """Largest normal subgroup of G inside M."""
     best = None
-    for s in _normal_subgroup_sets(G, limits):
+    for s in _normal_subgroup_sets(G):
         if s <= M.indices and (best is None or len(s) > len(best)):
             best = s
     return Subgroup(G, best)
 
 
-def is_pi_normal_maximal(G, M, primes, limits=DEFAULT_LIMITS) -> bool:
+def is_pi_normal_maximal(G, M, primes) -> bool:
     """Either |G:M| avoids pi, or some chief factor right above the core of M
     is pi-central."""
     pset = frozenset(primes)
     if not (set(primes_of(G.order // M.order)) & pset):
         return True
-    core = subgroup_core(G, M, limits)
+    core = subgroup_core(G, M)
     core_set = core.indices
-    normal = _normal_subgroup_sets(G, limits)
+    normal = _normal_subgroup_sets(G)
     above = [s for s in normal if core_set < s]
     for v in above:
         if any(core_set < t < v for t in above):
             continue
-        if is_pi_central_factor(G, Subgroup(G, v), core, pset, limits):
+        if is_pi_central_factor(G, Subgroup(G, v), core, pset):
             return True
     return False
 
@@ -605,17 +610,17 @@ def weak_components(graph) -> list[frozenset]:
     return out
 
 
-def component_decomposition_holds(G, limits=DEFAULT_LIMITS) -> bool:
+def component_decomposition_holds(G) -> bool:
     """Under the finest partition: with the vm components as prime blocks,
     G must be the direct product of its block cores (order product check and
     pairwise trivial intersections)."""
     if G.is_trivial:
         return True
-    vm = build_vm(G, ATOMIC, limits)
+    vm = build_vm(G, ATOMIC)
     blocks = []
     for comp in weak_components(vm):
         primes = sorted(p for cls, ps in vm.vertex_primes if cls in comp for p in ps)
-        blocks.append(core_series_subgroup(G, primes, limits))
+        blocks.append(core_series_subgroup(G, primes))
     product = 1
     for b in blocks:
         product *= b.order

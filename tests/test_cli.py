@@ -11,7 +11,7 @@ from sigmagraph.cli import main
 from sigmagraph.errors import GroupInputError
 from sigmagraph.group import EngineLimits
 from sigmagraph.sigma import ATOMIC
-from sigmagraph.zoo import build_by_tag
+from sigmagraph.zoo import build_by_tag, zoo
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 BENCH_PAIRS = EXPORT.parent / "bench_pairs.py"
@@ -189,6 +189,31 @@ def test_verify_statement_1_7_uses_fixtures(capsys):
     lines = out.strip().splitlines()
     groups = [json.loads(l)["group"] for l in lines[:-1]]
     assert groups == ["S4=S3.D4.A4", "S3xC5=S3.C15.C10", "S3=S3.S3.S3"]
+
+
+def test_verify_statement_1_7_builds_its_fixtures_under_the_caps(capsys):
+    """The 1.7 fixtures are built under the call's caps: under --max-order 20
+    the first one, S4, is refused before any report is printed."""
+    rc, out, err = run(capsys, "--max-order", "20", "verify", "--group", "zoo:S3",
+                       "--statement", "1.7")
+    assert rc == 2 and out == ""
+    assert err == ("error: group of order above 20 is too large to enumerate "
+                   "[cap max_element_order=20]\n")
+
+
+def test_verify_corpus_builds_each_group_under_the_caps(capsys):
+    """The CLI's caps bound the corpus: each corpus group is built under them
+    as the stream reaches it, so under --max-order 100 the stream stops at S5
+    (order 120), the first group above the cap, after the reports of every
+    group before it and before the summary line."""
+    rc, out, err = run(capsys, "--max-order", "100", "verify", "--corpus")
+    assert rc == 2
+    assert err == ("error: group of order above 100 is too large to enumerate "
+                   "[cap max_element_order=100]\n")
+    groups = list(dict.fromkeys(json.loads(line)["group"] for line in out.splitlines()))
+    tags = [e.tag for e in zoo()]
+    assert groups == tags[:tags.index("S5")]
+    assert len(out.splitlines()) == 404
 
 
 def test_verify_determinism(capsys):

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (brute_has_circuit, hall_edges_every_member, vm_edges_from_candidates,
-                     weak_components, zoo_tags)
+from oracles import (brute_has_circuit, hall_edges_every_member, rebuilt,
+                     vm_edges_from_candidates, weak_components, zoo_tags)
 import sigmagraph.graphs
 import sigmagraph.group
 from sigmagraph.errors import DomainError, ResourceLimitError
@@ -89,7 +89,7 @@ def test_hall_centralises_one_subgroup_per_class(monkeypatch):
     monkeypatch.setattr(sigmagraph.group, "normalizer", _refuse("normalizer"))
     build_hall(g, ATOMIC)
     primes = (2, 3, 5)
-    assert [len(_hall_classes(g, (p,), DEFAULT_LIMITS)) for p in primes] == [1, 1, 1]
+    assert [len(_hall_classes(g, (p,))) for p in primes] == [1, 1, 1]
     assert sum(len(hall_subgroups(g, (p,))) for p in primes) == 91
     assert sorted(calls) == [5, 9, 16]
     assert not hasattr(sigmagraph.graphs, "normalizer")
@@ -106,7 +106,7 @@ def test_hall_class_length_is_the_normaliser_index(corpus_groups, partitions):
         prime_sets = {tuple(p for p in primes_of(g.order) if ci.contains(p))
                       for sigma in partitions for ci in sigma_of_group(g, sigma)}
         for primes in sorted(prime_sets):
-            for cls in _hall_classes(g, primes, DEFAULT_LIMITS):
+            for cls in _hall_classes(g, primes):
                 h = Subgroup(g, cls[0])
                 assert normalizer(g, h).order * len(cls) == g.order, (tag, primes)
                 checked += 1
@@ -142,20 +142,32 @@ def test_edgeless_for_nilpotent():
             assert isolated_vertices(graph) == graph.vertices
 
 
-def test_hall_graph_memo_is_keyed_by_the_count_cap():
-    """A Hall graph built under the default caps is not reused under a count
-    cap that its Hall search exceeds: the capped call raises as it does on a
-    fresh group, and the cached cap error does not reach the default caps."""
+def test_hall_graph_is_decided_by_each_groups_count_cap():
+    """Two groups on A5's generators, one under a count cap that its Hall
+    search exceeds: the capped group raises whichever was built first, and
+    its cached cap error does not reach the other group."""
     sigma = SigmaPartition(explicit_classes=(frozenset({2, 3}),))
-    capped = EngineLimits(max_subgroup_count=1)
-    fresh = alternating(5)
-    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        build_hall(fresh, sigma, capped)
     a5 = alternating(5)
-    built = build_hall(a5, sigma)
+    capped = rebuilt(a5, max_subgroup_count=1)
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        build_hall(a5, sigma, capped)
-    assert build_hall(fresh, sigma).edges == built.edges
+        build_hall(capped, sigma)
+    built = build_hall(a5, sigma)
+    assert tags(built.edges) == [("residual", "explicit:0")]
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        build_hall(capped, sigma)
+    assert build_hall(a5, sigma) is built
+
+
+@pytest.mark.parametrize("build", (build_hawkes, build_hall), ids=("hawkes", "hall"))
+def test_hawkes_and_hall_builders_accept_only_the_groups_own_limits(build):
+    """The hawkes and hall builders still take a limits argument before the
+    tag, equal to the group's own caps only; other caps are refused, not
+    applied."""
+    g = symmetric(4)
+    graph = build(g, ATOMIC, DEFAULT_LIMITS, "S4")
+    assert graph.group_tag == "S4" and graphs_equal(graph, build(g, ATOMIC))
+    with pytest.raises(DomainError, match="caps it was built with"):
+        build(g, ATOMIC, EngineLimits(max_subgroup_count=29), "S4")
 
 
 @pytest.mark.parametrize("build", (build_hawkes, build_hall, build_vm),

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 from itertools import combinations
 from math import prod
 
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
                      closure, frattini, hall_classes_every_pi_element,
-                     largest_normal_over_by_lattice, naive_centralizer, naive_normalizer)
+                     largest_normal_over_by_lattice, naive_centralizer, naive_normalizer,
+                     rebuilt)
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
@@ -25,8 +28,8 @@ from sigmagraph.zoo import (alternating, build_by_tag, direct_product, regular_w
                             standard_partitions, symmetric)
 
 
-def sets_of(subs, limits=DEFAULT_LIMITS):
-    return {frozenset(s.elements(limits)) for s in subs}
+def sets_of(subs):
+    return {frozenset(s.elements()) for s in subs}
 
 
 def test_basic_group_facts():
@@ -43,9 +46,18 @@ def test_constructor_validation():
         PermGroup(3, [Permutation((1, 0))])
     with pytest.raises(GroupInputError):
         PermGroup(3, ["(0 1)"])
-    for bound in (None, 0, True, 6.0, "6"):
-        with pytest.raises(GroupInputError, match="max_order"):
-            PermGroup(3, [], max_order=bound)
+    for limits in (None, 0, True, 6.0, "6", {"max_element_order": 6}):
+        with pytest.raises(GroupInputError, match="limits must be an EngineLimits"):
+            PermGroup(3, [], limits)
+
+
+def test_an_int_cap_is_refused_not_read_as_the_element_cap():
+    """The caps are one EngineLimits: an int in its place, as an order
+    bound was once given, is an input error, not a bound."""
+    gens = symmetric(5).generators
+    with pytest.raises(GroupInputError, match="limits must be an EngineLimits, got 120"):
+        PermGroup(5, gens, 120)
+    assert PermGroup(5, gens).limits is DEFAULT_LIMITS
 
 
 @pytest.mark.parametrize("degree", (True, 2.0, "3", None), ids=("bool", "float", "str", "None"))
@@ -69,9 +81,9 @@ def test_known_subgroup_counts():
     assert len(all_subgroups(build_by_tag("Q8"))) == 6
     assert len(all_subgroups(build_by_tag("dic3"))) == 8
     assert len(all_subgroups(alternating(6))) == 501
-    assert len(all_subgroups(symmetric(6), EngineLimits(max_subgroup_order=720))) == 1455
+    assert len(all_subgroups(rebuilt(symmetric(6), max_subgroup_order=720))) == 1455
     wreath = regular_wreath(2, symmetric(3))
-    assert len(all_subgroups(wreath, EngineLimits(max_subgroup_count=5000))) == 4676
+    assert len(all_subgroups(rebuilt(wreath, max_subgroup_count=5000))) == 4676
 
 
 def test_two_generated_subgroups():
@@ -322,7 +334,7 @@ def assert_sylow_sets(groups):
         g = PermGroup(g.degree, g.generators)  # its table built under the current limit
         u, elems = g.universe(), g.elements()
         for p, e in prime_factors(g.order):
-            s, gens = _sylow_set(g, p, DEFAULT_LIMITS)
+            s, gens = _sylow_set(g, p)
             assert len(s) == p**e and u.closure(gens) == s
             assert all(p**e % elems[i].order() == 0 for i in s)
 
@@ -387,7 +399,7 @@ def test_hall_classes_match_the_every_pi_element_search(corpus_groups):
     group and every proper set of its primes."""
     for tag, g in corpus_groups:
         for primes in prime_subsets(g, proper=True)[1:]:
-            assert (_hall_classes(g, primes, DEFAULT_LIMITS)
+            assert (_hall_classes(g, primes)
                     == hall_classes_every_pi_element(g, primes)), (tag, primes)
 
 
@@ -397,7 +409,7 @@ def test_largest_normal_over_matches_the_lattice_scan(corpus_groups):
     for tag, g in corpus_groups:
         for floor in normal_subgroups(g):
             for primes in prime_subsets(g):
-                assert (_largest_normal_over(g, floor.indices, primes, DEFAULT_LIMITS)
+                assert (_largest_normal_over(g, floor.indices, primes)
                         == largest_normal_over_by_lattice(g, floor.indices, primes)), (tag, primes)
 
 
@@ -441,117 +453,168 @@ def test_maximal_subgroups_are_read_once_per_lattice(tag, monkeypatch):
 
 
 def test_resource_caps_raise_with_cap_name():
+    """Every cap is read from the group's own limits and raises naming
+    itself."""
     with pytest.raises(ResourceLimitError, match="max_subgroup_order"):
-        all_subgroups(alternating(5), EngineLimits(max_subgroup_order=50))
+        all_subgroups(rebuilt(alternating(5), max_subgroup_order=50))
     with pytest.raises(ResourceLimitError, match="max_element_order"):
-        symmetric(5).elements(EngineLimits(max_element_order=100))
+        rebuilt(symmetric(5), max_element_order=100)
     with pytest.raises(ResourceLimitError, match="max_element_order"):
-        normal_subgroups(symmetric(4), EngineLimits(max_element_order=10))
+        rebuilt(symmetric(4), max_element_order=10)
+    s4 = symmetric(4)
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=5))
+        all_subgroups(rebuilt(s4, max_subgroup_count=5))
     # the count cap admits exactly its value: S4 has 30 subgroups
-    assert len(all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=30))) == 30
+    assert len(all_subgroups(rebuilt(s4, max_subgroup_count=30))) == 30
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        all_subgroups(symmetric(4), EngineLimits(max_subgroup_count=29))
+        all_subgroups(rebuilt(s4, max_subgroup_count=29))
     with pytest.raises(ResourceLimitError, match="max_join_work"):
-        all_subgroups(symmetric(4), EngineLimits(max_join_work=5))
+        all_subgroups(rebuilt(s4, max_join_work=5))
     with pytest.raises(ResourceLimitError, match="max_join_work"):
-        two_generated_subgroups(symmetric(4), EngineLimits(max_join_work=5))
+        two_generated_subgroups(rebuilt(s4, max_join_work=5))
     # the count cap sends prop 1.11 to the scan of pairs of pi-elements
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        maximal_subgroups(regular_wreath(2, symmetric(3)), DEFAULT_LIMITS)
+        maximal_subgroups(regular_wreath(2, symmetric(3)))
 
 
 def test_order_bound_stops_the_strong_generating_set():
-    """max_order admits a group of exactly that order and stops a larger
-    one, naming max_element_order, as soon as the walk over its Cayley
-    graph finds one element more."""
+    """max_element_order admits a group of exactly that order and stops a
+    larger one, naming the cap, as soon as the walk over its Cayley graph
+    finds one element more."""
     gens = symmetric(5).generators
-    assert PermGroup(5, gens, max_order=120).order == 120
+    assert PermGroup(5, gens, EngineLimits(max_element_order=120)).order == 120
     with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=119\]"):
-        PermGroup(5, gens, max_order=119)
+        PermGroup(5, gens, EngineLimits(max_element_order=119))
 
 
 def test_element_cap_holds_after_the_table_is_built():
-    """A table built under the default caps is not handed out under a
-    smaller max_element_order: the cap is checked before the cache."""
+    """A group's element cap is fixed when it is built: S5's table, normal
+    lattice and series built under the default caps let no group on the
+    same generators through under a smaller max_element_order."""
     g = symmetric(5)
     assert len(normal_subgroups(g)) == 3
     assert not is_sigma_soluble(g, ATOMIC)
-    small = EngineLimits(max_element_order=100)
-    with pytest.raises(ResourceLimitError, match="max_element_order"):
-        normal_subgroups(g, small)
-    with pytest.raises(ResourceLimitError, match="max_element_order"):
-        is_sigma_soluble(g, ATOMIC, small)
-    with pytest.raises(ResourceLimitError, match="max_element_order"):
-        g.elements(small)
-    with pytest.raises(ResourceLimitError, match="max_element_order"):
-        g.universe(small)
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=100\]"):
+        rebuilt(g, max_element_order=100)
     assert len(normal_subgroups(g)) == 3
 
 
 def test_subgroups_of_a_table_built_above_the_default_cap():
     """Under a raised element cap, S7 (order 5040, above the default cap)
-    is enumerated once, and the subgroups read in its table need no second
-    check against the default cap; a call under the default cap raises."""
-    g = PermGroup(7, [Permutation.from_cycles(7, [tuple(range(7))]),
-                      Permutation.from_cycles(7, [(0, 1)])], max_order=5040)
+    is enumerated once, its subgroups are read in its table, and a subgroup
+    built as a group of its own inherits the raised caps; under the default
+    caps the same generators are refused."""
     limits = EngineLimits(max_element_order=5040)
-    c = sylow(g, 7, limits)
-    n = normalizer(g, c, limits)
+    gens = [Permutation.from_cycles(7, [tuple(range(7))]), Permutation.from_cycles(7, [(0, 1)])]
+    g = PermGroup(7, gens, limits)
+    c = sylow(g, 7)
+    n = normalizer(g, c)
     assert (c.order, n.order) == (7, 42)
-    c_set = frozenset(c.elements(limits))
+    c_set = frozenset(c.elements())
     assert all(frozenset(x.inverse() * y * x for y in c_set) == c_set
-               for x in n.elements(limits))
-    with pytest.raises(ResourceLimitError, match="max_element_order"):
-        normalizer(g, c)
+               for x in n.elements())
+    assert (n.group.order, n.group.limits) == (42, limits)
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
+        PermGroup(7, gens)
 
 
-def test_cached_subgroup_families_are_keyed_by_the_limits():
-    """A lattice or pool found under looser caps is not handed out under
-    tighter ones: each call is decided by its own limits, whatever ran
-    before on the same group."""
-    g = symmetric(4)
-    assert len(all_subgroups(g, EngineLimits(max_subgroup_count=30))) == 30
+def test_subgroup_families_are_decided_by_each_groups_caps():
+    """Two groups on the same generators under different caps: each
+    lattice, pool and Hall search is decided by its own group's caps,
+    whichever of the two ran first."""
+    s4 = symmetric(4)
+    loose, tight = rebuilt(s4, max_subgroup_count=30), rebuilt(s4, max_subgroup_count=29)
+    assert len(all_subgroups(loose)) == 30
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        maximal_subgroups(g, EngineLimits(max_subgroup_count=29))
-    assert len(two_generated_subgroups(g)) == 30
+        maximal_subgroups(tight)
+    assert len(maximal_subgroups(loose)) == 8
+    short = rebuilt(s4, max_join_work=5)
     with pytest.raises(ResourceLimitError, match="max_join_work"):
-        two_generated_subgroups(g, EngineLimits(max_join_work=5))
+        two_generated_subgroups(short)
+    assert len(two_generated_subgroups(s4)) == 30
     a5 = alternating(5)
     assert len(hall_subgroups(a5, (2, 3))) == 5
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        hall_subgroups(a5, (2, 3), EngineLimits(max_subgroup_count=1))
+        hall_subgroups(rebuilt(a5, max_subgroup_count=1), (2, 3))
 
 
 def test_raised_count_cap_leaves_the_default_cap_in_force():
-    """The order-384 wreath group has 4676 subgroups: after its full lattice
-    under a raised count cap, the default cap still stops maximal_subgroups
-    on the same group object."""
+    """The order-384 wreath group has 4676 subgroups: a group on its
+    generators under a raised count cap gets the full lattice, and the
+    group under the default caps is still stopped by maximal_subgroups,
+    whichever ran first."""
     g = regular_wreath(2, symmetric(3))
-    assert len(all_subgroups(g, EngineLimits(max_subgroup_count=5000))) == 4676
     with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
-        maximal_subgroups(g, DEFAULT_LIMITS)
+        maximal_subgroups(g)
+    assert len(all_subgroups(rebuilt(g, max_subgroup_count=5000))) == 4676
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        maximal_subgroups(g)
 
 
 def test_capped_lattice_caches_its_error_without_traceback():
     """The cap error cached at the lattice's memo key holds no traceback, so
     no frame of the join closure keeps the partial lattice alive; every
     repeat raises a fresh error with the same text and cap."""
-    g = symmetric(4)
-    limits = EngineLimits(max_subgroup_count=5)
+    g = rebuilt(symmetric(4), max_subgroup_count=5)
     with pytest.raises(ResourceLimitError) as first:
-        maximal_subgroups(g, limits)
-    cached = g._cache[("all_subgroup_sets", limits.max_subgroup_order,
-                       limits.max_subgroup_count, limits.max_join_work)]
+        maximal_subgroups(g)
+    cached = g._cache["all_subgroup_sets"]
     assert isinstance(cached, ResourceLimitError)
     for _ in range(2):
         with pytest.raises(ResourceLimitError) as again:
-            maximal_subgroups(g, limits)
+            maximal_subgroups(g)
         assert again.value is not cached
         assert str(again.value) == str(cached) == str(first.value)
         assert (again.value.cap_name, again.value.cap_value) == ("max_subgroup_count", 5)
         assert cached.__traceback__ is None
+
+
+def test_groups_built_from_a_group_inherit_its_caps():
+    """A subgroup built as a group of its own, and a quotient's image, are
+    searched under the caps of the group they come from."""
+    g = rebuilt(symmetric(4), max_subgroup_count=5)
+    d4 = sylow(g, 2).group
+    assert d4.limits is g.limits
+    with pytest.raises(ResourceLimitError, match="max_subgroup_count"):
+        all_subgroups(d4)
+    image = quotient(g, core_series_subgroup(g, [2])).image
+    assert (image.order, image.limits) == (6, g.limits)
+
+
+def test_all_subgroups_refuses_limits_other_than_the_groups():
+    """all_subgroups still takes a limits argument, equal to the group's
+    own caps only; other caps are refused, not applied."""
+    g = symmetric(4)
+    assert len(all_subgroups(g, DEFAULT_LIMITS)) == len(all_subgroups(g, EngineLimits())) == 30
+    with pytest.raises(DomainError, match="caps it was built with"):
+        all_subgroups(g, EngineLimits(max_subgroup_count=29))
+
+
+# where caps are still given: the constructor, the sweep and the fixtures
+# that build groups, and the shims that accept only a group's own caps
+TAKES_LIMITS = {"group.PermGroup", "group.all_subgroups", "graphs.build_hawkes",
+                "graphs.build_hall", "verify.run_corpus_sweep", "verify.factorization_fixtures"}
+
+
+def test_no_public_function_takes_limits_but_the_construction_points():
+    """A group's caps are fixed when it is built, so no public function or
+    method of the package takes a limits argument of its own but those
+    that build groups and the shims."""
+    found = set()
+    for module_name in ("bsgs", "cli", "graphs", "group", "perm", "predicates", "sigma",
+                        "verify", "zoo"):
+        module = importlib.import_module(f"sigmagraph.{module_name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [(name, value)]
+            if inspect.isclass(value):
+                members += [(f"{name}.{attr}", fn) for attr, fn in vars(value).items()
+                            if not attr.startswith("_") and inspect.isfunction(fn)]
+            for qualname, fn in members:
+                if callable(fn) and "limits" in inspect.signature(fn).parameters:
+                    found.add(f"{module_name}.{qualname}")
+    assert found == TAKES_LIMITS
 
 
 @settings(max_examples=30, deadline=None)

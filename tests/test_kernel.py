@@ -288,7 +288,7 @@ def test_pi_closed_matches_normal_lattice(tag):
             pi = PiSet(frozenset(ATOMIC.classify(p) for p in combo))
             assert is_pi_closed(g, pi) == is_pi_closed_by_normal_lattice(g, pi)
             for s in subs:
-                assert (_pi_closed_indices(g, s.indices, pi, DEFAULT_LIMITS)
+                assert (_pi_closed_indices(g, s.indices, pi)
                         == is_pi_closed_by_normal_lattice(s.group, pi))
 
 
@@ -333,10 +333,11 @@ def test_kernel_fuzz_on_small_degrees(seed):
                            rng.randint(1, u.n))
 
 
-def fresh(tag):
-    """A new group object for the tag, with no cached table or lattice."""
+def fresh(tag, limits=DEFAULT_LIMITS):
+    """A new group object for the tag under limits, with no cached table or
+    lattice."""
     g = build_by_tag(tag)
-    return PermGroup(g.degree, g.generators)
+    return PermGroup(g.degree, g.generators, limits)
 
 
 def count_closures(monkeypatch) -> list[int]:
@@ -414,8 +415,8 @@ def test_orbit_pruned_searches_match_and_close_less(tag, limits, monkeypatch):
     routes = ((all_subgroups, subgroup_sets_every_extension),
               (two_generated_subgroups, two_generated_sets_every_join))
     for library, oracle in routes:
-        got, pruned = run_counted(counts, lambda: pairs_of(library(fresh(tag), limits)))
-        want, every = run_counted(counts, lambda: oracle(fresh(tag), limits))
+        got, pruned = run_counted(counts, lambda: pairs_of(library(fresh(tag, limits))))
+        want, every = run_counted(counts, lambda: oracle(fresh(tag, limits)))
         assert got == want
         assert pruned < every
 
@@ -445,7 +446,7 @@ def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
     together."""
     counts = count_closures(monkeypatch)
     with pytest.raises(ResourceLimitError) as exc:
-        route(fresh("wreath_c2_s3"), EngineLimits(max_join_work=300))
+        route(fresh("wreath_c2_s3", EngineLimits(max_join_work=300)))
     assert (exc.value.cap_name, exc.value.cap_value) == ("max_join_work", 300)
     assert counts[0] < 300
 

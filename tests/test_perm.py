@@ -155,21 +155,20 @@ def test_walk_of_every_corpus_group_matches_bsgs_and_validated_closure():
 
 def test_walk_past_the_default_cap_takes_the_order_from_bsgs():
     """Past the default max_element_order the walk stops and raises the cap;
-    under a raised max_order it gives S7, whose order the strong generating
-    set confirms and whose elements are those of a closure with the
-    bijection check, and which stays capped under the default limits."""
+    under a raised element cap it gives S7, whose order the strong
+    generating set confirms and whose elements are those of a closure with
+    the bijection check.  The group keeps the caps it was built with."""
     gens = (Permutation.from_cycles(7, [tuple(range(7))]), Permutation.from_cycles(7, [(0, 1)]))
     with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
         PermGroup(7, gens)
-    g = PermGroup(7, gens, max_order=5040)
-    assert g.order == Bsgs(7, gens).order == 5040
-    with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5000\]"):
-        g.elements()
-    elems = g.elements(EngineLimits(max_element_order=5040))
+    limits = EngineLimits(max_element_order=5040)
+    g = PermGroup(7, gens, limits)
+    assert g.order == Bsgs(7, gens).order == 5040 and g.limits is limits
+    elems = g.elements()
     assert len(set(elems)) == 5040
     assert [p.images for p in elems] == sorted(validated_closure(g))
     with pytest.raises(ResourceLimitError, match=r"\[cap max_element_order=5039\]"):
-        PermGroup(7, gens, max_order=5039)
+        PermGroup(7, gens, EngineLimits(max_element_order=5039))
 
 
 def test_a_group_far_past_the_cap_is_refused_at_once():

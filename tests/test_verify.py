@@ -6,13 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import component_decomposition_holds, pairs_pi_closed_every_pair
+from oracles import component_decomposition_holds, pairs_pi_closed_every_pair, rebuilt
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
-from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup,
-                              Subgroup, _Universe, all_subgroups, core_series_subgroup)
+from sigmagraph.group import (PermGroup, QuotientGroup, Subgroup, _Universe, all_subgroups,
+                              core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, primes_of, sigma_of_group
@@ -172,6 +172,23 @@ def test_prop_1_11_gates():
     assert not insoluble.hypotheses[0].holds
 
 
+@pytest.mark.parametrize("verify", (verify_prop_1_9, verify_prop_1_11), ids=("1.9", "1.11"))
+def test_pi_from_another_partition_is_refused(verify):
+    """A pi whose classes belong to another partition than sigma would meet
+    no vertex and read as the empty class set (prop 1.9 passed with
+    pi1={}); it is refused, whichever partition it comes from, while an
+    equal partition built anew is accepted."""
+    s4 = build_by_tag("S4")
+    for other in (TWO_THREE, SigmaPartition(explicit_classes=(frozenset({3}),))):
+        with pytest.raises(DomainError, match="another partition"):
+            verify(s4, ATOMIC, PiSet(frozenset({other.classify(2)})))
+    with pytest.raises(DomainError, match="another partition"):
+        verify(s4, TWO_THREE, PiSet(frozenset({ATOMIC.classify(2)})))
+    same = PiSet(frozenset({SigmaPartition(atomic=True).classify(3)}))
+    assert (verify(s4, ATOMIC, same).to_json()
+            == verify(s4, ATOMIC, PiSet(frozenset({ATOMIC.classify(3)}))).to_json())
+
+
 def test_prop_1_11_sweep_no_failures():
     for tag in ("S3", "S4", "A4", "sl23", "dic3", "wreath_c2_s3"):
         g = build_by_tag(tag)
@@ -198,10 +215,10 @@ def test_pair_scan_agrees_with_the_lattice(corpus_groups, partitions):
             vertices = sigma_of_group(g, sigma)
             for pi in _pi_subsets(vertices):
                 bad = [s.order for s in proper
-                       if not _pi_closed_indices(g, s.indices, pi, DEFAULT_LIMITS)]
+                       if not _pi_closed_indices(g, s.indices, pi)]
                 want = ((False, f"subgroup of order {min(bad)} is not pi-closed") if bad
                         else (True, ""))
-                assert _pairs_pi_closed(g, pi, DEFAULT_LIMITS) == want, (tag, sigma, pi)
+                assert _pairs_pi_closed(g, pi) == want, (tag, sigma, pi)
                 triples += 1
     assert triples == 1444
 
@@ -211,9 +228,9 @@ def test_pair_scan_counts_every_pair_toward_the_join_work_cap():
     trivial one, all 2- or 3-elements under pi = {2, 3}: 64 pairs."""
     s4 = build_by_tag("S4")
     pi = PiSet(sigma_of_group(s4, ATOMIC))
-    assert _pairs_pi_closed(s4, pi, EngineLimits(max_join_work=64)) == (True, "")
+    assert _pairs_pi_closed(rebuilt(s4, max_join_work=64), pi) == (True, "")
     with pytest.raises(ResourceLimitError, match="max_join_work=63"):
-        _pairs_pi_closed(s4, pi, EngineLimits(max_join_work=63))
+        _pairs_pi_closed(rebuilt(s4, max_join_work=63), pi)
 
 
 PI_2, PI_3 = (PiSet(frozenset({ATOMIC.classify(p)})) for p in (2, 3))
@@ -234,7 +251,7 @@ def test_pair_scan_agrees_with_the_every_pair_scan(corpus_groups):
     cases.append(("C3wrS3", regular_wreath(3, symmetric(3)), PI_2))
     for tag, g, pi in cases:
         want = pairs_pi_closed_every_pair(g, pi)
-        assert _pairs_pi_closed(g, pi, DEFAULT_LIMITS) == want, (tag, pi)
+        assert _pairs_pi_closed(g, pi) == want, (tag, pi)
 
 
 def count_closures(monkeypatch, budget: int) -> list[int]:
@@ -257,7 +274,7 @@ def test_pair_scan_skips_the_pi_core_and_stops_at_order_6(monkeypatch):
     g = build_by_tag("wreath_c2_s3")
     core_series_subgroup(g, [2])
     count_closures(monkeypatch, 64)
-    assert _pairs_pi_closed(g, PI_2, DEFAULT_LIMITS) == (
+    assert _pairs_pi_closed(g, PI_2) == (
         False, "subgroup of order 6 is not pi-closed")
 
 
@@ -269,7 +286,7 @@ def test_pair_scan_of_a_pi_closed_group_closes_nothing(monkeypatch):
     core_series_subgroup(g, [3])
     calls = count_closures(monkeypatch, 0)
     start = time.perf_counter()
-    assert _pairs_pi_closed(g, PI_3, DEFAULT_LIMITS) == (True, "")
+    assert _pairs_pi_closed(g, PI_3) == (True, "")
     assert time.perf_counter() - start < 5
     assert calls == [0]
 
@@ -279,9 +296,9 @@ def test_pair_scan_counts_skipped_pairs_toward_the_join_work_cap():
     cyclic 2-subgroups: 3933 pairs, counted before any is skipped."""
     g = build_by_tag("wreath_c2_s3")
     want = (False, "subgroup of order 6 is not pi-closed")
-    assert _pairs_pi_closed(g, PI_2, EngineLimits(max_join_work=3933)) == want
+    assert _pairs_pi_closed(rebuilt(g, max_join_work=3933), PI_2) == want
     with pytest.raises(ResourceLimitError, match="max_join_work=3932"):
-        _pairs_pi_closed(g, PI_2, EngineLimits(max_join_work=3932))
+        _pairs_pi_closed(rebuilt(g, max_join_work=3932), PI_2)
 
 
 def test_component_decomposition():
@@ -375,9 +392,9 @@ def test_prop_1_2_visits_classes_in_sort_order(monkeypatch):
     seen = []
     real = sigmagraph.verify.sigma_length
 
-    def spy(G, cls, limits):
+    def spy(G, cls):
         seen.append(cls)
-        return real(G, cls, limits)
+        return real(G, cls)
 
     monkeypatch.setattr(sigmagraph.verify, "sigma_length", spy)
     verify_prop_1_2(build_by_tag("C30"), ATOMIC)

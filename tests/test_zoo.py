@@ -2,7 +2,7 @@ import pytest
 
 from oracles import zoo_tags
 from sigmagraph.errors import GroupInputError
-from sigmagraph.zoo import (build_by_tag, corpus, dicyclic12, dihedral,
+from sigmagraph.zoo import (alternating, build_by_tag, corpus, cyclic, dicyclic12, dihedral,
                             direct_product, regular_wreath, s5_subgroups,
                             standard_partitions, symmetric, zoo)
 
@@ -64,3 +64,23 @@ def test_specific_constructions():
     assert sorted(p.order() for p in q8.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
     sl = build_by_tag("sl23")
     assert sorted(p.order() for p in sl.elements()).count(2) == 1
+
+
+@pytest.mark.parametrize("build, n", [
+    (cyclic, 0), (cyclic, 2.0), (cyclic, True),
+    (symmetric, 0), (symmetric, True), (symmetric, 3.0), (symmetric, "3"),
+    (alternating, -3), (alternating, 0), (alternating, 4.0),
+    (dihedral, 1), (dihedral, 2), (dihedral, 2.0), (dihedral, True), (dihedral, None),
+])
+def test_builders_refuse_an_n_outside_their_range(build, n):
+    """cyclic, symmetric and alternating take an int n >= 1, dihedral an int
+    n >= 3: a bool, a float or a smaller n is refused, not coerced into a
+    smaller or wrong group (dihedral(2) once had order 2, symmetric(True)
+    was trivial)."""
+    with pytest.raises(GroupInputError, match="n must be an int of at least"):
+        build(n)
+
+
+def test_builders_at_the_least_n():
+    assert [cyclic(1).order, symmetric(1).order, alternating(1).order,
+            alternating(2).order, alternating(3).order, dihedral(3).order] == [1, 1, 1, 1, 3, 6]
