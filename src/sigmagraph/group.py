@@ -22,13 +22,16 @@ group above a cap costs about as much as enumerating one at the cap.  Each
 element is kept once, as the image tuple the walk found; a ``Permutation``
 is made only for a caller who asks.  The table is read through one bulk read,
 ``_Universe.gather``, and one pointwise read, ``_Universe.mul``.  Up to
-``_TABLE_LIMIT`` elements it holds the whole multiplication table: only the
-generators' rows are composed from images, the other rows are gathered from
-them along the Cayley graph, and rows are tuples that share the identity
-row's int objects, so a gather neither boxes nor copies an entry; that
-costs 8 bytes per entry, about 4 MB for S6 and about 18 MB at the limit.
-Above it a gather composes each entry from images as it reads it, at C
-level too.  A subgroup is its set of element indices in that table.  Its generator indices are
+``_TABLE_LIMIT`` elements it holds rows of the multiplication table: the
+rows of the generators and their inverses are made with the table, and
+every other row is gathered from held rows along the Cayley graph on its
+first read, so a caller pays for the rows it reads (a cold graph call on
+S6 reads well under half of them).  Rows are tuples that share the
+identity row's int objects, so a gather neither boxes nor copies an entry;
+a held row costs 8 bytes per entry, so the whole table, reached when every
+row is read, takes about 4 MB for S6 and about 18 MB at the limit.  Above
+it a gather composes each entry from images as it reads it, at C level
+too.  A subgroup is its set of element indices in that table.  Its generator indices are
 given, where a search produced them, or derived from the set on first
 read (Hall subgroups, normal subgroups, cores); its own PermGroup is built
 only when a caller treats it as a group in its own right.  Every subgroup is
@@ -42,8 +45,8 @@ its class by gathers on the conjugation rows of G's generators.
 Centralisers, normalisers and normality checks compare or gather whole
 conjugation rows and coset labels instead of multiplying element by element.
 Element orders, inverses and the cyclic subgroups come from one walk per
-cyclic subgroup along the rows when the table is built, and the conjugacy
-classes from one orbit pass per table, which every caller reads.
+cyclic subgroup over image tuples when the table is built, and the
+conjugacy classes from one orbit pass per table, which every caller reads.
 Quotients are read in G itself: the normal subgroups of G/K are the normal
 subgroups of G over K, and the largest one whose index over K involves
 given primes comes from one pass over G's conjugacy classes
@@ -98,7 +101,7 @@ class EngineLimits:
 
 DEFAULT_LIMITS = EngineLimits()
 
-_TABLE_LIMIT = 1500  # build a full multiplication table up to this order
+_TABLE_LIMIT = 1500  # hold rows of the multiplication table up to this order
 
 
 class PermGroup:
@@ -277,6 +280,43 @@ def _composed(index: dict, images, at):
     return lambda row: tuple(map(lookup, map(row, at_images)))
 
 
+class _Rows(dict):
+    """The rows of a multiplication table, each made on its first read and
+    kept; ``_Universe`` sets the attributes.
+
+    With a table, ``links`` holds (row(k⁻¹), row(k)) for each k among the
+    generators and their inverses, whose rows are held from the start, and
+    ``tree[y]`` the link of a breadth-first tree over the Cayley graph from
+    the identity: y = k·p with p = row(k⁻¹)[y] one step nearer the root.  A
+    read of row x steps back from x until some y = k·p has p's row held,
+    trying every link at each step and else going up the tree; then row(y)
+    is row(k) read at the positions row(p) (associativity), one C-level
+    gather, and so on for each step back down to x.  Every row on the way
+    is kept, and the walk and the gathers are loops, so a long chain cannot
+    overflow the stack.  Without a table (``links`` None), row x is
+    ``_getter(images[x])``."""
+
+    __slots__ = ("images", "links", "tree")
+
+    def __missing__(self, x: int):
+        links = self.links
+        if links is None:
+            row = self[x] = _getter(self.images[x])
+            return row
+        below = []  # (z, row(k)) with z = k·(the element after z), from x up
+        y = x
+        while True:
+            for k_inv, k in links:
+                if (p := k_inv[y]) in self:  # y = k·p, with p's row held
+                    row = self[y] = itemgetter(*self[p])(k)  # n >= 2 here
+                    for z, k in reversed(below):
+                        row = self[z] = itemgetter(*row)(k)
+                    return row
+            k_inv, k = self.tree[y]
+            below.append((y, k))
+            y = k_inv[y]
+
+
 class _Universe:
     """Index arithmetic over one group's full, canonically sorted list of
     image tuples (``images``; ``index`` maps each to its position).
@@ -285,23 +325,28 @@ class _Universe:
     ``gather``: ``gather(at)(rows[x])`` is (x·a for a in at), x first, then
     a, one C-level gather with a table or without; ``mul(x, y)`` is one
     entry.  ``gather`` is chosen once per table, so a read costs no more
-    than the gather itself.  Up to ``_TABLE_LIMIT`` elements (``table``),
-    ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y, and a gather is
-    one ``itemgetter``.  Only the generator rows are composed from images;
-    every other row comes from a walk over the Cayley graph from the
-    identity, since row(x·g) = row(x) read at the positions row(g)
-    (associativity), one C-level gather per row.  A row gathered from the
-    identity row ``tuple(range(n))`` holds that row's int objects, so the
+    than the gather itself.  ``rows`` is a ``_Rows`` mapping that makes
+    each row on its first read.  Up to ``_TABLE_LIMIT`` elements
+    (``table``), ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y,
+    and a gather is one ``itemgetter``.  Only the rows of the generators
+    are composed from images, and those of their inverses inverted from
+    them; every other row is gathered on first read from a held row one
+    step nearer along the Cayley graph, since row(g·p) = row(g) read at the
+    positions row(p) (associativity), one C-level gather per row.  A walk
+    over indices along the rows of the generators and their inverses, made
+    with the table, checks that the generators reach every element and
+    gives the tree that the reads follow.  A row gathered from the identity
+    row holds that row's int objects (the values of ``index``), so the
     gather boxes nothing and builds nothing besides the tuple.  Above the
     limit ``rows[x]`` is ``_getter(images[x])``, and a gather composes each
     entry from images (``_composed``), still at C level: no Python call per
     entry.  Element orders, inverses and the cyclic subgroups come from one
-    walk per cyclic subgroup, from its least generator along its row:
-    ``cyclic`` maps the element set of each cyclic subgroup to that
-    generator (() for the trivial one), in order of the generator, and
-    ``canon[i]`` is the generator of <i>.  Conjugation is two gathers
-    through the inverses, whole rows (``conjugation_rows``) or at some
-    positions (``conjugates``).
+    walk per cyclic subgroup, from its least generator i, composing image
+    tuples, so the walk reads no row: ``cyclic`` maps the element set of
+    each cyclic subgroup to that generator (() for the trivial one), in
+    order of the generator, and ``canon[i]`` is the generator of <i>.
+    Conjugation is two gathers through the inverses, whole rows
+    (``conjugation_rows``) or at some positions (``conjugates``).
 
     ``gens`` are the indices of the generators the table was built from
     (no identity, no repeats); ``conj_rows`` are conjugation by them, built
@@ -322,29 +367,10 @@ class _Universe:
                           if g != ident)
         self.table = n <= _TABLE_LIMIT
         self.gather = _getter if self.table else partial(_composed, index, images)
-        if not self.table:
-            self.rows = list(map(_getter, images))
-        else:
-            # row(g)[y] = g·y, composed from images; gathering row(x) there gives row(x·g)
-            whole = _composed(index, images, range(n))
-            steps = [(g, _getter(whole(_getter(images[g])))) for g in self.gens]
-            rows: list = [None] * n
-            rows[ident] = tuple(range(n))
-            walk = [ident]
-            for x in walk:
-                row = rows[x]
-                for g, gather in steps:
-                    y = row[g]
-                    if rows[y] is None:
-                        rows[y] = gather(row)
-                        walk.append(y)
-            if len(walk) != n:
-                raise CrossCheckError(
-                    f"the generators reach {len(walk)} of the {n} elements of the table")
-            self.rows = rows
-        # one walk per cyclic subgroup, from its least generator i along row i:
-        # i^j with gcd(j, k) = 1 generates <i> too, so it has order k, inverse
-        # i^(k-j) and canon i; every element generates one walked subgroup
+        # one walk per cyclic subgroup, from its least generator i, composing
+        # image tuples: i^j with gcd(j, k) = 1 generates <i> too, so it has
+        # order k, inverse i^(k-j) and canon i; every element generates one
+        # walked subgroup
         self.orders = orders = array("l", [1]) * n
         self.inv_arr = inv = array("l", [ident]) * n
         self.canon = canon = [-1] * n
@@ -352,15 +378,50 @@ class _Universe:
         self.cyclic = cyclic = {frozenset({ident}): ()}
         for i in range(n):
             if canon[i] < 0:
-                powers = [ident, i]
-                while (x := self.mul(i, powers[-1])) != ident:
+                times_i = _getter(images[i])
+                powers = [ident]
+                x, im = i, images[i]
+                while x != ident:
                     powers.append(x)
+                    im = times_i(im)
+                    x = index[im]
                 k = len(powers)
                 for j in range(1, k):
                     if gcd(j, k) == 1:
                         x = powers[j]
                         orders[x], inv[x], canon[x] = k, powers[k - j], i
                 cyclic[frozenset(powers)] = (i,)
+        if not self.table:
+            self.rows = rows = _Rows()
+            rows.images, rows.links = images, None
+        else:
+            # row(g)[y] = g·y, composed from images; row(g⁻¹) is its inverse
+            # permutation; every other row is gathered from these on first read
+            ident_row = tuple(index.values())
+            lookup = index.__getitem__
+            held = {g: tuple(map(lookup, map(_getter(images[g]), images))) for g in self.gens}
+            for g in self.gens:
+                if inv[g] not in held:
+                    back = [0] * n
+                    for x, y in zip(ident_row, held[g]):
+                        back[y] = x
+                    held[inv[g]] = tuple(back)
+            links = [(held[inv[k]], held[k]) for k in held]
+            tree: list = [None] * n
+            tree[ident] = ()  # the root, whose row is held
+            walk = [ident]
+            for x in walk:
+                for link in links:
+                    y = link[1][x]
+                    if tree[y] is None:
+                        tree[y] = link
+                        walk.append(y)
+            if len(walk) != n:
+                raise CrossCheckError(
+                    f"the generators reach {len(walk)} of the {n} elements of the table")
+            self.rows = rows = _Rows(held)
+            rows[ident] = ident_row
+            rows.images, rows.links, rows.tree = images, links, tree
         self.conj_rows = self.conjugation_rows(self.gens)
 
     def mul(self, i: int, j: int) -> int:

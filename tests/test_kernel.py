@@ -44,7 +44,7 @@ def table_elements(u):
 def assert_table_matches(G):
     u = G.universe()
     rows, inv = composed_table(G.elements())
-    assert [list(r) for r in u.rows] == rows
+    assert [list(u.rows[x]) for x in range(u.n)] == rows
     assert list(u.inv_arr) == inv
 
 
@@ -83,12 +83,12 @@ def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
     perms = g.elements()
     rows, _ = composed_table(perms)
     whole = u.gather(range(u.n))
-    assert [list(whole(r)) for r in u.rows] == rows
+    assert [list(whole(u.rows[x])) for x in range(u.n)] == rows
     assert [perms[i] for i in u.inv_arr] == [p.inverse() for p in perms]
 
 
 def assert_cyclic_walk_matches(u):
-    """The orders walked along the rows equal each permutation's own order,
+    """The orders walked over image tuples equal each permutation's own order,
     and the cyclic subgroups walked with them are those of the plain walk:
     canon[i] is the least generator of <i>, and each <g> is keyed in order
     of that generator g."""
@@ -110,8 +110,8 @@ def assert_inverses_cancel(u):
 @pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
 @pytest.mark.parametrize("tag", zoo_tags())
 def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monkeypatch):
-    """Orders, canon and the cyclic subgroups walked along the rows, read in
-    the table and, above the table limit, composed from images."""
+    """Orders, canon and the cyclic subgroups from the cyclic walk, with a
+    table and, above the table limit, without one."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     u = next(e for e in zoo() if e.tag == tag).builder().universe()
@@ -122,7 +122,7 @@ def test_element_orders_from_the_rows_match_permutation_orders(tag, table, monke
 @pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
 @pytest.mark.parametrize("tag", zoo_tags())
 def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
-    """Inverses read along the cyclic walk, on table rows and, above the
+    """Inverses from the cyclic walk, checked on table rows and, above the
     table limit, on composed ones."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
@@ -138,10 +138,55 @@ def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
     u, perms = g.universe(), g.elements()
     ident = u.rows[u.identity]
     assert ident == tuple(range(u.n))
-    for row in u.rows:
+    for row in (u.rows[x] for x in range(u.n)):
         assert type(row) is tuple
         assert all(x is ident[x] for x in row)
     assert [perms[i] for i in u.inv_arr] == [p.inverse() for p in perms]
+
+
+def test_a_deep_row_is_gathered_without_recursion():
+    """The cyclic group of order 1200 given by one 1200-cycle g: the rows
+    of 1, g and g⁻¹ are held, and the row of g^600, read first on a fresh
+    table, is gathered along a chain of 600 powers of g."""
+    g = Permutation(tuple(range(1, 1200)) + (0,))
+    u = PermGroup(1200, [g], EngineLimits(max_element_order=1200)).universe()
+    assert len(u.rows) == 3
+    far = Permutation(tuple((i + 600) % 1200 for i in range(1200)))
+    assert u.rows[u.idx_of(far)] == tuple(u.idx_of(far * p) for p in table_elements(u))
+
+
+def test_rows_read_in_random_order_match_composition():
+    """Rows read in a seeded random order on fresh tables, each gathered
+    down from whatever rows the earlier reads left, equal the table of
+    permutation products and hold the identity row's int objects."""
+    rng = random.Random("rows")
+    groups = [build_by_tag(tag) for tag in zoo_tags()] + [g for _, g in s5_subgroups()]
+    for G in groups:
+        u = PermGroup(G.degree, G.generators).universe()
+        table, _ = composed_table(G.elements())
+        ident = u.rows[u.identity]
+        for x in rng.sample(range(u.n), u.n):
+            row = u.rows[x]
+            assert list(row) == table[x]
+            assert all(y is ident[y] for y in row)
+
+
+def test_a_cold_graph_call_gathers_only_the_rows_it_reads(monkeypatch):
+    """A cold hawkes graph of S6 gathers at most half of its 720 rows: the
+    rows it reads and those on the way to them."""
+    tables = []
+    universe = PermGroup.universe
+
+    def keep(G):
+        tables.append(universe(G))
+        return tables[-1]
+    monkeypatch.setattr(PermGroup, "universe", keep)
+    spec = '{"degree": 6, "generators": [[1, 2], [1, 2, 3, 4, 5, 6]], "expected_order": 720}'
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sigmagraph.cli.main(["graph", "--group", spec, "--kind", "hawkes"]) == 0
+    u = tables[0]
+    assert u.n == 720 and all(t is u for t in tables)
+    assert len(u.rows) <= u.n // 2
 
 
 @pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5", "wreath_c2_s3"))
@@ -243,7 +288,7 @@ def test_table_reads_without_a_table_match_naive(tag, monkeypatch):
 def test_trivial_tables(G):
     u = G.universe()
     assert u.n == 1 and u.identity == 0
-    assert [list(r) for r in u.rows] == [[0]] and list(u.inv_arr) == [0]
+    assert [list(u.rows[x]) for x in range(u.n)] == [[0]] and list(u.inv_arr) == [0]
     one = frozenset({0})
     assert u.closure([]) == u.closure([0, 0]) == u.closure([0], base=one, cap=1) == one
 
@@ -465,13 +510,13 @@ def assert_gathers_match_entries(G):
     fixed = (tuple(range(n)), inv, (u.identity,), (n - 1, 0, n // 2), tuple(range(0, n, 7)))
     for at in fixed:
         gather = u.gather(at)
-        assert [list(gather(row)) for row in u.rows] == [[t[a] for a in at] for t in table]
+        assert [list(gather(u.rows[x])) for x in range(n)] == [[t[a] for a in at] for t in table]
     assert [[u.mul(x, y) for y in range(n)] for x in range(n)] == table
     normaliser = normalizer(G, sylow(G, 2))
     for by in (u.gens, u.derive_gens(normaliser.indices)):
         for g in by:
             column = u.gather((g,))
-            assert [column(row) for row in u.rows] == [(t[g],) for t in table]
+            assert [column(u.rows[x]) for x in range(n)] == [(t[g],) for t in table]
         want = [[table[table[inv[g]][i]][g] for i in range(n)] for g in by]
         assert [list(row) for row in u.conjugation_rows(by)] == want
         for g, row in zip(by, want):
