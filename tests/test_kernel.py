@@ -171,7 +171,7 @@ def test_rows_read_in_random_order_match_composition():
             assert all(y is ident[y] for y in row)
 
 
-def test_a_cold_graph_call_gathers_only_the_rows_it_reads(monkeypatch):
+def test_a_cold_s6_graph_call_gathers_at_most_half_its_rows(monkeypatch):
     """A cold hawkes graph of S6 gathers at most half of its 720 rows: the
     rows it reads and those on the way to them."""
     tables = []
