@@ -20,14 +20,6 @@ direction of "better" is read from the change's BENCHMARK.json.  With
 first seed) adds every per-layer metric of both sides, and whether every
 ``.calls`` count is equal.
 
-Every time the runner reports is scaled by the machine speed that it
-samples while it runs (perfbench/speed.py).  So for each run the output
-also records, under ``unscaled``, two figures read from the runner's stamp
-line: the median ``speed_scale`` over its passes and the median raw pass
-time (``raw_wall_s``), with the median and interquartile range of each
-side.  A shift of the scale with raw times equal then tells a change in
-the sampled speed apart from a change in the program.
-
 Both sides must run the same benchmark: the script refuses, before any
 run, two checkouts whose ``BENCHMARK.json`` or ``perfbench/`` files (its
 ``out/`` and ``__pycache__`` left aside) differ, by a sha256 digest over
@@ -93,10 +85,8 @@ def commit_of(root: Path) -> str | None:
     return out.stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> tuple[dict, dict]:
-    """The metric values of one run, {name: value}, and its stamp figures
-    (``stamp_figures``)."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The metric values of one run, {name: value}."""
     cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -107,15 +97,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     if not result.get("correct"):
         raise SystemExit(f"{' '.join(cmd)} in {root} was not correct: {lines[-2:]}")
-    metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, stamp_figures(json.loads(lines[-2])["stamp"])
-
-
-def stamp_figures(stamp: dict) -> dict:
-    """A run's median speed scale and median raw pass time, from the stamp
-    line that the runner prints before its result."""
-    return {"speed_scale": statistics.median(stamp["speed_scale"]),
-            "raw_pass_s": statistics.median(stamp["raw_wall_s"])}
+    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def summary(values: list[float]) -> tuple[float, float]:
@@ -126,16 +108,6 @@ def summary(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
-def spread(runs: dict, name: str) -> dict:
-    """Each side's values of one figure, with the median and IQR of each."""
-    values = {side: [r[name] for r in runs[side]] for side in ("parent", "change")}
-    out = {side: [round(v, 5) for v in vals] for side, vals in values.items()}
-    for side, vals in values.items():
-        med, iqr = summary(vals)
-        out[f"{side}_median"], out[f"{side}_iqr"] = round(med, 5), round(iqr, 5)
-    return out
-
-
 def better(change: float, parent: float, direction: str) -> bool:
     return change < parent if direction == "lower" else change > parent
 
@@ -144,10 +116,19 @@ def compare(runs: dict, units: dict, directions: dict) -> dict:
     """Per-metric record in the BENCH_*.json schema."""
     out = {}
     for name in runs["parent"][0]:
-        pairs = zip(runs["parent"], runs["change"])
-        out[name] = {"unit": units[name], **spread(runs, name),
-                     "change_better_pairs": sum(better(c[name], p[name], directions[name])
-                                                for p, c in pairs)}
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        p_med, p_iqr = summary(parent)
+        c_med, c_iqr = summary(change)
+        out[name] = {
+            "unit": units[name],
+            "parent": [round(v, 5) for v in parent],
+            "change": [round(v, 5) for v in change],
+            "parent_median": round(p_med, 5), "parent_iqr": round(p_iqr, 5),
+            "change_median": round(c_med, 5), "change_iqr": round(c_iqr, 5),
+            "change_better_pairs": sum(better(c, p, directions[name])
+                                       for p, c in zip(parent, change)),
+        }
     return out
 
 
@@ -188,27 +169,20 @@ def main(argv=None) -> int:
     }
     for workload in args.workload:
         runs = {"parent": [], "change": []}
-        stamps = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 print(f"{workload} seed {seed} {side}", file=sys.stderr, flush=True)
-                metrics, figures = run_once(sides[side], workload, seed, args.seconds, 0)
-                runs[side].append(metrics)
-                stamps[side].append(figures)
-        doc["workloads"][workload] = {
-            "seeds": args.seeds,
-            "metrics": compare(runs, units, directions),
-            "unscaled": {name: spread(stamps, name) for name in stamps["parent"][0]},
-        }
+                runs[side].append(run_once(sides[side], workload, seed, args.seconds, 0))
+        doc["workloads"][workload] = {"seeds": args.seeds,
+                                      "metrics": compare(runs, units, directions)}
     if args.trace_workload:
         seed = args.seeds[0]
         traced = {}
         for side in ("parent", "change"):
             print(f"{args.trace_workload} seed {seed} {side} --trace 1",
                   file=sys.stderr, flush=True)
-            traced[side], _ = run_once(sides[side], args.trace_workload, seed,
-                                       args.seconds, 1)
+            traced[side] = run_once(sides[side], args.trace_workload, seed, args.seconds, 1)
         doc[f"{args.trace_workload}_trace1"] = {
             "command": f"python3 perfbench/run.py --workload {args.trace_workload} "
                        f"--seed {seed} --seconds {args.seconds:g} --trace 1",

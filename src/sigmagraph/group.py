@@ -284,25 +284,21 @@ class _Rows(dict):
     """The rows of a multiplication table, each made on its first read and
     kept; ``_Universe`` sets the attributes.
 
-    With a table, ``links`` holds (row(k⁻¹), row(k)) for each k among the
-    generators and their inverses, whose rows are held from the start, and
-    ``tree[y]`` the link of a breadth-first tree over the Cayley graph from
-    the identity: y = k·p with p = row(k⁻¹)[y] one step nearer the root.  A
-    read of row x steps back from x until some y = k·p has p's row held,
-    trying every link at each step and else going up the tree; then row(y)
-    is row(k) read at the positions row(p) (associativity), one C-level
-    gather, and so on for each step back down to x.  Every row on the way
-    is kept, and the walk and the gathers are loops, so a long chain cannot
-    overflow the stack.  Without a table (``links`` None), row x is
-    ``_getter(images[x])``."""
+    ``links`` holds (row(k⁻¹), row(k)) for each k among the generators and
+    their inverses, whose rows are held from the start, and ``tree[y]`` the
+    link of a breadth-first tree over the Cayley graph from the identity:
+    y = k·p with p = row(k⁻¹)[y] one step nearer the root.  A read of row x
+    steps back from x until some y = k·p has p's row held, trying every
+    link at each step and else going up the tree; then row(y) is row(k)
+    read at the positions row(p) (associativity), one C-level gather, and
+    so on for each step back down to x.  Every row on the way is kept, and
+    the walk and the gathers are loops, so a long chain cannot overflow the
+    stack."""
 
-    __slots__ = ("images", "links", "tree")
+    __slots__ = ("links", "tree")
 
     def __missing__(self, x: int):
         links = self.links
-        if links is None:
-            row = self[x] = _getter(self.images[x])
-            return row
         below = []  # (z, row(k)) with z = k·(the element after z), from x up
         y = x
         while True:
@@ -325,26 +321,26 @@ class _Universe:
     ``gather``: ``gather(at)(rows[x])`` is (x·a for a in at), x first, then
     a, one C-level gather with a table or without; ``mul(x, y)`` is one
     entry.  ``gather`` is chosen once per table, so a read costs no more
-    than the gather itself.  ``rows`` is a ``_Rows`` mapping that makes
-    each row on its first read.  Up to ``_TABLE_LIMIT`` elements
-    (``table``), ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y,
-    and a gather is one ``itemgetter``.  Only the rows of the generators
-    are composed from images, and those of their inverses inverted from
-    them; every other row is gathered on first read from a held row one
-    step nearer along the Cayley graph, since row(g·p) = row(g) read at the
-    positions row(p) (associativity), one C-level gather per row.  A walk
-    over indices along the rows of the generators and their inverses, made
-    with the table, checks that the generators reach every element and
-    gives the tree that the reads follow.  A row gathered from the identity
-    row holds that row's int objects (the values of ``index``), so the
-    gather boxes nothing and builds nothing besides the tuple.  Above the
-    limit ``rows[x]`` is ``_getter(images[x])``, and a gather composes each
-    entry from images (``_composed``), still at C level: no Python call per
-    entry.  Element orders, inverses and the cyclic subgroups come from one
-    walk per cyclic subgroup, from its least generator i, composing image
-    tuples, so the walk reads no row: ``cyclic`` maps the element set of
-    each cyclic subgroup to that generator (() for the trivial one), in
-    order of the generator, and ``canon[i]`` is the generator of <i>.
+    than the gather itself.  Up to ``_TABLE_LIMIT`` elements (``table``),
+    ``rows`` is a ``_Rows`` mapping that makes each row on its first read,
+    ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y, and a gather is
+    one ``itemgetter``.  Only the rows of the generators are composed from
+    images, and those of their inverses inverted from them; every other row
+    is gathered on first read from a held row one step nearer along the
+    Cayley graph, since row(g·p) = row(g) read at the positions row(p)
+    (associativity), one C-level gather per row.  A walk over indices along
+    the rows of the generators and their inverses, made with the table,
+    checks that the generators reach every element and gives the tree that
+    the reads follow.  A row gathered from the identity row holds that row's
+    int objects (the values of ``index``), so the gather boxes nothing and
+    builds nothing besides the tuple.  Above the limit ``rows`` is a list,
+    ``rows[x]`` is ``_getter(images[x])``, and a gather composes each entry
+    from images (``_composed``), still at C level: no Python call per entry.
+    Element orders, inverses and the cyclic subgroups come from one walk per
+    cyclic subgroup, from its least generator i, composing image tuples, so
+    the walk reads no row: ``cyclic`` maps the element set of each cyclic
+    subgroup to that generator (() for the trivial one), in order of the
+    generator, and ``canon[i]`` is the generator of <i>.
     Conjugation is two gathers through the inverses, whole rows
     (``conjugation_rows``) or at some positions (``conjugates``).
 
@@ -378,7 +374,7 @@ class _Universe:
         self.cyclic = cyclic = {frozenset({ident}): ()}
         for i in range(n):
             if canon[i] < 0:
-                times_i = _getter(images[i])
+                times_i = itemgetter(*images[i])  # degree >= 2 here
                 powers = [ident]
                 x, im = i, images[i]
                 while x != ident:
@@ -392,11 +388,11 @@ class _Universe:
                         orders[x], inv[x], canon[x] = k, powers[k - j], i
                 cyclic[frozenset(powers)] = (i,)
         if not self.table:
-            self.rows = rows = _Rows()
-            rows.images, rows.links = images, None
+            self.rows = list(map(_getter, images))
         else:
             # row(g)[y] = g·y, composed from images; row(g⁻¹) is its inverse
-            # permutation; every other row is gathered from these on first read
+            # permutation (a plain loop: faster than composing it or sorting);
+            # every other row is gathered from these on first read
             ident_row = tuple(index.values())
             lookup = index.__getitem__
             held = {g: tuple(map(lookup, map(_getter(images[g]), images))) for g in self.gens}
@@ -421,7 +417,7 @@ class _Universe:
                     f"the generators reach {len(walk)} of the {n} elements of the table")
             self.rows = rows = _Rows(held)
             rows[ident] = ident_row
-            rows.images, rows.links, rows.tree = images, links, tree
+            rows.links, rows.tree = links, tree
         self.conj_rows = self.conjugation_rows(self.gens)
 
     def mul(self, i: int, j: int) -> int:

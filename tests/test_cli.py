@@ -468,50 +468,6 @@ def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):
         (roots["change"] / changed).write_text((roots["parent"] / changed).read_text())
 
 
-STUB_RUNNER = """import json
-from pathlib import Path
-
-stub = json.loads(Path("stub.json").read_text())
-print(json.dumps({"stamp": {"speed_scale": stub["scale"], "raw_wall_s": stub["raw"]}}))
-print(json.dumps({"correct": True, "metrics": {"wall_s": {"value": stub["wall"], "unit": "s"}}}))
-"""
-
-
-def test_bench_pairs_records_the_stamp_figures_of_each_run(tmp_path):
-    """bench_pairs.py reads each run's stamp line, the line before the
-    result, and records the median speed scale and the median raw pass
-    time of every run, with each side's median and IQR, beside the scaled
-    metrics.  Two stub checkouts run the same stub runner, each on its own
-    figures."""
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    figures = {"parent": {"scale": [0.7, 0.9, 0.8], "raw": [0.5, 0.3, 0.4], "wall": 0.32},
-               "change": {"scale": [0.9, 1.1], "raw": [0.2, 0.4], "wall": 0.27}}
-    bench = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower"}],
-             "per_layer": []}
-    for side, stub in figures.items():
-        root = tmp_path / side
-        (root / "perfbench").mkdir(parents=True)
-        (root / "BENCHMARK.json").write_text(json.dumps(bench))
-        (root / "perfbench" / "run.py").write_text(STUB_RUNNER)
-        (root / "stub.json").write_text(json.dumps(stub))
-    out = tmp_path / "out.json"
-    assert script.main(["--parent", str(tmp_path / "parent"), "--change",
-                        str(tmp_path / "change"), "--workload", "graph_cold",
-                        "--seeds", "1-2", "--out", str(out)]) == 0
-    record = json.loads(out.read_text())["workloads"]["graph_cold"]
-    assert record["metrics"]["wall_s"]["parent"] == [0.32, 0.32]
-    assert record["metrics"]["wall_s"]["change_better_pairs"] == 2
-    assert record["unscaled"] == {
-        "speed_scale": {"parent": [0.8, 0.8], "change": [1.0, 1.0],
-                        "parent_median": 0.8, "parent_iqr": 0.0,
-                        "change_median": 1.0, "change_iqr": 0.0},
-        "raw_pass_s": {"parent": [0.4, 0.4], "change": [0.3, 0.3],
-                       "parent_median": 0.4, "parent_iqr": 0.0,
-                       "change_median": 0.3, "change_iqr": 0.0}}
-
-
 def test_readme_library_example_runs(capsys):
     """The README's python block imports what it names and prints S4's
     hawkes edges under one class holding all its primes: none."""
