@@ -28,7 +28,6 @@ from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          sigma_length)
 from .sigma import (PiSet, SigmaPartition, pi_part, primes_of, sigma_coprime,
                     sigma_of_group)
-from .zoo import cyclic, direct_product, symmetric
 
 
 class CheckResult(NamedTuple):
@@ -214,10 +213,16 @@ class FactorizationFixture:
 
 def factorization_fixtures(limits: EngineLimits = DEFAULT_LIMITS
                            ) -> tuple[FactorizationFixture, ...]:
-    """Three shipped triple factorizations, their groups built under limits;
-    the harness never searches for factorizations on its own."""
-    s4, g2, s3 = (PermGroup(G.degree, G.generators, limits) for G in
-                  (symmetric(4), direct_product(symmetric(3), cyclic(5)), symmetric(3)))
+    """Three shipped triple factorizations.  Each group is built once, under
+    limits, from the generators the zoo gives S4, S3 x C5 and S3; the
+    harness never searches for factorizations on its own."""
+    s4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                       Permutation.from_cycles(4, [(0, 1)])], limits)
+    c5 = Permutation.from_cycles(8, [(3, 4, 5, 6, 7)])
+    g2 = PermGroup(8, [Permutation.from_cycles(8, [(0, 1, 2)]),
+                       Permutation.from_cycles(8, [(0, 1)]), c5], limits)
+    s3 = PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)]),
+                       Permutation.from_cycles(3, [(0, 1)])], limits)
     f1 = FactorizationFixture(
         "S4=S3.D4.A4", s4,
         subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),
@@ -226,7 +231,6 @@ def factorization_fixtures(limits: EngineLimits = DEFAULT_LIMITS
                       Permutation.from_cycles(4, [(0, 2)])]),
         subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                       Permutation.from_cycles(4, [(0, 1), (2, 3)])]))
-    c5 = Permutation.from_cycles(8, [(3, 4, 5, 6, 7)])
     f2 = FactorizationFixture(
         "S3xC5=S3.C15.C10", g2,
         subgroup(g2, [Permutation.from_cycles(8, [(0, 1, 2)]),
@@ -407,9 +411,12 @@ def _pi_subsets(vertices) -> list[PiSet]:
 def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
                      limits: EngineLimits = DEFAULT_LIMITS):
     """Deterministic report stream over (group, partition, statement) and,
-    for the factorization statement, the shipped fixtures per partition,
-    built under limits; each given group is read under its own caps.  An id
-    outside ALL_STATEMENTS raises DomainError when the stream is read."""
+    for the factorization statement, the shipped fixtures under each
+    partition, after all groups; each given group is read under its own
+    caps.  The fixtures are built once per call, under limits, when the
+    stream reaches them, and every partition reads the same fixture groups.
+    An id outside ALL_STATEMENTS raises DomainError when the stream is
+    read."""
     unknown = sorted(set(statements) - set(ALL_STATEMENTS))
     if unknown:
         raise DomainError(f"unknown statement ids {unknown}")
@@ -423,7 +430,8 @@ def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,
             for verify in per_pi:
                 for pi in subsets:
                     yield verify(G, sigma, pi, tag)
-    if "1.7" in statements:
+    if "1.7" in statements and partitions:
+        fixtures = factorization_fixtures(limits)
         for sigma in partitions:
-            for fx in factorization_fixtures(limits):
+            for fx in fixtures:
                 yield verify_thm_1_7(fx.group, fx.a, fx.b, fx.c, sigma, fx.tag)

@@ -201,6 +201,22 @@ def test_verify_statement_1_7_builds_its_fixtures_under_the_caps(capsys):
                    "[cap max_element_order=20]\n")
 
 
+def test_verify_builds_its_fixtures_after_the_group_reports(capsys):
+    """The 1.7 fixtures are built when the stream reaches them, after the
+    given group's reports: under --max-order 20 every S3 report but the 1.7
+    ones is printed before S4, the first fixture, is refused."""
+    rc, out, err = run(capsys, "--max-order", "20", "verify", "--group", "zoo:S3")
+    assert rc == 2
+    assert err == ("error: group of order above 20 is too large to enumerate "
+                   "[cap max_element_order=20]\n")
+    rc, whole, _ = run(capsys, "verify", "--group", "zoo:S3")
+    assert rc == 0
+    reports = whole.splitlines()[:-1]
+    assert out.splitlines() == [line for line in reports
+                                if json.loads(line)["statement"] != "thm-1.7"]
+    assert len(reports) - len(out.splitlines()) == 9
+
+
 def test_verify_corpus_builds_each_group_under_the_caps(capsys):
     """The CLI's caps bound the corpus: each corpus group is built under them
     as the stream reaches it, so under --max-order 100 the stream stops at S5

@@ -11,8 +11,8 @@ import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
-from sigmagraph.group import (PermGroup, QuotientGroup, Subgroup, _Universe, all_subgroups,
-                              core_series_subgroup)
+from sigmagraph.group import (EngineLimits, PermGroup, QuotientGroup, Subgroup, _Universe,
+                              all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, primes_of, sigma_of_group
@@ -117,6 +117,9 @@ def test_thm_1_7_fixtures():
     assert by_name["vm-union-equality"].evaluated
     assert by_name["hawkes-union-equality"].evaluated
     assert "(atomic:3,atomic:2)" in by_name["vm-union-equality"].witness
+    # built from the zoo's generators, in the zoo's order
+    zoo_groups = (symmetric(4), build_by_tag("s3xc5"), symmetric(3))
+    assert [f.group.generators for f in fixtures] == [G.generators for G in zoo_groups]
 
 
 def test_thm_1_7_detects_bad_factorization():
@@ -317,7 +320,7 @@ def test_sweep_is_deterministic_and_ordered():
     only_14 = [r for r in run_corpus_sweep(groups, parts, ("1.4",))]
     assert len(only_14) == len(groups) * len(parts)
     assert all(r.statement_id == "thm-1.4" for r in only_14)
-    # fixtures run once per partition, independent of the group list
+    # fixture reports come once per partition, independent of the group list
     only_17 = [r for r in run_corpus_sweep(groups, parts, ("1.7",))]
     assert len(only_17) == 3 * len(parts)
     # each id alone gives exactly its part of the full stream, in order
@@ -327,6 +330,32 @@ def test_sweep_is_deterministic_and_ordered():
                          if json.loads(text)["statement"].partition("-")[2] == sid], sid
         assert alone, sid
     assert {*_PER_GROUP, *_PER_PI, "1.7"} == set(ALL_STATEMENTS)
+
+
+def test_sweep_builds_each_fixture_group_once(monkeypatch):
+    """One sweep call builds the 1.7 fixtures once, and every partition
+    reads the same fixture groups; the next call builds them afresh.  With
+    no partition the fixtures are not built at all, so even caps they
+    exceed give an empty stream."""
+    seen = []
+    real = sigmagraph.verify.verify_thm_1_7
+
+    def spy(G, A, B, C, sigma, group_tag):
+        seen.append((group_tag, G))
+        return real(G, A, B, C, sigma, group_tag)
+
+    monkeypatch.setattr(sigmagraph.verify, "verify_thm_1_7", spy)
+    calls = [list(run_corpus_sweep([], standard_partitions(), ("1.7",))) for _ in range(2)]
+    assert [len(reports) for reports in calls] == [9, 9]
+    first, second = seen[:9], seen[9:]
+    for tag in ("S4=S3.D4.A4", "S3xC5=S3.C15.C10", "S3=S3.S3.S3"):
+        built = [G for t, G in first if t == tag]
+        assert len(built) == 3 and all(G is built[0] for G in built), tag
+        assert all(G is not built[0] for t, G in second if t == tag), tag
+    tight = EngineLimits(max_element_order=20)
+    assert list(run_corpus_sweep([], (), ("1.7",), tight)) == []
+    with pytest.raises(ResourceLimitError, match="max_element_order=20"):
+        list(run_corpus_sweep([], standard_partitions(), ("1.7",), tight))
 
 
 @pytest.mark.parametrize("statements", [("1.3",), ("1.2", "1.13"), "1.2"])
