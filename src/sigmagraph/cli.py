@@ -15,10 +15,12 @@ above 256 or more than 64 generators is refused as a cap (``max_degree``,
 exceeds ``max_element_order`` (``--max-order``) as soon as the walk that
 enumerates it finds one element more, so refusing a group above the cap
 costs about as much as enumerating one at the cap.  Every group a call
-reads, each corpus group and each Theorem 1.7 fixture included, is built
-under the call's caps and decided under them.  A ``--pi`` or
-partition-spec integer above 10**6 is refused (``max_prime``) before it is
-factored.  Error messages are a single stderr line prefixed ``error:``.
+decides, each corpus group and each Theorem 1.7 fixture included, is built
+under the call's caps and decided under them; the corpus's membership (the
+zoo and S5's 155 nontrivial subgroups) is fixed set-up, found under the
+default caps whatever the call's caps.  A ``--pi`` or partition-spec
+integer above 10**6 is refused (``max_prime``) before it is factored.
+Error messages are a single stderr line prefixed ``error:``.
 
 ``main`` can be called many times in one process: it builds the parser on
 its first call and reuses it, and each call parses into a fresh namespace

@@ -44,9 +44,9 @@ join of prime index over K already holds, and spread each new subgroup over
 its class by gathers on the conjugation rows of G's generators.
 Centralisers, normalisers and normality checks compare or gather whole
 conjugation rows and coset labels instead of multiplying element by element.
-Element orders, inverses and the cyclic subgroups come from one walk per
-cyclic subgroup over image tuples when the table is built, and the
-conjugacy classes from one orbit pass per table, which every caller reads.
+Element orders, inverses and the cyclic subgroups, each named by its least
+generator, come from one walk per cyclic subgroup when the table is built,
+and the conjugacy classes from one orbit pass per table.
 Quotients are read in G itself: the normal subgroups of G/K are the normal
 subgroups of G over K, and the largest one whose index over K involves
 given primes comes from one pass over G's conjugacy classes
@@ -67,8 +67,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
-from functools import partial
-from itertools import compress
+from functools import partial, reduce
+from itertools import accumulate, compress
 from math import gcd
 from operator import eq, itemgetter
 
@@ -337,10 +337,10 @@ class _Universe:
     ``rows[x]`` is ``_getter(images[x])``, and a gather composes each entry
     from images (``_composed``), still at C level: no Python call per entry.
     Element orders, inverses and the cyclic subgroups come from one walk per
-    cyclic subgroup, from its least generator i, composing image tuples, so
-    the walk reads no row: ``cyclic`` maps the element set of each cyclic
-    subgroup to that generator (() for the trivial one), in order of the
-    generator, and ``canon[i]`` is the generator of <i>.
+    cyclic subgroup from its least generator, composing image tuples (the
+    walk reads no row); that generator names the subgroup, and no element
+    set is built: ``canon[x]`` is the least generator of <x>, and
+    ``cyclic`` lists those of the nontrivial ones in increasing order.
     Conjugation is two gathers through the inverses, whole rows
     (``conjugation_rows``) or at some positions (``conjugates``).
 
@@ -349,7 +349,7 @@ class _Universe:
     with the table, and ``conjugacy_classes()`` their orbits, computed on
     the first call."""
 
-    __slots__ = ("images", "index", "n", "degree", "identity", "table", "rows", "gather",
+    __slots__ = ("images", "index", "n", "identity", "table", "rows", "gather",
                  "inv_arr", "orders", "canon", "cyclic", "gens", "conj_rows", "_classes")
 
     def __init__(self, images: tuple[tuple[int, ...], ...], generators):
@@ -357,8 +357,7 @@ class _Universe:
         self.images = images
         self.index = index = {im: i for i, im in enumerate(images)}
         self.n = n = len(images)
-        self.degree = len(images[0])
-        self.identity = ident = index[tuple(range(self.degree))]
+        self.identity = ident = index[tuple(range(len(images[0])))]
         self.gens = tuple(g for g in dict.fromkeys(index[p.images] for p in generators)
                           if g != ident)
         self.table = n <= _TABLE_LIMIT
@@ -371,7 +370,7 @@ class _Universe:
         self.inv_arr = inv = array("l", [ident]) * n
         self.canon = canon = [-1] * n
         canon[ident] = ident
-        self.cyclic = cyclic = {frozenset({ident}): ()}
+        self.cyclic = cyclic = []
         for i in range(n):
             if canon[i] < 0:
                 times_i = itemgetter(*images[i])  # degree >= 2 here
@@ -386,7 +385,7 @@ class _Universe:
                     if gcd(j, k) == 1:
                         x = powers[j]
                         orders[x], inv[x], canon[x] = k, powers[k - j], i
-                cyclic[frozenset(powers)] = (i,)
+                cyclic.append(i)
         if not self.table:
             self.rows = list(map(_getter, images))
         else:
@@ -829,8 +828,8 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
 
 
 def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
-    """The candidates, generators of cyclic subgroups as ``_Universe.cyclic``
-    gives them, that come first in their N_G(K)-orbit of cyclic subgroups.
+    """The candidates, least generators of cyclic subgroups as listed in
+    ``_Universe.cyclic``, that come first in their N_G(K)-orbit of them.
 
     For x in N_G(K), <K, y>^x = <K, y^x>: the later members of an orbit only
     join K to conjugates of the first one's join.  The candidates must be a
@@ -865,13 +864,10 @@ def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ..
     def compute():
         u = G.universe()
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
-        for y, in filter(None, u.cyclic.values()):
+        for y in u.cyclic:
             factors = prime_factors(u.orders[y])
-            if len(factors) == 1:
-                yp = y
-                for _ in range(factors[0][0] - 1):  # y^p: p - 1 steps along row y
-                    yp = u.mul(y, yp)
-                steps.append((y, yp))
+            if len(factors) == 1:  # y^p: p - 1 steps along row y
+                steps.append((y, reduce(lambda x, _: u.mul(y, x), range(factors[0][0] - 1), y)))
         trivial = frozenset({u.identity})
         found = {trivial: ()}
         reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
@@ -927,13 +923,14 @@ def two_generated_subgroups(G: PermGroup) -> list[Subgroup]:
     calls it; the tests use it as a pool of subgroups."""
     def compute():
         u = G.universe()
-        found: dict[frozenset[int], tuple[int, ...]] = {}
-        reps = []
-        for a, a_gens in u.cyclic.items():
-            if a not in found:
-                reps.append(a)
-                found.update(_conjugates(u, {a: a_gens}))
-        set_of = {b: b_set for b_set, b_gens in u.cyclic.items() for b in b_gens}
+        found: dict[frozenset[int], tuple[int, ...]] = {frozenset({u.identity}): ()}
+        set_of, reps = {}, []  # <b> for each b of u.cyclic; one <b> per class
+        for b in u.cyclic:  # <b> is b's powers, walked along row b
+            b_set = set_of[b] = frozenset(accumulate(
+                range(u.orders[b] - 1), lambda x, _: u.mul(b, x), initial=b))
+            if b_set not in found:
+                reps.append(b_set)
+                found.update(_conjugates(u, {b_set: (b,)}))
         pairs = ((a, (b,)) if len(a) >= len(set_of[b]) else (set_of[b], found[a])
                  for a in reps
                  for b in _orbit_firsts(u, a, found[a],

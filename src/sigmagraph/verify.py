@@ -295,11 +295,11 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
     pi-elements of H are pi-elements, so they form a normal Hall subgroup of
     H.  So a non-closed subgroup of least order is such an <a, b>, and the
     least order of a proper <a, b> that is not a pi-group answers both.  Up
-    to conjugacy a is the least member of its class, and b the generator of
-    its cyclic subgroup (``_Universe.cyclic``).  Commuting pairs generate
-    pi-groups and are skipped; a join is capped below the least order found
-    so far, at first at |G|/2, above which only G lies.  Two more rules drop
-    pairs without changing the least order:
+    to conjugacy a is the least member of its class, and b the least
+    generator of its cyclic subgroup, one of the list ``_Universe.cyclic``.
+    Commuting pairs generate pi-groups and are skipped; a join is capped
+    below the least order found so far, at first at |G|/2, above which only
+    G lies.  Two more rules drop pairs without changing the least order:
 
     - a pair with a or b in O_pi(G) is skipped: then <a, b> lies in
       O_pi(G)<b> or O_pi(G)<a>, a pi-group;
@@ -312,7 +312,7 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
     t = pi_part(G.order, pi.classes)
     firsts = [a for a, *_ in u.conjugacy_classes()
               if a != u.identity and t % u.orders[a] == 0]
-    bs = [b for b, in filter(None, u.cyclic.values()) if t % u.orders[b] == 0]
+    bs = [b for b in u.cyclic if t % u.orders[b] == 0]
     cap = G.limits.max_join_work
     if len(firsts) * len(bs) > cap:
         raise ResourceLimitError(

@@ -99,6 +99,7 @@ def regular_wreath(p: int, top: PermGroup) -> PermGroup:
     Point p*b + r is slot r of block b; one bottom p-cycle plus the lifted
     top generators generate the whole base by transitivity on blocks.
     """
+    _require_n(p, 2)
     elems = top.elements()  # sorted by image tuple
     pos = {q.images: k for k, q in enumerate(elems)}
     lifted = []

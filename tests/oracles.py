@@ -83,6 +83,19 @@ def index_closure(perms, gen_idxs) -> frozenset[int]:
     return frozenset(index[p] for p in closure(perms[0].degree, [perms[i] for i in gen_idxs]))
 
 
+def cyclic_subgroup_sets(u) -> dict:
+    """Each cyclic subgroup of the table u as {element set: generators}: the
+    trivial one with (), then <g> with (g,) for each least generator g in
+    ``u.cyclic``, its element set walked along row g."""
+    out = {frozenset({u.identity}): ()}
+    for g in u.cyclic:
+        powers = [g]
+        while powers[-1] != u.identity:
+            powers.append(u.mul(g, powers[-1]))
+        out[frozenset(powers)] = (g,)
+    return out
+
+
 def brute_subgroup_sets(G) -> set[frozenset]:
     """Every subgroup element set, grown one generator at a time."""
     elems = list(G.elements())
@@ -133,7 +146,7 @@ def subgroup_sets_every_extension(G) -> list:
     on the count and closure caps, but counts every closure."""
     u = G.universe()
     steps = []
-    for y, in filter(None, u.cyclic.values()):
+    for y in u.cyclic:
         factors = prime_factors(u.orders[y])
         if len(factors) == 1:
             yp = y
@@ -154,7 +167,7 @@ def two_generated_sets_every_join(G) -> list:
     one cyclic <a> per conjugacy class joined with every cyclic <b>, not with
     one <b> per N_G(<a>)-orbit."""
     u = G.universe()
-    cyclic = u.cyclic
+    cyclic = cyclic_subgroup_sets(u)
     found = {}
     reps = []
     for a, a_gens in cyclic.items():
@@ -318,7 +331,7 @@ def pairs_pi_closed_every_pair(G, pi) -> tuple[bool, str]:
     t = pi_part(G.order, pi.classes)
     firsts = [a for a, *_ in u.conjugacy_classes()
               if a != u.identity and t % u.orders[a] == 0]
-    bs = [b for b, in filter(None, u.cyclic.values()) if t % u.orders[b] == 0]
+    bs = [b for b in u.cyclic if t % u.orders[b] == 0]
     least = G.order // 2 + 1
     for a in firsts:
         for b in bs:
@@ -364,8 +377,7 @@ def hall_classes_every_pi_element(G, primes) -> list:
     p0_set, _ = _sylow_set(G, anchor_p)
     candidates = {p0_set}
     queue = [p0_set]
-    pi_elements = [i for (s, g) in u.cyclic.items() if g
-                   for i in g if target % u.orders[i] == 0]
+    pi_elements = [i for i in u.cyclic if target % u.orders[i] == 0]
     for c_set in queue:
         for x in pi_elements:
             if x in c_set:

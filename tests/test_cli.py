@@ -232,6 +232,37 @@ def test_verify_corpus_builds_each_group_under_the_caps(capsys):
     assert len(out.splitlines()) == 404
 
 
+def test_verify_corpus_agrees_across_the_prop_1_11_routes(capsys):
+    """Prop 1.11 asks whether the maximal subgroups are pi-closed: from the
+    subgroup lattice, or past its caps by the pair scan over pi-elements.
+    A lower --max-subgroup-order sends more corpus groups to the scan, and
+    the corpus (S5's subgroups included) is set up under the default caps
+    either way.  Under 50 the stream keeps the default bytes.  Under 20 it
+    keeps every line in order, every verdict and every check's outcome:
+    only 27 prop-1.11 witnesses change, each naming a subgroup of the same
+    order as the maximal subgroup the lattice names."""
+    rc, default, _ = run(capsys, "verify", "--corpus")
+    assert rc == 0
+    assert run(capsys, "--max-subgroup-order", "50", "verify", "--corpus")[:2] == (0, default)
+    rc, capped, _ = run(capsys, "--max-subgroup-order", "20", "verify", "--corpus")
+    assert rc == 0
+    lines, capped_lines = default.splitlines(), capped.splitlines()
+    assert len(lines) == len(capped_lines) == 4588
+    assert capped_lines[-1] == lines[-1] == "summary: pass=2990 vacuous=1597 FAIL=0"
+    changed = 0
+    for line, capped_line in zip(lines[:-1], capped_lines[:-1]):
+        if line == capped_line:
+            continue
+        changed += 1
+        report = json.loads(line)
+        assert report["statement"] == "prop-1.11"
+        check = next(c for c in report["hypotheses"] if c["name"] == "maximals-pi-closed")
+        assert check["witness"].startswith("maximal subgroup of order ")
+        check["witness"] = check["witness"].removeprefix("maximal ")
+        assert json.loads(capped_line) == report
+    assert changed == 27
+
+
 def test_verify_determinism(capsys):
     args = ("verify", "--group", "zoo:S4", "--statement", "all")
     rc1, out1, _ = run(capsys, *args)

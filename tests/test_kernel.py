@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import sigmagraph.cli
 import sigmagraph.group
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
-                     index_closure, is_pi_closed_by_normal_lattice,
+                     cyclic_subgroup_sets, index_closure, is_pi_closed_by_normal_lattice,
                      is_schmidt_by_lattice, naive_centralizer,
                      naive_centralizer_of_factor, naive_conjugacy_classes,
                      naive_normalizer, schmidt_subgroups,
@@ -90,16 +90,18 @@ def test_rows_and_inverses_match_composition_without_a_table(tag, monkeypatch):
 def assert_cyclic_walk_matches(u):
     """The orders walked over image tuples equal each permutation's own order,
     and the cyclic subgroups walked with them are those of the plain walk:
-    canon[i] is the least generator of <i>, and each <g> is keyed in order
-    of that generator g."""
+    canon[i] is the least generator of <i>, and ``cyclic`` lists the least
+    generators of the nontrivial cyclic subgroups in increasing order, the
+    fixed points of canon other than the identity."""
     perms = table_elements(u)
     assert list(u.orders) == [p.order() for p in perms]
     spans = [index_closure(perms, (i,)) for i in range(u.n)]
     least = [min(j for j in spans[i] if perms[j].order() == perms[i].order())
              for i in range(u.n)]
     assert u.canon == least
-    assert list(u.cyclic.items()) == [(spans[g], (g,) if g != u.identity else ())
-                                      for g in sorted(set(least))]
+    assert type(u.cyclic) is list and all(type(g) is int for g in u.cyclic)
+    assert u.cyclic == [i for i in range(u.n) if u.canon[i] == i != u.identity]
+    assert list(cyclic_subgroup_sets(u)) == [spans[g] for g in sorted(set(least))]
 
 
 def assert_inverses_cancel(u):
@@ -274,7 +276,8 @@ def test_table_reads_without_a_table_match_naive(tag, monkeypatch):
     assert not u.table
     if g.order > 120:
         heads = {(), *((u.canon[c[0]],) for c in u.conjugacy_classes()[1:])}
-        subs = [Subgroup(g, s, gens) for s, gens in u.cyclic.items() if gens in heads]
+        subs = [Subgroup(g, s, gens) for s, gens in cyclic_subgroup_sets(u).items()
+                if gens in heads]
         subs += [sylow(g, p) for p in primes_of(g.order)]
     else:
         subs = two_generated_subgroups(g)

@@ -66,17 +66,24 @@ def test_specific_constructions():
     assert sorted(p.order() for p in sl.elements()).count(2) == 1
 
 
+def regular_wreath_over_s3(p):
+    return regular_wreath(p, symmetric(3))
+
+
 @pytest.mark.parametrize("build, n", [
     (cyclic, 0), (cyclic, 2.0), (cyclic, True),
     (symmetric, 0), (symmetric, True), (symmetric, 3.0), (symmetric, "3"),
     (alternating, -3), (alternating, 0), (alternating, 4.0),
     (dihedral, 1), (dihedral, 2), (dihedral, 2.0), (dihedral, True), (dihedral, None),
+    (regular_wreath_over_s3, True), (regular_wreath_over_s3, 2.0),
+    (regular_wreath_over_s3, 1), (regular_wreath_over_s3, 0),
 ])
 def test_builders_refuse_an_n_outside_their_range(build, n):
     """cyclic, symmetric and alternating take an int n >= 1, dihedral an int
-    n >= 3: a bool, a float or a smaller n is refused, not coerced into a
-    smaller or wrong group (dihedral(2) once had order 2, symmetric(True)
-    was trivial)."""
+    n >= 3 and regular_wreath an int p >= 2: a bool, a float or a smaller n
+    is refused, not coerced into a smaller or wrong group (dihedral(2) once
+    had order 2, symmetric(True) was trivial, regular_wreath(True, S3) was
+    S3)."""
     with pytest.raises(GroupInputError, match="n must be an int of at least"):
         build(n)
 
