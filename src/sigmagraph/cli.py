@@ -109,7 +109,7 @@ def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     if spec.startswith("zoo:"):
         tag = spec[len("zoo:"):]
         G = build_by_tag(tag)
-        # a group of its own under this call's caps, so nothing it computes outlives it
+        # rebuilt for this call's caps: the zoo's group was built under the defaults
         return tag, PermGroup(G.degree, G.generators, limits)
     if spec.startswith("{"):
         return _group_from_json(_json_spec(spec, "bad group spec"), "inline", limits)

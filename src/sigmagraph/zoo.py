@@ -1,14 +1,12 @@
 """Built-in corpus: named small groups plus every subgroup of S5.
 
 Each entry is an explicit generator table with its expected order asserted at
-build time; nothing is pulled from an external database.  Built groups are
-cached per tag so repeated lookups share subgroup lattices and other
-per-instance caches.
+build time; nothing is pulled from an external database.  Every lookup builds
+fresh groups, so a group lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,28 +16,28 @@ from .perm import Permutation
 from .sigma import SigmaPartition, _is_int
 
 
-def _require_n(n, least: int) -> None:
+def _require_n(n, least: int, name: str) -> None:
     """Refuse an n that is not an int (a bool or a float included) of at
-    least least."""
+    least least, calling it by its parameter's name."""
     if not _is_int(n) or n < least:
-        raise GroupInputError(f"n must be an int of at least {least}, got {n!r}")
+        raise GroupInputError(f"{name} must be an int of at least {least}, got {n!r}")
 
 
 def cyclic(n: int) -> PermGroup:
-    _require_n(n, 1)
+    _require_n(n, 1, "n")
     return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))])])
 
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of the n-gon, order 2n (n >= 3)."""
-    _require_n(n, 3)
+    _require_n(n, 3, "n")
     rot = Permutation.from_cycles(n, [tuple(range(n))])
     flip = Permutation(tuple((n - i) % n for i in range(n)))
     return PermGroup(n, [rot, flip])
 
 
 def symmetric(n: int) -> PermGroup:
-    _require_n(n, 1)
+    _require_n(n, 1, "n")
     if n == 1:
         return PermGroup(1, ())
     return PermGroup(n, [Permutation.from_cycles(n, [tuple(range(n))]),
@@ -47,7 +45,7 @@ def symmetric(n: int) -> PermGroup:
 
 
 def alternating(n: int) -> PermGroup:
-    _require_n(n, 1)
+    _require_n(n, 1, "n")
     if n <= 2:
         return PermGroup(n, ())
     cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
@@ -99,7 +97,7 @@ def regular_wreath(p: int, top: PermGroup) -> PermGroup:
     Point p*b + r is slot r of block b; one bottom p-cycle plus the lifted
     top generators generate the whole base by transitivity on blocks.
     """
-    _require_n(p, 2)
+    _require_n(p, 2, "p")
     elems = top.elements()  # sorted by image tuple
     pos = {q.images: k for k, q in enumerate(elems)}
     lifted = []
@@ -144,16 +142,11 @@ class ZooEntry:
     builder: Callable[[], PermGroup]
 
     def build(self) -> PermGroup:
-        if self.tag not in _BUILT:
-            g = self.builder()
-            if g.order != self.expected_order:
-                raise CrossCheckError(
-                    f"zoo entry {self.tag}: built order {g.order}, expected {self.expected_order}")
-            _BUILT[self.tag] = g
-        return _BUILT[self.tag]
-
-
-_BUILT: dict[str, PermGroup] = {}
+        g = self.builder()
+        if g.order != self.expected_order:
+            raise CrossCheckError(
+                f"zoo entry {self.tag}: built order {g.order}, expected {self.expected_order}")
+        return g
 
 
 def zoo() -> tuple[ZooEntry, ...]:
@@ -195,7 +188,6 @@ def build_by_tag(tag: str) -> PermGroup:
     raise GroupInputError(f"unknown zoo tag {tag!r}")
 
 
-@functools.cache
 def s5_subgroups() -> tuple[tuple[str, PermGroup], ...]:
     """All 156 subgroups of S5 in canonical order, tagged S5_sub_###."""
     subs = all_subgroups(symmetric(5))

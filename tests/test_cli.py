@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import shlex
@@ -36,7 +37,8 @@ def test_cli_calls_leave_the_module_level_partition_memos_alone(capsys):
     """Every call parses its partitions afresh, so the classify and
     sigma_of_int memos it fills go with them; the module-level ATOMIC's
     memos are not touched.  A zoo:TAG call computes on a group of its own,
-    so the zoo's cached group keeps no graph keyed on the call's partition."""
+    so a group build_by_tag hands out gains no graph keyed on the call's
+    partition."""
     before = dict(ATOMIC._classes), dict(ATOMIC._of_int)
     cached = build_by_tag("S4")._cache
     graph_keys = {key for key in cached if key[0] == "graph"}
@@ -390,6 +392,19 @@ def test_resource_cap_exits_2(capsys):
                      "--kind", "hawkes")
     assert rc == 2
     assert err.startswith("error:") and "max" in err
+
+
+def test_zoo_group_is_capped_by_its_call_only(capsys):
+    """A zoo:TAG group is rebuilt under the call's caps: --max-order 100
+    refuses S6, and the next, uncapped call in the same process prints the
+    benchmark's golden bytes for it."""
+    argv = ("graph", "--group", "zoo:S6", "--kind", "hawkes")
+    rc, out, err = run(capsys, "--max-order", "100", *argv)
+    assert rc == 2 and out == "" and "[cap max_element_order=100]" in err
+    rc, out, err = run(capsys, *argv)
+    golden = json.loads((EXPORT.parents[1] / "perfbench" / "golden.json").read_text())
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["graphs"]["S6"]["atomic"]["hawkes"]
 
 
 def test_oversized_group_spec_exits_2_before_building(capsys, monkeypatch):

@@ -373,10 +373,10 @@ def test_sweep_refuses_unknown_statement_ids(statements):
 def test_swept_group_is_freed_without_the_cycle_collector(make):
     """No value a sweep caches on a group (element table, normal lattice,
     chief series, Hall and Sylow subgroups, the lattice, predicate and
-    graph values) refers back to the group, and its strong generating set
-    holds no cycle either, so a group dropped after its sweep is freed at
-    once with all its caches, instead of waiting for a full collection.  QuotientGroup is still counted: no sweep route
-    builds one, and none may leave one behind."""
+    graph values) refers back to the group, so a group dropped after its
+    sweep is freed at once with all its caches, instead of waiting for a
+    full collection.  QuotientGroup and Bsgs are still counted: no sweep
+    route builds either, and none may leave one behind."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:

@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from oracles import zoo_tags
 from sigmagraph.errors import GroupInputError
+from sigmagraph.group import PermGroup
 from sigmagraph.zoo import (alternating, build_by_tag, corpus, cyclic, dicyclic12, dihedral,
                             direct_product, regular_wreath, s5_subgroups,
                             standard_partitions, symmetric, zoo)
@@ -20,8 +23,9 @@ def test_tags_unique():
     assert "S4" in tags and "wreath_c2_s3" in tags and "dic3" in tags
 
 
-def test_build_by_tag_cached_and_validated():
-    assert build_by_tag("S4") is build_by_tag("S4")
+def test_build_by_tag_fresh_and_validated():
+    a, b = build_by_tag("S4"), build_by_tag("S4")
+    assert a is not b and a.generators == b.generators
     with pytest.raises(GroupInputError):
         build_by_tag("nope")
 
@@ -40,9 +44,28 @@ def test_corpus_excludes_trivial():
     groups = corpus()
     assert len(groups) == len(zoo()) + 155
     assert all(g.order > 1 for _, g in groups)
-    again = corpus()
-    assert [t for t, _ in groups] == [t for t, _ in again]
-    assert all(a is b for (_, a), (_, b) in zip(groups, again))
+    assert [t for t, _ in groups] == [t for t, _ in corpus()]
+
+
+@pytest.mark.parametrize("make", (lambda: [build_by_tag("S4")],
+                                  lambda: [g for _, g in corpus()]),
+                         ids=("build_by_tag", "corpus"))
+def test_zoo_group_is_freed_once_its_caller_drops_it(make):
+    """The zoo keeps no group it builds, and a group holds no cycle, so a
+    group whose caller drops it is freed at once, with the cycle collector
+    off, even after its element table is built."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        groups = make()
+        for g in groups:
+            g.universe()
+        built = {id(g) for g in groups}
+        del groups, g
+        assert not any(id(o) in built for o in gc.get_objects() if isinstance(o, PermGroup))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_standard_partitions():
@@ -84,7 +107,8 @@ def test_builders_refuse_an_n_outside_their_range(build, n):
     is refused, not coerced into a smaller or wrong group (dihedral(2) once
     had order 2, symmetric(True) was trivial, regular_wreath(True, S3) was
     S3)."""
-    with pytest.raises(GroupInputError, match="n must be an int of at least"):
+    name = "p" if build is regular_wreath_over_s3 else "n"
+    with pytest.raises(GroupInputError, match=f"^{name} must be an int of at least"):
         build(n)
 
 
