@@ -60,12 +60,17 @@ Generating sets, Sylow subgroups and the largest normal subgroup over a
 floor come from one greedy pass of joins that keeps a join whose order
 divides a target (``_Universe.grow``).
 Enumeration caps are explicit configuration; hitting one raises a
-ResourceLimitError naming the cap instead of silently truncating.
+ResourceLimitError naming the cap instead of silently truncating.  The
+subgroup lattice's count cap is decided first from a count with no search:
+the subgroups over an elementary abelian normal layer, from Gaussian
+binomials and the invariant subgroups of the layer (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory), a lower bound on the lattice's size.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial, reduce
 from itertools import accumulate, compress
@@ -820,11 +825,16 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
             h_gens = found[k] + gens
             cls = _conjugates(u, {h: h_gens if len(h_gens) <= 4 else u.derive_gens(h)})
             if len(found) + len(cls) > limits.max_subgroup_count:
-                raise ResourceLimitError(
-                    "subgroup family grew past the count cap",
-                    cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
+                raise _count_cap_error(limits)
             found.update(cls)
             yield h
+
+
+def _count_cap_error(limits: EngineLimits) -> ResourceLimitError:
+    """The subgroup search's count-cap error, whether the search or the
+    layer count below decides it."""
+    return ResourceLimitError("subgroup family grew past the count cap",
+                              cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
 
 
 def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
@@ -854,6 +864,135 @@ def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
                     orbit.append(w)
 
 
+def _gaussian_binomials(p: int, d: int) -> list[int]:
+    """[d k]_p for k = 0, ..., d: the number of subgroups of order p^k of an
+    elementary abelian group of order p^d, by the q-Pascal rule
+    [m k] = [m-1 k-1] + p^k [m-1 k]."""
+    row = [1]
+    for _ in range(d):
+        row = [1] + [row[k - 1] + p ** k * row[k] for k in range(1, len(row))] + [1]
+    return row
+
+
+def _layer_ceiling(order: int, p: int) -> int:
+    """A bound on ``_layer_count`` for every elementary abelian normal
+    p-subgroup E of every group of the given order, from the order alone:
+    the largest S0(d) + (order/p^d - 1) T(d) over the p^d dividing it.  E
+    of order p^d has S0(d) = sum_k [d k]_p subgroups; G/E has at most
+    order/p^d - 1 subgroups of prime order; and each of those adds, for each
+    of the at most [d k]_p subgroups K of order p^k, at most |E : K| =
+    p^(d-k), which sum to T(d)."""
+    best, d = 0, 0
+    while order % p ** d == 0:
+        row = _gaussian_binomials(p, d)
+        tops = sum(c * p ** (d - k) for k, c in enumerate(row))
+        best = max(best, sum(row) + (order // p ** d - 1) * tops)
+        d += 1
+    return best
+
+
+def _elementary_layer(G: PermGroup, p: int) -> frozenset[int]:
+    """E = Omega_1(Z(O_p(G))): the elements of order 1 or p in the centre of
+    O_p(G), G's largest normal p-subgroup (``_largest_normal_over``).  E is
+    elementary abelian and characteristic in O_p(G), so normal in G."""
+    u = G.universe()
+    o_p = _largest_normal_over(G, frozenset({u.identity}), (p,))
+    rows = u.conjugation_rows(u.derive_gens(o_p))
+    return frozenset(z for z in o_p if p % u.orders[z] == 0 and all(row[z] == z for row in rows))
+
+
+def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int) -> int:
+    """The number of subgroups H of G with |HE : E| equal to 1 or a prime,
+    for E = e_set an elementary abelian normal p-subgroup, with no subgroup
+    search; once the count passes stop, the count so far.
+
+    The H inside E are E's subgroups, a sum of Gaussian binomials.  Any
+    other H has HE/E = <xE> of prime order q, and K = H ∩ E is normalised by
+    H and by E (abelian), so by HE: K is x-invariant.  For y in H ∩ xE,
+    H = K<y>, y^q lies in K, and H ∩ xE is the coset Ky.  Conversely, for an
+    x-invariant K, each coset Ky in xE with y^q in K gives one such H, with
+    K<y> ∩ E = K since y^j lies in x^jE, outside E, for 0 < j < q.  So <xE>
+    adds #{y in xE : y^q in K} / |K| for each x-invariant K.  Conjugate
+    <xE> add the same, so one per G-class is counted, times the class
+    length.  The x-invariant K are walked from the trivial one by joins of
+    K with the x-orbit of some t in E, K<t, t^x, ...> as E is abelian.  A t
+    in sK, for s in an orbit already joined to K, gives the same join, and a
+    t in a join of prime index over K gives that join, so neither is joined."""
+    u = G.universe()
+    mul, identity = u.mul, u.identity
+    p, d = (prime_factors(len(e_set)) or ((1, 0),))[0]  # the trivial E has d = 0
+    count = sum(_gaussian_binomials(p, d))
+    labels, reps = _coset_labels(u, e_set)
+    in_e = labels[identity]
+    prime_cosets = {}  # each <xE> of prime order q, as its coset labels: (x, q)
+    for x in reps:
+        powers = [x]
+        while labels[powers[-1]] != in_e:
+            powers.append(mul(x, powers[-1]))
+        if prime_factors(len(powers)) == ((len(powers), 1),):
+            prime_cosets.setdefault(frozenset(map(labels.__getitem__, powers)), (x, len(powers)))
+    e_list = sorted(e_set)
+    trivial = frozenset({identity})
+    seen = set()
+    for key, (x, q) in prime_cosets.items():
+        if key in seen:
+            continue
+        seen.add(key)
+        cls = [key]
+        for s in cls:
+            for row in u.conj_rows:
+                t = frozenset([labels[row[c]] for c in s])
+                if t not in seen:
+                    seen.add(t)
+                    cls.append(t)
+        hits = Counter()  # y^q for each y in xE
+        for y in u.gather(e_list)(u.rows[x]):
+            z = y
+            for _ in range(q - 1):
+                z = mul(y, z)
+            hits[z] += 1
+        conj = dict(zip(e_list, u.conjugates(x, e_list)))
+        found = {trivial}
+        queue = [trivial]  # grows while read, so each x-invariant K is joined in turn
+        for k in queue:
+            share, rest = divmod(sum(map(hits.__getitem__, k)), len(k))
+            if rest:
+                raise CrossCheckError("a coset of an invariant subgroup is split by its q-th powers")
+            count += len(cls) * share
+            if count > stop:
+                return count
+            skip = set(k)
+            coset = u.gather(tuple(k))
+            for t in e_list:
+                if t in skip:
+                    continue
+                orbit = [t]
+                while (w := conj[orbit[-1]]) != t:
+                    orbit.append(w)
+                j = u.closure(orbit, base=k)
+                if len(j) == p * len(k):
+                    skip |= j
+                else:
+                    for w in orbit:
+                        skip.update(coset(u.rows[w]))
+                if j not in found:
+                    found.add(j)
+                    queue.append(j)
+    return count
+
+
+def _refuse_past_the_count_cap(G: PermGroup) -> None:
+    """Raise the subgroup search's count-cap error when, for some prime p,
+    the ``_layer_count`` of E = ``_elementary_layer(G, p)``, a lower bound on
+    G's subgroup count, passes max_subgroup_count.  A prime whose
+    ``_layer_ceiling`` is within the cap is skipped unread, so a group whose
+    order admits no layer past the cap computes nothing."""
+    cap = G.limits.max_subgroup_count
+    for p, _ in prime_factors(G.order):
+        if _layer_ceiling(G.order, p) > cap and _layer_count(G, _elementary_layer(G, p), cap) > cap:
+            raise _count_cap_error(G.limits)
+
+
 def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     cap = G.limits.max_subgroup_order
     if G.order > cap:
@@ -862,6 +1001,7 @@ def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ..
             cap_name="max_subgroup_order", cap_value=cap)
 
     def compute():
+        _refuse_past_the_count_cap(G)
         u = G.universe()
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
         for y in u.cyclic:
@@ -898,7 +1038,11 @@ def all_subgroups(G: PermGroup, limits: EngineLimits | None = None) -> list[Subg
     those of closing every <y>.  max_subgroup_order gates G;
     max_subgroup_count caps the subgroups found (the sum of the class
     lengths), max_join_work the joins taken up, skipped ones included.
-    The caps are G's own; ``limits`` is accepted only when it equals them."""
+    The count cap can be decided without the search: when the subgroups
+    counted over an elementary abelian normal layer already pass it
+    (``_refuse_past_the_count_cap``), the search's own error is raised
+    before it closes anything.  The caps are G's own; ``limits`` is
+    accepted only when it equals them."""
     # perfbench/workloads.py passes DEFAULT_LIMITS; ROADMAP item 1 drops that
     # argument there, and then this parameter
     _refuse_other_limits(G, limits)

@@ -338,7 +338,10 @@ def _maximals_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
     subgroup lattice.  The property passes to subgroups, so above the
     lattice's caps every proper subgroup is asked instead, by a scan of the
     pairs of pi-elements (``_pairs_pi_closed``); its witness is a non-closed
-    subgroup of least order.  The scan skips the pairs that meet O_pi(G),
+    subgroup of least order.  The count cap may be decided from a count of
+    the subgroups over an elementary abelian layer, with no lattice search
+    (``group._refuse_past_the_count_cap``); either refusal sends the
+    question to the scan.  The scan skips the pairs that meet O_pi(G),
     whose joins lie in O_pi(G)<a> or O_pi(G)<b> and so are pi-groups, and
     stops at order 6: a join of pi-elements that is not a pi-group is not
     nilpotent, and every group of order below 6 is."""

@@ -14,7 +14,8 @@ groups by the full subgroup lattice and Schmidt subgroups by a walk over the
 two-generated subgroups, pi-closure by the normal-subgroup lattice, the
 Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
-per normaliser orbit, known joins included).  The library must agree with
+per normaliser orbit, known joins included), and the subgroups over an
+elementary abelian layer counted off the full lattice.  The library must agree with
 these on every group small enough to brute-force.  Test-only helpers (the
 zoo's tags, the vm component decomposition) live here too.
 """
@@ -94,6 +95,13 @@ def cyclic_subgroup_sets(u) -> dict:
             powers.append(u.mul(g, powers[-1]))
         out[frozenset(powers)] = (g,)
     return out
+
+
+def layer_count_by_lattice(G, e_set) -> int:
+    """The subgroups H of G's full lattice with |HE : E| equal to 1 or a
+    prime, for E = e_set: |HE : E| = |H : H ∩ E|."""
+    indices = (s.order // len(s.indices & e_set) for s in all_subgroups(G))
+    return sum(1 for i in indices if i == 1 or prime_factors(i) == ((i, 1),))
 
 
 def brute_subgroup_sets(G) -> set[frozenset]:

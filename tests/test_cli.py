@@ -150,9 +150,10 @@ def test_verify_standard_sigma_default(capsys):
 
 
 def test_verify_prop_1_11_above_the_count_cap(capsys):
-    """wreath_c2_s3 has 4676 subgroups, past max_subgroup_count: the lattice
-    attempt stops at the cap and prop 1.11 reads its witnesses off the scan
-    of pairs of pi-elements."""
+    """wreath_c2_s3 has 4676 subgroups, past max_subgroup_count: its layer
+    count over E = C2^6 (4531) passes the cap, so the lattice is refused
+    without a search, and prop 1.11 reads its witnesses off the scan of
+    pairs of pi-elements."""
     rc, out, _ = run(capsys, "verify", "--group", "zoo:wreath_c2_s3", "--statement", "1.11")
     assert rc == 0
     witnesses = []

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from collections import Counter
 from itertools import combinations
 from math import prod
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
                      closure, frattini, hall_classes_every_pi_element,
-                     largest_normal_over_by_lattice, naive_centralizer, naive_normalizer,
-                     rebuilt)
+                     largest_normal_over_by_lattice, layer_count_by_lattice,
+                     naive_centralizer, naive_normalizer, rebuilt)
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
-                              Subgroup, _hall_classes, _largest_normal_over, _sylow_set,
+                              Subgroup, _elementary_layer, _hall_classes,
+                              _largest_normal_over, _layer_ceiling, _layer_count,
+                              _sylow_set, _Universe,
                               all_subgroups, centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup,
                               hall_subgroups, is_normal,
@@ -24,8 +27,8 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import f_class_subgroup, is_sigma_soluble
 from sigmagraph.sigma import ATOMIC, prime_factors, primes_of, sigma_of_group
-from sigmagraph.zoo import (alternating, build_by_tag, direct_product, regular_wreath,
-                            standard_partitions, symmetric)
+from sigmagraph.zoo import (alternating, build_by_tag, cyclic, direct_product, regular_wreath,
+                            s5_subgroups, standard_partitions, symmetric, zoo)
 
 
 def sets_of(subs):
@@ -567,6 +570,82 @@ def test_capped_lattice_caches_its_error_without_traceback():
         assert str(again.value) == str(cached) == str(first.value)
         assert (again.value.cap_name, again.value.cap_value) == ("max_subgroup_count", 5)
         assert cached.__traceback__ is None
+
+
+def test_layer_count_is_exact_and_within_its_ceiling():
+    """For E = Omega_1(Z(O_p(G))) at each prime p, the layer count is the
+    number of lattice subgroups H with |HE : E| equal to 1 or a prime, and
+    the order-only ceiling bounds it: on every zoo group (caps raised for
+    S6 and wreath_c2_s3), every subgroup of S5, S3 x S3 (E = C3 x C3, an odd
+    prime of rank 2) and C2^3, where the ceiling is met."""
+    c2 = cyclic(2)
+    groups = ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
+              + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2))])
+    for group in groups:
+        g = rebuilt(group, max_subgroup_order=max(group.order, 500), max_subgroup_count=5000)
+        for p, _ in prime_factors(g.order):
+            e_set = _elementary_layer(g, p)
+            ceiling = _layer_ceiling(g.order, p)
+            assert _layer_count(g, e_set, ceiling) == layer_count_by_lattice(g, e_set) <= ceiling
+    s3xs3 = direct_product(symmetric(3), symmetric(3))
+    e_set = _elementary_layer(s3xs3, 3)
+    assert (len(e_set), _layer_count(s3xs3, e_set, 100)) == (9, 44)
+    c2_cubed = direct_product(c2, direct_product(c2, c2))
+    assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100) == _layer_ceiling(8, 2) == 16
+
+
+def test_layer_count_of_the_wreath_base():
+    """wreath_c2_s3 = C2^6 : S3: its base is the layer at p = 2, and its 4676
+    subgroups split by |H : H ∩ E| as 2825 + 1521 + 185 + 145.  The layer
+    count is the first three, 4531, past the default count cap."""
+    g = rebuilt(regular_wreath(2, symmetric(3)), max_subgroup_count=5000)
+    e_set = _elementary_layer(g, 2)
+    split = Counter(s.order // len(s.indices & e_set) for s in all_subgroups(g))
+    assert len(e_set) == 64
+    assert (split[1], split[2], split[3], split[6], split.total()) == (2825, 1521, 185, 145, 4676)
+    assert _layer_count(g, e_set, 5000) == 4531
+    assert _layer_count(g, e_set, 4000) > 4000  # stops once past the cap
+
+
+def test_wreath_count_cap_is_decided_by_the_layer_count_up_to_4530(monkeypatch):
+    """Under max_subgroup_count = c, wreath_c2_s3's lattice is refused by its
+    layer count (4531) for c < 4531, with no closure beyond the count's own:
+    the search never runs.  For 4531 <= c < 4676 the search refuses it, and
+    at 4676 it completes.  A refusal by the count is the search's own error,
+    text and cap alike."""
+    wreath = regular_wreath(2, symmetric(3))
+    closures = []
+    real = _Universe.closure
+    monkeypatch.setattr(_Universe, "closure",
+                        lambda u, *args, **kwargs: closures.append(1) or real(u, *args, **kwargs))
+
+    def refusal(cap):
+        closures.clear()
+        with pytest.raises(ResourceLimitError) as exc:
+            maximal_subgroups(rebuilt(wreath, max_subgroup_count=cap))
+        return exc.value, len(closures)
+
+    for cap in (4000, 4530, 4531, 4675):
+        closures.clear()
+        try:
+            sigmagraph.group._refuse_past_the_count_cap(rebuilt(wreath, max_subgroup_count=cap))
+            by_count = False
+        except ResourceLimitError:
+            by_count = True
+        count_closures = len(closures)
+        err, all_closures = refusal(cap)
+        assert by_count == (cap < 4531)
+        assert (all_closures == count_closures) == by_count
+        expected = (f"subgroup family grew past the count cap [cap max_subgroup_count={cap}]",
+                    "max_subgroup_count", cap)
+        assert (str(err), err.cap_name, err.cap_value) == expected
+        if by_count:
+            with monkeypatch.context() as m:  # the search alone, as before the layer count
+                m.setattr(sigmagraph.group, "_refuse_past_the_count_cap", lambda G: None)
+                search_err, search_closures = refusal(cap)
+            assert (str(search_err), search_err.cap_name, search_err.cap_value) == expected
+            assert search_closures > count_closures
+    assert len(all_subgroups(rebuilt(wreath, max_subgroup_count=4676))) == 4676
 
 
 def test_groups_built_from_a_group_inherit_its_caps():

@@ -469,11 +469,20 @@ def test_orbit_pruned_searches_match_and_close_less(tag, limits, monkeypatch):
         assert pruned < every
 
 
+def search_alone(monkeypatch):
+    """From here on the lattice's count cap is decided by the search alone,
+    with no layer count in front of it, so a test can measure the search on
+    a group whose layer count already passes the cap (wreath_c2_s3)."""
+    monkeypatch.setattr(sigmagraph.group, "_refuse_past_the_count_cap", lambda G: None)
+
+
 def test_orbit_pruned_lattice_stops_at_the_same_cap(monkeypatch):
-    """Under the default caps both routes stop at the count cap on the
+    """Under the default caps both searches stop at the count cap on the
     order-384 wreath group, the pruned one after at most half the closures
     of closing every extension and after no more than 6400 (12,642 before
-    known joins were skipped)."""
+    known joins were skipped).  The library's layer count refuses this
+    lattice before any search, so it is set aside here."""
+    search_alone(monkeypatch)
     counts = count_closures(monkeypatch)
     caps, closures = [], []
     for route in (all_subgroups, subgroup_sets_every_extension):
@@ -491,7 +500,9 @@ def test_orbit_pruned_lattice_stops_at_the_same_cap(monkeypatch):
 def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
     """A skipped pair still counts: with max_join_work = 300 the cap fires
     after fewer than 300 closures, joins and generator derivations
-    together."""
+    together.  The lattice's layer count, which would refuse the group at
+    the count cap before its search, is set aside."""
+    search_alone(monkeypatch)
     counts = count_closures(monkeypatch)
     with pytest.raises(ResourceLimitError) as exc:
         route(fresh("wreath_c2_s3", EngineLimits(max_join_work=300)))
