@@ -874,21 +874,15 @@ def _gaussian_binomials(p: int, d: int) -> list[int]:
     return row
 
 
-def _layer_ceiling(order: int, p: int) -> int:
+def _layer_ceiling(order: int, p: int, d: int) -> int:
     """A bound on ``_layer_count`` for every elementary abelian normal
-    p-subgroup E of every group of the given order, from the order alone:
-    the largest S0(d) + (order/p^d - 1) T(d) over the p^d dividing it.  E
-    of order p^d has S0(d) = sum_k [d k]_p subgroups; G/E has at most
-    order/p^d - 1 subgroups of prime order; and each of those adds, for each
-    of the at most [d k]_p subgroups K of order p^k, at most |E : K| =
-    p^(d-k), which sum to T(d)."""
-    best, d = 0, 0
-    while order % p ** d == 0:
-        row = _gaussian_binomials(p, d)
-        tops = sum(c * p ** (d - k) for k, c in enumerate(row))
-        best = max(best, sum(row) + (order // p ** d - 1) * tops)
-        d += 1
-    return best
+    subgroup E of order p^d of every group of the given order, from the two
+    orders alone: S0(d) + (order/p^d - 1) T(d).  E has S0(d) = sum_k
+    [d k]_p subgroups; G/E has at most order/p^d - 1 subgroups of prime
+    order; and each of those adds, for each of the at most [d k]_p subgroups
+    K of order p^k, at most |E : K| = p^(d-k), which sum to T(d)."""
+    row = _gaussian_binomials(p, d)
+    return sum(row) + (order // p ** d - 1) * sum(c * p ** (d - k) for k, c in enumerate(row))
 
 
 def _elementary_layer(G: PermGroup, p: int) -> frozenset[int]:
@@ -984,13 +978,18 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int) -> int:
 def _refuse_past_the_count_cap(G: PermGroup) -> None:
     """Raise the subgroup search's count-cap error when, for some prime p,
     the ``_layer_count`` of E = ``_elementary_layer(G, p)``, a lower bound on
-    G's subgroup count, passes max_subgroup_count.  A prime whose
-    ``_layer_ceiling`` is within the cap is skipped unread, so a group whose
-    order admits no layer past the cap computes nothing."""
+    G's subgroup count, passes max_subgroup_count.  The count is skipped
+    where its ``_layer_ceiling`` is within the cap: a prime is skipped
+    unread when no p^d dividing |G| has a ceiling past the cap, so a group
+    whose order admits no layer past the cap computes nothing, and a layer
+    is skipped when its own order's ceiling is within the cap."""
     cap = G.limits.max_subgroup_count
-    for p, _ in prime_factors(G.order):
-        if _layer_ceiling(G.order, p) > cap and _layer_count(G, _elementary_layer(G, p), cap) > cap:
-            raise _count_cap_error(G.limits)
+    for p, e in prime_factors(G.order):
+        ceilings = {p ** d: _layer_ceiling(G.order, p, d) for d in range(e + 1)}
+        if max(ceilings.values()) > cap:
+            e_set = _elementary_layer(G, p)
+            if ceilings[len(e_set)] > cap and _layer_count(G, e_set, cap) > cap:
+                raise _count_cap_error(G.limits)
 
 
 def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ...]]]:

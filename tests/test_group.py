@@ -575,23 +575,26 @@ def test_capped_lattice_caches_its_error_without_traceback():
 def test_layer_count_is_exact_and_within_its_ceiling():
     """For E = Omega_1(Z(O_p(G))) at each prime p, the layer count is the
     number of lattice subgroups H with |HE : E| equal to 1 or a prime, and
-    the order-only ceiling bounds it: on every zoo group (caps raised for
-    S6 and wreath_c2_s3), every subgroup of S5, S3 x S3 (E = C3 x C3, an odd
-    prime of rank 2) and C2^3, where the ceiling is met."""
+    the ceiling for E's order bounds it, so the order-only ceiling (the
+    largest over the p^d dividing |G|) does too: on every zoo group (caps
+    raised for S6 and wreath_c2_s3), every subgroup of S5, S3 x S3 (E =
+    C3 x C3, an odd prime of rank 2) and C2^3, where the ceiling is met."""
     c2 = cyclic(2)
     groups = ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
               + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2))])
     for group in groups:
         g = rebuilt(group, max_subgroup_order=max(group.order, 500), max_subgroup_count=5000)
-        for p, _ in prime_factors(g.order):
+        for p, e in prime_factors(g.order):
             e_set = _elementary_layer(g, p)
-            ceiling = _layer_ceiling(g.order, p)
+            ceilings = {p ** d: _layer_ceiling(g.order, p, d) for d in range(e + 1)}
+            ceiling = ceilings[len(e_set)]
             assert _layer_count(g, e_set, ceiling) == layer_count_by_lattice(g, e_set) <= ceiling
+            assert ceiling <= max(ceilings.values())  # the order-only ceiling
     s3xs3 = direct_product(symmetric(3), symmetric(3))
     e_set = _elementary_layer(s3xs3, 3)
     assert (len(e_set), _layer_count(s3xs3, e_set, 100)) == (9, 44)
     c2_cubed = direct_product(c2, direct_product(c2, c2))
-    assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100) == _layer_ceiling(8, 2) == 16
+    assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100) == _layer_ceiling(8, 2, 3) == 16
 
 
 def test_layer_count_of_the_wreath_base():
