@@ -15,9 +15,9 @@ two-generated subgroups, pi-closure by the normal-subgroup lattice, the
 Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
 per normaliser orbit, known joins included), and the subgroups over an
-elementary abelian layer counted off the full lattice.  The library must agree with
-these on every group small enough to brute-force.  Test-only helpers (the
-zoo's tags, the vm component decomposition) live here too.
+elementary abelian layer counted off the full lattice.  The library must
+agree with these on every group small enough to brute-force.  Test-only
+helpers (the zoo's tags, the vm component decomposition) live here too.
 """
 
 from __future__ import annotations
