@@ -16,9 +16,9 @@ both sides alike.  The output records, per end-to-end metric, the values
 of every run, the median and the interquartile range (inclusive quartiles)
 of each side, and the number of pairs in which the change is better; the
 direction of "better" is read from the change's BENCHMARK.json.  With
-``--trace-workload``, one ``--trace 1`` pass per side on that workload (the
-first seed) adds every per-layer metric of both sides, and whether every
-``.calls`` count is equal.
+``--trace-workload``, repeatable, one ``--trace 1`` pass per side on each
+such workload (the first seed) adds every per-layer metric of both sides,
+and whether every ``.calls`` count is equal.
 
 Both sides must run the same benchmark: the script refuses, before any
 run, two checkouts whose ``BENCHMARK.json`` or ``perfbench/`` files (its
@@ -141,7 +141,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=parse_seeds, required=True,
                     help="one pair per seed, e.g. 101-110")
     ap.add_argument("--seconds", type=float, default=12.0)
-    ap.add_argument("--trace-workload", help="also one --trace 1 pass per side on it")
+    ap.add_argument("--trace-workload", action="append", default=[],
+                    help="also one --trace 1 pass per side on it; repeat for several")
     ap.add_argument("--description", default="")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -176,15 +177,14 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(sides[side], workload, seed, args.seconds, 0))
         doc["workloads"][workload] = {"seeds": args.seeds,
                                       "metrics": compare(runs, units, directions)}
-    if args.trace_workload:
+    for workload in args.trace_workload:
         seed = args.seeds[0]
         traced = {}
         for side in ("parent", "change"):
-            print(f"{args.trace_workload} seed {seed} {side} --trace 1",
-                  file=sys.stderr, flush=True)
-            traced[side] = run_once(sides[side], args.trace_workload, seed, args.seconds, 1)
-        doc[f"{args.trace_workload}_trace1"] = {
-            "command": f"python3 perfbench/run.py --workload {args.trace_workload} "
+            print(f"{workload} seed {seed} {side} --trace 1", file=sys.stderr, flush=True)
+            traced[side] = run_once(sides[side], workload, seed, args.seconds, 1)
+        doc[f"{workload}_trace1"] = {
+            "command": f"python3 perfbench/run.py --workload {workload} "
                        f"--seed {seed} --seconds {args.seconds:g} --trace 1",
             "calls_equal": all(traced["parent"][k] == traced["change"][k]
                                for k in traced["parent"] if k.endswith(".calls")),

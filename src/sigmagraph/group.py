@@ -794,10 +794,11 @@ def _conjugates(u: _Universe, found: dict) -> dict:
     return out
 
 
-def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
+def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits, work: int = 0):
     """Close each (K, gens) of pairs to <K, gens>; add each subgroup not yet
     found, with its conjugacy class, to found and yield it.  Raises past
-    max_join_work pairs or max_subgroup_count subgroups.
+    max_join_work pairs, work of them already spent, or max_subgroup_count
+    subgroups.
 
     A join <K, y> is not closed when y lies in an earlier join H over the
     same K with |H : K| prime: for y outside K, K < <K, y> <= H, so
@@ -808,11 +809,9 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
     subgroups, their generators and the pair at which a cap fires are those
     of closing every pair."""
     held, known = None, set()  # known: the prime-index joins over K = held
-    for work, (k, gens) in enumerate(pairs):
+    for work, (k, gens) in enumerate(pairs, work):
         if work == limits.max_join_work:
-            raise ResourceLimitError(
-                "subgroup search exceeded its closure budget",
-                cap_name="max_join_work", cap_value=limits.max_join_work)
+            raise _join_work_error(limits)
         if k is not held:
             held, known = k, set()
         elif len(gens) == 1 and gens[0] in known:
@@ -828,6 +827,13 @@ def _new_classes(u: _Universe, found: dict, pairs, limits: EngineLimits):
                 raise _count_cap_error(limits)
             found.update(cls)
             yield h
+
+
+def _join_work_error(limits: EngineLimits) -> ResourceLimitError:
+    """The subgroup search's join-work error, whether the search or the
+    layer count below spends the last of max_join_work."""
+    return ResourceLimitError("subgroup search exceeded its closure budget",
+                              cap_name="max_join_work", cap_value=limits.max_join_work)
 
 
 def _count_cap_error(limits: EngineLimits) -> ResourceLimitError:
@@ -895,10 +901,13 @@ def _elementary_layer(G: PermGroup, p: int) -> frozenset[int]:
     return frozenset(z for z in o_p if p % u.orders[z] == 0 and all(row[z] == z for row in rows))
 
 
-def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int) -> int:
+def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) -> tuple[int, int]:
     """The number of subgroups H of G with |HE : E| equal to 1 or a prime,
     for E = e_set an elementary abelian normal p-subgroup, with no subgroup
-    search; once the count passes stop, the count so far.
+    search; once the count passes stop, the count so far.  With it, the
+    join work spent, from work on: each t of E outside K taken up for a
+    join over K counts, joined or skipped, and at max_join_work the
+    search's join-work error is raised.
 
     The H inside E are E's subgroups, a sum of Gaussian binomials.  Any
     other H has HE/E = <xE> of prime order q, and K = H ∩ E is normalised by
@@ -954,10 +963,15 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int) -> int:
                 raise CrossCheckError("a coset of an invariant subgroup is split by its q-th powers")
             count += len(cls) * share
             if count > stop:
-                return count
+                return count, work
             skip = set(k)
             coset = u.gather(tuple(k))
             for t in e_list:
+                if t in k:
+                    continue
+                if work == G.limits.max_join_work:
+                    raise _join_work_error(G.limits)
+                work += 1
                 if t in skip:
                     continue
                 orbit = [t]
@@ -972,24 +986,30 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int) -> int:
                 if j not in found:
                     found.add(j)
                     queue.append(j)
-    return count
+    return count, work
 
 
-def _refuse_past_the_count_cap(G: PermGroup) -> None:
+def _refuse_past_the_count_cap(G: PermGroup) -> int:
     """Raise the subgroup search's count-cap error when, for some prime p,
     the ``_layer_count`` of E = ``_elementary_layer(G, p)``, a lower bound on
-    G's subgroup count, passes max_subgroup_count.  The count is skipped
-    where its ``_layer_ceiling`` is within the cap: a prime is skipped
-    unread when no p^d dividing |G| has a ceiling past the cap, so a group
-    whose order admits no layer past the cap computes nothing, and a layer
-    is skipped when its own order's ceiling is within the cap."""
+    G's subgroup count, passes max_subgroup_count; otherwise return the join
+    work the counts spent, which the search goes on from, so max_join_work
+    bounds the counts and the search together.  The count is skipped where
+    its ``_layer_ceiling`` is within the cap: a prime is skipped unread when
+    no p^d dividing |G| has a ceiling past the cap, so a group whose order
+    admits no layer past the cap computes nothing, and a layer is skipped
+    when its own order's ceiling is within the cap."""
     cap = G.limits.max_subgroup_count
+    work = 0
     for p, e in prime_factors(G.order):
         ceilings = {p ** d: _layer_ceiling(G.order, p, d) for d in range(e + 1)}
         if max(ceilings.values()) > cap:
             e_set = _elementary_layer(G, p)
-            if ceilings[len(e_set)] > cap and _layer_count(G, e_set, cap) > cap:
-                raise _count_cap_error(G.limits)
+            if ceilings[len(e_set)] > cap:
+                count, work = _layer_count(G, e_set, cap, work)
+                if count > cap:
+                    raise _count_cap_error(G.limits)
+    return work
 
 
 def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ...]]]:
@@ -1000,7 +1020,7 @@ def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ..
             cap_name="max_subgroup_order", cap_value=cap)
 
     def compute():
-        _refuse_past_the_count_cap(G)
+        work = _refuse_past_the_count_cap(G)
         u = G.universe()
         steps = []  # (y, y^p) for one generator y of each cyclic p-subgroup, p prime
         for y in u.cyclic:
@@ -1013,7 +1033,7 @@ def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ..
         pairs = ((k, (y,)) for k in reps
                  for y in _orbit_firsts(u, k, found[k],
                                         (y for y, yp in steps if y not in k and yp in k)))
-        for h in _new_classes(u, found, pairs, G.limits):
+        for h in _new_classes(u, found, pairs, G.limits, work):
             reps.append(h)
         return [(s, found[s]) for s in _sorted_sets(found)]
     return _memo(G, "all_subgroup_sets", compute)
@@ -1040,7 +1060,8 @@ def all_subgroups(G: PermGroup, limits: EngineLimits | None = None) -> list[Subg
     The count cap can be decided without the search: when the subgroups
     counted over an elementary abelian normal layer already pass it
     (``_refuse_past_the_count_cap``), the search's own error is raised
-    before it closes anything.  The caps are G's own; ``limits`` is
+    before it closes anything.  That count's joins are charged to
+    max_join_work too, and the search goes on from them.  The caps are G's own; ``limits`` is
     accepted only when it equals them."""
     # perfbench/workloads.py passes DEFAULT_LIMITS; ROADMAP item 1 drops that
     # argument there, and then this parameter

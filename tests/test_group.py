@@ -588,26 +588,27 @@ def test_layer_count_is_exact_and_within_its_ceiling():
             e_set = _elementary_layer(g, p)
             ceilings = {p ** d: _layer_ceiling(g.order, p, d) for d in range(e + 1)}
             ceiling = ceilings[len(e_set)]
-            assert _layer_count(g, e_set, ceiling) == layer_count_by_lattice(g, e_set) <= ceiling
+            assert _layer_count(g, e_set, ceiling)[0] == layer_count_by_lattice(g, e_set) <= ceiling
             assert ceiling <= max(ceilings.values())  # the order-only ceiling
     s3xs3 = direct_product(symmetric(3), symmetric(3))
     e_set = _elementary_layer(s3xs3, 3)
-    assert (len(e_set), _layer_count(s3xs3, e_set, 100)) == (9, 44)
+    assert (len(e_set), _layer_count(s3xs3, e_set, 100)[0]) == (9, 44)
     c2_cubed = direct_product(c2, direct_product(c2, c2))
-    assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100) == _layer_ceiling(8, 2, 3) == 16
+    assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100)[0] == _layer_ceiling(8, 2, 3) == 16
 
 
 def test_layer_count_of_the_wreath_base():
     """wreath_c2_s3 = C2^6 : S3: its base is the layer at p = 2, and its 4676
     subgroups split by |H : H ∩ E| as 2825 + 1521 + 185 + 145.  The layer
-    count is the first three, 4531, past the default count cap."""
+    count is the first three, 4531, past the default count cap, from 8742
+    elements of E taken up for joins."""
     g = rebuilt(regular_wreath(2, symmetric(3)), max_subgroup_count=5000)
     e_set = _elementary_layer(g, 2)
     split = Counter(s.order // len(s.indices & e_set) for s in all_subgroups(g))
     assert len(e_set) == 64
     assert (split[1], split[2], split[3], split[6], split.total()) == (2825, 1521, 185, 145, 4676)
-    assert _layer_count(g, e_set, 5000) == 4531
-    assert _layer_count(g, e_set, 4000) > 4000  # stops once past the cap
+    assert _layer_count(g, e_set, 5000) == (4531, 8742)
+    assert _layer_count(g, e_set, 4000)[0] > 4000  # stops once past the cap
 
 
 def test_wreath_count_cap_is_decided_by_the_layer_count_up_to_4530(monkeypatch):
@@ -615,18 +616,13 @@ def test_wreath_count_cap_is_decided_by_the_layer_count_up_to_4530(monkeypatch):
     layer count (4531) for c < 4531, with no closure beyond the count's own:
     the search never runs.  For 4531 <= c < 4676 the search refuses it, and
     at 4676 it completes.  A refusal by the count is the search's own error,
-    text and cap alike."""
+    text and cap alike.  The count's join work is the search's: the cap
+    bounds them together, and either raises the search's join-work error."""
     wreath = regular_wreath(2, symmetric(3))
     closures = []
     real = _Universe.closure
     monkeypatch.setattr(_Universe, "closure",
                         lambda u, *args, **kwargs: closures.append(1) or real(u, *args, **kwargs))
-
-    def refusal(cap):
-        closures.clear()
-        with pytest.raises(ResourceLimitError) as exc:
-            maximal_subgroups(rebuilt(wreath, max_subgroup_count=cap))
-        return exc.value, len(closures)
 
     for cap in (4000, 4530, 4531, 4675):
         closures.clear()
@@ -636,19 +632,22 @@ def test_wreath_count_cap_is_decided_by_the_layer_count_up_to_4530(monkeypatch):
         except ResourceLimitError:
             by_count = True
         count_closures = len(closures)
-        err, all_closures = refusal(cap)
+        closures.clear()
+        with pytest.raises(ResourceLimitError) as exc:
+            maximal_subgroups(rebuilt(wreath, max_subgroup_count=cap))
+        err = exc.value
         assert by_count == (cap < 4531)
-        assert (all_closures == count_closures) == by_count
+        assert (len(closures) == count_closures) == by_count
         expected = (f"subgroup family grew past the count cap [cap max_subgroup_count={cap}]",
                     "max_subgroup_count", cap)
         assert (str(err), err.cap_name, err.cap_value) == expected
-        if by_count:
-            with monkeypatch.context() as m:  # the search alone, as before the layer count
-                m.setattr(sigmagraph.group, "_refuse_past_the_count_cap", lambda G: None)
-                search_err, search_closures = refusal(cap)
-            assert (str(search_err), search_err.cap_name, search_err.cap_value) == expected
-            assert search_closures > count_closures
     assert len(all_subgroups(rebuilt(wreath, max_subgroup_count=4676))) == 4676
+    for work in (8741, 8742):  # the count takes up 8742, the search none more
+        with pytest.raises(ResourceLimitError) as exc:
+            all_subgroups(rebuilt(wreath, max_subgroup_count=4676, max_join_work=work))
+        assert (str(exc.value), exc.value.cap_name, exc.value.cap_value) == (
+            f"subgroup search exceeded its closure budget [cap max_join_work={work}]",
+            "max_join_work", work)
 
 
 def test_groups_built_from_a_group_inherit_its_caps():

@@ -469,40 +469,35 @@ def test_orbit_pruned_searches_match_and_close_less(tag, limits, monkeypatch):
         assert pruned < every
 
 
-def search_alone(monkeypatch):
-    """From here on the lattice's count cap is decided by the search alone,
-    with no layer count in front of it, so a test can measure the search on
-    a group whose layer count already passes the cap (wreath_c2_s3)."""
-    monkeypatch.setattr(sigmagraph.group, "_refuse_past_the_count_cap", lambda G: None)
-
-
 def test_orbit_pruned_lattice_stops_at_the_same_cap(monkeypatch):
-    """Under the default caps both searches stop at the count cap on the
-    order-384 wreath group, the pruned one after at most half the closures
-    of closing every extension and after no more than 6400 (12,642 before
-    known joins were skipped).  The library's layer count refuses this
-    lattice before any search, so it is set aside here."""
-    search_alone(monkeypatch)
+    """Both routes stop at the count cap on the order-384 wreath group, the
+    library after at most half the closures of closing every extension.
+    Under the default cap (4000) its layer count (4531 subgroups over E =
+    C2^6) passes the cap, so it stops before any search, after no more than
+    1000 closures, the walk of E's invariant subgroups included.  At 4600,
+    between the layer count and the lattice's 4676, the count does not
+    decide and the search stops at the cap, after no more than 13,000
+    closures, the count's included."""
     counts = count_closures(monkeypatch)
-    caps, closures = [], []
-    for route in (all_subgroups, subgroup_sets_every_extension):
-        counts[0] = 0
-        with pytest.raises(ResourceLimitError) as exc:
-            route(fresh("wreath_c2_s3"))
-        caps.append((exc.value.cap_name, exc.value.cap_value))
-        closures.append(counts[0])
-    assert caps == [("max_subgroup_count", DEFAULT_LIMITS.max_subgroup_count)] * 2
-    assert 2 * closures[0] <= closures[1]
-    assert closures[0] <= 6400
+    for cap, most in ((DEFAULT_LIMITS.max_subgroup_count, 1000), (4600, 13_000)):
+        caps, closures = [], []
+        for route in (all_subgroups, subgroup_sets_every_extension):
+            counts[0] = 0
+            with pytest.raises(ResourceLimitError) as exc:
+                route(fresh("wreath_c2_s3", EngineLimits(max_subgroup_count=cap)))
+            caps.append((exc.value.cap_name, exc.value.cap_value))
+            closures.append(counts[0])
+        assert caps == [("max_subgroup_count", cap)] * 2
+        assert 2 * closures[0] <= closures[1]
+        assert closures[0] <= most
 
 
 @pytest.mark.parametrize("route", (all_subgroups, two_generated_subgroups))
 def test_skipped_joins_count_toward_the_join_work_cap(route, monkeypatch):
     """A skipped pair still counts: with max_join_work = 300 the cap fires
     after fewer than 300 closures, joins and generator derivations
-    together.  The lattice's layer count, which would refuse the group at
-    the count cap before its search, is set aside."""
-    search_alone(monkeypatch)
+    together.  On the lattice route the layer count spends that work, each
+    element of E taken up for a join counting, skipped or joined."""
     counts = count_closures(monkeypatch)
     with pytest.raises(ResourceLimitError) as exc:
         route(fresh("wreath_c2_s3", EngineLimits(max_join_work=300)))
