@@ -65,6 +65,8 @@ subgroup lattice's count cap is decided first from a count with no search:
 the subgroups over an elementary abelian normal layer, from Gaussian
 binomials and the invariant subgroups of the layer (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory), a lower bound on the lattice's size.
+That count reads G/E in G: a subgroup of it as its preimage, by ``closure``,
+its class by ``_conjugates`` and the layer's centre by ``centralizer``.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ class EngineLimits:
     """Enumeration caps. Orders are group-order gates; the count cap bounds
     the subgroups a search finds and the work cap the joins it takes up (one
     per normaliser orbit of extensions, closed or skipped as already
-    known, and one per pair of prop 1.11's pair scan, commuting or not), as
-    neither is a function of the group order alone."""
+    known; one per element of an elementary abelian layer taken up over an
+    invariant subgroup by the layer count, joined or skipped; and one per
+    pair of prop 1.11's pair scan, commuting or not), as neither is a
+    function of the group order alone."""
 
     max_subgroup_order: int = 500
     max_element_order: int = 5000
@@ -897,8 +901,8 @@ def _elementary_layer(G: PermGroup, p: int) -> frozenset[int]:
     elementary abelian and characteristic in O_p(G), so normal in G."""
     u = G.universe()
     o_p = _largest_normal_over(G, frozenset({u.identity}), (p,))
-    rows = u.conjugation_rows(u.derive_gens(o_p))
-    return frozenset(z for z in o_p if p % u.orders[z] == 0 and all(row[z] == z for row in rows))
+    centre = o_p & centralizer(G, Subgroup(G, o_p)).indices
+    return frozenset(z for z in centre if p % u.orders[z] == 0)
 
 
 def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) -> tuple[int, int]:
@@ -917,7 +921,10 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) 
     K<y> ∩ E = K since y^j lies in x^jE, outside E, for 0 < j < q.  So <xE>
     adds #{y in xE : y^q in K} / |K| for each x-invariant K.  Conjugate
     <xE> add the same, so one per G-class is counted, times the class
-    length.  The x-invariant K are walked from the trivial one by joins of
+    length.  G/E is read in G: <xE> as its preimage <x>E (``closure`` over
+    E) and its class as that preimage's conjugates (``_conjugates``), for x
+    the least coset representative outside E and the classes counted so
+    far.  The x-invariant K are walked from the trivial one by joins of
     K with the x-orbit of some t in E, K<t, t^x, ...> as E is abelian.  A t
     in sK, for s in an orbit already joined to K, gives the same join, and a
     t in a join of prime index over K gives that join, so neither is joined."""
@@ -925,29 +932,19 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) 
     mul, identity = u.mul, u.identity
     p, d = (prime_factors(len(e_set)) or ((1, 0),))[0]  # the trivial E has d = 0
     count = sum(_gaussian_binomials(p, d))
-    labels, reps = _coset_labels(u, e_set)
-    in_e = labels[identity]
-    prime_cosets = {}  # each <xE> of prime order q, as its coset labels: (x, q)
-    for x in reps:
-        powers = [x]
-        while labels[powers[-1]] != in_e:
-            powers.append(mul(x, powers[-1]))
-        if prime_factors(len(powers)) == ((len(powers), 1),):
-            prime_cosets.setdefault(frozenset(map(labels.__getitem__, powers)), (x, len(powers)))
     e_list = sorted(e_set)
     trivial = frozenset({identity})
-    seen = set()
-    for key, (x, q) in prime_cosets.items():
-        if key in seen:
+    _, reps = _coset_labels(u, e_set)
+    covered = set(e_set)  # E and the preimages of the classes counted so far
+    for x in reps:
+        if x in covered:
             continue
-        seen.add(key)
-        cls = [key]
-        for s in cls:
-            for row in u.conj_rows:
-                t = frozenset([labels[row[c]] for c in s])
-                if t not in seen:
-                    seen.add(t)
-                    cls.append(t)
+        h = u.closure((x,), base=e_set)  # <x>E, the preimage of <xE>
+        q = len(h) // len(e_set)
+        if prime_factors(q) != ((q, 1),):
+            continue
+        cls = _conjugates(u, {h: ()})
+        covered.update(*cls)
         hits = Counter()  # y^q for each y in xE
         for y in u.gather(e_list)(u.rows[x]):
             z = y
@@ -1061,8 +1058,8 @@ def all_subgroups(G: PermGroup, limits: EngineLimits | None = None) -> list[Subg
     counted over an elementary abelian normal layer already pass it
     (``_refuse_past_the_count_cap``), the search's own error is raised
     before it closes anything.  That count's joins are charged to
-    max_join_work too, and the search goes on from them.  The caps are G's own; ``limits`` is
-    accepted only when it equals them."""
+    max_join_work too, and the search goes on from them.  The caps are G's
+    own; ``limits`` is accepted only when it equals them."""
     # perfbench/workloads.py passes DEFAULT_LIMITS; ROADMAP item 1 drops that
     # argument there, and then this parameter
     _refuse_other_limits(G, limits)

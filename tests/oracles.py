@@ -14,15 +14,18 @@ groups by the full subgroup lattice and Schmidt subgroups by a walk over the
 two-generated subgroups, pi-closure by the normal-subgroup lattice, the
 Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
-per normaliser orbit, known joins included), and the subgroups over an
-elementary abelian layer counted off the full lattice.  The library must
+per normaliser orbit, known joins included), the subgroups over an
+elementary abelian layer counted off the full lattice, and that layer from
+the normal lattice.  The library must
 agree with these on every group small enough to brute-force.  Test-only
 helpers (the zoo's tags, the vm component decomposition) live here too.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
+from operator import mul
 
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
@@ -102,6 +105,19 @@ def layer_count_by_lattice(G, e_set) -> int:
     prime, for E = e_set: |HE : E| = |H : H ∩ E|."""
     indices = (s.order // len(s.indices & e_set) for s in all_subgroups(G))
     return sum(1 for i in indices if i == 1 or prime_factors(i) == ((i, 1),))
+
+
+def elementary_layer_by_normal_lattice(G, p) -> frozenset[int]:
+    """Omega_1(Z(O_p(G))) as indices of G's table: O_p(G) is the largest
+    member of the normal lattice whose order is a power of p, its centre the
+    elements commuting with all of it, and of those the ones whose p-th
+    power is the identity, by Permutation products."""
+    o_p = max((n for n in normal_subgroups(G) if _p_part(n.order, (p,)) == n.order),
+              key=lambda n: n.order)
+    elems = o_p.elements()
+    centre = [z for z in elems if all(z * a == a * z for a in elems)]
+    u = G.universe()
+    return frozenset(u.idx_of(z) for z in centre if reduce(mul, [z] * p).is_identity)
 
 
 def brute_subgroup_sets(G) -> set[frozenset]:

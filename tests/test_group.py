@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
-                     closure, frattini, hall_classes_every_pi_element,
+                     closure, elementary_layer_by_normal_lattice, frattini,
+                     hall_classes_every_pi_element,
                      largest_normal_over_by_lattice, layer_count_by_lattice,
                      naive_centralizer, naive_normalizer, rebuilt)
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
@@ -573,19 +574,26 @@ def test_capped_lattice_caches_its_error_without_traceback():
 
 
 def test_layer_count_is_exact_and_within_its_ceiling():
-    """For E = Omega_1(Z(O_p(G))) at each prime p, the layer count is the
-    number of lattice subgroups H with |HE : E| equal to 1 or a prime, and
-    the ceiling for E's order bounds it, so the order-only ceiling (the
-    largest over the p^d dividing |G|) does too: on every zoo group (caps
-    raised for S6 and wreath_c2_s3), every subgroup of S5, S3 x S3 (E =
-    C3 x C3, an odd prime of rank 2) and C2^3, where the ceiling is met."""
+    """At each prime p, the layer is E = Omega_1(Z(O_p(G))), as read off the
+    normal lattice; its count is the number of lattice subgroups H with
+    |HE : E| equal to 1 or a prime; and the ceiling for E's order bounds
+    it, so the order-only ceiling (the largest over the p^d dividing |G|)
+    does too: on every zoo group (caps raised for S6 and wreath_c2_s3),
+    every subgroup of S5, S3 x S3 (E = C3 x C3, an odd prime of rank 2),
+    C2^3, where the ceiling is met, A4 x C3 (at p = 3, a class of four
+    conjugate C3 over E = C3, so an odd q = p with a class longer than 1)
+    and S4 x C2."""
     c2 = cyclic(2)
+    a4xc3 = direct_product(alternating(4), cyclic(3))
+    s4xc2 = direct_product(symmetric(4), c2)
     groups = ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
-              + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2))])
+              + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2)),
+                 a4xc3, s4xc2])
     for group in groups:
         g = rebuilt(group, max_subgroup_order=max(group.order, 500), max_subgroup_count=5000)
         for p, e in prime_factors(g.order):
             e_set = _elementary_layer(g, p)
+            assert e_set == elementary_layer_by_normal_lattice(g, p)
             ceilings = {p ** d: _layer_ceiling(g.order, p, d) for d in range(e + 1)}
             ceiling = ceilings[len(e_set)]
             assert _layer_count(g, e_set, ceiling)[0] == layer_count_by_lattice(g, e_set) <= ceiling
@@ -595,6 +603,8 @@ def test_layer_count_is_exact_and_within_its_ceiling():
     assert (len(e_set), _layer_count(s3xs3, e_set, 100)[0]) == (9, 44)
     c2_cubed = direct_product(c2, direct_product(c2, c2))
     assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100)[0] == _layer_ceiling(8, 2, 3) == 16
+    for g, (p2, p3) in ((a4xc3, (25, 24)), (s4xc2, (83, 24))):
+        assert [_layer_count(g, _elementary_layer(g, p), 100)[0] for p in (2, 3)] == [p2, p3]
 
 
 def test_layer_count_of_the_wreath_base():
