@@ -16,9 +16,9 @@ Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
 per normaliser orbit, known joins included), the subgroups over an
 elementary abelian layer counted off the full lattice, and that layer from
-the normal lattice.  The library must
-agree with these on every group small enough to brute-force.  Test-only
-helpers (the zoo's tags, the vm component decomposition) live here too.
+the normal lattice.  The library must agree with these on every group small
+enough to brute-force.  Test-only helpers (the zoo's tags, the vm component
+decomposition) live here too.
 """
 
 from __future__ import annotations

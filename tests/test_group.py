@@ -603,8 +603,8 @@ def test_layer_count_is_exact_and_within_its_ceiling():
     assert (len(e_set), _layer_count(s3xs3, e_set, 100)[0]) == (9, 44)
     c2_cubed = direct_product(c2, direct_product(c2, c2))
     assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100)[0] == _layer_ceiling(8, 2, 3) == 16
-    for g, (p2, p3) in ((a4xc3, (25, 24)), (s4xc2, (83, 24))):
-        assert [_layer_count(g, _elementary_layer(g, p), 100)[0] for p in (2, 3)] == [p2, p3]
+    for g, counts in ((a4xc3, [25, 24]), (s4xc2, [83, 24])):
+        assert [_layer_count(g, _elementary_layer(g, p), 100)[0] for p in (2, 3)] == counts
 
 
 def test_layer_count_of_the_wreath_base():
