@@ -15,7 +15,11 @@ and the change first on odd ones, so a drift of the host's speed falls on
 both sides alike.  The output records, per end-to-end metric, the values
 of every run, the median and the interquartile range (inclusive quartiles)
 of each side, and the number of pairs in which the change is better; the
-direction of "better" is read from the change's BENCHMARK.json.  With
+direction of "better" is read from the change's BENCHMARK.json.  Beside
+them, under ``speed_probe``, it records for each side the speed probe of
+every run, read from the stamp line that run.py prints before its result:
+the median over the run's passes of ``speed_scale`` (by which the times are
+scaled) and of ``raw_wall_s`` (the unscaled wall time of a pass).  With
 ``--trace-workload``, repeatable, one ``--trace 1`` pass per side on each
 such workload (the first seed) adds every per-layer metric of both sides,
 and whether every ``.calls`` count is equal.
@@ -43,6 +47,7 @@ import sys
 from pathlib import Path
 
 RUNNER = Path("perfbench") / "run.py"
+PROBE = ("speed_scale", "raw_wall_s")  # per-pass lists in run.py's stamp line
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -85,19 +90,23 @@ def commit_of(root: Path) -> str | None:
     return out.stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The metric values of one run, {name: value}."""
+def run_once(root: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict, dict]:
+    """The metric values of one run, {name: value}, and its speed probe,
+    {name: the median over its passes} for each name of PROBE."""
     cmd = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
     result = json.loads(lines[-1])
     if not result.get("correct"):
         raise SystemExit(f"{' '.join(cmd)} in {root} was not correct: {lines[-2:]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    stamp = json.loads(lines[-2])["stamp"]
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            {name: statistics.median(stamp[name]) for name in PROBE})
 
 
 def summary(values: list[float]) -> tuple[float, float]:
@@ -170,19 +179,24 @@ def main(argv=None) -> int:
     }
     for workload in args.workload:
         runs = {"parent": [], "change": []}
+        probes = {side: {name: [] for name in PROBE} for side in runs}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 print(f"{workload} seed {seed} {side}", file=sys.stderr, flush=True)
-                runs[side].append(run_once(sides[side], workload, seed, args.seconds, 0))
+                metrics, probe = run_once(sides[side], workload, seed, args.seconds, 0)
+                runs[side].append(metrics)
+                for name in PROBE:
+                    probes[side][name].append(round(probe[name], 5))
         doc["workloads"][workload] = {"seeds": args.seeds,
-                                      "metrics": compare(runs, units, directions)}
+                                      "metrics": compare(runs, units, directions),
+                                      "speed_probe": probes}
     for workload in args.trace_workload:
         seed = args.seeds[0]
         traced = {}
         for side in ("parent", "change"):
             print(f"{workload} seed {seed} {side} --trace 1", file=sys.stderr, flush=True)
-            traced[side] = run_once(sides[side], workload, seed, args.seconds, 1)
+            traced[side], _ = run_once(sides[side], workload, seed, args.seconds, 1)
         doc[f"{workload}_trace1"] = {
             "command": f"python3 perfbench/run.py --workload {workload} "
                        f"--seed {seed} --seconds {args.seconds:g} --trace 1",

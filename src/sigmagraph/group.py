@@ -42,7 +42,7 @@ Subgroup searches work up to conjugacy: they extend one representative K per
 class, by one cyclic subgroup per N_G(K)-orbit, skip a join that an earlier
 join of prime index over K already holds, and spread each new subgroup over
 its class by gathers on the conjugation rows of G's generators.
-Centralisers, normalisers and normality checks compare or gather whole
+``centralizer``, ``normalizer`` and ``is_normal`` compare or gather whole
 conjugation rows and coset labels instead of multiplying element by element.
 Element orders, inverses and the cyclic subgroups, each named by its least
 generator, come from one walk per cyclic subgroup when the table is built,
@@ -50,12 +50,13 @@ and the conjugacy classes from one orbit pass per table.
 Quotients are read in G itself: the normal subgroups of G/K are the normal
 subgroups of G over K, and the largest one whose index over K involves
 given primes comes from one pass over G's conjugacy classes
-(``_largest_normal_over``).  So no library route builds a quotient group,
+(``_largest_normal_over``); over the trivial floor that is O_pi(G)
+(``core_series_subgroup``).  So no library route builds a quotient group,
 G's normal lattice or a chief series; ``quotient``, ``normal_subgroups`` and
 ``chief_series`` remain for callers that want them.  Hall subgroups are
-reached from one Sylow subgroup by joins with Sylow subgroups for the other
-primes (``_hall_classes``), which keeps each conjugacy class as its sorted
-index sets.
+reached from one Sylow subgroup (``sylow``) by joins with Sylow subgroups
+for the other primes (``_hall_classes``), which keeps each conjugacy class
+as its sorted index sets.
 Generating sets, Sylow subgroups and the largest normal subgroup over a
 floor come from one greedy pass of joins that keeps a join whose order
 divides a target (``_Universe.grow``).
@@ -601,19 +602,6 @@ def _normalised_by(rows, s_set: frozenset[int], s_gens) -> bool:
     return all(row[s] in s_set for row in rows for s in s_gens)
 
 
-def _normalizer_set(u: _Universe, s_set: frozenset[int], s_gens) -> frozenset[int]:
-    """x normalises S iff s·x lies in x·S for each generator s of S.  The
-    normaliser is a union of left cosets r·S, and s·r·h lies in (s·r)·S, so
-    only the least member r of each coset is tested: row s gathered at those
-    r, read through the coset labels, must give r back."""
-    labels, reps = _coset_labels(u, s_set)
-    keep = set(reps)
-    for s in s_gens:
-        keep.intersection_update(
-            compress(reps, map(eq, map(labels.__getitem__, u.gather(reps)(u.rows[s])), reps)))
-    return frozenset(compress(range(u.n), map(keep.__contains__, labels)))
-
-
 def centralizer(G: PermGroup, S: Subgroup) -> Subgroup:
     """Elements of G commuting with every element of S: x commutes with s
     iff the conjugation row of s fixes x, for each generator s."""
@@ -624,9 +612,19 @@ def centralizer(G: PermGroup, S: Subgroup) -> Subgroup:
 
 
 def normalizer(G: PermGroup, S: Subgroup) -> Subgroup:
-    """Elements of G conjugating S to itself."""
+    """Elements of G conjugating S to itself: x normalises S iff s·x lies in
+    x·S for each generator s of S.  The normaliser is a union of left cosets
+    r·S, and s·r·h lies in (s·r)·S, so only the least member r of each coset
+    is tested: row s gathered at those r, read through the coset labels,
+    must give r back.  The subgroup searches walk orbits on it."""
     _require_subgroup_of(G, S, "S")
-    return Subgroup(G, _normalizer_set(G.universe(), S.indices, S.gens))
+    u = G.universe()
+    labels, reps = _coset_labels(u, S.indices)
+    keep = set(reps)
+    for s in S.gens:
+        keep.intersection_update(
+            compress(reps, map(eq, map(labels.__getitem__, u.gather(reps)(u.rows[s])), reps)))
+    return Subgroup(G, frozenset(compress(range(u.n), map(keep.__contains__, labels))))
 
 
 def is_normal(G: PermGroup, S: Subgroup) -> bool:
@@ -847,17 +845,17 @@ def _count_cap_error(limits: EngineLimits) -> ResourceLimitError:
                               cap_name="max_subgroup_count", cap_value=limits.max_subgroup_count)
 
 
-def _orbit_firsts(u: _Universe, k_set: frozenset[int], k_gens, candidates):
+def _orbit_firsts(G: PermGroup, K: Subgroup, candidates):
     """The candidates, least generators of cyclic subgroups as listed in
     ``_Universe.cyclic``, that come first in their N_G(K)-orbit of them.
 
     For x in N_G(K), <K, y>^x = <K, y^x>: the later members of an orbit only
     join K to conjugates of the first one's join.  The candidates must be a
-    union of orbits; each orbit is walked on the conjugation rows of
-    generators of N_G(K), G's own when K is normal."""
-    rows = u.conj_rows
-    if not _normalised_by(rows, k_set, k_gens):
-        rows = u.conjugation_rows(u.derive_gens(_normalizer_set(u, k_set, k_gens)))
+    union of orbits; each orbit is walked on the conjugation rows of G's
+    generators when K is normal (``is_normal``), else on those of the
+    generators of ``normalizer(G, K)``."""
+    u = G.universe()
+    rows = u.conj_rows if is_normal(G, K) else u.conjugation_rows(normalizer(G, K).gens)
     canon = u.canon
     seen: set[int] = set()
     for y in candidates:
@@ -897,11 +895,11 @@ def _layer_ceiling(order: int, p: int, d: int) -> int:
 
 def _elementary_layer(G: PermGroup, p: int) -> frozenset[int]:
     """E = Omega_1(Z(O_p(G))): the elements of order 1 or p in the centre of
-    O_p(G), G's largest normal p-subgroup (``_largest_normal_over``).  E is
+    O_p(G), G's largest normal p-subgroup (``core_series_subgroup``).  E is
     elementary abelian and characteristic in O_p(G), so normal in G."""
     u = G.universe()
-    o_p = _largest_normal_over(G, frozenset({u.identity}), (p,))
-    centre = o_p & centralizer(G, Subgroup(G, o_p)).indices
+    o_p = core_series_subgroup(G, (p,))
+    centre = o_p.indices & centralizer(G, o_p).indices
     return frozenset(z for z in centre if p % u.orders[z] == 0)
 
 
@@ -1028,7 +1026,7 @@ def _all_subgroup_sets(G: PermGroup) -> list[tuple[frozenset[int], tuple[int, ..
         found = {trivial: ()}
         reps = [trivial]  # grows while pairs is read, so each new class is extended in turn
         pairs = ((k, (y,)) for k in reps
-                 for y in _orbit_firsts(u, k, found[k],
+                 for y in _orbit_firsts(G, Subgroup(G, k, found[k]),
                                         (y for y, yp in steps if y not in k and yp in k)))
         for h in _new_classes(u, found, pairs, G.limits, work):
             reps.append(h)
@@ -1094,7 +1092,7 @@ def two_generated_subgroups(G: PermGroup) -> list[Subgroup]:
                 found.update(_conjugates(u, {b_set: (b,)}))
         pairs = ((a, (b,)) if len(a) >= len(set_of[b]) else (set_of[b], found[a])
                  for a in reps
-                 for b in _orbit_firsts(u, a, found[a],
+                 for b in _orbit_firsts(G, Subgroup(G, a, found[a]),
                                         (b for b, b_set in set_of.items()
                                          if not (a <= b_set or b_set <= a))))
         for _ in _new_classes(u, found, pairs, G.limits):
@@ -1117,12 +1115,16 @@ def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
 # Sylow and Hall subgroups
 
 
-def _sylow_set(G: PermGroup, p: int) -> tuple[frozenset[int], tuple[int, ...]]:
-    """One Sylow p-subgroup and its generators: one greedy pass over the
-    p-elements in index order (``_Universe.grow``).  One pass is enough: if
-    the result P were short of the p-part, N_G(P) would hold a p-element z
-    outside P, and <P, z> would be a p-group; then so would <P', z> for the
-    smaller subgroup P' held at z's turn, and z would have joined."""
+def sylow(G: PermGroup, p: int) -> Subgroup:
+    """One Sylow p-subgroup and the generators it was joined from, kept on
+    G: one greedy pass over the p-elements in index order (``_Universe.grow``).
+    One pass is enough: if the result P were short of the p-part, N_G(P)
+    would hold a p-element z outside P, and <P, z> would be a p-group; then
+    so would <P', z> for the smaller subgroup P' held at z's turn, and z
+    would have joined.  A p above max_prime raises ResourceLimitError."""
+    if not _is_prime(p):
+        raise DomainError(f"{p} is not a prime")
+
     def compute():
         u = G.universe()
         target = _p_part(G.order, (p,))
@@ -1130,16 +1132,7 @@ def _sylow_set(G: PermGroup, p: int) -> tuple[frozenset[int], tuple[int, ...]]:
         if len(current) != target:
             raise CrossCheckError(f"Sylow {p}-subgroup construction stalled at order {len(current)}")
         return current, tuple(z for z, in kept)
-    return _memo(G, ("sylow_set", p), compute)
-
-
-def sylow(G: PermGroup, p: int) -> Subgroup:
-    """One Sylow p-subgroup, joined from p-elements in index order while the
-    join stays a p-group; a p above max_prime raises ResourceLimitError."""
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not a prime")
-    s, gens = _sylow_set(G, p)
-    return Subgroup(G, s, gens)
+    return Subgroup(G, *_memo(G, ("sylow_set", p), compute))
 
 
 def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
@@ -1170,9 +1163,9 @@ def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
             return [[frozenset(range(u.n))]]
         anchor_p = max((p for p in pset if G.order % p == 0),
                        key=lambda p: _p_part(G.order, (p,)))
-        p0_set, _ = _sylow_set(G, anchor_p)
+        p0_set = sylow(G, anchor_p).indices
         sylows = [(q, _p_part(G.order, (q,)),
-                   list(_conjugates(u, {_sylow_set(G, q)[0]: ()})))
+                   list(_conjugates(u, {sylow(G, q).indices: ()})))
                   for q in pset if q != anchor_p and G.order % q == 0]
         candidates = {p0_set}
         queue = [p0_set]
@@ -1242,9 +1235,9 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes) -> frozens
 
 
 def core_series_subgroup(G: PermGroup, primes) -> Subgroup:
-    """Largest normal subgroup whose order only involves the given primes;
-    a non-prime raises DomainError, a prime above max_prime
-    ResourceLimitError."""
+    """O_pi(G), the largest normal subgroup whose order only involves the
+    given primes: ``_largest_normal_over`` the trivial floor.  A non-prime
+    raises DomainError, a prime above max_prime ResourceLimitError."""
     for p in primes:
         if not _is_prime(p):
             raise DomainError(f"{p} is not a prime")

@@ -7,11 +7,12 @@ partition, so classes from different partitions never compare equal.  Each
 partition object keeps the class of every prime it has classified, so a
 repeated ``classify(p)`` returns the same object, and the class set of every
 integer ``sigma_of_int`` was asked for; only an int hits these memos, so a
-float or a bool is refused however often its int was asked.  Partitions,
-classes and class sets compute their hash once, at construction, and a
-class its tag and sort key too; none of these caches enters equality or the
-hash.  An integer above ``_MAX_PRIME`` is refused (cap ``max_prime``) before
-it is factored, since trial division of a large prime would not finish.
+float or a bool is refused however often its int was asked.  A class is
+its partition and its tag; its sort key does not enter equality, and
+partitions, classes and class sets compute their hash once, at
+construction.  An integer above ``_MAX_PRIME`` is refused (cap
+``max_prime``) before it is factored, since trial division of a large prime
+would not finish.
 """
 
 from __future__ import annotations
@@ -108,11 +109,11 @@ class SigmaPartition:
         if not _is_prime(p):
             raise DomainError(f"{p} is not a prime")
         if self.atomic:
-            return SigmaClass(self, "atomic", prime=p)
+            return SigmaClass(self, f"atomic:{p}", (1, p))
         for i, cls in enumerate(self.explicit_classes):
             if p in cls:
-                return SigmaClass(self, "explicit", index=i)
-        return SigmaClass(self, "residual")
+                return SigmaClass(self, f"explicit:{i}", (0, i))
+        return SigmaClass(self, "residual", (2, 0))
 
     def to_json(self) -> dict:
         """Keys in sorted order, as the reports that embed it are encoded."""
@@ -159,28 +160,15 @@ def parse_sigma_spec(text: str) -> SigmaPartition:
 
 @dataclass(frozen=True)
 class SigmaClass:
+    """A class of a partition, named by its tag (``explicit:<i>``,
+    ``atomic:<p>`` or ``residual``), with a sort key (``_new_class``)."""
     partition: SigmaPartition
-    kind: str  # "explicit" | "residual" | "atomic"
-    index: int | None = None
-    prime: int | None = None
-    # derived from the fields above at construction, not compared
-    tag: str = field(init=False, repr=False, compare=False)
-    sort_key: tuple = field(init=False, repr=False, compare=False)
+    tag: str
+    sort_key: tuple = field(compare=False)  # explicit, atomic, then residual
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "explicit":
-            tag = f"explicit:{self.index}"
-        elif self.kind == "atomic":
-            tag = f"atomic:{self.prime}"
-        else:
-            tag = "residual"
-        rank = {"explicit": 0, "atomic": 1, "residual": 2}[self.kind]
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "sort_key", (
-            rank, self.index if self.index is not None else self.prime or 0))
-        object.__setattr__(self, "_hash",
-                           hash((self.partition, self.kind, self.index, self.prime)))
+        object.__setattr__(self, "_hash", hash((self.partition, self.tag)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -206,9 +194,6 @@ class PiSet:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __contains__(self, cls: SigmaClass) -> bool:
-        return cls in self.classes
 
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[SigmaClass]:

@@ -21,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
                      has_circuit, has_loop, isolated_vertices, is_subgraph, union)
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _largest_normal_over, _product_order, maximal_subgroups, subgroup)
+                    _product_order, core_series_subgroup, maximal_subgroups, subgroup)
 from .perm import Permutation
 from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
@@ -318,7 +318,7 @@ def _pairs_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
         raise ResourceLimitError(
             "pi-element pair scan exceeded its closure budget",
             cap_name="max_join_work", cap_value=cap)
-    core = _largest_normal_over(G, frozenset({u.identity}), primes_of(t))
+    core = core_series_subgroup(G, primes_of(t)).indices
     least = G.order // 2 + 1
     pairs = ((a, b) for a in firsts if a not in core for b in bs
              if b not in core and u.mul(a, b) != u.mul(b, a))

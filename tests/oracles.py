@@ -30,7 +30,7 @@ from operator import mul
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
 from sigmagraph.group import (EngineLimits, PermGroup, Subgroup, _conjugates, _normal_subgroup_sets,
-                              _sorted_sets, _sylow_set, all_subgroups,
+                              _sorted_sets, all_subgroups,
                               centralizer, centralizer_of_factor, core_series_subgroup,
                               hall_subgroups, is_normal,
                               maximal_subgroups, normal_subgroups, normalizer,
@@ -398,7 +398,7 @@ def hall_classes_every_pi_element(G, primes) -> list:
         return [[frozenset(range(u.n))]]
     anchor_p = max((p for p in pset if G.order % p == 0),
                    key=lambda p: _p_part(G.order, (p,)))
-    p0_set, _ = _sylow_set(G, anchor_p)
+    p0_set = sylow(G, anchor_p).indices
     candidates = {p0_set}
     queue = [p0_set]
     pi_elements = [i for i in u.cyclic if target % u.orders[i] == 0]

@@ -76,3 +76,26 @@ def test_tracer_sees_every_dispatched_call(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert unseen == []
+
+
+def test_kernel_routes_call_the_public_functions(capsys):
+    """The subgroup search reads normalisers through ``normalizer``, the
+    Hall search Sylow subgroups through ``sylow``, and the layer count and
+    prop 1.11's pair scan O_p and O_pi through ``core_series_subgroup``, so
+    the benchmark's spans of those three names measure the library's own
+    calls."""
+    tracing = load_tracing()
+    cli = importlib.import_module("sigmagraph.cli")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        begin = tracer.mark()
+        assert cli.main(["verify", "--group", "zoo:S4"]) == 0
+        assert cli.main(["--max-subgroup-order", "20", "verify", "--group", "zoo:S4",
+                         "--statement", "1.11"]) == 0
+        calls = tracer.aggregate(begin, tracer.mark())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = ("group.normalizer", "group.sylow", "group.core_series_subgroup")
+    assert [span for span in spans if not calls[f"{span}.calls"]] == []

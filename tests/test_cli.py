@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -529,6 +532,64 @@ def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):
                          "--out", str(tmp_path / "out.json")])
         assert not (tmp_path / "out.json").exists()
         (roots["change"] / changed).write_text((roots["parent"] / changed).read_text())
+
+
+def test_bench_pairs_records_the_speed_probe(tmp_path, monkeypatch):
+    """Beside the scaled metrics, bench_pairs.py records each run's median
+    speed_scale and raw_wall_s, read from the stamp line that run.py prints
+    before its result line, per workload and per side."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    roots = {}
+    for side in ("parent", "change"):
+        root = roots[side] = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower"}],
+             "per_layer": []}))
+    scales = {"parent": [1.0, 3.0, 2.0], "change": [0.5, 0.25, 4.0]}
+
+    def fake_run(cmd, **kwargs):
+        if cmd[0] == "git":
+            raise OSError("no git here")
+        side = Path(kwargs["cwd"]).name
+        stamp = {"stamp": {"speed_scale": scales[side], "raw_wall_s": [0.3, 0.1, 0.2]}}
+        result = {"correct": True, "metrics": {"wall_s": {"value": 0.2, "unit": "s"}}}
+        return script.subprocess.CompletedProcess(
+            cmd, 0, stdout=f"{json.dumps(stamp)}\n{json.dumps(result)}\n", stderr="")
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    out = tmp_path / "out.json"
+    assert script.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                        "--workload", "sweep_light", "--seeds", "1-2",
+                        "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["workloads"]["sweep_light"]
+    assert record["metrics"]["wall_s"]["parent"] == [0.2, 0.2]
+    assert record["speed_probe"] == {
+        "parent": {"speed_scale": [2.0, 2.0], "raw_wall_s": [0.2, 0.2]},
+        "change": {"speed_scale": [0.5, 0.5], "raw_wall_s": [0.2, 0.2]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--group", "zoo:S4"),
+    ("graph", "--kind", "hall", "--sigma", '{"classes": [[2, 3]]}', "--group", "zoo:S6"),
+], ids=("verify-S4", "graph-hall-S6"))
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    """Sets of classes iterate in hash order, which moves with the hash seed;
+    the output must not.  One run under PYTHONHASHSEED 0 and one under 1
+    print the same bytes."""
+    src = str(Path(sigmagraph.cli.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "sigmagraph.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_readme_library_example_runs(capsys):

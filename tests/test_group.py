@@ -19,7 +19,7 @@ from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
                               Subgroup, _elementary_layer, _hall_classes,
                               _largest_normal_over, _layer_ceiling, _layer_count,
-                              _sylow_set, _Universe,
+                              _Universe,
                               all_subgroups, centralizer, centralizer_of_factor,
                               chief_series, core_series_subgroup,
                               hall_subgroups, is_normal,
@@ -332,13 +332,14 @@ def test_wreath_quotient_by_base():
 
 
 def assert_sylow_sets(groups):
-    """For every prime p of each group, _sylow_set is generated by its
+    """For every prime p of each group, sylow is generated by its
     generators, has the p-part of the order and holds only p-elements."""
     for g in groups:
         g = PermGroup(g.degree, g.generators)  # its table built under the current limit
         u, elems = g.universe(), g.elements()
         for p, e in prime_factors(g.order):
-            s, gens = _sylow_set(g, p)
+            ps = sylow(g, p)
+            s, gens = ps.indices, ps.gens
             assert len(s) == p**e and u.closure(gens) == s
             assert all(p**e % elems[i].order() == 0 for i in s)
 
