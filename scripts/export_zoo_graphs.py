@@ -47,9 +47,10 @@ def main(argv=None) -> int:
         for sigma in partitions:
             for kind in kinds:
                 graph = _BUILDERS[kind](group, sigma, group_tag=entry.tag)
-                text = to_dot(graph) if args.format == "dot" else to_json(graph)
+                # the bytes `sigmagraph graph` prints: to_dot ends in a newline
+                text = to_dot(graph) if args.format == "dot" else to_json(graph) + "\n"
                 name = f"{entry.tag}__{kind}__{partition_slug(sigma)}.{args.format}"
-                (outdir / name).write_text(text + "\n")
+                (outdir / name).write_text(text)
                 written += 1
         print(f"{entry.tag}: order {group.order}", file=sys.stderr)
     print(f"wrote {written} files to {outdir}", file=sys.stderr)

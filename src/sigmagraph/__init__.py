@@ -15,10 +15,9 @@ from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
                     all_subgroups, centralizer, is_normal, maximal_subgroups,
                     subgroup, sylow)
 from .perm import Permutation
-from .predicates import (SigmaLengthProfile, f_class_subgroup, is_critical,
-                         is_pi_closed, is_schmidt, is_sigma_dispersive,
-                         is_sigma_nilpotent, is_sigma_soluble, schmidt_types,
-                         sigma_length)
+from .predicates import (f_class_subgroup, is_critical, is_pi_closed,
+                         is_schmidt, is_sigma_dispersive, is_sigma_nilpotent,
+                         is_sigma_soluble, schmidt_types, sigma_length)
 from .sigma import (ATOMIC, PiSet, SigmaClass, SigmaPartition, parse_sigma_spec,
                     pi_part, prime_factors, primes_of, sigma_coprime,
                     sigma_of_group, sigma_of_int)

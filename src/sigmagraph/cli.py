@@ -108,9 +108,7 @@ def _load_group(spec: str, limits: EngineLimits) -> tuple[str, PermGroup]:
     spec = spec.strip()
     if spec.startswith("zoo:"):
         tag = spec[len("zoo:"):]
-        G = build_by_tag(tag)
-        # rebuilt for this call's caps: the zoo's group was built under the defaults
-        return tag, PermGroup(G.degree, G.generators, limits)
+        return tag, build_by_tag(tag, limits)
     if spec.startswith("{"):
         return _group_from_json(_json_spec(spec, "bad group spec"), "inline", limits)
     path = Path(spec)

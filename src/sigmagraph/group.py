@@ -9,9 +9,8 @@ failure included, goes through ``_memo``: it is only ever reused, never
 mutated, and a ResourceLimitError is cached as a fresh copy and raised again
 on every read, so memoisation is observationally transparent.  A group's
 caches hold index sets and generator indices, never a value that
-refers back to the group (``Subgroup`` and ``ChiefSeries`` wrappers are
-made per call), so a dropped group is freed at once, not by the cycle
-collector.
+refers back to the group (``Subgroup`` wrappers are made per call), so a
+dropped group is freed at once, not by the cycle collector.
 
 Desk-scale design: groups are small enough to enumerate their elements, and
 subgroup work runs on the indexed element table of the ambient group
@@ -685,16 +684,11 @@ def normal_subgroups(G: PermGroup) -> list[Subgroup]:
     return [Subgroup(G, s) for s in _normal_subgroup_sets(G)]
 
 
-@dataclass(frozen=True)
-class ChiefSeries:
-    group: PermGroup
-    terms: tuple[Subgroup, ...]      # ascending, from trivial to the group
-
-
-def chief_series(G: PermGroup) -> ChiefSeries:
-    """One chief series, built by repeatedly taking the canonically smallest
-    minimal normal subgroup above the current term.  No library route calls
-    it: sigma-solubility walks up the normal subgroups one class at a time."""
+def chief_series(G: PermGroup) -> tuple[Subgroup, ...]:
+    """The terms of one chief series, ascending from the trivial subgroup to
+    G, built by repeatedly taking the canonically smallest minimal normal
+    subgroup above the current term.  No library route calls it:
+    sigma-solubility walks up the normal subgroups one class at a time."""
     if G.is_trivial:
         raise DomainError("the trivial group has no chief series")
     normal_sets = _normal_subgroup_sets(G)
@@ -709,7 +703,7 @@ def chief_series(G: PermGroup) -> ChiefSeries:
             chain.append(next(s for s in normal_sets if cur < s))
         return chain
     chain = _memo(G, "chief_series", compute)
-    return ChiefSeries(G, tuple(Subgroup(G, s) for s in chain))
+    return tuple(Subgroup(G, s) for s in chain)
 
 
 # ---------------------------------------------------------------------------

@@ -257,13 +257,7 @@ def is_sigma_dispersive(G: PermGroup, sigma: SigmaPartition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SigmaLengthProfile:
-    sigma_class: SigmaClass
-    length: int  # nontrivial cls-terms in the upper alternating series
-
-
-def sigma_length(G: PermGroup, cls: SigmaClass) -> SigmaLengthProfile:
+def sigma_length(G: PermGroup, cls: SigmaClass) -> int:
     """Length of the upper alternating series for cls (``_upper_series``):
     the number of its cls-steps that moved.  A series that stalls below G
     means G is not separable for this class, and raises DomainError on
@@ -271,4 +265,4 @@ def sigma_length(G: PermGroup, cls: SigmaClass) -> SigmaLengthProfile:
     _, length, separable = _upper_series(G, cls)
     if not separable:
         raise DomainError(f"upper series for class {cls} stalls below the whole group")
-    return SigmaLengthProfile(cls, length)
+    return length

@@ -28,6 +28,7 @@ from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          sigma_length)
 from .sigma import (PiSet, SigmaPartition, pi_part, primes_of, sigma_coprime,
                     sigma_of_group)
+from .zoo import build_by_tag
 
 
 class CheckResult(NamedTuple):
@@ -104,7 +105,7 @@ def verify_prop_1_2(G: PermGroup, sigma: SigmaPartition,
     soluble = is_sigma_soluble(G, sigma)
     # sorted: the early exit must not depend on the set's hash order
     short = soluble and all(
-        sigma_length(G, cls).length <= 1
+        sigma_length(G, cls) <= 1
         for cls in sorted(sigma_of_group(G, sigma), key=lambda c: c.sort_key))
     conclusions.append(CheckResult(
         "no-loops-iff-soluble-short", no_loops == short,
@@ -213,16 +214,11 @@ class FactorizationFixture:
 
 def factorization_fixtures(limits: EngineLimits = DEFAULT_LIMITS
                            ) -> tuple[FactorizationFixture, ...]:
-    """Three shipped triple factorizations.  Each group is built once, under
-    limits, from the generators the zoo gives S4, S3 x C5 and S3; the
-    harness never searches for factorizations on its own."""
-    s4 = PermGroup(4, [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
-                       Permutation.from_cycles(4, [(0, 1)])], limits)
+    """Three shipped triple factorizations of the zoo's S4, s3xc5 and S3,
+    each group read once from ``build_by_tag`` under limits; the harness
+    never searches for factorizations on its own."""
+    s4, g2, s3 = (build_by_tag(tag, limits) for tag in ("S4", "s3xc5", "S3"))
     c5 = Permutation.from_cycles(8, [(3, 4, 5, 6, 7)])
-    g2 = PermGroup(8, [Permutation.from_cycles(8, [(0, 1, 2)]),
-                       Permutation.from_cycles(8, [(0, 1)]), c5], limits)
-    s3 = PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)]),
-                       Permutation.from_cycles(3, [(0, 1)])], limits)
     f1 = FactorizationFixture(
         "S4=S3.D4.A4", s4,
         subgroup(s4, [Permutation.from_cycles(4, [(0, 1, 2)]),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CrossCheckError, GroupInputError
-from .group import PermGroup, all_subgroups
+from .group import DEFAULT_LIMITS, EngineLimits, PermGroup, all_subgroups
 from .perm import Permutation
 from .sigma import SigmaPartition, _is_int
 
@@ -181,10 +181,14 @@ def zoo() -> tuple[ZooEntry, ...]:
     )
 
 
-def build_by_tag(tag: str) -> PermGroup:
+def build_by_tag(tag: str, limits: EngineLimits = DEFAULT_LIMITS) -> PermGroup:
+    """The entry's group under limits: the order-checked group itself when
+    it was built under limits, else that group rebuilt on its generators
+    under limits."""
     for entry in zoo():
         if entry.tag == tag:
-            return entry.build()
+            g = entry.build()
+            return g if g.limits == limits else PermGroup(g.degree, g.generators, limits)
     raise GroupInputError(f"unknown zoo tag {tag!r}")
 
 

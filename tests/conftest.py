@@ -16,3 +16,19 @@ def corpus_groups():
 @pytest.fixture(scope="session")
 def partitions():
     return standard_partitions()
+
+
+@pytest.fixture
+def cayley_walks(monkeypatch):
+    """The degree of each group enumerated while the test runs, one entry
+    per Cayley walk (``group._cayley_walk``, the one route to an order)."""
+    import sigmagraph.group
+    walks = []
+    real = sigmagraph.group._cayley_walk
+
+    def counted(degree, generators, bound):
+        walks.append(degree)
+        return real(degree, generators, bound)
+
+    monkeypatch.setattr(sigmagraph.group, "_cayley_walk", counted)
+    return walks

@@ -36,7 +36,7 @@ from sigmagraph.group import (EngineLimits, PermGroup, Subgroup, _conjugates, _n
                               maximal_subgroups, normal_subgroups, normalizer,
                               quotient, sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import SigmaLengthProfile, f_class_subgroup
+from sigmagraph.predicates import f_class_subgroup
 from sigmagraph.sigma import (ATOMIC, _p_part, pi_part, prime_factors, primes_of,
                               sigma_of_group, sigma_of_int)
 from sigmagraph.zoo import zoo
@@ -522,11 +522,11 @@ def _normal_hall_for_class(G, cls):
     return None
 
 
-def sigma_length_by_quotients(G, cls) -> SigmaLengthProfile:
+def sigma_length_by_quotients(G, cls) -> int:
     """The upper alternating series for cls with each core taken in a
     quotient group of its own and pulled back through the projection."""
     if G.is_trivial:
-        return SigmaLengthProfile(cls, 0)
+        return 0
     u = G.universe()
     full = frozenset(range(u.n))
     cur = frozenset({u.identity})
@@ -544,7 +544,7 @@ def sigma_length_by_quotients(G, cls) -> SigmaLengthProfile:
             raise DomainError(f"upper series for class {cls} stalls below the whole group")
         length += 1
         cur = e
-    return SigmaLengthProfile(cls, length)
+    return length
 
 
 def dispersive_by_ordering_search(G, sigma) -> bool:

@@ -411,6 +411,20 @@ def test_zoo_group_is_capped_by_its_call_only(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == golden["graphs"]["S6"]["atomic"]["hawkes"]
 
 
+@pytest.mark.parametrize("tag, walks", (("S4", 1), ("wreath_c2_s3", 2)))
+def test_zoo_group_is_built_once_per_call(capsys, cayley_walks, tag, walks):
+    """Under the default caps a zoo:TAG call decides the zoo's order-checked
+    group itself, so each group its builder makes is walked once (the
+    wreath's builder walks S3 first).  Under other caps the group is
+    rebuilt on its generators, one walk more, and prints the same bytes."""
+    argv = ("graph", "--group", f"zoo:{tag}", "--kind", "hawkes")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and len(cayley_walks) == walks
+    cayley_walks.clear()
+    rc, capped, _ = run(capsys, "--max-order", "1000", *argv)
+    assert rc == 0 and len(cayley_walks) == walks + 1 and capped == out
+
+
 def test_oversized_group_spec_exits_2_before_building(capsys, monkeypatch):
     """A degree or generator count past its cap is refused with the cap's
     name before any permutation or group of that size is built."""
@@ -496,7 +510,7 @@ def test_help_exits_0(capsys):
 
 def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
     """The export script writes one vm file per zoo group, and the S6 file
-    is the graph command's output."""
+    is the graph command's output; a DOT file is too, byte for byte."""
     spec = importlib.util.spec_from_file_location("export_zoo_graphs", EXPORT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -506,6 +520,13 @@ def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
     rc, out, _ = run(capsys, "graph", "--group", "zoo:S6", "--kind", "vm")
     assert rc == 0
     assert (tmp_path / "S6__vm__atomic.json").read_text() == out
+    dot = tmp_path / "dot"
+    assert script.main(["--outdir", str(dot), "--kind", "hawkes", "--sigma", "atomic",
+                        "--format", "dot"]) == 0
+    rc, out, _ = run(capsys, "graph", "--group", "zoo:S4", "--kind", "hawkes",
+                     "--format", "dot")
+    assert rc == 0
+    assert (dot / "S4__hawkes__atomic.dot").read_bytes() == out.encode()
 
 
 def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import sys
 import time
 from itertools import combinations
@@ -11,7 +12,7 @@ import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
-from sigmagraph.group import (EngineLimits, PermGroup, QuotientGroup, Subgroup, _Universe,
+from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup, Subgroup, _Universe,
                               all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
@@ -120,6 +121,23 @@ def test_thm_1_7_fixtures():
     # built from the zoo's generators, in the zoo's order
     zoo_groups = (symmetric(4), build_by_tag("s3xc5"), symmetric(3))
     assert [f.group.generators for f in fixtures] == [G.generators for G in zoo_groups]
+
+
+def test_fixture_groups_are_the_zoo_groups_under_the_given_caps(cayley_walks):
+    """factorization_fixtures reads S4, s3xc5 and S3 from build_by_tag: the
+    same generator images, under the caps it is given, and exactly the
+    walks build_by_tag makes for them."""
+    for limits in (DEFAULT_LIMITS, EngineLimits(max_element_order=1000)):
+        cayley_walks.clear()
+        zoo_groups = [build_by_tag(tag, limits) for tag in ("S4", "s3xc5", "S3")]
+        built = list(cayley_walks)
+        cayley_walks.clear()
+        fixtures = factorization_fixtures(limits)
+        assert cayley_walks == built
+        for fx, G in zip(fixtures, zoo_groups, strict=True):
+            assert fx.group.limits == limits
+            assert ([g.images for g in fx.group.generators]
+                    == [g.images for g in G.generators])
 
 
 def test_thm_1_7_detects_bad_factorization():
@@ -356,6 +374,38 @@ def test_sweep_builds_each_fixture_group_once(monkeypatch):
     assert list(run_corpus_sweep([], (), ("1.7",), tight)) == []
     with pytest.raises(ResourceLimitError, match="max_element_order=20"):
         list(run_corpus_sweep([], standard_partitions(), ("1.7",), tight))
+
+
+def _relabelled(G: PermGroup) -> list[Permutation]:
+    """G's generators conjugated by one seeded permutation s of its points:
+    each g becomes s^-1 g s."""
+    points = list(range(G.degree))
+    random.Random(G.degree).shuffle(points)
+    s = Permutation(tuple(points))
+    return [s.inverse() * g * s for g in G.generators]
+
+
+REGENERATIONS = {"reversed": lambda G: G.generators[::-1],
+                 "first-times-last": lambda G: (*G.generators,
+                                                G.generators[0] * G.generators[-1]),
+                 "relabelled": _relabelled}
+
+
+@pytest.mark.parametrize("how", REGENERATIONS)
+@pytest.mark.parametrize("tag", ("S4", "A4", "A5", "D6", "C30", "dic3", "sl23", "f20",
+                                 "s3xc5", "wreath_c2_s3"))
+def test_report_stream_does_not_depend_on_the_generating_set(tag, how):
+    """The per-group statements are decided on the group, not on the
+    generators it was given: rebuilt on another generating set, or with its
+    points relabelled, it gives the same report bytes."""
+    def stream(G):
+        return [r.to_json() for r in run_corpus_sweep(
+            [(tag, G)], standard_partitions(), ("1.2", "1.4", "1.9", "1.11", "1.12"))]
+
+    G = build_by_tag(tag)
+    again = PermGroup(G.degree, REGENERATIONS[how](G))
+    assert again.order == G.order
+    assert stream(again) == stream(G)
 
 
 @pytest.mark.parametrize("statements", [("1.3",), ("1.2", "1.13"), "1.2"])
