@@ -12,8 +12,8 @@ import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
 from sigmagraph.graphs import build_hall, build_hawkes, build_vm, to_json
-from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup, Subgroup, _Universe,
-                              all_subgroups, core_series_subgroup)
+from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientGroup, Subgroup,
+                              _Universe, all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
 from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, primes_of, sigma_of_group
