@@ -902,8 +902,8 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) 
     for E = e_set an elementary abelian normal p-subgroup, with no subgroup
     search; once the count passes stop, the count so far.  With it, the
     join work spent, from work on: each t of E outside K taken up for a
-    join over K counts, joined or skipped, and at max_join_work the
-    search's join-work error is raised.
+    join over K counts, joined or skipped, charged for all of K at once,
+    and past max_join_work the search's join-work error is raised.
 
     The H inside E are E's subgroups, a sum of Gaussian binomials.  Any
     other H has HE/E = <xE> of prime order q, and K = H ∩ E is normalised by
@@ -916,10 +916,14 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) 
     length.  G/E is read in G: <xE> as its preimage <x>E (``closure`` over
     E) and its class as that preimage's conjugates (``_conjugates``), for x
     the least coset representative outside E and the classes counted so
-    far.  The x-invariant K are walked from the trivial one by joins of
-    K with the x-orbit of some t in E, K<t, t^x, ...> as E is abelian.  A t
-    in sK, for s in an orbit already joined to K, gives the same join, and a
-    t in a join of prime index over K gives that join, so neither is joined."""
+    far; where |<xE>| = m is not prime, the other generators x^jE of <xE>,
+    gcd(j, m) = 1, are dropped with it.  The x-invariant K are walked from
+    the trivial one by joins of K with the x-orbit of some t in E,
+    K<t, t^x, ...> as E is abelian.  A join takes the orbit's members w in
+    turn, with no closure: E has exponent p, so <J, w> is the union of the
+    cosets w^cJ for c < p.  A t in sK, for s in an orbit already joined to
+    K, gives the same join, and a t in a join of prime index over K gives
+    that join, so neither is joined."""
     u = G.universe()
     mul, identity = u.mul, u.identity
     p, d = (prime_factors(len(e_set)) or ((1, 0),))[0]  # the trivial E has d = 0
@@ -934,6 +938,12 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) 
         h = u.closure((x,), base=e_set)  # <x>E, the preimage of <xE>
         q = len(h) // len(e_set)
         if prime_factors(q) != ((q, 1),):
+            # the other generators x^jE of <xE> have the same preimage
+            y = x
+            for j in range(2, q):
+                y = mul(x, y)
+                if gcd(j, q) == 1:
+                    covered.update(u.gather(e_list)(u.rows[y]))
             continue
         cls = _conjugates(u, {h: ()})
         covered.update(*cls)
@@ -953,20 +963,25 @@ def _layer_count(G: PermGroup, e_set: frozenset[int], stop: int, work: int = 0) 
             count += len(cls) * share
             if count > stop:
                 return count, work
+            work += len(e_list) - len(k)  # every t of E outside K
+            if work > G.limits.max_join_work:
+                raise _join_work_error(G.limits)
             skip = set(k)
             coset = u.gather(tuple(k))
             for t in e_list:
-                if t in k:
-                    continue
-                if work == G.limits.max_join_work:
-                    raise _join_work_error(G.limits)
-                work += 1
                 if t in skip:
                     continue
                 orbit = [t]
                 while (w := conj[orbit[-1]]) != t:
                     orbit.append(w)
-                j = u.closure(orbit, base=k)
+                j = set(k)  # <J, w> = J ∪ wJ ∪ ... ∪ w^(p-1)J: E is abelian of exponent p
+                for w in orbit:
+                    if w not in j:
+                        layer = tuple(j)
+                        for _ in range(p - 1):
+                            layer = u.gather(layer)(u.rows[w])
+                            j.update(layer)
+                j = frozenset(j)
                 if len(j) == p * len(k):
                     skip |= j
                 else:

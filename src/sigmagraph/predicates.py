@@ -148,21 +148,30 @@ def _schmidt_pairs(G: PermGroup):
     smaller closure can mix primes, like D5 in S6).  Then P<y> is not
     nilpotent, so it holds a Schmidt subgroup of type (p, q); and a Schmidt
     subgroup P0 . <y> gives a pair with a in P0 outside C(y) (Schmidt 1924;
-    Huppert, Endliche Gruppen I, III.5)."""
+    Huppert, Endliche Gruppen I, III.5).
+
+    P depends only on the <y>-orbit of <a>, and so does [a, y] != 1: every
+    generator of <a> and every member of a's y-orbit gives the same P.  So
+    each such orbit is closed once, at its first a; an a whose least
+    generator (``canon``) lies in an orbit closed before is skipped, and
+    subgroups lists the same distinct P in the same first-seen order."""
     u = G.universe()
+    canon = u.canon
     facts = prime_factors(u.n)
     p_elements = {p: [i for i in range(u.n) if u.orders[i] > 1 and p**e % u.orders[i] == 0]
                   for p, e in facts}
 
     def subgroups(y, ps, target):
         conj = dict(zip(ps, u.conjugates(y, ps)))  # conjugates of p-elements are p-elements
+        done = set()  # least generators of the <a> in the orbits closed so far
         for a in ps:
-            if conj[a] == a:
+            if conj[a] == a or canon[a] in done:
                 continue
             orbit, x = [a], conj[a]
             while x != a:
                 orbit.append(x)
                 x = conj[x]
+            done.update(canon[x] for x in orbit)
             s = u.closure(orbit, cap=target)
             if s is not None and target % len(s) == 0:
                 yield s

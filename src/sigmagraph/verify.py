@@ -21,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .graphs import (SigmaGraph, build_hall, build_hawkes, build_vm, graphs_equal,
                      has_circuit, has_loop, isolated_vertices, is_subgraph, union)
 from .group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
-                    _product_order, core_series_subgroup, maximal_subgroups, subgroup)
+                    _memo, _product_order, core_series_subgroup, maximal_subgroups, subgroup)
 from .perm import Permutation
 from .predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent, is_sigma_soluble,
@@ -340,14 +340,18 @@ def _maximals_pi_closed(G: PermGroup, pi: PiSet) -> tuple[bool, str]:
     question to the scan.  The scan skips the pairs that meet O_pi(G),
     whose joins lie in O_pi(G)<a> or O_pi(G)<b> and so are pi-groups, and
     stops at order 6: a join of pi-elements that is not a pi-group is not
-    nilpotent, and every group of order below 6 is."""
-    try:
-        for m in maximal_subgroups(G):
-            if not _pi_closed_indices(G, m.indices, pi):
-                return False, f"maximal subgroup of order {m.order} is not pi-closed"
-        return True, ""
-    except ResourceLimitError:
-        return _pairs_pi_closed(G, pi)
+    nilpotent, and every group of order below 6 is.  Both routes read pi
+    only through t, the pi-part of |G|, so the answer is cached on G per t:
+    two partitions that yield the same primes share it."""
+    def compute():
+        try:
+            for m in maximal_subgroups(G):
+                if not _pi_closed_indices(G, m.indices, pi):
+                    return False, f"maximal subgroup of order {m.order} is not pi-closed"
+            return True, ""
+        except ResourceLimitError:
+            return _pairs_pi_closed(G, pi)
+    return _memo(G, ("maximals_pi_closed", pi_part(G.order, pi.classes)), compute)
 
 
 def verify_prop_1_11(G: PermGroup, sigma: SigmaPartition, pi: PiSet,

@@ -15,21 +15,24 @@ two-generated subgroups, pi-closure by the normal-subgroup lattice, the
 Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
 per normaliser orbit, known joins included), the subgroups over an
-elementary abelian layer counted off the full lattice, and that layer from
-the normal lattice.  The library must agree with these on every group small
+elementary abelian layer counted off the full lattice and by a walk of
+generic closures, that layer from the normal lattice, and the Schmidt pairs
+closing every p-element's orbit.  The library must agree with these on every group small
 enough to brute-force.  Test-only helpers (the zoo's tags, the vm component
 decomposition) live here too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from itertools import permutations
 from operator import mul
 
 from sigmagraph.errors import CrossCheckError, DomainError, ResourceLimitError
 from sigmagraph.graphs import build_vm
-from sigmagraph.group import (EngineLimits, PermGroup, Subgroup, _conjugates, _normal_subgroup_sets,
+from sigmagraph.group import (EngineLimits, PermGroup, Subgroup, _conjugates, _coset_labels,
+                              _gaussian_binomials, _join_work_error, _normal_subgroup_sets,
                               _sorted_sets, all_subgroups,
                               centralizer, centralizer_of_factor, core_series_subgroup,
                               hall_subgroups, is_normal,
@@ -105,6 +108,70 @@ def layer_count_by_lattice(G, e_set) -> int:
     prime, for E = e_set: |HE : E| = |H : H ∩ E|."""
     indices = (s.order // len(s.indices & e_set) for s in all_subgroups(G))
     return sum(1 for i in indices if i == 1 or prime_factors(i) == ((i, 1),))
+
+
+def layer_count_by_closures(G, e_set, stop, work=0) -> tuple[int, int]:
+    """``group._layer_count`` with every join a Dimino closure: each
+    x-invariant K is joined with an x-orbit of E by ``_Universe.closure``,
+    each coset whose <xE> has a non-prime order closes its own preimage, and
+    the join work is charged one t at a time, the join-work error raised at
+    the t that reaches max_join_work."""
+    u = G.universe()
+    mul, identity = u.mul, u.identity
+    p, d = (prime_factors(len(e_set)) or ((1, 0),))[0]
+    count = sum(_gaussian_binomials(p, d))
+    e_list = sorted(e_set)
+    trivial = frozenset({identity})
+    _, reps = _coset_labels(u, e_set)
+    covered = set(e_set)
+    for x in reps:
+        if x in covered:
+            continue
+        h = u.closure((x,), base=e_set)
+        q = len(h) // len(e_set)
+        if prime_factors(q) != ((q, 1),):
+            continue
+        cls = _conjugates(u, {h: ()})
+        covered.update(*cls)
+        hits = Counter()
+        for y in u.gather(e_list)(u.rows[x]):
+            z = y
+            for _ in range(q - 1):
+                z = mul(y, z)
+            hits[z] += 1
+        conj = dict(zip(e_list, u.conjugates(x, e_list)))
+        found = {trivial}
+        queue = [trivial]
+        for k in queue:
+            share, rest = divmod(sum(map(hits.__getitem__, k)), len(k))
+            if rest:
+                raise CrossCheckError("a coset of an invariant subgroup is split by its q-th powers")
+            count += len(cls) * share
+            if count > stop:
+                return count, work
+            skip = set(k)
+            coset = u.gather(tuple(k))
+            for t in e_list:
+                if t in k:
+                    continue
+                if work == G.limits.max_join_work:
+                    raise _join_work_error(G.limits)
+                work += 1
+                if t in skip:
+                    continue
+                orbit = [t]
+                while (w := conj[orbit[-1]]) != t:
+                    orbit.append(w)
+                j = u.closure(orbit, base=k)
+                if len(j) == p * len(k):
+                    skip |= j
+                else:
+                    for w in orbit:
+                        skip.update(coset(u.rows[w]))
+                if j not in found:
+                    found.add(j)
+                    queue.append(j)
+    return count, work
 
 
 def elementary_layer_by_normal_lattice(G, p) -> frozenset[int]:
@@ -296,6 +363,38 @@ def is_schmidt_by_lattice(G) -> bool:
     return (not nilpotent_by_sylows(G)
             and all(nilpotent_by_sylows(s.group)
                     for s in all_subgroups(G) if s.order < G.order))
+
+
+def schmidt_pairs_every_generator(G):
+    """``predicates._schmidt_pairs`` closing the y-orbit of every p-element
+    a with [a, y] != 1, with no skip for an orbit of <a> closed before:
+    (p, q, y, subgroups) with subgroups a list, repeats included."""
+    u = G.universe()
+    facts = prime_factors(u.n)
+    out = []
+    for cls in u.conjugacy_classes():
+        y = cls[0]
+        q = primes_of(u.orders[y])
+        if len(q) != 1:
+            continue
+        for p, e in facts:
+            if p == q[0]:
+                continue
+            ps = [i for i in range(u.n) if u.orders[i] > 1 and p**e % u.orders[i] == 0]
+            conj = dict(zip(ps, u.conjugates(y, ps)))
+            subgroups = []
+            for a in ps:
+                if conj[a] == a:
+                    continue
+                orbit, x = [a], conj[a]
+                while x != a:
+                    orbit.append(x)
+                    x = conj[x]
+                s = u.closure(orbit, cap=p**e)
+                if s is not None and p**e % len(s) == 0:
+                    subgroups.append(s)
+            out.append((p, q[0], y, subgroups))
+    return out
 
 
 def schmidt_subgroups(G):

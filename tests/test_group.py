@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
                      closure, elementary_layer_by_normal_lattice, frattini,
                      hall_classes_every_pi_element,
-                     largest_normal_over_by_lattice, layer_count_by_lattice,
+                     largest_normal_over_by_lattice, layer_count_by_closures,
+                     layer_count_by_lattice,
                      naive_centralizer, naive_normalizer, rebuilt)
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
@@ -620,6 +621,44 @@ def test_layer_count_of_the_wreath_base():
     assert (split[1], split[2], split[3], split[6], split.total()) == (2825, 1521, 185, 145, 4676)
     assert _layer_count(g, e_set, 5000) == (4531, 8742)
     assert _layer_count(g, e_set, 4000)[0] > 4000  # stops once past the cap
+
+
+def test_layer_count_matches_the_closure_walk():
+    """The layer count, its exponent-p joins charged a K at a time, gives
+    the (count, join work) of the walk of generic closures at stops 0, 50,
+    the default count cap and none, and the same join-work error under a cap
+    that fires mid-walk: on every zoo group at every prime, every subgroup
+    of S5, S3 x S3, C2^3, A4 x C3, S4 x C2, S4 x S4, C3^3 : C2 (an odd p with
+    d = 3) and C3 wr C3."""
+    c2 = cyclic(2)
+    c3_cubed_by_c2 = PermGroup(9, [Permutation.from_cycles(9, c) for c in (
+        [(0, 1, 2)], [(3, 4, 5)], [(6, 7, 8)], [(1, 2), (4, 5), (7, 8)])])
+    groups = ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
+              + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2)),
+                 direct_product(alternating(4), cyclic(3)), direct_product(symmetric(4), c2),
+                 direct_product(symmetric(4), symmetric(4)), c3_cubed_by_c2,
+                 regular_wreath(3, cyclic(3))])
+    assert c3_cubed_by_c2.order == 54 and len(_elementary_layer(c3_cubed_by_c2, 3)) == 27
+    mid_walk = 0
+    for g in groups:
+        for p, _ in prime_factors(g.order):
+            e_set = _elementary_layer(g, p)
+            for stop in (0, 50, DEFAULT_LIMITS.max_subgroup_count, 10**9):
+                assert _layer_count(g, e_set, stop) == layer_count_by_closures(g, e_set, stop), (g, p, stop)
+            work = _layer_count(g, e_set, 10**9)[1]
+            for cap in {c for c in (work // 2, work - 1) if c > 0}:
+                capped = rebuilt(g, max_join_work=cap)
+                with pytest.raises(ResourceLimitError) as ours:
+                    _layer_count(capped, e_set, 10**9)
+                with pytest.raises(ResourceLimitError) as theirs:
+                    layer_count_by_closures(capped, e_set, 10**9)
+                assert (str(ours.value), ours.value.cap_name, ours.value.cap_value) == (
+                    str(theirs.value), theirs.value.cap_name, theirs.value.cap_value) == (
+                    f"subgroup search exceeded its closure budget [cap max_join_work={cap}]",
+                    "max_join_work", cap)
+                mid_walk += 1
+            assert _layer_count(rebuilt(g, max_join_work=max(work, 1)), e_set, 10**9)[1] == work
+    assert mid_walk > 100
 
 
 def test_wreath_count_cap_is_decided_by_the_layer_count_up_to_4530(monkeypatch):

@@ -5,14 +5,15 @@ from oracles import (ORACLE_TAGS, dispersive_by_ordering_search,
                      f_class_subgroup_by_pullback,
                      is_class_nilpotent_by_chief_factors, is_pi_central_factor,
                      is_pi_normal_maximal, is_schmidt_by_lattice,
-                     nilpotent_by_sylows, schmidt_subgroups,
+                     nilpotent_by_sylows, schmidt_pairs_every_generator,
+                     schmidt_subgroups,
                      sigma_length_by_quotients, sigma_nilpotent_by_series,
                      sigma_soluble_by_series)
 from sigmagraph.errors import DomainError
-from sigmagraph.group import (PermGroup, all_subgroups, maximal_subgroups,
+from sigmagraph.group import (PermGroup, _Universe, all_subgroups, maximal_subgroups,
                               normal_subgroups, quotient, subgroup)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import (f_class_subgroup, is_class_nilpotent,
+from sigmagraph.predicates import (_schmidt_pairs, f_class_subgroup, is_class_nilpotent,
                                    is_critical, is_nilpotent, is_pi_closed,
                                    is_schmidt, is_sigma_dispersive,
                                    is_sigma_nilpotent, is_sigma_soluble,
@@ -230,6 +231,35 @@ def test_schmidt_types_match_walk_above_lattice_caps():
     over its two-generated subgroups still give the same Schmidt types."""
     g = build_by_tag("wreath_c2_s3")
     assert schmidt_types(g) == {(p, q) for _, p, q in schmidt_subgroups(g)}
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S5", "A6", "wreath_c2_s3"))
+def test_schmidt_pairs_close_each_orbit_of_cyclic_subgroups_once(tag):
+    """For each (p, q, y), the pairs list the distinct subgroups of the walk
+    that closes every p-element's y-orbit, in the same first-seen order,
+    with no more entries."""
+    g = build_by_tag(tag)
+    ours = [(p, q, y, list(subgroups)) for p, q, y, subgroups in _schmidt_pairs(g)]
+    theirs = schmidt_pairs_every_generator(g)
+    assert [t[:3] for t in ours] == [t[:3] for t in theirs]
+    for (*_, mine), (*_, every) in zip(ours, theirs):
+        assert list(dict.fromkeys(mine)) == list(dict.fromkeys(every))
+        assert len(mine) <= len(every)
+
+
+@pytest.mark.parametrize("tag, closures", [("A6", 83), ("S5", 22), ("S6", 90), ("wreath_c2_s3", 106)])
+def test_schmidt_types_closure_counts(monkeypatch, tag, closures):
+    """schmidt_types closes one y-orbit per orbit of cyclic p-subgroups:
+    A6 83 closures (731 when every p-element's orbit is closed), S5 22
+    (132), S6 90 (776) and wreath_c2_s3 106 (418)."""
+    g = build_by_tag(tag)
+    g.universe().conjugacy_classes()
+    calls = []
+    real = _Universe.closure
+    monkeypatch.setattr(_Universe, "closure",
+                        lambda u, *args, **kwargs: calls.append(1) or real(u, *args, **kwargs))
+    schmidt_types(g)
+    assert len(calls) == closures
 
 
 def test_schmidt_types_s6():

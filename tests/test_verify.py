@@ -16,7 +16,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientG
                               _Universe, all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
-from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, primes_of, sigma_of_group
+from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, pi_part, primes_of, sigma_of_group
 from sigmagraph.verify import (_PER_GROUP, _PER_PI, ALL_STATEMENTS, CheckResult,
                                _pairs_pi_closed, _pi_subsets,
                                factorization_fixtures, make_report,
@@ -320,6 +320,28 @@ def test_pair_scan_counts_skipped_pairs_toward_the_join_work_cap():
     assert _pairs_pi_closed(rebuilt(g, max_join_work=3933), PI_2) == want
     with pytest.raises(ResourceLimitError, match="max_join_work=3932"):
         _pairs_pi_closed(rebuilt(g, max_join_work=3932), PI_2)
+
+
+def test_sweep_scans_pairs_once_per_pi_part(monkeypatch):
+    """A wreath_c2_s3 sweep under the standard partitions asks prop 1.11's
+    maximals question four times, but for two pi-parts of |G| only: the
+    answer is kept per pi-part, so the pair scan runs twice, once each."""
+    scanned = []
+    scan = sigmagraph.verify._pairs_pi_closed
+
+    def counted(G, pi):
+        scanned.append(pi_part(G.order, pi.classes))
+        return scan(G, pi)
+    monkeypatch.setattr(sigmagraph.verify, "_pairs_pi_closed", counted)
+    g = build_by_tag("wreath_c2_s3")
+    asked = []
+    ask = sigmagraph.verify._maximals_pi_closed
+    monkeypatch.setattr(sigmagraph.verify, "_maximals_pi_closed",
+                        lambda G, pi: asked.append(1) or ask(G, pi))
+    reports = list(run_corpus_sweep([("wreath_c2_s3", g)], standard_partitions(), ("1.11",)))
+    assert len(asked) == 4
+    assert len(scanned) == len(set(scanned)) == 2
+    assert not any(r.verdict == "FAIL" for r in reports)
 
 
 def test_component_decomposition():
