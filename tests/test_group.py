@@ -575,23 +575,31 @@ def test_capped_lattice_caches_its_error_without_traceback():
         assert cached.__traceback__ is None
 
 
+def layer_groups() -> list[PermGroup]:
+    """Every zoo group, every subgroup of S5, S3 x S3 (E = C3 x C3, an odd
+    prime of rank 2), C2^3, where the ceiling is met, A4 x C3 (at p = 3, a
+    class of four conjugate C3 over E = C3, so an odd q = p with a class
+    longer than 1), S4 x C2, S4 x S4 (order-6 cosets over E = C2^4),
+    C3^3 : C2 (an odd p with d = 3) and C3 wr C3."""
+    c2 = cyclic(2)
+    c3_cubed_by_c2 = PermGroup(9, [Permutation.from_cycles(9, c) for c in (
+        [(0, 1, 2)], [(3, 4, 5)], [(6, 7, 8)], [(1, 2), (4, 5), (7, 8)])])
+    return ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
+            + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2)),
+               direct_product(alternating(4), cyclic(3)), direct_product(symmetric(4), c2),
+               direct_product(symmetric(4), symmetric(4)), c3_cubed_by_c2,
+               regular_wreath(3, cyclic(3))])
+
+
 def test_layer_count_is_exact_and_within_its_ceiling():
     """At each prime p, the layer is E = Omega_1(Z(O_p(G))), as read off the
     normal lattice; its count is the number of lattice subgroups H with
     |HE : E| equal to 1 or a prime; and the ceiling for E's order bounds
     it, so the order-only ceiling (the largest over the p^d dividing |G|)
-    does too: on every zoo group (caps raised for S6 and wreath_c2_s3),
-    every subgroup of S5, S3 x S3 (E = C3 x C3, an odd prime of rank 2),
-    C2^3, where the ceiling is met, A4 x C3 (at p = 3, a class of four
-    conjugate C3 over E = C3, so an odd q = p with a class longer than 1)
-    and S4 x C2."""
+    does too: on each of ``layer_groups`` (caps raised for the larger
+    ones)."""
     c2 = cyclic(2)
-    a4xc3 = direct_product(alternating(4), cyclic(3))
-    s4xc2 = direct_product(symmetric(4), c2)
-    groups = ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
-              + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2)),
-                 a4xc3, s4xc2])
-    for group in groups:
+    for group in layer_groups():
         g = rebuilt(group, max_subgroup_order=max(group.order, 500), max_subgroup_count=5000)
         for p, e in prime_factors(g.order):
             e_set = _elementary_layer(g, p)
@@ -605,6 +613,8 @@ def test_layer_count_is_exact_and_within_its_ceiling():
     assert (len(e_set), _layer_count(s3xs3, e_set, 100)[0]) == (9, 44)
     c2_cubed = direct_product(c2, direct_product(c2, c2))
     assert _layer_count(c2_cubed, _elementary_layer(c2_cubed, 2), 100)[0] == _layer_ceiling(8, 2, 3) == 16
+    a4xc3 = direct_product(alternating(4), cyclic(3))
+    s4xc2 = direct_product(symmetric(4), c2)
     for g, counts in ((a4xc3, [25, 24]), (s4xc2, [83, 24])):
         assert [_layer_count(g, _elementary_layer(g, p), 100)[0] for p in (2, 3)] == counts
 
@@ -627,17 +637,9 @@ def test_layer_count_matches_the_closure_walk():
     """The layer count, its exponent-p joins charged a K at a time, gives
     the (count, join work) of the walk of generic closures at stops 0, 50,
     the default count cap and none, and the same join-work error under a cap
-    that fires mid-walk: on every zoo group at every prime, every subgroup
-    of S5, S3 x S3, C2^3, A4 x C3, S4 x C2, S4 x S4, C3^3 : C2 (an odd p with
-    d = 3) and C3 wr C3."""
-    c2 = cyclic(2)
-    c3_cubed_by_c2 = PermGroup(9, [Permutation.from_cycles(9, c) for c in (
-        [(0, 1, 2)], [(3, 4, 5)], [(6, 7, 8)], [(1, 2), (4, 5), (7, 8)])])
-    groups = ([e.build() for e in zoo()] + [g for _, g in s5_subgroups()]
-              + [direct_product(symmetric(3), symmetric(3)), direct_product(c2, direct_product(c2, c2)),
-                 direct_product(alternating(4), cyclic(3)), direct_product(symmetric(4), c2),
-                 direct_product(symmetric(4), symmetric(4)), c3_cubed_by_c2,
-                 regular_wreath(3, cyclic(3))])
+    that fires mid-walk: on each of ``layer_groups`` at every prime."""
+    groups = layer_groups()
+    c3_cubed_by_c2 = groups[-2]
     assert c3_cubed_by_c2.order == 54 and len(_elementary_layer(c3_cubed_by_c2, 3)) == 27
     mid_walk = 0
     for g in groups:
