@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, GroupInputError, ResourceLimitError
 
@@ -116,8 +116,12 @@ class SigmaPartition:
         return SigmaClass(self, "residual", (2, 0))
 
     def to_json(self) -> dict:
-        """Keys in sorted order, as the reports that embed it are encoded."""
+        """Keys in sorted order; reports embed ``_json_text``, its dump made on first use."""
         return {"atomic": self.atomic, "classes": [sorted(c) for c in self.explicit_classes]}
+
+    @cached_property
+    def _json_text(self) -> str:
+        return json.dumps(self.to_json())
 
     @staticmethod
     def from_json(data: dict) -> "SigmaPartition":

@@ -7,14 +7,14 @@ vacuous verdict; vacuity is never counted as evidence.  Conclusions carry an
 `evaluated` flag so that per-part gates (which are conditions of the
 statement itself, not of the instance) can switch parts off without
 pretending they passed.  Checks and reports are named tuples, and a
-report's JSON is built with its keys already in sorted order.
+report's JSON line is one string, as json.dumps would write its payload.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .errors import DomainError, ResourceLimitError
@@ -47,22 +47,18 @@ class VerificationReport(NamedTuple):
     verdict: str  # pass | vacuous | FAIL
 
     def to_json(self) -> str:
-        """One JSON object; its keys (and those of the objects in it) are
-        written in sorted order."""
-        payload = {
-            "conclusions": [_check_json(c) for c in self.conclusions],
-            "group": self.group_tag,
-            "hypotheses": [_check_json(c) for c in self.hypotheses],
-            "sigma": self.sigma.to_json(),
-            "statement": self.statement_id,
-            "verdict": self.verdict,
-        }
-        return json.dumps(payload)
+        """One JSON object, as json.dumps would write its payload dict."""
+        return (f'{{"conclusions": [{", ".join(map(_check_json, self.conclusions))}], '
+                f'"group": {_quote(self.group_tag)}, '
+                f'"hypotheses": [{", ".join(map(_check_json, self.hypotheses))}], '
+                f'"sigma": {self.sigma._json_text}, "statement": {_quote(self.statement_id)}, '
+                f'"verdict": {_quote(self.verdict)}}}')
 
 
-def _check_json(c: CheckResult) -> dict:
-    return {"evaluated": c.evaluated, "holds": c.holds, "name": c.name,
-            "witness": c.witness}
+def _check_json(c: CheckResult) -> str:
+    return (f'{{"evaluated": {"true" if c.evaluated else "false"}, "holds": '
+            f'{"true" if c.holds else "false"}, "name": {_quote(c.name)}, '
+            f'"witness": {_quote(c.witness)}}}')
 
 
 def make_report(statement_id: str, group_tag: str, sigma: SigmaPartition,

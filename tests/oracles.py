@@ -16,14 +16,16 @@ Frattini subgroup from the maximal subgroups, and the subgroup lattice and
 two-generated pool closing every cyclic extension and join instead of one
 per normaliser orbit, known joins included), the subgroups over an
 elementary abelian layer counted off the full lattice and by a walk of
-generic closures, that layer from the normal lattice, and the Schmidt pairs
-closing every p-element's orbit.  The library must agree with these on every group small
-enough to brute-force.  Test-only helpers (the zoo's tags, the vm component
-decomposition) live here too.
+generic closures, that layer from the normal lattice, the Schmidt pairs
+closing every p-element's orbit, and a verdict report's JSON by json.dumps
+of its payload dict.  The library must agree with these on every group
+small enough to brute-force.  Test-only helpers (the zoo's tags, the vm
+component decomposition) live here too.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import reduce
 from itertools import permutations
@@ -56,6 +58,22 @@ def zoo_tags() -> tuple[str, ...]:
 def rebuilt(G, **caps):
     """A group of its own on G's generators, under EngineLimits(**caps)."""
     return PermGroup(G.degree, G.generators, EngineLimits(**caps))
+
+
+def report_json_by_dumps(report) -> str:
+    """A verdict report's JSON as json.dumps writes a payload dict built with
+    its keys (and those of its checks and partition) in sorted order."""
+    def check(c):
+        return {"evaluated": c.evaluated, "holds": c.holds, "name": c.name,
+                "witness": c.witness}
+    return json.dumps({
+        "conclusions": [check(c) for c in report.conclusions],
+        "group": report.group_tag,
+        "hypotheses": [check(c) for c in report.hypotheses],
+        "sigma": report.sigma.to_json(),
+        "statement": report.statement_id,
+        "verdict": report.verdict,
+    })
 
 
 def closure(degree: int, elements) -> frozenset:

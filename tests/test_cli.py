@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import sigmagraph.cli
+from oracles import report_json_by_dumps
 from sigmagraph.cli import main
 from sigmagraph.errors import GroupInputError
-from sigmagraph.group import EngineLimits
+from sigmagraph.group import DEFAULT_LIMITS, EngineLimits
 from sigmagraph.sigma import ATOMIC
-from sigmagraph.zoo import build_by_tag, zoo
+from sigmagraph.verify import run_corpus_sweep
+from sigmagraph.zoo import build_by_tag, standard_partitions, zoo
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 BENCH_PAIRS = EXPORT.parent / "bench_pairs.py"
@@ -142,6 +144,22 @@ def test_verify_single_group(capsys):
     assert len(lines) == 2
     assert json.loads(lines[0])["verdict"] == "pass"
     assert lines[1] == "summary: pass=1 vacuous=0 FAIL=0"
+
+
+# S3 named with a quote, a backslash, é, 😀, U+0001 and a lone surrogate, in
+# JSON escapes; CI pins the stream of the same call
+ODD_NAME_SPEC = (r'{"degree": 3, "generators": [[1, 2, 3], [1, 2]], '
+                 r'"name": "q\"b\\s \u00e9\ud83d\ude00\u0001\ud800"}')
+
+
+def test_verify_escapes_the_group_name_as_json_dumps_does(capsys):
+    rc, out, err = run(capsys, "verify", "--group", ODD_NAME_SPEC)
+    assert rc == 0 and err == ""
+    name, G = sigmagraph.cli._load_group(ODD_NAME_SPEC, DEFAULT_LIMITS)
+    assert name == 'q"b\\s é😀\x01\ud800'
+    want = [report_json_by_dumps(r) for r in run_corpus_sweep([(name, G)], standard_partitions())]
+    assert out.isascii()
+    assert out == "".join(w + "\n" for w in want) + "summary: pass=28 vacuous=10 FAIL=0\n"
 
 
 def test_verify_standard_sigma_default(capsys):

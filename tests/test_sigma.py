@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -178,6 +180,20 @@ def test_classes_of_equal_partitions_are_equal():
         assert ca is not cb and ca == cb and hash(ca) == hash(cb)
         assert ca.sort_key == cb.sort_key and ca.tag == cb.tag
     assert SigmaPartition(atomic=True).classify(5) == ATOMIC.classify(5)
+
+
+def test_json_text_is_dumped_on_first_use_and_kept():
+    """A partition writes no JSON text when it is built (a graph call parses
+    one and encodes no report); the first read dumps to_json, and later
+    reads, the reports', get the same string."""
+    sigma = parse_sigma_spec('{"classes": [[5], [17, 3]]}')
+    assert "_json_text" not in vars(sigma)
+    text = sigma._json_text
+    assert text == json.dumps(sigma.to_json()) == '{"atomic": false, "classes": [[5], [3, 17]]}'
+    assert sigma._json_text is text
+    assert sigma == parse_sigma_spec('{"classes": [[5], [3, 17]]}') and hash(sigma) == hash(
+        parse_sigma_spec('{"classes": [[5], [3, 17]]}'))
+    assert parse_sigma_spec("atomic")._json_text == '{"atomic": true, "classes": []}'
 
 
 def test_hashes_do_not_move_when_the_memos_fill():

@@ -7,7 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import component_decomposition_holds, pairs_pi_closed_every_pair, rebuilt
+from oracles import (component_decomposition_holds, pairs_pi_closed_every_pair, rebuilt,
+                     report_json_by_dumps)
 import sigmagraph.verify
 from sigmagraph.bsgs import Bsgs
 from sigmagraph.errors import DomainError, ResourceLimitError
@@ -16,7 +17,8 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientG
                               _Universe, all_subgroups, core_series_subgroup)
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
-from sigmagraph.sigma import ATOMIC, PiSet, SigmaPartition, pi_part, primes_of, sigma_of_group
+from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, parse_sigma_spec, pi_part,
+                              primes_of, sigma_of_group)
 from sigmagraph.verify import (_PER_GROUP, _PER_PI, ALL_STATEMENTS, CheckResult,
                                _pairs_pi_closed, _pi_subsets,
                                factorization_fixtures, make_report,
@@ -74,6 +76,40 @@ def test_reports_and_graphs_are_written_with_sorted_keys(tag):
               for build in (build_hawkes, build_hall, build_vm)]
     for text in texts:
         assert text == json.dumps(json.loads(text), sort_keys=True)
+
+
+def test_every_report_of_the_corpus_sweep_is_written_as_json_dumps_writes_it(
+        corpus_groups, partitions):
+    """to_json writes its line as one string; on every report of the corpus
+    sweep, the 1.7 fixtures included, it equals json.dumps of the payload
+    dict it replaced."""
+    reports = list(run_corpus_sweep(corpus_groups, partitions))
+    assert {r.statement_id for r in reports} == {
+        "prop-1.2", "thm-1.4", "thm-1.7", "prop-1.9", "prop-1.11", "thm-1.12"}
+    for r in reports:
+        assert r.to_json() == report_json_by_dumps(r)
+
+
+# what json's ASCII escaper treats apart: a quote, a backslash, a slash (left
+# alone), every control character, DEL, non-ASCII inside and beyond the BMP,
+# a lone surrogate, and the empty string
+ODD_TEXTS = ('"', "\\", "/", "".join(map(chr, range(0x20))), "\x7f", "é", "😀", "\ud800", "")
+
+
+@pytest.mark.parametrize("spec", ("atomic", '{"classes": [[17, 3]]}', '{"classes": [[5], [2, 3]]}'),
+                         ids=("atomic", "residual", "out-of-order"))
+def test_reports_with_odd_strings_are_written_as_json_dumps_writes_them(spec):
+    """Group tags, statement ids, check names and witnesses holding each odd
+    text, under the atomic partition, an explicit one with a residual class
+    and one whose classes are not in order."""
+    sigma = parse_sigma_spec(spec)
+    for text in ODD_TEXTS:
+        checks = (CheckResult(text, True, text), CheckResult("c", False, text + "w"),
+                  CheckResult(text, True, text, evaluated=False))
+        for hypotheses in ((), checks):
+            r = make_report(text, text, sigma, hypotheses, checks)
+            assert r.to_json() == report_json_by_dumps(r)
+            assert json.loads(r.to_json())["group"] == text
 
 
 def test_prop_1_2_passes_on_examples():
