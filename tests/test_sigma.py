@@ -191,8 +191,8 @@ def test_json_text_is_dumped_on_first_use_and_kept():
     text = sigma._json_text
     assert text == json.dumps(sigma.to_json()) == '{"atomic": false, "classes": [[5], [3, 17]]}'
     assert sigma._json_text is text
-    assert sigma == parse_sigma_spec('{"classes": [[5], [3, 17]]}') and hash(sigma) == hash(
-        parse_sigma_spec('{"classes": [[5], [3, 17]]}'))
+    same = parse_sigma_spec('{"classes": [[5], [3, 17]]}')
+    assert sigma == same and hash(sigma) == hash(same)
     assert parse_sigma_spec("atomic")._json_text == '{"atomic": true, "classes": []}'
 
 
