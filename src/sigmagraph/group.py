@@ -24,9 +24,10 @@ is made only for a caller who asks.  The table is read through one bulk read,
 ``_TABLE_LIMIT`` elements it holds rows of the multiplication table: the
 rows of the generators and their inverses are made with the table, and
 every other row is gathered from held rows along the Cayley graph on its
-first read, so a caller pays for the rows it reads (a cold graph call on
-S6 reads well under half of them).  Rows are tuples that share the
-identity row's int objects, so a gather neither boxes nor copies an entry;
+first read, so a caller pays for the rows it reads (six cold hawkes and
+hall graph calls on S6, one table of 720 rows each, gather about 320 rows
+in all).  Rows are tuples that share the identity row's int objects, so a
+gather neither boxes nor copies an entry;
 a held row costs 8 bytes per entry, so the whole table, reached when every
 row is read, takes about 4 MB for S6 and about 18 MB at the limit.  Above
 it a gather composes each entry from images as it reads it, at C level
@@ -58,7 +59,11 @@ for the other primes (``_hall_classes``), which keeps each conjugacy class
 as its sorted index sets.
 Generating sets, Sylow subgroups and the largest normal subgroup over a
 floor come from one greedy pass of joins that keeps a join whose order
-divides a target (``_Universe.grow``).
+divides a target (``_Universe.grow``).  Those searches, the Hall search and
+the Schmidt pairs first test each join from element orders: when a
+generator or its product with a member of the join has an order that does
+not divide the target, the join cannot be kept (Lagrange), and it is
+refused without a closure (``_Universe.refutes``).
 Enumeration caps are explicit configuration; hitting one raises a
 ResourceLimitError naming the cap instead of silently truncating.  The
 subgroup lattice's count cap is decided first from a count with no search:
@@ -75,7 +80,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from math import gcd
 from operator import eq, itemgetter
 
@@ -483,20 +488,42 @@ class _Universe:
                     return frozenset(range(n)) if limit == n else None
         return frozenset(seen)
 
-    def grow(self, candidates, target: int, base: frozenset[int] | None = None
-             ) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+    def refutes(self, x: int, at, target: int) -> bool:
+        """True when x or some x·a, for a in at, has an order that does not
+        divide target: then, by Lagrange, no subgroup holding x and at has
+        an order dividing target.  The products are read off x's row when
+        it is held, else composed from images as in ``_composed``, so the
+        test builds no row; both reads are lazy, at C level, and stop at the
+        first product that refutes."""
+        orders = self.orders
+        if target % orders[x]:
+            return True
+        row = self.rows.get(x) if self.table else None  # get: no row is made
+        if row is None:
+            images = self.images
+            products = map(self.index.__getitem__,
+                           map(_getter(images[x]), map(images.__getitem__, at)))
+        else:
+            products = map(row.__getitem__, at)
+        return any(map(target.__mod__, map(orders.__getitem__, products)))
+
+    def grow(self, candidates, target: int, base: frozenset[int] | None = None,
+             *, refute: bool = True) -> tuple[frozenset[int], list[tuple[int, ...]]]:
         """One greedy pass of joins from base (trivial by default) towards a
         subgroup of order target.  Each candidate is a tuple of element
         indices; one whose first element lies in the subgroup so far is
         skipped, any other is joined to it (``closure`` capped at target),
-        and the join is kept when its order divides target.  Stops at target
-        elements; returns the subgroup and the kept candidates."""
+        and the join is kept when its order divides target.  With refute, a
+        join that ``refutes`` from the candidate's first element against its
+        other elements and the subgroup so far is refused unclosed: it could
+        not be kept.  Stops at target elements; returns the subgroup and the
+        kept candidates."""
         cur = frozenset({self.identity}) if base is None else base
         kept = []
         for c in candidates:
             if len(cur) == target:
                 break
-            if c[0] in cur:
+            if c[0] in cur or (refute and self.refutes(c[0], chain(c[1:], cur), target)):
                 continue
             join = self.closure(c, base=cur, cap=target)
             if join is not None and target % len(join) == 0:
@@ -507,8 +534,9 @@ class _Universe:
     def derive_gens(self, idx_set: frozenset[int]) -> tuple[int, ...]:
         """Small deterministic generating sequence for a known subgroup set:
         each generator is the least index outside the subgroup the earlier
-        ones generate (a join inside the set divides its order, by Lagrange)."""
-        _, kept = self.grow(((i,) for i in sorted(idx_set)), len(idx_set))
+        ones generate (a join inside the set divides its order, by Lagrange,
+        so no join is tested before it is closed)."""
+        _, kept = self.grow(((i,) for i in sorted(idx_set)), len(idx_set), refute=False)
         return tuple(i for i, in kept)
 
     def conjugation_rows(self, by) -> tuple[tuple[int, ...], ...]:
@@ -1126,8 +1154,10 @@ def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
 
 def sylow(G: PermGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup and the generators it was joined from, kept on
-    G: one greedy pass over the p-elements in index order (``_Universe.grow``).
-    One pass is enough: if the result P were short of the p-part, N_G(P)
+    G: one greedy pass over the p-elements in index order (``_Universe.grow``),
+    in which a p-element whose product with some member of the subgroup so
+    far is not a p-element is refused before it is closed.  One pass is
+    enough: if the result P were short of the p-part, N_G(P)
     would hold a p-element z outside P, and <P, z> would be a p-group; then
     so would <P', z> for the smaller subgroup P' held at z's turn, and z
     would have joined.  A p above max_prime raises ResourceLimitError."""
@@ -1155,8 +1185,11 @@ def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
     theorem).  So H is reached from P by joins with Sylow subgroups of G,
     one at a time, each inside H.  Each candidate is joined with every
     conjugate of the fixed Sylow q-subgroup for each q whose part it lacks;
-    joins whose size divides the target are kept.  Each hit not yet found
-    is spread over its conjugacy class."""
+    joins whose size divides the target are kept.  A join is refused
+    unclosed when a product of one new generator with the candidate or the
+    new generators has an order that does not divide the target
+    (``_Universe.refutes``).  Each hit not yet found is spread over its
+    conjugacy class."""
     pset = tuple(sorted(set(primes)))
     for p in pset:
         if not _is_prime(p):
@@ -1183,7 +1216,10 @@ def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
                 if _p_part(len(c_set), (q,)) == q_part:
                     continue
                 for s in q_sets:
-                    joined = u.closure(s - c_set, base=c_set, cap=target)
+                    new = s - c_set
+                    if u.refutes(next(iter(new)), chain(c_set, new), target):
+                        continue
+                    joined = u.closure(new, base=c_set, cap=target)
                     if joined is None or target % len(joined) != 0 or joined in candidates:
                         continue
                     if len(candidates) >= cap:
@@ -1230,7 +1266,10 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes) -> frozens
     only the primes.  A class of N always joins, since n <= <n, C> <= N; a
     class outside N never does, since <n, C> would then be a larger one of
     the kind.  So a class that fails against n fails against every later n,
-    and one pass ends at N.  The result is checked to be normal."""
+    and one pass ends at N.  A class is refused before it is closed when the
+    product of its first member with another member or with n has an order
+    that does not divide target (``_Universe.refutes``).  The result is
+    checked to be normal."""
     pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
 
     def compute():

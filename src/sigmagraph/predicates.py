@@ -152,9 +152,12 @@ def _schmidt_pairs(G: PermGroup):
 
     P depends only on the <y>-orbit of <a>, and so does [a, y] != 1: every
     generator of <a> and every member of a's y-orbit gives the same P.  So
-    each such orbit is closed once, at its first a; an a whose least
-    generator (``canon``) lies in an orbit closed before is skipped, and
-    subgroups lists the same distinct P in the same first-seen order."""
+    each such orbit is taken up once, at its first a; an a whose least
+    generator (``canon``) lies in an orbit taken up before is skipped, and
+    subgroups lists the same distinct P in the same first-seen order.  An
+    orbit is closed only when every product of a with a member of it has
+    an order dividing |G|_p (``_Universe.refutes``): else it generates no
+    p-group."""
     u = G.universe()
     canon = u.canon
     facts = prime_factors(u.n)
@@ -163,7 +166,7 @@ def _schmidt_pairs(G: PermGroup):
 
     def subgroups(y, ps, target):
         conj = dict(zip(ps, u.conjugates(y, ps)))  # conjugates of p-elements are p-elements
-        done = set()  # least generators of the <a> in the orbits closed so far
+        done = set()  # least generators of the <a> in the orbits taken up so far
         for a in ps:
             if conj[a] == a or canon[a] in done:
                 continue
@@ -172,6 +175,8 @@ def _schmidt_pairs(G: PermGroup):
                 orbit.append(x)
                 x = conj[x]
             done.update(canon[x] for x in orbit)
+            if u.refutes(a, orbit, target):
+                continue
             s = u.closure(orbit, cap=target)
             if s is not None and target % len(s) == 0:
                 yield s

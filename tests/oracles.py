@@ -18,7 +18,9 @@ per normaliser orbit, known joins included), the subgroups over an
 elementary abelian layer counted off the full lattice and by a walk of
 generic closures, that layer from the normal lattice, the Schmidt pairs
 closing every p-element's orbit, and a verdict report's JSON by json.dumps
-of its payload dict.  The library must agree with these on every group
+of its payload dict; and the greedy joins of Sylow subgroups, the largest
+normal subgroup over a floor, the Hall search and the Schmidt pairs closing
+every join they take up, with no test from element orders first.  The library must agree with these on every group
 small enough to brute-force.  Test-only helpers (the zoo's tags, the vm
 component decomposition) live here too.
 """
@@ -383,11 +385,15 @@ def is_schmidt_by_lattice(G) -> bool:
                     for s in all_subgroups(G) if s.order < G.order))
 
 
-def schmidt_pairs_every_generator(G):
+def schmidt_pairs_every_generator(G, once=False):
     """``predicates._schmidt_pairs`` closing the y-orbit of every p-element
     a with [a, y] != 1, with no skip for an orbit of <a> closed before:
-    (p, q, y, subgroups) with subgroups a list, repeats included."""
+    (p, q, y, subgroups) with subgroups a list, repeats included.  With
+    once, an a whose least generator lies in an orbit taken up before is
+    skipped, as in the library, and every orbit taken up is closed, with no
+    test from element orders first."""
     u = G.universe()
+    canon = u.canon
     facts = prime_factors(u.n)
     out = []
     for cls in u.conjugacy_classes():
@@ -401,13 +407,15 @@ def schmidt_pairs_every_generator(G):
             ps = [i for i in range(u.n) if u.orders[i] > 1 and p**e % u.orders[i] == 0]
             conj = dict(zip(ps, u.conjugates(y, ps)))
             subgroups = []
+            done = set()
             for a in ps:
-                if conj[a] == a:
+                if conj[a] == a or once and canon[a] in done:
                     continue
                 orbit, x = [a], conj[a]
                 while x != a:
                     orbit.append(x)
                     x = conj[x]
+                done.update(canon[x] for x in orbit)
                 s = u.closure(orbit, cap=p**e)
                 if s is not None and p**e % len(s) == 0:
                     subgroups.append(s)
@@ -497,6 +505,81 @@ def largest_normal_over_by_lattice(G, floor, primes) -> frozenset:
     if not all(s <= best for s in hits):
         raise CrossCheckError("normal subgroups with restricted order admit no unique maximum")
     return best
+
+
+def grow_closing_every_join(u, candidates, target, base=None):
+    """``_Universe.grow`` closing every candidate whose first element lies
+    outside the subgroup so far, with no test from element orders first."""
+    cur = frozenset({u.identity}) if base is None else base
+    kept = []
+    for c in candidates:
+        if len(cur) == target:
+            break
+        if c[0] in cur:
+            continue
+        join = u.closure(c, base=cur, cap=target)
+        if join is not None and target % len(join) == 0:
+            cur = join
+            kept.append(c)
+    return cur, kept
+
+
+def sylow_closing_every_join(G, p) -> tuple[frozenset, tuple]:
+    """``sylow``'s element set and generators, by ``grow_closing_every_join``
+    over the p-elements in index order."""
+    u = G.universe()
+    target = _p_part(G.order, (p,))
+    cur, kept = grow_closing_every_join(
+        u, ((z,) for z in range(u.n) if target % u.orders[z] == 0), target)
+    return cur, tuple(z for z, in kept)
+
+
+def largest_normal_over_closing_every_join(G, floor, primes) -> frozenset:
+    """``_largest_normal_over`` by ``grow_closing_every_join`` over the
+    conjugacy classes."""
+    u = G.universe()
+    target = len(floor) * _p_part(G.order // len(floor), primes)
+    return grow_closing_every_join(u, u.conjugacy_classes(), target, floor)[0]
+
+
+def hall_classes_closing_every_join(G, primes) -> list:
+    """``_hall_classes`` closing every join of a candidate with a conjugate
+    of a Sylow subgroup it lacks, with no test from element orders first
+    and no count cap; the Sylow subgroups come from
+    ``sylow_closing_every_join``."""
+    pset = tuple(sorted(set(primes)))
+    u = G.universe()
+    target = _p_part(G.order, pset)
+    if target == 1:
+        return [[frozenset({u.identity})]]
+    if target == G.order:
+        return [[frozenset(range(u.n))]]
+    anchor_p = max((p for p in pset if G.order % p == 0),
+                   key=lambda p: _p_part(G.order, (p,)))
+    p0_set = sylow_closing_every_join(G, anchor_p)[0]
+    sylows = [(q, _p_part(G.order, (q,)),
+               list(_conjugates(u, {sylow_closing_every_join(G, q)[0]: ()})))
+              for q in pset if q != anchor_p and G.order % q == 0]
+    candidates = {p0_set}
+    queue = [p0_set]
+    for c_set in queue:
+        for q, q_part, q_sets in sylows:
+            if _p_part(len(c_set), (q,)) == q_part:
+                continue
+            for s in q_sets:
+                joined = u.closure(s - c_set, base=c_set, cap=target)
+                if joined is None or target % len(joined) != 0 or joined in candidates:
+                    continue
+                candidates.add(joined)
+                queue.append(joined)
+    classes = []
+    found = set()
+    for s in _sorted_sets(c for c in candidates if len(c) == target):
+        if s not in found:
+            cls = _conjugates(u, {s: ()})
+            found.update(cls)
+            classes.append(_sorted_sets(cls))
+    return classes
 
 
 def hall_classes_every_pi_element(G, primes) -> list:

@@ -16,21 +16,23 @@ from hypothesis import strategies as st
 import sigmagraph.cli
 import sigmagraph.group
 from oracles import (ORACLE_TAGS, brute_subgroup_sets, composed_table,
-                     cyclic_subgroup_sets, index_closure, is_pi_closed_by_normal_lattice,
-                     is_schmidt_by_lattice, naive_centralizer,
+                     cyclic_subgroup_sets, hall_classes_closing_every_join, index_closure,
+                     is_pi_closed_by_normal_lattice, is_schmidt_by_lattice,
+                     largest_normal_over_closing_every_join, naive_centralizer,
                      naive_centralizer_of_factor, naive_conjugacy_classes,
-                     naive_normalizer, schmidt_subgroups,
-                     subgroup_sets_every_extension, two_generated_sets_every_join,
-                     zoo_tags)
+                     naive_normalizer, schmidt_pairs_every_generator, schmidt_subgroups,
+                     subgroup_sets_every_extension, sylow_closing_every_join,
+                     two_generated_sets_every_join, zoo_tags)
 from sigmagraph.errors import CrossCheckError, ResourceLimitError
 from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup, _Universe,
+                              _hall_classes, _largest_normal_over, _normal_subgroup_sets,
                               all_subgroups, centralizer, centralizer_of_factor,
                               hall_subgroups, is_normal, normal_subgroups, normalizer,
                               sylow, two_generated_subgroups)
 from sigmagraph.perm import Permutation
-from sigmagraph.predicates import (_pi_closed_indices, is_pi_closed, is_schmidt,
-                                   schmidt_types)
-from sigmagraph.sigma import ATOMIC, PiSet, primes_of
+from sigmagraph.predicates import (_pi_closed_indices, _schmidt_pairs, is_pi_closed,
+                                   is_schmidt, schmidt_types)
+from sigmagraph.sigma import ATOMIC, PiSet, primes_of, sigma_of_int
 from sigmagraph.verify import run_corpus_sweep
 from sigmagraph.zoo import (alternating, build_by_tag, corpus, direct_product, s5_subgroups,
                             standard_partitions, symmetric, zoo)
@@ -340,6 +342,78 @@ def test_pi_closed_matches_normal_lattice(tag):
                         == is_pi_closed_by_normal_lattice(s.group, pi))
 
 
+def assert_refuted_joins_match_closing_every_join(G):
+    """The routes that test a join from element orders before closing it
+    give exactly what closing every join gives: ``sylow``'s set and
+    generators for every prime; ``_largest_normal_over`` over every normal
+    subgroup, for the primes in and outside each class of the three
+    standard partitions; ``_hall_classes`` for every set of primes, classes
+    and members in order; and the ``_schmidt_pairs`` subgroups in order."""
+    primes = primes_of(G.order)
+    for p in primes:
+        s = sylow(G, p)
+        assert (s.indices, s.gens) == sylow_closing_every_join(G, p), p
+    prime_sets = {frozenset(p for p in primes if cls.contains(p) == inside)
+                  for sigma in standard_partitions() for cls in sigma_of_int(G.order, sigma)
+                  for inside in (True, False)}
+    for floor in _normal_subgroup_sets(G):
+        for pset in prime_sets:
+            assert (_largest_normal_over(G, floor, pset)
+                    == largest_normal_over_closing_every_join(G, floor, pset)), sorted(pset)
+    for r in range(1, len(primes) + 1):
+        for pset in combinations(primes, r):
+            assert _hall_classes(G, pset) == hall_classes_closing_every_join(G, pset), pset
+    assert ([(p, q, y, list(subgroups)) for p, q, y, subgroups in _schmidt_pairs(G)]
+            == schmidt_pairs_every_generator(G, once=True))
+
+
+@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S6", "A6", "wreath_c2_s3"))
+def test_refuted_joins_match_closing_every_join(tag):
+    assert_refuted_joins_match_closing_every_join(build_by_tag(tag))
+
+
+def test_refuted_joins_match_closing_every_join_on_s5_subgroups():
+    for _, g in s5_subgroups():
+        assert_refuted_joins_match_closing_every_join(g)
+
+
+@pytest.mark.parametrize("tag, capped, refused, rows", (
+    ("S6", 37, 6, 322),
+    ("A6", 43, 16, 198),
+))
+def test_cold_graph_calls_refute_joins_before_closing(tag, capped, refused, rows, monkeypatch):
+    """Over six cold graph calls (hawkes and hall under the three standard
+    partitions), the capped closures, those refused (over the cap, or of an
+    order that does not divide it) and the rows the tables gather after
+    they are made.  Closing every join took S6 375 capped closures, 344
+    refused, and about 1850 rows, A6 258, 231 and about 770.  The rows
+    follow the order in which a graph visits the partition's classes, a
+    frozenset's hash order, by a row or so; the pin is their most."""
+    tables, counts = [], [0, 0]
+    init, closure = _Universe.__init__, _Universe.closure
+
+    def made(u, *args):
+        init(u, *args)
+        tables.append((u, len(u.rows) if u.table else 0))
+
+    def counted(u, gens, *, base=None, cap=None):
+        out = closure(u, gens, base=base, cap=cap)
+        if cap is not None:
+            counts[0] += 1
+            counts[1] += out is None or cap % len(out) != 0
+        return out
+    monkeypatch.setattr(_Universe, "__init__", made)
+    monkeypatch.setattr(_Universe, "closure", counted)
+    for kind in ("hawkes", "hall"):
+        for sigma in ("atomic", '{"classes":[[2,3]]}', '{"classes":[[2,5],[3]]}'):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert sigmagraph.cli.main(["graph", "--group", f"zoo:{tag}",
+                                            "--kind", kind, "--sigma", sigma]) == 0
+    assert len(tables) == 6
+    assert counts == [capped, refused]
+    assert sum(len(u.rows) - held for u, held in tables) <= rows
+
+
 def random_permutation(rng, degree):
     """A random permutation of a random set of points."""
     images = list(range(degree))
@@ -353,8 +427,9 @@ def random_permutation(rng, degree):
 @given(st.integers(0, 2**32 - 1))
 def test_kernel_fuzz_on_small_degrees(seed):
     """One to three random generators on two to seven points.  Groups up to
-    order 120 check the whole table, and the Schmidt types and test against
-    the walk and the lattice oracles; those up to order 24 also check the
+    order 120 check the whole table, the Schmidt types and test against
+    the walk and the lattice oracles, and the joins tested from element
+    orders against closing every join; those up to order 24 also check the
     subgroup lattice against the brute-force one.  Every group checks the
     cyclic walk's orders, canon, cyclic subgroups and inverses, and closures
     over a drawn base; those above the table limit (A7) take the path
@@ -374,6 +449,7 @@ def test_kernel_fuzz_on_small_degrees(seed):
         assert_table_matches(g)
         assert schmidt_types(g) == {(p, q) for _, p, q in schmidt_subgroups(g)}
         assert is_schmidt(g) == is_schmidt_by_lattice(g)
+        assert_refuted_joins_match_closing_every_join(g)
     assert_cyclic_walk_matches(u)
     assert_inverses_cancel(u)
     assert_closure_matches(u, rng.sample(range(u.n), min(u.n, rng.randint(0, 2))),

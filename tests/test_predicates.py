@@ -247,19 +247,28 @@ def test_schmidt_pairs_close_each_orbit_of_cyclic_subgroups_once(tag):
         assert len(mine) <= len(every)
 
 
-@pytest.mark.parametrize("tag, closures", [("A6", 83), ("S5", 22), ("S6", 90), ("wreath_c2_s3", 106)])
-def test_schmidt_types_closure_counts(monkeypatch, tag, closures):
-    """schmidt_types closes one y-orbit per orbit of cyclic p-subgroups:
-    A6 83 closures (731 when every p-element's orbit is closed), S5 22
-    (132), S6 90 (776) and wreath_c2_s3 106 (418)."""
+@pytest.mark.parametrize("tag, orbits, closures", [
+    pytest.param("A6", 83, 19, id="A6-83"),
+    pytest.param("S5", 22, 6, id="S5-22"),
+    pytest.param("S6", 90, 22, id="S6-90"),
+    pytest.param("wreath_c2_s3", 106, 106, id="wreath_c2_s3-106"),
+])
+def test_schmidt_types_closure_counts(monkeypatch, tag, orbits, closures):
+    """schmidt_types takes up one y-orbit per orbit of cyclic p-subgroups
+    and closes it unless its element orders refute a p-group: A6 83 orbits
+    taken up (731 when every p-element's orbit is closed), 19 of them
+    closed; S5 22 (132), 6 closed; S6 90 (776), 22 closed; and
+    wreath_c2_s3 106 (418), all closed."""
     g = build_by_tag(tag)
     g.universe().conjugacy_classes()
-    calls = []
-    real = _Universe.closure
+    calls, refuted = [], []
+    closure, refutes = _Universe.closure, _Universe.refutes
     monkeypatch.setattr(_Universe, "closure",
-                        lambda u, *args, **kwargs: calls.append(1) or real(u, *args, **kwargs))
+                        lambda u, *args, **kwargs: calls.append(1) or closure(u, *args, **kwargs))
+    monkeypatch.setattr(_Universe, "refutes",
+                        lambda u, *args: refuted.append(refutes(u, *args)) or refuted[-1])
     schmidt_types(g)
-    assert len(calls) == closures
+    assert (len(calls) + sum(refuted), len(calls)) == (orbits, closures)
 
 
 def test_schmidt_types_s6():
