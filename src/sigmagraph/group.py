@@ -27,9 +27,9 @@ every other row is gathered from held rows along the Cayley graph on its
 first read, so a caller pays for the rows it reads (six cold hawkes and
 hall graph calls on S6, one table of 720 rows each, gather about 320 rows
 in all).  Rows are tuples that share the identity row's int objects, so a
-gather neither boxes nor copies an entry;
-a held row costs 8 bytes per entry, so the whole table, reached when every
-row is read, takes about 4 MB for S6 and about 18 MB at the limit.  Above
+gather neither boxes nor copies an entry; a held row costs 8 bytes per
+entry, so the whole table, reached when every row is read, takes about
+4 MB for S6 and about 18 MB at the limit.  Above
 it a gather composes each entry from images as it reads it, at C level
 too.  A subgroup is its set of element indices in that table.  Its generator indices are
 given, where a search produced them, or derived from the set on first
@@ -1266,10 +1266,10 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes) -> frozens
     only the primes.  A class of N always joins, since n <= <n, C> <= N; a
     class outside N never does, since <n, C> would then be a larger one of
     the kind.  So a class that fails against n fails against every later n,
-    and one pass ends at N.  A class is refused before it is closed when the
-    product of its first member with another member or with n has an order
-    that does not divide target (``_Universe.refutes``).  The result is
-    checked to be normal."""
+    and one pass ends at N.  A class is refused before it is closed when its
+    first member, or that member's product with another member or with n,
+    has an order that does not divide target (``_Universe.refutes``).  The
+    result is checked to be normal."""
     pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
 
     def compute():

@@ -1,7 +1,7 @@
 """The element-table kernel against product-by-product oracles: the table
 gathered from generator rows, Dimino closure over a known subgroup, the path
-without a table, degenerate tables, and pi-closure read in the parent's
-table."""
+without a table, degenerate tables, pi-closure read in the parent's table,
+and joins refuted from element orders against closing every join."""
 
 import contextlib
 import hashlib
@@ -32,7 +32,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, Subgroup,
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import (_pi_closed_indices, _schmidt_pairs, is_pi_closed,
                                    is_schmidt, schmidt_types)
-from sigmagraph.sigma import ATOMIC, PiSet, primes_of, sigma_of_int
+from sigmagraph.sigma import ATOMIC, PiSet, prime_factors, primes_of, sigma_of_int
 from sigmagraph.verify import run_corpus_sweep
 from sigmagraph.zoo import (alternating, build_by_tag, corpus, direct_product, s5_subgroups,
                             standard_partitions, symmetric, zoo)
@@ -133,6 +133,35 @@ def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
     u = next(e for e in zoo() if e.tag == tag).builder().universe()
     assert u.table == table
     assert_inverses_cancel(u)
+
+
+@pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
+@pytest.mark.parametrize("tag", ("S4", "A5", "S6", "wreath_c2_s3"))
+def test_refutes_reads_element_orders_and_makes_no_row(tag, table, monkeypatch):
+    """refutes(x, at, target) is True exactly when x or some x·a, composed
+    as permutations, has an order that does not divide target, on drawn
+    elements and on the p-elements of a Sylow subgroup, before and after
+    rows are read; with a table it makes no row."""
+    if not table:
+        monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    g = build_by_tag(tag)
+    u = g.universe()
+    perms = table_elements(u)
+    rng = random.Random(tag)
+    sylows = [(sorted(sylow(g, p).indices), p ** e) for p, e in prime_factors(g.order)]
+    divisors = [d for d in range(1, u.n + 1) if u.n % d == 0]
+    for read_first in (False, True):
+        for _ in range(150):
+            pool, target = (rng.choice(sylows) if rng.random() < 0.5
+                            else (range(u.n), rng.choice(divisors)))
+            x, at = rng.choice(pool), rng.sample(pool, min(len(pool), rng.randint(0, 4)))
+            if read_first:
+                u.rows[x]
+            held = len(u.rows)
+            want = target % perms[x].order() != 0 or any(
+                target % (perms[x] * perms[a]).order() for a in at)
+            assert u.refutes(x, at, target) == want
+            assert len(u.rows) == held
 
 
 def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
