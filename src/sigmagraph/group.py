@@ -57,13 +57,13 @@ G's normal lattice or a chief series; ``quotient``, ``normal_subgroups`` and
 reached from one Sylow subgroup (``sylow``) by joins with Sylow subgroups
 for the other primes (``_hall_classes``), which keeps each conjugacy class
 as its sorted index sets.
-Generating sets, Sylow subgroups and the largest normal subgroup over a
-floor come from one greedy pass of joins that keeps a join whose order
-divides a target (``_Universe.grow``).  Those searches, the Hall search and
-the Schmidt pairs first test each join from element orders: when a
-generator or its product with a member of the join has an order that does
-not divide the target, the join cannot be kept (Lagrange), and it is
-refused without a closure (``_Universe.refutes``).
+Sylow subgroups and the largest normal subgroup over a floor come from one
+greedy pass of joins (``_Universe.grow``); those passes, the Hall search
+and the Schmidt pairs keep a join by one rule (``_Universe.join``): it is
+refused without a closure when its first generator, or that generator's
+product with another generator or a member of the base, has an order that
+does not divide the target (Lagrange), and else closed, capped at the
+target, and kept when its order divides it.
 Enumeration caps are explicit configuration; hitting one raises a
 ResourceLimitError naming the cap instead of silently truncating.  The
 subgroup lattice's count cap is decided first from a count with no search:
@@ -488,16 +488,22 @@ class _Universe:
                     return frozenset(range(n)) if limit == n else None
         return frozenset(seen)
 
-    def refutes(self, x: int, at, target: int) -> bool:
-        """True when x or some x·a, for a in at, has an order that does not
-        divide target: then, by Lagrange, no subgroup holding x and at has
-        an order dividing target.  The products are read off x's row when
-        it is held, else composed from images as in ``_composed``, so the
-        test builds no row; both reads are lazy, at C level, and stop at the
-        first product that refutes."""
-        orders = self.orders
+    def join(self, gens, target: int,
+             base: frozenset[int] | None = None) -> frozenset[int] | None:
+        """<base, gens> (base trivial by default) when its order divides
+        target, else None.  First x = gens[0] is tested: when x or some x·a,
+        for a among gens[1:] and then base, has an order that does not
+        divide target, no subgroup holding them has an order dividing target
+        (Lagrange), and the join is refused without a closure.  The products
+        are read off x's row when it is held, else composed from images as
+        in ``_composed``, so the test builds no row; both reads are lazy, at
+        C level, and stop at the first product that refutes.  Only then is
+        the join closed, capped at target, and kept when its order divides
+        target."""
+        x, orders = gens[0], self.orders
         if target % orders[x]:
-            return True
+            return None
+        at = chain(gens[1:], base or ())
         row = self.rows.get(x) if self.table else None  # get: no row is made
         if row is None:
             images = self.images
@@ -505,39 +511,40 @@ class _Universe:
                            map(_getter(images[x]), map(images.__getitem__, at)))
         else:
             products = map(row.__getitem__, at)
-        return any(map(target.__mod__, map(orders.__getitem__, products)))
+        if any(map(target.__mod__, map(orders.__getitem__, products))):
+            return None
+        s = self.closure(gens, base=base, cap=target)
+        return None if s is None or target % len(s) else s
 
-    def grow(self, candidates, target: int, base: frozenset[int] | None = None,
-             *, refute: bool = True) -> tuple[frozenset[int], list[tuple[int, ...]]]:
+    def grow(self, candidates, target: int, base: frozenset[int] | None = None
+             ) -> tuple[frozenset[int], list[tuple[int, ...]]]:
         """One greedy pass of joins from base (trivial by default) towards a
         subgroup of order target.  Each candidate is a tuple of element
-        indices; one whose first element lies in the subgroup so far is
-        skipped, any other is joined to it (``closure`` capped at target),
-        and the join is kept when its order divides target.  With refute, a
-        join that ``refutes`` from the candidate's first element against its
-        other elements and the subgroup so far is refused unclosed: it could
-        not be kept.  Stops at target elements; returns the subgroup and the
-        kept candidates."""
+        indices; one whose first element lies outside the subgroup so far
+        is joined to it (``join``), and a kept join is the new subgroup so
+        far.  Stops at target elements; returns the subgroup and the kept
+        candidates."""
         cur = frozenset({self.identity}) if base is None else base
         kept = []
         for c in candidates:
             if len(cur) == target:
                 break
-            if c[0] in cur or (refute and self.refutes(c[0], chain(c[1:], cur), target)):
-                continue
-            join = self.closure(c, base=cur, cap=target)
-            if join is not None and target % len(join) == 0:
-                cur = join
+            if c[0] not in cur and (joined := self.join(c, target, cur)) is not None:
+                cur = joined
                 kept.append(c)
         return cur, kept
 
     def derive_gens(self, idx_set: frozenset[int]) -> tuple[int, ...]:
         """Small deterministic generating sequence for a known subgroup set:
         each generator is the least index outside the subgroup the earlier
-        ones generate (a join inside the set divides its order, by Lagrange,
-        so no join is tested before it is closed)."""
-        _, kept = self.grow(((i,) for i in sorted(idx_set)), len(idx_set), refute=False)
-        return tuple(i for i, in kept)
+        ones generate.  A join inside the set divides its order, so it is
+        closed (capped at the set's order) without a ``join`` test."""
+        cur, gens = frozenset({self.identity}), []
+        for i in sorted(idx_set):
+            if i not in cur:
+                cur = self.closure((i,), base=cur, cap=len(idx_set))
+                gens.append(i)
+        return tuple(gens)
 
     def conjugation_rows(self, by) -> tuple[tuple[int, ...], ...]:
         """For each g of ``by``, the row i -> g⁻¹·i·g: two C-level gathers.
@@ -1154,9 +1161,8 @@ def maximal_subgroups(G: PermGroup) -> list[Subgroup]:
 
 def sylow(G: PermGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup and the generators it was joined from, kept on
-    G: one greedy pass over the p-elements in index order (``_Universe.grow``),
-    in which a p-element whose product with some member of the subgroup so
-    far is not a p-element is refused before it is closed.  One pass is
+    G: one greedy pass of joins (``_Universe.join``) over the p-elements in
+    index order towards the p-part of |G| (``_Universe.grow``).  One pass is
     enough: if the result P were short of the p-part, N_G(P)
     would hold a p-element z outside P, and <P, z> would be a p-group; then
     so would <P', z> for the smaller subgroup P' held at z's turn, and z
@@ -1184,12 +1190,9 @@ def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
     subgroup P of the prime with the heaviest contribution (Sylow's
     theorem).  So H is reached from P by joins with Sylow subgroups of G,
     one at a time, each inside H.  Each candidate is joined with every
-    conjugate of the fixed Sylow q-subgroup for each q whose part it lacks;
-    joins whose size divides the target are kept.  A join is refused
-    unclosed when a product of one new generator with the candidate or the
-    new generators has an order that does not divide the target
-    (``_Universe.refutes``).  Each hit not yet found is spread over its
-    conjugacy class."""
+    conjugate of the fixed Sylow q-subgroup for each q whose part it lacks,
+    towards the primes-part of |G| (``_Universe.join``).  Each hit not yet
+    found is spread over its conjugacy class."""
     pset = tuple(sorted(set(primes)))
     for p in pset:
         if not _is_prime(p):
@@ -1216,11 +1219,8 @@ def _hall_classes(G: PermGroup, primes) -> list[list[frozenset[int]]]:
                 if _p_part(len(c_set), (q,)) == q_part:
                     continue
                 for s in q_sets:
-                    new = s - c_set
-                    if u.refutes(next(iter(new)), chain(c_set, new), target):
-                        continue
-                    joined = u.closure(new, base=c_set, cap=target)
-                    if joined is None or target % len(joined) != 0 or joined in candidates:
+                    joined = u.join(tuple(s - c_set), target, c_set)
+                    if joined is None or joined in candidates:
                         continue
                     if len(candidates) >= cap:
                         raise ResourceLimitError(
@@ -1263,13 +1263,10 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes) -> frozens
     floor (``_Universe.grow``): a class C outside n joins when <n, C>, a
     normal subgroup, has order dividing target = |floor| times the
     primes-part of |G : floor|, that is when its index over floor involves
-    only the primes.  A class of N always joins, since n <= <n, C> <= N; a
+    only the primes (``_Universe.join``).  A class of N always joins, since n <= <n, C> <= N; a
     class outside N never does, since <n, C> would then be a larger one of
     the kind.  So a class that fails against n fails against every later n,
-    and one pass ends at N.  A class is refused before it is closed when its
-    first member, or that member's product with another member or with n,
-    has an order that does not divide target (``_Universe.refutes``).  The
-    result is checked to be normal."""
+    and one pass ends at N.  The result is checked to be normal."""
     pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
 
     def compute():

@@ -154,10 +154,8 @@ def _schmidt_pairs(G: PermGroup):
     generator of <a> and every member of a's y-orbit gives the same P.  So
     each such orbit is taken up once, at its first a; an a whose least
     generator (``canon``) lies in an orbit taken up before is skipped, and
-    subgroups lists the same distinct P in the same first-seen order.  An
-    orbit is closed only when every product of a with a member of it has
-    an order dividing |G|_p (``_Universe.refutes``): else it generates no
-    p-group."""
+    subgroups lists the same distinct P in the same first-seen order.  Each
+    orbit is joined towards |G|_p (``_Universe.join``)."""
     u = G.universe()
     canon = u.canon
     facts = prime_factors(u.n)
@@ -175,10 +173,7 @@ def _schmidt_pairs(G: PermGroup):
                 orbit.append(x)
                 x = conj[x]
             done.update(canon[x] for x in orbit)
-            if u.refutes(a, orbit, target):
-                continue
-            s = u.closure(orbit, cap=target)
-            if s is not None and target % len(s) == 0:
+            if (s := u.join(orbit, target)) is not None:
                 yield s
 
     for cls in u.conjugacy_classes():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -398,13 +399,10 @@ _PER_PI = {"1.9": verify_prop_1_9, "1.11": verify_prop_1_11}
 
 
 def _pi_subsets(vertices) -> list[PiSet]:
-    classes = sorted(vertices, key=lambda c: c.sort_key)
-    out = []
-    for mask in range(1 << len(classes)):
-        out.append(frozenset(classes[k] for k in range(len(classes))
-                             if mask >> k & 1))
-    out.sort(key=lambda s: (len(s), tuple(sorted(c.tag for c in s))))
-    return [PiSet(s) for s in out]
+    """Every set of the classes, by size, then by the tags in sorted order."""
+    classes = sorted(vertices, key=lambda c: c.tag)
+    return [PiSet(frozenset(s))
+            for k in range(len(classes) + 1) for s in combinations(classes, k)]
 
 
 def run_corpus_sweep(groups, partitions, statements=ALL_STATEMENTS,

@@ -21,6 +21,7 @@ from sigmagraph.zoo import build_by_tag, standard_partitions, zoo
 
 EXPORT = Path(__file__).resolve().parents[1] / "scripts" / "export_zoo_graphs.py"
 BENCH_PAIRS = EXPORT.parent / "bench_pairs.py"
+LOC = EXPORT.parent / "loc.py"
 
 
 def run(capsys, *argv):
@@ -545,6 +546,44 @@ def test_export_zoo_graphs_matches_graph_command(tmp_path, capsys):
                      "--format", "dot")
     assert rc == 0
     assert (dot / "S4__hawkes__atomic.dot").read_bytes() == out.encode()
+
+
+def test_loc_counts_physical_and_code_lines(tmp_path, capsys):
+    """loc.py counts every line as physical, and as code every line that is
+    not blank, not only a comment and not in a module, class or function
+    docstring; a string that is no docstring is code.  Files below the
+    directory's top level and files other than *.py are left out."""
+    spec = importlib.util.spec_from_file_location("loc", LOC)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "a.py").write_text("\n".join((
+        '"""Module',
+        "",
+        'docstring."""',
+        "",
+        "# a comment",
+        "import os  # code with a comment",  # code 1
+        "",
+        "class A:",  # code 2
+        "    '''Class docstring.'''",
+        "    x = '''not a",  # code 3
+        "    docstring'''",  # code 4
+        "",
+        "    def f(self):",  # code 5
+        '        """Function',
+        '        docstring."""',
+        "        #",
+        "        return 1",  # code 6
+    )) + "\n")
+    (tmp_path / "b.py").write_text("x = 1\n\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text("x = 1\n")
+    assert script.counts((tmp_path / "a.py").read_text()) == (17, 6)
+    assert script.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "    17      6  a.py", "     2      1  b.py", "    19      7  total", ""]
+    assert script.main([str(tmp_path / "notes.txt")]) == 2
 
 
 def test_bench_pairs_refuses_checkouts_with_different_benchmarks(tmp_path):

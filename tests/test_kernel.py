@@ -138,10 +138,13 @@ def test_inverses_cancel_on_every_zoo_group(tag, table, monkeypatch):
 @pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
 @pytest.mark.parametrize("tag", ("S4", "A5", "S6", "wreath_c2_s3"))
 def test_refutes_reads_element_orders_and_makes_no_row(tag, table, monkeypatch):
-    """refutes(x, at, target) is True exactly when x or some x·a, composed
+    """join((x, *at), target) refutes the join, returning None without a
+    closure and without making a row, exactly when x or some x·a, composed
     as permutations, has an order that does not divide target, on drawn
     elements and on the p-elements of a Sylow subgroup, before and after
-    rows are read; with a table it makes no row."""
+    x's row is read.  Each pass joins its other draws after the refuted
+    ones, so that the first pass meets x's row unread; each gives the plain
+    walk's subgroup when its order divides target, else None."""
     if not table:
         monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
     g = build_by_tag(tag)
@@ -150,18 +153,28 @@ def test_refutes_reads_element_orders_and_makes_no_row(tag, table, monkeypatch):
     rng = random.Random(tag)
     sylows = [(sorted(sylow(g, p).indices), p ** e) for p, e in prime_factors(g.order)]
     divisors = [d for d in range(1, u.n + 1) if u.n % d == 0]
+    closures = []
+    closure = _Universe.closure
+    monkeypatch.setattr(_Universe, "closure",
+                        lambda u, *args, **kwargs: closures.append(1) or closure(u, *args, **kwargs))
     for read_first in (False, True):
+        others = []
         for _ in range(150):
             pool, target = (rng.choice(sylows) if rng.random() < 0.5
                             else (range(u.n), rng.choice(divisors)))
             x, at = rng.choice(pool), rng.sample(pool, min(len(pool), rng.randint(0, 4)))
             if read_first:
                 u.rows[x]
-            held = len(u.rows)
-            want = target % perms[x].order() != 0 or any(
-                target % (perms[x] * perms[a]).order() for a in at)
-            assert u.refutes(x, at, target) == want
-            assert len(u.rows) == held
+            if target % perms[x].order() == 0 and not any(
+                    target % (perms[x] * perms[a]).order() for a in at):
+                others.append((x, at, target))
+                continue
+            held, closed = len(u.rows), len(closures)
+            assert u.join((x, *at), target) is None
+            assert (len(u.rows), len(closures)) == (held, closed)
+        for x, at, target in others:
+            s = index_closure(perms, [x, *at])
+            assert u.join((x, *at), target) == (None if target % len(s) else s)
 
 
 def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
@@ -396,9 +409,22 @@ def assert_refuted_joins_match_closing_every_join(G):
             == schmidt_pairs_every_generator(G, once=True))
 
 
-@pytest.mark.parametrize("tag", ORACLE_TAGS + ("S6", "A6", "wreath_c2_s3"))
+JOIN_TAGS = ORACLE_TAGS + ("S6", "A6", "wreath_c2_s3")
+
+
+@pytest.mark.parametrize("tag", JOIN_TAGS)
 def test_refuted_joins_match_closing_every_join(tag):
     assert_refuted_joins_match_closing_every_join(build_by_tag(tag))
+
+
+@pytest.mark.parametrize("tag", JOIN_TAGS)
+def test_refuted_joins_match_closing_every_join_composed(tag, monkeypatch):
+    """The same without a table: each join's products are composed from
+    images."""
+    monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    g = build_by_tag(tag)
+    assert not g.universe().table
+    assert_refuted_joins_match_closing_every_join(g)
 
 
 def test_refuted_joins_match_closing_every_join_on_s5_subgroups():

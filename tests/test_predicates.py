@@ -254,21 +254,21 @@ def test_schmidt_pairs_close_each_orbit_of_cyclic_subgroups_once(tag):
     pytest.param("wreath_c2_s3", 106, 106, id="wreath_c2_s3-106"),
 ])
 def test_schmidt_types_closure_counts(monkeypatch, tag, orbits, closures):
-    """schmidt_types takes up one y-orbit per orbit of cyclic p-subgroups
-    and closes it unless its element orders refute a p-group: A6 83 orbits
-    taken up (731 when every p-element's orbit is closed), 19 of them
-    closed; S5 22 (132), 6 closed; S6 90 (776), 22 closed; and
-    wreath_c2_s3 106 (418), all closed."""
+    """schmidt_types takes up one y-orbit per orbit of cyclic p-subgroups,
+    one ``_Universe.join`` each, which closes it unless its element orders
+    refute a p-group: A6 83 orbits taken up (731 when every p-element's
+    orbit is closed), 19 of them closed; S5 22 (132), 6 closed; S6 90
+    (776), 22 closed; and wreath_c2_s3 106 (418), all closed."""
     g = build_by_tag(tag)
     g.universe().conjugacy_classes()
-    calls, refuted = [], []
-    closure, refutes = _Universe.closure, _Universe.refutes
+    joins, calls = [], []
+    closure, join = _Universe.closure, _Universe.join
     monkeypatch.setattr(_Universe, "closure",
                         lambda u, *args, **kwargs: calls.append(1) or closure(u, *args, **kwargs))
-    monkeypatch.setattr(_Universe, "refutes",
-                        lambda u, *args: refuted.append(refutes(u, *args)) or refuted[-1])
+    monkeypatch.setattr(_Universe, "join",
+                        lambda u, *args: joins.append(1) or join(u, *args))
     schmidt_types(g)
-    assert (len(calls) + sum(refuted), len(calls)) == (orbits, closures)
+    assert (len(joins), len(calls)) == (orbits, closures)
 
 
 def test_schmidt_types_s6():

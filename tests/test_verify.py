@@ -18,7 +18,7 @@ from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup, QuotientG
 from sigmagraph.perm import Permutation
 from sigmagraph.predicates import _pi_closed_indices
 from sigmagraph.sigma import (ATOMIC, PiSet, SigmaPartition, parse_sigma_spec, pi_part,
-                              primes_of, sigma_of_group)
+                              primes_of, sigma_of_group, sigma_of_int)
 from sigmagraph.verify import (_PER_GROUP, _PER_PI, ALL_STATEMENTS, CheckResult,
                                _pairs_pi_closed, _pi_subsets,
                                factorization_fixtures, make_report,
@@ -256,6 +256,16 @@ def test_prop_1_11_sweep_no_failures():
                     rep = verify_prop_1_11(g, sigma, PiSet(frozenset(combo)),
                                            group_tag=tag)
                     assert rep.verdict in ("pass", "vacuous"), rep.to_json()
+
+
+def test_pi_subsets_by_size_then_by_tags_sorted_as_strings():
+    """The atomic classes of 2·3·11·13: by size, then by the sorted tags,
+    compared as strings (atomic:11 < atomic:13 < atomic:2 < atomic:3)."""
+    sigma = SigmaPartition(atomic=True)
+    want = [(), (11,), (13,), (2,), (3,), (11, 13), (11, 2), (11, 3), (13, 2), (13, 3),
+            (2, 3), (11, 13, 2), (11, 13, 3), (11, 2, 3), (13, 2, 3), (11, 13, 2, 3)]
+    assert _pi_subsets(sigma_of_int(2 * 3 * 11 * 13, sigma)) == [
+        PiSet(frozenset(map(sigma.classify, ps))) for ps in want]
 
 
 def test_pair_scan_agrees_with_the_lattice(corpus_groups, partitions):
