@@ -1263,10 +1263,11 @@ def _largest_normal_over(G: PermGroup, floor: frozenset[int], primes) -> frozens
     floor (``_Universe.grow``): a class C outside n joins when <n, C>, a
     normal subgroup, has order dividing target = |floor| times the
     primes-part of |G : floor|, that is when its index over floor involves
-    only the primes (``_Universe.join``).  A class of N always joins, since n <= <n, C> <= N; a
-    class outside N never does, since <n, C> would then be a larger one of
-    the kind.  So a class that fails against n fails against every later n,
-    and one pass ends at N.  The result is checked to be normal."""
+    only the primes (``_Universe.join``).  A class of N always joins, since
+    n <= <n, C> <= N; a class outside N never does, since <n, C> would then
+    be a larger one of the kind.  So a class that fails against n fails
+    against every later n, and one pass ends at N.  The result is checked
+    to be normal."""
     pset = frozenset(p for p in primes if (G.order // len(floor)) % p == 0)
 
     def compute():
