@@ -10,11 +10,13 @@ listed form the residual class).
 Exit codes: 0 for success (including vacuous verifications), 1 when a
 verification reports FAIL, 2 for input errors, domain errors, and resource
 caps.  A cap option below 1 is an input error.  A group spec with a degree
-above 256 or more than 64 generators is refused as a cap (``max_degree``,
+above 256 (``group.MAX_DEGREE``, since an element's images are bytes) or
+more than 64 generators is refused as a cap (``max_degree``,
 ``max_generators``) before any permutation is built, and one whose order
 exceeds ``max_element_order`` (``--max-order``) as soon as the walk that
 enumerates it finds one element more, so refusing a group above the cap
-costs about as much as enumerating one at the cap.  Every group a call
+costs about as much as enumerating one at the cap; a ``zoo:TAG`` group is
+refused from the zoo's order, before any walk.  Every group a call
 decides, each corpus group and each Theorem 1.7 fixture included, is built
 under the call's caps and decided under them; the corpus's membership (the
 zoo and S5's 155 nontrivial subgroups) is fixed set-up, found under the
@@ -39,7 +41,7 @@ from pathlib import Path
 from .errors import (CrossCheckError, DomainError, GroupInputError,
                      ResourceLimitError)
 from .graphs import build_hall, build_hawkes, build_vm, to_dot, to_json
-from .group import DEFAULT_LIMITS, EngineLimits, PermGroup
+from .group import DEFAULT_LIMITS, MAX_DEGREE, EngineLimits, PermGroup
 from .perm import Permutation
 from .predicates import (is_critical, is_pi_closed, is_schmidt,
                          is_sigma_dispersive, is_sigma_nilpotent,
@@ -55,8 +57,8 @@ _PREDICATES = {"soluble": is_sigma_soluble, "nilpotent": is_sigma_nilpotent,
                "schmidt": lambda G, sigma: is_schmidt(G),
                "critical": is_critical}
 
-# input caps on a group spec, checked before any permutation is built
-_MAX_DEGREE = 256
+# input caps on a group spec, checked before any permutation is built; the
+# degree cap is the library's (``group.MAX_DEGREE``)
 _MAX_GENERATORS = 64
 
 
@@ -87,9 +89,9 @@ def _group_from_json(data, tag: str, limits: EngineLimits) -> tuple[str, PermGro
     name = data.get("name", tag)
     if not isinstance(name, str):
         raise GroupInputError("group spec name must be a string")
-    if degree > _MAX_DEGREE:
+    if degree > MAX_DEGREE:
         raise ResourceLimitError(f"group spec degree {degree} is too large",
-                                 cap_name="max_degree", cap_value=_MAX_DEGREE)
+                                 cap_name="max_degree", cap_value=MAX_DEGREE)
     raw = data.get("generators")
     if not isinstance(raw, list):
         raise GroupInputError("group spec needs a generator list")

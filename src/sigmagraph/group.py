@@ -18,25 +18,28 @@ subgroup work runs on the indexed element table of the ambient group
 breadth-first walk over its Cayley graph that stops past the element cap;
 that walk is the only route to a group's order and elements, so refusing a
 group above a cap costs about as much as enumerating one at the cap.  Each
-element is kept once, as the image tuple the walk found; a ``Permutation``
-is made only for a caller who asks.  The table is read through one bulk read,
-``_Universe.gather``, and one pointwise read, ``_Universe.mul``.  Up to
-``_TABLE_LIMIT`` elements it holds rows of the multiplication table: the
-rows of the generators and their inverses are made with the table, and
-every other row is gathered from held rows along the Cayley graph on its
-first read, so a caller pays for the rows it reads (six cold hawkes and
-hall graph calls on S6, one table of 720 rows each, gather about 320 rows
-in all).  Rows are tuples that share the identity row's int objects, so a
-gather neither boxes nor copies an entry; a held row costs 8 bytes per
-entry, so the whole table, reached when every row is read, takes about
-4 MB for S6 and about 18 MB at the limit.  Above
-it a gather composes each entry from images as it reads it, at C level
-too.  A subgroup is its set of element indices in that table.  Its generator indices are
-given, where a search produced them, or derived from the set on first
-read (Hall subgroups, normal subgroups, cores); its own PermGroup is built
-only when a caller treats it as a group in its own right.  Every subgroup is
-generated by ``_Universe.closure``, which extends a subgroup the caller
-already holds by new generators, one left coset at a time (Dimino's
+element is kept once, as the bytes of the images the walk found (a degree is
+at most ``MAX_DEGREE`` = 256), with its table: the images padded to 256
+bytes, so that x·g is one ``bytes.translate`` of x's images through g's
+table (S6's 720 tables take about 208 KB); a ``Permutation``, on an image
+tuple, is made only for a caller who asks.  The table is read through one
+bulk read, ``_Universe.gather``, and one pointwise read,
+``_Universe.mul``.  Up to ``_TABLE_LIMIT`` elements it holds rows of the
+multiplication table: the rows of the generators and their inverses are made
+with the table, and every other row is gathered from held rows along the
+Cayley graph on its first read, so a caller pays for the rows it reads (six
+cold hawkes and hall graph calls on S6, one table of 720 rows each, gather
+about 320 rows in all).  Rows are tuples that share the identity row's int
+objects, so a gather neither boxes nor copies an entry; a held row costs 8
+bytes per entry, so the whole table, reached when every row is read, takes
+about 4 MB for S6 and about 18 MB at the limit.  Above it a gather composes
+each entry from images as it reads it, by ``bytes.translate``, at C level
+too.  A subgroup is its set of element indices in that table.  Its generator
+indices are given, where a search produced them, or derived from the set on
+first read (Hall subgroups, normal subgroups, cores); its own PermGroup is
+built only when a caller treats it as a group in its own right.  Every
+subgroup is generated by ``_Universe.closure``, which extends a subgroup
+the caller already holds by new generators, one left coset at a time (Dimino's
 algorithm; Butler, Fundamental Algorithms for Permutation Groups, LNCS 559).
 Subgroup searches work up to conjugacy: they extend one representative K per
 class, by one cyclic subgroup per N_G(K)-orbit, skip a join that an earlier
@@ -116,6 +119,8 @@ class EngineLimits:
 DEFAULT_LIMITS = EngineLimits()
 
 _TABLE_LIMIT = 1500  # hold rows of the multiplication table up to this order
+MAX_DEGREE = 256  # an element's images are bytes
+_POINTS = bytes(range(MAX_DEGREE))  # the identity; its tail pads an image to a table
 
 
 class PermGroup:
@@ -129,9 +134,11 @@ class PermGroup:
     quotient image) inherits them.  The walk stops once it has found more
     than ``limits.max_element_order`` elements and then raises a
     ResourceLimitError naming max_element_order, so refusing a group above a
-    cap costs about as much as enumerating one at the cap.  A walk that
-    completes gives the order and the sorted image tuples, the one element
-    list that ``elements`` and ``universe`` read."""
+    cap costs about as much as enumerating one at the cap.  A degree above
+    ``MAX_DEGREE``, past what a byte holds, is refused before the walk,
+    naming max_degree.  A walk that completes gives the order and the
+    sorted images as bytes, the one element list that ``elements`` (as
+    image tuples) and ``universe`` read."""
 
     __slots__ = ("degree", "generators", "order", "limits", "_images", "_cache")
 
@@ -140,6 +147,9 @@ class PermGroup:
             raise GroupInputError(f"degree must be an int, got {degree!r}")
         if degree < 1:
             raise GroupInputError(f"degree must be positive, got {degree}")
+        if degree > MAX_DEGREE:
+            raise ResourceLimitError(f"degree {degree} is too large", cap_name="max_degree",
+                                     cap_value=MAX_DEGREE)
         gens = tuple(generators)
         for g in gens:
             if not isinstance(g, Permutation):
@@ -151,9 +161,7 @@ class PermGroup:
         bound = limits.max_element_order
         images = _cayley_walk(degree, gens, bound)
         if images is None:
-            raise ResourceLimitError(
-                f"group of order above {bound} is too large to enumerate",
-                cap_name="max_element_order", cap_value=bound)
+            raise _element_cap_error(bound)
         self.degree = degree
         self.generators = gens
         self.order = len(images)
@@ -170,26 +178,28 @@ class PermGroup:
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple."""
-        return _memo(self, "elements", lambda: tuple(map(_trusted, self._images)))
+        return _memo(self, "elements",
+                     lambda: tuple(map(_trusted, map(tuple, self._images))))
 
     def universe(self) -> "_Universe":
         """The element table."""
         return _memo(self, "universe", lambda: _Universe(self._images, self.generators))
 
 
-def _cayley_walk(degree: int, generators, bound: int) -> tuple[tuple[int, ...], ...] | None:
-    """The sorted image tuples of the elements of the group the generators
-    generate; None once more than bound are found.  A breadth-first walk
-    from the identity that multiplies on the left by one generator per
-    step: g·x applies g first, so its images are x's images read at g's, one
-    C-level gather on x's image tuple."""
-    steps = [_getter(g.images) for g in generators]
-    ident = tuple(range(degree))
+def _cayley_walk(degree: int, generators, bound: int) -> tuple[bytes, ...] | None:
+    """The sorted images, as bytes, of the elements of the group the
+    generators generate; None once more than bound are found.  A
+    breadth-first walk from the identity that multiplies on the right by one
+    generator per step: x·g applies x first, so its images are x's read
+    through g's table (g's images padded to 256 bytes), one
+    ``bytes.translate``.  Byte order is image-tuple order."""
+    tables = [bytes(g.images) + _POINTS[degree:] for g in generators]
+    ident = _POINTS[:degree]
     seen = {ident}
     walk = [ident]
     for x in walk:
-        for step in steps:
-            y = step(x)
+        for t in tables:
+            y = x.translate(t)
             if y not in seen:
                 seen.add(y)
                 walk.append(y)
@@ -197,6 +207,13 @@ def _cayley_walk(degree: int, generators, bound: int) -> tuple[tuple[int, ...], 
             return None
     walk.sort()
     return tuple(walk)
+
+
+def _element_cap_error(bound: int) -> ResourceLimitError:
+    """The error for a group of order above bound, found by the walk or
+    known beforehand (a zoo entry's order)."""
+    return ResourceLimitError(f"group of order above {bound} is too large to enumerate",
+                              cap_name="max_element_order", cap_value=bound)
 
 
 _MISSING = object()
@@ -253,7 +270,7 @@ class Subgroup:
     def group(self) -> PermGroup:
         if self._group is None:
             images = self.parent.universe().images
-            grp = PermGroup(self.parent.degree, [_trusted(images[i]) for i in self.gens],
+            grp = PermGroup(self.parent.degree, [_trusted(tuple(images[i])) for i in self.gens],
                             self.parent.limits)
             if grp.order != self.order:
                 raise CrossCheckError("materialised subgroup order disagrees with its index set")
@@ -263,7 +280,7 @@ class Subgroup:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted by image tuple like ``PermGroup.elements``."""
         images = self.parent.universe().images
-        return tuple(_trusted(images[i]) for i in sorted(self.indices))
+        return tuple(_trusted(tuple(images[i])) for i in sorted(self.indices))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -285,13 +302,14 @@ def _getter(idx):
     return itemgetter(*idx)
 
 
-def _composed(index: dict, images, at):
+def _composed(index: dict, tables, at):
     """The gather of positions at along a composed row: for rows[x] =
-    ``_getter(images[x])``, it gives (x·a for a in at), each x·a composed as
-    a's images read at x's and looked up in index, all at C level."""
-    at_images = [images[a] for a in at]
+    images[x], it gives (x·a for a in at), each x·a composed as x's images
+    read through a's table (``row.translate``) and looked up in index, all
+    at C level."""
+    at_tables = [tables[a] for a in at]
     lookup = index.__getitem__
-    return lambda row: tuple(map(lookup, map(row, at_images)))
+    return lambda row: tuple(map(lookup, map(row.translate, at_tables)))
 
 
 class _Rows(dict):
@@ -329,7 +347,9 @@ class _Rows(dict):
 
 class _Universe:
     """Index arithmetic over one group's full, canonically sorted list of
-    image tuples (``images``; ``index`` maps each to its position).
+    images as bytes (``images``; ``index`` maps each to its position), and
+    their tables (``tables``: the images padded to 256 bytes), so that
+    ``images[x].translate(tables[a])`` is the images of x·a.
 
     ``rows[x]`` is row x of the multiplication table, read through
     ``gather``: ``gather(at)(rows[x])`` is (x·a for a in at), x first, then
@@ -339,21 +359,22 @@ class _Universe:
     ``rows`` is a ``_Rows`` mapping that makes each row on its first read,
     ``rows[x]`` is a tuple, ``rows[x][y]`` the index of x·y, and a gather is
     one ``itemgetter``.  Only the rows of the generators are composed from
-    images, and those of their inverses inverted from them; every other row
-    is gathered on first read from a held row one step nearer along the
+    images (g·y is g's images read through y's table), and those of their
+    inverses inverted from them; every other row is gathered on first read
+    from a held row one step nearer along the
     Cayley graph, since row(g·p) = row(g) read at the positions row(p)
     (associativity), one C-level gather per row.  A walk over indices along
     the rows of the generators and their inverses, made with the table,
     checks that the generators reach every element and gives the tree that
     the reads follow.  A row gathered from the identity row holds that row's
     int objects (the values of ``index``), so the gather boxes nothing and
-    builds nothing besides the tuple.  Above the limit ``rows`` is a list,
-    ``rows[x]`` is ``_getter(images[x])``, and a gather composes each entry
-    from images (``_composed``), still at C level: no Python call per entry.
+    builds nothing besides the tuple.  Above the limit ``rows`` is
+    ``images``, and a gather composes each entry from images and tables
+    (``_composed``), still at C level: no Python call per entry.
     Element orders, inverses and the cyclic subgroups come from one walk per
-    cyclic subgroup from its least generator, composing image tuples (the
-    walk reads no row); that generator names the subgroup, and no element
-    set is built: ``canon[x]`` is the least generator of <x>, and
+    cyclic subgroup from its least generator, composing images through its
+    table (the walk reads no row); that generator names the subgroup, and
+    no element set is built: ``canon[x]`` is the least generator of <x>, and
     ``cyclic`` lists those of the nontrivial ones in increasing order.
     Conjugation is two gathers through the inverses, whole rows
     (``conjugation_rows``) or at some positions (``conjugates``).
@@ -363,23 +384,24 @@ class _Universe:
     with the table, and ``conjugacy_classes()`` their orbits, computed on
     the first call."""
 
-    __slots__ = ("images", "index", "n", "identity", "table", "rows", "gather",
+    __slots__ = ("images", "index", "tables", "n", "identity", "table", "rows", "gather",
                  "inv_arr", "orders", "canon", "cyclic", "gens", "conj_rows", "_classes")
 
-    def __init__(self, images: tuple[tuple[int, ...], ...], generators):
+    def __init__(self, images: tuple[bytes, ...], generators):
         self._classes = None
         self.images = images
         self.index = index = {im: i for i, im in enumerate(images)}
+        self.tables = tables = [im + _POINTS[len(im):] for im in images]
         self.n = n = len(images)
-        self.identity = ident = index[tuple(range(len(images[0])))]
-        self.gens = tuple(g for g in dict.fromkeys(index[p.images] for p in generators)
+        self.identity = ident = index[_POINTS[:len(images[0])]]
+        self.gens = tuple(g for g in dict.fromkeys(index[bytes(p.images)] for p in generators)
                           if g != ident)
         self.table = n <= _TABLE_LIMIT
-        self.gather = _getter if self.table else partial(_composed, index, images)
+        self.gather = _getter if self.table else partial(_composed, index, tables)
         # one walk per cyclic subgroup, from its least generator i, composing
-        # image tuples: i^j with gcd(j, k) = 1 generates <i> too, so it has
-        # order k, inverse i^(k-j) and canon i; every element generates one
-        # walked subgroup
+        # images: i^j with gcd(j, k) = 1 generates <i> too, so it has order
+        # k, inverse i^(k-j) and canon i; every element generates one walked
+        # subgroup
         self.orders = orders = array("l", [1]) * n
         self.inv_arr = inv = array("l", [ident]) * n
         self.canon = canon = [-1] * n
@@ -387,12 +409,12 @@ class _Universe:
         self.cyclic = cyclic = []
         for i in range(n):
             if canon[i] < 0:
-                times_i = itemgetter(*images[i])  # degree >= 2 here
+                times_i = tables[i]
                 powers = [ident]
                 x, im = i, images[i]
                 while x != ident:
                     powers.append(x)
-                    im = times_i(im)
+                    im = im.translate(times_i)
                     x = index[im]
                 k = len(powers)
                 for j in range(1, k):
@@ -401,14 +423,14 @@ class _Universe:
                         orders[x], inv[x], canon[x] = k, powers[k - j], i
                 cyclic.append(i)
         if not self.table:
-            self.rows = list(map(_getter, images))
+            self.rows = images
         else:
             # row(g)[y] = g·y, composed from images; row(g⁻¹) is its inverse
             # permutation (a plain loop: faster than composing it or sorting);
             # every other row is gathered from these on first read
             ident_row = tuple(index.values())
             lookup = index.__getitem__
-            held = {g: tuple(map(lookup, map(_getter(images[g]), images))) for g in self.gens}
+            held = {g: tuple(map(lookup, map(images[g].translate, tables))) for g in self.gens}
             for g in self.gens:
                 if inv[g] not in held:
                     back = [0] * n
@@ -435,12 +457,12 @@ class _Universe:
 
     def mul(self, i: int, j: int) -> int:
         row = self.rows[i]
-        return row[j] if self.table else self.index[row(self.images[j])]
+        return row[j] if self.table else self.index[row.translate(self.tables[j])]
 
     def idx_of(self, p: Permutation) -> int:
         try:
-            return self.index[p.images]
-        except KeyError:
+            return self.index[bytes(p.images)]
+        except (KeyError, ValueError):  # ValueError: a point past a byte
             raise DomainError(f"element {p} lies outside the ambient group") from None
 
     def closure(self, gen_idxs, *, base: frozenset[int] | None = None,
@@ -506,9 +528,8 @@ class _Universe:
         at = chain(gens[1:], base or ())
         row = self.rows.get(x) if self.table else None  # get: no row is made
         if row is None:
-            images = self.images
             products = map(self.index.__getitem__,
-                           map(_getter(images[x]), map(images.__getitem__, at)))
+                           map(self.images[x].translate, map(self.tables.__getitem__, at)))
         else:
             products = map(row.__getitem__, at)
         if any(map(target.__mod__, map(orders.__getitem__, products))):
@@ -763,8 +784,8 @@ class QuotientGroup:
 
     def project(self, p: Permutation) -> Permutation:
         try:
-            return self._proj[p.images]
-        except KeyError:
+            return self._proj[bytes(p.images)]
+        except (KeyError, ValueError):  # ValueError: a point past a byte
             raise DomainError(f"element {p} lies outside the quotient source") from None
 
     def preimage_indices(self, sub: Subgroup) -> frozenset[int]:
@@ -781,12 +802,13 @@ def quotient(G: PermGroup, N: Subgroup) -> QuotientGroup:
     """Quotient G/N via the faithful action on the cosets of N, as a group
     of its own.  No library route calls it: the predicates read G/N among
     G's normal subgroups over N (``_largest_normal_over``); the tests use it
-    as a second route.  Cosets are numbered by their least elements, in order."""
+    as a second route.  Cosets are numbered by their least elements, in
+    order.  An index above ``MAX_DEGREE`` is refused, naming max_degree."""
     if not is_normal(G, N):
         raise DomainError("cannot form the quotient: subgroup is not normal")
     u = G.universe()
     if N.order == 1:  # the image is G itself, which G's own cache must not hold
-        return QuotientGroup(G, N, G, {im: _trusted(im) for im in u.images})
+        return QuotientGroup(G, N, G, {im: _trusted(tuple(im)) for im in u.images})
 
     def compute():
         labels, reps = _coset_labels(u, N.indices)
@@ -799,7 +821,7 @@ def quotient(G: PermGroup, N: Subgroup) -> QuotientGroup:
             raise CrossCheckError("coset action order disagrees with the index")
         for a in G.generators:
             for b in G.generators:
-                if proj[(a * b).images] != proj[a.images] * proj[b.images]:
+                if proj[bytes((a * b).images)] != proj[bytes(a.images)] * proj[bytes(b.images)]:
                     raise CrossCheckError("coset projection is not a homomorphism on generators")
         return image, proj
     return QuotientGroup(G, N, *_memo(G, ("quotient", N.indices), compute))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CrossCheckError, GroupInputError
-from .group import DEFAULT_LIMITS, EngineLimits, PermGroup, all_subgroups
+from .group import DEFAULT_LIMITS, EngineLimits, PermGroup, _element_cap_error, all_subgroups
 from .perm import Permutation
 from .sigma import SigmaPartition, _is_int
 
@@ -184,9 +184,12 @@ def zoo() -> tuple[ZooEntry, ...]:
 def build_by_tag(tag: str, limits: EngineLimits = DEFAULT_LIMITS) -> PermGroup:
     """The entry's group under limits: the order-checked group itself when
     it was built under limits, else that group rebuilt on its generators
-    under limits."""
+    under limits.  An entry whose order is above limits.max_element_order is
+    refused before any walk."""
     for entry in zoo():
         if entry.tag == tag:
+            if entry.expected_order > limits.max_element_order:
+                raise _element_cap_error(limits.max_element_order)
             g = entry.build()
             return g if g.limits == limits else PermGroup(g.degree, g.generators, limits)
     raise GroupInputError(f"unknown zoo tag {tag!r}")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sigmagraph.cli
+import sigmagraph.group
 from oracles import report_json_by_dumps
 from sigmagraph.cli import main
 from sigmagraph.errors import GroupInputError
@@ -417,13 +418,15 @@ def test_resource_cap_exits_2(capsys):
     assert err.startswith("error:") and "max" in err
 
 
-def test_zoo_group_is_capped_by_its_call_only(capsys):
+def test_zoo_group_is_capped_by_its_call_only(capsys, cayley_walks):
     """A zoo:TAG group is rebuilt under the call's caps: --max-order 100
-    refuses S6, and the next, uncapped call in the same process prints the
-    benchmark's golden bytes for it."""
+    refuses S6 from the zoo's order, before any walk, and the next,
+    uncapped call in the same process prints the benchmark's golden bytes
+    for it."""
     argv = ("graph", "--group", "zoo:S6", "--kind", "hawkes")
     rc, out, err = run(capsys, "--max-order", "100", *argv)
     assert rc == 2 and out == "" and "[cap max_element_order=100]" in err
+    assert cayley_walks == []
     rc, out, err = run(capsys, *argv)
     golden = json.loads((EXPORT.parents[1] / "perfbench" / "golden.json").read_text())
     assert rc == 0 and err == ""
@@ -461,6 +464,17 @@ def test_oversized_group_spec_exits_2_before_building(capsys, monkeypatch):
             rc, out, err = run(capsys, *command)
             assert rc == 2 and out == ""
             assert err.startswith("error:") and f"[cap {cap}]" in err and err.count("\n") == 1
+
+
+def test_spec_degree_cap_is_the_librarys(capsys):
+    """The spec check reads the library's degree cap: degree 256 passes it
+    (the trivial group is then refused as an input error), and 257 is
+    refused as max_degree."""
+    assert sigmagraph.cli.MAX_DEGREE is sigmagraph.group.MAX_DEGREE == 256
+    for degree, message in ((256, "order > 1"), (257, "[cap max_degree=256]")):
+        spec = json.dumps({"degree": degree, "generators": []})
+        rc, out, err = run(capsys, "graph", "--group", spec, "--kind", "hawkes")
+        assert rc == 2 and out == "" and message in err
 
 
 def test_group_order_past_the_element_cap_exits_2_while_building(capsys):

@@ -17,7 +17,7 @@ from oracles import (ORACLE_TAGS, brute_subgroup_sets, chief_series_terms,
                      naive_centralizer, naive_normalizer, rebuilt)
 from sigmagraph.errors import (CrossCheckError, DomainError, GroupInputError,
                                ResourceLimitError)
-from sigmagraph.group import (DEFAULT_LIMITS, EngineLimits, PermGroup,
+from sigmagraph.group import (DEFAULT_LIMITS, MAX_DEGREE, EngineLimits, PermGroup,
                               Subgroup, _elementary_layer, _hall_classes,
                               _largest_normal_over, _layer_ceiling, _layer_count,
                               _Universe,
@@ -138,6 +138,29 @@ def test_centralizer_normalizer_match_naive():
         sub_elems = list(s.elements())
         assert frozenset(centralizer(s4, s).elements()) == naive_centralizer(s4, sub_elems)
         assert frozenset(normalizer(s4, s).elements()) == naive_normalizer(s4, sub_elems)
+
+
+def test_a_degree_past_a_byte_is_refused_before_the_walk(cayley_walks):
+    """Images are bytes, so degree 256 is built and 257 is refused, naming
+    max_degree, before any walk."""
+    assert MAX_DEGREE == 256
+    assert PermGroup(256, [Permutation.from_cycles(256, [(0, 255)])]).order == 2
+    with pytest.raises(ResourceLimitError, match=r"\[cap max_degree=256\]"):
+        PermGroup(257, [Permutation.from_cycles(257, [(0, 256)])])
+    assert cayley_walks == [256]
+
+
+def test_a_point_past_a_byte_lies_outside_every_group():
+    """A permutation moving a point past 255 is outside the table and the
+    quotient source (DomainError), not a bare ValueError from bytes()."""
+    s4 = build_by_tag("S4")
+    far = Permutation.from_cycles(300, [(0, 299)])
+    v4 = subgroup(s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)]),
+                       Permutation.from_cycles(4, [(0, 2), (1, 3)])])
+    for read in (s4.universe().idx_of, quotient(s4, v4).project,
+                 quotient(s4, subgroup(s4, [])).project):
+        with pytest.raises(DomainError):
+            read(far)
 
 
 def test_subgroup_membership_validated():

@@ -7,7 +7,9 @@ import contextlib
 import hashlib
 import io
 import random
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, reject, settings
@@ -40,7 +42,7 @@ from sigmagraph.zoo import (alternating, build_by_tag, corpus, direct_product, s
 
 def table_elements(u):
     """The table's elements as checked permutations, in index order."""
-    return [Permutation(im) for im in u.images]
+    return [Permutation(tuple(im)) for im in u.images]
 
 
 def assert_table_matches(G):
@@ -190,14 +192,42 @@ def test_table_rows_are_tuples_sharing_the_identity_rows_ints():
 
 
 def test_a_deep_row_is_gathered_without_recursion():
-    """The cyclic group of order 1200 given by one 1200-cycle g: the rows
-    of 1, g and g⁻¹ are held, and the row of g^600, read first on a fresh
-    table, is gathered along a chain of 600 powers of g."""
-    g = Permutation(tuple(range(1, 1200)) + (0,))
-    u = PermGroup(1200, [g], EngineLimits(max_element_order=1200)).universe()
-    assert len(u.rows) == 3
-    far = Permutation(tuple((i + 600) % 1200 for i in range(1200)))
+    """The cyclic group of order 1200 given by one g, a 16-cycle, a 3-cycle
+    and a 25-cycle on 44 points: the rows of 1, g and g⁻¹ are held, and the
+    row of g^600, read first on a fresh table, is gathered along a chain of
+    600 powers of g."""
+    g = Permutation.from_cycles(44, [list(range(16)), [16, 17, 18], list(range(19, 44))])
+    u = PermGroup(44, [g], EngineLimits(max_element_order=1200)).universe()
+    assert u.n == 1200 and len(u.rows) == 3
+    far = Permutation(tuple((i + 8) % 16 for i in range(16)) + tuple(range(16, 44)))
+    assert far == reduce(mul, [g] * 600)
     assert u.rows[u.idx_of(far)] == tuple(u.idx_of(far * p) for p in table_elements(u))
+
+
+@pytest.mark.parametrize("table", (True, False), ids=("table", "composed"))
+def test_elements_are_bytes_composed_by_translate(table, monkeypatch):
+    """On every zoo group and S5 subgroup, with a table and without: the
+    table holds each element as the bytes of its images, in the order of
+    the sorted image tuples of ``elements()``, which stay tuple-backed
+    Permutations; on a seeded sample, x's images read through a's table
+    are x·a, and a gather along row x gives the indices of the x·a."""
+    if not table:
+        monkeypatch.setattr(sigmagraph.group, "_TABLE_LIMIT", 1)
+    rng = random.Random("bytes")
+    groups = [build_by_tag(tag) for tag in zoo_tags()] + [g for _, g in s5_subgroups()]
+    for G in groups:
+        G = PermGroup(G.degree, G.generators)  # a fresh table under this test's limit
+        u, perms = G.universe(), G.elements()
+        assert u.table == (table or u.n == 1)
+        assert all(type(im) is bytes and len(im) == G.degree for im in u.images)
+        assert [tuple(im) for im in u.images] == sorted(p.images for p in perms)
+        assert all(type(p) is Permutation and type(p.images) is tuple for p in perms)
+        xs, at = rng.choices(range(u.n), k=8), rng.choices(range(u.n), k=8)
+        for x in xs:
+            products = [perms[x] * perms[a] for a in at]
+            assert [u.images[x].translate(u.tables[a]) for a in at] == [
+                bytes(p.images) for p in products]
+            assert u.gather(at)(u.rows[x]) == tuple(map(u.idx_of, products))
 
 
 def test_rows_read_in_random_order_match_composition():
@@ -360,7 +390,7 @@ def test_closure_over_a_one_element_base():
 
 
 def test_generators_that_miss_elements_are_refused():
-    images = tuple(p.images for p in symmetric(4).elements())
+    images = tuple(bytes(p.images) for p in symmetric(4).elements())
     with pytest.raises(CrossCheckError):
         _Universe(images, [Permutation.from_cycles(4, [(0, 1)])])
     with pytest.raises(CrossCheckError):
